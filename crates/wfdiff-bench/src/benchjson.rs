@@ -1,11 +1,11 @@
 //! Machine-readable `BENCH_*.json` output for the perf-tracking CI job.
 //!
-//! Every perf binary (`batch_diff`, `warm_start`, `load_gen` in its mixed,
-//! `cluster`, `similar` and `stream` modes) writes, next to its
-//! human-readable table and CSV, one JSON document named
-//! `BENCH_<experiment>.json` that CI uploads as a per-commit artifact
-//! (`BENCH_batch_diff.json`, `BENCH_warm_start.json`, `BENCH_serve.json`,
-//! `BENCH_cluster.json`, `BENCH_similar.json`, `BENCH_stream.json`).  The
+//! Every perf binary (`batch_diff`, `load_gen` in its mixed, `cluster`,
+//! `similar` and `stream` modes) writes, next to its human-readable table
+//! and CSV, one JSON document named `BENCH_<experiment>.json` that CI
+//! uploads as a per-commit artifact (`BENCH_batch_diff.json`,
+//! `BENCH_serve.json`, `BENCH_cluster.json`, `BENCH_similar.json`,
+//! `BENCH_stream.json`).  The
 //! documents are flat, stable-keyed and self-describing so that the perf
 //! trajectory can be charted across commits without parsing tables.
 //!
@@ -14,7 +14,6 @@
 //! (`{"mixed": …, "sharded": …}`), merged by [`merge_serve_bench_json`].
 
 use crate::batch::BatchReport;
-use crate::warmstart::WarmStartRow;
 use serde::Serialize;
 use std::io::Write;
 use std::path::Path;
@@ -79,45 +78,6 @@ impl From<&BatchReport> for BatchReportJson {
                     hit_rate: p.cache.hit_rate(),
                 })
                 .collect(),
-        }
-    }
-}
-
-/// JSON shape of one [`WarmStartRow`].
-#[derive(Debug, Serialize)]
-pub struct WarmStartJson {
-    /// Workload label.
-    pub workload: String,
-    /// Number of runs in the collection.
-    pub runs: usize,
-    /// `save_to_dir` wall time (ms).
-    pub save_ms: f64,
-    /// `load_from_dir` wall time (ms).
-    pub load_ms: f64,
-    /// Cold first-query burst (ms).
-    pub cold_diff_ms: f64,
-    /// `warm_start` wall time (ms).
-    pub warm_start_ms: f64,
-    /// Warm first-query burst (ms).
-    pub warm_diff_ms: f64,
-    /// Cold/warm first-query speedup.
-    pub first_query_speedup: f64,
-    /// Whether persisted distances matched the in-memory store.
-    pub distances_match: bool,
-}
-
-impl From<&WarmStartRow> for WarmStartJson {
-    fn from(row: &WarmStartRow) -> Self {
-        WarmStartJson {
-            workload: row.label.clone(),
-            runs: row.runs,
-            save_ms: row.save_ms,
-            load_ms: row.load_ms,
-            cold_diff_ms: row.cold_diff_ms,
-            warm_start_ms: row.warm_start_ms,
-            warm_diff_ms: row.warm_diff_ms,
-            first_query_speedup: row.first_query_speedup(),
-            distances_match: row.distances_match,
         }
     }
 }

@@ -40,7 +40,6 @@ pub mod loadgen;
 pub mod similar;
 pub mod table1;
 pub mod torture;
-pub mod warmstart;
 
 /// Measures the wall-clock time of a closure in milliseconds.
 pub fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {

@@ -28,6 +28,7 @@ use crate::error::DiffError;
 use crate::mapping::Mapping;
 use crate::surcharge::SpecContext;
 use std::collections::HashMap;
+use std::sync::Arc;
 use wfdiff_matching::{assignment_with_unmatched, noncrossing_solve};
 use wfdiff_sptree::{
     AnnotatedTree, Fingerprint, NodeType, Run, Specification, TreeFingerprints, TreeId,
@@ -73,25 +74,19 @@ pub struct WorkflowDiff<'a> {
     cost_key: u64,
 }
 
-/// A run together with its canonical fingerprints and Algorithm 3 tables,
-/// ready for repeated differencing.
+/// What differencing needs from one run besides its tree: the canonical
+/// fingerprints and the Algorithm 3 tables.
 ///
-/// Build one per run with [`WorkflowDiff::prepare`] and reuse it across
-/// [`WorkflowDiff::diff_prepared`] / [`WorkflowDiff::distance_prepared`]
-/// calls: batch workloads (all-pairs clustering) prepare each run once and
-/// difference it against many partners.
-pub struct PreparedRun<'r> {
-    run: &'r Run,
+/// It depends only on the run and the cost model, and it owns its data, so
+/// a long-lived caller (the diff service) can compute it once per stored
+/// run with [`WorkflowDiff::prepare_tables`] and keep it beside the run.
+#[derive(Debug, Clone)]
+pub struct RunTables {
     fps: TreeFingerprints,
     tables: DeletionTables,
 }
 
-impl<'r> PreparedRun<'r> {
-    /// The underlying run.
-    pub fn run(&self) -> &'r Run {
-        self.run
-    }
-
+impl RunTables {
     /// The run tree's canonical fingerprints.
     pub fn fingerprints(&self) -> &TreeFingerprints {
         &self.fps
@@ -100,6 +95,42 @@ impl<'r> PreparedRun<'r> {
     /// The run's Algorithm 3 deletion/insertion tables.
     pub fn tables(&self) -> &DeletionTables {
         &self.tables
+    }
+}
+
+/// A run paired with its [`RunTables`], ready for repeated differencing.
+///
+/// Build one per run with [`WorkflowDiff::prepare`], or from tables kept
+/// across calls with [`PreparedRun::new`], and reuse it across
+/// [`WorkflowDiff::diff_prepared`] / [`WorkflowDiff::distance_prepared`]
+/// calls: batch workloads (all-pairs clustering) prepare each run once and
+/// difference it against many partners.
+pub struct PreparedRun<'r> {
+    run: &'r Run,
+    tables: Arc<RunTables>,
+}
+
+impl<'r> PreparedRun<'r> {
+    /// Pairs `run` with tables that [`WorkflowDiff::prepare_tables`]
+    /// computed for this same run under the engine's cost model.
+    pub fn new(run: &'r Run, tables: Arc<RunTables>) -> Self {
+        debug_assert_eq!(tables.fps.len(), run.tree().len(), "tables of another run");
+        PreparedRun { run, tables }
+    }
+
+    /// The underlying run.
+    pub fn run(&self) -> &'r Run {
+        self.run
+    }
+
+    /// The run tree's canonical fingerprints.
+    pub fn fingerprints(&self) -> &TreeFingerprints {
+        &self.tables.fps
+    }
+
+    /// The run's Algorithm 3 deletion/insertion tables.
+    pub fn tables(&self) -> &DeletionTables {
+        &self.tables.tables
     }
 }
 
@@ -150,6 +181,17 @@ impl<'a> WorkflowDiff<'a> {
         run: &'r Run,
         cache: Option<&dyn DiffCache>,
     ) -> Result<PreparedRun<'r>, DiffError> {
+        Ok(PreparedRun { run, tables: Arc::new(self.prepare_tables(run, cache)?) })
+    }
+
+    /// The owned half of [`WorkflowDiff::prepare`]: the run's fingerprints
+    /// and Algorithm 3 tables, to keep and pair with the run again through
+    /// [`PreparedRun::new`].  Same checks and errors as `prepare`.
+    pub fn prepare_tables(
+        &self,
+        run: &Run,
+        cache: Option<&dyn DiffCache>,
+    ) -> Result<RunTables, DiffError> {
         if run.spec_name() != self.spec.name() {
             return Err(DiffError::SpecMismatch {
                 first: self.spec.name().to_string(),
@@ -169,7 +211,7 @@ impl<'a> WorkflowDiff<'a> {
             }
             None => DeletionTables::compute(run.tree(), self.cost),
         };
-        Ok(PreparedRun { run, fps, tables })
+        Ok(RunTables { fps, tables })
     }
 
     /// Computes the edit distance and a minimum-cost mapping between two runs
@@ -206,10 +248,10 @@ impl<'a> WorkflowDiff<'a> {
         let cx = Ctx {
             t1: p1.run.tree(),
             t2: p2.run.tree(),
-            x1: &p1.tables,
-            x2: &p2.tables,
-            f1: &p1.fps,
-            f2: &p2.fps,
+            x1: p1.tables(),
+            x2: p2.tables(),
+            f1: p1.fingerprints(),
+            f2: p2.fingerprints(),
             // Mapping reconstruction needs a decision per mapped pair, so the
             // full diff never *reads* pair costs from the cache — it only
             // publishes them (and uses the O(1) identical-subtree fast path,
@@ -284,31 +326,15 @@ impl<'a> WorkflowDiff<'a> {
         let cx = Ctx {
             t1: p1.run.tree(),
             t2: p2.run.tree(),
-            x1: &p1.tables,
-            x2: &p2.tables,
-            f1: &p1.fps,
-            f2: &p2.fps,
+            x1: p1.tables(),
+            x2: p2.tables(),
+            f1: p1.fingerprints(),
+            f2: p2.fingerprints(),
             read_pairs: true,
             cache,
         };
         let mut memo: HashMap<(TreeId, TreeId), Entry> = HashMap::new();
         self.solve(&cx, cx.t1.root(), cx.t2.root(), &mut memo)
-    }
-
-    /// Computes one row of a distance matrix: the edit distance from
-    /// `source` to every prepared run in `targets`, index-aligned.
-    ///
-    /// This is the nearest-neighbour access pattern ("which stored run is
-    /// this one closest to?"): the source's tables are built once and every
-    /// pair cost rides the shared cache, so a warm row is k cache probes
-    /// rather than k DP solves.
-    pub fn distance_row_prepared(
-        &self,
-        source: &PreparedRun<'_>,
-        targets: &[&PreparedRun<'_>],
-        cache: Option<&dyn DiffCache>,
-    ) -> Result<Vec<f64>, DiffError> {
-        targets.iter().map(|t| self.distance_prepared(source, t, cache)).collect()
     }
 
     /// The pair-cache key of the homologous subtree pair `(v1, v2)`.

@@ -74,7 +74,7 @@ pub use bounds::{pivot_lower_bound, triangle_lower_bound, triangle_upper_bound};
 pub use cache::{CacheStats, DeletionKey, DiffCache, PairKey, ShardedDiffCache};
 pub use cost::{check_metric_axioms, CostModel, LengthCost, PowerCost, UnitCost};
 pub use deletion::{DeletionEntry, DeletionTables};
-pub use distance::{Decision, DiffResult, PreparedRun, WorkflowDiff};
+pub use distance::{Decision, DiffResult, PreparedRun, RunTables, WorkflowDiff};
 pub use error::DiffError;
 pub use mapping::{Mapping, MappingSummary};
 pub use ops::{OpDirection, OpProvenance, PathOperation};

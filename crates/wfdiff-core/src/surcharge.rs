@@ -15,13 +15,15 @@ use wfdiff_sptree::{AnnotatedTree, Specification, TreeId};
 /// Cached specification-side information needed by the differencing DP.
 pub struct SpecContext<'a> {
     spec: &'a Specification,
-    lengths: BranchFreeLengths,
+    lengths: &'a BranchFreeLengths,
 }
 
 impl<'a> SpecContext<'a> {
-    /// Builds the context (computes the branch-free achievable-length sets).
+    /// Builds the context over the specification's memoised branch-free
+    /// achievable-length sets (computed on the first call per
+    /// specification, O(1) afterwards).
     pub fn new(spec: &'a Specification) -> Self {
-        SpecContext { spec, lengths: BranchFreeLengths::compute(spec.tree()) }
+        SpecContext { spec, lengths: spec.branch_free_lengths() }
     }
 
     /// The specification this context belongs to.
@@ -31,7 +33,7 @@ impl<'a> SpecContext<'a> {
 
     /// The branch-free length sets of the specification tree.
     pub fn lengths(&self) -> &BranchFreeLengths {
-        &self.lengths
+        self.lengths
     }
 
     /// Minimum cost of inserting (or deleting) one elementary subtree derived
@@ -114,7 +116,7 @@ impl<'a> SpecContext<'a> {
             return None;
         }
         let tree = self.spec.tree();
-        witness_path_rec(tree, u, len, &self.lengths)
+        witness_path_rec(tree, u, len, self.lengths)
     }
 }
 

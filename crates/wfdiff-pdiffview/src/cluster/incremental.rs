@@ -15,9 +15,9 @@
 //! [`IncrementalClusterIndex::insert_run`] fetches only the distances the
 //! update can actually need fresh: the new run against the `k` medoids, and
 //! the new run against the members of the cluster it joins — **O(k +
-//! |cluster|) prepared diffs, not O(n²)** (and each diff itself rides the
-//! service's shared [`ShardedDiffCache`], so the new run is prepared once
-//! and its subtree tables are shared).  The subsequent re-stabilisation
+//! |cluster|) prepared diffs, not O(n²)** (the service keeps every stored
+//! run's tables resident, so each diff is the DP alone, and pair costs ride
+//! its shared [`ShardedDiffCache`]).  The subsequent re-stabilisation
 //! (the alternating iteration of [`kmedoids`](mod@crate::cluster::kmedoids),
 //! warm-started from the current medoids) runs almost entirely against the
 //! distance memo; it fetches more only in the rare case where the insert
@@ -50,9 +50,9 @@ use wfdiff_sptree::Fingerprint;
 const MAX_ITERATIONS: usize = 64;
 
 /// Supplies edit distances between stored runs of one specification, batched
-/// one-source-to-many-targets so implementations can prepare the source run
+/// one-source-to-many-targets so implementations can resolve the source run
 /// once (the [`DiffService`](crate::service::DiffService) implementation
-/// rides its worker pool and shared cache).
+/// uses its resident prepared state and shared cache).
 pub trait DistanceOracle {
     /// The oracle's failure type (e.g. a run disappeared from the store).
     type Error;

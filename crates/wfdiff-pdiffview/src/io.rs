@@ -95,6 +95,12 @@ pub struct SpecDescriptor {
     pub format: u32,
     /// Specification name.
     pub name: String,
+    /// Node labels in specification node-id order.  Rebuilding adds these
+    /// nodes first, so the rebuilt graph — and with it the version
+    /// fingerprint — equals the original.  Absent in older documents, which
+    /// rebuild nodes in the order their labels first appear in `edges`.
+    #[serde(default)]
+    pub nodes: Vec<String>,
     /// Edges as `(source-label, target-label)` pairs, in specification edge-id
     /// order.
     pub edges: Vec<(String, String)>,
@@ -123,6 +129,7 @@ impl SpecDescriptor {
         SpecDescriptor {
             format: DESCRIPTOR_FORMAT,
             name: spec.name().to_string(),
+            nodes: graph.node_ids().map(label).collect(),
             edges: graph.edges().map(|(_, e)| (label(e.src), label(e.dst))).collect(),
             forks,
             loops,
@@ -141,6 +148,9 @@ impl SpecDescriptor {
         let mut node = |graph: &mut LabeledDigraph, l: &str| {
             *by_label.entry(l.to_string()).or_insert_with(|| graph.add_node(l))
         };
+        for label in &self.nodes {
+            node(&mut graph, label);
+        }
         let mut edge_ids = Vec::with_capacity(self.edges.len());
         for (from, to) in &self.edges {
             let u = node(&mut graph, from);

@@ -10,8 +10,8 @@
 //!
 //! * [`store`] — a thread-safe in-memory store of specifications and runs,
 //! * [`persist`] — durable, versioned on-disk persistence for the store
-//!   (crash-safe saves, fully validated loads) and the
-//!   [`DiffService::warm_start`] cache-priming path,
+//!   (crash-safe saves, fully validated loads), after which
+//!   [`DiffService::warm_start`] prepares every loaded run once,
 //! * [`wal`] — the append-only write-ahead log behind hot-path durability:
 //!   run inserts/removals and cluster deltas become O(append) records that
 //!   [`WorkflowStore::load_from_dir`] replays past the manifest commit point,

@@ -7,6 +7,7 @@
 //!
 //! ```text
 //! save_lock (0)  →  specs (1)  →  runs (2)  →  persist_fp_cache (3)  →  streams (4)
+//!   →  prepared (5)
 //! ```
 //!
 //! Under `debug_assertions` (every `cargo test` run, including the store's
@@ -40,11 +41,16 @@ pub(crate) enum LockRank {
     /// own locks.
     FpCache = 3,
     /// `streams` — the in-flight stream registry owned by
-    /// [`DiffService`](crate::service::DiffService); innermost overall.
-    /// Being last enforces the stream discipline: state is cloned *out*
+    /// [`DiffService`](crate::service::DiffService).  Ranking after every
+    /// store lock enforces the stream discipline: state is cloned *out*
     /// under this lock, mutated and persisted with no lock held, and
     /// committed back in — holding it across a store or WAL call panics.
     Streams = 4,
+    /// `prepared` — the resident prepared state owned by
+    /// [`DiffService`](crate::service::DiffService); innermost overall.
+    /// Entries are cloned out under it and inserted after being computed,
+    /// so holding it across a store call or the stream registry panics.
+    Prepared = 5,
 }
 
 impl LockRank {
@@ -56,6 +62,7 @@ impl LockRank {
             LockRank::Runs => "runs",
             LockRank::FpCache => "persist_fp_cache",
             LockRank::Streams => "streams",
+            LockRank::Prepared => "prepared",
         }
     }
 }

@@ -7,13 +7,24 @@
 //! browses whole collections of runs of one specification, which needs the
 //! full distance matrix.  Three levers make that fast here:
 //!
-//! 1. every run is **prepared once per batch** (fingerprints + Algorithm 3
-//!    tables, the latter shared across runs through the cache),
+//! 1. every run is **prepared once per stored run** (fingerprints +
+//!    Algorithm 3 tables, the latter shared across runs through the cache)
+//!    and the result stays resident beside the store's handle, so a query
+//!    is a lookup plus the DP,
 //! 2. subtree-pair DP values are **memoised across pairs and across calls**
 //!    by canonical fingerprint, so a warm cache answers repeated or
 //!    overlapping queries at the root, and
-//! 3. independent pairs are **differenced in parallel** on `threads` workers
-//!    pulling from an atomic work queue.
+//! 3. independent pairs of a batch are **differenced in parallel** on
+//!    `threads` workers pulling from an atomic work queue.
+//!
+//! The resident prepared state is keyed by the identity of the store's
+//! `Arc<Run>`: a run replaced under the same name, or any run of a replaced
+//! specification version, misses and is prepared again, so stale tables are
+//! never served — even when the store is mutated without the `notify_*`
+//! calls.  [`DiffService::warm_start`] fills it at boot,
+//! [`DiffService::notify_run_inserted`] as runs arrive, and any query
+//! lazily on a miss; [`DiffService::notify_run_removed`], a replaced
+//! specification version and whole-specification queries reclaim it.
 //!
 //! Distances are bit-identical to the unmemoised [`WorkflowDiff`] path — the
 //! cache only short-circuits subproblems that are provably equal.
@@ -32,15 +43,25 @@ use crate::session::DiffSession;
 use crate::store::WorkflowStore;
 use crate::stream::{PartialRun, StreamError, StreamEvent};
 use crate::wal;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use wfdiff_core::{
-    CacheStats, CostModel, DiffCache, DiffError, PreparedRun, ShardedDiffCache, UnitCost,
-    WorkflowDiff,
+    CacheStats, CostModel, DiffCache, DiffError, PreparedRun, RunTables, ShardedDiffCache,
+    UnitCost, WorkflowDiff,
 };
-use wfdiff_sptree::{Run, Specification};
+use wfdiff_sptree::{Fingerprint, Run, Specification};
+
+/// Capacity, in entries, of the diff cache a [`DiffService`] builds for
+/// itself.
+///
+/// With every stored run's tables resident, the cache holds the pair memo
+/// and the per-subtree Algorithm 3 entries that preparation shares.  The
+/// memo's hot set is small: on a 2000-run store under pruned `/similar`
+/// traffic (two clients, 2-vCPU machine), 65 536 entries answered as fast
+/// as the engine's default of 2^20, at half the server's peak memory.
+pub const DEFAULT_SERVICE_CACHE_ENTRIES: usize = 1 << 16;
 
 /// Errors raised by the batch diff service.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -128,8 +149,25 @@ impl From<StreamError> for ServiceError {
 pub struct WarmStartReport {
     /// Number of specifications whose runs were prepared.
     pub specs: usize,
-    /// Number of runs replayed through `prepare`.
+    /// Number of stored runs whose prepared state is resident afterwards.
     pub runs: usize,
+}
+
+/// One stored run's resident prepared state.  `run` is the store's own
+/// handle: the entry serves a lookup only while the store holds this exact
+/// `Arc` under the entry's name.
+struct PreparedEntry {
+    run: Arc<Run>,
+    tables: Arc<RunTables>,
+}
+
+/// The resident prepared state of one specification's runs.
+#[derive(Default)]
+struct SpecPrepared {
+    /// The specification version every entry was prepared under.
+    version: Fingerprint,
+    /// Entries by run name.
+    runs: HashMap<String, PreparedEntry>,
 }
 
 /// One distance of a batch request.
@@ -276,7 +314,8 @@ impl DiffServiceBuilder {
         self
     }
 
-    /// Sets the shared diff cache (default: a [`ShardedDiffCache`]).
+    /// Sets the shared diff cache (default: a [`ShardedDiffCache`] of
+    /// [`DEFAULT_SERVICE_CACHE_ENTRIES`] entries).
     pub fn cache(mut self, cache: Arc<dyn DiffCache>) -> Self {
         self.cache = cache;
         self
@@ -299,6 +338,7 @@ impl DiffServiceBuilder {
             clusters: IncrementalClusterIndex::new(),
             metric: IncrementalMetricIndex::new(),
             streams: RankedRwLock::new(LockRank::Streams, BTreeMap::new()),
+            prepared: RankedRwLock::new(LockRank::Prepared, HashMap::new()),
         }
     }
 }
@@ -311,12 +351,17 @@ pub struct DiffService {
     threads: usize,
     clusters: IncrementalClusterIndex,
     metric: IncrementalMetricIndex,
-    /// In-flight streamed runs keyed by `(spec, stream)`.  The innermost
-    /// lock of the whole system ([`LockRank::Streams`]): builders are cloned
-    /// *out* under it, mutated and persisted with no lock held, and
-    /// committed back with an optimistic sequence check — so no store or
-    /// WAL call ever happens under it.
+    /// In-flight streamed runs keyed by `(spec, stream)`, ranked after every
+    /// store lock ([`LockRank::Streams`]): builders are cloned *out* under
+    /// it, mutated and persisted with no lock held, and committed back with
+    /// an optimistic sequence check — so no store or WAL call ever happens
+    /// under it.
     streams: RankedRwLock<BTreeMap<(String, String), PartialRun>>,
+    /// Resident prepared state per specification name (see the
+    /// [module docs](self)).  Entries are cloned out under it and filled
+    /// after computing with no lock held; nothing else is ever locked while
+    /// it is held ([`LockRank::Prepared`]).
+    prepared: RankedRwLock<HashMap<String, SpecPrepared>>,
 }
 
 impl DiffService {
@@ -331,7 +376,7 @@ impl DiffService {
         DiffServiceBuilder {
             store,
             cost: Arc::new(UnitCost),
-            cache: Arc::new(ShardedDiffCache::default()),
+            cache: Arc::new(ShardedDiffCache::with_capacity(DEFAULT_SERVICE_CACHE_ENTRIES)),
             threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         }
     }
@@ -381,28 +426,111 @@ impl DiffService {
         Ok((spec, runs))
     }
 
-    /// Primes the shared cache from the store's current contents: every run
-    /// of every specification is replayed through the engine's `prepare`
-    /// path on the worker pool, so the Algorithm-3 deletion tables for every
-    /// distinct subtree fingerprint are resident before the first query.
+    /// The resident prepared state of `runs` (index-aligned; names with the
+    /// handles one consistent store lookup returned for them).  Entries
+    /// whose handle is still the store's are reused; every other run is
+    /// prepared now — on the worker pool when there are several — and kept.
+    fn resident_tables<'n, 'r>(
+        &self,
+        spec: &Specification,
+        runs: impl IntoIterator<Item = (&'n str, &'r Arc<Run>)>,
+    ) -> Result<Vec<Arc<RunTables>>, ServiceError> {
+        let runs: Vec<(&str, &Arc<Run>)> = runs.into_iter().collect();
+        let version = spec.fingerprint();
+        let mut found: Vec<Option<Arc<RunTables>>> = {
+            let resident = self.prepared.read();
+            let entries = resident.get(spec.name()).filter(|s| s.version == version);
+            runs.iter()
+                .map(|&(name, run)| {
+                    let entry = entries.and_then(|s| s.runs.get(name))?;
+                    Arc::ptr_eq(&entry.run, run).then(|| Arc::clone(&entry.tables))
+                })
+                .collect()
+        };
+        let misses: Vec<usize> = (0..runs.len()).filter(|&i| found[i].is_none()).collect();
+        if !misses.is_empty() {
+            let engine = WorkflowDiff::new(spec, self.cost.as_ref());
+            let cache = self.cache.as_ref();
+            let fresh = self.run_jobs(&misses, |&i| {
+                engine.prepare_tables(runs[i].1, Some(cache)).map(Arc::new)
+            })?;
+            let mut resident = self.prepared.write();
+            let entries = resident.entry(spec.name().to_string()).or_default();
+            if entries.version != version {
+                // A replaced specification version: every entry is stale.
+                *entries = SpecPrepared { version, runs: HashMap::new() };
+            }
+            for (&i, tables) in misses.iter().zip(fresh) {
+                let (name, run) = runs[i];
+                let entry = PreparedEntry { run: Arc::clone(run), tables: Arc::clone(&tables) };
+                entries.runs.insert(name.to_string(), entry);
+                found[i] = Some(tables);
+            }
+        }
+        // Every slot is filled: the misses were exactly the empty ones.
+        Ok(found.into_iter().flatten().collect())
+    }
+
+    /// [`DiffService::resident_tables`] paired with the runs, ready for the
+    /// DP.
+    fn prepared<'n, 'r>(
+        &self,
+        spec: &Specification,
+        runs: impl IntoIterator<Item = (&'n str, &'r Arc<Run>)> + Clone,
+    ) -> Result<Vec<PreparedRun<'r>>, ServiceError> {
+        let tables = self.resident_tables(spec, runs.clone())?;
+        Ok(runs.into_iter().zip(tables).map(|((_, run), t)| PreparedRun::new(run, t)).collect())
+    }
+
+    /// Drops resident entries of `spec` that `snapshot` (all of its stored
+    /// runs, sorted by name) does not hold: all of them after a version
+    /// change, else those of runs removed without a `notify_*` call.  O(1)
+    /// unless more entries are resident than runs are stored.  (An entry
+    /// of a run replaced under its name is overwritten on its next miss.)
+    fn reclaim(&self, spec: &Specification, snapshot: &[(String, Arc<Run>)]) {
+        let version = spec.fingerprint();
+        let stale = |s: &SpecPrepared| s.version != version || s.runs.len() > snapshot.len();
+        if !self.prepared.read().get(spec.name()).is_some_and(stale) {
+            return;
+        }
+        let mut resident = self.prepared.write();
+        let Some(entries) = resident.get_mut(spec.name()) else { return };
+        if entries.version != version {
+            resident.remove(spec.name());
+            return;
+        }
+        entries.runs.retain(|name, entry| {
+            snapshot
+                .binary_search_by(|(n, _)| n.as_str().cmp(name))
+                .is_ok_and(|i| Arc::ptr_eq(&snapshot[i].1, &entry.run))
+        });
+    }
+
+    /// Number of stored runs whose prepared state is resident.
+    pub fn prepared_runs(&self) -> usize {
+        self.prepared.read().values().map(|s| s.runs.len()).sum()
+    }
+
+    /// Prepares every run of every stored specification and keeps the
+    /// result resident, so the first query after a restart pays only for
+    /// the pair DP.  Resident state for runs and specifications the store
+    /// no longer holds is dropped, so afterwards exactly the stored runs
+    /// are resident.
     ///
-    /// This is the companion of [`WorkflowStore::load_from_dir`]: after a
-    /// process restart, `load` + `warm_start` moves the per-run preparation
-    /// cost out of the first `diff`/`diff_all_pairs` call (which then only
-    /// pays for the pair DP).  Calling it on a store that is already warm is
-    /// harmless — preparation hits the cache and returns immediately.
+    /// This is the companion of [`WorkflowStore::load_from_dir`], called
+    /// once at boot.  Calling it again is cheap: resident runs are only
+    /// looked up.
     ///
     /// [`WorkflowStore::load_from_dir`]: crate::store::WorkflowStore::load_from_dir
     pub fn warm_start(&self) -> Result<WarmStartReport, ServiceError> {
         let snapshot = self.store.snapshot_all();
+        self.prepared.write().retain(|name, _| snapshot.iter().any(|(s, _)| s == name));
         let mut report = WarmStartReport { specs: 0, runs: 0 };
         for (_, (spec, named_runs)) in &snapshot {
             report.specs += 1;
-            let engine = WorkflowDiff::new(spec, self.cost.as_ref());
-            let cache = self.cache.as_ref();
-            let runs: Vec<&Arc<Run>> = named_runs.iter().map(|(_, r)| r).collect();
-            self.run_jobs(&runs, |r| engine.prepare(r, Some(cache)).map(|_| ()))?;
-            report.runs += runs.len();
+            self.reclaim(spec, named_runs);
+            self.resident_tables(spec, named_runs.iter().map(|(n, r)| (n.as_str(), r)))?;
+            report.runs += named_runs.len();
         }
         Ok(report)
     }
@@ -410,22 +538,27 @@ impl DiffService {
     /// Computes the edit distance between two stored runs, sharing and
     /// warming the service cache.
     pub fn diff(&self, spec: &str, r1: &str, r2: &str) -> Result<PairDistance, ServiceError> {
-        let (spec_arc, runs) = self.lookup(spec, &[r1, r2])?;
+        let names = [r1, r2];
+        let (spec_arc, runs) = self.lookup(spec, &names)?;
+        let prepared = self.prepared(&spec_arc, names.into_iter().zip(&runs))?;
         let engine = WorkflowDiff::new(&spec_arc, self.cost.as_ref());
-        let cache = Some(self.cache.as_ref());
-        let p1 = engine.prepare(&runs[0], cache).map_err(ServiceError::from)?;
-        let p2 = engine.prepare(&runs[1], cache).map_err(ServiceError::from)?;
-        let distance = engine.distance_prepared(&p1, &p2, cache)?;
+        let distance =
+            engine.distance_prepared(&prepared[0], &prepared[1], Some(self.cache.as_ref()))?;
         Ok(PairDistance { source: r1.to_string(), target: r2.to_string(), distance })
     }
 
     /// Opens a full differencing session (mapping + edit script) between two
-    /// stored runs, reusing the service's cost model and cache.
+    /// stored runs, reusing the service's cost model, cache and resident
+    /// prepared state.
     pub fn session(&self, spec: &str, r1: &str, r2: &str) -> Result<DiffSession, ServiceError> {
-        let (spec_arc, mut runs) = self.lookup(spec, &[r1, r2])?;
-        let target = runs.pop().expect("two runs resolved");
-        let source = runs.pop().expect("two runs resolved");
-        DiffSession::from_arcs(
+        let names = [r1, r2];
+        let (spec_arc, runs) = self.lookup(spec, &names)?;
+        let tables = self.resident_tables(&spec_arc, names.into_iter().zip(&runs))?;
+        let mut pairs = runs.into_iter().zip(tables);
+        let (Some(source), Some(target)) = (pairs.next(), pairs.next()) else {
+            return Err(DiffError::Invariant("two runs resolved".to_string()).into());
+        };
+        DiffSession::from_prepared(
             spec_arc,
             self.cost.as_ref(),
             source,
@@ -443,8 +576,8 @@ impl DiffService {
         spec: &str,
         pairs: &[(String, String)],
     ) -> Result<Vec<PairDistance>, ServiceError> {
-        // Deduplicate run names so each distinct run is resolved and
-        // prepared exactly once, however often it repeats across pairs.
+        // Deduplicate run names so each distinct run is resolved once,
+        // however often it repeats across pairs.
         let mut names: Vec<&str> =
             pairs.iter().flat_map(|(a, b)| [a.as_str(), b.as_str()]).collect();
         names.sort_unstable();
@@ -453,11 +586,9 @@ impl DiffService {
             names.binary_search(&name).expect("every pair name is in the deduplicated list")
         };
         let (spec_arc, runs) = self.lookup(spec, &names)?;
+        let prepared = self.prepared(&spec_arc, names.iter().copied().zip(&runs))?;
         let engine = WorkflowDiff::new(&spec_arc, self.cost.as_ref());
         let cache = self.cache.as_ref();
-        // Algorithm 3 preparation parallelises per distinct run.
-        let run_refs: Vec<&Arc<Run>> = runs.iter().collect();
-        let prepared = self.run_jobs(&run_refs, |r| engine.prepare(r, Some(cache)))?;
         let jobs: Vec<(usize, usize)> =
             pairs.iter().map(|(a, b)| (index_of(a), index_of(b))).collect();
         let distances = self.run_jobs(&jobs, |&(i, j)| {
@@ -478,12 +609,10 @@ impl DiffService {
     pub fn diff_all_pairs(&self, spec: &str) -> Result<AllPairsResult, ServiceError> {
         let (spec_arc, named_runs) =
             self.store.snapshot(spec).ok_or_else(|| ServiceError::UnknownSpec(spec.to_string()))?;
-        let run_names: Vec<String> = named_runs.iter().map(|(n, _)| n.clone()).collect();
+        self.reclaim(&spec_arc, &named_runs);
+        let prepared = self.prepared(&spec_arc, named_runs.iter().map(|(n, r)| (n.as_str(), r)))?;
         let engine = WorkflowDiff::new(&spec_arc, self.cost.as_ref());
         let cache = self.cache.as_ref();
-        // Fingerprint + Algorithm 3 preparation parallelises per run.
-        let runs_only: Vec<&Arc<Run>> = named_runs.iter().map(|(_, r)| r).collect();
-        let prepared = self.run_jobs(&runs_only, |r| engine.prepare(r, Some(cache)))?;
         let n = prepared.len();
         let jobs: Vec<(usize, usize)> =
             (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j))).collect();
@@ -495,18 +624,19 @@ impl DiffService {
             matrix[i][j] = d;
             matrix[j][i] = d;
         }
-        Ok(AllPairsResult { runs: run_names, matrix })
+        let runs = named_runs.into_iter().map(|(name, _)| name).collect();
+        Ok(AllPairsResult { runs, matrix })
     }
 
     /// The exact `k` nearest stored runs to `run` ("which past run is this
     /// one closest to?") — the query behind `GET /similar`.
     ///
     /// Distances are computed against **every** other stored run of the
-    /// specification (prepared in parallel, each pair riding the shared
-    /// cache), so the answer is always identical to a from-scratch
-    /// recompute — no approximation through the cluster index.  Results are
-    /// sorted by distance, ties broken by run name; `k` is clamped to the
-    /// number of other runs and must be at least 1.
+    /// specification (each pair riding the shared cache), so the answer is
+    /// always identical to a from-scratch recompute — no approximation
+    /// through the cluster index.  Results are sorted by distance, ties
+    /// broken by run name; `k` is clamped to the number of other runs and
+    /// must be at least 1.
     pub fn nearest_runs(
         &self,
         spec: &str,
@@ -521,28 +651,20 @@ impl DiffService {
         let query = named_runs.iter().position(|(n, _)| n == run).ok_or_else(|| {
             ServiceError::UnknownRun { spec: spec.to_string(), run: run.to_string() }
         })?;
+        self.reclaim(&spec_arc, &named_runs);
+        let prepared = self.prepared(&spec_arc, named_runs.iter().map(|(n, r)| (n.as_str(), r)))?;
         let engine = WorkflowDiff::new(&spec_arc, self.cost.as_ref());
-        let cache = self.cache.as_ref();
-        let run_refs: Vec<&Arc<Run>> = named_runs.iter().map(|(_, r)| r).collect();
-        let prepared = self.run_jobs(&run_refs, |r| engine.prepare(r, Some(cache)))?;
-        let mut names = Vec::with_capacity(prepared.len().saturating_sub(1));
-        let mut targets: Vec<&PreparedRun<'_>> = Vec::with_capacity(names.capacity());
-        for (i, p) in prepared.iter().enumerate() {
+        let cache = Some(self.cache.as_ref());
+        let mut neighbors = Vec::with_capacity(prepared.len().saturating_sub(1));
+        for (i, ((name, _), p)) in named_runs.iter().zip(&prepared).enumerate() {
             if i != query {
-                names.push(named_runs[i].0.as_str());
-                targets.push(p);
+                neighbors.push(PairDistance {
+                    source: run.to_string(),
+                    target: name.clone(),
+                    distance: engine.distance_prepared(&prepared[query], p, cache)?,
+                });
             }
         }
-        let row = engine.distance_row_prepared(&prepared[query], &targets, Some(cache))?;
-        let mut neighbors: Vec<PairDistance> = names
-            .into_iter()
-            .zip(row)
-            .map(|(name, distance)| PairDistance {
-                source: run.to_string(),
-                target: name.to_string(),
-                distance,
-            })
-            .collect();
         neighbors.sort_by(|a, b| {
             a.distance.total_cmp(&b.distance).then_with(|| a.target.cmp(&b.target))
         });
@@ -584,6 +706,7 @@ impl DiffService {
         if !named_runs.iter().any(|(n, _)| n == run) {
             return Err(ServiceError::UnknownRun { spec: spec.to_string(), run: run.to_string() });
         }
+        self.reclaim(&spec_arc, &named_runs);
         let names: Vec<String> = named_runs.iter().map(|(n, _)| n.clone()).collect();
         let oracle = ServiceOracle { service: self, spec };
         let pivots = self.clusters.medoid_distance_rows(spec).map(MedoidPivots::new);
@@ -625,24 +748,31 @@ impl DiffService {
         }
         let (spec_arc, named_runs) =
             self.store.snapshot(spec).ok_or_else(|| ServiceError::UnknownSpec(spec.to_string()))?;
+        self.reclaim(&spec_arc, &named_runs);
         let names: Vec<String> = named_runs.iter().map(|(n, _)| n.clone()).collect();
         let oracle = ServiceOracle { service: self, spec };
         self.clusters.ensure(spec, spec_arc.fingerprint(), &names, k, seed, &oracle)
     }
 
-    /// Folds a just-stored run into the cluster index (a no-op when the
-    /// index holds no state for the specification yet).
+    /// Prepares a just-stored run and keeps the result resident, then folds
+    /// the run into the cluster and metric indexes (a no-op for an index
+    /// that holds no state for the specification yet).
     ///
-    /// The index is a cache of derived state, so this never fails the
-    /// caller: any error while fetching the O(k + cluster) fresh distances
-    /// drops the specification's state instead, and the next
+    /// All of this is derived state, so it never fails the caller: a run
+    /// that fails to prepare is prepared again on its next query, and any
+    /// error while fetching the O(k + cluster) fresh distances drops the
+    /// index's state for the specification instead, and the next
     /// [`DiffService::cluster_medoids`] rebuilds it.
     pub fn notify_run_inserted(&self, spec: &str, run: &str) {
-        let Some(spec_arc) = self.store.spec(spec) else {
+        let Some((spec_arc, stored)) = self.store.lookup_runs(spec, &[run]) else {
+            self.prepared.write().remove(spec);
             self.clusters.invalidate(spec);
             self.metric.invalidate(spec);
             return;
         };
+        if let Some(stored) = &stored[0] {
+            let _ = self.resident_tables(&spec_arc, [(run, stored)]);
+        }
         let oracle = ServiceOracle { service: self, spec };
         if self.clusters.insert_run(spec, spec_arc.fingerprint(), run, &oracle).is_err() {
             self.clusters.invalidate(spec);
@@ -652,9 +782,13 @@ impl DiffService {
         }
     }
 
-    /// Removes a run from the cluster index (the mirror of
+    /// Drops a removed run's resident prepared state and removes it from the
+    /// cluster and metric indexes (the mirror of
     /// [`DiffService::notify_run_inserted`]; same never-fails contract).
     pub fn notify_run_removed(&self, spec: &str, run: &str) {
+        if let Some(entries) = self.prepared.write().get_mut(spec) {
+            entries.runs.remove(run);
+        }
         let oracle = ServiceOracle { service: self, spec };
         if self.clusters.remove_run(spec, run, &oracle).is_err() {
             self.clusters.invalidate(spec);
@@ -954,10 +1088,10 @@ impl DiffService {
     }
 }
 
-/// The [`DistanceOracle`] the cluster index runs on: one consistent store
-/// lookup per batch, parallel cache-backed preparation, and a
-/// [`WorkflowDiff::distance_row_prepared`] row — so a clustering fetch is
-/// exactly as warm as regular diff traffic.
+/// The [`DistanceOracle`] the cluster and metric indexes run on: one
+/// consistent store lookup per row, the rows' resident prepared state, and a
+/// serial row of cache-backed DPs — so a clustering fetch is exactly as warm
+/// as regular diff traffic.
 struct ServiceOracle<'a> {
     service: &'a DiffService,
     spec: &'a str,
@@ -967,8 +1101,8 @@ struct ServiceOracle<'a> {
 ///
 /// For each cluster of the specification's maintained k-medoids clustering,
 /// the monitor compares the cluster's **radius** (largest exact distance
-/// from the medoid to a member, computed through the same cache-backed
-/// oracle the cluster index uses) against the **certified lower bound**
+/// from the medoid to a member, over the same resident prepared state and
+/// cache the cluster index uses) against the **certified lower bound**
 /// [`WorkflowDiff::prefix_distance`] gives on the distance between any
 /// completion of the stream and the medoid.  When the bound exceeds the
 /// radius for *every* cluster, no completion of the run can land inside any
@@ -989,8 +1123,9 @@ impl DriftMonitor<'_> {
         let partial = service.streams.read().get(&key).cloned().ok_or_else(|| {
             ServiceError::UnknownStream { spec: spec.to_string(), stream: stream.to_string() }
         })?;
-        let spec_arc =
-            service.store.spec(spec).ok_or_else(|| ServiceError::UnknownSpec(spec.to_string()))?;
+        if service.store.spec(spec).is_none() {
+            return Err(ServiceError::UnknownSpec(spec.to_string()));
+        }
         let mut report = DriftReport {
             spec: spec.to_string(),
             stream: stream.to_string(),
@@ -1003,23 +1138,21 @@ impl DriftMonitor<'_> {
         let Some(snapshot) = service.clusters.snapshot(spec) else {
             return Ok(report);
         };
-        let engine = WorkflowDiff::new(&spec_arc, service.cost.as_ref());
-        let cache = service.cache.as_ref();
-        let oracle = ServiceOracle { service, spec };
+        let cache = Some(service.cache.as_ref());
         for cluster in &snapshot.clusters {
-            let members: Vec<&str> =
-                cluster.runs.iter().filter(|r| **r != cluster.medoid).map(|r| r.as_str()).collect();
-            let radius = if members.is_empty() {
-                0.0
-            } else {
-                oracle.distances(&cluster.medoid, &members)?.into_iter().fold(0.0, f64::max)
-            };
-            let medoid_run = service.store.run(spec, &cluster.medoid).ok_or_else(|| {
-                ServiceError::UnknownRun { spec: spec.to_string(), run: cluster.medoid.clone() }
-            })?;
-            let prepared = engine.prepare(&medoid_run, Some(cache))?;
-            let lower_bound =
-                engine.prefix_distance(partial.profile(), None, &prepared, Some(cache))?;
+            // The medoid first, then the other members.
+            let names: Vec<&str> = std::iter::once(cluster.medoid.as_str())
+                .chain(cluster.runs.iter().map(String::as_str).filter(|r| *r != cluster.medoid))
+                .collect();
+            let (spec_arc, runs) = service.lookup(spec, &names)?;
+            let prepared = service.prepared(&spec_arc, names.iter().copied().zip(&runs))?;
+            let engine = WorkflowDiff::new(&spec_arc, service.cost.as_ref());
+            let Some((medoid, members)) = prepared.split_first() else { continue };
+            let mut radius: f64 = 0.0;
+            for member in members {
+                radius = radius.max(engine.distance_prepared(medoid, member, cache)?);
+            }
+            let lower_bound = engine.prefix_distance(partial.profile(), None, medoid, cache)?;
             report.clusters.push(DriftClusterStatus {
                 medoid: cluster.medoid.clone(),
                 size: cluster.runs.len(),
@@ -1041,14 +1174,14 @@ impl DistanceOracle for ServiceOracle<'_> {
         names.push(source);
         names.extend_from_slice(targets);
         let (spec_arc, runs) = self.service.lookup(self.spec, &names)?;
+        let prepared = self.service.prepared(&spec_arc, names.iter().copied().zip(&runs))?;
         let engine = WorkflowDiff::new(&spec_arc, self.service.cost.as_ref());
-        let cache = self.service.cache.as_ref();
-        let run_refs: Vec<&Arc<Run>> = runs.iter().collect();
-        let prepared = self.service.run_jobs(&run_refs, |r| engine.prepare(r, Some(cache)))?;
-        let target_refs: Vec<&PreparedRun<'_>> = prepared[1..].iter().collect();
-        engine
-            .distance_row_prepared(&prepared[0], &target_refs, Some(cache))
-            .map_err(ServiceError::from)
+        let cache = Some(self.service.cache.as_ref());
+        let Some((source, targets)) = prepared.split_first() else { return Ok(Vec::new()) };
+        targets
+            .iter()
+            .map(|t| engine.distance_prepared(source, t, cache).map_err(ServiceError::from))
+            .collect()
     }
 }
 

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use wfdiff_core::script::diff_with_script_prepared;
 use wfdiff_core::{
     CostModel, DiffCache, DiffError, DiffResult, EditScript, MappingSummary, PathOperation,
-    WorkflowDiff,
+    PreparedRun, RunTables, WorkflowDiff,
 };
 use wfdiff_sptree::{Run, Specification};
 
@@ -57,11 +57,33 @@ impl DiffSession {
         cache: Option<&dyn DiffCache>,
     ) -> Result<Self, DiffError> {
         let engine = WorkflowDiff::new(&spec, cost);
-        let p1 = engine.prepare(&source, cache)?;
-        let p2 = engine.prepare(&target, cache)?;
+        let source_tables = Arc::new(engine.prepare_tables(&source, cache)?);
+        let target_tables = Arc::new(engine.prepare_tables(&target, cache)?);
+        DiffSession::from_prepared(
+            spec,
+            cost,
+            (source, source_tables),
+            (target, target_tables),
+            cache,
+        )
+    }
+
+    /// [`DiffSession::from_arcs`] over runs whose [`RunTables`] were
+    /// prepared earlier (under `cost`), so only the DP and the script are
+    /// computed here.
+    pub(crate) fn from_prepared(
+        spec: Arc<Specification>,
+        cost: &dyn CostModel,
+        source: (Arc<Run>, Arc<RunTables>),
+        target: (Arc<Run>, Arc<RunTables>),
+        cache: Option<&dyn DiffCache>,
+    ) -> Result<Self, DiffError> {
+        let engine = WorkflowDiff::new(&spec, cost);
+        let p1 = PreparedRun::new(&source.0, source.1);
+        let p2 = PreparedRun::new(&target.0, target.1);
         let (result, script) = diff_with_script_prepared(&engine, &p1, &p2, cache)?;
         drop((p1, p2));
-        Ok(DiffSession { spec, source, target, result, script, cursor: 0 })
+        Ok(DiffSession { spec, source: source.0, target: target.0, result, script, cursor: 0 })
     }
 
     /// The specification both runs belong to.

@@ -12,6 +12,7 @@
 
 use crate::canonical::canonical_tree;
 use crate::laminar::{check_laminar, has_duplicate_sets};
+use crate::lengths::BranchFreeLengths;
 use crate::node::{NodeType, TreeId, TreeNode};
 use crate::tree::AnnotatedTree;
 use crate::{Result, SpTreeError};
@@ -89,6 +90,8 @@ pub struct Specification {
     /// Lazily computed arena-identity fingerprint of the annotated tree; used
     /// to detect stale runs after a specification is replaced.
     fp: std::sync::OnceLock<crate::Fingerprint>,
+    /// Lazily computed branch-free length sets of the annotated tree.
+    lengths: std::sync::OnceLock<BranchFreeLengths>,
 }
 
 impl Specification {
@@ -170,6 +173,7 @@ impl Specification {
             loop_back,
             control_tree_nodes,
             fp: std::sync::OnceLock::new(),
+            lengths: std::sync::OnceLock::new(),
         })
     }
 
@@ -182,6 +186,12 @@ impl Specification {
     /// portable between such builds.
     pub fn fingerprint(&self) -> crate::Fingerprint {
         *self.fp.get_or_init(|| crate::fingerprint::arena_fingerprint(&self.tree))
+    }
+
+    /// The achievable branch-free lengths of every specification subtree
+    /// (cached after the first call, like [`Specification::fingerprint`]).
+    pub fn branch_free_lengths(&self) -> &BranchFreeLengths {
+        self.lengths.get_or_init(|| BranchFreeLengths::compute(&self.tree))
     }
 
     /// The specification name.

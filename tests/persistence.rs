@@ -43,6 +43,47 @@ impl Drop for CaseDir {
     }
 }
 
+/// A descriptor round trip rebuilds the same specification version, not
+/// just an equivalent tree: a client may assert the fingerprint it computed
+/// before the trip.  (Rebuilding nodes in label first-appearance order
+/// changed it for about one random specification in ten.)
+#[test]
+fn descriptor_round_trips_keep_the_version_fingerprint() {
+    for (edges, forks, loops) in [(14, 2, 1), (30, 0, 0), (60, 3, 2)] {
+        for seed in 0..100u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let config =
+                SpecGenConfig { target_edges: edges, series_parallel_ratio: 1.0, forks, loops };
+            let spec = random_specification("fingerprint", &config, &mut rng);
+            let rebuilt =
+                SpecDescriptor::from_json(&SpecDescriptor::from_specification(&spec).to_json())
+                    .expect("spec JSON parses")
+                    .to_specification()
+                    .expect("spec descriptor rebuilds");
+            assert_eq!(rebuilt.fingerprint(), spec.fingerprint(), "{config:?}, seed {seed}");
+        }
+    }
+}
+
+/// A descriptor written before node labels were recorded still loads, and
+/// rebuilds an equivalent tree.
+#[test]
+fn descriptors_without_node_labels_still_load() {
+    let (spec, _) = workload(7, 0, 1, 1);
+    let mut desc = SpecDescriptor::from_specification(&spec);
+    assert!(!desc.nodes.is_empty());
+    desc.nodes.clear();
+    let json = desc.to_json();
+    let legacy = json.replace("\"nodes\": [],", "");
+    assert!(!legacy.contains("\"nodes\""), "the field is gone from the document");
+    let rebuilt = SpecDescriptor::from_json(&legacy)
+        .expect("legacy JSON parses")
+        .to_specification()
+        .expect("legacy descriptor rebuilds");
+    assert_eq!(rebuilt.stats(), spec.stats());
+    assert!(rebuilt.tree().equivalent(spec.tree()));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
 
@@ -96,6 +137,10 @@ proptest! {
         store.save_to_dir(&dir.0).expect("save succeeds");
         let loaded = Arc::new(WorkflowStore::load_from_dir(&dir.0).expect("load succeeds"));
         prop_assert_eq!(loaded.run_count(), store.run_count());
+        // The loaded version is the saved one: a client holding the saved
+        // fingerprint can still assert it when it posts a run.
+        let fingerprint = |s: &WorkflowStore| s.spec(&name).expect("spec stored").fingerprint();
+        prop_assert_eq!(fingerprint(&loaded), fingerprint(&store));
 
         let service = DiffService::new(loaded);
         service.warm_start().expect("warm start succeeds");
