@@ -41,9 +41,11 @@
 //!   queries: a deterministic vantage-point tree per specification with
 //!   certified triangle-inequality pruning, maintained incrementally and
 //!   checkpointed as `metric_index.json`,
-//! * [`serve`] — a dependency-free HTTP/1.1 front-end over `std::net`: a
-//!   non-blocking reactor feeds a bounded worker pool, specs are partitioned
-//!   across N store shards by a stable hash, and a lock-cheap metrics
+//! * [`serve`] — a dependency-free HTTP/1.1 front-end over `std::net`
+//!   (Linux): a fixed pool of workers blocks in `epoll_wait`, each serving
+//!   the ready socket it was woken for end to end (read, parse, handle,
+//!   write), specs are partitioned across N store shards by a stable hash,
+//!   and a lock-cheap metrics
 //!   registry renders Prometheus text at `GET /metrics`; serves store
 //!   snapshots, run inserts, single/batch diffs, nearest-run queries and
 //!   cluster summaries to remote clients.  See the `wfdiff_serve` binary.

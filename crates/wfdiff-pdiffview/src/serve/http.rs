@@ -15,11 +15,12 @@
 //!   `501 Not Implemented`.
 //!
 //! Parsing is **incremental**: [`parse_request`] looks at whatever bytes the
-//! readiness loop has buffered so far and either returns a complete request
+//! serving worker has buffered so far and either returns a complete request
 //! (with the number of bytes it consumed, so pipelined bytes behind it stay
 //! in the buffer), asks for more ([`ParseOutcome::Incomplete`]), or fails
 //! with a status code.  Nothing in this module blocks or touches a socket,
-//! which is what lets one reactor thread own thousands of connections.
+//! which is what lets a worker park a partial request and serve other
+//! connections meanwhile.
 //!
 //! Every parse failure maps to a status code and a message; nothing in this
 //! module panics on malformed input.

@@ -79,7 +79,10 @@ impl Gauge {
 /// The histogram bucket boundaries: upper bounds in seconds (as rendered in
 /// the `le` label) paired with the same bound in integer microseconds (what
 /// observations are compared against).  A `+Inf` bucket is implicit.
-pub const LATENCY_BUCKETS: [(&str, u64); 14] = [
+pub const LATENCY_BUCKETS: [(&str, u64); 17] = [
+    ("0.00001", 10),
+    ("0.000025", 25),
+    ("0.00005", 50),
     ("0.0001", 100),
     ("0.00025", 250),
     ("0.0005", 500),
@@ -249,7 +252,7 @@ struct EndpointMetrics {
 }
 
 /// The server's metrics registry.  One instance per [`Server`]; shared
-/// (behind an `Arc`) between the reactor, the HTTP workers and the handlers.
+/// (behind an `Arc`) between the HTTP workers and the handlers.
 ///
 /// [`Server`]: crate::serve::Server
 #[derive(Debug)]
@@ -346,8 +349,7 @@ impl ServeMetrics {
         &self.connections_active
     }
 
-    /// Requests dispatched to the worker pool and not yet answered
-    /// (queued + executing).
+    /// Requests parsed and not yet answered (executing on a worker).
     pub fn requests_in_flight(&self) -> &Gauge {
         &self.requests_in_flight
     }
@@ -417,7 +419,8 @@ impl ServeMetrics {
             m,
             "wfdiff_http_request_duration_seconds",
             "histogram",
-            "Request latency from parse completion to response bytes queued, by endpoint.",
+            "Request latency from the readiness event that delivered the request to its \
+             response being rendered, by endpoint.",
         );
         for (i, ep) in ENDPOINTS.iter().enumerate() {
             let h = &self.endpoints[i].latency;
@@ -528,7 +531,7 @@ impl ServeMetrics {
         gauge_head_sample(
             m,
             "wfdiff_http_requests_in_flight",
-            "Requests dispatched to the worker pool and not yet answered.",
+            "Requests parsed and not yet answered.",
             self.requests_in_flight.get(),
         );
         gauge_head_sample(
@@ -762,13 +765,13 @@ mod tests {
     #[test]
     fn histogram_buckets_are_cumulative_and_ordered() {
         let h = Histogram::new();
-        h.observe(Duration::from_micros(50)); // <= 100µs bucket
-        h.observe(Duration::from_micros(300)); // <= 500µs bucket
+        h.observe(Duration::from_micros(80)); // <= 100µs bucket (index 3)
+        h.observe(Duration::from_micros(300)); // <= 500µs bucket (index 5)
         h.observe(Duration::from_secs(10)); // +Inf only
         assert_eq!(h.count(), 3);
-        assert_eq!(h.cumulative(0), 1);
-        assert_eq!(h.cumulative(1), 1);
-        assert_eq!(h.cumulative(2), 2);
+        assert_eq!(h.cumulative(3), 1);
+        assert_eq!(h.cumulative(4), 1);
+        assert_eq!(h.cumulative(5), 2);
         assert_eq!(h.cumulative(LATENCY_BUCKETS.len() - 1), 2, "+Inf-only sample not in a bucket");
         let mut prev = 0;
         for i in 0..LATENCY_BUCKETS.len() {
@@ -777,6 +780,23 @@ mod tests {
             prev = c;
         }
         assert!(h.sum_seconds() > 10.0);
+    }
+
+    #[test]
+    fn sub_100us_latencies_land_in_their_own_buckets() {
+        let h = Histogram::new();
+        for micros in [0, 10, 11, 25, 26, 50, 51, 100] {
+            h.observe(Duration::from_micros(micros));
+        }
+        // Cumulative counts at the 10, 25, 50 and 100 µs bounds.
+        let cumulative: Vec<u64> = (0..4).map(|i| h.cumulative(i)).collect();
+        assert_eq!(cumulative, vec![2, 4, 6, 8]);
+        // Each `le` label states its bound, and bounds ascend.
+        for (le, micros) in LATENCY_BUCKETS {
+            let seconds: f64 = le.parse().unwrap();
+            assert_eq!((seconds * 1e6).round() as u64, micros, "label {le}");
+        }
+        assert!(LATENCY_BUCKETS.windows(2).all(|w| w[0].1 < w[1].1));
     }
 
     #[test]

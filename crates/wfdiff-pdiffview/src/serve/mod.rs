@@ -8,22 +8,26 @@
 //! a store directory (or a sharded set of them), warm the caches and serve
 //! diff queries to remote clients (see the `wfdiff_serve` binary).
 //!
-//! # Architecture: readiness loop + worker pool
+//! # Architecture: readiness-driven workers
 //!
-//! One **reactor** thread owns every socket.  The listener and all
-//! connections are non-blocking; the reactor accepts, reads, parses
-//! incrementally ([`http::parse_request`]) and writes queued response bytes,
-//! sleeping only when nothing made progress.  Complete requests are handed
-//! to a pool of [`ServeConfig::threads`] **workers** that run the handlers
-//! and render response bytes back to the reactor.
+//! [`ServeConfig::threads`] **workers** each block in `epoll_wait` on one
+//! shared epoll instance (Linux only).  The listener and every connection
+//! are non-blocking and registered one-shot, so the worker an event wakes is
+//! that socket's only owner until it re-arms it.  That worker reads, parses
+//! incrementally ([`http::parse_request`]), runs the handler under
+//! `catch_unwind`, renders and writes the response, serves any pipelined
+//! requests already buffered, and re-arms the socket — for input, or for
+//! output if the write would block.  A request crosses no thread hand-off
+//! and nothing polls: an idle server sleeps in the kernel.
 //!
-//! The consequence — and the reason for the split — is that *connections no
-//! longer pin workers*: a thousand idle keep-alive connections (or a client
-//! dribbling a request one byte a second) cost a table slot each, while
-//! every worker stays available for requests that have fully arrived.  The
-//! concurrency bound is [`ServeConfig::max_connections`] open sockets and
-//! [`ServeConfig::threads`] requests executing at once; further complete
-//! requests queue in the job queue, further connections are answered `503`.
+//! *Connections do not pin workers*: a thousand idle keep-alive
+//! connections (or a client dribbling a request one byte a second) cost a
+//! table slot and an epoll registration each, while every worker stays
+//! available for sockets that have data.  The concurrency bound is
+//! [`ServeConfig::max_connections`] open sockets and
+//! [`ServeConfig::threads`] requests executing at once; ready sockets beyond
+//! that wait in the kernel's ready list, further connections are answered
+//! `503`.
 //!
 //! # Sharding
 //!
@@ -65,14 +69,16 @@
 //!   body has arrived — oversized requests get `413`,
 //! * batch size: [`handlers::MAX_BATCH_PAIRS`] pairs per `POST /diff/batch`,
 //! * open connections: [`ServeConfig::max_connections`]; beyond it new
-//!   connections are answered `503` and closed,
+//!   connections are answered `503` and closed without blocking any worker,
 //! * per-connection idle timeout: [`ServeConfig::read_timeout`]; a
 //!   connection with no complete request and no response in flight is closed
-//!   when it elapses.
+//!   once it has been silent that long (checked every eighth of the timeout,
+//!   at most every second).
 //!
 //! [`WorkflowStore`]: crate::store::WorkflowStore
 
 pub mod api;
+mod epoll;
 pub mod handlers;
 pub mod http;
 pub mod metrics;
@@ -84,12 +90,14 @@ pub use metrics::ServeMetrics;
 pub use shard::{ShardEntry, ShardRouter};
 
 use crate::service::DiffService;
-use std::collections::VecDeque;
+use epoll::{Epoll, EPOLLIN, EPOLLONESHOT, EPOLLOUT};
 use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsFd;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Default request-body ceiling: 1 MiB.
@@ -101,14 +109,19 @@ pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// Default ceiling on concurrently open connections.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 1024;
 
-/// How long the reactor sleeps when a full pass over every socket made no
-/// progress.  Worker completions cut the sleep short via a condvar, so
-/// response latency does not pay the full tick.
-const REACTOR_IDLE_WAIT: Duration = Duration::from_micros(500);
-
 /// How long a shutting-down server waits for in-flight requests to finish
 /// before closing their connections anyway.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
+
+/// Epoll token of the listener.  Connection tokens carry a non-zero serial
+/// in their high 32 bits, so they never equal this or [`WAKE`].
+const LISTENER: u64 = 0;
+
+/// Epoll token of the shutdown wake socket.
+const WAKE: u64 = 1;
+
+/// Bytes requested per socket read.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// Server configuration; `ServeConfig::default()` binds an ephemeral
 /// loopback port with 4 workers and no persistence.
@@ -180,37 +193,46 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Spawns the reactor and the worker pool and returns a handle that can
-    /// wait for or shut down the server.
+    /// Spawns the workers and returns a handle that can wait for or shut
+    /// down the server.
     pub fn start(self) -> std::io::Result<ServerHandle> {
         let addr = self.listener.local_addr()?;
         self.listener.set_nonblocking(true)?;
-        let shared = Arc::new(Shared::new());
+        let epoll = Epoll::new()?;
+        epoll.add(self.listener.as_fd(), EPOLLIN | EPOLLONESHOT, LISTENER)?;
+        // Level-triggered and never drained: once shutdown writes a byte,
+        // every `epoll_wait` on the instance returns, waking every worker.
+        let (wake, wake_rx) = UnixStream::pair()?;
+        epoll.add(wake_rx.as_fd(), EPOLLIN, WAKE)?;
+        let read_timeout = self.config.read_timeout;
+        let shared = Arc::new(Shared {
+            epoll,
+            listener: self.listener,
+            _wake_rx: wake_rx,
+            table: Mutex::new(Table::default()),
+            shutdown: AtomicBool::new(false),
+            last_sweep: Mutex::new(Instant::now()),
+            sweep_every: (read_timeout / 8).clamp(Duration::from_millis(1), Duration::from_secs(1)),
+            read_timeout,
+            max_body: self.config.max_body_bytes,
+            max_conns: self.config.max_connections.max(1),
+        });
         let workers = self.config.threads.max(1);
         self.state.metrics().workers().set(workers as i64);
 
-        let mut threads = Vec::with_capacity(workers + 1);
+        // Built before spawning so that a failed spawn drops the handle,
+        // which stops and joins the workers already running.
+        let mut handle = ServerHandle { addr, shared, wake, threads: Vec::with_capacity(workers) };
         for i in 0..workers {
-            let shared = Arc::clone(&shared);
+            let shared = Arc::clone(&handle.shared);
             let state = Arc::clone(&self.state);
-            threads.push(
+            handle.threads.push(
                 std::thread::Builder::new()
                     .name(format!("wfdiff-worker-{i}"))
                     .spawn(move || worker_loop(&shared, &state))?,
             );
         }
-        {
-            let shared = Arc::clone(&shared);
-            let state = Arc::clone(&self.state);
-            let listener = self.listener;
-            let config = self.config;
-            threads.push(
-                std::thread::Builder::new()
-                    .name("wfdiff-reactor".to_string())
-                    .spawn(move || reactor_loop(&listener, &shared, &state, &config))?,
-            );
-        }
-        Ok(ServerHandle { addr, shared, threads })
+        Ok(handle)
     }
 }
 
@@ -218,6 +240,9 @@ impl Server {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
+    /// Write end of the wake socket; the workers' epoll instance watches
+    /// its read end.
+    wake: UnixStream,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -244,11 +269,11 @@ impl ServerHandle {
         }
     }
 
-    /// Sets the flag and wakes the reactor and every idle worker.
+    /// Sets the flag, then makes the wake socket readable so that every
+    /// worker's `epoll_wait` returns.
     fn request_shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.jobs_cv.notify_all();
-        self.shared.reactor_cv.notify_all();
+        let _ = (&self.wake).write(&[1]);
     }
 }
 
@@ -265,385 +290,459 @@ impl Drop for ServerHandle {
     }
 }
 
-/// A complete request handed from the reactor to the worker pool.
-struct Job {
-    conn: usize,
-    token: u64,
-    request: http::Request,
-    enqueued: Instant,
-}
-
-/// Rendered response bytes handed back from a worker to the reactor.
-struct Done {
-    conn: usize,
-    token: u64,
-    bytes: Vec<u8>,
-    keep_alive: bool,
-}
-
-/// State shared between the reactor and the worker pool.
+/// State every worker shares: the epoll instance, the listener and the
+/// connection table.
 struct Shared {
-    jobs: Mutex<VecDeque<Job>>,
-    jobs_cv: Condvar,
-    done: Mutex<Vec<Done>>,
-    reactor_cv: Condvar,
+    epoll: Epoll,
+    listener: TcpListener,
+    /// Read end of the wake socket; held open because it is registered.
+    _wake_rx: UnixStream,
+    table: Mutex<Table>,
     shutdown: AtomicBool,
+    /// When the last idle sweep ran.
+    last_sweep: Mutex<Instant>,
+    /// Idle-sweep interval, derived from `read_timeout`; also the longest a
+    /// worker blocks, so an idle server still sweeps.
+    sweep_every: Duration,
+    read_timeout: Duration,
+    max_body: usize,
+    max_conns: usize,
+}
+
+/// The connection table.  A slot holds its connection while it is parked
+/// (registered and armed); it is empty while vacant and while the worker an
+/// event woke owns the connection.
+#[derive(Default)]
+struct Table {
+    slots: Vec<Option<Conn>>,
+    free: Vec<usize>,
+    open: usize,
+    /// Bumped per admitted connection; the high half of its token.
+    serial: u32,
+}
+
+/// The slot index a connection token names (its low 32 bits).
+fn slot_of(token: u64) -> usize {
+    (token & u64::from(u32::MAX)) as usize
+}
+
+impl Table {
+    /// Reserves an empty slot for a new connection and returns it with the
+    /// connection's token.
+    fn claim(&mut self) -> (usize, u64) {
+        self.serial = self.serial.wrapping_add(1).max(1);
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        self.open += 1;
+        (slot, u64::from(self.serial) << 32 | slot as u64)
+    }
+
+    /// Takes ownership of the parked connection `token` names.  `None` for
+    /// a stale token: an event for a connection since closed, whose slot
+    /// may already hold a newer one.
+    fn take(&mut self, token: u64) -> Option<Conn> {
+        let slot = self.slots.get_mut(slot_of(token))?;
+        if slot.as_ref()?.token != token {
+            return None;
+        }
+        slot.take()
+    }
+
+    /// Frees the (empty) slot of a connection its owner has closed.
+    fn release(&mut self, slot: usize) {
+        self.free.push(slot);
+        self.open -= 1;
+    }
+
+    /// Removes every parked connection `pick` selects, freeing its slot.
+    fn remove_parked(&mut self, mut pick: impl FnMut(&Conn) -> bool) -> Vec<Conn> {
+        let mut out = Vec::new();
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if slot.as_ref().is_some_and(&mut pick) {
+                out.extend(slot.take());
+                self.free.push(i);
+                self.open -= 1;
+            }
+        }
+        out
+    }
+}
+
+/// One client connection.
+struct Conn {
+    stream: TcpStream,
+    /// `serial << 32 | slot`: an event whose token mismatches is for an
+    /// earlier connection that occupied the same slot, and is dropped.
+    token: u64,
+    /// Bytes read but not yet consumed by a parsed request.
+    buf: Vec<u8>,
+    /// Response bytes not yet written.
+    write_buf: Vec<u8>,
+    write_pos: usize,
+    close_after_write: bool,
+    /// The client half-closed its sending side; buffered requests are still
+    /// served (their responses can be written), then the connection closes.
+    eof: bool,
+    /// When the connection was last parked; the idle timeout counts from
+    /// here.
+    last_activity: Instant,
+    /// When `epoll_wait` returned the event whose read delivered the newest
+    /// buffered bytes — the start of a request's measured latency.
+    arrived: Instant,
+}
+
+impl Conn {
+    fn has_unwritten(&self) -> bool {
+        self.write_pos < self.write_buf.len()
+    }
+}
+
+/// What a connection waits for when its worker lets go of it.
+enum Next {
+    Read,
+    Write,
+    Close,
+}
+
+/// One worker: wait for a ready socket, serve it, re-arm it; run the idle
+/// sweep when due; on shutdown, close what is parked and exit.
+fn worker_loop(shared: &Shared, state: &AppState) {
+    let metrics = state.metrics();
+    let mut chunk = vec![0u8; READ_CHUNK];
+    loop {
+        // The instance is ours and valid, so a failing wait means the
+        // process is broken; exiting beats spinning.
+        let Ok(ready) = shared.epoll.wait_one(shared.sweep_every) else { return };
+        let woke = Instant::now();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            shared.close_parked_for_shutdown(metrics);
+            return;
+        }
+        match ready {
+            Some(LISTENER) => shared.accept_pending(metrics, woke),
+            Some(WAKE) | None => {}
+            Some(token) => shared.serve_event(token, state, &mut chunk, woke),
+        }
+        shared.sweep_if_due(woke, metrics);
+    }
 }
 
 impl Shared {
-    fn new() -> Self {
-        Shared {
-            jobs: Mutex::new(VecDeque::new()),
-            jobs_cv: Condvar::new(),
-            done: Mutex::new(Vec::new()),
-            reactor_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+    fn lock_table(&self) -> MutexGuard<'_, Table> {
+        // Every table update completes under one lock hold, so a poisoned
+        // table is still consistent.
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Accepts every pending connection, then re-arms the listener.
+    fn accept_pending(&self, metrics: &ServeMetrics, now: Instant) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    metrics.connections_opened().inc();
+                    self.admit(stream, metrics, now);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::Interrupted | std::io::ErrorKind::ConnectionAborted
+                    ) => {}
+                // A hard failure (e.g. descriptor exhaustion) leaves the
+                // listener disarmed, instead of waking a worker in a loop,
+                // until the next idle sweep re-arms it.
+                Err(_) => return,
+            }
+        }
+        self.rearm_listener();
+    }
+
+    fn rearm_listener(&self) {
+        let _ = self.epoll.rearm(self.listener.as_fd(), EPOLLIN | EPOLLONESHOT, LISTENER);
+    }
+
+    /// Registers a new connection, or answers `503` and closes it when the
+    /// table is full.
+    fn admit(&self, stream: TcpStream, metrics: &ServeMetrics, now: Instant) {
+        if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+            metrics.connections_closed().inc();
+            return;
+        }
+        let mut table = self.lock_table();
+        if table.open >= self.max_conns {
+            drop(table);
+            metrics.connections_rejected().inc();
+            metrics.connections_closed().inc();
+            let e = ApiError::new(503, "overloaded", "connection table is full");
+            // A fresh socket's send buffer holds the whole answer.
+            let _ =
+                (&stream).write(&http::render_response(503, "application/json", &e.body(), false));
+            close_socket(stream);
+            return;
+        }
+        let (slot, token) = table.claim();
+        let conn = Conn {
+            stream,
+            token,
+            buf: Vec::new(),
+            write_buf: Vec::new(),
+            write_pos: 0,
+            close_after_write: false,
+            eof: false,
+            last_activity: now,
+            arrived: now,
+        };
+        // Registered under the table lock: the first event may reach
+        // another worker at once, and it must find the connection parked.
+        match self.epoll.add(conn.stream.as_fd(), EPOLLIN | EPOLLONESHOT, token) {
+            Ok(()) => {
+                table.slots[slot] = Some(conn);
+                metrics.connections_active().inc();
+            }
+            Err(_) => {
+                table.release(slot);
+                metrics.connections_closed().inc();
+            }
         }
     }
 
-    fn lock_jobs(&self) -> std::sync::MutexGuard<'_, VecDeque<Job>> {
-        self.jobs.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn lock_done(&self) -> std::sync::MutexGuard<'_, Vec<Done>> {
-        self.done.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// One worker: pull a complete request, run the handler (under
-/// `catch_unwind`), render the response bytes, hand them back.
-fn worker_loop(shared: &Shared, state: &AppState) {
-    loop {
-        let job = {
-            let mut queue = shared.lock_jobs();
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    break job;
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                queue =
-                    shared.jobs_cv.wait(queue).unwrap_or_else(std::sync::PoisonError::into_inner);
+    /// Serves the connection an event woke, then re-arms or closes it.
+    fn serve_event(&self, token: u64, state: &AppState, chunk: &mut [u8], woke: Instant) {
+        let Some(mut conn) = self.lock_table().take(token) else { return };
+        let metrics = state.metrics();
+        let interest = match self.drive(&mut conn, state, chunk, woke) {
+            Next::Read => EPOLLIN,
+            Next::Write => EPOLLOUT,
+            Next::Close => {
+                self.lock_table().release(slot_of(token));
+                close_conn(conn, metrics);
+                return;
             }
         };
+        conn.last_activity = Instant::now();
+        let mut table = self.lock_table();
+        // Re-armed and parked under one lock hold: the event the re-arm may
+        // raise at once must find the connection parked.
+        match self.epoll.rearm(conn.stream.as_fd(), interest | EPOLLONESHOT, token) {
+            Ok(()) => table.slots[slot_of(token)] = Some(conn),
+            Err(_) => {
+                table.release(slot_of(token));
+                drop(table);
+                close_conn(conn, metrics);
+            }
+        }
+    }
+
+    /// Writes the pending response, then serves every complete request in
+    /// the buffer, reading more while the next one is incomplete.  Returns
+    /// once the connection must wait for the socket or be closed.
+    fn drive(&self, conn: &mut Conn, state: &AppState, chunk: &mut [u8], woke: Instant) -> Next {
         let metrics = state.metrics();
+        // Whether a read found the socket empty this event.  The re-arm is
+        // level-triggered, so bytes that arrive after that raise an event
+        // at once.
+        let mut drained = false;
+        loop {
+            while conn.has_unwritten() {
+                match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
+                    Ok(0) => return Next::Close,
+                    Ok(n) => {
+                        conn.write_pos += n;
+                        metrics.bytes_written().add(n as u64);
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Next::Write,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(_) => return Next::Close,
+                }
+            }
+            if conn.close_after_write {
+                return Next::Close;
+            }
+            conn.write_buf.clear();
+            conn.write_pos = 0;
+
+            // Pipelined requests already buffered raise no readiness event:
+            // serve them before waiting for more input.
+            match http::parse_request(&conn.buf, self.max_body) {
+                Ok(http::ParseOutcome::Complete { request, consumed }) => {
+                    conn.buf.drain(..consumed);
+                    self.respond(conn, &request, state);
+                    continue;
+                }
+                Ok(http::ParseOutcome::Incomplete) => {}
+                Err(http::ParseError { status, message }) => {
+                    // Framing is unreliable after a parse failure: answer
+                    // and close.
+                    let e = ApiError::new(status, "malformed_request", message);
+                    conn.write_buf =
+                        http::render_response(status, "application/json", &e.body(), false);
+                    conn.close_after_write = true;
+                    conn.buf.clear();
+                    continue;
+                }
+            }
+            // After EOF, leftover bytes that never parsed into a request
+            // can never complete.
+            if conn.eof {
+                return Next::Close;
+            }
+            if drained {
+                return Next::Read;
+            }
+            // One read per parse: the buffer never outgrows what the
+            // parser may still call incomplete (its head and body limits)
+            // by more than one chunk.
+            match conn.stream.read(chunk) {
+                Ok(0) => conn.eof = true,
+                Ok(n) => {
+                    conn.buf.extend_from_slice(&chunk[..n]);
+                    metrics.bytes_read().add(n as u64);
+                    conn.arrived = woke;
+                    drained = n < chunk.len();
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => drained = true,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return Next::Close,
+            }
+        }
+    }
+
+    /// Runs one parsed request through the handlers (under
+    /// `catch_unwind`) and queues the rendered response on the connection.
+    fn respond(&self, conn: &mut Conn, request: &http::Request, state: &AppState) {
+        let metrics = state.metrics();
+        metrics.requests_in_flight().inc();
         metrics.workers_busy().inc();
-        let segments: Vec<&str> = job.request.segments.iter().map(String::as_str).collect();
+        let segments: Vec<&str> = request.segments.iter().map(String::as_str).collect();
         let endpoint = metrics::Endpoint::classify(&segments);
         // A panicking handler must not take the worker down with it: answer
         // 500 and carry on.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handlers::dispatch(state, &job.request)
+            handlers::dispatch(state, request)
         }));
         let response = outcome.unwrap_or_else(|_| {
             let e = ApiError::new(500, "internal_panic", "handler panicked; see server log");
             handlers::Response::json(e.status, e.body())
         });
-        metrics.observe_request(endpoint, response.status, job.enqueued.elapsed());
         metrics.workers_busy().dec();
-        let keep_alive = job.request.keep_alive && !shared.shutdown.load(Ordering::SeqCst);
-        let bytes = http::render_response(
+        let keep_alive = request.keep_alive && !self.shutdown.load(Ordering::SeqCst);
+        conn.write_buf = http::render_response(
             response.status,
             response.content_type,
             &response.body,
             keep_alive,
         );
-        shared.lock_done().push(Done { conn: job.conn, token: job.token, bytes, keep_alive });
-        shared.reactor_cv.notify_all();
+        conn.close_after_write = !keep_alive;
+        metrics.observe_request(endpoint, response.status, conn.arrived.elapsed());
+        metrics.requests_in_flight().dec();
     }
-}
 
-/// One connection owned by the reactor.
-struct Conn {
-    stream: TcpStream,
-    /// Generation token: a [`Done`] whose token mismatches is for an
-    /// earlier connection that occupied the same slot, and is dropped.
-    token: u64,
-    /// Bytes read but not yet consumed by a parsed request.
-    buf: Vec<u8>,
-    /// Response bytes queued for writing.
-    write_buf: Vec<u8>,
-    write_pos: usize,
-    /// Whether a request from this connection is queued or executing.
-    in_flight: bool,
-    close_after_write: bool,
-    /// The client half-closed its sending side; buffered requests are still
-    /// served (their responses can be written), then the connection closes.
-    eof: bool,
-    last_activity: Instant,
-}
-
-/// The reactor: owns the listener and every connection, never blocks on any
-/// of them, and sleeps (briefly, interruptibly) only when a full pass made
-/// no progress.
-fn reactor_loop(listener: &TcpListener, shared: &Shared, state: &AppState, config: &ServeConfig) {
-    let metrics = Arc::clone(state.metrics());
-    let max_body = config.max_body_bytes;
-    // The parser bounds how much buffered input one request may occupy; cap
-    // reads just above it so a flooding client cannot grow the buffer past
-    // what the parser will reject anyway.
-    let read_cap = http::MAX_HEAD_BYTES + max_body + 1024;
-    let max_conns = config.max_connections.max(1);
-    let mut conns: Vec<Option<Conn>> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut active = 0usize;
-    let mut next_token = 0u64;
-    let mut chunk = vec![0u8; 16 * 1024];
-    let mut shutdown_since: Option<Instant> = None;
-
-    loop {
-        let shutting_down = shared.shutdown.load(Ordering::SeqCst);
-        let now = Instant::now();
-        let mut progress = false;
-
-        // 1. Accept everything pending (unless shutting down).  The loop
-        // exits via the WouldBlock/error arms once the backlog is empty.
-        #[allow(clippy::while_immutable_condition)]
-        while !shutting_down {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    progress = true;
-                    metrics.connections_opened().inc();
-                    if active >= max_conns {
-                        // Over the table limit: answer 503 best-effort and
-                        // close.  The client's request bytes are drained
-                        // (briefly, bounded) before the drop so the close is
-                        // an orderly FIN rather than a reset that could
-                        // discard the 503 from the client's receive buffer.
-                        metrics.connections_rejected().inc();
-                        metrics.connections_closed().inc();
-                        let e = ApiError::new(503, "overloaded", "connection table is full");
-                        let bytes =
-                            http::render_response(503, "application/json", &e.body(), false);
-                        let mut s = stream;
-                        let _ = s.write_all(&bytes);
-                        let _ = s.set_read_timeout(Some(Duration::from_millis(20)));
-                        let mut sink = [0u8; 4096];
-                        for _ in 0..8 {
-                            match s.read(&mut sink) {
-                                Ok(n) if n > 0 => continue,
-                                _ => break,
-                            }
-                        }
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                        metrics.connections_closed().inc();
-                        continue;
-                    }
-                    next_token += 1;
-                    let conn = Conn {
-                        stream,
-                        token: next_token,
-                        buf: Vec::new(),
-                        write_buf: Vec::new(),
-                        write_pos: 0,
-                        in_flight: false,
-                        close_after_write: false,
-                        eof: false,
-                        last_activity: now,
-                    };
-                    let slot = free.pop().unwrap_or_else(|| {
-                        conns.push(None);
-                        conns.len() - 1
-                    });
-                    conns[slot] = Some(conn);
-                    active += 1;
-                    metrics.connections_active().inc();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break, // transient (e.g. fd exhaustion); retry next tick
-            }
-        }
-
-        // 2. Drain finished responses onto their connections' write buffers.
-        let done: Vec<Done> = std::mem::take(&mut *shared.lock_done());
-        for d in done {
-            progress = true;
-            metrics.requests_in_flight().dec();
-            if let Some(conn) = conns.get_mut(d.conn).and_then(Option::as_mut) {
-                if conn.token == d.token {
-                    conn.write_buf = d.bytes;
-                    conn.write_pos = 0;
-                    conn.in_flight = false;
-                    conn.close_after_write = !d.keep_alive;
-                    conn.last_activity = now;
-                }
-            }
-        }
-
-        // 3. Per-connection I/O: flush writes, then read + parse + dispatch.
-        for (id, slot) in conns.iter_mut().enumerate() {
-            let Some(conn) = slot.as_mut() else { continue };
-            let mut close = false;
-
-            // Writes first: a queued response gets out before anything else.
-            while conn.write_pos < conn.write_buf.len() {
-                match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
-                    Ok(0) => {
-                        close = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.write_pos += n;
-                        metrics.bytes_written().add(n as u64);
-                        conn.last_activity = now;
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        close = true;
-                        break;
-                    }
-                }
-            }
-            if !close && conn.write_pos == conn.write_buf.len() && !conn.write_buf.is_empty() {
-                conn.write_buf = Vec::new();
-                conn.write_pos = 0;
-                if conn.close_after_write {
-                    close = true;
-                }
-            }
-
-            // Read only while nothing is pending on this connection: a
-            // client that pipelines (or floods) waits for its own previous
-            // response instead of ballooning the job queue.
-            if !close && !conn.in_flight && conn.write_buf.is_empty() && !shutting_down {
-                while !conn.eof {
-                    if conn.buf.len() >= read_cap {
-                        break;
-                    }
-                    match conn.stream.read(&mut chunk) {
-                        Ok(0) => {
-                            // Half-close: no more requests will arrive, but
-                            // whatever is buffered is still served below.
-                            conn.eof = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            conn.buf.extend_from_slice(&chunk[..n]);
-                            metrics.bytes_read().add(n as u64);
-                            conn.last_activity = now;
-                            progress = true;
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            close = true;
-                            break;
-                        }
-                    }
-                }
-                if !close && !conn.buf.is_empty() {
-                    match http::parse_request(&conn.buf, max_body) {
-                        Ok(http::ParseOutcome::Incomplete) => {}
-                        Ok(http::ParseOutcome::Complete { request, consumed }) => {
-                            conn.buf.drain(..consumed);
-                            conn.in_flight = true;
-                            metrics.requests_in_flight().inc();
-                            shared.lock_jobs().push_back(Job {
-                                conn: id,
-                                token: conn.token,
-                                request,
-                                enqueued: now,
-                            });
-                            shared.jobs_cv.notify_one();
-                            progress = true;
-                        }
-                        Err(http::ParseError { status, message }) => {
-                            // Framing is unreliable after a parse failure:
-                            // answer and close.
-                            let e = ApiError::new(status, "malformed_request", message);
-                            conn.write_buf =
-                                http::render_response(status, "application/json", &e.body(), false);
-                            conn.write_pos = 0;
-                            conn.close_after_write = true;
-                            conn.buf.clear();
-                            progress = true;
-                        }
-                    }
-                }
-                // After EOF, once nothing is queued and nothing remains to
-                // write, the connection is spent (leftover bytes that never
-                // parsed into a request can never complete).
-                if !close && conn.eof && !conn.in_flight && conn.write_buf.is_empty() {
-                    close = true;
-                }
-            }
-
-            // Idle timeout: nothing in flight, nothing to write, silent too
-            // long.  (A connection waiting on its own response is exempt.)
-            if !close
-                && !conn.in_flight
-                && conn.write_buf.is_empty()
-                && now.duration_since(conn.last_activity) > config.read_timeout
-            {
-                close = true;
-            }
-
-            if close {
-                *slot = None;
-                free.push(id);
-                active -= 1;
-                metrics.connections_closed().inc();
-                metrics.connections_active().dec();
-            }
-        }
-
-        // 4. Shutdown: stop accepting (done above), let in-flight requests
-        // drain within the grace period, then close everything and exit.
-        if shutting_down {
-            let since = *shutdown_since.get_or_insert(now);
-            let pending = conns.iter().flatten().any(|c| c.in_flight || conn_has_unwritten(c));
-            if !pending || now.duration_since(since) > SHUTDOWN_GRACE {
-                for conn in conns.iter_mut() {
-                    if conn.take().is_some() {
-                        metrics.connections_closed().inc();
-                        metrics.connections_active().dec();
-                    }
-                }
-                // Idle workers may still be waiting; the flag is set, wake
-                // them so they exit.
-                shared.jobs_cv.notify_all();
+    /// Closes parked connections that have been idle past the read timeout
+    /// — at most once per sweep interval, on whichever worker finds the
+    /// sweep due.  Connections a worker owns are not in the table's parked
+    /// set and are skipped, as are those with a response still unwritten.
+    fn sweep_if_due(&self, now: Instant, metrics: &ServeMetrics) {
+        {
+            // Busy means another worker is sweeping.  The guarded section
+            // cannot panic, so the lock is never poisoned.
+            let Ok(mut last) = self.last_sweep.try_lock() else { return };
+            if now.saturating_duration_since(*last) < self.sweep_every {
                 return;
             }
+            *last = now;
         }
+        // Harmless while armed; recovers a listener a failed accept left
+        // disarmed.
+        self.rearm_listener();
+        let expired = self.lock_table().remove_parked(|c| {
+            !c.has_unwritten() && now.saturating_duration_since(c.last_activity) > self.read_timeout
+        });
+        for conn in expired {
+            close_conn(conn, metrics);
+        }
+    }
 
-        // 5. Nothing moved: sleep until a worker finishes or the tick ends.
-        if !progress {
-            let guard = shared.lock_done();
-            if guard.is_empty() && !shared.shutdown.load(Ordering::SeqCst) {
-                let _ = shared
-                    .reactor_cv
-                    .wait_timeout(guard, REACTOR_IDLE_WAIT)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+    /// Shutdown: closes every parked connection, first flushing (within the
+    /// grace period) any response still unwritten.  Connections a worker
+    /// owns are closed by that worker, which re-parks them only to come back
+    /// here.
+    fn close_parked_for_shutdown(&self, metrics: &ServeMetrics) {
+        let deadline = Instant::now() + SHUTDOWN_GRACE;
+        for mut conn in self.lock_table().remove_parked(|_| true) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if conn.has_unwritten()
+                && !left.is_zero()
+                && conn.stream.set_nonblocking(false).is_ok()
+                && conn.stream.set_write_timeout(Some(left)).is_ok()
+            {
+                let _ = conn.stream.write_all(&conn.write_buf[conn.write_pos..]);
+                // `close_socket` drains without waiting.
+                let _ = conn.stream.set_nonblocking(true);
             }
+            close_conn(conn, metrics);
         }
     }
 }
 
-/// Whether a connection still has response bytes to flush.
-fn conn_has_unwritten(c: &Conn) -> bool {
-    c.write_pos < c.write_buf.len()
+/// Counts a registered connection closed and closes its socket.
+fn close_conn(conn: Conn, metrics: &ServeMetrics) {
+    metrics.connections_closed().inc();
+    metrics.connections_active().dec();
+    close_socket(conn.stream);
+}
+
+/// Closes a non-blocking socket without discarding what was written to it:
+/// half-close, so the client reads the response and then EOF, and drop the
+/// request bytes already readable, so the close is an orderly FIN rather
+/// than a reset that could discard the response from the client's receive
+/// buffer.  Never waits for the client.
+fn close_socket(stream: TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut sink = [0u8; 4096];
+    for _ in 0..16 {
+        match (&stream).read(&mut sink) {
+            Ok(n) if n > 0 => {}
+            _ => break,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::WorkflowStore;
-    use std::io::{Read, Write};
+    use std::io::{BufRead, Read, Write};
     use wfdiff_workloads::figures::{fig2_run1, fig2_run2, fig2_specification};
 
-    fn started_server() -> ServerHandle {
+    fn fig2_service() -> Arc<DiffService> {
         let store = Arc::new(WorkflowStore::new());
         let spec = store.insert_spec(fig2_specification()).unwrap();
         store.insert_run("r1", fig2_run1(&spec)).unwrap();
         store.insert_run("r2", fig2_run2(&spec)).unwrap();
-        let service = Arc::new(DiffService::new(store));
+        Arc::new(DiffService::new(store))
+    }
+
+    fn started_server() -> ServerHandle {
         let config = ServeConfig { threads: 2, ..ServeConfig::default() };
-        Server::bind(service, config).unwrap().start().unwrap()
+        Server::bind(fig2_service(), config).unwrap().start().unwrap()
+    }
+
+    /// Starts a server and keeps its state, so a test can read the metrics
+    /// registry without a scrape connection of its own.
+    fn started_with_state(config: ServeConfig) -> (Arc<AppState>, ServerHandle) {
+        let server = Server::bind(fig2_service(), config).unwrap();
+        let state = Arc::clone(&server.state);
+        (state, server.start().unwrap())
+    }
+
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     fn raw_request(addr: SocketAddr, request: &str) -> String {
@@ -657,8 +756,10 @@ mod tests {
     }
 
     /// Reads exactly one `Content-Length`-framed response off a keep-alive
-    /// connection and returns its body.
-    fn read_one_response(reader: &mut impl std::io::BufRead) -> String {
+    /// connection and returns its status line and body.
+    fn read_response(reader: &mut impl std::io::BufRead) -> (String, String) {
+        let mut status = String::new();
+        reader.read_line(&mut status).unwrap();
         let mut content_length = 0usize;
         loop {
             let mut line = String::new();
@@ -673,7 +774,12 @@ mod tests {
         }
         let mut body = vec![0u8; content_length];
         reader.read_exact(&mut body).unwrap();
-        String::from_utf8(body).unwrap()
+        (status.trim_end().to_string(), String::from_utf8(body).unwrap())
+    }
+
+    /// Reads one response off a keep-alive connection and returns its body.
+    fn read_one_response(reader: &mut impl std::io::BufRead) -> String {
+        read_response(reader).1
     }
 
     #[test]
@@ -780,6 +886,158 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         };
         assert!(response.starts_with("HTTP/1.1 503"), "{response}");
+        handle.shutdown();
+    }
+
+    #[test]
+    fn refusing_connections_never_stalls_a_served_client() {
+        let config = ServeConfig { threads: 1, max_connections: 2, ..ServeConfig::default() };
+        let (state, handle) = started_with_state(config);
+        let addr = handle.addr();
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut reader = std::io::BufReader::new(client.try_clone().unwrap());
+        let healthz = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+        client.write_all(healthz).unwrap();
+        assert!(read_one_response(&mut reader).contains("\"ok\""));
+        // An idle connection takes the table's second slot.
+        let _idle = TcpStream::connect(addr).unwrap();
+        wait_until("both connections are admitted", || {
+            state.metrics().connections_active().get() == 2
+        });
+
+        // Twenty silent clients are refused; answering them must not hold
+        // up the one worker serving the admitted client.
+        let refused: Vec<TcpStream> = (0..20).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let started = Instant::now();
+        client.write_all(healthz).unwrap();
+        let body = read_one_response(&mut reader);
+        let elapsed = started.elapsed();
+        assert!(body.contains("\"ok\""), "{body}");
+        assert!(elapsed < Duration::from_millis(100), "healthz took {elapsed:?}");
+        wait_until("every refusal is counted", || {
+            state.metrics().connections_rejected().get() == 20
+        });
+        drop(refused);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order_before_eof() {
+        let handle = started_server();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        // Three requests in one write, then a half-close: no readiness event
+        // follows the first, so the server must serve the rest from its
+        // buffer.
+        stream
+            .write_all(
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n\
+                  GET /diff?spec=fig2&a=r1&b=r2 HTTP/1.1\r\nHost: x\r\n\r\n\
+                  GET /specs HTTP/1.1\r\nHost: x\r\n\r\n",
+            )
+            .unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        let mut reader = std::io::BufReader::new(stream);
+        let expected = ["\"ok\"", "\"distance\":4.0", "\"fig2\""];
+        for want in expected {
+            let (status, body) = read_response(&mut reader);
+            assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
+            assert!(body.contains(want), "expected {want} in {body}");
+        }
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "bytes after the third response: {rest:?}");
+        handle.shutdown();
+    }
+
+    #[test]
+    fn responses_larger_than_the_socket_buffers_reach_a_late_reader_intact() {
+        const REQUESTS: usize = 40;
+        const TAG_BITS: usize = 6;
+        let handle = started_server();
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        // Request `i` carries its index in the first pairs' distances
+        // (r1→r2 is a one bit, r1→r1 a zero bit), so order is checkable.
+        let requests: Vec<u8> = (0..REQUESTS)
+            .flat_map(|i| {
+                let pairs: Vec<String> = (0..handlers::MAX_BATCH_PAIRS)
+                    .map(|k| {
+                        let b = if k < TAG_BITS && (i >> k) & 1 == 0 { "r1" } else { "r2" };
+                        format!("[\"r1\",\"{b}\"]")
+                    })
+                    .collect();
+                let body = format!("{{\"spec\":\"fig2\",\"pairs\":[{}]}}", pairs.join(","));
+                format!(
+                    "POST /diff/batch HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                )
+                .into_bytes()
+            })
+            .collect();
+        let mut writer = stream.try_clone().unwrap();
+        let sender = std::thread::spawn(move || writer.write_all(&requests));
+        // Far more response bytes than loopback buffers hold pile up before
+        // the client reads, so the server must park on EPOLLOUT and resume.
+        std::thread::sleep(Duration::from_millis(500));
+        let mut reader = std::io::BufReader::new(stream);
+        let mut body_bytes = 0usize;
+        for i in 0..REQUESTS {
+            let (status, body) = read_response(&mut reader);
+            assert_eq!(status, "HTTP/1.1 200 OK", "response {i}: {body}");
+            let response: api::BatchDiffResponse = serde_json::from_str(&body).unwrap();
+            assert_eq!(response.distances.len(), handlers::MAX_BATCH_PAIRS, "response {i}");
+            let tag = (0..TAG_BITS)
+                .filter(|&k| response.distances[k].distance > 0.0)
+                .fold(0usize, |tag, k| tag | 1 << k);
+            assert_eq!(tag, i, "response {i} arrived out of order");
+            body_bytes += body.len();
+        }
+        sender.join().unwrap().unwrap();
+        assert!(body_bytes > 8 * 1024 * 1024, "only {body_bytes} response bytes");
+        handle.shutdown();
+    }
+
+    #[test]
+    fn shutdown_flushes_a_parked_response_before_closing() {
+        const REQUESTS: usize = 1000;
+        let handle = started_server();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        // ~40 KB of pipelined scrapes asks for megabytes of responses, so
+        // the server parks on EPOLLOUT long before answering them all.
+        let requests = "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n".repeat(REQUESTS);
+        stream.write_all(requests.as_bytes()).unwrap();
+        std::thread::sleep(Duration::from_millis(500));
+        let stopper = std::thread::spawn(move || handle.shutdown());
+        // Every response that arrives is whole, and the connection then
+        // ends cleanly at a response boundary.
+        let mut reader = std::io::BufReader::new(stream);
+        let mut answered = 0;
+        while !reader.fill_buf().unwrap().is_empty() {
+            let (status, body) = read_response(&mut reader);
+            assert_eq!(status, "HTTP/1.1 200 OK", "response {answered}: {body}");
+            answered += 1;
+        }
+        stopper.join().unwrap();
+        assert!(answered > 0 && answered < REQUESTS, "{answered} responses");
+    }
+
+    #[test]
+    fn silent_connections_close_at_the_read_timeout() {
+        let timeout = Duration::from_millis(200);
+        let config = ServeConfig { read_timeout: timeout, ..ServeConfig::default() };
+        let (state, handle) = started_with_state(config);
+        let started = Instant::now();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut byte = [0u8; 1];
+        assert_eq!(stream.read(&mut byte).unwrap(), 0, "expected EOF from the server");
+        let elapsed = started.elapsed();
+        assert!(elapsed >= timeout, "closed after only {elapsed:?}");
+        assert!(elapsed < timeout + Duration::from_millis(400), "closed after {elapsed:?}");
+        assert_eq!(state.metrics().connections_active().get(), 0);
         handle.shutdown();
     }
 }

@@ -2,8 +2,8 @@
 //! stays stable across save/load and the operator split, cross-shard
 //! `/specs` and `/healthz` aggregation, a `GET /metrics` scrape validated
 //! against the Prometheus text-exposition grammar, and the evented
-//! reactor's core promise — a stalled (dribbling-header) connection does
-//! not pin a diff worker.
+//! front-end's core promise — a stalled (dribbling-header) connection does
+//! not pin a worker.
 
 use pdiffview::pdiffview::serve::api::{HealthResponse, SpecsResponse};
 use pdiffview::pdiffview::serve::shard::{
