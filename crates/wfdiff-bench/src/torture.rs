@@ -19,7 +19,9 @@
 //! repaired), and the recovered store must equal a never-crashed in-memory
 //! replay of the first `j` or `j+1` scripted operations, where `j` is the
 //! acknowledged count — byte-for-byte on the run name set, exactly on the
-//! full pairwise distance matrix, and exactly on the k-medoids partition.
+//! full pairwise distance matrix, and exactly on the k-medoids partition —
+//! and both derived-index checkpoints must resume without poisoning an
+//! answer: every pruned nearest-run query equals the exact sweep.
 //! One operation of slack is inherent: a crash inside operation `j+1` may
 //! land before or after the single durable append that changes the compared
 //! state (for the streamed-ingest op that is the finalised run's insert
@@ -82,8 +84,9 @@ pub enum TortureOp {
         /// Deterministic run index; also seeds the run's content.
         index: usize,
     },
-    /// Cluster the spec's runs with `k` medoids and checkpoint the cluster
-    /// state (a WAL delta append).
+    /// Cluster the spec's runs with `k` medoids, answer one pruned
+    /// nearest-run query, and checkpoint both derived indexes (one WAL delta
+    /// append each).
     Recluster {
         /// Medoid count.
         k: usize,
@@ -261,6 +264,9 @@ fn apply_durable(
                 .cluster_medoids(TORTURE_SPEC, *k, TORTURE_CLUSTER_SEED)
                 .map_err(|e| e.to_string())?;
             service.save_cluster_state(dir).map_err(|e| e.to_string())?;
+            let query = store.run_names(TORTURE_SPEC).into_iter().min().ok_or("no runs")?;
+            service.nearest_runs_pruned(TORTURE_SPEC, &query, 2, 0.0).map_err(|e| e.to_string())?;
+            service.save_metric_state(dir).map_err(|e| e.to_string())?;
         }
         TortureOp::Checkpoint => {
             store.save_to_dir(dir).map_err(|e| e.to_string())?;
@@ -486,7 +492,7 @@ fn verify_recovery(dir: &Path, ack_path: &Path, ops: &[TortureOp]) -> Outcome {
         if replay_runs != loaded_runs {
             continue;
         }
-        return match states_equal(&loaded, &replay) {
+        return match states_equal(dir, &loaded, &replay) {
             Ok(()) => Outcome::Consistent,
             Err(e) => Outcome::Violation(format!("prefix {prefix}: {e}")),
         };
@@ -499,10 +505,16 @@ fn verify_recovery(dir: &Path, ack_path: &Path, ops: &[TortureOp]) -> Outcome {
 
 /// Compares the recovered store against the reference replay: full pairwise
 /// distance matrix and k-medoids partition must be identical, and the
-/// recovered directory's cluster checkpoint must restore without poisoning
-/// either.
-fn states_equal(loaded: &Arc<WorkflowStore>, replay: &Arc<WorkflowStore>) -> Result<(), String> {
+/// recovered directory's cluster and metric checkpoints must restore
+/// without poisoning either or a pruned nearest-run query.
+fn states_equal(
+    dir: &Path,
+    loaded: &Arc<WorkflowStore>,
+    replay: &Arc<WorkflowStore>,
+) -> Result<(), String> {
     let loaded_service = DiffService::new(Arc::clone(loaded));
+    loaded_service.load_cluster_state(dir);
+    loaded_service.load_metric_state(dir);
     let replay_service = DiffService::new(Arc::clone(replay));
     let runs = replay.run_names(TORTURE_SPEC);
     if runs.is_empty() {
@@ -537,6 +549,17 @@ fn states_equal(loaded: &Arc<WorkflowStore>, replay: &Arc<WorkflowStore>) -> Res
             want.partition()
         ));
     }
+    for query in &runs {
+        let exact = loaded_service
+            .nearest_runs(TORTURE_SPEC, query, 2)
+            .map_err(|e| format!("exact nearest runs of {query}: {e}"))?;
+        let (pruned, _) = loaded_service
+            .nearest_runs_pruned(TORTURE_SPEC, query, 2, 0.0)
+            .map_err(|e| format!("pruned nearest runs of {query}: {e}"))?;
+        if pruned != exact {
+            return Err(format!("pruned nearest runs of {query} {pruned:?} != exact {exact:?}"));
+        }
+    }
     Ok(())
 }
 
@@ -548,12 +571,14 @@ pub fn run_torture(scale: TortureScale) -> TortureReport {
     std::fs::create_dir_all(&root).expect("torture root");
     let ops = script(scale);
     let fault_points = count_fault_points(&exe, &root, scale);
-    // The cluster-checkpoint reload of a crashed directory must never fail
-    // the boot; exercise it on the fault-free directory once.
+    // The checkpoint reloads of a crashed directory must never fail the
+    // boot; exercise them on the fault-free directory once.
     let clean = Arc::new(
         WorkflowStore::load_from_dir(root.join("count")).expect("fault-free directory loads"),
     );
-    DiffService::new(clean).load_cluster_state(root.join("count"));
+    let clean = DiffService::new(clean);
+    clean.load_cluster_state(root.join("count"));
+    clean.load_metric_state(root.join("count"));
 
     let mut report = TortureReport {
         scale,

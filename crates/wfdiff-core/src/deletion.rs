@@ -99,6 +99,10 @@ impl DeletionTables {
 
     /// Computes the Algorithm 3 entry for one node given its children's
     /// entries.
+    #[expect(
+        clippy::expect_used,
+        reason = "post-order traversal fills child entries before their parent reads them; violated only by a traversal-order bug"
+    )]
     fn node_entry(
         tree: &AnnotatedTree,
         cost: &dyn CostModel,
@@ -173,6 +177,10 @@ impl DeletionTables {
         DeletionEntry { x: best, y: yv }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the table is seeded from the root before descent; unreachable nodes cannot be queried"
+    )]
     fn y_vec(&self, v: TreeId) -> &[f64] {
         &self.entries[v.index()].as_ref().expect("node reachable from the root").y
     }

@@ -74,6 +74,10 @@ impl<'a> Solver<'a> {
         result
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "run-tree nodes always carry spec origins (established by Run::from_graph validation)"
+    )]
     fn solve_parallel(
         &self,
         v1: TreeId,

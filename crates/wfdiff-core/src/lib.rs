@@ -52,7 +52,8 @@
 //! ```
 
 #![deny(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(test, allow(clippy::todo, clippy::unreachable, clippy::unimplemented))]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod bounds;

@@ -133,6 +133,10 @@ impl Mapping {
     /// For every mapped pair the unmapped children are charged their minimum
     /// deletion/insertion cost; unstably matched `P` pairs additionally pay
     /// the `2·W_TG` surcharge.
+    #[expect(
+        clippy::expect_used,
+        reason = "run-tree nodes always carry spec origins (established by Run::from_graph validation)"
+    )]
     pub fn cost(
         &self,
         t1: &AnnotatedTree,

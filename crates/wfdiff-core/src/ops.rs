@@ -66,11 +66,19 @@ pub struct PathOperation {
 
 impl PathOperation {
     /// The label of the path's start node `s(p)`.
+    #[expect(
+        clippy::expect_used,
+        reason = "elementary paths are built with >= 2 labels by the decomposition; empty paths are unconstructible"
+    )]
     pub fn start_label(&self) -> &Label {
         self.labels.first().expect("paths have at least two labels")
     }
 
     /// The label of the path's end node `t(p)`.
+    #[expect(
+        clippy::expect_used,
+        reason = "elementary paths are built with >= 2 labels by the decomposition; empty paths are unconstructible"
+    )]
     pub fn end_label(&self) -> &Label {
         self.labels.last().expect("paths have at least two labels")
     }

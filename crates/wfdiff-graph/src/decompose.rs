@@ -116,6 +116,10 @@ impl Reducer {
 
     /// Inserts an edge, immediately performing a parallel reduction if another
     /// live edge already connects the same ordered pair of nodes.
+    #[expect(
+        clippy::expect_used,
+        reason = "alive edges always own a tree; take() only runs on edges the liveness scan just returned"
+    )]
     fn add_edge(&mut self, src: NodeId, dst: NodeId, tree: BinSpTree) {
         if let Some(&other) = self.pair.get(&(src, dst)) {
             if self.edges[other].alive {
@@ -150,6 +154,10 @@ impl Reducer {
     }
 
     /// Attempts a series reduction at `v`; returns `true` if one was applied.
+    #[expect(
+        clippy::expect_used,
+        reason = "the series-reduction branch is entered only after checking in-degree == 1 and out-degree == 1; alive edges always own a tree"
+    )]
     fn try_series(&mut self, v: NodeId) -> bool {
         if v == self.source || v == self.sink {
             return false;
@@ -177,6 +185,10 @@ impl Reducer {
         true
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the reduction loop terminates with exactly one live edge for a valid SP graph (validity was checked on entry), and alive edges always own a tree"
+    )]
     fn run(mut self) -> Result<BinSpTree> {
         while let Some(v) = self.worklist.pop_front() {
             // Keep reducing at v while possible (degrees may stay (1,1) after a

@@ -40,12 +40,20 @@ impl EdgeId {
 }
 
 impl From<usize> for NodeId {
+    #[expect(
+        clippy::expect_used,
+        reason = "ids are u32 by design; over 4 billion nodes is out of scope and an immediate abort beats silent truncation"
+    )]
     fn from(value: usize) -> Self {
         NodeId(u32::try_from(value).expect("node id overflow"))
     }
 }
 
 impl From<usize> for EdgeId {
+    #[expect(
+        clippy::expect_used,
+        reason = "ids are u32 by design; over 4 billion edges is out of scope and an immediate abort beats silent truncation"
+    )]
     fn from(value: usize) -> Self {
         EdgeId(u32::try_from(value).expect("edge id overflow"))
     }

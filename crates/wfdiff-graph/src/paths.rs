@@ -36,21 +36,37 @@ impl ElementaryPath {
     }
 
     /// The start node `s(p)`.
+    #[expect(
+        clippy::expect_used,
+        reason = "ElementaryPath construction rejects fewer than two nodes; accessors rely on that constructor invariant"
+    )]
     pub fn start(&self) -> NodeId {
         *self.nodes.first().expect("elementary path has at least two nodes")
     }
 
     /// The end node `t(p)`.
+    #[expect(
+        clippy::expect_used,
+        reason = "ElementaryPath construction rejects fewer than two nodes; accessors rely on that constructor invariant"
+    )]
     pub fn end(&self) -> NodeId {
         *self.nodes.last().expect("elementary path has at least two nodes")
     }
 
     /// The label of the start node.
+    #[expect(
+        clippy::expect_used,
+        reason = "ElementaryPath construction rejects empty label lists; accessors rely on that constructor invariant"
+    )]
     pub fn start_label(&self) -> &Label {
         self.labels.first().expect("elementary path has labels")
     }
 
     /// The label of the end node.
+    #[expect(
+        clippy::expect_used,
+        reason = "ElementaryPath construction rejects empty label lists; accessors rely on that constructor invariant"
+    )]
     pub fn end_label(&self) -> &Label {
         self.labels.last().expect("elementary path has labels")
     }
@@ -104,9 +120,9 @@ fn follow_chain(run: &LabeledDigraph, start: NodeId, next: NodeId) -> Option<Ele
 
 /// Returns `true` if `nodes` forms an elementary path in `run`.
 pub fn is_elementary_path(run: &LabeledDigraph, nodes: &[NodeId]) -> bool {
-    if nodes.len() < 2 {
+    let [first, .., last] = nodes else {
         return false;
-    }
+    };
     for w in nodes.windows(2) {
         if !run.has_edge(w[0], w[1]) {
             return false;
@@ -117,8 +133,7 @@ pub fn is_elementary_path(run: &LabeledDigraph, nodes: &[NodeId]) -> bool {
             return false;
         }
     }
-    let last = *nodes.last().expect("elementary path has at least two nodes");
-    run.out_degree(nodes[0]) >= 2 && run.in_degree(last) >= 2
+    run.out_degree(*first) >= 2 && run.in_degree(*last) >= 2
 }
 
 #[cfg(test)]

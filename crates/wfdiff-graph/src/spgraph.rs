@@ -204,6 +204,10 @@ impl SpGraph {
     ///
     /// # Panics
     /// Panics if fewer than two labels are supplied.
+    #[expect(
+        clippy::expect_used,
+        reason = "a length assertion two lines above guarantees the last element exists"
+    )]
     pub fn chain<L: Into<Label> + Clone>(labels: &[L]) -> SpGraph {
         assert!(labels.len() >= 2, "a chain needs at least two labels");
         let mut graph = LabeledDigraph::new();

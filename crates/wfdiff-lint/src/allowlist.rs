@@ -14,7 +14,7 @@ use std::fmt;
 /// One `[[allow]]` entry from `lint_allow.toml`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowEntry {
-    /// Rule ID the entry suppresses, e.g. `"WFL003"`.
+    /// Rule ID the entry suppresses, e.g. `"WFL001"`.
     pub rule: String,
     /// Workspace-relative file path the entry applies to, `/`-separated.
     pub file: String,
@@ -174,10 +174,10 @@ mod tests {
         let src = r#"
 # burn-down list
 [[allow]]
-rule = "WFL003"
+rule = "WFL001"
 file = "crates/wfdiff-pdiffview/src/wal.rs"
-pattern = "expect(\"4 bytes\")"  # trailing comment
-justification = "length prefix is validated two lines above"
+pattern = "std::fs::read(\"4 bytes\")"  # trailing comment
+justification = "read-only scan; a crash cannot tear a read"
 
 [[allow]]
 rule = "WFL001"
@@ -187,27 +187,27 @@ justification = "read-only probe; crash cannot tear a read"
 "#;
         let entries = parse_allowlist(src).expect("parses");
         assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].pattern, "expect(\"4 bytes\")");
+        assert_eq!(entries[0].pattern, "std::fs::read(\"4 bytes\")");
         assert_eq!(entries[1].rule, "WFL001");
     }
 
     #[test]
     fn rejects_missing_justification() {
-        let src = "[[allow]]\nrule = \"WFL003\"\nfile = \"f.rs\"\npattern = \"x\"\n";
+        let src = "[[allow]]\nrule = \"WFL001\"\nfile = \"f.rs\"\npattern = \"x\"\n";
         let err = parse_allowlist(src).expect_err("must fail");
         assert!(err.message.contains("justification"));
     }
 
     #[test]
     fn rejects_empty_justification() {
-        let src = "[[allow]]\nrule = \"WFL003\"\nfile = \"f.rs\"\npattern = \"x\"\njustification = \"  \"\n";
+        let src = "[[allow]]\nrule = \"WFL001\"\nfile = \"f.rs\"\npattern = \"x\"\njustification = \"  \"\n";
         let err = parse_allowlist(src).expect_err("must fail");
         assert!(err.message.contains("non-empty"));
     }
 
     #[test]
     fn rejects_stray_keys_and_garbage() {
-        assert!(parse_allowlist("rule = \"WFL003\"\n").is_err());
+        assert!(parse_allowlist("rule = \"WFL001\"\n").is_err());
         assert!(parse_allowlist("[[allow]]\nwat\n").is_err());
         assert!(parse_allowlist("[[allow]]\nbogus = \"x\"\n").is_err());
     }

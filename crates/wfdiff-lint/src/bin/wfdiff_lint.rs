@@ -17,7 +17,7 @@ use wfdiff_lint::report::{render_human, render_json};
 use wfdiff_lint::rules::{rule_info, RULES};
 
 const USAGE: &str = "\
-wfdiff_lint — workspace invariant checker (rules WFL000-WFL005)
+wfdiff_lint — workspace invariant checker (rules WFL000, WFL001, WFL002, WFL004)
 
 USAGE:
     wfdiff_lint check [--root DIR] [--json FILE] [--allow RULE]... [--deny RULE]...

@@ -184,8 +184,8 @@ mod tests {
 
     fn one_bad_file() -> Vec<SourceFile> {
         vec![SourceFile::parse(
-            "crates/x/src/lib.rs",
-            "pub fn f(o: Option<u8>) -> u8 { o.unwrap() }\n",
+            "crates/x/src/wal.rs",
+            "pub fn f() { let _ = std::fs::write(\"a\", b\"x\"); }\n",
         )]
     }
 
@@ -193,8 +193,8 @@ mod tests {
     fn allowlist_suppresses_a_matching_violation() {
         let files = one_bad_file();
         let entries = parse_allowlist(
-            "[[allow]]\nrule = \"WFL003\"\nfile = \"crates/x/src/lib.rs\"\n\
-             pattern = \"o.unwrap()\"\njustification = \"fixture\"\n",
+            "[[allow]]\nrule = \"WFL001\"\nfile = \"crates/x/src/wal.rs\"\n\
+             pattern = \"fs::write\"\njustification = \"fixture\"\n",
         )
         .expect("parses");
         let vs = check_sources(&files, &entries, &CheckConfig::default());
@@ -205,13 +205,13 @@ mod tests {
     fn stale_entries_are_reported_as_wfl000() {
         let files = one_bad_file();
         let entries = parse_allowlist(
-            "[[allow]]\nrule = \"WFL003\"\nfile = \"crates/x/src/lib.rs\"\n\
+            "[[allow]]\nrule = \"WFL001\"\nfile = \"crates/x/src/wal.rs\"\n\
              pattern = \"no such text\"\njustification = \"stale\"\n",
         )
         .expect("parses");
         let vs = check_sources(&files, &entries, &CheckConfig::default());
         let rules: Vec<&str> = vs.iter().map(|v| v.rule).collect();
-        assert!(rules.contains(&"WFL003"), "the unwrap is still reported: {vs:?}");
+        assert!(rules.contains(&"WFL001"), "the fs call is still reported: {vs:?}");
         assert!(rules.contains(&"WFL000"), "the stale entry is reported: {vs:?}");
     }
 
@@ -219,22 +219,22 @@ mod tests {
     fn deny_overrides_the_allowlist() {
         let files = one_bad_file();
         let entries = parse_allowlist(
-            "[[allow]]\nrule = \"WFL003\"\nfile = \"crates/x/src/lib.rs\"\n\
-             pattern = \"o.unwrap()\"\njustification = \"fixture\"\n",
+            "[[allow]]\nrule = \"WFL001\"\nfile = \"crates/x/src/wal.rs\"\n\
+             pattern = \"fs::write\"\njustification = \"fixture\"\n",
         )
         .expect("parses");
         let config =
-            CheckConfig { denied_rules: vec!["WFL003".to_owned()], ..CheckConfig::default() };
+            CheckConfig { denied_rules: vec!["WFL001".to_owned()], ..CheckConfig::default() };
         let vs = check_sources(&files, &entries, &config);
         assert_eq!(vs.len(), 1, "reported despite the entry, no WFL000 for it: {vs:?}");
-        assert_eq!(vs[0].rule, "WFL003");
+        assert_eq!(vs[0].rule, "WFL001");
     }
 
     #[test]
     fn allow_disables_a_rule_entirely() {
         let files = one_bad_file();
         let config =
-            CheckConfig { allowed_rules: vec!["WFL003".to_owned()], ..CheckConfig::default() };
+            CheckConfig { allowed_rules: vec!["WFL001".to_owned()], ..CheckConfig::default() };
         let vs = check_sources(&files, &[], &config);
         assert!(vs.is_empty(), "{vs:?}");
     }

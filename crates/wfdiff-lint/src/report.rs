@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 /// One rule violation at a source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Stable rule ID, e.g. `"WFL003"`.
+    /// Stable rule ID, e.g. `"WFL001"`.
     pub rule: &'static str,
     /// Workspace-relative file path, `/`-separated.
     pub file: String,
@@ -97,16 +97,16 @@ mod tests {
 
     #[test]
     fn human_output_is_sorted_and_greppable() {
-        let out = render_human(&[v("WFL003", "b.rs", 9), v("WFL001", "a.rs", 2)]);
+        let out = render_human(&[v("WFL004", "b.rs", 9), v("WFL001", "a.rs", 2)]);
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("a.rs:2:1: [WFL001]"));
-        assert!(lines[1].starts_with("b.rs:9:1: [WFL003]"));
+        assert!(lines[1].starts_with("b.rs:9:1: [WFL004]"));
     }
 
     #[test]
     fn json_output_escapes_and_counts() {
-        let out = render_json(&[v("WFL003", "a.rs", 1)]);
+        let out = render_json(&[v("WFL001", "a.rs", 1)]);
         assert!(out.contains("\"total\": 1"));
         assert!(out.contains("\\\"q\\\""));
         let empty = render_json(&[]);

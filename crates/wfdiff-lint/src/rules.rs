@@ -35,7 +35,7 @@ impl SourceFile {
 /// One rule's ID and description, for `list-rules`.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Stable ID (`WFL000`–`WFL005`).
+    /// Stable ID (`WFL000`, `WFL001`, `WFL002` or `WFL004`).
     pub id: &'static str,
     /// Short name.
     pub name: &'static str,
@@ -43,8 +43,12 @@ pub struct RuleInfo {
     pub summary: &'static str,
 }
 
-/// Every rule the engine knows, in ID order.
-pub const RULES: [RuleInfo; 6] = [
+/// Every rule the engine knows, in ID order.  The gaps are retired rules
+/// whose invariants the compiler now enforces: panic-freedom (`WFL003`) is
+/// clippy's `expect_used`/`panic`/`todo`/`unreachable`/`unimplemented`
+/// denies, and error-to-status exhaustiveness (`WFL005`) is rustc's
+/// exhaustive `match` in `serve/api.rs`.
+pub const RULES: [RuleInfo; 4] = [
     RuleInfo {
         id: "WFL000",
         name: "allowlist-hygiene",
@@ -63,22 +67,10 @@ pub const RULES: [RuleInfo; 6] = [
                   then persist_fp_cache",
     },
     RuleInfo {
-        id: "WFL003",
-        name: "panic-freedom",
-        summary: "no unwrap/expect/panic!/todo!/unreachable!/unimplemented! in non-test \
-                  library code",
-    },
-    RuleInfo {
         id: "WFL004",
         name: "metrics-naming",
         summary: "serve-tier metrics match wfdiff_[a-z0-9_]+ with the kind-appropriate suffix \
                   and are registered exactly once",
-    },
-    RuleInfo {
-        id: "WFL005",
-        name: "error-status-exhaustiveness",
-        summary: "every ServiceError/StoreError/PersistError variant appears in the \
-                  error-to-status map in serve/api.rs",
     },
 ];
 
@@ -100,15 +92,9 @@ pub fn check_all(files: &[SourceFile], enabled: &dyn Fn(&str) -> bool) -> Vec<Vi
         if enabled("WFL002") {
             wfl002_lock_order(file, &mut out);
         }
-        if enabled("WFL003") {
-            wfl003_panic_freedom(file, &mut out);
-        }
     }
     if enabled("WFL004") {
         wfl004_metrics_naming(files, &mut out);
-    }
-    if enabled("WFL005") {
-        wfl005_error_status(files, &mut out);
     }
     out
 }
@@ -127,7 +113,7 @@ fn is_durability_module(rel_path: &str) -> bool {
     if rel_path.ends_with("/storeio.rs") {
         return false;
     }
-    ["/persist.rs", "/wal.rs", "/cluster/persist.rs", "/serve/shard.rs"]
+    ["/persist.rs", "/wal.rs", "/derived.rs", "/serve/shard.rs"]
         .iter()
         .any(|suffix| rel_path.ends_with(suffix))
 }
@@ -274,68 +260,6 @@ fn wfl002_lock_order(file: &SourceFile, out: &mut Vec<Violation>) {
         }
         if max_rank.map_or(true, |(held, _)| rank > held) {
             max_rank = Some((rank, name));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// WFL003 — panic-freedom
-// ---------------------------------------------------------------------------
-
-/// Library code the panic-freedom rule covers: everything under
-/// `crates/*/src/` except binaries and the bench crate (whose panics abort a
-/// benchmark run, not a serving process).
-fn is_panic_free_scope(rel_path: &str) -> bool {
-    if rel_path.starts_with("crates/wfdiff-bench/") {
-        return false;
-    }
-    if rel_path.contains("/src/bin/") || rel_path.ends_with("/src/main.rs") {
-        return false;
-    }
-    true
-}
-
-const PANIC_MACROS: [&str; 4] = ["panic", "todo", "unreachable", "unimplemented"];
-
-fn wfl003_panic_freedom(file: &SourceFile, out: &mut Vec<Violation>) {
-    if !is_panic_free_scope(&file.rel_path) {
-        return;
-    }
-    let toks = &file.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.in_test || t.kind != TokenKind::Ident {
-            continue;
-        }
-        if (t.text == "unwrap" || t.text == "expect")
-            && i > 0
-            && toks[i - 1].is_punct('.')
-            && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-        {
-            out.push(violation(
-                "WFL003",
-                file,
-                t,
-                format!(
-                    ".{}() in non-test library code can panic a serving process; return \
-                     an error or allowlist the site with a justification",
-                    t.text
-                ),
-            ));
-            continue;
-        }
-        if PANIC_MACROS.contains(&t.text.as_str())
-            && toks.get(i + 1).is_some_and(|n| n.is_punct('!'))
-        {
-            out.push(violation(
-                "WFL003",
-                file,
-                t,
-                format!(
-                    "{}! in non-test library code can panic a serving process; return an \
-                     error or allowlist the site with a justification",
-                    t.text
-                ),
-            ));
         }
     }
 }
@@ -541,113 +465,4 @@ fn metric_name_ok(name: &str) -> bool {
     };
     !rest.is_empty()
         && rest.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
-}
-
-// ---------------------------------------------------------------------------
-// WFL005 — error-status exhaustiveness
-// ---------------------------------------------------------------------------
-
-/// Error enums whose variants must all be named in the error→status map.
-const TRACKED_ENUMS: [&str; 3] = ["ServiceError", "StoreError", "PersistError"];
-
-fn wfl005_error_status(files: &[SourceFile], out: &mut Vec<Violation>) {
-    // 1. Extract variant lists from enum declarations anywhere in the set.
-    let mut variants: BTreeMap<&'static str, Vec<String>> = BTreeMap::new();
-    for file in files {
-        for (i, t) in file.tokens.iter().enumerate() {
-            if !t.is_ident("enum") {
-                continue;
-            }
-            let Some(name) = file.tokens.get(i + 1) else { continue };
-            let Some(&tracked) = TRACKED_ENUMS.iter().find(|e| name.is_ident(e)) else {
-                continue;
-            };
-            if let Some(vs) = enum_variants(&file.tokens, i + 2) {
-                variants.insert(tracked, vs);
-            }
-        }
-    }
-    // 2. Find the error→status map: the file ending src/serve/api.rs.  A
-    //    fixture set without it has nothing to check.
-    let Some(api) = files.iter().find(|f| f.rel_path.ends_with("src/serve/api.rs")) else {
-        return;
-    };
-    // 3. Every `Enum::Variant` must be named in api.rs' non-test tokens.
-    for (enum_name, vs) in &variants {
-        let mentioned: Vec<&Token> =
-            api.tokens.iter().filter(|t| !t.in_test && t.is_ident(enum_name)).collect();
-        if mentioned.is_empty() {
-            out.push(Violation {
-                rule: "WFL005",
-                file: api.rel_path.clone(),
-                line: 1,
-                col: 1,
-                message: format!(
-                    "enum {enum_name} has no mapping in the error-to-status map \
-                     (no mention in serve/api.rs)"
-                ),
-            });
-            continue;
-        }
-        let anchor = mentioned[0];
-        for v in vs {
-            let named = api.tokens.windows(4).any(|w| {
-                !w[0].in_test
-                    && w[0].is_ident(enum_name)
-                    && w[1].is_punct(':')
-                    && w[2].is_punct(':')
-                    && w[3].is_ident(v)
-            });
-            if !named {
-                out.push(Violation {
-                    rule: "WFL005",
-                    file: api.rel_path.clone(),
-                    line: anchor.line,
-                    col: anchor.col,
-                    message: format!(
-                        "{enum_name}::{v} is not named in the error-to-status map; add it \
-                         so a new variant cannot silently fall through to a default status"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// With `toks[open]` == `{` of an enum body, returns the variant names.
-fn enum_variants(toks: &[Token], open: usize) -> Option<Vec<String>> {
-    if !toks.get(open)?.is_punct('{') {
-        return None;
-    }
-    let mut vs = Vec::new();
-    let mut depth = 0i32;
-    let mut expect_variant = false;
-    let mut j = open;
-    while j < toks.len() {
-        let t = &toks[j];
-        if t.kind == TokenKind::Punct {
-            match t.text.as_str() {
-                "{" | "(" | "[" => {
-                    depth += 1;
-                    if depth == 1 {
-                        expect_variant = true;
-                    }
-                }
-                "}" | ")" | "]" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(vs);
-                    }
-                }
-                "," if depth == 1 => expect_variant = true,
-                "#" if depth == 1 => { /* attribute on the next variant */ }
-                _ => {}
-            }
-        } else if t.kind == TokenKind::Ident && depth == 1 && expect_variant {
-            vs.push(t.text.clone());
-            expect_variant = false;
-        }
-        j += 1;
-    }
-    Some(vs)
 }

@@ -2,7 +2,8 @@
 //! the right rule ID and position, and stays quiet on known-good look-alikes
 //! (test modules, raw strings, comments, exempt paths).
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(clippy::todo, clippy::unreachable, clippy::unimplemented)]
 
 use wfdiff_lint::rules::SourceFile;
 use wfdiff_lint::{check_sources, CheckConfig, Violation};
@@ -65,6 +66,16 @@ fn wfl001_ignores_test_regions() {
     assert!(check(&[("crates/x/src/wal.rs", src)]).is_empty());
 }
 
+#[test]
+fn wfl001_ignores_raw_strings_and_comments() {
+    let src = "//! Docs mentioning fs::write(p) are fine.\n\
+               pub fn f() -> &'static str {\n\
+               \x20   // a comment saying fs::remove_file(\"x\") is fine\n\
+               \x20   r\"call fs::rename(a, b) here\"\n\
+               }\n";
+    assert!(check(&[("crates/x/src/wal.rs", src)]).is_empty());
+}
+
 // ---------------------------------------------------------------------------
 // WFL002 — lock-order
 // ---------------------------------------------------------------------------
@@ -107,45 +118,6 @@ fn wfl002_resets_at_function_boundaries_and_skips_other_crates() {
     assert!(check(&[("crates/wfdiff-pdiffview/src/service.rs", per_fn)]).is_empty());
     let inverted = "fn f(s: &S) { let _r = s.runs.read(); let _x = s.specs.read(); }\n";
     assert!(check(&[("crates/wfdiff-core/src/lib.rs", inverted)]).is_empty());
-}
-
-// ---------------------------------------------------------------------------
-// WFL003 — panic-freedom
-// ---------------------------------------------------------------------------
-
-#[test]
-fn wfl003_flags_unwrap_expect_and_panic_macros() {
-    let src = "pub fn f(o: Option<u8>) -> u8 {\n\
-               \x20   let v = o.unwrap();\n\
-               \x20   let w = o.expect(\"present\");\n\
-               \x20   if v != w { panic!(\"mismatch\"); }\n\
-               \x20   todo!()\n\
-               }\n";
-    let vs = check(&[("crates/x/src/lib.rs", src)]);
-    assert_eq!(rules_of(&vs), vec!["WFL003"; 4], "{vs:?}");
-    assert_eq!((vs[0].line, vs[0].col), (2, 15), "unwrap position: {vs:?}");
-}
-
-#[test]
-fn wfl003_ignores_test_regions_raw_strings_and_comments() {
-    let src = "//! Docs mentioning .unwrap() are fine.\n\
-               pub fn f() -> &'static str {\n\
-               \x20   // a comment saying panic!(\"no\") is fine\n\
-               \x20   r\"call .unwrap() and .expect(there) here\"\n\
-               }\n\
-               #[cfg(test)]\n\
-               mod tests {\n\
-               \x20   #[test]\n\
-               \x20   fn t() { Some(1).unwrap(); panic!(\"in a test\"); }\n\
-               }\n";
-    assert!(check(&[("crates/x/src/lib.rs", src)]).is_empty());
-}
-
-#[test]
-fn wfl003_exempts_binaries_and_the_bench_crate() {
-    let src = "fn main() { std::env::args().next().unwrap(); }\n";
-    assert!(check(&[("crates/x/src/bin/tool.rs", src)]).is_empty());
-    assert!(check(&[("crates/wfdiff-bench/src/lib.rs", src)]).is_empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -222,72 +194,4 @@ fn wfl004_covers_the_streaming_counters() {
     assert_eq!(rules_of(&vs), vec!["WFL004"; 2], "{vs:?}");
     assert!(vs[0].message.contains("must end with `_total`"), "{}", vs[0].message);
     assert!(vs[1].message.contains("registered more than once"), "{}", vs[1].message);
-}
-
-// ---------------------------------------------------------------------------
-// WFL005 — error-status exhaustiveness
-// ---------------------------------------------------------------------------
-
-#[test]
-fn wfl005_flags_a_variant_missing_from_the_status_map() {
-    let decl = "pub enum ServiceError { UnknownSpec, Diff(String) }\n";
-    let api = "fn status(e: ServiceError) -> u16 {\n\
-               \x20   match e { ServiceError::UnknownSpec => 404, _ => 500 }\n\
-               }\n";
-    let vs = check(&[("crates/x/src/service.rs", decl), ("crates/x/src/serve/api.rs", api)]);
-    assert_eq!(vs.len(), 1, "{vs:?}");
-    assert_eq!(vs[0].rule, "WFL005");
-    assert_eq!(vs[0].file, "crates/x/src/serve/api.rs");
-    assert!(vs[0].message.contains("ServiceError::Diff"), "{}", vs[0].message);
-}
-
-#[test]
-fn wfl005_accepts_an_exhaustive_map_and_skips_fixture_sets_without_api() {
-    let decl = "pub enum StoreError { MissingSpec, DuplicateRun }\n";
-    let api = "fn status(e: StoreError) -> u16 {\n\
-               \x20   match e {\n\
-               \x20       StoreError::MissingSpec => 404,\n\
-               \x20       StoreError::DuplicateRun => 409,\n\
-               \x20   }\n\
-               }\n";
-    let with_api = check(&[("crates/x/src/store.rs", decl), ("crates/x/src/serve/api.rs", api)]);
-    assert!(with_api.is_empty(), "{with_api:?}");
-    assert!(check(&[("crates/x/src/store.rs", decl)]).is_empty(), "no api.rs, nothing to check");
-}
-
-#[test]
-fn wfl005_covers_the_streaming_error_variants() {
-    // The streaming additions to ServiceError (batch rejection, unknown
-    // stream, optimistic-concurrency race) must stay in the status map: a
-    // map written before they existed misses them and the rule fires once
-    // per dropped variant.
-    let decl = "pub enum ServiceError {\n\
-                \x20   UnknownSpec(String),\n\
-                \x20   Stream(StreamError),\n\
-                \x20   UnknownStream { spec: String, stream: String },\n\
-                \x20   StreamRace { spec: String, stream: String },\n\
-                }\n";
-    let stale = "fn status(e: ServiceError) -> u16 {\n\
-                 \x20   match e {\n\
-                 \x20       ServiceError::UnknownSpec(_) => 404,\n\
-                 \x20       ServiceError::Stream(_) => 400,\n\
-                 \x20       _ => 500,\n\
-                 \x20   }\n\
-                 }\n";
-    let vs = check(&[("crates/x/src/service.rs", decl), ("crates/x/src/serve/api.rs", stale)]);
-    assert_eq!(rules_of(&vs), vec!["WFL005"; 2], "{vs:?}");
-    assert!(vs.iter().any(|v| v.message.contains("ServiceError::UnknownStream")), "{vs:?}");
-    assert!(vs.iter().any(|v| v.message.contains("ServiceError::StreamRace")), "{vs:?}");
-
-    let exhaustive = "fn status(e: ServiceError) -> u16 {\n\
-                      \x20   match e {\n\
-                      \x20       ServiceError::UnknownSpec(_) => 404,\n\
-                      \x20       ServiceError::Stream(e) => if e.is_conflict() { 409 } else { 400 },\n\
-                      \x20       ServiceError::UnknownStream { .. } => 404,\n\
-                      \x20       ServiceError::StreamRace { .. } => 409,\n\
-                      \x20   }\n\
-                      }\n";
-    let clean =
-        check(&[("crates/x/src/service.rs", decl), ("crates/x/src/serve/api.rs", exhaustive)]);
-    assert!(clean.is_empty(), "{clean:?}");
 }

@@ -57,33 +57,28 @@ fn main() {
     }
 }
 
-/// Loads one shard: store, diff service, warm start, cluster-cache resume.
+/// Loads one shard: store, diff service, warm start, checkpoint resume.
 /// Returns the entry plus its warm (spec, run) counts.
 fn load_shard(dir: &Path, threads: usize) -> Result<(ShardEntry, usize, usize), String> {
     let store =
         Arc::new(WorkflowStore::load_from_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?);
     let service = Arc::new(DiffService::builder(store).threads(threads).build());
     let report = service.warm_start().map_err(|e| e.to_string())?;
-    // Resume any checkpointed run clustering (validated entry by entry;
-    // stale or corrupt state is simply rebuilt on the next cluster query).
-    let clusters = service.load_cluster_state(dir);
-    if clusters.loaded > 0 || clusters.stale > 0 {
-        println!(
-            "wfdiff_serve cluster cache [{}]: {} spec(s) resumed, {} stale entr(ies) to rebuild",
-            dir.display(),
-            clusters.loaded,
-            clusters.stale
-        );
-    }
-    // Same resume for the vantage-point metric index behind pruned /similar.
-    let metric = service.load_metric_state(dir);
-    if metric.loaded > 0 || metric.stale > 0 {
-        println!(
-            "wfdiff_serve metric index [{}]: {} tree(s) resumed, {} stale entr(ies) to rebuild",
-            dir.display(),
-            metric.loaded,
-            metric.stale
-        );
+    // Resume the checkpointed run clustering and the vantage-point metric
+    // index behind pruned /similar (validated entry by entry; stale or
+    // corrupt state is simply rebuilt on the next query).
+    for (index, report) in [
+        ("cluster cache", service.load_cluster_state(dir)),
+        ("metric index", service.load_metric_state(dir)),
+    ] {
+        if report.loaded > 0 || report.stale > 0 {
+            println!(
+                "wfdiff_serve {index} [{}]: {} spec(s) resumed, {} stale entr(ies) to rebuild",
+                dir.display(),
+                report.loaded,
+                report.stale
+            );
+        }
     }
     // Rebuild the in-flight stream registry from the write-ahead log so
     // streams survive a restart (stale or finalised groups are skipped).

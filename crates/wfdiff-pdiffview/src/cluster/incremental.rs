@@ -35,14 +35,14 @@
 //! Index state is tagged with the specification's version fingerprint; a
 //! replaced specification silently invalidates the state (it is rebuilt on
 //! the next [`IncrementalClusterIndex::ensure`]).  The state is a *cache*:
-//! dropping it never loses data, and
-//! [`persist`](crate::cluster::persist) can checkpoint it next to the store
-//! directory so a restarted server resumes without re-differencing.
+//! dropping it never loses data, and the shared checkpoint mechanism of
+//! [`crate::derived`] saves it next to the store directory so a restarted
+//! server resumes without re-differencing.
 //!
 //! [`ShardedDiffCache`]: wfdiff_core::ShardedDiffCache
 
 use super::kmedoids::{seed_medoids, solve};
-use parking_lot::Mutex;
+use crate::derived::SpecStates;
 use std::collections::HashMap;
 use wfdiff_sptree::Fingerprint;
 
@@ -240,6 +240,10 @@ impl SpecClusterState {
     }
 
     /// The current medoids as indices into the (sorted) member list.
+    #[expect(
+        clippy::expect_used,
+        reason = "medoids are drawn from the member list and removals update both; binary_search cannot miss"
+    )]
     fn medoid_indices(&self) -> Vec<usize> {
         self.medoids
             .iter()
@@ -257,59 +261,14 @@ impl SpecClusterState {
 /// true fixed point of the iteration.
 #[derive(Debug, Default)]
 pub struct IncrementalClusterIndex {
-    states: Mutex<HashMap<String, SpecClusterState>>,
-    /// Set by every state mutation, consumed by the persistence layer so a
-    /// checkpoint after a read-only query costs nothing.
-    dirty: std::sync::atomic::AtomicBool,
-    /// Names of the specifications mutated since the last checkpoint — the
-    /// WAL checkpoint appends one delta record per entry instead of
-    /// rewriting the whole cache file.
-    dirty_specs: Mutex<std::collections::BTreeSet<String>>,
-    /// Set by [`Self::mark_dirty`]: every tracked spec must be re-appended
-    /// (e.g. after a load pass rejected on-disk entries).
-    all_dirty: std::sync::atomic::AtomicBool,
+    /// Per-specification states and their checkpoint dirty tracking.
+    pub(super) states: SpecStates<SpecClusterState>,
 }
 
 impl IncrementalClusterIndex {
     /// Creates an empty index.
     pub fn new() -> Self {
         IncrementalClusterIndex::default()
-    }
-
-    /// Marks the whole index as changed since the last checkpoint: the next
-    /// checkpoint re-appends every tracked specification.
-    pub(crate) fn mark_dirty(&self) {
-        self.all_dirty.store(true, std::sync::atomic::Ordering::Release);
-        self.dirty.store(true, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Marks one specification's state as changed since the last
-    /// checkpoint.  Callers may hold the `states` lock; this only touches
-    /// the (leaf) dirty-set lock.
-    pub(crate) fn mark_spec_dirty(&self, spec: &str) {
-        self.dirty_specs.lock().insert(spec.to_string());
-        self.dirty.store(true, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Consumes the dirty state: `None` when nothing changed since the last
-    /// successful checkpoint, otherwise the sorted spec names to append
-    /// delta records for (all tracked specs after a [`Self::mark_dirty`]).
-    /// The set may name specs whose state has since been dropped; the
-    /// checkpoint simply skips those.
-    pub(crate) fn take_dirty_specs(&self) -> Option<Vec<String>> {
-        if !self.dirty.swap(false, std::sync::atomic::Ordering::AcqRel) {
-            return None;
-        }
-        let all = self.all_dirty.swap(false, std::sync::atomic::Ordering::AcqRel);
-        // Statement-scoped lock: never held while taking the states lock.
-        let mut dirty: Vec<String> =
-            std::mem::take(&mut *self.dirty_specs.lock()).into_iter().collect();
-        if all {
-            dirty.extend(self.with_states(|states| states.keys().cloned().collect::<Vec<_>>()));
-            dirty.sort();
-            dirty.dedup();
-        }
-        Some(dirty)
     }
 
     /// Returns the clustering of `spec`'s runs, building (or rebuilding) it
@@ -350,7 +309,7 @@ impl IncrementalClusterIndex {
         }
         if members.is_empty() {
             if states.remove(spec).is_some() {
-                self.mark_spec_dirty(spec);
+                self.states.mark_spec_dirty(spec);
             }
             return Ok(ClusterSnapshot {
                 spec: spec.to_string(),
@@ -382,7 +341,7 @@ impl IncrementalClusterIndex {
         state.reseed_and_stabilize(oracle, k.clamp(1, n))?;
         let snapshot = state.snapshot(spec);
         states.insert(spec.to_string(), state);
-        self.mark_spec_dirty(spec);
+        self.states.mark_spec_dirty(spec);
         Ok(snapshot)
     }
 
@@ -405,7 +364,7 @@ impl IncrementalClusterIndex {
         };
         if state.version != version {
             states.remove(spec);
-            self.mark_spec_dirty(spec);
+            self.states.mark_spec_dirty(spec);
             return Ok(false);
         }
         if state.members.binary_search(&run_name.to_string()).is_ok() {
@@ -432,10 +391,9 @@ impl IncrementalClusterIndex {
                 .cloned()
                 .collect();
             state.prefetch(oracle, run_name, &cluster_members)?;
-            let insert_at = state
-                .members
-                .binary_search(&run_name.to_string())
-                .expect_err("name verified absent above");
+            // The name was verified absent above: this is its insert position.
+            let (Ok(insert_at) | Err(insert_at)) =
+                state.members.binary_search(&run_name.to_string());
             state.members.insert(insert_at, run_name.to_string());
             state.assignments.insert(run_name.to_string(), nearest.1);
         }
@@ -450,7 +408,7 @@ impl IncrementalClusterIndex {
             let initial = state.medoid_indices();
             state.stabilize(oracle, initial)?;
         }
-        self.mark_spec_dirty(spec);
+        self.states.mark_spec_dirty(spec);
         Ok(true)
     }
 
@@ -473,7 +431,7 @@ impl IncrementalClusterIndex {
         state.assignments.remove(run_name);
         let name = run_name.to_string();
         state.distances.retain(|(a, b), _| *a != name && *b != name);
-        self.mark_spec_dirty(spec);
+        self.states.mark_spec_dirty(spec);
         if state.members.is_empty() {
             states.remove(spec);
             return Ok(true);
@@ -524,22 +482,13 @@ impl IncrementalClusterIndex {
 
     /// Drops the state of one specification (e.g. after a spec replacement).
     pub fn invalidate(&self, spec: &str) {
-        if self.states.lock().remove(spec).is_some() {
-            self.mark_spec_dirty(spec);
-        }
+        self.states.invalidate(spec);
     }
 
     /// A read-only snapshot of the current clustering of `spec`, if the
     /// index holds one.
     pub fn snapshot(&self, spec: &str) -> Option<ClusterSnapshot> {
         self.states.lock().get(spec).map(|s| s.snapshot(spec))
-    }
-
-    /// Names of the specifications the index currently holds state for.
-    pub fn specs(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.states.lock().keys().cloned().collect();
-        names.sort();
-        names
     }
 
     /// Number of memoised distances held for `spec` (testing/diagnostics).
@@ -582,14 +531,6 @@ impl IncrementalClusterIndex {
                 })
                 .collect(),
         )
-    }
-
-    /// Internal access for the persistence layer.
-    pub(crate) fn with_states<T>(
-        &self,
-        f: impl FnOnce(&mut HashMap<String, SpecClusterState>) -> T,
-    ) -> T {
-        f(&mut self.states.lock())
     }
 }
 

@@ -36,4 +36,4 @@ pub mod persist;
 pub use composite::{ClusterDiff, Clustering};
 pub use incremental::{ClusterSnapshot, IncrementalClusterIndex, RunCluster};
 pub use kmedoids::{kmedoids, KMedoids, KMedoidsConfig, DEFAULT_CLUSTER_SEED};
-pub use persist::{ClusterCacheReport, CLUSTER_CACHE_FORMAT};
+pub use persist::CLUSTER_CACHE_FORMAT;

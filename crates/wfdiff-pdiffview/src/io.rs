@@ -183,6 +183,10 @@ impl SpecDescriptor {
     }
 
     /// Serialises the descriptor to pretty JSON.
+    #[expect(
+        clippy::expect_used,
+        reason = "descriptor types contain only strings/numbers/vectors; serde_json cannot fail on them"
+    )]
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("descriptors serialise")
     }
@@ -279,6 +283,10 @@ impl RunDescriptor {
     }
 
     /// Serialises the descriptor to pretty JSON.
+    #[expect(
+        clippy::expect_used,
+        reason = "descriptor types contain only strings/numbers/vectors; serde_json cannot fail on them"
+    )]
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("descriptors serialise")
     }

@@ -12,17 +12,15 @@
 //! whose old distances shaped the tree — drops the specification's state;
 //! the next query rebuilds it.  Like the cluster index, every state is a
 //! cache of derived data: dropping one never loses information, and
-//! [`persist`](crate::metricindex::persist) checkpoints it beside the store
-//! so a restarted server resumes without re-differencing.
-//!
-//! Dirty tracking mirrors the cluster index record for record: mutations
-//! mark their specification dirty, and the persistence layer consumes the
-//! set to append one WAL delta per changed spec.
+//! the shared checkpoint mechanism of [`crate::derived`] saves it beside the
+//! store so a restarted server resumes without re-differencing.  Mutations
+//! mark their specification dirty in the same `SpecStates` registry the
+//! cluster index uses, and a checkpoint appends one WAL delta per changed
+//! spec.
 
 use super::vptree::{MedoidPivots, QueryStats, RemoveOutcome, VpTree};
 use crate::cluster::incremental::DistanceOracle;
-use parking_lot::Mutex;
-use std::collections::HashMap;
+use crate::derived::SpecStates;
 use wfdiff_sptree::Fingerprint;
 
 /// Default pivot-draw seed of the metric index; a constant so every server
@@ -66,49 +64,14 @@ pub(crate) struct SpecMetricState {
 /// cluster index's discipline.
 #[derive(Debug, Default)]
 pub struct IncrementalMetricIndex {
-    states: Mutex<HashMap<String, SpecMetricState>>,
-    /// Set by every state mutation, consumed by the persistence layer.
-    dirty: std::sync::atomic::AtomicBool,
-    /// Specifications mutated since the last checkpoint.
-    dirty_specs: Mutex<std::collections::BTreeSet<String>>,
-    /// Set by [`Self::mark_dirty`]: every tracked spec must be re-appended.
-    all_dirty: std::sync::atomic::AtomicBool,
+    /// Per-specification trees and their checkpoint dirty tracking.
+    pub(super) states: SpecStates<SpecMetricState>,
 }
 
 impl IncrementalMetricIndex {
     /// Creates an empty index.
     pub fn new() -> Self {
         IncrementalMetricIndex::default()
-    }
-
-    /// Marks the whole index as changed since the last checkpoint.
-    pub(crate) fn mark_dirty(&self) {
-        self.all_dirty.store(true, std::sync::atomic::Ordering::Release);
-        self.dirty.store(true, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Marks one specification's state as changed since the last checkpoint.
-    pub(crate) fn mark_spec_dirty(&self, spec: &str) {
-        self.dirty_specs.lock().insert(spec.to_string());
-        self.dirty.store(true, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Consumes the dirty state; see
-    /// [`IncrementalClusterIndex::take_dirty_specs`](crate::cluster::incremental::IncrementalClusterIndex)
-    /// for the contract.
-    pub(crate) fn take_dirty_specs(&self) -> Option<Vec<String>> {
-        if !self.dirty.swap(false, std::sync::atomic::Ordering::AcqRel) {
-            return None;
-        }
-        let all = self.all_dirty.swap(false, std::sync::atomic::Ordering::AcqRel);
-        let mut dirty: Vec<String> =
-            std::mem::take(&mut *self.dirty_specs.lock()).into_iter().collect();
-        if all {
-            dirty.extend(self.with_states(|states| states.keys().cloned().collect::<Vec<_>>()));
-            dirty.sort();
-            dirty.dedup();
-        }
-        Some(dirty)
     }
 
     /// The `k` nearest indexed runs to `query`, pruned by the triangle
@@ -147,7 +110,7 @@ impl IncrementalMetricIndex {
             let mut row = |source: &str, targets: &[&str]| oracle.distances(source, targets);
             let tree = VpTree::build(&members, seed, &mut row)?;
             states.insert(spec.to_string(), SpecMetricState { seed, version, members, tree });
-            self.mark_spec_dirty(spec);
+            self.states.mark_spec_dirty(spec);
         }
         let Some(state) = states.get(spec) else {
             // Unreachable — the branch above inserted or verified the state —
@@ -194,17 +157,15 @@ impl IncrementalMetricIndex {
             // A replaced specification or a replaced run: the distances the
             // tree was shaped by are stale.
             states.remove(spec);
-            self.mark_spec_dirty(spec);
+            self.states.mark_spec_dirty(spec);
             return Ok(false);
         }
         let mut row = |source: &str, targets: &[&str]| oracle.distances(source, targets);
         state.tree.insert(run_name, &mut row)?;
-        let at = state
-            .members
-            .binary_search(&run_name.to_string())
-            .expect_err("name verified absent above");
+        // The name was verified absent above, so this is the insert position.
+        let (Ok(at) | Err(at)) = state.members.binary_search(&run_name.to_string());
         state.members.insert(at, run_name.to_string());
-        self.mark_spec_dirty(spec);
+        self.states.mark_spec_dirty(spec);
         Ok(true)
     }
 
@@ -230,35 +191,18 @@ impl IncrementalMetricIndex {
                 states.remove(spec);
             }
         }
-        self.mark_spec_dirty(spec);
+        self.states.mark_spec_dirty(spec);
         true
     }
 
     /// Drops the state of one specification.
     pub fn invalidate(&self, spec: &str) {
-        if self.states.lock().remove(spec).is_some() {
-            self.mark_spec_dirty(spec);
-        }
-    }
-
-    /// Names of the specifications the index currently holds a tree for.
-    pub fn specs(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.states.lock().keys().cloned().collect();
-        names.sort();
-        names
+        self.states.invalidate(spec);
     }
 
     /// The indexed member count for `spec` (testing/diagnostics).
     pub fn member_count(&self, spec: &str) -> usize {
         self.states.lock().get(spec).map(|s| s.members.len()).unwrap_or(0)
-    }
-
-    /// Internal access for the persistence layer.
-    pub(crate) fn with_states<T>(
-        &self,
-        f: impl FnOnce(&mut HashMap<String, SpecMetricState>) -> T,
-    ) -> T {
-        f(&mut self.states.lock())
     }
 }
 
@@ -390,19 +334,20 @@ mod tests {
     }
 
     #[test]
-    fn dirty_tracking_mirrors_the_cluster_index() {
+    fn queries_and_invalidation_mark_the_checkpoint_dirty() {
         let oracle = MatrixOracle::new(line());
         let index = IncrementalMetricIndex::new();
-        assert!(index.take_dirty_specs().is_none(), "clean index skips the append");
+        let states = &index.states;
+        assert!(states.take_dirty_specs().is_none(), "clean index skips the append");
         index
             .nearest("s", VERSION, &names(0..10), "p0", 2, 0.0, None, DEFAULT_METRIC_SEED, &oracle)
             .unwrap();
-        assert_eq!(index.take_dirty_specs().unwrap(), vec!["s".to_string()]);
-        assert!(index.take_dirty_specs().is_none());
-        index.mark_dirty();
-        assert_eq!(index.take_dirty_specs().unwrap(), vec!["s".to_string()]);
+        assert_eq!(states.take_dirty_specs().unwrap(), vec!["s".to_string()]);
+        assert!(states.take_dirty_specs().is_none());
+        states.mark_dirty();
+        assert_eq!(states.take_dirty_specs().unwrap(), vec!["s".to_string()]);
         index.invalidate("s");
-        assert_eq!(index.take_dirty_specs().unwrap(), vec!["s".to_string()]);
-        assert!(index.specs().is_empty());
+        assert_eq!(states.take_dirty_specs().unwrap(), vec!["s".to_string()]);
+        assert_eq!(index.member_count("s"), 0);
     }
 }

@@ -25,5 +25,5 @@ pub mod persist;
 pub(crate) mod vptree;
 
 pub use incremental::{IncrementalMetricIndex, PruneStats, DEFAULT_METRIC_SEED};
-pub use persist::{MetricIndexReport, METRIC_INDEX_FILE, METRIC_INDEX_FORMAT};
+pub use persist::{METRIC_INDEX_FILE, METRIC_INDEX_FORMAT};
 pub use vptree::MedoidPivots;

@@ -19,12 +19,13 @@
 //! * The **manifest** is the root of truth: only specification directories it
 //!   lists are loaded, so stray or orphaned directories are ignored.
 //! * The **write-ahead log** holds the mutations appended *since* the
-//!   manifest committed: run inserts, run removals and cluster-checkpoint
-//!   deltas, each a length-prefixed checksummed record (see [`crate::wal`]).
-//!   [`WorkflowStore::load_from_dir`] replays it past the manifest state
-//!   (truncating a torn tail first), and a full save **folds** it — merges
-//!   the cluster deltas into `cluster_cache.json`, commits the snapshot,
-//!   truncates the log to zero.
+//!   manifest committed: run inserts, run removals, stream events and
+//!   derived-index checkpoint deltas, each a length-prefixed checksummed
+//!   record (see [`crate::wal`]).  [`WorkflowStore::load_from_dir`] replays
+//!   it past the manifest state (truncating a torn tail first), and a full
+//!   save **folds** it — merges the checkpoint deltas into
+//!   `cluster_cache.json` and `metric_index.json` (see [`crate::derived`]),
+//!   commits the snapshot, truncates the log to zero.
 //! * Each specification directory is keyed by a slug of the name plus the
 //!   first 8 hex digits of the spec's **canonical persistent fingerprint**
 //!   (the arena fingerprint of the specification *as rebuilt from its
@@ -68,7 +69,10 @@
 //! [`PersistError`] naming the offending file — never a panic.  See
 //! [`PersistError`] for recovery semantics.
 
+use crate::cluster::IncrementalClusterIndex;
+use crate::derived;
 use crate::io::{RunDescriptor, SpecDescriptor};
+use crate::metricindex::IncrementalMetricIndex;
 use crate::store::{StoreError, WorkflowStore};
 use crate::storeio::StoreIo;
 use crate::wal;
@@ -412,8 +416,8 @@ impl WorkflowStore {
     /// threshold check escalated into a fold).
     fn save_to_dir_locked(&self, dir: &Path) -> Result<SaveSummary, PersistError> {
         // The records appended since the last fold.  Scanned up front so the
-        // cluster deltas can be merged into `cluster_cache.json` before the
-        // log is truncated; nothing can append concurrently (save_lock).
+        // checkpoint deltas can be merged into their files before the log is
+        // truncated; nothing can append concurrently (save_lock).
         let wal_scan = wal::scan(dir)?;
         // Refuse to clobber a store this build cannot read: the
         // garbage-collection pass below would otherwise silently destroy a
@@ -579,12 +583,12 @@ impl WorkflowStore {
             });
         }
 
-        // Fold the WAL's cluster and metric deltas into `cluster_cache.json`
-        // and `metric_index.json` before the commit point.  A crash after this merge is safe on both sides of
-        // the manifest rename: the cache is validated entry by entry on
-        // load, and the still-untruncated WAL replays to the same state.
-        let mut cluster_deltas: Vec<wal::ClusterDeltaRecord> = Vec::new();
-        let mut metric_deltas: Vec<wal::MetricDeltaRecord> = Vec::new();
+        // Fold the WAL's derived deltas into `cluster_cache.json` and
+        // `metric_index.json` before the commit point.  A crash after this
+        // merge is safe on both sides of the manifest rename: the checkpoints
+        // are validated entry by entry on load, and the still-untruncated
+        // WAL replays to the same state.
+        let mut derived_deltas: Vec<(wal::DerivedKind, wal::DerivedDeltaRecord)> = Vec::new();
         // Stream events grouped per (spec, stream) in arrival order.  A
         // closure marker kills its group (those events are folded into the
         // finalised run); later records under the same key — a legal reuse
@@ -592,8 +596,7 @@ impl WorkflowStore {
         let mut streams: Vec<((String, String), Vec<wal::StreamEventRecord>)> = Vec::new();
         for record in wal_scan.records {
             match record {
-                wal::WalRecord::ClusterDelta(delta) => cluster_deltas.push(delta),
-                wal::WalRecord::MetricDelta(delta) => metric_deltas.push(delta),
+                wal::WalRecord::Derived(kind, delta) => derived_deltas.push((kind, delta)),
                 wal::WalRecord::StreamEvent(event) => {
                     let key = (event.spec.clone(), event.stream.clone());
                     if event.event.is_none() {
@@ -607,8 +610,8 @@ impl WorkflowStore {
                 _ => {}
             }
         }
-        crate::cluster::persist::fold_wal_deltas(&*self.io, dir, cluster_deltas)?;
-        crate::metricindex::persist::fold_wal_deltas(&*self.io, dir, metric_deltas)?;
+        derived::fold::<IncrementalClusterIndex>(&*self.io, dir, &derived_deltas)?;
+        derived::fold::<IncrementalMetricIndex>(&*self.io, dir, &derived_deltas)?;
 
         // Commit point: the manifest rename atomically switches loaders from
         // the previous state to this one.
@@ -638,8 +641,7 @@ impl WorkflowStore {
             })
             .flat_map(|(_, group)| group.into_iter().map(wal::WalRecord::StreamEvent))
             .collect();
-        let stream_bytes =
-            if survivors.is_empty() { 0 } else { wal::append(&*self.io, dir, &survivors)? };
+        let stream_bytes = wal::append(&*self.io, dir, &wal::encode_all(dir, &survivors)?)?;
         self.wal_stats.bytes.store(stream_bytes, Ordering::Release);
         self.wal_stats.folds_total.fetch_add(1, Ordering::AcqRel);
 
@@ -894,23 +896,32 @@ impl WorkflowStore {
         self.append_wal_locked(dir, &[record])
     }
 
-    /// Appends pre-built records to `dir`'s WAL under the save lock — the
-    /// entry point the cluster checkpoint's delta writer uses.
-    pub(crate) fn append_wal_records(
+    /// Appends already-encoded records to `dir`'s WAL under the save lock —
+    /// the entry point of the derived-index checkpoints (`crate::derived`).
+    pub(crate) fn append_wal_encoded(
         &self,
         dir: &Path,
-        records: &[wal::WalRecord],
+        records: &[wal::Encoded],
     ) -> Result<(), PersistError> {
         let _guard = self.save_lock.lock();
-        self.append_wal_locked(dir, records)
+        self.append_encoded_locked(dir, records)
     }
 
-    /// Appends records and maintains the counters + fold threshold; the
-    /// caller holds `save_lock`.
+    /// Encodes and appends records; the caller holds `save_lock`.
     fn append_wal_locked(
         &self,
         dir: &Path,
         records: &[wal::WalRecord],
+    ) -> Result<(), PersistError> {
+        self.append_encoded_locked(dir, &wal::encode_all(dir, records)?)
+    }
+
+    /// Appends records and maintains the counters + fold threshold; the
+    /// caller holds `save_lock`.
+    fn append_encoded_locked(
+        &self,
+        dir: &Path,
+        records: &[wal::Encoded],
     ) -> Result<(), PersistError> {
         let appended = wal::append(&*self.io, dir, records)?;
         self.wal_stats.appends_total.fetch_add(records.len() as u64, Ordering::AcqRel);
@@ -934,8 +945,10 @@ impl WorkflowStore {
     /// truncated off first, run inserts and removals are re-applied
     /// idempotently, and records against a specification version the
     /// manifest no longer lists are skipped.  The loaded store keeps the
-    /// surviving log — its cluster deltas feed
-    /// [`DiffService::load_cluster_state`](crate::service::DiffService::load_cluster_state),
+    /// surviving log — its checkpoint deltas feed
+    /// [`DiffService::load_cluster_state`](crate::service::DiffService::load_cluster_state)
+    /// and
+    /// [`DiffService::load_metric_state`](crate::service::DiffService::load_metric_state),
     /// and the next full save folds everything.
     pub fn load_from_dir(dir: impl AsRef<Path>) -> Result<WorkflowStore, PersistError> {
         WorkflowStore::load_from_dir_with_io(dir, Arc::new(crate::storeio::RealIo))
@@ -945,6 +958,10 @@ impl WorkflowStore {
     /// [`StoreIo`] handle: the torn-tail truncation runs through it, and the
     /// returned store keeps it for every later save/append — the loading
     /// half of the crash-torture seam.
+    #[expect(
+        clippy::expect_used,
+        reason = "the lookup runs over the map populated from the same manifest in the loop above"
+    )]
     pub fn load_from_dir_with_io(
         dir: impl AsRef<Path>,
         io: Arc<dyn StoreIo>,
@@ -1121,12 +1138,10 @@ impl WorkflowStore {
                     store.remove_run(&remove.spec, &remove.name);
                     replayed += 1;
                 }
-                // Consumed by `DiffService::load_cluster_state`, which
-                // overlays deltas on the checkpoint file and validates the
-                // result against this store.
-                wal::WalRecord::ClusterDelta(_) => replayed += 1,
-                // Likewise consumed by `DiffService::load_metric_state`.
-                wal::WalRecord::MetricDelta(_) => replayed += 1,
+                // Consumed by `DiffService::load_cluster_state` and
+                // `load_metric_state`, which overlay deltas on the checkpoint
+                // files and validate the result against this store.
+                wal::WalRecord::Derived(..) => replayed += 1,
                 // Consumed by `DiffService::load_streams`, which rebuilds
                 // the in-flight `PartialRun`s from these records.
                 wal::WalRecord::StreamEvent(_) => replayed += 1,

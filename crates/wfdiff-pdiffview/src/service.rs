@@ -30,14 +30,9 @@
 //! cache only short-circuits subproblems that are provably equal.
 
 use crate::cluster::incremental::{ClusterSnapshot, DistanceOracle, IncrementalClusterIndex};
-use crate::cluster::persist::{
-    load as load_cluster_cache, save_wal as save_cluster_cache, ClusterCacheReport,
-};
+use crate::derived::{self, CheckpointReport};
 use crate::lockrank::{LockRank, RankedRwLock};
-use crate::metricindex::persist::{load as load_metric_cache, save_wal as save_metric_cache};
-use crate::metricindex::{
-    IncrementalMetricIndex, MedoidPivots, MetricIndexReport, PruneStats, DEFAULT_METRIC_SEED,
-};
+use crate::metricindex::{IncrementalMetricIndex, MedoidPivots, PruneStats, DEFAULT_METRIC_SEED};
 use crate::persist::PersistError;
 use crate::session::DiffSession;
 use crate::store::WorkflowStore;
@@ -571,6 +566,10 @@ impl DiffService {
     /// Differences an explicit list of run-name pairs on the worker pool.
     ///
     /// The result vector is index-aligned with `pairs`.
+    #[expect(
+        clippy::expect_used,
+        reason = "the sorted name list was built from the same pairs being looked up"
+    )]
     pub fn diff_batch(
         &self,
         spec: &str,
@@ -808,13 +807,13 @@ impl DiffService {
 
     /// Checkpoints the cluster index by appending one delta record per
     /// changed spec to the store directory's write-ahead log (see
-    /// [`crate::cluster::persist`] and [`crate::wal`]) — O(changed specs),
-    /// not a whole `cluster_cache.json` rewrite; the next full save folds
-    /// the deltas into the file.  Returns the number of tracked specs.
-    /// When nothing changed since the last successful checkpoint the append
-    /// is skipped entirely, so calling this after every query is cheap.
+    /// [`crate::derived`] and [`crate::wal`]) — O(changed specs), not a
+    /// whole `cluster_cache.json` rewrite; the next full save folds the
+    /// deltas into the file.  Returns the number of tracked specs.  When
+    /// nothing changed since the last successful checkpoint the append is
+    /// skipped entirely, so calling this after every query is cheap.
     pub fn save_cluster_state(&self, dir: impl AsRef<Path>) -> Result<usize, PersistError> {
-        save_cluster_cache(&self.clusters, &self.store, self.cost.cache_key(), dir.as_ref())
+        derived::save_wal(&self.clusters, &self.store, self.cost.cache_key(), dir.as_ref())
     }
 
     /// Write-ahead-log counters of the underlying store (appends, bytes,
@@ -826,8 +825,8 @@ impl DiffService {
     /// Restores a cluster-index checkpoint from `dir`, validating every
     /// entry against the live store (stale or corrupt entries are skipped
     /// and rebuilt on demand — this never fails the boot).
-    pub fn load_cluster_state(&self, dir: impl AsRef<Path>) -> ClusterCacheReport {
-        load_cluster_cache(&self.clusters, &self.store, self.cost.cache_key(), dir.as_ref())
+    pub fn load_cluster_state(&self, dir: impl AsRef<Path>) -> CheckpointReport {
+        derived::load(&self.clusters, &self.store, self.cost.cache_key(), dir.as_ref())
     }
 
     /// Checkpoints the metric index as WAL delta records — the
@@ -835,14 +834,14 @@ impl DiffService {
     /// with the same O(changed specs) cost and skip-when-clean behaviour.
     /// Returns the number of tracked specs.
     pub fn save_metric_state(&self, dir: impl AsRef<Path>) -> Result<usize, PersistError> {
-        save_metric_cache(&self.metric, &self.store, self.cost.cache_key(), dir.as_ref())
+        derived::save_wal(&self.metric, &self.store, self.cost.cache_key(), dir.as_ref())
     }
 
     /// Restores a metric-index checkpoint from `dir`, validating every tree
     /// against the live store (stale or corrupt entries are skipped and
     /// rebuilt on demand — this never fails the boot).
-    pub fn load_metric_state(&self, dir: impl AsRef<Path>) -> MetricIndexReport {
-        load_metric_cache(&self.metric, &self.store, self.cost.cache_key(), dir.as_ref())
+    pub fn load_metric_state(&self, dir: impl AsRef<Path>) -> CheckpointReport {
+        derived::load(&self.metric, &self.store, self.cost.cache_key(), dir.as_ref())
     }
 
     /// Validates and commits one batch of node-lifecycle events on an
@@ -1049,6 +1048,10 @@ impl DiffService {
 
     /// Runs `work` over `jobs` on the scoped worker pool, preserving job
     /// order in the result.  The first differencing error wins.
+    #[expect(
+        clippy::expect_used,
+        reason = "join() only fails if a worker panicked, and propagating that panic is the correct escalation; the atomic job counter hands each index to exactly one worker, so a None slot is a scheduler bug"
+    )]
     fn run_jobs<J: Sync, T: Send>(
         &self,
         jobs: &[J],

@@ -3,8 +3,8 @@
 //! A full [`WorkflowStore::save_to_dir`] rewrites every changed document and
 //! commits with a manifest rename — O(store).  The WAL makes the hot
 //! mutation paths O(append) instead: a run insert, a run removal or a
-//! cluster-state delta is one length-prefixed, checksummed record appended
-//! to `wal.log` and fsynced, and nothing else is touched.
+//! derived-index checkpoint delta is one length-prefixed, checksummed record
+//! appended to `wal.log` and fsynced, and nothing else is touched.
 //!
 //! # Record framing
 //!
@@ -16,12 +16,16 @@
 //! kind byte plus the payload.  Kinds: 1 = run insert, 2 = run remove,
 //! 3 = cluster delta, 4 = metric-index delta, 5 = stream event (one
 //! node-lifecycle event of an in-flight streamed run).  A record is valid
-//! only if its
-//! header fits, its length
-//! is sane, its checksum matches and its payload deserialises; the **first**
-//! invalid record ends the log — everything from its offset on is a torn
-//! tail (a crashed append) and is truncated by the next
-//! [`WorkflowStore::load_from_dir`].
+//! only if its header fits, its length is sane, its checksum matches and its
+//! payload deserialises; the **first** invalid record ends the log —
+//! everything from its offset on is a torn tail (a crashed append) and is
+//! truncated by the next [`WorkflowStore::load_from_dir`].
+//!
+//! Kinds 3 and 4 share one record shape, `{cost_key, doc}`; the kind byte
+//! says which derived index owns it.  The `doc` stays undecoded JSON until
+//! that index loads it, so only the framing, the checksum and the envelope
+//! decide where the log ends: a `doc` the index cannot decode (written by
+//! another version, say) is a stale checkpoint entry, not a torn tail.
 //!
 //! # Replay semantics
 //!
@@ -31,10 +35,13 @@
 //! absent run is a no-op, and an insert recorded against a specification
 //! version the manifest no longer lists is skipped (the record predates a
 //! spec replacement whose full save crashed before the WAL truncation).
-//! Cluster-delta records are consumed by
-//! [`DiffService::load_cluster_state`](crate::service::DiffService::load_cluster_state),
-//! which overlays them (last write wins per spec) on `cluster_cache.json`
-//! and validates the result like any checkpoint entry.
+//! Derived deltas are consumed by
+//! [`DiffService::load_cluster_state`](crate::service::DiffService::load_cluster_state)
+//! and
+//! [`DiffService::load_metric_state`](crate::service::DiffService::load_metric_state),
+//! which overlay them (last write wins per spec) on the index's checkpoint
+//! file and validate the result like any checkpoint entry (see
+//! [`crate::derived`]).
 //!
 //! A full save **folds** the log: cluster deltas are merged into
 //! `cluster_cache.json`, metric-index deltas into `metric_index.json`, the
@@ -46,9 +53,7 @@
 //! [`WorkflowStore::load_from_dir`]: crate::store::WorkflowStore::load_from_dir
 //! [`WorkflowStore::set_wal_fold_threshold`]: crate::store::WorkflowStore::set_wal_fold_threshold
 
-use crate::cluster::persist::SpecClusterDoc;
 use crate::io::RunDescriptor;
-use crate::metricindex::persist::SpecMetricDoc;
 use crate::persist::PersistError;
 use crate::storeio::StoreIo;
 use serde::{Deserialize, Serialize};
@@ -67,8 +72,8 @@ const HEADER_BYTES: usize = 8;
 
 const KIND_RUN_INSERT: u8 = 1;
 const KIND_RUN_REMOVE: u8 = 2;
-const KIND_CLUSTER_DELTA: u8 = 3;
-const KIND_METRIC_DELTA: u8 = 4;
+const KIND_CLUSTER_DELTA: u8 = DerivedKind::Cluster as u8;
+const KIND_METRIC_DELTA: u8 = DerivedKind::Metric as u8;
 const KIND_STREAM_EVENT: u8 = 5;
 
 /// A run insert: enough to rebuild and re-validate the run at replay time.
@@ -95,23 +100,43 @@ pub(crate) struct RunRemoveRecord {
     pub(crate) name: String,
 }
 
-/// One specification's updated cluster checkpoint entry (last write wins).
-#[derive(Debug, Serialize, Deserialize)]
-pub(crate) struct ClusterDeltaRecord {
-    /// Cost-model cache key the distances were computed under.
-    pub(crate) cost_key: u64,
-    /// The checkpoint entry, exactly as `cluster_cache.json` would hold it.
-    pub(crate) doc: SpecClusterDoc,
+/// The derived index a [`DerivedDeltaRecord`] belongs to; the value is the
+/// record's WAL kind byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DerivedKind {
+    /// Kind 3: a k-medoids clustering entry (`cluster_cache.json`).
+    Cluster = 3,
+    /// Kind 4: a vantage-point-tree entry (`metric_index.json`).
+    Metric = 4,
 }
 
-/// One specification's updated metric-index checkpoint entry (last write
-/// wins), the vantage-point-tree analogue of [`ClusterDeltaRecord`].
-#[derive(Debug, Serialize, Deserialize)]
-pub(crate) struct MetricDeltaRecord {
-    /// Cost-model cache key the distances were computed under.
+/// One specification's updated checkpoint entry of a derived index (last
+/// write wins), as read back from the log.
+#[derive(Debug, Deserialize)]
+pub(crate) struct DerivedDeltaRecord {
+    /// Cost-model cache key the entry was computed under.
     pub(crate) cost_key: u64,
-    /// The checkpoint entry, exactly as `metric_index.json` would hold it.
-    pub(crate) doc: SpecMetricDoc,
+    /// The entry exactly as the index's checkpoint file holds it, left
+    /// undecoded until the owning index loads it.
+    pub(crate) doc: serde::Value,
+}
+
+/// The payload of a derived delta, `{cost_key, doc}`, as written: generic
+/// so a checkpoint lowers its typed entry to JSON once (a `Value` is copied
+/// whenever it is serialised), and serialised by hand because the vendored
+/// `serde_derive` has no generics.
+pub(crate) struct DerivedDelta<'a, D> {
+    pub(crate) cost_key: u64,
+    pub(crate) doc: &'a D,
+}
+
+impl<D: Serialize> Serialize for DerivedDelta<'_, D> {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_value(serde::Value::Map(vec![
+            ("cost_key".to_string(), serde::to_value(&self.cost_key)),
+            ("doc".to_string(), serde::to_value(self.doc)),
+        ]))
+    }
 }
 
 /// One node-lifecycle event of an in-flight streamed run.  Streams are
@@ -142,10 +167,8 @@ pub(crate) enum WalRecord {
     RunInsert(RunInsertRecord),
     /// Kind 2.
     RunRemove(RunRemoveRecord),
-    /// Kind 3.
-    ClusterDelta(ClusterDeltaRecord),
-    /// Kind 4.
-    MetricDelta(MetricDeltaRecord),
+    /// Kind 3 or 4, as the [`DerivedKind`] says.
+    Derived(DerivedKind, DerivedDeltaRecord),
     /// Kind 5.
     StreamEvent(StreamEventRecord),
 }
@@ -180,26 +203,33 @@ pub(crate) fn wal_path(dir: &Path) -> std::path::PathBuf {
     dir.join(WAL_FILE)
 }
 
-fn encode_one(path: &Path, record: &WalRecord, out: &mut Vec<u8>) -> Result<(), PersistError> {
-    let (kind, payload) = match record {
-        WalRecord::RunInsert(r) => (KIND_RUN_INSERT, serde_json::to_string(r)),
-        WalRecord::RunRemove(r) => (KIND_RUN_REMOVE, serde_json::to_string(r)),
-        WalRecord::ClusterDelta(r) => (KIND_CLUSTER_DELTA, serde_json::to_string(r)),
-        WalRecord::MetricDelta(r) => (KIND_METRIC_DELTA, serde_json::to_string(r)),
-        WalRecord::StreamEvent(r) => (KIND_STREAM_EVENT, serde_json::to_string(r)),
-    };
-    let payload = payload
-        .map_err(|source| PersistError::Json { path: path.to_path_buf(), source })?
-        .into_bytes();
-    let len = 1 + payload.len();
-    assert!(len <= MAX_RECORD_BYTES as usize, "WAL record exceeds the framing bound");
-    let mut body = Vec::with_capacity(len);
-    body.push(kind);
-    body.extend_from_slice(&payload);
-    out.extend_from_slice(&(len as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    Ok(())
+/// A record ready to append: its kind byte and JSON payload.
+pub(crate) type Encoded = (u8, String);
+
+/// Encodes `payload` as a record of `kind` for `dir`'s log.
+pub(crate) fn encode<T: Serialize>(
+    dir: &Path,
+    kind: u8,
+    payload: &T,
+) -> Result<Encoded, PersistError> {
+    serde_json::to_string(payload)
+        .map(|json| (kind, json))
+        .map_err(|source| PersistError::Json { path: wal_path(dir), source })
+}
+
+/// Encodes `records` for `dir`'s log.
+pub(crate) fn encode_all(dir: &Path, records: &[WalRecord]) -> Result<Vec<Encoded>, PersistError> {
+    records
+        .iter()
+        .map(|record| match record {
+            WalRecord::RunInsert(r) => encode(dir, KIND_RUN_INSERT, r),
+            WalRecord::RunRemove(r) => encode(dir, KIND_RUN_REMOVE, r),
+            WalRecord::Derived(kind, r) => {
+                encode(dir, *kind as u8, &DerivedDelta { cost_key: r.cost_key, doc: &r.doc })
+            }
+            WalRecord::StreamEvent(r) => encode(dir, KIND_STREAM_EVENT, r),
+        })
+        .collect()
 }
 
 /// Appends `records` to `dir/wal.log` as one write + one fsync (the whole
@@ -207,12 +237,19 @@ fn encode_one(path: &Path, record: &WalRecord, out: &mut Vec<u8>) -> Result<(), 
 pub(crate) fn append(
     io: &dyn StoreIo,
     dir: &Path,
-    records: &[WalRecord],
+    records: &[Encoded],
 ) -> Result<u64, PersistError> {
     let path = wal_path(dir);
     let mut buf = Vec::new();
-    for record in records {
-        encode_one(&path, record, &mut buf)?;
+    for (kind, payload) in records {
+        let len = 1 + payload.len();
+        assert!(len <= MAX_RECORD_BYTES as usize, "WAL record exceeds the framing bound");
+        let mut body = Vec::with_capacity(len);
+        body.push(*kind);
+        body.extend_from_slice(payload.as_bytes());
+        buf.extend_from_slice(&(len as u32).to_le_bytes());
+        buf.extend_from_slice(&crc32(&body).to_le_bytes());
+        buf.extend_from_slice(&body);
     }
     if buf.is_empty() {
         return Ok(0);
@@ -274,8 +311,10 @@ pub(crate) fn scan(dir: &Path) -> Result<WalScan, PersistError> {
         let record = match body[0] {
             KIND_RUN_INSERT => serde_json::from_str(payload).map(WalRecord::RunInsert),
             KIND_RUN_REMOVE => serde_json::from_str(payload).map(WalRecord::RunRemove),
-            KIND_CLUSTER_DELTA => serde_json::from_str(payload).map(WalRecord::ClusterDelta),
-            KIND_METRIC_DELTA => serde_json::from_str(payload).map(WalRecord::MetricDelta),
+            KIND_CLUSTER_DELTA => serde_json::from_str(payload)
+                .map(|delta| WalRecord::Derived(DerivedKind::Cluster, delta)),
+            KIND_METRIC_DELTA => serde_json::from_str(payload)
+                .map(|delta| WalRecord::Derived(DerivedKind::Metric, delta)),
             KIND_STREAM_EVENT => serde_json::from_str(payload).map(WalRecord::StreamEvent),
             _ => break,
         };
@@ -381,8 +420,8 @@ pub fn inspect(dir: impl AsRef<Path>) -> Result<WalSummary, PersistError> {
         match record {
             WalRecord::RunInsert(_) => summary.run_inserts += 1,
             WalRecord::RunRemove(_) => summary.run_removes += 1,
-            WalRecord::ClusterDelta(_) => summary.cluster_deltas += 1,
-            WalRecord::MetricDelta(_) => summary.metric_deltas += 1,
+            WalRecord::Derived(DerivedKind::Cluster, _) => summary.cluster_deltas += 1,
+            WalRecord::Derived(DerivedKind::Metric, _) => summary.metric_deltas += 1,
             WalRecord::StreamEvent(_) => summary.stream_events += 1,
         }
     }
@@ -428,6 +467,10 @@ mod tests {
         })
     }
 
+    fn append_records(dir: &Path, records: &[WalRecord]) {
+        append(&RealIo, dir, &encode_all(dir, records).unwrap()).unwrap();
+    }
+
     #[test]
     fn crc32_matches_the_ieee_check_value() {
         // The canonical CRC-32/ISO-HDLC check value; pinning it pins the
@@ -447,7 +490,8 @@ mod tests {
             }),
             insert_record("r2"),
         ];
-        let bytes = append(&RealIo, dir.path(), &records).unwrap();
+        let bytes =
+            append(&RealIo, dir.path(), &encode_all(dir.path(), &records).unwrap()).unwrap();
         assert!(bytes > 0);
         let scan = scan(dir.path()).unwrap();
         assert_eq!(scan.records.len(), 3);
@@ -478,7 +522,7 @@ mod tests {
     #[test]
     fn torn_tails_end_the_log_at_the_last_valid_record() {
         let dir = TempDir::new("torn");
-        append(&RealIo, dir.path(), &[insert_record("r1"), insert_record("r2")]).unwrap();
+        append_records(dir.path(), &[insert_record("r1"), insert_record("r2")]);
         let full = std::fs::read(wal_path(dir.path())).unwrap();
         let keep = full.len() - 7; // chop into the last record's payload
         for torn in [
@@ -502,7 +546,7 @@ mod tests {
     #[test]
     fn a_corrupted_byte_invalidates_the_record_checksum() {
         let dir = TempDir::new("crc");
-        append(&RealIo, dir.path(), &[insert_record("r1")]).unwrap();
+        append_records(dir.path(), &[insert_record("r1")]);
         let mut bytes = std::fs::read(wal_path(dir.path())).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
@@ -515,10 +559,10 @@ mod tests {
     #[test]
     fn appends_after_a_fold_start_a_fresh_log() {
         let dir = TempDir::new("fold");
-        append(&RealIo, dir.path(), &[insert_record("r1")]).unwrap();
+        append_records(dir.path(), &[insert_record("r1")]);
         truncate_to(&RealIo, dir.path(), 0).unwrap();
         assert_eq!(inspect(dir.path()).unwrap().records, 0);
-        append(&RealIo, dir.path(), &[insert_record("r2")]).unwrap();
+        append_records(dir.path(), &[insert_record("r2")]);
         let scan = scan(dir.path()).unwrap();
         assert_eq!(scan.records.len(), 1);
         assert!(matches!(&scan.records[0], WalRecord::RunInsert(r) if r.name == "r2"));

@@ -45,6 +45,10 @@ fn flatten<'a>(bin: &'a BinSpTree, want_series: bool, out: &mut Vec<&'a BinSpTre
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "series nodes are created with children by the parser; childless series nodes are unconstructible"
+)]
 fn convert(graph: &LabeledDigraph, bin: &BinSpTree, tree: &mut AnnotatedTree) -> TreeId {
     match bin {
         BinSpTree::Leaf(e) => {

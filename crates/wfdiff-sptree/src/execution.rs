@@ -121,6 +121,10 @@ impl Specification {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "spec tree validation assigns control ids to every F and L node before executions are derived"
+)]
 fn gen(
     spec: &Specification,
     spec_v: TreeId,

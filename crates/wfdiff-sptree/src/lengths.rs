@@ -66,11 +66,19 @@ impl BranchFreeLengths {
     }
 
     /// The minimum achievable length for node `id`.
+    #[expect(
+        clippy::expect_used,
+        reason = "the length table is computed bottom-up; every subtree set is non-empty by construction"
+    )]
     pub fn min_length(&self, id: TreeId) -> usize {
         *self.sets[id.index()].iter().next().expect("every spec subtree has an execution")
     }
 
     /// The maximum achievable length for node `id`.
+    #[expect(
+        clippy::expect_used,
+        reason = "the length table is computed bottom-up; every subtree set is non-empty by construction"
+    )]
     pub fn max_length(&self, id: TreeId) -> usize {
         *self.sets[id.index()].iter().next_back().expect("every spec subtree has an execution")
     }

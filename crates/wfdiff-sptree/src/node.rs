@@ -17,6 +17,10 @@ impl TreeId {
 }
 
 impl From<usize> for TreeId {
+    #[expect(
+        clippy::expect_used,
+        reason = "ids are u32 by design; over 4 billion tree nodes is out of scope and an immediate abort beats silent truncation"
+    )]
     fn from(value: usize) -> Self {
         TreeId(u32::try_from(value).expect("tree id overflow"))
     }

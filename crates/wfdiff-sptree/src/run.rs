@@ -151,6 +151,10 @@ struct Replayer<'a> {
 
 /// Replays the run described by the canonical tree `ctree` against `spec`,
 /// producing the annotated run tree.
+#[expect(
+    clippy::expect_used,
+    reason = "Run::from_graph validated every Q leaf against a spec edge before this lookup, and spec tree validation assigns control ids to every L node"
+)]
 fn replay(
     spec: &Specification,
     graph: &LabeledDigraph,
@@ -436,6 +440,10 @@ impl<'a> Replayer<'a> {
         Ok(self.add_internal(NodeType::F, spec_v, out_children, control_id))
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "spec tree validation assigns control ids to every L node, and an iteration is pushed on loop entry before any child is appended to it"
+    )]
     fn build_loop(&mut self, spec_v: TreeId, forest: &[TreeId], ctx: Comp) -> Result<TreeId> {
         let body = self.spec_tree().children(spec_v)[0];
         let control_id = self.spec_tree().node(spec_v).control_id;
@@ -471,6 +479,10 @@ impl<'a> Replayer<'a> {
 
     /// Adds an internal node whose terminals are inferred from its children
     /// (first child's source, last child's sink).
+    #[expect(
+        clippy::expect_used,
+        reason = "internal nodes are only created wrapping at least one child"
+    )]
     fn add_internal(
         &mut self,
         ty: NodeType,

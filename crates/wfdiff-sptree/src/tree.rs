@@ -181,6 +181,10 @@ impl AnnotatedTree {
     /// Inserts a fresh node between `child` and its current parent (or above
     /// the root), returning the new node's id.  Used by Algorithm 1 to insert
     /// `F`/`L` annotation nodes and grouping `S` nodes.
+    #[expect(
+        clippy::expect_used,
+        reason = "tree construction wires child links before parent links; detach relies on that pairing"
+    )]
     pub fn insert_parent(&mut self, child: TreeId, mut node: TreeNode) -> TreeId {
         let old_parent = self.parent(child);
         node.children = vec![child];

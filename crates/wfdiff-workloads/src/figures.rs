@@ -5,6 +5,10 @@ use wfdiff_sptree::{Run, Specification, SpecificationBuilder};
 
 /// The Figure 2(a) specification: modules 1–7, forks over the three branches
 /// and over the whole workflow, and a loop over the section between 2 and 6.
+#[expect(
+    clippy::expect_used,
+    reason = "fixed paper-figure specifications; a build failure is a typo in this file, caught by every test"
+)]
 pub fn fig2_specification() -> Specification {
     let mut b = SpecificationBuilder::new("fig2");
     b.edge("1", "2")
@@ -22,6 +26,10 @@ pub fn fig2_specification() -> Specification {
 
 /// Run `R1` of Figure 2(b): one copy of the workflow, branch 3 forked twice,
 /// branch 4 once.
+#[expect(
+    clippy::expect_used,
+    reason = "fixed paper-figure runs validated against their own spec; a failure is a typo in this file"
+)]
 pub fn fig2_run1(spec: &Specification) -> Run {
     let mut r = LabeledDigraph::new();
     let n1 = r.add_node("1");
@@ -43,6 +51,10 @@ pub fn fig2_run1(spec: &Specification) -> Run {
 }
 
 /// Run `R2` of Figure 2(c): two copies of the whole workflow (outer fork).
+#[expect(
+    clippy::expect_used,
+    reason = "fixed paper-figure runs validated against their own spec; a failure is a typo in this file"
+)]
 pub fn fig2_run2(spec: &Specification) -> Run {
     let mut r = LabeledDigraph::new();
     let n1 = r.add_node("1");
@@ -74,6 +86,10 @@ pub fn fig2_run2(spec: &Specification) -> Run {
 }
 
 /// Run `R3` of Figure 2(d): two iterations of the loop between 2 and 6.
+#[expect(
+    clippy::expect_used,
+    reason = "fixed paper-figure runs validated against their own spec; a failure is a typo in this file"
+)]
 pub fn fig2_run3(spec: &Specification) -> Run {
     let mut r = LabeledDigraph::new();
     let n1 = r.add_node("1");
@@ -108,6 +124,10 @@ pub fn fig2_run3(spec: &Specification) -> Run {
 /// Forks cover the three BLAST searches and the per-domain annotation section;
 /// the loop covers the reciprocal-best-hit section from `FastaFormat` to
 /// `collectTop1&Compare`.
+#[expect(
+    clippy::expect_used,
+    reason = "fixed paper-figure specifications; a build failure is a typo in this file, caught by every test"
+)]
 pub fn protein_annotation() -> Specification {
     let mut b = SpecificationBuilder::new("protein-annotation");
     b.edge("getProteinSeq", "FastaFormat");
@@ -144,6 +164,10 @@ pub fn fig17_specification() -> Specification {
 }
 
 /// [`fig17_specification`] with a configurable number of parallel paths.
+#[expect(
+    clippy::expect_used,
+    reason = "fixed paper-figure specifications; a build failure is a typo in this file, caught by every test"
+)]
 pub fn fig17_specification_with_paths(paths: usize) -> Specification {
     let mut b = SpecificationBuilder::new("fig17");
     b.edge("a", "u");

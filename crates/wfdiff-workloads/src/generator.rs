@@ -48,6 +48,10 @@ impl Default for SpecGenConfig {
 }
 
 /// Generates a random SP-specification according to `config`.
+#[expect(
+    clippy::expect_used,
+    reason = "the generator emits series-parallel graphs by construction; a failure is a generator bug, caught by proptest"
+)]
 pub fn random_specification(
     name: &str,
     config: &SpecGenConfig,
@@ -94,6 +98,10 @@ pub fn random_sp_graph(config: &SpecGenConfig, rng: &mut impl Rng) -> LabeledDig
 }
 
 /// Chooses fork and loop annotations among the canonical SP-tree's subtrees.
+#[expect(
+    clippy::expect_used,
+    reason = "the generator emits series-parallel graphs by construction; a failure is a generator bug, caught by proptest"
+)]
 fn choose_controls(
     sp: &SpGraph,
     forks: usize,

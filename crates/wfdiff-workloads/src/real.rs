@@ -62,6 +62,10 @@ fn junction(i: usize) -> String {
 }
 
 /// Builds a specification from a segment description.
+#[expect(
+    clippy::panic,
+    reason = "embedded real-trace workflows are static data; an immediate panic with the workflow name beats a misleading Err"
+)]
 pub fn build_segmented(
     name: &str,
     segments: &[Segment],

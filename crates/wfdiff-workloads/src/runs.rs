@@ -84,6 +84,10 @@ impl<'a, R: Rng> ExecutionDecider for RandomDecider<'a, R> {
 }
 
 /// Generates one random valid run of `spec`.
+#[expect(
+    clippy::expect_used,
+    reason = "executions produced by Specification::execute are valid runs of that spec by construction"
+)]
 pub fn generate_run(spec: &Specification, config: &RunGenConfig, rng: &mut impl Rng) -> Run {
     let mut decider = RandomDecider::new(*config, rng);
     spec.execute(&mut decider).expect("random executions are valid runs")
@@ -93,6 +97,10 @@ pub fn generate_run(spec: &Specification, config: &RunGenConfig, rng: &mut impl 
 /// `target_edges`, by scaling the fork/loop replication factors (used by the
 /// Figure 11 experiment, which sweeps the total size of the two runs from 200
 /// to 2000 edges).
+#[expect(
+    clippy::expect_used,
+    reason = "the generation loop runs at least once (count is validated non-zero on entry)"
+)]
 pub fn generate_run_with_target_edges(spec: &Specification, target_edges: usize, seed: u64) -> Run {
     let mut best: Option<Run> = None;
     let mut best_gap = usize::MAX;
