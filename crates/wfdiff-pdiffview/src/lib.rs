@@ -73,8 +73,8 @@
 //! ```
 
 #![deny(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
-#![cfg_attr(test, allow(clippy::todo, clippy::unreachable, clippy::unimplemented))]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo))]
+#![cfg_attr(test, allow(clippy::unreachable, clippy::unimplemented, clippy::disallowed_methods))]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod cluster;

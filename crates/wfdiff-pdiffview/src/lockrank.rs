@@ -1,5 +1,5 @@
-//! Runtime lock-rank guard for the store's locks — the dynamic counterpart
-//! of the static `WFL002` lock-order rule in `wfdiff-lint`.
+//! Runtime lock-rank guard for the store's locks and the service's `streams`
+//! and `prepared`: the one check of their acquisition order.
 //!
 //! Every [`WorkflowStore`](crate::store::WorkflowStore) lock carries a
 //! [`LockRank`]; a thread may only acquire a lock whose rank is strictly
@@ -54,6 +54,18 @@ pub(crate) enum LockRank {
 }
 
 impl LockRank {
+    /// Every rank in acquisition order; the violation message spells the
+    /// order from this list.
+    #[cfg(debug_assertions)]
+    const ALL: [LockRank; 6] = [
+        LockRank::Save,
+        LockRank::Specs,
+        LockRank::Runs,
+        LockRank::FpCache,
+        LockRank::Streams,
+        LockRank::Prepared,
+    ];
+
     #[cfg(debug_assertions)]
     fn name(self) -> &'static str {
         match self {
@@ -83,12 +95,12 @@ mod held {
                 assert!(
                     worst < rank,
                     "lock-rank violation: acquiring `{}` (rank {}) while `{}` (rank {}) is \
-                     held; the store's order is save_lock → specs → runs → persist_fp_cache \
-                     (see store.rs and WFL002)",
+                     held; the order is {} (see lockrank.rs)",
                     rank.name(),
                     rank as u8,
                     worst.name(),
                     worst as u8,
+                    LockRank::ALL.map(LockRank::name).join(" → "),
                 );
             }
             stack.push(rank);
@@ -273,6 +285,8 @@ mod tests {
         let msg = panic_message(result);
         assert!(msg.contains("lock-rank violation"), "unexpected panic message: {msg:?}");
         assert!(msg.contains("`specs`") && msg.contains("`runs`"), "names the locks: {msg:?}");
+        let order = "save_lock → specs → runs → persist_fp_cache → streams → prepared";
+        assert!(msg.contains(order), "spells the whole order: {msg:?}");
     }
 
     #[test]

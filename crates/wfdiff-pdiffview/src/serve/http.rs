@@ -12,7 +12,9 @@
 //!   values are rejected with `413 Payload Too Large` before the body has
 //!   arrived,
 //! * `Transfer-Encoding: chunked` is not supported and is rejected with
-//!   `501 Not Implemented`.
+//!   `501 Not Implemented`,
+//! * a `Content-Length` that is not all digits, or that repeats with a
+//!   different value, is a `400`: the body's end would be ambiguous.
 //!
 //! Parsing is **incremental**: [`parse_request`] looks at whatever bytes the
 //! serving worker has buffered so far and either returns a complete request
@@ -129,9 +131,16 @@ pub fn parse_request(buf: &[u8], max_body_bytes: usize) -> Result<ParseOutcome, 
         let value = value.trim();
         match name.as_str() {
             "content-length" => {
-                let n: usize = value
-                    .parse()
-                    .map_err(|_| bad(400, format!("unparsable Content-Length {value:?}")))?;
+                // `1*DIGIT` only (RFC 9110 §8.6); `usize` parsing alone takes `+5`.
+                let n = value
+                    .parse::<usize>()
+                    .ok()
+                    .filter(|_| value.bytes().all(|b| b.is_ascii_digit()))
+                    .ok_or_else(|| bad(400, format!("unparsable Content-Length {value:?}")))?;
+                // Differing values leave the body's end undecidable (RFC 9112 §6.3).
+                if content_length.is_some_and(|prev| prev != n) {
+                    return Err(bad(400, "conflicting Content-Length headers"));
+                }
                 content_length = Some(n);
             }
             "connection" => connection = value.to_ascii_lowercase(),
@@ -334,6 +343,10 @@ mod tests {
         let huge = b"POST /runs HTTP/1.1\r\nContent-Length: 9999\r\n\r\n";
         let err = parse_request(huge, 1024).unwrap_err();
         assert_eq!(err.status, 413);
+        // A repeated, equal Content-Length is unambiguous.
+        let twice = b"POST /runs HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello";
+        let (req, consumed) = complete(twice);
+        assert_eq!((req.body.as_str(), consumed), ("hello", twice.len()));
     }
 
     #[test]
@@ -343,6 +356,12 @@ mod tests {
         assert_eq!(parse_request(b"get / HTTP/1.1\r\n\r\n", 1024).unwrap_err().status, 400);
         let chunked = b"POST /runs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n";
         assert_eq!(parse_request(chunked, 1024).unwrap_err().status, 501);
+        // Two differing lengths, or a signed one, leave the framing ambiguous.
+        let conflict =
+            b"POST /runs HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 0\r\n\r\nhello";
+        assert_eq!(parse_request(conflict, 1024).unwrap_err().status, 400);
+        let signed = b"POST /runs HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello";
+        assert_eq!(parse_request(signed, 1024).unwrap_err().status, 400);
         let flood = vec![b'a'; MAX_HEAD_BYTES];
         assert_eq!(parse_request(&flood, 1024).unwrap_err().status, 431);
         let under = vec![b'a'; MAX_HEAD_BYTES - 1];

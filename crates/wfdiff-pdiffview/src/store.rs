@@ -20,10 +20,10 @@
 //! Never acquire `specs` while holding `runs`.
 //!
 //! The full rank order across every store lock is `save_lock` → `specs` →
-//! `runs` → `persist_fp_cache`.  This is enforced twice: statically by
-//! `wfdiff-lint`'s WFL002 rule, and dynamically by the
-//! `lockrank` module's wrappers around these fields, which panic on any
-//! out-of-order acquisition when `debug_assertions` are on.
+//! `runs` → `persist_fp_cache`, followed by the service's `streams` and
+//! `prepared`.  The `lockrank` module's wrappers around these fields enforce
+//! it: they panic on any out-of-order acquisition when `debug_assertions` are
+//! on, which every `cargo test` run reaches.
 //!
 //! # Specification versions
 //!

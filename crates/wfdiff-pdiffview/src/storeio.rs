@@ -90,6 +90,10 @@ pub trait StoreIo: fmt::Debug + Send + Sync {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RealIo;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one place this crate mutates the filesystem; clippy.toml sends the rest here"
+)]
 impl StoreIo for RealIo {
     fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
         fs::create_dir_all(path)

@@ -234,7 +234,9 @@ fn parse_sample(line: &str) -> Sample {
 
 /// Validates the scrape against the Prometheus text-exposition format:
 /// line grammar, `# TYPE` before samples, histogram bucket monotonicity and
-/// `_count`/`_sum` consistency.
+/// `_count`/`_sum` consistency.  It also checks the operator contract on
+/// family names: `wfdiff_[a-z0-9_]+`, `_total` on counters, `_seconds` on
+/// histograms, and each family declared once.
 fn validate_prometheus(text: &str) {
     let mut types: BTreeMap<String, String> = BTreeMap::new();
     let mut samples: Vec<Sample> = Vec::new();
@@ -250,7 +252,20 @@ fn validate_prometheus(text: &str) {
                 matches!(kind, "counter" | "gauge" | "histogram" | "summary" | "untyped"),
                 "{line}"
             );
-            types.insert(name.to_string(), kind.to_string());
+            let tail = name.strip_prefix("wfdiff_").unwrap_or("");
+            assert!(
+                !tail.is_empty()
+                    && tail.bytes().all(|b| matches!(b, b'a'..=b'z' | b'0'..=b'9' | b'_')),
+                "metric name {name:?} does not match wfdiff_[a-z0-9_]+"
+            );
+            let suffix = match kind {
+                "counter" => "_total",
+                "histogram" => "_seconds",
+                _ => "",
+            };
+            assert!(name.ends_with(suffix), "{kind} {name:?} must end with {suffix:?}");
+            let previous = types.insert(name.to_string(), kind.to_string());
+            assert!(previous.is_none(), "metric family {name:?} declared twice");
         } else {
             assert!(!line.starts_with('#'), "only HELP/TYPE comments: {line}");
             samples.push(parse_sample(line));
