@@ -1,17 +1,13 @@
-//! Machine-readable `BENCH_*.json` output for the perf-tracking CI job.
+//! Machine-readable `BENCH_*.json` output of the in-process perf binaries.
 //!
-//! Every perf binary (`batch_diff`, `load_gen` in its mixed, `cluster`,
-//! `similar` and `stream` modes) writes, next to its human-readable table
-//! and CSV, one JSON document named `BENCH_<experiment>.json` that CI
-//! uploads as a per-commit artifact (`BENCH_batch_diff.json`,
-//! `BENCH_serve.json`, `BENCH_cluster.json`, `BENCH_similar.json`,
-//! `BENCH_stream.json`).  The
-//! documents are flat, stable-keyed and self-describing so that the perf
-//! trajectory can be charted across commits without parsing tables.
-//!
-//! `BENCH_serve.json` is shared by two experiments — `load_gen`'s mixed and
-//! sharded modes — as one object with a member per mode
-//! (`{"mixed": …, "sharded": …}`), merged by [`merge_serve_bench_json`].
+//! `batch_diff` and `similar_sweep` each write, next to their human-readable
+//! table, one JSON document named `BENCH_<experiment>.json`
+//! (`BENCH_batch_diff.json`, `BENCH_similar.json`); CI uploads the batch
+//! document as a per-commit artifact.  The documents are flat, stable-keyed
+//! and self-describing so that results can be compared across commits
+//! without parsing tables.  The served endpoints are measured by the wfbench
+//! benchmark instead, whose last stdout line is the JSON document the CI
+//! regression gate compares.
 
 use crate::batch::BatchReport;
 use serde::Serialize;
@@ -91,35 +87,6 @@ pub fn write_bench_json<T: Serialize>(path: impl AsRef<Path>, value: &T) -> std:
     file.write_all(b"\n")
 }
 
-/// The merged shape of `BENCH_serve.json`: one member per `load_gen` mode,
-/// each present once its experiment has run.
-#[derive(Debug, Default, Serialize, serde::Deserialize)]
-pub struct ServeBenchDoc {
-    /// The mixed-traffic report (`load_gen`).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub mixed: Option<crate::loadgen::ServeBenchReport>,
-    /// The shard-scaling report (`load_gen sharded`).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub sharded: Option<crate::loadgen::ShardedBenchReport>,
-}
-
-/// Read-modify-write on the shared `BENCH_serve.json`: loads the existing
-/// document (a file that is missing or unreadable starts over empty),
-/// applies `update` and writes the result back — so the mixed and sharded
-/// experiments never clobber each other's member.
-pub fn merge_serve_bench_json(
-    path: impl AsRef<Path>,
-    update: impl FnOnce(&mut ServeBenchDoc),
-) -> std::io::Result<()> {
-    let path = path.as_ref();
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| serde_json::from_str::<ServeBenchDoc>(&text).ok())
-        .unwrap_or_default();
-    update(&mut doc);
-    write_bench_json(path, &doc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,49 +106,6 @@ mod tests {
         let path = dir.join("BENCH_batch_diff.json");
         write_bench_json(&path, &BatchReportJson::from(&report)).unwrap();
         assert!(std::fs::read_to_string(&path).unwrap().ends_with("}\n"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn member_writes_merge_instead_of_clobbering() {
-        let dir = std::env::temp_dir().join(format!("wfdiff-benchmember-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_serve.json");
-        let mixed = crate::loadgen::ServeBenchReport {
-            label: "m".into(),
-            runs: 1,
-            spec_edges: 2,
-            requests_per_client: 3,
-            server_threads: 4,
-            mix: vec![1, 1, 1],
-            rounds: Vec::new(),
-        };
-        let sharded = crate::loadgen::ShardedBenchReport {
-            label: "s".into(),
-            specs: 2,
-            runs_per_spec: 3,
-            spec_edges: 4,
-            requests_per_client: 5,
-            server_threads: 6,
-            mix: vec![1, 2, 3],
-            rounds: Vec::new(),
-        };
-        merge_serve_bench_json(&path, |d| d.mixed = Some(mixed.clone())).unwrap();
-        merge_serve_bench_json(&path, |d| d.sharded = Some(sharded)).unwrap();
-        // Re-writing one member leaves the other intact.
-        let mut mixed2 = mixed;
-        mixed2.runs = 9;
-        merge_serve_bench_json(&path, |d| d.mixed = Some(mixed2)).unwrap();
-        let doc: ServeBenchDoc =
-            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(doc.mixed.as_ref().unwrap().runs, 9);
-        assert_eq!(doc.sharded.as_ref().unwrap().label, "s");
-        // A corrupt file starts over instead of erroring.
-        std::fs::write(&path, "not json").unwrap();
-        merge_serve_bench_json(&path, |_| {}).unwrap();
-        let doc: ServeBenchDoc =
-            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert!(doc.mixed.is_none() && doc.sharded.is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

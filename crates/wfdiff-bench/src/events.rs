@@ -1,6 +1,6 @@
 //! Node-lifecycle event derivation shared by the streaming experiments.
 //!
-//! Both the crash-torture streamed-ingest op and the `load_gen stream` mode
+//! Both the crash-torture streamed-ingest op and wfbench's `ingest` workload
 //! feed generated runs through the streaming API event by event; this module
 //! turns a validated run into the canonical legal event sequence they use.
 

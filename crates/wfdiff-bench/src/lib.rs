@@ -36,7 +36,6 @@ pub mod fig11;
 pub mod fig12;
 pub mod fig14;
 pub mod fig16;
-pub mod loadgen;
 pub mod similar;
 pub mod table1;
 pub mod torture;

@@ -1,5 +1,6 @@
-//! The `load_gen similar` experiment: exact-sweep vs metric-index
-//! nearest-run queries over a synthetic store scaled to 10⁵+ runs.
+//! The `similar_sweep` experiment: exact-sweep vs metric-index
+//! nearest-run queries over a synthetic store scaled to 10⁵+ runs, in
+//! process.
 //!
 //! The scenario is the metric-index acceptance test: one specification, a
 //! large collection of generated runs, and `queries` nearest-neighbour
@@ -17,8 +18,9 @@
 //! evaluations** — the number of edit-distance computations each mode asked
 //! the oracle for — because that, not wall time over a warm cache, is what
 //! the triangle-inequality pruning actually saves:
-//! [`SimilarBenchReport::eval_reduction`] is the exact/pruned ratio the CI
-//! gate checks (≥ 5x at 10⁵ runs).
+//! [`SimilarBenchReport::eval_reduction`] is the exact/pruned ratio the
+//! `similar_sweep` binary checks (≥ 5x at 10⁴+ runs).  The served `/similar`
+//! endpoint is measured end to end by wfbench's `analyze` workload.
 //!
 //! [`DiffService::nearest_runs`]: wfdiff_pdiffview::DiffService::nearest_runs
 //! [`DiffService::nearest_runs_pruned`]: wfdiff_pdiffview::DiffService::nearest_runs_pruned
@@ -32,7 +34,7 @@ use wfdiff_pdiffview::{DiffService, PairDistance, WorkflowStore};
 use wfdiff_workloads::generator::{random_specification, SpecGenConfig};
 use wfdiff_workloads::runs::{generate_run, RunGenConfig};
 
-/// Configuration of one `load_gen similar` experiment.
+/// Configuration of one `similar_sweep` experiment.
 #[derive(Debug, Clone)]
 pub struct SimilarBenchConfig {
     /// Workload label for the report.
@@ -86,7 +88,7 @@ pub struct SimilarModeStats {
     pub distance_evals: u64,
 }
 
-/// The full report of one `load_gen similar` experiment
+/// The full report of one `similar_sweep` experiment
 /// (`BENCH_similar.json`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimilarBenchReport {
@@ -110,7 +112,7 @@ pub struct SimilarBenchReport {
     /// The ε of the approximate pass.
     pub approx_epsilon: f64,
     /// Exact-sweep evaluations divided by pruned-mode evaluations — the
-    /// number the CI gate checks (≥ 5x at 10⁵ runs).
+    /// number `similar_sweep` checks (≥ 5x at 10⁴+ runs).
     pub eval_reduction: f64,
     /// Pruned answers that diverged from the exact sweep (must be 0).
     pub mismatches: usize,

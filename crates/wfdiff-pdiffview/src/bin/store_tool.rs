@@ -40,12 +40,14 @@
 //!     rebuilds its own on the first cluster query.
 //!
 //! store_tool bench-compare <baseline.json> <current.json> [max-ratio]
-//!     Compare two bench JSON documents (BENCH_serve.json and friends):
-//!     every numeric leaf whose key contains "p50" is matched by path and
-//!     the current value must not exceed `max-ratio` (default 2.0) times
-//!     the baseline.  Exits 1 listing every regressed latency, 0 when the
-//!     baseline file does not exist (first run: nothing to compare) — the
-//!     CI bench-regression gate.
+//!     Compare two bench JSON documents (wfbench's result line and
+//!     friends): every numeric leaf whose key contains "p50" (for a
+//!     `value` leaf, its parent's key, as in wfbench's
+//!     `metrics.op3_p50_us.value`) is matched by path and the current value
+//!     must not exceed `max-ratio` (default 2.0) times the baseline.  Exits
+//!     1 listing every regressed latency, or when the current document has
+//!     no p50 at all; 0 when the baseline file does not exist (first run:
+//!     nothing to compare) — the CI bench-regression gate.
 //! ```
 //!
 //! # Exit codes
@@ -343,47 +345,47 @@ fn p50_leaves(value: &serde::Value, path: &str, out: &mut Vec<(String, f64)>) {
 }
 
 fn leaf(path: &str, value: f64, out: &mut Vec<(String, f64)>) {
-    let key = path.rsplit('.').next().unwrap_or(path);
+    let mut segments = path.rsplit('.');
+    let mut key = segments.next().unwrap_or(path);
+    // wfbench writes each metric as `metrics.<name>.value`: the metric's
+    // name is its parent's key.
+    if key == "value" {
+        key = segments.next().unwrap_or(key);
+    }
     if key.contains("p50") {
         out.push((path.to_string(), value));
     }
 }
 
-/// Compares the `p50` latencies of two bench JSON documents; any current
-/// value above `max-ratio` times its baseline is a regression (exit 1).  A
-/// missing baseline file is a clean pass — the first CI run has no previous
-/// artifact to compare against.
-fn bench_compare(args: &[String]) -> Result<(), ToolError> {
-    let baseline_path = arg(args, 0, "baseline JSON file")?;
-    let current_path = arg(args, 1, "current JSON file")?;
-    let max_ratio: f64 = parse_or(args, 2, "max-ratio", 2.0)?;
-    if !(max_ratio.is_finite() && max_ratio > 0.0) {
-        return Err(ToolError::Usage(format!(
-            "max-ratio must be a positive number, got {max_ratio}"
-        )));
+/// The `p50` leaves of a bench document.  A document without one is a data
+/// error: a gate that compares nothing would pass whatever was measured.
+fn p50s(doc: &serde::Value) -> Result<Vec<(String, f64)>, String> {
+    let mut out = Vec::new();
+    p50_leaves(doc, "", &mut out);
+    if out.is_empty() {
+        return Err("no p50 latency to compare".to_string());
     }
-    if !std::path::Path::new(baseline_path).exists() {
-        println!("bench-compare: no baseline at {baseline_path}, nothing to compare");
-        return Ok(());
-    }
-    let read = |path: &str| -> Result<serde::Value, ToolError> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        serde_json::from_str(&text).map_err(|e| ToolError::Data(format!("{path}: {e}")))
-    };
-    let mut baseline = Vec::new();
-    p50_leaves(&read(baseline_path)?, "", &mut baseline);
-    let mut current = Vec::new();
-    p50_leaves(&read(current_path)?, "", &mut current);
-    let current: std::collections::BTreeMap<String, f64> = current.into_iter().collect();
+    Ok(out)
+}
 
+/// Matches every baseline p50 by path against the current document's; any
+/// current value above `max_ratio` times its baseline is a regression.
+/// Returns how many latencies were compared.
+fn compare_p50s(
+    baseline: &[(String, f64)],
+    current: &[(String, f64)],
+    max_ratio: f64,
+) -> Result<usize, String> {
+    let current: std::collections::BTreeMap<&str, f64> =
+        current.iter().map(|(path, value)| (path.as_str(), *value)).collect();
     let mut compared = 0usize;
     let mut regressions = Vec::new();
-    for (path, base) in &baseline {
-        let Some(now) = current.get(path) else {
+    for (path, base) in baseline {
+        let Some(now) = current.get(path.as_str()) else {
             continue; // the metric disappeared: schema evolution, not a regression
         };
         compared += 1;
-        // Sub-microsecond baselines are noise-dominated; never gate on them.
+        // A zero baseline has no meaningful ratio; never gate on it.
         if *base <= 1e-6 {
             continue;
         }
@@ -395,12 +397,39 @@ fn bench_compare(args: &[String]) -> Result<(), ToolError> {
         }
     }
     if !regressions.is_empty() {
-        return Err(ToolError::Data(format!(
+        return Err(format!(
             "{} of {compared} p50 latenc(ies) regressed beyond {max_ratio}x:\n{}",
             regressions.len(),
             regressions.join("\n")
+        ));
+    }
+    Ok(compared)
+}
+
+/// Compares the `p50` latencies of two bench JSON documents (exit 1 on a
+/// regression, or when the current document holds no p50).  A missing
+/// baseline file is a clean pass — the first CI run has no previous
+/// artifact to compare against.
+fn bench_compare(args: &[String]) -> Result<(), ToolError> {
+    let baseline_path = arg(args, 0, "baseline JSON file")?;
+    let current_path = arg(args, 1, "current JSON file")?;
+    let max_ratio: f64 = parse_or(args, 2, "max-ratio", 2.0)?;
+    if !(max_ratio.is_finite() && max_ratio > 0.0) {
+        return Err(ToolError::Usage(format!(
+            "max-ratio must be a positive number, got {max_ratio}"
         )));
     }
+    let read = |path: &str| -> Result<Vec<(String, f64)>, ToolError> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        let doc = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
+        p50s(&doc).map_err(|e| ToolError::Data(format!("{path}: {e}")))
+    };
+    let current = read(current_path)?;
+    if !std::path::Path::new(baseline_path).exists() {
+        println!("bench-compare: no baseline at {baseline_path}, nothing to compare");
+        return Ok(());
+    }
+    let compared = compare_p50s(&read(baseline_path)?, &current, max_ratio)?;
     println!("bench-compare: {compared} p50 latenc(ies) within {max_ratio}x of {baseline_path}");
     Ok(())
 }
@@ -434,4 +463,30 @@ fn shard(args: &[String]) -> Result<(), ToolError> {
         summaries.iter().map(|s| s.runs).sum::<usize>()
     );
     Ok(())
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+
+    /// A result line exactly as `wfbench --workload browse` prints it.
+    const WFBENCH_LINE: &str = r#"{"correct": true, "attempted": 42183, "failed": 0, "metrics": {"setup_s": {"value": 0.077258637, "unit": "s"}, "throughput_rps": {"value": 21111.976232981633, "unit": "1/s"}, "peak_rss_mb": {"value": 11.6953125, "unit": "MiB"}, "op1_p50_us": {"value": 56.463, "unit": "us"}, "op2_p50_us": {"value": 88.785, "unit": "us"}, "op3_p50_us": {"value": 36.709, "unit": "us"}}}"#;
+
+    fn p50s_of(text: &str) -> Result<Vec<(String, f64)>, String> {
+        p50s(&serde_json::from_str(text).unwrap())
+    }
+
+    #[test]
+    fn wfbench_result_lines_are_gated_on_their_p50s() {
+        let base = p50s_of(WFBENCH_LINE).unwrap();
+        assert_eq!(compare_p50s(&base, &base, 2.0), Ok(3));
+
+        let slower = WFBENCH_LINE.replace(r#""value": 36.709"#, r#""value": 110.127"#);
+        let err = compare_p50s(&base, &p50s_of(&slower).unwrap(), 2.0).unwrap_err();
+        assert!(err.starts_with("1 of 3 "), "{err}");
+        assert!(err.contains("metrics.op3_p50_us"), "{err}");
+
+        assert!(p50s_of(r#"{"correct": true, "metrics": {}}"#).is_err());
+    }
 }

@@ -7,8 +7,9 @@
 //! the in-memory store nor the on-disk directory changed afterwards.
 
 use pdiffview::pdiffview::io::RunDescriptor;
+use pdiffview::pdiffview::serve::api::{StreamEventsRequest, StreamEventsResponse};
 use pdiffview::pdiffview::serve::{ServeConfig, Server, ServerHandle};
-use pdiffview::pdiffview::{DiffService, WorkflowStore};
+use pdiffview::pdiffview::{DiffService, StreamEvent, WorkflowStore};
 use pdiffview::workloads::figures::{fig2_run1, fig2_run2, fig2_specification};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -244,10 +245,51 @@ fn success_paths_serve_and_persist_through_the_whole_stack() {
     let (status, body) = request(addr, "GET", "/diff?spec=fig2&a=posted&b=r1", "");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"distance\":0.0"), "{body}");
+
+    // Stream a copy of r1 in two batches, in a topological order of its
+    // graph; the second batch finalises it into a stored run.
+    let run = fig2_run1(&spec);
+    let g = run.graph();
+    let order = g.topological_order().unwrap();
+    let mut position = vec![0; g.node_count()];
+    let mut events = Vec::new();
+    for (i, &id) in order.iter().enumerate() {
+        position[id.index()] = i;
+        let preds = g.in_edges(id).iter().map(|&e| position[g.edge(e).src.index()]).collect();
+        events.push(StreamEvent::started(i, g.label(id).as_str(), preds));
+        events.push(StreamEvent::completed(i));
+    }
+    let half = events.len() / 2;
+    for (batch, finalize) in [(&events[..half], false), (&events[half..], true)] {
+        let body = serde_json::to_string(&StreamEventsRequest {
+            spec: "fig2".to_string(),
+            stream: "streamed".to_string(),
+            events: batch.to_vec(),
+            finalize,
+        })
+        .unwrap();
+        let (status, text) = request(addr, "POST", "/runs/stream", &body);
+        assert_eq!(status, if finalize { 201 } else { 200 }, "{text}");
+        let out: StreamEventsResponse = serde_json::from_str(&text).unwrap();
+        assert_eq!(out.finalized, finalize, "{text}");
+        assert!(out.persisted, "{text}");
+        if finalize {
+            assert!(out.complete, "{text}");
+        }
+    }
+    let (status, body) = request(addr, "GET", "/diff?spec=fig2&a=streamed&b=r1", "");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"distance\":0.0"), "{body}");
     handle.shutdown();
-    let reloaded = WorkflowStore::load_from_dir(dir.path()).unwrap();
-    assert_eq!(reloaded.run_count(), 3);
+
+    // Both writes survive a restart, and the finalised stream left no
+    // in-flight state to resume: its closure marker retired its records.
+    let reloaded = Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap());
+    assert_eq!(reloaded.run_count(), 4);
     assert!(reloaded.run("fig2", "posted").is_some());
+    assert!(reloaded.run("fig2", "streamed").is_some());
+    let streams = DiffService::new(reloaded).load_streams(dir.path()).unwrap();
+    assert_eq!((streams.loaded, streams.closed, streams.skipped), (0, 1, 0), "{streams:?}");
 }
 
 #[test]

@@ -1,11 +1,13 @@
 //! End-to-end tests for the sharded serving tier: spec-slug routing that
 //! stays stable across save/load and the operator split, cross-shard
-//! `/specs` and `/healthz` aggregation, a `GET /metrics` scrape validated
+//! `/specs` and `/healthz` aggregation, exact distances and durable writes
+//! on the owning shard, a `GET /metrics` scrape validated
 //! against the Prometheus text-exposition grammar, and the evented
 //! front-end's core promise — a stalled (dribbling-header) connection does
 //! not pin a worker.
 
-use pdiffview::pdiffview::serve::api::{HealthResponse, SpecsResponse};
+use pdiffview::pdiffview::io::RunDescriptor;
+use pdiffview::pdiffview::serve::api::{DiffResponse, HealthResponse, SpecsResponse};
 use pdiffview::pdiffview::serve::shard::{
     detect_shard_dirs, fnv1a_64, shard_dir_name, shard_of, split_store_into_shards, ShardEntry,
     ShardRouter,
@@ -185,13 +187,40 @@ fn specs_and_healthz_aggregate_across_shards_in_sorted_order() {
     assert_eq!(health.shards.iter().map(|s| s.specs).sum::<usize>(), 4);
     assert_eq!(health.shards.iter().map(|s| s.runs).sum::<usize>(), 8);
 
-    // Spec-addressed queries hit the right shard for every spec.
-    for name in SPEC_NAMES {
+    // Spec-addressed queries hit the right shard for every spec: each
+    // served distance is the local engine's, bit for bit, and each insert
+    // is acknowledged.
+    let local_store = Arc::new(seed_store());
+    let local = DiffService::new(Arc::clone(&local_store));
+    for (s, name) in SPEC_NAMES.iter().enumerate() {
         let (status, body) = request(addr, "GET", &format!("/diff?spec={name}&a=run0&b=run1"), "");
         assert_eq!(status, 200, "{name}: {body}");
-        assert!(body.contains("\"distance\":"), "{body}");
+        let served: DiffResponse = serde_json::from_str(&body).unwrap();
+        let want = local.diff(name, "run0", "run1").unwrap().distance;
+        assert_eq!(served.distance.to_bits(), want.to_bits(), "{name}: {body}");
+
+        let spec = local_store.spec(name).unwrap();
+        let run = generate_run_with_target_edges(&spec, 8, 100 + s as u64);
+        let insert = format!(
+            "{{\"name\": \"posted\", \"run\": {}}}",
+            RunDescriptor::from_run(&run).to_json()
+        );
+        let (status, body) = request(addr, "POST", "/runs", &insert);
+        assert_eq!(status, 201, "{name}: {body}");
     }
     handle.shutdown();
+
+    // Each insert was written to the directory of the shard that owns its
+    // spec, and to no other.
+    let shards: Vec<WorkflowStore> = detect_shard_dirs(dir.path().join("shards"))
+        .iter()
+        .map(|d| WorkflowStore::load_from_dir(d).unwrap())
+        .collect();
+    for name in SPEC_NAMES {
+        let holders: Vec<usize> =
+            (0..shards.len()).filter(|&i| shards[i].run(name, "posted").is_some()).collect();
+        assert_eq!(holders, vec![shard_of(name, shards.len())], "{name}");
+    }
 }
 
 // ---------------------------------------------------------------------------
