@@ -13,9 +13,8 @@
 //! A nearest-neighbour search holding a current `k`-th best distance `w` can
 //! therefore skip computing `d(q, x)` whenever the **lower** bound already
 //! exceeds `w` — the skip is a proof of exclusion, never a heuristic.  The
-//! metric index in `wfdiff-pdiffview` builds on these two functions for both
-//! its vantage-point-tree subtree bounds and its medoid-pivot candidate
-//! bounds.
+//! metric index in `wfdiff-pdiffview` builds its medoid-pivot candidate
+//! bounds on [`triangle_lower_bound`].
 
 /// The largest value `v` with `|d(q, p) − d(p, x)| ≥ v` guaranteed by the
 /// triangle inequality for the unknown distance `d(q, x)`: the certified
@@ -26,24 +25,6 @@
 #[inline]
 pub fn triangle_lower_bound(d_qp: f64, d_px: f64) -> f64 {
     (d_qp - d_px).abs()
-}
-
-/// The certified upper bound `d_qp + d_px` on the unknown distance
-/// `d(q, x)` via the pivot `p` (the triangle inequality applied directly).
-#[inline]
-pub fn triangle_upper_bound(d_qp: f64, d_px: f64) -> f64 {
-    d_qp + d_px
-}
-
-/// The best (largest) certified lower bound on `d(q, x)` obtainable from a
-/// set of pivots with known distances to both `q` and `x`: the maximum of
-/// [`triangle_lower_bound`] over all aligned pairs.  Empty input yields
-/// `0.0`, the trivial bound.
-///
-/// `d_q[i]` and `d_x[i]` must refer to the same pivot `i`; extra entries in
-/// the longer slice are ignored.
-pub fn pivot_lower_bound(d_q: &[f64], d_x: &[f64]) -> f64 {
-    d_q.iter().zip(d_x).map(|(&a, &b)| triangle_lower_bound(a, b)).fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -57,7 +38,7 @@ mod tests {
         let (q, p, x) = (0.0_f64, 3.0, 10.0);
         let (d_qp, d_px, d_qx) = ((q - p).abs(), (p - x).abs(), (q - x).abs());
         assert!(triangle_lower_bound(d_qp, d_px) <= d_qx);
-        assert!(triangle_upper_bound(d_qp, d_px) >= d_qx);
+        assert!(d_qp + d_px >= d_qx);
         // With p between q and x the legs subtract exactly.
         assert_eq!(triangle_lower_bound(d_qp, d_px), d_qx - 2.0 * d_qp.min(d_px));
     }
@@ -66,12 +47,5 @@ mod tests {
     fn lower_bound_is_symmetric_and_zero_on_equal_legs() {
         assert_eq!(triangle_lower_bound(2.5, 7.0), triangle_lower_bound(7.0, 2.5));
         assert_eq!(triangle_lower_bound(4.0, 4.0), 0.0);
-    }
-
-    #[test]
-    fn pivot_lower_bound_takes_the_best_pivot() {
-        // Pivot 1 gives the tighter bound |9 − 2| = 7.
-        assert_eq!(pivot_lower_bound(&[3.0, 9.0], &[2.0, 2.0]), 7.0);
-        assert_eq!(pivot_lower_bound(&[], &[]), 0.0);
     }
 }

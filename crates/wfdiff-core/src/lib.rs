@@ -71,7 +71,7 @@ pub mod prefix;
 pub mod script;
 pub mod surcharge;
 
-pub use bounds::{pivot_lower_bound, triangle_lower_bound, triangle_upper_bound};
+pub use bounds::triangle_lower_bound;
 pub use cache::{CacheStats, DeletionKey, DiffCache, PairKey, ShardedDiffCache};
 pub use cost::{check_metric_axioms, CostModel, LengthCost, PowerCost, UnitCost};
 pub use deletion::{DeletionEntry, DeletionTables};

@@ -109,8 +109,7 @@ fn serve(dir: &str, addr: &str, threads: usize) -> Result<(), String> {
     let shard_count = shards.len();
     let router = ShardRouter::new(shards);
     let config = ServeConfig { addr: addr.to_string(), threads, ..ServeConfig::default() };
-    let server =
-        Server::bind_sharded(router, config).map_err(|e| format!("cannot bind {addr}: {e}"))?;
+    let server = Server::bind(router, config).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     let bound = server.local_addr().map_err(|e| e.to_string())?;
     println!(
         "wfdiff_serve listening on http://{bound} ({specs} spec(s), {runs} run(s) warm, \

@@ -72,19 +72,6 @@ pub struct ClusterDiff {
 }
 
 impl ClusterDiff {
-    /// Computes the per-cluster difference of two stored runs through a
-    /// [`crate::service::DiffService`] (sharing its cost model and cache).
-    pub fn compute_with_service(
-        service: &crate::service::DiffService,
-        spec: &str,
-        r1: &str,
-        r2: &str,
-        clustering: &Clustering,
-    ) -> Result<ClusterDiff, crate::service::ServiceError> {
-        let session = service.session(spec, r1, r2)?;
-        Ok(ClusterDiff::compute(&session, clustering))
-    }
-
     /// Aggregates the session's edit script by composite module: an operation
     /// touches a cluster if any label on its path belongs to the cluster.
     pub fn compute(session: &DiffSession, clustering: &Clustering) -> ClusterDiff {

@@ -491,11 +491,6 @@ impl IncrementalClusterIndex {
         self.states.lock().get(spec).map(|s| s.snapshot(spec))
     }
 
-    /// Number of memoised distances held for `spec` (testing/diagnostics).
-    pub fn memoized_distances(&self, spec: &str) -> usize {
-        self.states.lock().get(spec).map(|s| s.distances.len()).unwrap_or(0)
-    }
-
     /// The memoised medoid-to-member distance rows of `spec`, for the
     /// metric index's candidate screening: `rows[member][i]` is the cached
     /// `d(member, medoid_i)` when the clustering happened to fetch it

@@ -22,18 +22,16 @@
 //!    re-seeds its medoid with the point farthest from its current medoid,
 //! 4. **update** — each cluster's medoid becomes the member minimising the
 //!    sum of intra-cluster distances (ties break to the lowest point index),
-//! 5. repeat 2–4 until a fixed point (or [`KMedoidsConfig::max_iterations`]).
+//! 5. repeat 2–4 until a fixed point (or an iteration ceiling).
 //!
 //! Every choice is tie-broken on indices, so the outcome is a **pure
-//! function of the distance matrix, `k` and the seed** — the property the
+//! function of the distances, `k` and the seed** — the property the
 //! incremental index and the integration tests rely on.
 //!
 //! Distances are pulled through a fallible callback rather than a
-//! materialised matrix, so the same core serves both the in-memory
-//! [`kmedoids`] entry point (a full `n × n` matrix) and the incremental
-//! index, which fetches only the O(k·n + Σ|cluster|²) entries the iteration
-//! actually inspects and memoises them (see
-//! [`incremental`](crate::cluster::incremental)).
+//! materialised matrix: the incremental index fetches only the
+//! O(k·n + Σ|cluster|²) entries the iteration actually inspects and
+//! memoises them (see [`incremental`](crate::cluster::incremental)).
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -41,32 +39,6 @@ use rand_chacha::ChaCha8Rng;
 /// Default seed of the run-clustering entry points: clustering the same
 /// store with the same `k` always yields the same clusters.
 pub const DEFAULT_CLUSTER_SEED: u64 = 0xC1D5;
-
-/// Configuration of one k-medoids clustering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KMedoidsConfig {
-    /// Number of clusters; clamped to the number of points by the callers.
-    pub k: usize,
-    /// Seed of the initial medoid draw.  The whole algorithm is
-    /// deterministic for a fixed seed.
-    pub seed: u64,
-    /// Iteration ceiling (assignment/update rounds); the alternating
-    /// iteration converges long before this on real workloads.
-    pub max_iterations: usize,
-}
-
-impl KMedoidsConfig {
-    /// `k` clusters with the default seed and iteration ceiling.
-    pub fn new(k: usize) -> Self {
-        KMedoidsConfig { k, seed: DEFAULT_CLUSTER_SEED, max_iterations: 64 }
-    }
-
-    /// Replaces the seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
 
 /// The result of a k-medoids clustering over `n` points.
 ///
@@ -125,24 +97,6 @@ impl KMedoids {
     }
 }
 
-/// Clusters `n` points whose pairwise distances are given by `matrix`
-/// (symmetric, zero diagonal), e.g. an
-/// [`AllPairsResult::matrix`](crate::service::AllPairsResult).
-///
-/// `k` is clamped to `n`.  Panics if `n == 0` or `k == 0` — callers
-/// validate both (the HTTP layer answers 400).
-pub fn kmedoids(matrix: &[Vec<f64>], config: &KMedoidsConfig) -> KMedoids {
-    let n = matrix.len();
-    let mut get =
-        |i: usize, j: usize| -> Result<f64, std::convert::Infallible> { Ok(matrix[i][j]) };
-    let outcome = seed_medoids(n, config.k.min(n), config.seed, &mut get)
-        .and_then(|seeds| solve(n, seeds, config.max_iterations, &mut get));
-    match outcome {
-        Ok(result) => result,
-        Err(never) => match never {},
-    }
-}
-
 /// Picks `k` distinct initial medoids out of `0..n`: the first with a
 /// seeded [`ChaCha8Rng`] draw, the rest by farthest-point traversal (each
 /// next medoid maximises its minimum distance to the already-chosen ones;
@@ -175,9 +129,8 @@ pub(crate) fn seed_medoids<E>(
     Ok(medoids)
 }
 
-/// The alternating iteration from explicit initial medoids; shared by
-/// [`kmedoids`] (matrix-backed) and the incremental index (oracle-backed:
-/// `dist` may fail, e.g. when a diff against the store fails mid-fetch).
+/// The alternating iteration from explicit initial medoids.  `dist` may
+/// fail (the incremental index's oracle diffs against the store).
 pub(crate) fn solve<E>(
     n: usize,
     initial_medoids: Vec<usize>,
@@ -294,6 +247,10 @@ pub(crate) fn solve<E>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::Infallible;
+
+    /// Iteration ceiling of the tests, the incremental index's own.
+    const MAX_ITERATIONS: usize = 64;
 
     /// Two tight groups on a line: {0,1,2} near 0 and {3,4,5} near 100.
     fn two_blob_matrix() -> Vec<Vec<f64>> {
@@ -301,12 +258,24 @@ mod tests {
         coords.iter().map(|a| coords.iter().map(|b| (a - b).abs()).collect()).collect()
     }
 
+    fn getter(matrix: &[Vec<f64>]) -> impl FnMut(usize, usize) -> Result<f64, Infallible> + '_ {
+        |i, j| Ok(matrix[i][j])
+    }
+
+    /// Seeds and solves over a full matrix — the incremental index's path,
+    /// with `k` clamped to the point count as the index clamps it.
+    fn cluster(matrix: &[Vec<f64>], k: usize, seed: u64) -> KMedoids {
+        let n = matrix.len();
+        let mut get = getter(matrix);
+        let initial = seed_medoids(n, k.min(n), seed, &mut get).unwrap();
+        solve(n, initial, MAX_ITERATIONS, &mut get).unwrap()
+    }
+
     #[test]
     fn separated_blobs_are_recovered_for_any_seed() {
         let matrix = two_blob_matrix();
         for seed in 0..16 {
-            let config = KMedoidsConfig::new(2).seed(seed);
-            let result = kmedoids(&matrix, &config);
+            let result = cluster(&matrix, 2, seed);
             assert_eq!(result.assignments[0], result.assignments[1]);
             assert_eq!(result.assignments[1], result.assignments[2]);
             assert_eq!(result.assignments[3], result.assignments[4]);
@@ -315,9 +284,7 @@ mod tests {
             // The medoids are the group centres (ties none here).
             assert_eq!(result.medoids, vec![1, 4], "seed {seed}");
             assert_eq!(result.cost, 4.0);
-            let mut get =
-                |i: usize, j: usize| -> Result<f64, std::convert::Infallible> { Ok(matrix[i][j]) };
-            let s = result.silhouette(&mut get).unwrap();
+            let s = result.silhouette(&mut getter(&matrix)).unwrap();
             assert!(s > 0.9, "well-separated blobs score near 1, got {s}");
         }
     }
@@ -325,8 +292,7 @@ mod tests {
     #[test]
     fn results_are_deterministic_for_a_fixed_seed() {
         let matrix = two_blob_matrix();
-        let config = KMedoidsConfig::new(3).seed(42);
-        assert_eq!(kmedoids(&matrix, &config), kmedoids(&matrix, &config));
+        assert_eq!(cluster(&matrix, 3, 42), cluster(&matrix, 3, 42));
     }
 
     #[test]
@@ -338,7 +304,7 @@ mod tests {
         let matrix: Vec<Vec<f64>> =
             coords.iter().map(|a| coords.iter().map(|b| (a - b).abs()).collect()).collect();
         for seed in 0..8 {
-            let result = kmedoids(&matrix, &KMedoidsConfig::new(3).seed(seed));
+            let result = cluster(&matrix, 3, seed);
             assert!(result.iterations < 10, "seed {seed}: oscillated ({result:?})");
             for (c, &m) in result.medoids.iter().enumerate() {
                 assert_eq!(result.assignments[m], c, "seed {seed}: medoid owns its cluster");
@@ -352,35 +318,31 @@ mod tests {
         // All-zero distances: every seed draws "duplicate" medoids and the
         // repair step must still terminate with k clusters.
         let matrix = vec![vec![0.0; 4]; 4];
-        let result = kmedoids(&matrix, &KMedoidsConfig::new(3).seed(7));
+        let result = cluster(&matrix, 3, 7);
         assert_eq!(result.medoids.len(), 3);
         assert_eq!(result.cost, 0.0);
-        let mut get =
-            |i: usize, j: usize| -> Result<f64, std::convert::Infallible> { Ok(matrix[i][j]) };
-        assert_eq!(result.silhouette(&mut get).unwrap(), 0.0);
+        assert_eq!(result.silhouette(&mut getter(&matrix)).unwrap(), 0.0);
     }
 
     #[test]
     fn k_one_puts_everything_in_one_cluster() {
         let matrix = two_blob_matrix();
-        let result = kmedoids(&matrix, &KMedoidsConfig::new(1));
+        let result = cluster(&matrix, 1, DEFAULT_CLUSTER_SEED);
         assert!(result.assignments.iter().all(|&a| a == 0));
         assert_eq!(result.medoids.len(), 1);
-        let mut get =
-            |i: usize, j: usize| -> Result<f64, std::convert::Infallible> { Ok(matrix[i][j]) };
-        assert_eq!(result.silhouette(&mut get).unwrap(), 0.0, "single cluster scores 0");
+        let s = result.silhouette(&mut getter(&matrix)).unwrap();
+        assert_eq!(s, 0.0, "single cluster scores 0");
     }
 
     #[test]
     fn k_is_clamped_and_seeding_is_distinct() {
         let matrix = two_blob_matrix();
-        let result = kmedoids(&matrix, &KMedoidsConfig::new(99));
+        let result = cluster(&matrix, 99, DEFAULT_CLUSTER_SEED);
         assert_eq!(result.medoids.len(), 6, "k clamps to n");
         let mut sorted = result.medoids.clone();
         sorted.dedup();
         assert_eq!(sorted.len(), 6, "medoids are distinct points");
-        let mut get =
-            |i: usize, j: usize| -> Result<f64, std::convert::Infallible> { Ok(matrix[i][j]) };
+        let mut get = getter(&matrix);
         let seeds = seed_medoids(6, 4, 123, &mut get).unwrap();
         let mut unique = seeds.clone();
         unique.sort_unstable();

@@ -10,9 +10,9 @@
 //! * run clustering — the edit distance is a metric over the runs of one
 //!   specification, so whole run collections can be organised around
 //!   representative runs:
-//!   * [`mod@kmedoids`] — a deterministic, distance-matrix-backed k-medoids
-//!     (PAM-style alternating) clusterer with a medoid-based silhouette
-//!     score,
+//!   * [`mod@kmedoids`] — the deterministic k-medoids (PAM-style
+//!     alternating) iteration over a distance callback, with a
+//!     medoid-based silhouette score,
 //!   * [`incremental`] — [`IncrementalClusterIndex`], which maintains
 //!     per-specification medoids and assignments **as runs stream in or
 //!     out**: a streamed insert costs O(k + affected cluster) prepared
@@ -21,12 +21,12 @@
 //!     restarted server resume clustering without re-differencing
 //!     (validated on load, silently rebuilt when stale).
 //!
-//! The run-clustering entry points for most callers are
-//! [`DiffService::cluster_medoids`] and [`DiffService::nearest_runs`]
-//! (served over HTTP as `GET /cluster?algo=kmedoids` and `GET /similar`).
+//! The run-clustering entry point for most callers is
+//! [`DiffService::cluster_medoids`] (served over HTTP as
+//! `GET /cluster?algo=kmedoids`); the memoised member-to-medoid distances
+//! also give `GET /similar` its medoid-pivot screening.
 //!
 //! [`DiffService::cluster_medoids`]: crate::service::DiffService::cluster_medoids
-//! [`DiffService::nearest_runs`]: crate::service::DiffService::nearest_runs
 
 pub mod composite;
 pub mod incremental;
@@ -35,5 +35,5 @@ pub mod persist;
 
 pub use composite::{ClusterDiff, Clustering};
 pub use incremental::{ClusterSnapshot, IncrementalClusterIndex, RunCluster};
-pub use kmedoids::{kmedoids, KMedoids, KMedoidsConfig, DEFAULT_CLUSTER_SEED};
+pub use kmedoids::{KMedoids, DEFAULT_CLUSTER_SEED};
 pub use persist::CLUSTER_CACHE_FORMAT;

@@ -35,10 +35,9 @@
 //!   paths on the source run, green inserted paths on the target run),
 //! * [`cluster`] — composite-module clustering (the "zoom" of large
 //!   provenance graphs) **and** run clustering: a deterministic k-medoids
-//!   clusterer, the [`IncrementalClusterIndex`] that follows the store as
+//!   iteration, the [`IncrementalClusterIndex`] that follows the store as
 //!   runs stream in or out, and its optional on-disk checkpoint,
-//! * [`metricindex`] — the metric index behind pruned `GET /similar`
-//!   queries: a deterministic vantage-point tree per specification with
+//! * [`metricindex`] — the metric index behind `GET /similar` queries: a deterministic vantage-point tree per specification with
 //!   certified triangle-inequality pruning, maintained incrementally and
 //!   checkpointed as `metric_index.json`,
 //! * [`serve`] — a dependency-free HTTP/1.1 front-end over `std::net`
@@ -93,8 +92,8 @@ pub mod stream;
 pub mod wal;
 
 pub use cluster::{
-    ClusterDiff, ClusterSnapshot, Clustering, IncrementalClusterIndex, KMedoids, KMedoidsConfig,
-    RunCluster, DEFAULT_CLUSTER_SEED,
+    ClusterDiff, ClusterSnapshot, Clustering, IncrementalClusterIndex, KMedoids, RunCluster,
+    DEFAULT_CLUSTER_SEED,
 };
 pub use derived::CheckpointReport;
 pub use io::{RunDescriptor, SpecDescriptor, DESCRIPTOR_FORMAT};

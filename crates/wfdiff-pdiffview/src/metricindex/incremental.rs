@@ -18,7 +18,7 @@
 //! cluster index uses, and a checkpoint appends one WAL delta per changed
 //! spec.
 
-use super::vptree::{MedoidPivots, QueryStats, RemoveOutcome, VpTree};
+use super::vptree::{MedoidPivots, RemoveOutcome, VpTree};
 use crate::cluster::incremental::DistanceOracle;
 use crate::derived::SpecStates;
 use wfdiff_sptree::Fingerprint;
@@ -33,8 +33,6 @@ pub const DEFAULT_METRIC_SEED: u64 = 0x9D17;
 pub struct PruneStats {
     /// Distances requested from the oracle (the exact sweep needs `n - 1`).
     pub distance_evals: usize,
-    /// Vantage-point-tree nodes visited.
-    pub nodes_visited: usize,
     /// Subtrees excluded by a certified (or ε-relaxed) bound.
     pub subtrees_pruned: usize,
     /// Leaf candidates excluded by a memoized medoid-pivot bound.
@@ -86,6 +84,8 @@ impl IncrementalMetricIndex {
     /// screens leaf candidates with distances the cluster index already
     /// memoized.  The returned [`PruneStats`] counts query-time work only;
     /// a rebuild's distance fetches are amortised over subsequent queries.
+    /// Trees are drawn with [`DEFAULT_METRIC_SEED`]; a state drawn with
+    /// another seed is rebuilt.
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     pub fn nearest<O: DistanceOracle>(
         &self,
@@ -96,9 +96,9 @@ impl IncrementalMetricIndex {
         k: usize,
         epsilon: f64,
         pivots: Option<&MedoidPivots>,
-        seed: u64,
         oracle: &O,
     ) -> Result<(Vec<(String, f64)>, PruneStats), O::Error> {
+        let seed = DEFAULT_METRIC_SEED;
         let mut members: Vec<String> = run_names.to_vec();
         members.sort();
         members.dedup();
@@ -115,27 +115,13 @@ impl IncrementalMetricIndex {
         let Some(state) = states.get(spec) else {
             // Unreachable — the branch above inserted or verified the state —
             // but a serving process must not panic over it.
-            let stats = PruneStats {
-                distance_evals: 0,
-                nodes_visited: 0,
-                subtrees_pruned: 0,
-                members_pruned: 0,
-                approx_epsilon: epsilon,
-            };
-            return Ok((Vec::new(), stats));
+            return Ok((
+                Vec::new(),
+                PruneStats { approx_epsilon: epsilon, ..PruneStats::default() },
+            ));
         };
         let mut row = |source: &str, targets: &[&str]| oracle.distances(source, targets);
-        let (neighbors, query_stats) = state.tree.nearest(query, k, epsilon, pivots, &mut row)?;
-        let QueryStats { distance_evals, nodes_visited, subtrees_pruned, members_pruned } =
-            query_stats;
-        let stats = PruneStats {
-            distance_evals,
-            nodes_visited,
-            subtrees_pruned,
-            members_pruned,
-            approx_epsilon: epsilon,
-        };
-        Ok((neighbors, stats))
+        state.tree.nearest(query, k, epsilon, pivots, &mut row)
     }
 
     /// Folds a just-stored run into the tree, if the index holds state for
@@ -271,16 +257,14 @@ mod tests {
         let oracle = MatrixOracle::new(line());
         let index = IncrementalMetricIndex::new();
         let members = names(0..40);
-        let (got, stats) = index
-            .nearest("s", VERSION, &members, "p3", 5, 0.0, None, DEFAULT_METRIC_SEED, &oracle)
-            .unwrap();
+        let (got, stats) =
+            index.nearest("s", VERSION, &members, "p3", 5, 0.0, None, &oracle).unwrap();
         assert_eq!(got, exact(&line(), 3, &members, 5));
         assert_eq!(stats.approx_epsilon, 0.0);
         let after_build = *oracle.fetches.borrow();
         // A repeat query rebuilds nothing: only query-time evals accrue.
-        let (again, stats) = index
-            .nearest("s", VERSION, &members, "p3", 5, 0.0, None, DEFAULT_METRIC_SEED, &oracle)
-            .unwrap();
+        let (again, stats) =
+            index.nearest("s", VERSION, &members, "p3", 5, 0.0, None, &oracle).unwrap();
         assert_eq!(again, got);
         assert_eq!(*oracle.fetches.borrow() - after_build, stats.distance_evals);
         assert!(stats.distance_evals < members.len() - 1, "pruning beat the sweep");
@@ -291,25 +275,19 @@ mod tests {
         let oracle = MatrixOracle::new(line());
         let index = IncrementalMetricIndex::new();
         let mut members = names(0..35);
-        index
-            .nearest("s", VERSION, &members, "p0", 3, 0.0, None, DEFAULT_METRIC_SEED, &oracle)
-            .unwrap();
+        index.nearest("s", VERSION, &members, "p0", 3, 0.0, None, &oracle).unwrap();
         for i in 35..40 {
             assert!(index.insert_run("s", VERSION, &format!("p{i}"), &oracle).unwrap());
             members.push(format!("p{i}"));
         }
         assert_eq!(index.member_count("s"), 40);
         members.sort();
-        let (got, _) = index
-            .nearest("s", VERSION, &members, "p38", 6, 0.0, None, DEFAULT_METRIC_SEED, &oracle)
-            .unwrap();
+        let (got, _) = index.nearest("s", VERSION, &members, "p38", 6, 0.0, None, &oracle).unwrap();
         assert_eq!(got, exact(&line(), 38, &members, 6));
 
         assert!(index.remove_run("s", "p12"));
         members.retain(|n| n != "p12");
-        let (got, _) = index
-            .nearest("s", VERSION, &members, "p10", 4, 0.0, None, DEFAULT_METRIC_SEED, &oracle)
-            .unwrap();
+        let (got, _) = index.nearest("s", VERSION, &members, "p10", 4, 0.0, None, &oracle).unwrap();
         assert_eq!(got, exact(&line(), 10, &members, 4));
         assert!(!index.remove_run("s", "p12"), "already gone");
         assert!(!index.remove_run("other", "p0"));
@@ -320,15 +298,11 @@ mod tests {
         let oracle = MatrixOracle::new(line());
         let index = IncrementalMetricIndex::new();
         let members = names(0..10);
-        index
-            .nearest("s", VERSION, &members, "p0", 2, 0.0, None, DEFAULT_METRIC_SEED, &oracle)
-            .unwrap();
+        index.nearest("s", VERSION, &members, "p0", 2, 0.0, None, &oracle).unwrap();
         // Replaced run under an unchanged name: state dropped.
         assert!(!index.insert_run("s", VERSION, "p3", &oracle).unwrap());
         assert_eq!(index.member_count("s"), 0);
-        index
-            .nearest("s", VERSION, &members, "p0", 2, 0.0, None, DEFAULT_METRIC_SEED, &oracle)
-            .unwrap();
+        index.nearest("s", VERSION, &members, "p0", 2, 0.0, None, &oracle).unwrap();
         assert!(!index.insert_run("s", Fingerprint(7), "p10", &oracle).unwrap());
         assert_eq!(index.member_count("s"), 0, "stale state was dropped");
     }
@@ -339,9 +313,7 @@ mod tests {
         let index = IncrementalMetricIndex::new();
         let states = &index.states;
         assert!(states.take_dirty_specs().is_none(), "clean index skips the append");
-        index
-            .nearest("s", VERSION, &names(0..10), "p0", 2, 0.0, None, DEFAULT_METRIC_SEED, &oracle)
-            .unwrap();
+        index.nearest("s", VERSION, &names(0..10), "p0", 2, 0.0, None, &oracle).unwrap();
         assert_eq!(states.take_dirty_specs().unwrap(), vec!["s".to_string()]);
         assert!(states.take_dirty_specs().is_none());
         states.mark_dirty();

@@ -29,6 +29,7 @@
 //! descend without randomness and split overflowing leaves on their
 //! lexicographically first item, so a checkpointed tree reloads bit-for-bit.
 
+use super::incremental::PruneStats;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
@@ -75,25 +76,12 @@ pub(crate) struct VpTree {
     pub(crate) root: Option<usize>,
 }
 
-/// Counters of one [`VpTree::nearest`] traversal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct QueryStats {
-    /// Distances actually requested from the oracle.
-    pub(crate) distance_evals: usize,
-    /// Tree nodes visited.
-    pub(crate) nodes_visited: usize,
-    /// Subtrees skipped under a certified (or ε-relaxed) bound.
-    pub(crate) subtrees_pruned: usize,
-    /// Individual leaf members skipped under a medoid-pivot bound.
-    pub(crate) members_pruned: usize,
-}
-
 /// Memoized medoid-to-member distance rows borrowed from the cluster
 /// index: `rows[run][i]` is the memoized `d(run, medoids[i])`, when the
 /// clustering happened to fetch it.  Both the query's and a candidate's row
 /// cost nothing — they are reused, never recomputed — and together they
-/// bound the candidate's distance from below via
-/// [`wfdiff_core::pivot_lower_bound`]'s max-over-pivots rule.
+/// bound the candidate's distance from below by the best
+/// [`triangle_lower_bound`] over the medoids both rows hold.
 #[derive(Debug, Clone, Default)]
 pub struct MedoidPivots {
     /// Per-run distance rows, aligned with the medoid list they were built
@@ -280,9 +268,9 @@ impl VpTree {
         epsilon: f64,
         pivots: Option<&MedoidPivots>,
         row: &mut impl FnMut(&str, &[&str]) -> Result<Vec<f64>, E>,
-    ) -> Result<(Vec<(String, f64)>, QueryStats), E> {
+    ) -> Result<(Vec<(String, f64)>, PruneStats), E> {
         let mut best = BestK::new(k);
-        let mut stats = QueryStats::default();
+        let mut stats = PruneStats { approx_epsilon: epsilon, ..PruneStats::default() };
         if k > 0 {
             self.search(self.root, query, epsilon, pivots, row, &mut best, &mut stats)?;
         }
@@ -304,12 +292,11 @@ impl VpTree {
         pivots: Option<&MedoidPivots>,
         row: &mut impl FnMut(&str, &[&str]) -> Result<Vec<f64>, E>,
         best: &mut BestK,
-        stats: &mut QueryStats,
+        stats: &mut PruneStats,
     ) -> Result<(), E> {
         let Some(id) = node else {
             return Ok(());
         };
-        stats.nodes_visited += 1;
         match &self.nodes[id] {
             VpNode::Leaf { items } => {
                 let mut survivors: Vec<&str> = Vec::with_capacity(items.len());

@@ -35,8 +35,9 @@
 //!   rename commits the switch.
 //! * Runs are **not** listed in the manifest: every `runs/*.json` document
 //!   carries its own name and the fingerprint of the spec version it belongs
-//!   to.  Appending a run to a live store directory is a single atomic file
-//!   creation — no index rewrite.
+//!   to.  Appending a run to a live store directory is a single WAL record
+//!   (one append plus one fsync) — no document or index rewrite; the next
+//!   full save folds it into a run document.
 //!
 //! # Crash safety
 //!
@@ -388,6 +389,24 @@ fn canonical_fingerprint(
     Ok((rebuilt.fingerprint(), rebuilt))
 }
 
+/// Reads `dir`'s manifest and checks its format version — the first step of
+/// every load and WAL append.  Returns the manifest's path too, for error
+/// context.
+fn read_manifest(dir: &Path) -> Result<(PathBuf, StoreManifest), PersistError> {
+    let path = dir.join("manifest.json");
+    let manifest: StoreManifest = read_json(&path)?;
+    if manifest.format != STORE_FORMAT {
+        return Err(format_err(
+            &path,
+            format!(
+                "store format {} is not supported by this build (expected {STORE_FORMAT})",
+                manifest.format
+            ),
+        ));
+    }
+    Ok((path, manifest))
+}
+
 // ---------------------------------------------------------------------------
 // Save / load
 // ---------------------------------------------------------------------------
@@ -456,25 +475,11 @@ impl WorkflowStore {
         let mut used_dirs = std::collections::BTreeSet::new();
 
         for (name, (spec, runs)) in &snapshot {
-            let descriptor = SpecDescriptor::from_specification(spec);
             // Error-context label only: the real directory name needs the
             // fingerprint, which is what this step computes, so a rebuild
             // failure is reported against the slug prefix of the spec.
-            let spec_json_path = specs_root.join(slug(name));
-            // The descriptor → specification rebuild behind
-            // `canonical_fingerprint` repeats the full SP decomposition;
-            // memoise its result per in-memory spec version so repeated
-            // saves of an unchanged store stay cheap.
-            let cached = self.persist_fp_cache.lock().get(&spec.fingerprint()).copied();
-            let fp = match cached {
-                Some(fp) => fp,
-                None => {
-                    let (fp, _) = canonical_fingerprint(&spec_json_path, &descriptor)?;
-                    self.persist_fp_cache.lock().insert(spec.fingerprint(), fp);
-                    fp
-                }
-            };
-            let fp_hex = fp.to_string();
+            let fp_hex =
+                self.persistent_fingerprint(&specs_root.join(slug(name)), spec)?.to_string();
             // Distinct names can share a slug (and even a structure), so the
             // directory name gets a counter on collision.  A candidate is
             // also bumped when it already exists on disk holding a spec
@@ -528,7 +533,7 @@ impl WorkflowStore {
                 &SpecDocument {
                     format: STORE_FORMAT,
                     fingerprint: fp_hex.clone(),
-                    spec: descriptor,
+                    spec: SpecDescriptor::from_specification(spec),
                 },
             )?;
 
@@ -588,28 +593,17 @@ impl WorkflowStore {
         // merge is safe on both sides of the manifest rename: the checkpoints
         // are validated entry by entry on load, and the still-untruncated
         // WAL replays to the same state.
-        let mut derived_deltas: Vec<(wal::DerivedKind, wal::DerivedDeltaRecord)> = Vec::new();
-        // Stream events grouped per (spec, stream) in arrival order.  A
-        // closure marker kills its group (those events are folded into the
-        // finalised run); later records under the same key — a legal reuse
-        // of the name after the run was deleted — start a fresh group.
-        let mut streams: Vec<((String, String), Vec<wal::StreamEventRecord>)> = Vec::new();
-        for record in wal_scan.records {
-            match record {
-                wal::WalRecord::Derived(kind, delta) => derived_deltas.push((kind, delta)),
-                wal::WalRecord::StreamEvent(event) => {
-                    let key = (event.spec.clone(), event.stream.clone());
-                    if event.event.is_none() {
-                        streams.retain(|(k, _)| *k != key);
-                    } else if let Some((_, group)) = streams.iter_mut().find(|(k, _)| *k == key) {
-                        group.push(event);
-                    } else {
-                        streams.push((key, vec![event]));
-                    }
-                }
-                _ => {}
-            }
-        }
+        // Stream events of the streams still open (a closure marker's events
+        // are folded into the finalised run).
+        let (streams, _) = wal::open_streams(&wal_scan.records);
+        let derived_deltas: Vec<(wal::DerivedKind, wal::DerivedDeltaRecord)> = wal_scan
+            .records
+            .into_iter()
+            .filter_map(|record| match record {
+                wal::WalRecord::Derived(kind, delta) => Some((kind, delta)),
+                _ => None,
+            })
+            .collect();
         derived::fold::<IncrementalClusterIndex>(&*self.io, dir, &derived_deltas)?;
         derived::fold::<IncrementalMetricIndex>(&*self.io, dir, &derived_deltas)?;
 
@@ -724,39 +718,35 @@ impl WorkflowStore {
         self.append_wal_locked(dir, &[record])
     }
 
+    /// The canonical persistent fingerprint of `spec`.  The descriptor →
+    /// specification rebuild behind it repeats the full SP decomposition, so
+    /// the result is memoised per in-memory spec version and the descriptor
+    /// is only built on a miss; `path` labels a rebuild failure.
+    fn persistent_fingerprint(
+        &self,
+        path: &Path,
+        spec: &Specification,
+    ) -> Result<Fingerprint, PersistError> {
+        if let Some(&fp) = self.persist_fp_cache.lock().get(&spec.fingerprint()) {
+            return Ok(fp);
+        }
+        let (fp, _) = canonical_fingerprint(path, &SpecDescriptor::from_specification(spec))?;
+        self.persist_fp_cache.lock().insert(spec.fingerprint(), fp);
+        Ok(fp)
+    }
+
     /// Checks that `dir` is a current-format store whose manifest lists the
     /// exact version of `spec` this store holds, and returns the canonical
     /// *persistent* fingerprint (hex) the manifest records — the shared
-    /// precondition of every hot-path WAL append.  The in-memory → persistent
-    /// fingerprint mapping is memoised exactly like `save_to_dir`.  The
-    /// caller holds `save_lock`.
+    /// precondition of every hot-path WAL append.  The caller holds
+    /// `save_lock`.
     pub(crate) fn persistent_fp_for_append(
         &self,
         dir: &Path,
         spec: &Specification,
     ) -> Result<String, PersistError> {
-        let manifest_path = dir.join("manifest.json");
-        let manifest: StoreManifest = read_json(&manifest_path)?;
-        if manifest.format != STORE_FORMAT {
-            return Err(format_err(
-                &manifest_path,
-                format!(
-                    "store format {} is not supported by this build (expected {STORE_FORMAT})",
-                    manifest.format
-                ),
-            ));
-        }
-        let descriptor = SpecDescriptor::from_specification(spec);
-        let cached = self.persist_fp_cache.lock().get(&spec.fingerprint()).copied();
-        let fp = match cached {
-            Some(fp) => fp,
-            None => {
-                let (fp, _) = canonical_fingerprint(&manifest_path, &descriptor)?;
-                self.persist_fp_cache.lock().insert(spec.fingerprint(), fp);
-                fp
-            }
-        };
-        let fp_hex = fp.to_string();
+        let (manifest_path, manifest) = read_manifest(dir)?;
+        let fp_hex = self.persistent_fingerprint(&manifest_path, spec)?.to_string();
         let entry = manifest.specs.iter().find(|s| s.name == spec.name()).ok_or_else(|| {
             format_err(
                 &manifest_path,
@@ -859,10 +849,11 @@ impl WorkflowStore {
     }
 
     /// Makes one run *removal* durable by appending a record to the
-    /// write-ahead log — the mirror of [`WorkflowStore::append_run_to_dir`],
-    /// used by the server's `DELETE /runs` path.  Replay removes the run
-    /// whether it lives in a manifest-committed document or an earlier WAL
-    /// record; removing a run the directory never held is a durable no-op.
+    /// write-ahead log — the mirror of [`WorkflowStore::append_run_to_dir`]
+    /// for library callers that remove stored runs (the server has no run
+    /// removal endpoint).  Replay removes the run whether it lives in a
+    /// manifest-committed document or an earlier WAL record; removing a run
+    /// the directory never held is a durable no-op.
     ///
     /// The directory must be a readable store of the current format; a
     /// specification the manifest does not list needs no removal record, so
@@ -875,17 +866,7 @@ impl WorkflowStore {
     ) -> Result<(), PersistError> {
         let _guard = self.save_lock.lock();
         let dir = dir.as_ref();
-        let manifest_path = dir.join("manifest.json");
-        let manifest: StoreManifest = read_json(&manifest_path)?;
-        if manifest.format != STORE_FORMAT {
-            return Err(format_err(
-                &manifest_path,
-                format!(
-                    "store format {} is not supported by this build (expected {STORE_FORMAT})",
-                    manifest.format
-                ),
-            ));
-        }
+        let (_, manifest) = read_manifest(dir)?;
         if !manifest.specs.iter().any(|s| s.name == spec) {
             return Ok(());
         }
@@ -967,17 +948,7 @@ impl WorkflowStore {
         io: Arc<dyn StoreIo>,
     ) -> Result<WorkflowStore, PersistError> {
         let dir = dir.as_ref();
-        let manifest_path = dir.join("manifest.json");
-        let manifest: StoreManifest = read_json(&manifest_path)?;
-        if manifest.format != STORE_FORMAT {
-            return Err(format_err(
-                &manifest_path,
-                format!(
-                    "store format {} is not supported by this build (expected {STORE_FORMAT})",
-                    manifest.format
-                ),
-            ));
-        }
+        let (manifest_path, manifest) = read_manifest(dir)?;
 
         let store = WorkflowStore::with_io(io);
         let mut seen_spec_names = std::collections::BTreeSet::new();

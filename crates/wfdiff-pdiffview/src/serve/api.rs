@@ -199,16 +199,12 @@ pub struct SimilarResponse {
     pub k: usize,
     /// Nearest runs, ascending by distance (ties by run name).
     pub neighbors: Vec<SimilarEntry>,
-    /// `true` when the metric index answered (`pruned=1` / `approx=`);
-    /// `false` for the exact O(n) sweep.
-    #[serde(default)]
-    pub pruned: bool,
     /// The ε error bound of an `approx=` query (0 = certified exact: every
     /// reported distance and tie-break matches the O(n) sweep).
     #[serde(default)]
     pub approx_epsilon: f64,
-    /// Edit-distance evaluations this query performed (the sweep performs
-    /// n−1).
+    /// Edit-distance evaluations this query performed (the exact sweep
+    /// would perform n−1).
     #[serde(default)]
     pub distance_evals: u64,
     /// Vantage-point subtrees the triangle inequality excluded outright.

@@ -396,23 +396,24 @@ fn close_stream(state: &AppState, spec: &str, stream: &str) -> Result<(u16, Stri
     )
 }
 
-/// `GET /similar?spec=…&run=…&k=…[&pruned=1][&approx=ε]`: the `k` stored
-/// runs nearest to `run` by exact edit distance, nearest first.
+/// `GET /similar?spec=…&run=…&k=…[&approx=ε]`: the `k` stored runs nearest
+/// to `run` by exact edit distance, nearest first.
 ///
-/// `pruned=1` routes the query through the per-spec vantage-point metric
-/// index with certified triangle-inequality pruning — same answer as the
-/// exact sweep, ordering and tie-breaks included, usually far fewer
-/// distance evaluations (reported in the response and the
-/// `wfdiff_similar_*` counters).  `approx=ε` (implies `pruned`) relaxes the
-/// bound: every reported distance is at most `(1+ε)` times the true `k`-th.
+/// The query runs through the per-spec vantage-point metric index with
+/// certified triangle-inequality pruning — the exact sweep's answer,
+/// ordering and tie-breaks included, usually for far fewer distance
+/// evaluations (reported in the response and the `wfdiff_similar_*`
+/// counter).  A spec's first query builds its tree, which is then
+/// checkpointed beside the store.  `approx=ε` relaxes the bound: every
+/// reported distance is at most `(1+ε)` times the true `k`-th.
 fn similar(state: &AppState, req: &Request) -> Result<(u16, String), ApiError> {
     let spec = req.query_param("spec").ok_or_else(|| ApiError::missing_param("spec"))?;
     let run = req.query_param("run").ok_or_else(|| ApiError::missing_param("run"))?;
     let k = parse_int_param::<usize>(req, "k")?.unwrap_or(DEFAULT_SIMILAR_K);
     let epsilon = match req.query_param("approx") {
-        None => None,
+        None => 0.0,
         Some(raw) => match raw.parse::<f64>() {
-            Ok(e) if e.is_finite() && e >= 0.0 => Some(e),
+            Ok(e) if e.is_finite() && e >= 0.0 => e,
             _ => {
                 return Err(ApiError::bad_request(
                     "invalid_parameter",
@@ -423,55 +424,31 @@ fn similar(state: &AppState, req: &Request) -> Result<(u16, String), ApiError> {
             }
         },
     };
-    let pruned = epsilon.is_some()
-        || match req.query_param("pruned") {
-            None | Some("0") => false,
-            Some("1") => true,
-            Some(raw) => {
-                return Err(ApiError::bad_request(
-                    "invalid_parameter",
-                    format!("query parameter \"pruned\" must be 0 or 1, got {raw:?}"),
-                ));
-            }
-        };
     let shard = state.shard(spec);
     let service = shard.service();
-    let mut response = SimilarResponse {
-        spec: spec.to_string(),
-        run: run.to_string(),
-        k,
-        neighbors: Vec::new(),
-        pruned,
-        approx_epsilon: epsilon.unwrap_or(0.0),
-        distance_evals: 0,
-        subtrees_pruned: 0,
-        members_pruned: 0,
-    };
-    let neighbors = if pruned {
-        let (neighbors, stats) =
-            service.nearest_runs_pruned(spec, run, k, epsilon.unwrap_or(0.0))?;
-        response.distance_evals = stats.distance_evals as u64;
-        response.subtrees_pruned = stats.subtrees_pruned as u64;
-        response.members_pruned = stats.members_pruned as u64;
-        state.metrics.similar_pruned().inc();
-        // Checkpoint the (possibly just-built) tree as a WAL delta; cheap
-        // when nothing changed, best-effort like the cluster checkpoint.
-        if let Some(dir) = shard.dir() {
-            let _ = service.save_metric_state(dir);
-        }
-        neighbors
-    } else {
-        let neighbors = service.nearest_runs(spec, run, k)?;
-        // The exact sweep evaluates the query against every other run.
-        response.distance_evals = service.store().run_names(spec).len().saturating_sub(1) as u64;
-        neighbors
-    };
-    state.metrics.similar_distance_evals().add(response.distance_evals);
-    response.neighbors = neighbors
-        .into_iter()
-        .map(|p| SimilarEntry { run: p.target, distance: p.distance })
-        .collect();
-    json(200, &response)
+    let (neighbors, stats) = service.nearest_runs_pruned(spec, run, k, epsilon)?;
+    // Checkpoint the (possibly just-built) tree as a WAL delta; cheap when
+    // nothing changed, best-effort like the cluster checkpoint.
+    if let Some(dir) = shard.dir() {
+        let _ = service.save_metric_state(dir);
+    }
+    state.metrics.similar_distance_evals().add(stats.distance_evals as u64);
+    json(
+        200,
+        &SimilarResponse {
+            spec: spec.to_string(),
+            run: run.to_string(),
+            k,
+            neighbors: neighbors
+                .into_iter()
+                .map(|p| SimilarEntry { run: p.target, distance: p.distance })
+                .collect(),
+            approx_epsilon: epsilon,
+            distance_evals: stats.distance_evals as u64,
+            subtrees_pruned: stats.subtrees_pruned as u64,
+            members_pruned: stats.members_pruned as u64,
+        },
+    )
 }
 
 /// Parses an optional non-negative integer query parameter.
@@ -639,7 +616,7 @@ mod tests {
     use crate::io::RunDescriptor;
     use crate::store::WorkflowStore;
     use crate::stream::StreamEvent;
-    use wfdiff_workloads::figures::{fig2_run1, fig2_run2, fig2_specification};
+    use wfdiff_workloads::figures::{fig2_run1, fig2_run2, fig2_run3, fig2_specification};
 
     fn request(method: &str, target: &str, body: &str) -> Request {
         let (path, query) = target.split_once('?').unwrap_or((target, ""));
@@ -837,56 +814,59 @@ mod tests {
     }
 
     #[test]
-    fn similar_pruned_mode_matches_exact_and_validates_params() {
+    fn similar_reports_pruning_stats_and_validates_params() {
         let state = state();
-        let (status, exact_body) =
-            route(&state, &request("GET", "/similar?spec=fig2&run=r1&k=5", ""));
-        assert_eq!(status, 200, "{exact_body}");
-        let exact: SimilarResponse = serde_json::from_str(&exact_body).unwrap();
-        assert!(!exact.pruned);
-        assert_eq!(exact.distance_evals, 1, "the sweep evaluates every other run");
-
-        // pruned=1 answers through the metric index: identical neighbours
-        // and distances, pruning stats reported.
-        let (status, body) =
-            route(&state, &request("GET", "/similar?spec=fig2&run=r1&k=5&pruned=1", ""));
+        let (status, body) = route(&state, &request("GET", "/similar?spec=fig2&run=r1&k=5", ""));
         assert_eq!(status, 200, "{body}");
-        let pruned: SimilarResponse = serde_json::from_str(&body).unwrap();
-        assert!(pruned.pruned);
-        assert_eq!(pruned.approx_epsilon, 0.0);
-        assert_eq!(pruned.neighbors.len(), exact.neighbors.len());
-        for (a, b) in exact.neighbors.iter().zip(&pruned.neighbors) {
-            assert_eq!(a.run, b.run);
-            assert_eq!(a.distance, b.distance);
-        }
-        // pruned=0 is the exact sweep.
-        let (status, body) =
-            route(&state, &request("GET", "/similar?spec=fig2&run=r1&k=5&pruned=0", ""));
-        assert_eq!(status, 200, "{body}");
-        let out: SimilarResponse = serde_json::from_str(&body).unwrap();
-        assert!(!out.pruned);
+        let exact: SimilarResponse = serde_json::from_str(&body).unwrap();
+        assert_eq!(exact.approx_epsilon, 0.0, "certified exact unless approx= relaxes it");
+        assert_eq!(exact.distance_evals, 1, "one other run to evaluate");
 
-        // approx= implies pruned and echoes the bound.
+        // approx= relaxes the bound and echoes it.
         let (status, body) =
             route(&state, &request("GET", "/similar?spec=fig2&run=r1&k=5&approx=0.5", ""));
         assert_eq!(status, 200, "{body}");
         let out: SimilarResponse = serde_json::from_str(&body).unwrap();
-        assert!(out.pruned);
         assert_eq!(out.approx_epsilon, 0.5);
+        assert_eq!(out.neighbors.len(), exact.neighbors.len());
 
-        // Malformed pruned/approx values are 400s, and k=0 stays a clean
-        // 400 through the pruned path too.
+        // Malformed approx values are 400s, and k=0 stays a clean 400.
         for bad in [
-            "/similar?spec=fig2&run=r1&pruned=2",
-            "/similar?spec=fig2&run=r1&pruned=yes",
             "/similar?spec=fig2&run=r1&approx=-1",
             "/similar?spec=fig2&run=r1&approx=abc",
             "/similar?spec=fig2&run=r1&approx=inf",
-            "/similar?spec=fig2&run=r1&k=0&pruned=1",
+            "/similar?spec=fig2&run=r1&k=0",
         ] {
             let (status, body) = route(&state, &request("GET", bad, ""));
             assert_eq!(status, 400, "{bad}: {body}");
         }
+    }
+
+    #[test]
+    fn plain_similar_builds_the_metric_index_and_matches_the_exact_sweep() {
+        let state = state();
+        let service = Arc::clone(state.router().shard_for("fig2").service());
+        let store = Arc::clone(service.store());
+        let spec = store.spec("fig2").unwrap();
+        store.insert_run("r3", fig2_run3(&spec)).unwrap();
+        let (status, body) = route(&state, &request("GET", "/similar?spec=fig2&run=r1&k=5", ""));
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(service.metric_index().member_count("fig2"), store.run_count());
+        // The exact sweep: every other run's distance, by distance then name.
+        let mut sweep: Vec<(&str, f64)> =
+            ["r2", "r3"].map(|r| (r, service.diff("fig2", "r1", r).unwrap().distance)).to_vec();
+        sweep.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(b.0)));
+        let out: SimilarResponse = serde_json::from_str(&body).unwrap();
+        assert_eq!(out.neighbors.len(), sweep.len());
+        for (got, (run, distance)) in out.neighbors.iter().zip(&sweep) {
+            assert_eq!(got.run, *run);
+            assert_eq!(got.distance.to_bits(), distance.to_bits());
+        }
+        // `pruned=` is no parameter: ignored like any unknown one.
+        let (status, again) =
+            route(&state, &request("GET", "/similar?spec=fig2&run=r1&k=5&pruned=1", ""));
+        assert_eq!(status, 200, "{again}");
+        assert_eq!(again, body);
     }
 
     #[test]

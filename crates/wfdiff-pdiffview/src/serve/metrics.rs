@@ -269,7 +269,6 @@ pub struct ServeMetrics {
     workers: Gauge,
     workers_busy: Gauge,
     cluster_update: Histogram,
-    similar_pruned: Counter,
     similar_distance_evals: Counter,
     stream_events: Counter,
     drift_flags: Counter,
@@ -291,7 +290,6 @@ impl ServeMetrics {
             workers: Gauge::new(),
             workers_busy: Gauge::new(),
             cluster_update: Histogram::new(),
-            similar_pruned: Counter::new(),
             similar_distance_evals: Counter::new(),
             stream_events: Counter::new(),
             drift_flags: Counter::new(),
@@ -365,14 +363,8 @@ impl ServeMetrics {
         &self.workers_busy
     }
 
-    /// `GET /similar` queries answered through the metric index
-    /// (`pruned=1` / `approx=`).
-    pub fn similar_pruned(&self) -> &Counter {
-        &self.similar_pruned
-    }
-
-    /// Edit-distance evaluations `GET /similar` queries performed (both the
-    /// exact sweep's n−1 and the metric index's pruned count) — divide by
+    /// Edit-distance evaluations `GET /similar` queries performed (what the
+    /// metric index's bounds could not certify away) — divide by
     /// `wfdiff_http_requests_total{endpoint="similar"}` for evals per query.
     pub fn similar_distance_evals(&self) -> &Counter {
         &self.similar_distance_evals
@@ -496,12 +488,6 @@ impl ServeMetrics {
             "wfdiff_http_connections_rejected_total",
             "Connections answered 503 because the connection table was full.",
             &self.connections_rejected,
-        );
-        counter_head_sample(
-            m,
-            "wfdiff_similar_pruned_total",
-            "GET /similar queries answered through the metric index.",
-            &self.similar_pruned,
         );
         counter_head_sample(
             m,

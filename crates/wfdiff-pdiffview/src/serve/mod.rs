@@ -31,11 +31,11 @@
 //!
 //! # Sharding
 //!
-//! [`Server::bind_sharded`] serves N store shards behind one address: each
-//! spec lives on the shard its name hashes to ([`shard::shard_of`]),
+//! [`Server::bind`] serves N store shards behind one address: each spec
+//! lives on the shard its name hashes to ([`shard::shard_of`]),
 //! spec-addressed endpoints route to exactly one shard, and `/specs`,
-//! `/healthz` and `/metrics` aggregate across all of them.  The single-store
-//! [`Server::bind`] is the one-shard special case.
+//! `/healthz` and `/metrics` aggregate across all of them.  A single store
+//! is the one-shard router of [`ShardRouter::single`].
 //!
 //! # Endpoints
 //!
@@ -52,7 +52,7 @@
 //! | `POST /diff/batch`       | [`api::BatchDiffRequest`] | a pair list fanned onto the diff pool |
 //! | `GET /cluster?spec&a&b[&separator]` | — | per-composite-module change summary |
 //! | `GET /cluster?spec&algo=kmedoids&k[&seed]` | — | incremental k-medoids run clustering (medoids + silhouette) |
-//! | `GET /similar?spec&run[&k]` | — | the `k` stored runs nearest to `run`, exact distances |
+//! | `GET /similar?spec&run[&k][&approx]` | — | the `k` stored runs nearest to `run`, exact distances, through the metric index |
 //! | `GET /metrics`           | —    | Prometheus text exposition ([`metrics`]) |
 //!
 //! All bodies are JSON (except `/metrics`, which is Prometheus text); every
@@ -75,6 +75,7 @@
 //!   once it has been silent that long (checked every eighth of the timeout,
 //!   at most every second).
 //!
+//! [`DiffService`]: crate::service::DiffService
 //! [`WorkflowStore`]: crate::store::WorkflowStore
 
 pub mod api;
@@ -89,13 +90,11 @@ pub use handlers::AppState;
 pub use metrics::ServeMetrics;
 pub use shard::{ShardEntry, ShardRouter};
 
-use crate::service::DiffService;
 use epoll::{Epoll, EPOLLIN, EPOLLONESHOT, EPOLLOUT};
 use std::io::{Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsFd;
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -142,11 +141,6 @@ pub struct ServeConfig {
     /// Ceiling on concurrently open connections; beyond it new connections
     /// are answered `503` and closed.
     pub max_connections: usize,
-    /// When set (and the server is bound with [`Server::bind`]), `POST
-    /// /runs` appends an atomic run document to this store directory via
-    /// [`crate::store::WorkflowStore::append_run_to_dir`].  Sharded servers
-    /// carry a directory per shard instead (see [`Server::bind_sharded`]).
-    pub store_dir: Option<PathBuf>,
 }
 
 impl Default for ServeConfig {
@@ -157,7 +151,6 @@ impl Default for ServeConfig {
             max_body_bytes: DEFAULT_MAX_BODY_BYTES,
             read_timeout: DEFAULT_READ_TIMEOUT,
             max_connections: DEFAULT_MAX_CONNECTIONS,
-            store_dir: None,
         }
     }
 }
@@ -170,19 +163,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the configured address over a single service (a one-shard
-    /// server).  The listener is live after `bind` returns (connections
-    /// queue in the backlog); call [`Server::start`] to begin servicing
-    /// them.
-    pub fn bind(service: Arc<DiffService>, config: ServeConfig) -> std::io::Result<Server> {
-        let router = ShardRouter::single(service, config.store_dir.clone());
-        Server::bind_sharded(router, config)
-    }
-
     /// Binds the configured address over a shard router.  Each shard keeps
-    /// its own store directory (the router's per-shard `dir`);
-    /// [`ServeConfig::store_dir`] is ignored on this path.
-    pub fn bind_sharded(router: ShardRouter, config: ServeConfig) -> std::io::Result<Server> {
+    /// its own store directory, if any: its writes (`POST /runs`, stream
+    /// batches, index checkpoints) are appended to that directory's
+    /// write-ahead log.  The listener is live after `bind` returns
+    /// (connections queue in the backlog); call [`Server::start`] to begin
+    /// servicing them.
+    pub fn bind(router: ShardRouter, config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let state = Arc::new(AppState::new(router));
         Ok(Server { listener, state, config })
@@ -712,6 +699,7 @@ fn close_socket(stream: TcpStream) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::DiffService;
     use crate::store::WorkflowStore;
     use std::io::{BufRead, Read, Write};
     use wfdiff_workloads::figures::{fig2_run1, fig2_run2, fig2_specification};
@@ -726,13 +714,13 @@ mod tests {
 
     fn started_server() -> ServerHandle {
         let config = ServeConfig { threads: 2, ..ServeConfig::default() };
-        Server::bind(fig2_service(), config).unwrap().start().unwrap()
+        Server::bind(ShardRouter::single(fig2_service(), None), config).unwrap().start().unwrap()
     }
 
     /// Starts a server and keeps its state, so a test can read the metrics
     /// registry without a scrape connection of its own.
     fn started_with_state(config: ServeConfig) -> (Arc<AppState>, ServerHandle) {
-        let server = Server::bind(fig2_service(), config).unwrap();
+        let server = Server::bind(ShardRouter::single(fig2_service(), None), config).unwrap();
         let state = Arc::clone(&server.state);
         (state, server.start().unwrap())
     }
@@ -871,7 +859,8 @@ mod tests {
         let store = Arc::new(WorkflowStore::new());
         let service = Arc::new(DiffService::new(store));
         let config = ServeConfig { threads: 1, max_connections: 2, ..ServeConfig::default() };
-        let handle = Server::bind(service, config).unwrap().start().unwrap();
+        let handle =
+            Server::bind(ShardRouter::single(service, None), config).unwrap().start().unwrap();
         let addr = handle.addr();
         // Two idle connections fill the table (give the reactor a moment to
         // accept them), then a third is refused.

@@ -32,7 +32,7 @@
 use crate::cluster::incremental::{ClusterSnapshot, DistanceOracle, IncrementalClusterIndex};
 use crate::derived::{self, CheckpointReport};
 use crate::lockrank::{LockRank, RankedRwLock};
-use crate::metricindex::{IncrementalMetricIndex, MedoidPivots, PruneStats, DEFAULT_METRIC_SEED};
+use crate::metricindex::{IncrementalMetricIndex, MedoidPivots, PruneStats};
 use crate::persist::PersistError;
 use crate::session::DiffSession;
 use crate::store::WorkflowStore;
@@ -628,14 +628,15 @@ impl DiffService {
     }
 
     /// The exact `k` nearest stored runs to `run` ("which past run is this
-    /// one closest to?") — the query behind `GET /similar`.
+    /// one closest to?") by the O(n) sweep — the oracle that
+    /// [`DiffService::nearest_runs_pruned`], the query behind
+    /// `GET /similar`, is checked against.
     ///
     /// Distances are computed against **every** other stored run of the
     /// specification (each pair riding the shared cache), so the answer is
-    /// always identical to a from-scratch recompute — no approximation
-    /// through the cluster index.  Results are sorted by distance, ties
-    /// broken by run name; `k` is clamped to the number of other runs and
-    /// must be at least 1.
+    /// always identical to a from-scratch recompute.  Results are sorted by
+    /// distance, ties broken by run name; `k` is clamped to the number of
+    /// other runs and must be at least 1.
     pub fn nearest_runs(
         &self,
         spec: &str,
@@ -671,9 +672,11 @@ impl DiffService {
         Ok(neighbors)
     }
 
-    /// The `k` nearest stored runs to `run` through the metric index —
-    /// `GET /similar?pruned=1` — with triangle-inequality pruning instead
-    /// of the O(n) sweep.
+    /// The `k` nearest stored runs to `run` through the metric index — the
+    /// query behind `GET /similar` — with triangle-inequality pruning
+    /// instead of the O(n) sweep.  A specification's first query builds its
+    /// vantage-point tree (and checkpoints resume it); later queries and
+    /// [`DiffService::notify_run_inserted`] maintain it.
     ///
     /// With `epsilon == 0` (the default) the result is **certified**
     /// identical to [`DiffService::nearest_runs`], ordering and tie-breaks
@@ -717,7 +720,6 @@ impl DiffService {
             k,
             epsilon,
             pivots.as_ref(),
-            DEFAULT_METRIC_SEED,
             &oracle,
         )?;
         let neighbors = neighbors
@@ -992,21 +994,8 @@ impl DiffService {
         let mut rebuilt: Vec<((String, String), PartialRun)> = Vec::new();
         {
             let _guard = self.store.save_lock.lock();
-            let scan = wal::scan(dir)?;
-            let mut groups: Vec<((String, String), Vec<wal::StreamEventRecord>)> = Vec::new();
-            for record in scan.records {
-                let wal::WalRecord::StreamEvent(r) = record else { continue };
-                let key = (r.spec.clone(), r.stream.clone());
-                if r.event.is_none() {
-                    let before = groups.len();
-                    groups.retain(|(k, _)| *k != key);
-                    report.closed += before - groups.len();
-                } else if let Some((_, group)) = groups.iter_mut().find(|(k, _)| *k == key) {
-                    group.push(r);
-                } else {
-                    groups.push((key, vec![r]));
-                }
-            }
+            let (groups, closed) = wal::open_streams(&wal::scan(dir)?.records);
+            report.closed += closed;
             for ((spec_name, stream_name), records) in groups {
                 let Some(spec_arc) = self.store.spec(&spec_name) else {
                     report.skipped += 1;

@@ -173,6 +173,35 @@ pub(crate) enum WalRecord {
     StreamEvent(StreamEventRecord),
 }
 
+/// One open stream's kind-5 records, keyed by `(spec, stream)`, in append
+/// order.
+pub(crate) type StreamGroup = ((String, String), Vec<StreamEventRecord>);
+
+/// The kind-5 records of a log grouped into the streams still open at its
+/// end — the shared first step of a fold and of
+/// [`DiffService::load_streams`](crate::service::DiffService::load_streams).
+/// A closure marker drops its stream's group; later records under the same
+/// key (a legal reuse of the name after the run was deleted) start a fresh
+/// group.  Also returns how many groups closure markers dropped.
+pub(crate) fn open_streams(records: &[WalRecord]) -> (Vec<StreamGroup>, usize) {
+    let mut groups: Vec<StreamGroup> = Vec::new();
+    let mut closed = 0;
+    for record in records {
+        let WalRecord::StreamEvent(r) = record else { continue };
+        let key = (r.spec.clone(), r.stream.clone());
+        if r.event.is_none() {
+            let before = groups.len();
+            groups.retain(|(k, _)| *k != key);
+            closed += before - groups.len();
+        } else if let Some((_, group)) = groups.iter_mut().find(|(k, _)| *k == key) {
+            group.push(r.clone());
+        } else {
+            groups.push((key, vec![r.clone()]));
+        }
+    }
+    (groups, closed)
+}
+
 /// CRC32 (IEEE 802.3, reflected) — dependency-free, table-driven.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();

@@ -8,7 +8,7 @@
 
 use pdiffview::pdiffview::io::RunDescriptor;
 use pdiffview::pdiffview::serve::api::{StreamEventsRequest, StreamEventsResponse};
-use pdiffview::pdiffview::serve::{ServeConfig, Server, ServerHandle};
+use pdiffview::pdiffview::serve::{ServeConfig, Server, ServerHandle, ShardRouter};
 use pdiffview::pdiffview::{DiffService, StreamEvent, WorkflowStore};
 use pdiffview::workloads::figures::{fig2_run1, fig2_run2, fig2_specification};
 use std::collections::BTreeMap;
@@ -53,13 +53,9 @@ fn boot(dir: &Path, max_body: usize) -> (Arc<WorkflowStore>, ServerHandle) {
     let store = Arc::new(WorkflowStore::load_from_dir(dir).unwrap());
     let service = Arc::new(DiffService::builder(Arc::clone(&store)).threads(2).build());
     service.warm_start().unwrap();
-    let config = ServeConfig {
-        threads: 2,
-        max_body_bytes: max_body,
-        store_dir: Some(dir.to_path_buf()),
-        ..ServeConfig::default()
-    };
-    let handle = Server::bind(service, config).unwrap().start().unwrap();
+    let config = ServeConfig { threads: 2, max_body_bytes: max_body, ..ServeConfig::default() };
+    let router = ShardRouter::single(service, Some(dir.to_path_buf()));
+    let handle = Server::bind(router, config).unwrap().start().unwrap();
     (store, handle)
 }
 

@@ -82,7 +82,7 @@ fn boot_sharded(root: &Path, n: usize, threads: usize) -> ServerHandle {
         })
         .collect();
     let config = ServeConfig { threads, ..ServeConfig::default() };
-    Server::bind_sharded(ShardRouter::new(entries), config).unwrap().start().unwrap()
+    Server::bind(ShardRouter::new(entries), config).unwrap().start().unwrap()
 }
 
 /// One request on a fresh connection; returns `(status, body)`.
