@@ -131,8 +131,7 @@ pub fn has_biclique(n: usize, edges: &[(usize, usize)], l: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
-    use wfdiff_graph::{decompose, validate_run_against_graph};
+    use wfdiff_graph::{decompose, validate_run_against_graph, SpecGraphIndex};
 
     #[test]
     fn specification_is_the_forbidden_minor() {
@@ -147,14 +146,9 @@ mod tests {
     fn both_runs_are_valid_for_the_general_model() {
         let edges = vec![(0, 0), (0, 1), (1, 0), (2, 2)];
         let inst = reduce_biclique_to_difference(3, &edges, 2);
+        let index = SpecGraphIndex::new(&inst.spec, inst.spec_source, inst.spec_sink, &[]).unwrap();
         for run in [&inst.run1, &inst.run2] {
-            let hom = validate_run_against_graph(
-                &inst.spec,
-                inst.spec_source,
-                inst.spec_sink,
-                &HashSet::new(),
-                run,
-            );
+            let hom = validate_run_against_graph(&index, run);
             assert!(hom.is_ok(), "reduction runs must be valid runs of the 4-node specification");
         }
     }

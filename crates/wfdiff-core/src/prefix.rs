@@ -90,8 +90,8 @@ impl PrefixProfile {
     pub fn new(spec: &Specification) -> Self {
         PrefixProfile {
             spec_fp: spec.fingerprint(),
-            spec_edges: spec.edge_by_labels().into_keys().collect(),
-            loop_back: spec.loop_back_labels(),
+            spec_edges: spec.edge_by_labels().keys().cloned().collect(),
+            loop_back: spec.loop_back_labels().clone(),
             counts: BTreeMap::new(),
             total: 0,
         }

@@ -24,74 +24,98 @@ use crate::error::GraphError;
 use crate::ids::{EdgeId, NodeId};
 use crate::spgraph::SpGraph;
 use crate::Result;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
-/// Binary decomposition tree of an SP-graph.
+/// Binary decomposition tree of an SP-graph, stored as an arena.
 ///
 /// Leaves correspond to edges of the original graph (identified by
 /// [`EdgeId`]); internal nodes record the composition step that combined the
-/// two operand subgraphs.
+/// two operand subtrees.  Operands always precede the node composing them,
+/// so arena order is a post-order and every node belongs to the tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BinSpTree {
+pub struct BinSpTree {
+    nodes: Vec<BinNode>,
+    root: usize,
+}
+
+/// One node of a [`BinSpTree`]; internal nodes name their operands by arena
+/// index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BinNode {
     /// A `Q` node: a single original edge.
     Leaf(EdgeId),
     /// A series composition of the two operand subtrees (left before right).
-    Series(Box<BinSpTree>, Box<BinSpTree>),
+    Series(usize, usize),
     /// A parallel composition of the two operand subtrees (unordered).
-    Parallel(Box<BinSpTree>, Box<BinSpTree>),
+    Parallel(usize, usize),
 }
 
 impl BinSpTree {
+    /// Arena index of the root.
+    pub fn root(&self) -> usize {
+        self.root
+    }
+
+    /// The node at arena index `id`.
+    pub fn node(&self, id: usize) -> BinNode {
+        self.nodes[id]
+    }
+
     /// Collects the edge ids at the leaves, left to right.
     pub fn leaves(&self) -> Vec<EdgeId> {
         let mut out = Vec::new();
-        self.collect_leaves(&mut out);
-        out
-    }
-
-    fn collect_leaves(&self, out: &mut Vec<EdgeId>) {
-        match self {
-            BinSpTree::Leaf(e) => out.push(*e),
-            BinSpTree::Series(a, b) | BinSpTree::Parallel(a, b) => {
-                a.collect_leaves(out);
-                b.collect_leaves(out);
+        let mut stack = vec![self.root];
+        while let Some(id) = stack.pop() {
+            match self.nodes[id] {
+                BinNode::Leaf(e) => out.push(e),
+                BinNode::Series(a, b) | BinNode::Parallel(a, b) => {
+                    stack.push(b);
+                    stack.push(a);
+                }
             }
         }
+        out
     }
 
     /// Total number of tree nodes (internal + leaves).
     pub fn size(&self) -> usize {
-        match self {
-            BinSpTree::Leaf(_) => 1,
-            BinSpTree::Series(a, b) | BinSpTree::Parallel(a, b) => 1 + a.size() + b.size(),
-        }
-    }
-
-    /// Height of the tree (a single leaf has height zero).
-    pub fn height(&self) -> usize {
-        match self {
-            BinSpTree::Leaf(_) => 0,
-            BinSpTree::Series(a, b) | BinSpTree::Parallel(a, b) => 1 + a.height().max(b.height()),
-        }
+        self.nodes.len()
     }
 }
 
+/// Out-degree up to which a parallel step finds a node pair's live edge by
+/// scanning the source's out-list.
+const SCAN_LIMIT: usize = 8;
+
 /// One live edge of the reduction multigraph.
+#[derive(Clone, Copy)]
 struct RedEdge {
     src: NodeId,
     dst: NodeId,
-    tree: Option<BinSpTree>,
-    alive: bool,
+    /// Arena index of the edge's subtree.
+    tree: usize,
+    /// Index of the edge in `out[src]` and in `inn[dst]`, so removal is a
+    /// `swap_remove` rather than a search.
+    out_pos: usize,
+    in_pos: usize,
 }
 
 /// Work state for the series/parallel reduction.
+///
+/// The per-node edge lists hold live edges only, in no particular order: a
+/// series step reads them only at in- and out-degree 1, so their order never
+/// changes which reduction fires.
 struct Reducer {
+    trees: Vec<BinNode>,
     edges: Vec<RedEdge>,
-    out: Vec<HashSet<usize>>,
-    inn: Vec<HashSet<usize>>,
-    /// One representative live edge per (src, dst) pair, used to detect
-    /// parallel-reduction opportunities in O(1).
-    pair: HashMap<(NodeId, NodeId), usize>,
+    out: Vec<Vec<usize>>,
+    inn: Vec<Vec<usize>>,
+    /// For a node whose out-degree ever passed [`SCAN_LIMIT`], its live
+    /// out-edges by target, maintained from then on.  A parallel step looks
+    /// up the one live edge of a node pair (every insert merges with an
+    /// existing edge of its pair): by a scan of the source's short out-list,
+    /// or here, so a fork of `n` copies costs O(n), not O(n²).
+    wide: Vec<Option<HashMap<NodeId, usize>>>,
     /// Nodes whose degrees changed and that should be re-examined for a
     /// series reduction.
     worklist: VecDeque<NodeId>,
@@ -101,52 +125,78 @@ struct Reducer {
 }
 
 impl Reducer {
-    fn new(node_count: usize, source: NodeId, sink: NodeId) -> Self {
+    fn new(graph: &LabeledDigraph, source: NodeId, sink: NodeId) -> Self {
+        let nodes = graph.node_count();
         Reducer {
-            edges: Vec::new(),
-            out: vec![HashSet::new(); node_count],
-            inn: vec![HashSet::new(); node_count],
-            pair: HashMap::new(),
-            worklist: VecDeque::new(),
+            trees: Vec::with_capacity(2 * graph.edge_count()),
+            edges: Vec::with_capacity(2 * graph.edge_count()),
+            out: vec![Vec::new(); nodes],
+            inn: vec![Vec::new(); nodes],
+            wide: vec![None; nodes],
+            worklist: VecDeque::with_capacity(2 * nodes),
             source,
             sink,
             live_count: 0,
         }
     }
 
+    fn push_tree(&mut self, node: BinNode) -> usize {
+        self.trees.push(node);
+        self.trees.len() - 1
+    }
+
+    /// The live edge from `src` to `dst`, if any.
+    fn live_edge(&self, src: NodeId, dst: NodeId) -> Option<usize> {
+        match &self.wide[src.index()] {
+            Some(by_target) => by_target.get(&dst).copied(),
+            None => self.out[src.index()].iter().copied().find(|&e| self.edges[e].dst == dst),
+        }
+    }
+
     /// Inserts an edge, immediately performing a parallel reduction if another
     /// live edge already connects the same ordered pair of nodes.
-    #[expect(
-        clippy::expect_used,
-        reason = "alive edges always own a tree; take() only runs on edges the liveness scan just returned"
-    )]
-    fn add_edge(&mut self, src: NodeId, dst: NodeId, tree: BinSpTree) {
-        if let Some(&other) = self.pair.get(&(src, dst)) {
-            if self.edges[other].alive {
-                let other_tree = self.edges[other].tree.take().expect("live edge without tree");
-                self.remove_edge(other);
-                let merged = BinSpTree::Parallel(Box::new(other_tree), Box::new(tree));
-                self.add_edge(src, dst, merged);
-                return;
-            }
+    fn add_edge(&mut self, src: NodeId, dst: NodeId, tree: usize) {
+        if let Some(other) = self.live_edge(src, dst) {
+            let other_tree = self.edges[other].tree;
+            self.remove_edge(other);
+            let merged = self.push_tree(BinNode::Parallel(other_tree, tree));
+            self.add_edge(src, dst, merged);
+            return;
         }
         let idx = self.edges.len();
-        self.edges.push(RedEdge { src, dst, tree: Some(tree), alive: true });
-        self.out[src.index()].insert(idx);
-        self.inn[dst.index()].insert(idx);
-        self.pair.insert((src, dst), idx);
+        let (out_pos, in_pos) = (self.out[src.index()].len(), self.inn[dst.index()].len());
+        self.edges.push(RedEdge { src, dst, tree, out_pos, in_pos });
+        self.out[src.index()].push(idx);
+        self.inn[dst.index()].push(idx);
+        let out = &self.out[src.index()];
+        match &mut self.wide[src.index()] {
+            Some(by_target) => {
+                by_target.insert(dst, idx);
+            }
+            wide @ None if out.len() > SCAN_LIMIT => {
+                *wide = Some(out.iter().map(|&e| (self.edges[e].dst, e)).collect());
+            }
+            None => {}
+        }
         self.live_count += 1;
         self.worklist.push_back(src);
         self.worklist.push_back(dst);
     }
 
     fn remove_edge(&mut self, idx: usize) {
-        let (src, dst) = (self.edges[idx].src, self.edges[idx].dst);
-        self.edges[idx].alive = false;
-        self.out[src.index()].remove(&idx);
-        self.inn[dst.index()].remove(&idx);
-        if self.pair.get(&(src, dst)) == Some(&idx) {
-            self.pair.remove(&(src, dst));
+        let RedEdge { src, dst, out_pos, in_pos, .. } = self.edges[idx];
+        let out = &mut self.out[src.index()];
+        out.swap_remove(out_pos);
+        if let Some(&moved) = out.get(out_pos) {
+            self.edges[moved].out_pos = out_pos;
+        }
+        let inn = &mut self.inn[dst.index()];
+        inn.swap_remove(in_pos);
+        if let Some(&moved) = inn.get(in_pos) {
+            self.edges[moved].in_pos = in_pos;
+        }
+        if let Some(by_target) = &mut self.wide[src.index()] {
+            by_target.remove(&dst);
         }
         self.live_count -= 1;
         self.worklist.push_back(src);
@@ -154,19 +204,13 @@ impl Reducer {
     }
 
     /// Attempts a series reduction at `v`; returns `true` if one was applied.
-    #[expect(
-        clippy::expect_used,
-        reason = "the series-reduction branch is entered only after checking in-degree == 1 and out-degree == 1; alive edges always own a tree"
-    )]
     fn try_series(&mut self, v: NodeId) -> bool {
         if v == self.source || v == self.sink {
             return false;
         }
-        if self.inn[v.index()].len() != 1 || self.out[v.index()].len() != 1 {
+        let (&[e_in], &[e_out]) = (&self.inn[v.index()][..], &self.out[v.index()][..]) else {
             return false;
-        }
-        let e_in = *self.inn[v.index()].iter().next().expect("in-degree checked to be 1");
-        let e_out = *self.out[v.index()].iter().next().expect("out-degree checked to be 1");
+        };
         if e_in == e_out {
             // Self loop: cannot happen in a DAG, but guard anyway.
             return false;
@@ -177,18 +221,14 @@ impl Reducer {
             // A cycle through v; not reducible.
             return false;
         }
-        let t_in = self.edges[e_in].tree.take().expect("live edge without tree");
-        let t_out = self.edges[e_out].tree.take().expect("live edge without tree");
+        let (t_in, t_out) = (self.edges[e_in].tree, self.edges[e_out].tree);
         self.remove_edge(e_in);
         self.remove_edge(e_out);
-        self.add_edge(src, dst, BinSpTree::Series(Box::new(t_in), Box::new(t_out)));
+        let series = self.push_tree(BinNode::Series(t_in, t_out));
+        self.add_edge(src, dst, series);
         true
     }
 
-    #[expect(
-        clippy::expect_used,
-        reason = "the reduction loop terminates with exactly one live edge for a valid SP graph (validity was checked on entry), and alive edges always own a tree"
-    )]
     fn run(mut self) -> Result<BinSpTree> {
         while let Some(v) = self.worklist.pop_front() {
             // Keep reducing at v while possible (degrees may stay (1,1) after a
@@ -196,10 +236,11 @@ impl Reducer {
             while self.try_series(v) {}
         }
         if self.live_count == 1 {
-            let idx = self.edges.iter().position(|e| e.alive).expect("live edge");
-            let e = &self.edges[idx];
-            if e.src == self.source && e.dst == self.sink {
-                return Ok(self.edges[idx].tree.take().expect("live edge without tree"));
+            if let &[idx] = &self.out[self.source.index()][..] {
+                let e = &self.edges[idx];
+                if e.dst == self.sink {
+                    return Ok(BinSpTree { root: e.tree, nodes: self.trees });
+                }
             }
         }
         Err(GraphError::NotSeriesParallel { remaining_edges: self.live_count })
@@ -215,9 +256,10 @@ pub fn decompose(graph: &LabeledDigraph, source: NodeId, sink: NodeId) -> Result
     if graph.edge_count() == 0 {
         return Err(GraphError::EmptyGraph);
     }
-    let mut reducer = Reducer::new(graph.node_count(), source, sink);
+    let mut reducer = Reducer::new(graph, source, sink);
     for (id, e) in graph.edges() {
-        reducer.add_edge(e.src, e.dst, BinSpTree::Leaf(id));
+        let leaf = reducer.push_tree(BinNode::Leaf(id));
+        reducer.add_edge(e.src, e.dst, leaf);
     }
     // Seed the worklist with every node once.
     for n in graph.node_ids() {
@@ -255,7 +297,7 @@ mod tests {
     fn single_edge_is_a_leaf() {
         let g = SpGraph::basic("s", "t");
         let t = decompose_sp(&g).unwrap();
-        assert!(matches!(t, BinSpTree::Leaf(_)));
+        assert!(matches!(t.node(t.root()), BinNode::Leaf(_)));
     }
 
     #[test]
@@ -264,14 +306,7 @@ mod tests {
         let t = decompose_sp(&g).unwrap();
         assert_eq!(t.leaves().len(), 3);
         // The tree must contain only series internal nodes.
-        fn only_series(t: &BinSpTree) -> bool {
-            match t {
-                BinSpTree::Leaf(_) => true,
-                BinSpTree::Series(a, b) => only_series(a) && only_series(b),
-                BinSpTree::Parallel(_, _) => false,
-            }
-        }
-        assert!(only_series(&t));
+        assert!((0..t.size()).all(|id| !matches!(t.node(id), BinNode::Parallel(_, _))));
     }
 
     #[test]
@@ -280,7 +315,7 @@ mod tests {
         let b = SpGraph::basic("u", "v");
         let g = SpGraph::parallel(&a, &b).unwrap();
         let t = decompose_sp(&g).unwrap();
-        assert!(matches!(t, BinSpTree::Parallel(_, _)));
+        assert!(matches!(t.node(t.root()), BinNode::Parallel(_, _)));
         assert_eq!(t.leaves().len(), 2);
     }
 
@@ -320,6 +355,28 @@ mod tests {
         let g = SpGraph::fan("u", "v", &lengths, "p");
         let t = decompose_sp(&g).unwrap();
         assert_eq!(t.leaves().len(), lengths.iter().sum::<usize>());
+    }
+
+    #[test]
+    fn wide_forks_merge_through_the_target_index() {
+        // 50 two-edge branches: the shared source's out-degree passes
+        // SCAN_LIMIT, so the series steps' u -> v edges merge via the index.
+        let g = SpGraph::fan("u", "v", &[2; 50], "p");
+        let t = decompose_sp(&g).unwrap();
+        assert_eq!(t.leaves().len(), 100);
+        let (mut parallel, mut series) = (0, 0);
+        for id in 0..t.size() {
+            match t.node(id) {
+                BinNode::Parallel(..) => parallel += 1,
+                BinNode::Series(a, b) => {
+                    assert!(matches!((t.node(a), t.node(b)), (BinNode::Leaf(_), BinNode::Leaf(_))));
+                    series += 1;
+                }
+                BinNode::Leaf(_) => {}
+            }
+        }
+        assert_eq!((series, parallel), (50, 49));
+        assert!(matches!(t.node(t.root()), BinNode::Parallel(..)));
     }
 
     #[test]
@@ -364,6 +421,5 @@ mod tests {
         let g = SpGraph::chain(&["a", "b", "c"]);
         let t = decompose_sp(&g).unwrap();
         assert_eq!(t.size(), 3);
-        assert_eq!(t.height(), 1);
     }
 }

@@ -15,16 +15,18 @@
 use crate::digraph::LabeledDigraph;
 use crate::error::GraphError;
 use crate::flow::validate_acyclic_flow_network;
-use crate::ids::NodeId;
+use crate::ids::{EdgeId, NodeId};
 use crate::label::Label;
 use crate::Result;
-use std::collections::HashSet;
+use std::collections::HashMap;
 
 /// The (label-determined) homomorphism from a run to its specification.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Homomorphism {
     /// `map[i]` is the specification node that run node `i` maps to.
     pub map: Vec<NodeId>,
+    /// `edges[e]` is what run edge `e` maps to.
+    pub edges: Vec<EdgeImage>,
     /// The run's source node.
     pub run_source: NodeId,
     /// The run's sink node.
@@ -38,63 +40,111 @@ impl Homomorphism {
     }
 }
 
-/// Validates that `run` is a valid run of the specification graph
-/// `(spec, spec_source, spec_sink)`.
-///
-/// `extra_edges` lists label pairs that are allowed in runs in addition to the
-/// specification's own edges (the implicit loop back-edges of Section VI).
+/// What a run edge maps to in its specification.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EdgeImage {
+    /// A specification edge.  When parallel specification edges join the
+    /// same node pair, the one with the highest id.
+    Spec(EdgeId),
+    /// The extra edge at this index of the list given to
+    /// [`SpecGraphIndex::new`] (an implicit loop back-edge).
+    Extra(usize),
+}
+
+/// The lookups that validating a run against one specification graph makes:
+/// the label index and the image of every allowed node pair.  Build it once
+/// per specification and validate every run against it.
+#[derive(Debug, Clone)]
+pub struct SpecGraphIndex {
+    labels: HashMap<Label, NodeId>,
+    images: HashMap<(NodeId, NodeId), EdgeImage>,
+    source: NodeId,
+    sink: NodeId,
+}
+
+impl SpecGraphIndex {
+    /// Indexes the specification graph `(spec, source, sink)`.
+    ///
+    /// `extra_edges` lists label pairs that are allowed in runs in addition
+    /// to the specification's own edges (the implicit loop back-edges of
+    /// Section VI); a pair that is also a specification edge maps to the
+    /// specification edge.  Fails when two specification nodes share a
+    /// label.
+    pub fn new(
+        spec: &LabeledDigraph,
+        source: NodeId,
+        sink: NodeId,
+        extra_edges: &[(Label, Label)],
+    ) -> Result<Self> {
+        let labels = spec.unique_label_index()?;
+        let mut images = HashMap::with_capacity(spec.edge_count() + extra_edges.len());
+        for (i, (from, to)) in extra_edges.iter().enumerate() {
+            if let (Some(&u), Some(&v)) = (labels.get(from), labels.get(to)) {
+                images.insert((u, v), EdgeImage::Extra(i));
+            }
+        }
+        for (id, e) in spec.edges() {
+            images.insert((e.src, e.dst), EdgeImage::Spec(id));
+        }
+        Ok(SpecGraphIndex { labels, images, source, sink })
+    }
+
+    /// The specification node carrying `label`.
+    pub fn node(&self, label: &str) -> Option<NodeId> {
+        self.labels.get(label).copied()
+    }
+}
+
+/// Validates that `run` is a valid run of the specification graph `spec`
+/// indexes, and maps every run node and edge into it.
 pub fn validate_run_against_graph(
-    spec: &LabeledDigraph,
-    spec_source: NodeId,
-    spec_sink: NodeId,
-    extra_edges: &HashSet<(Label, Label)>,
+    spec: &SpecGraphIndex,
     run: &LabeledDigraph,
 ) -> Result<Homomorphism> {
     let endpoints = validate_acyclic_flow_network(run)?;
-    let label_index = spec.unique_label_index()?;
 
     // Map every run node to its specification node by label.
     let mut map = Vec::with_capacity(run.node_count());
     for (_, data) in run.nodes() {
-        match label_index.get(&data.label) {
+        match spec.labels.get(&data.label) {
             Some(&spec_node) => map.push(spec_node),
             None => return Err(GraphError::RunLabelNotInSpec(data.label.clone())),
         }
     }
 
     // Terminals must map to terminals.
-    if map[endpoints.source.index()] != spec_source {
+    if map[endpoints.source.index()] != spec.source {
         return Err(GraphError::TerminalMismatch { terminal: "source" });
     }
-    if map[endpoints.sink.index()] != spec_sink {
+    if map[endpoints.sink.index()] != spec.sink {
         return Err(GraphError::TerminalMismatch { terminal: "sink" });
     }
 
     // Every run edge must map to a spec edge or an allowed extra edge.
-    let mut spec_edge_set: HashSet<(NodeId, NodeId)> = HashSet::with_capacity(spec.edge_count());
-    for (_, e) in spec.edges() {
-        spec_edge_set.insert((e.src, e.dst));
-    }
+    let mut edges = Vec::with_capacity(run.edge_count());
     for (_, e) in run.edges() {
-        let u = map[e.src.index()];
-        let v = map[e.dst.index()];
-        if spec_edge_set.contains(&(u, v)) {
-            continue;
+        match spec.images.get(&(map[e.src.index()], map[e.dst.index()])) {
+            Some(&image) => edges.push(image),
+            None => {
+                return Err(GraphError::RunEdgeNotInSpec {
+                    from: run.label(e.src).clone(),
+                    to: run.label(e.dst).clone(),
+                })
+            }
         }
-        let pair = (spec.label(u).clone(), spec.label(v).clone());
-        if extra_edges.contains(&pair) {
-            continue;
-        }
-        return Err(GraphError::RunEdgeNotInSpec { from: pair.0, to: pair.1 });
     }
 
-    Ok(Homomorphism { map, run_source: endpoints.source, run_sink: endpoints.sink })
+    Ok(Homomorphism { map, edges, run_source: endpoints.source, run_sink: endpoints.sink })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spgraph::SpGraph;
+
+    fn index(spec: &SpGraph, extra: &[(Label, Label)]) -> SpecGraphIndex {
+        SpecGraphIndex::new(spec.graph(), spec.source(), spec.sink(), extra).unwrap()
+    }
 
     fn fig2_spec() -> SpGraph {
         let b12 = SpGraph::basic("1", "2");
@@ -131,14 +181,7 @@ mod tests {
     fn valid_run_accepted() {
         let spec = fig2_spec();
         let run = fig2_run1();
-        let h = validate_run_against_graph(
-            spec.graph(),
-            spec.source(),
-            spec.sink(),
-            &HashSet::new(),
-            &run,
-        )
-        .unwrap();
+        let h = validate_run_against_graph(&index(&spec, &[]), &run).unwrap();
         assert_eq!(h.map.len(), run.node_count());
         // Both copies of module 3 map to the same spec node.
         let threes = run.find_all_labels("3");
@@ -154,14 +197,7 @@ mod tests {
         let src = run.find_label("1").unwrap();
         run.add_edge(src, extra);
         run.add_edge(extra, sink);
-        let err = validate_run_against_graph(
-            spec.graph(),
-            spec.source(),
-            spec.sink(),
-            &HashSet::new(),
-            &run,
-        )
-        .unwrap_err();
+        let err = validate_run_against_graph(&index(&spec, &[]), &run).unwrap_err();
         assert!(matches!(err, GraphError::RunLabelNotInSpec(_)));
     }
 
@@ -173,14 +209,7 @@ mod tests {
         let n3 = run.find_label("3").unwrap();
         let n4 = run.find_label("4").unwrap();
         run.add_edge(n3, n4);
-        let err = validate_run_against_graph(
-            spec.graph(),
-            spec.source(),
-            spec.sink(),
-            &HashSet::new(),
-            &run,
-        )
-        .unwrap_err();
+        let err = validate_run_against_graph(&index(&spec, &[]), &run).unwrap_err();
         assert!(matches!(err, GraphError::RunEdgeNotInSpec { .. }));
     }
 
@@ -214,13 +243,11 @@ mod tests {
         r.add_edge(n5a, n6b);
         r.add_edge(n6b, n7);
 
-        let mut extra = HashSet::new();
         // Without the loop edge the run is invalid.
-        assert!(validate_run_against_graph(spec.graph(), spec.source(), spec.sink(), &extra, &r)
-            .is_err());
-        extra.insert((Label::new("6"), Label::new("2")));
-        assert!(validate_run_against_graph(spec.graph(), spec.source(), spec.sink(), &extra, &r)
-            .is_ok());
+        assert!(validate_run_against_graph(&index(&spec, &[]), &r).is_err());
+        let extra = [(Label::new("6"), Label::new("2"))];
+        let h = validate_run_against_graph(&index(&spec, &extra), &r).unwrap();
+        assert_eq!(h.edges.iter().filter(|&&e| e == EdgeImage::Extra(0)).count(), 1);
     }
 
     #[test]
@@ -235,14 +262,7 @@ mod tests {
         r.add_edge(n2, n3);
         r.add_edge(n3, n6);
         r.add_edge(n6, n7);
-        let err = validate_run_against_graph(
-            spec.graph(),
-            spec.source(),
-            spec.sink(),
-            &HashSet::new(),
-            &r,
-        )
-        .unwrap_err();
+        let err = validate_run_against_graph(&index(&spec, &[]), &r).unwrap_err();
         assert_eq!(err, GraphError::TerminalMismatch { terminal: "source" });
     }
 
@@ -257,14 +277,7 @@ mod tests {
         // acyclicity check fires first).
         r.add_edge(n6, n2);
         let _ = n3;
-        let err = validate_run_against_graph(
-            spec.graph(),
-            spec.source(),
-            spec.sink(),
-            &HashSet::new(),
-            &r,
-        )
-        .unwrap_err();
+        let err = validate_run_against_graph(&index(&spec, &[]), &r).unwrap_err();
         assert_eq!(err, GraphError::CyclicGraph);
     }
 }

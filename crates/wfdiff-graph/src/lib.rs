@@ -30,7 +30,7 @@
 //!
 //! ```
 //! use wfdiff_graph::decompose::decompose_sp;
-//! use wfdiff_graph::{BinSpTree, SpGraph};
+//! use wfdiff_graph::{BinNode, SpGraph};
 //!
 //! let left = SpGraph::chain(&["s", "a", "t"]);
 //! let right = SpGraph::chain(&["s", "b", "t"]);
@@ -38,7 +38,7 @@
 //!
 //! let tree = decompose_sp(&diamond).unwrap();
 //! assert_eq!(tree.leaves().len(), 4, "one leaf per edge");
-//! assert!(matches!(tree, BinSpTree::Parallel(_, _)));
+//! assert!(matches!(tree.node(tree.root()), BinNode::Parallel(_, _)));
 //! ```
 
 #![deny(missing_docs)]
@@ -57,11 +57,11 @@ pub mod label;
 pub mod paths;
 pub mod spgraph;
 
-pub use decompose::{decompose, BinSpTree};
+pub use decompose::{decompose, BinNode, BinSpTree};
 pub use digraph::{EdgeData, LabeledDigraph, NodeData};
 pub use error::GraphError;
 pub use flow::{validate_flow_network, FlowEndpoints};
-pub use homomorphism::{validate_run_against_graph, Homomorphism};
+pub use homomorphism::{validate_run_against_graph, EdgeImage, Homomorphism, SpecGraphIndex};
 pub use ids::{EdgeId, NodeId};
 pub use label::Label;
 pub use paths::{elementary_paths, ElementaryPath};

@@ -41,12 +41,12 @@
 //!
 //! store_tool bench-compare <baseline.json> <current.json> [max-ratio]
 //!     Compare two bench JSON documents (wfbench's result line and
-//!     friends): every numeric leaf whose key contains "p50" (for a
-//!     `value` leaf, its parent's key, as in wfbench's
+//!     friends): every numeric leaf whose key contains "p50" or is
+//!     `setup_s` (for a `value` leaf, its parent's key, as in wfbench's
 //!     `metrics.op3_p50_us.value`) is matched by path and the current value
 //!     must not exceed `max-ratio` (default 2.0) times the baseline.  Exits
-//!     1 listing every regressed latency, or when the current document has
-//!     no p50 at all; 0 when the baseline file does not exist (first run:
+//!     1 listing every regressed value, or when the current document has
+//!     none at all; 0 when the baseline file does not exist (first run:
 //!     nothing to compare) — the CI bench-regression gate.
 //! ```
 //!
@@ -321,20 +321,20 @@ fn diff(args: &[String]) -> Result<(), ToolError> {
 }
 
 /// Collects every numeric leaf of a bench JSON document whose key mentions
-/// `p50`, as `(dotted.path, value)` pairs — the latencies the regression
-/// gate guards.
-fn p50_leaves(value: &serde::Value, path: &str, out: &mut Vec<(String, f64)>) {
+/// `p50` or is `setup_s`, as `(dotted.path, value)` pairs — the latencies
+/// and the boot time the regression gate guards.
+fn gated_leaves(value: &serde::Value, path: &str, out: &mut Vec<(String, f64)>) {
     match value {
         serde::Value::Map(entries) => {
             for (key, child) in entries {
                 let child_path =
                     if path.is_empty() { key.clone() } else { format!("{path}.{key}") };
-                p50_leaves(child, &child_path, out);
+                gated_leaves(child, &child_path, out);
             }
         }
         serde::Value::Seq(items) => {
             for (i, child) in items.iter().enumerate() {
-                p50_leaves(child, &format!("{path}[{i}]"), out);
+                gated_leaves(child, &format!("{path}[{i}]"), out);
             }
         }
         serde::Value::Int(v) => leaf(path, *v as f64, out),
@@ -352,26 +352,26 @@ fn leaf(path: &str, value: f64, out: &mut Vec<(String, f64)>) {
     if key == "value" {
         key = segments.next().unwrap_or(key);
     }
-    if key.contains("p50") {
+    if key.contains("p50") || key == "setup_s" {
         out.push((path.to_string(), value));
     }
 }
 
-/// The `p50` leaves of a bench document.  A document without one is a data
+/// The gated leaves of a bench document.  A document without one is a data
 /// error: a gate that compares nothing would pass whatever was measured.
-fn p50s(doc: &serde::Value) -> Result<Vec<(String, f64)>, String> {
+fn gated_values(doc: &serde::Value) -> Result<Vec<(String, f64)>, String> {
     let mut out = Vec::new();
-    p50_leaves(doc, "", &mut out);
+    gated_leaves(doc, "", &mut out);
     if out.is_empty() {
-        return Err("no p50 latency to compare".to_string());
+        return Err("no p50 latency or setup_s to compare".to_string());
     }
     Ok(out)
 }
 
-/// Matches every baseline p50 by path against the current document's; any
-/// current value above `max_ratio` times its baseline is a regression.
-/// Returns how many latencies were compared.
-fn compare_p50s(
+/// Matches every gated baseline value by path against the current
+/// document's; any current value above `max_ratio` times its baseline is a
+/// regression.  Returns how many values were compared.
+fn compare_gated(
     baseline: &[(String, f64)],
     current: &[(String, f64)],
     max_ratio: f64,
@@ -398,7 +398,7 @@ fn compare_p50s(
     }
     if !regressions.is_empty() {
         return Err(format!(
-            "{} of {compared} p50 latenc(ies) regressed beyond {max_ratio}x:\n{}",
+            "{} of {compared} gated value(s) regressed beyond {max_ratio}x:\n{}",
             regressions.len(),
             regressions.join("\n")
         ));
@@ -406,8 +406,8 @@ fn compare_p50s(
     Ok(compared)
 }
 
-/// Compares the `p50` latencies of two bench JSON documents (exit 1 on a
-/// regression, or when the current document holds no p50).  A missing
+/// Compares the `p50` latencies and `setup_s` of two bench JSON documents
+/// (exit 1 on a regression, or when the current document holds neither).  A missing
 /// baseline file is a clean pass — the first CI run has no previous
 /// artifact to compare against.
 fn bench_compare(args: &[String]) -> Result<(), ToolError> {
@@ -422,15 +422,15 @@ fn bench_compare(args: &[String]) -> Result<(), ToolError> {
     let read = |path: &str| -> Result<Vec<(String, f64)>, ToolError> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let doc = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-        p50s(&doc).map_err(|e| ToolError::Data(format!("{path}: {e}")))
+        gated_values(&doc).map_err(|e| ToolError::Data(format!("{path}: {e}")))
     };
     let current = read(current_path)?;
     if !std::path::Path::new(baseline_path).exists() {
         println!("bench-compare: no baseline at {baseline_path}, nothing to compare");
         return Ok(());
     }
-    let compared = compare_p50s(&read(baseline_path)?, &current, max_ratio)?;
-    println!("bench-compare: {compared} p50 latenc(ies) within {max_ratio}x of {baseline_path}");
+    let compared = compare_gated(&read(baseline_path)?, &current, max_ratio)?;
+    println!("bench-compare: {compared} gated value(s) within {max_ratio}x of {baseline_path}");
     Ok(())
 }
 
@@ -473,20 +473,27 @@ mod tests {
     /// A result line exactly as `wfbench --workload browse` prints it.
     const WFBENCH_LINE: &str = r#"{"correct": true, "attempted": 42183, "failed": 0, "metrics": {"setup_s": {"value": 0.077258637, "unit": "s"}, "throughput_rps": {"value": 21111.976232981633, "unit": "1/s"}, "peak_rss_mb": {"value": 11.6953125, "unit": "MiB"}, "op1_p50_us": {"value": 56.463, "unit": "us"}, "op2_p50_us": {"value": 88.785, "unit": "us"}, "op3_p50_us": {"value": 36.709, "unit": "us"}}}"#;
 
-    fn p50s_of(text: &str) -> Result<Vec<(String, f64)>, String> {
-        p50s(&serde_json::from_str(text).unwrap())
+    fn gated_of(text: &str) -> Result<Vec<(String, f64)>, String> {
+        gated_values(&serde_json::from_str(text).unwrap())
     }
 
     #[test]
     fn wfbench_result_lines_are_gated_on_their_p50s() {
-        let base = p50s_of(WFBENCH_LINE).unwrap();
-        assert_eq!(compare_p50s(&base, &base, 2.0), Ok(3));
+        let base = gated_of(WFBENCH_LINE).unwrap();
+        assert_eq!(compare_gated(&base, &base, 2.0), Ok(4));
 
         let slower = WFBENCH_LINE.replace(r#""value": 36.709"#, r#""value": 110.127"#);
-        let err = compare_p50s(&base, &p50s_of(&slower).unwrap(), 2.0).unwrap_err();
-        assert!(err.starts_with("1 of 3 "), "{err}");
+        let err = compare_gated(&base, &gated_of(&slower).unwrap(), 2.0).unwrap_err();
+        assert!(err.starts_with("1 of 4 "), "{err}");
         assert!(err.contains("metrics.op3_p50_us"), "{err}");
 
-        assert!(p50s_of(r#"{"correct": true, "metrics": {}}"#).is_err());
+        // The boot time is gated too: a tripled setup_s fails.
+        let slower_boot =
+            WFBENCH_LINE.replace(r#""value": 0.077258637"#, r#""value": 0.231775911"#);
+        let err = compare_gated(&base, &gated_of(&slower_boot).unwrap(), 2.0).unwrap_err();
+        assert!(err.starts_with("1 of 4 "), "{err}");
+        assert!(err.contains("metrics.setup_s"), "{err}");
+
+        assert!(gated_of(r#"{"correct": true, "metrics": {}}"#).is_err());
     }
 }

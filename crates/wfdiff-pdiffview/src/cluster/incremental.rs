@@ -43,7 +43,9 @@
 
 use super::kmedoids::{seed_medoids, solve};
 use crate::derived::SpecStates;
+use crate::metricindex::MedoidPivots;
 use std::collections::HashMap;
+use std::sync::Arc;
 use wfdiff_sptree::Fingerprint;
 
 /// Iteration ceiling of the stabilisation runs.
@@ -125,6 +127,9 @@ pub(crate) struct SpecClusterState {
     pub(crate) silhouette: f64,
     /// Cached sum of member-to-medoid distances.
     pub(crate) cost: f64,
+    /// The medoid distance rows of this clustering, built on the first
+    /// `/similar` query after a change; every mutation drops them.
+    pub(crate) pivots: Option<Arc<MedoidPivots>>,
 }
 
 fn pair_key(a: &str, b: &str) -> (String, String) {
@@ -336,6 +341,7 @@ impl IncrementalClusterIndex {
             distances,
             silhouette: 0.0,
             cost: 0.0,
+            pivots: None,
         };
         let n = state.members.len();
         state.reseed_and_stabilize(oracle, k.clamp(1, n))?;
@@ -362,6 +368,7 @@ impl IncrementalClusterIndex {
         let Some(state) = states.get_mut(spec) else {
             return Ok(false);
         };
+        state.pivots = None;
         if state.version != version {
             states.remove(spec);
             self.states.mark_spec_dirty(spec);
@@ -427,6 +434,7 @@ impl IncrementalClusterIndex {
         let Ok(position) = state.members.binary_search(&run_name.to_string()) else {
             return Ok(false);
         };
+        state.pivots = None;
         state.members.remove(position);
         state.assignments.remove(run_name);
         let name = run_name.to_string();
@@ -497,17 +505,18 @@ impl IncrementalClusterIndex {
     /// (`None` otherwise — rows are reused, never computed here).  The
     /// stabilisation iteration touches every member-to-medoid pair, so a
     /// settled clustering yields complete rows for free.
-    pub(crate) fn medoid_distance_rows(
-        &self,
-        spec: &str,
-    ) -> Option<HashMap<String, Vec<Option<f64>>>> {
-        let states = self.states.lock();
-        let state = states.get(spec)?;
+    ///
+    /// The rows are built once per clustering and shared: every query until
+    /// the next insert, removal, rebuild, invalidation or checkpoint load
+    /// gets the same allocation.
+    pub(crate) fn medoid_pivots(&self, spec: &str) -> Option<Arc<MedoidPivots>> {
+        let mut states = self.states.lock();
+        let state = states.get_mut(spec)?;
         if state.medoids.is_empty() {
             return None;
         }
-        Some(
-            state
+        if state.pivots.is_none() {
+            let rows = state
                 .members
                 .iter()
                 .map(|member| {
@@ -524,8 +533,10 @@ impl IncrementalClusterIndex {
                         .collect();
                     (member.clone(), row)
                 })
-                .collect(),
-        )
+                .collect();
+            state.pivots = Some(Arc::new(MedoidPivots::new(rows)));
+        }
+        state.pivots.clone()
     }
 }
 

@@ -174,6 +174,7 @@ impl DerivedIndex for IncrementalClusterIndex {
             distances,
             silhouette: doc.silhouette,
             cost: doc.cost,
+            pivots: None,
         })
     }
 }

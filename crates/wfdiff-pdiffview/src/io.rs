@@ -262,11 +262,17 @@ impl RunDescriptor {
     /// [`RunDescriptor::nodes`]; an out-of-range index from untrusted input
     /// is reported as [`SpTreeError::InvalidRun`] instead of panicking or
     /// silently misbuilding the graph.
+    ///
+    /// A node whose label the specification has shares the specification's
+    /// [`wfdiff_graph::Label`] instead of allocating its own.
     pub fn to_run(&self, spec: &Specification) -> Result<Run, SpTreeError> {
         check_format(self.format, "run descriptor")?;
-        let mut graph = LabeledDigraph::new();
+        let mut graph = LabeledDigraph::with_capacity(self.nodes.len(), self.edges.len());
         for label in &self.nodes {
-            graph.add_node(label.as_str());
+            match spec.label(label) {
+                Some(shared) => graph.add_node(shared.clone()),
+                None => graph.add_node(label.as_str()),
+            };
         }
         for &(u, v) in &self.edges {
             if u >= self.nodes.len() || v >= self.nodes.len() {

@@ -82,6 +82,7 @@ pub mod io;
 mod lockrank;
 pub mod metricindex;
 pub mod persist;
+mod pool;
 pub mod render;
 pub mod serve;
 pub mod service;

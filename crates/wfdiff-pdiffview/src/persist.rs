@@ -74,6 +74,7 @@ use crate::cluster::IncrementalClusterIndex;
 use crate::derived;
 use crate::io::{RunDescriptor, SpecDescriptor};
 use crate::metricindex::IncrementalMetricIndex;
+use crate::pool;
 use crate::store::{StoreError, WorkflowStore};
 use crate::storeio::StoreIo;
 use crate::wal;
@@ -83,8 +84,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use wfdiff_sptree::Specification;
-use wfdiff_sptree::{Fingerprint, SpTreeError};
+use wfdiff_sptree::{Fingerprint, Run, SpTreeError, Specification};
 
 /// Version tag of the store directory format written by this module.
 ///
@@ -405,6 +405,62 @@ fn read_manifest(dir: &Path) -> Result<(PathBuf, StoreManifest), PersistError> {
         ));
     }
     Ok((path, manifest))
+}
+
+/// A run document whose framing checked out, with its rebuilt run (or why
+/// the run did not rebuild).
+struct DecodedRun {
+    name: String,
+    run: Result<Run, PersistError>,
+}
+
+/// Reads and checks one run document of the specification `spec_name` at
+/// version `spec_fp`, and rebuilds its run.  The outer error is the
+/// document's framing (I/O, JSON, format, fingerprint, owning spec), which
+/// a load reports before a duplicate name; a run that does not rebuild is
+/// reported after it.
+fn decode_run_document(
+    run_path: &Path,
+    spec_fp: Fingerprint,
+    spec_name: &str,
+    spec: &Specification,
+) -> Result<DecodedRun, PersistError> {
+    let doc: RunDocument = read_json(run_path)?;
+    if doc.format != STORE_FORMAT {
+        return Err(format_err(
+            run_path,
+            format!("document format {} (expected {STORE_FORMAT})", doc.format),
+        ));
+    }
+    let run_fp = parse_fingerprint(run_path, &doc.spec_fingerprint)?;
+    if run_fp != spec_fp {
+        // Spec-version pinning at the persistence layer: a run document
+        // saved against a different version of this specification must
+        // not sneak in.
+        return Err(format_err(
+            run_path,
+            format!(
+                "run {:?} was saved against specification version {run_fp}, but the stored \
+                 specification is version {spec_fp}; the run predates a spec replacement and \
+                 must be regenerated",
+                doc.name
+            ),
+        ));
+    }
+    if doc.run.spec != spec_name {
+        return Err(format_err(
+            run_path,
+            format!(
+                "run {:?} claims specification {:?}, but lives under {spec_name:?}",
+                doc.name, doc.run.spec
+            ),
+        ));
+    }
+    let run = doc
+        .run
+        .to_run(spec)
+        .map_err(|source| PersistError::Tree { path: run_path.to_path_buf(), source });
+    Ok(DecodedRun { name: doc.name, run })
 }
 
 // ---------------------------------------------------------------------------
@@ -921,11 +977,21 @@ impl WorkflowStore {
     /// truncated, hand-edited or version-mismatched input returns a
     /// [`PersistError`] instead of panicking or loading garbage.
     ///
+    /// Each specification's run documents are decoded — read, parsed,
+    /// checked and rebuilt with [`RunDescriptor::to_run`] — on one scoped
+    /// thread per available CPU.  Duplicate names are then checked and the
+    /// runs inserted in sorted file order, so when several documents are
+    /// bad the error is the one the first of them in that order raises,
+    /// exactly as a one-by-one load would report it.  A panic while
+    /// decoding propagates to the caller.
+    ///
     /// After the manifest-committed documents, the directory's write-ahead
     /// log is replayed in append order: a torn tail (a crashed append) is
     /// truncated off first, run inserts and removals are re-applied
     /// idempotently, and records against a specification version the
-    /// manifest no longer lists are skipped.  The loaded store keeps the
+    /// manifest no longer lists are skipped.  The inserted runs are rebuilt
+    /// in parallel the same way; the first bad insert in the log fails the
+    /// load.  The loaded store keeps the
     /// surviving log — its checkpoint deltas feed
     /// [`DiffService::load_cluster_state`](crate::service::DiffService::load_cluster_state)
     /// and
@@ -941,7 +1007,7 @@ impl WorkflowStore {
     /// half of the crash-torture seam.
     #[expect(
         clippy::expect_used,
-        reason = "the lookup runs over the map populated from the same manifest in the loop above"
+        reason = "the spec lookup runs over the store populated from the same manifest in the loop above, and the rebuilt runs are one per live insert by construction"
     )]
     pub fn load_from_dir_with_io(
         dir: impl AsRef<Path>,
@@ -1005,68 +1071,46 @@ impl WorkflowStore {
             let spec_arc = store.insert_spec(spec)?;
 
             // Runs: every *.json in runs/ is a self-describing document.  A
-            // missing runs directory is a spec with no runs, not an error.
+            // missing runs directory is a spec with no runs, not an error;
+            // an entry the listing cannot read fails the load rather than
+            // silently losing its run.
             let runs_dir = spec_dir.join("runs");
-            let mut run_files: Vec<PathBuf> = match fs::read_dir(&runs_dir) {
-                Ok(entries) => entries
-                    .filter_map(|e| e.ok().map(|e| e.path()))
-                    .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
-                    .collect(),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            let mut run_files: Vec<PathBuf> = Vec::new();
+            match fs::read_dir(&runs_dir) {
+                Ok(entries) => {
+                    for listed in entries {
+                        let path = listed.map_err(|e| io_err(&runs_dir, "listing", e))?.path();
+                        if path.extension().is_some_and(|ext| ext == "json") {
+                            run_files.push(path);
+                        }
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                 Err(e) => return Err(io_err(&runs_dir, "listing", e)),
-            };
+            }
             run_files.sort();
+            // Decode every document on all cores, then check names and
+            // insert in sorted file order: the error reported is the one
+            // the first failing file in that order raises.
+            let decoded = pool::map_ordered(&run_files, pool::cpus(), |run_path| {
+                decode_run_document(run_path, manifest_fp, &entry.name, &spec_arc)
+            });
             let mut seen_run_names = std::collections::BTreeSet::new();
-            for run_path in run_files {
-                let doc: RunDocument = read_json(&run_path)?;
-                if doc.format != STORE_FORMAT {
-                    return Err(format_err(
-                        &run_path,
-                        format!("document format {} (expected {STORE_FORMAT})", doc.format),
-                    ));
-                }
-                let run_fp = parse_fingerprint(&run_path, &doc.spec_fingerprint)?;
-                if run_fp != manifest_fp {
-                    // The PR-2 spec-version machinery, at the persistence
-                    // layer: a run document saved against a different
-                    // version of this specification must not sneak in.
-                    return Err(format_err(
-                        &run_path,
-                        format!(
-                            "run {:?} was saved against specification version {run_fp}, but \
-                             the stored specification is version {manifest_fp}; the run \
-                             predates a spec replacement and must be regenerated",
-                            doc.name
-                        ),
-                    ));
-                }
-                if doc.run.spec != entry.name {
-                    return Err(format_err(
-                        &run_path,
-                        format!(
-                            "run {:?} claims specification {:?}, but lives under {:?}",
-                            doc.name, doc.run.spec, entry.name
-                        ),
-                    ));
-                }
-                if !seen_run_names.insert(doc.name.clone()) {
+            for (run_path, decoded) in run_files.iter().zip(decoded) {
+                let DecodedRun { name, run } = decoded?;
+                if !seen_run_names.insert(name.clone()) {
                     // Two documents claiming one run name would silently
                     // shadow each other (last file wins); refuse instead —
                     // mutually inconsistent documents must fail the load.
                     return Err(format_err(
-                        &run_path,
+                        run_path,
                         format!(
-                            "run name {:?} appears in more than one document of this \
-                             specification; delete one of the duplicates",
-                            doc.name
+                            "run name {name:?} appears in more than one document of this \
+                             specification; delete one of the duplicates"
                         ),
                     ));
                 }
-                let run = doc
-                    .run
-                    .to_run(&spec_arc)
-                    .map_err(|source| PersistError::Tree { path: run_path.clone(), source })?;
-                store.insert_run(&doc.name, run)?;
+                store.insert_run(&name, run?)?;
             }
         }
 
@@ -1078,28 +1122,48 @@ impl WorkflowStore {
             wal::truncate_to(&*store.io, dir, wal_scan.valid_len)?;
         }
         let wal_file = wal::wal_path(dir);
+        // The record carries the persistent fingerprint it was validated
+        // against; a manifest that has since moved to another spec version
+        // (or dropped the spec) makes the record stale — skipped, exactly
+        // like a stale run document would be pruned by the next save.
+        let live = |insert: &wal::RunInsertRecord| {
+            manifest
+                .specs
+                .iter()
+                .any(|s| s.name == insert.spec && s.fingerprint == insert.spec_fingerprint)
+        };
+        // Rebuild the live inserts' runs on all cores; every record is
+        // then applied in append order, so the first bad insert in the log
+        // is the error reported.
+        let inserts: Vec<(&wal::RunInsertRecord, Arc<Specification>)> = wal_scan
+            .records
+            .iter()
+            .filter_map(|record| match record {
+                wal::WalRecord::RunInsert(insert) if live(insert) => Some(insert),
+                _ => None,
+            })
+            .map(|insert| {
+                let spec = store
+                    .spec(&insert.spec)
+                    .expect("every manifest-listed specification was just loaded");
+                (insert, spec)
+            })
+            .collect();
+        let mut rebuilt = pool::map_ordered(&inserts, pool::cpus(), |(insert, spec)| {
+            insert
+                .run
+                .to_run(spec)
+                .map_err(|source| PersistError::Tree { path: wal_file.clone(), source })
+        })
+        .into_iter();
         let mut replayed = 0u64;
         for record in &wal_scan.records {
             match record {
                 wal::WalRecord::RunInsert(insert) => {
-                    // The record carries the persistent fingerprint it was
-                    // validated against; a manifest that has since moved to
-                    // another spec version (or dropped the spec) makes the
-                    // record stale — skipped, exactly like a stale run
-                    // document would be pruned by the next save.
-                    let entry = manifest.specs.iter().find(|s| {
-                        s.name == insert.spec && s.fingerprint == insert.spec_fingerprint
-                    });
-                    if entry.is_none() {
+                    if !live(insert) {
                         continue;
                     }
-                    let spec_arc = store
-                        .spec(&insert.spec)
-                        .expect("every manifest-listed specification was just loaded");
-                    let run = insert
-                        .run
-                        .to_run(&spec_arc)
-                        .map_err(|source| PersistError::Tree { path: wal_file.clone(), source })?;
+                    let run = rebuilt.next().expect("one rebuilt run per live insert")?;
                     // Replaces any manifest-committed document of the same
                     // name — the WAL is newer by construction.
                     store.insert_run(&insert.name, run)?;
@@ -1281,6 +1345,97 @@ mod tests {
 
         // The repaired directory loads again.
         assert_eq!(WorkflowStore::load_from_dir(dir.path()).unwrap().run_count(), 3);
+    }
+
+    #[test]
+    fn the_first_bad_run_document_in_file_order_fails_the_load() {
+        // Documents decode in parallel; the error must still be the one a
+        // one-by-one load in sorted file order meets first.
+        let dir = TempDir::new("first-error");
+        let store = Arc::new(WorkflowStore::new());
+        let spec = store.insert_spec(fig2_specification()).unwrap();
+        let shapes = [fig2_run1(&spec), fig2_run2(&spec), fig2_run3(&spec)];
+        for i in 0..9 {
+            store.insert_run(&format!("r{i}"), shapes[i % 3].clone()).unwrap();
+        }
+        store.save_to_dir(dir.path()).unwrap();
+        let manifest: StoreManifest = read_json(&dir.path().join("manifest.json")).unwrap();
+        let mut files: Vec<PathBuf> =
+            fs::read_dir(dir.path().join("specs").join(&manifest.specs[0].dir).join("runs"))
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+        files.sort();
+        assert_eq!(files.len(), 9);
+        let (third, seventh) = (&files[2], &files[6]);
+
+        let mut doc: RunDocument = read_json(third).unwrap();
+        let bad_fp = format!("{:032x}", 0xdead_beefu128);
+        doc.spec_fingerprint = bad_fp.clone();
+        fs::write(third, serde_json::to_string_pretty(&doc).unwrap()).unwrap();
+        let text = fs::read_to_string(seventh).unwrap();
+        fs::write(seventh, &text[..text.len() / 2]).unwrap();
+
+        let expected = format!(
+            "malformed store document {}: run {:?} was saved against specification version \
+             {bad_fp}, but the stored specification is version {}; the run predates a spec \
+             replacement and must be regenerated",
+            third.display(),
+            doc.name,
+            manifest.specs[0].fingerprint
+        );
+        for _ in 0..8 {
+            let err = WorkflowStore::load_from_dir(dir.path()).unwrap_err();
+            assert!(matches!(err, PersistError::Format { .. }), "got {err}");
+            assert_eq!(err.to_string(), expected);
+        }
+        // With the third file repaired, the seventh's truncation is next.
+        doc.spec_fingerprint = manifest.specs[0].fingerprint.clone();
+        fs::write(third, serde_json::to_string_pretty(&doc).unwrap()).unwrap();
+        let err = WorkflowStore::load_from_dir(dir.path()).unwrap_err();
+        assert!(matches!(&err, PersistError::Json { path, .. } if path == seventh), "got {err}");
+    }
+
+    #[test]
+    fn the_first_bad_wal_insert_in_append_order_fails_the_load() {
+        let dir = TempDir::new("first-wal-error");
+        let store = seeded_store();
+        store.save_to_dir(dir.path()).unwrap();
+        let spec = store.spec("fig2").unwrap();
+        let run = store.insert_run("r4", fig2_run1(&spec)).unwrap();
+        store.append_run_to_dir(dir.path(), "r4", &run).unwrap();
+        // Two inserts that do not rebuild, each failing its own way.
+        let fp = store.persistent_fp_for_append(dir.path(), &spec).unwrap();
+        let mut out_of_range = RunDescriptor::from_run(&run);
+        out_of_range.edges.push((9999, 0));
+        let mut foreign_label = RunDescriptor::from_run(&run);
+        foreign_label.nodes[1] = "not-in-fig2".to_string();
+        let insert = |name: &str, run: &RunDescriptor| {
+            wal::WalRecord::RunInsert(wal::RunInsertRecord {
+                spec: "fig2".to_string(),
+                spec_fingerprint: fp.clone(),
+                name: name.to_string(),
+                run: run.clone(),
+            })
+        };
+        store
+            .append_wal_locked(
+                dir.path(),
+                &[insert("bad1", &out_of_range), insert("bad2", &foreign_label)],
+            )
+            .unwrap();
+
+        let expected = PersistError::Tree {
+            path: wal::wal_path(dir.path()),
+            source: out_of_range.to_run(&spec).unwrap_err(),
+        }
+        .to_string();
+        assert!(expected.contains("node index outside"), "{expected}");
+        for _ in 0..8 {
+            let err = WorkflowStore::load_from_dir(dir.path()).unwrap_err();
+            assert!(matches!(err, PersistError::Tree { .. }), "got {err}");
+            assert_eq!(err.to_string(), expected);
+        }
     }
 
     #[test]

@@ -32,15 +32,15 @@
 use crate::cluster::incremental::{ClusterSnapshot, DistanceOracle, IncrementalClusterIndex};
 use crate::derived::{self, CheckpointReport};
 use crate::lockrank::{LockRank, RankedRwLock};
-use crate::metricindex::{IncrementalMetricIndex, MedoidPivots, PruneStats};
+use crate::metricindex::{IncrementalMetricIndex, PruneStats};
 use crate::persist::PersistError;
+use crate::pool;
 use crate::session::DiffSession;
 use crate::store::WorkflowStore;
 use crate::stream::{PartialRun, StreamError, StreamEvent};
 use crate::wal;
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use wfdiff_core::{
     CacheStats, CostModel, DiffCache, DiffError, PreparedRun, RunTables, ShardedDiffCache,
@@ -372,7 +372,7 @@ impl DiffService {
             store,
             cost: Arc::new(UnitCost),
             cache: Arc::new(ShardedDiffCache::with_capacity(DEFAULT_SERVICE_CACHE_ENTRIES)),
-            threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            threads: pool::cpus(),
         }
     }
 
@@ -711,7 +711,7 @@ impl DiffService {
         self.reclaim(&spec_arc, &named_runs);
         let names: Vec<String> = named_runs.iter().map(|(n, _)| n.clone()).collect();
         let oracle = ServiceOracle { service: self, spec };
-        let pivots = self.clusters.medoid_distance_rows(spec).map(MedoidPivots::new);
+        let pivots = self.clusters.medoid_pivots(spec);
         let (neighbors, stats) = self.metric.nearest(
             spec,
             spec_arc.fingerprint(),
@@ -719,7 +719,7 @@ impl DiffService {
             run,
             k,
             epsilon,
-            pivots.as_ref(),
+            pivots.as_deref(),
             &oracle,
         )?;
         let neighbors = neighbors
@@ -1036,47 +1036,17 @@ impl DiffService {
     }
 
     /// Runs `work` over `jobs` on the scoped worker pool, preserving job
-    /// order in the result.  The first differencing error wins.
-    #[expect(
-        clippy::expect_used,
-        reason = "join() only fails if a worker panicked, and propagating that panic is the correct escalation; the atomic job counter hands each index to exactly one worker, so a None slot is a scheduler bug"
-    )]
+    /// order in the result.  The first differencing error in job order
+    /// wins.
     fn run_jobs<J: Sync, T: Send>(
         &self,
         jobs: &[J],
         work: impl Fn(&J) -> Result<T, DiffError> + Sync,
     ) -> Result<Vec<T>, ServiceError> {
-        let workers = self.threads.min(jobs.len()).max(1);
-        if workers == 1 {
-            return jobs.iter().map(|j| work(j).map_err(ServiceError::from)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let results: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut out: Vec<(usize, Result<T, DiffError>)> = Vec::new();
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= jobs.len() {
-                                break;
-                            }
-                            out.push((k, work(&jobs[k])));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("diff workers do not panic")).collect()
-        });
-        let mut ordered: Vec<Option<T>> = (0..jobs.len()).map(|_| None).collect();
-        for (k, result) in results {
-            ordered[k] = Some(result.map_err(ServiceError::from)?);
-        }
-        Ok(ordered
+        pool::map_ordered(jobs, self.threads, work)
             .into_iter()
-            .map(|d| d.expect("every job index was claimed exactly once"))
-            .collect())
+            .map(|result| result.map_err(ServiceError::from))
+            .collect()
     }
 }
 
@@ -1321,6 +1291,34 @@ mod tests {
             Err(ServiceError::UnknownRun { .. })
         ));
         assert!(matches!(service.nearest_runs("zz", "r1", 1), Err(ServiceError::UnknownSpec(_))));
+    }
+
+    #[test]
+    fn similar_queries_share_one_set_of_pivot_rows_per_clustering() {
+        let store = seeded_store();
+        let service = DiffService::new(Arc::clone(&store));
+        assert!(service.clusters.medoid_pivots("fig2").is_none(), "nothing clustered yet");
+        service.cluster_medoids("fig2", 2, 1).unwrap();
+        let first = service.clusters.medoid_pivots("fig2").unwrap();
+        service.nearest_runs_pruned("fig2", "r1", 1, 0.0).unwrap();
+        service.nearest_runs_pruned("fig2", "r2", 1, 0.0).unwrap();
+        let second = service.clusters.medoid_pivots("fig2").unwrap();
+        assert!(Arc::ptr_eq(&first, &second), "queries reuse the clustering's rows");
+
+        let spec = store.spec("fig2").unwrap();
+        store.insert_run("r4", fig2_run1(&spec)).unwrap();
+        service.notify_run_inserted("fig2", "r4");
+        let after_insert = service.clusters.medoid_pivots("fig2").unwrap();
+        assert!(!Arc::ptr_eq(&first, &after_insert), "an insert replaces the rows");
+        assert!(after_insert.lower_bound("r4", "r1").is_some(), "the new run has a row");
+        assert!(first.lower_bound("r4", "r1").is_none());
+
+        store.remove_run("fig2", "r4");
+        service.notify_run_removed("fig2", "r4");
+        let after_remove = service.clusters.medoid_pivots("fig2").unwrap();
+        assert!(!Arc::ptr_eq(&after_insert, &after_remove), "a removal replaces the rows");
+        service.clusters.invalidate("fig2");
+        assert!(service.clusters.medoid_pivots("fig2").is_none());
     }
 
     #[test]

@@ -324,8 +324,8 @@ impl PartialRun {
     /// Opens an empty stream against `spec`.
     pub fn new(spec: Arc<Specification>) -> PartialRun {
         let profile = PrefixProfile::new(&spec);
-        let spec_edges = spec.edge_by_labels().into_keys().collect();
-        let loop_back = spec.loop_back_labels();
+        let spec_edges = spec.edge_by_labels().keys().cloned().collect();
+        let loop_back = spec.loop_back_labels().clone();
         PartialRun {
             spec,
             profile,

@@ -9,7 +9,7 @@
 use crate::node::{NodeType, TreeId, TreeNode};
 use crate::tree::AnnotatedTree;
 use crate::Result;
-use wfdiff_graph::{decompose, BinSpTree, LabeledDigraph, NodeId};
+use wfdiff_graph::{decompose, BinNode, BinSpTree, LabeledDigraph, NodeId};
 
 /// Builds the canonical SP-tree of the two-terminal graph
 /// `(graph, source, sink)`.
@@ -22,77 +22,90 @@ pub fn canonical_tree(
     sink: NodeId,
 ) -> Result<AnnotatedTree> {
     let bin = decompose(graph, source, sink)?;
-    let mut tree = AnnotatedTree::empty();
-    let root = convert(graph, &bin, &mut tree);
+    let mut converter = Converter {
+        graph,
+        bin: &bin,
+        tree: AnnotatedTree::empty(),
+        stack: Vec::new(),
+        parts: Vec::new(),
+        children: Vec::new(),
+    };
+    let root = converter.convert(bin.root());
+    let mut tree = converter.tree;
     tree.set_root(root);
     tree.recompute_leaf_counts();
     Ok(tree)
 }
 
-/// Flattens a binary subtree of the given composition type into the list of
-/// maximal subtrees of *different* type, preserving left-to-right order.
-fn flatten<'a>(bin: &'a BinSpTree, want_series: bool, out: &mut Vec<&'a BinSpTree>) {
-    match bin {
-        BinSpTree::Series(a, b) if want_series => {
-            flatten(a, want_series, out);
-            flatten(b, want_series, out);
-        }
-        BinSpTree::Parallel(a, b) if !want_series => {
-            flatten(a, want_series, out);
-            flatten(b, want_series, out);
-        }
-        other => out.push(other),
-    }
+/// Converts a binary tree into the canonical n-ary tree.  Stacks shared by
+/// every level hold the flattening walk, the flattened operands and the
+/// converted children, so a conversion allocates nothing per node beyond the
+/// tree itself.
+struct Converter<'a> {
+    graph: &'a LabeledDigraph,
+    bin: &'a BinSpTree,
+    tree: AnnotatedTree,
+    /// The flattening walk (empty between calls to `flatten`).
+    stack: Vec<usize>,
+    /// Maximal operands of the composition being converted at each level.
+    parts: Vec<usize>,
+    /// Converted children at each level.
+    children: Vec<TreeId>,
 }
 
-#[expect(
-    clippy::expect_used,
-    reason = "series nodes are created with children by the parser; childless series nodes are unconstructible"
-)]
-fn convert(graph: &LabeledDigraph, bin: &BinSpTree, tree: &mut AnnotatedTree) -> TreeId {
-    match bin {
-        BinSpTree::Leaf(e) => {
-            let edge = graph.edge(*e);
-            let mut node = TreeNode::new(
-                NodeType::Q,
-                graph.label(edge.src).clone(),
-                graph.label(edge.dst).clone(),
-                edge.src,
-                edge.dst,
-            );
-            node.edge = Some(*e);
-            node.leaf_count = 1;
-            tree.add_node(node)
-        }
-        BinSpTree::Series(_, _) => {
-            let mut parts = Vec::new();
-            flatten(bin, true, &mut parts);
-            let children: Vec<TreeId> = parts.iter().map(|p| convert(graph, p, tree)).collect();
-            let first = children[0];
-            let last = *children.last().expect("series node has children");
-            let (s_label, s_node) = (tree.node(first).s_label.clone(), tree.node(first).s_node);
-            let (t_label, t_node) = (tree.node(last).t_label.clone(), tree.node(last).t_node);
-            let node = TreeNode::new(NodeType::S, s_label, t_label, s_node, t_node);
-            let id = tree.add_node(node);
-            for c in children {
-                tree.attach_child(id, c);
+impl Converter<'_> {
+    /// Pushes onto `parts` the maximal subtrees of `id` whose type differs
+    /// from `id`'s composition, preserving left-to-right order.
+    fn flatten(&mut self, id: usize) {
+        let series = matches!(self.bin.node(id), BinNode::Series(..));
+        self.stack.push(id);
+        while let Some(n) = self.stack.pop() {
+            match self.bin.node(n) {
+                BinNode::Series(a, b) if series => self.stack.extend([b, a]),
+                BinNode::Parallel(a, b) if !series => self.stack.extend([b, a]),
+                _ => self.parts.push(n),
             }
-            id
         }
-        BinSpTree::Parallel(_, _) => {
-            let mut parts = Vec::new();
-            flatten(bin, false, &mut parts);
-            let children: Vec<TreeId> = parts.iter().map(|p| convert(graph, p, tree)).collect();
-            let first = children[0];
-            let (s_label, s_node) = (tree.node(first).s_label.clone(), tree.node(first).s_node);
-            let (t_label, t_node) = (tree.node(first).t_label.clone(), tree.node(first).t_node);
-            let node = TreeNode::new(NodeType::P, s_label, t_label, s_node, t_node);
-            let id = tree.add_node(node);
-            for c in children {
-                tree.attach_child(id, c);
+    }
+
+    fn convert(&mut self, id: usize) -> TreeId {
+        let ty = match self.bin.node(id) {
+            BinNode::Leaf(e) => {
+                let edge = self.graph.edge(e);
+                let mut node = TreeNode::new(
+                    NodeType::Q,
+                    self.graph.label(edge.src).clone(),
+                    self.graph.label(edge.dst).clone(),
+                    edge.src,
+                    edge.dst,
+                );
+                node.edge = Some(e);
+                node.leaf_count = 1;
+                return self.tree.add_node(node);
             }
-            id
+            BinNode::Series(..) => NodeType::S,
+            BinNode::Parallel(..) => NodeType::P,
+        };
+        let (parts_from, children_from) = (self.parts.len(), self.children.len());
+        self.flatten(id);
+        for i in parts_from..self.parts.len() {
+            let child = self.convert(self.parts[i]);
+            self.children.push(child);
         }
+        // A flattened composition has at least two operands.
+        let first = self.tree.node(self.children[children_from]);
+        let last = self.tree.node(self.children[self.children.len() - 1]);
+        // Every branch of a parallel node shares its terminals.
+        let end = if ty == NodeType::S { last } else { first };
+        let node =
+            TreeNode::new(ty, first.s_label.clone(), end.t_label.clone(), first.s_node, end.t_node);
+        let id = self.tree.add_node(node);
+        for i in children_from..self.children.len() {
+            self.tree.attach_child(id, self.children[i]);
+        }
+        self.parts.truncate(parts_from);
+        self.children.truncate(children_from);
+        id
     }
 }
 

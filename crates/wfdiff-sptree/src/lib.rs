@@ -52,6 +52,7 @@ pub mod canonical;
 pub mod error;
 pub mod execution;
 pub mod fingerprint;
+mod keyset;
 pub mod laminar;
 pub mod lengths;
 pub mod materialize;

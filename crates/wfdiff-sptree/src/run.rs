@@ -13,12 +13,12 @@
 //! tree.
 
 use crate::canonical::canonical_tree;
+use crate::keyset::KeySets;
 use crate::node::{NodeType, TreeId, TreeNode};
-use crate::spec::Specification;
+use crate::spec::{SpecTables, Specification};
 use crate::tree::AnnotatedTree;
 use crate::{Result, SpTreeError};
-use std::collections::{BTreeSet, HashMap};
-use wfdiff_graph::{validate_run_against_graph, EdgeId, Label, LabeledDigraph, NodeId};
+use wfdiff_graph::{validate_run_against_graph, Homomorphism, LabeledDigraph, NodeId};
 
 /// A valid run of an SP-workflow specification: the run graph together with
 /// its annotated SP-tree.
@@ -35,16 +35,18 @@ pub struct Run {
 impl Run {
     /// Builds a [`Run`] by validating `graph` against `spec` and replaying its
     /// execution (Algorithms 2 and 5).
+    ///
+    /// Everything the validation and the replay read of `spec` — its label
+    /// index, edge and loop back-edge maps and the key set of every spec-tree
+    /// node — comes from tables the specification computes once (see
+    /// [`Specification`]), so the per-run cost is the run's own: validation,
+    /// the SP reduction of its graph into a canonical tree, and one replay
+    /// of that tree against the specification's.
     pub fn from_graph(spec: &Specification, graph: LabeledDigraph) -> Result<Run> {
-        let hom = validate_run_against_graph(
-            spec.graph(),
-            spec.sp().source(),
-            spec.sp().sink(),
-            &spec.loop_back_labels(),
-            &graph,
-        )?;
+        let tables = spec.tables();
+        let hom = validate_run_against_graph(&tables.graph, &graph)?;
         let ctree = canonical_tree(&graph, hom.run_source, hom.run_sink)?;
-        let tree = replay(spec, &graph, &ctree)?;
+        let tree = replay(spec, tables, &hom, &ctree)?;
         Ok(Run {
             spec_name: spec.name().to_string(),
             spec_fp: spec.fingerprint(),
@@ -124,14 +126,6 @@ impl Specification {
     }
 }
 
-/// A key identifying what part of the specification a run edge belongs to:
-/// either a specification edge, or the implicit back edge of a loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum SpecKey {
-    Edge(EdgeId),
-    LoopBack(usize),
-}
-
 /// How a multi-element forest of canonical subtrees composes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Comp {
@@ -141,73 +135,40 @@ enum Comp {
 
 struct Replayer<'a> {
     spec: &'a Specification,
-    /// Key sets of every specification-tree node.
-    spec_keys: Vec<BTreeSet<SpecKey>>,
+    /// The specification's tables, key sets of its tree nodes included.
+    tables: &'a SpecTables,
     ctree: &'a AnnotatedTree,
-    /// Key sets of every canonical-run-tree node.
-    run_keys: Vec<BTreeSet<SpecKey>>,
+    /// Key sets of every canonical-run-tree node: what part of the
+    /// specification (spec edges, loop back edges) its edges instantiate.
+    run_keys: KeySets,
     out: AnnotatedTree,
 }
 
 /// Replays the run described by the canonical tree `ctree` against `spec`,
 /// producing the annotated run tree.
-#[expect(
-    clippy::expect_used,
-    reason = "Run::from_graph validated every Q leaf against a spec edge before this lookup, and spec tree validation assigns control ids to every L node"
-)]
 fn replay(
     spec: &Specification,
-    graph: &LabeledDigraph,
+    tables: &SpecTables,
+    hom: &Homomorphism,
     ctree: &AnnotatedTree,
 ) -> Result<AnnotatedTree> {
-    // Key set per specification node.
-    let spec_tree = spec.tree();
-    let mut spec_keys: Vec<BTreeSet<SpecKey>> = vec![BTreeSet::new(); spec_tree.len()];
-    for id in spec_tree.postorder(spec_tree.root()) {
-        let mut set = BTreeSet::new();
-        match spec_tree.ty(id) {
-            NodeType::Q => {
-                set.insert(SpecKey::Edge(
-                    spec_tree.node(id).edge.expect("spec Q leaves reference spec edges"),
-                ));
-            }
-            NodeType::L => {
-                set.insert(SpecKey::LoopBack(
-                    spec_tree.node(id).control_id.expect("L nodes carry a control id"),
-                ));
-                for &c in spec_tree.children(id) {
-                    set.extend(spec_keys[c.index()].iter().copied());
-                }
-            }
-            _ => {
-                for &c in spec_tree.children(id) {
-                    set.extend(spec_keys[c.index()].iter().copied());
-                }
-            }
-        }
-        spec_keys[id.index()] = set;
-    }
-
-    // Key set per canonical run node.
-    let edge_by_labels = spec.edge_by_labels();
-    let mut run_keys: Vec<BTreeSet<SpecKey>> = vec![BTreeSet::new(); ctree.len()];
+    let mut run_keys = KeySets::new(ctree.len(), tables.width);
     for id in ctree.postorder(ctree.root()) {
-        let mut set = BTreeSet::new();
-        if ctree.ty(id) == NodeType::Q {
-            let node = ctree.node(id);
-            let key = run_edge_key(spec, &edge_by_labels, &node.s_label, &node.t_label)?;
-            set.insert(key);
+        let node = ctree.node(id);
+        if node.ty == NodeType::Q {
+            let edge = node.edge.ok_or_else(|| {
+                SpTreeError::Invariant("canonical tree leaf without a run edge".to_string())
+            })?;
+            run_keys.insert(id.index(), tables.key_bit(hom.edges[edge.index()]));
         } else {
-            for &c in ctree.children(id) {
-                set.extend(run_keys[c.index()].iter().copied());
+            for &c in &node.children {
+                run_keys.union_into(id.index(), c.index());
             }
         }
-        run_keys[id.index()] = set;
     }
-    let _ = graph;
 
-    let mut replayer = Replayer { spec, spec_keys, ctree, run_keys, out: AnnotatedTree::empty() };
-    let root = replayer.build(spec_tree.root(), &[ctree.root()], Comp::Series)?;
+    let mut replayer = Replayer { spec, tables, ctree, run_keys, out: AnnotatedTree::empty() };
+    let root = replayer.build(spec.tree().root(), &[ctree.root()], Comp::Series)?;
     let mut out = replayer.out;
     out.set_root(root);
     out.recompute_leaf_counts();
@@ -215,41 +176,13 @@ fn replay(
     Ok(out)
 }
 
-/// Maps a run edge (by its endpoint labels) to the specification edge or loop
-/// back-edge it instantiates.
-fn run_edge_key(
-    spec: &Specification,
-    edge_by_labels: &HashMap<(Label, Label), EdgeId>,
-    from: &Label,
-    to: &Label,
-) -> Result<SpecKey> {
-    if let Some(&e) = edge_by_labels.get(&(from.clone(), to.clone())) {
-        return Ok(SpecKey::Edge(e));
-    }
-    if let Some(l) = spec.loop_for_back_edge(from, to) {
-        return Ok(SpecKey::LoopBack(l));
-    }
-    Err(SpTreeError::InvalidRun {
-        what: format!(
-            "run edge {from} -> {to} matches neither a specification edge nor a loop back edge"
-        ),
-    })
-}
-
 impl<'a> Replayer<'a> {
-    fn spec_tree(&self) -> &AnnotatedTree {
+    fn spec_tree(&self) -> &'a AnnotatedTree {
         self.spec.tree()
     }
 
     fn overlaps(&self, spec_v: TreeId, run_v: TreeId) -> bool {
-        let a = &self.spec_keys[spec_v.index()];
-        let b = &self.run_keys[run_v.index()];
-        // Iterate over the smaller set.
-        if a.len() <= b.len() {
-            a.iter().any(|k| b.contains(k))
-        } else {
-            b.iter().any(|k| a.contains(k))
-        }
+        self.tables.keys.overlaps(spec_v.index(), &self.run_keys, run_v.index())
     }
 
     /// Flattens a forest that is known to compose in series into the ordered
@@ -288,7 +221,7 @@ impl<'a> Replayer<'a> {
     }
 
     fn build_leaf(&mut self, spec_v: TreeId, forest: &[TreeId]) -> Result<TreeId> {
-        let spec_node = self.spec_tree().node(spec_v).clone();
+        let spec_node = self.spec_tree().node(spec_v);
         if forest.len() != 1 || self.ctree.ty(forest[0]) != NodeType::Q {
             return Err(SpTreeError::InvalidRun {
                 what: format!(
@@ -321,7 +254,7 @@ impl<'a> Replayer<'a> {
 
     fn build_series(&mut self, spec_v: TreeId, forest: &[TreeId], ctx: Comp) -> Result<TreeId> {
         let flat = self.flatten_series(forest, ctx)?;
-        let spec_children = self.spec_tree().children(spec_v).to_vec();
+        let spec_children = self.spec_tree().children(spec_v);
         let mut groups: Vec<Vec<TreeId>> = vec![Vec::new(); spec_children.len()];
         for &f in &flat {
             let mut target = None;
@@ -357,7 +290,7 @@ impl<'a> Replayer<'a> {
     }
 
     fn build_parallel(&mut self, spec_v: TreeId, forest: &[TreeId], ctx: Comp) -> Result<TreeId> {
-        let spec_children = self.spec_tree().children(spec_v).to_vec();
+        let spec_children = self.spec_tree().children(spec_v);
         if forest.len() == 1 && self.ctree.ty(forest[0]) == NodeType::P {
             let flat = self.ctree.children(forest[0]).to_vec();
             let mut groups: Vec<Vec<TreeId>> = vec![Vec::new(); spec_children.len()];
@@ -447,14 +380,15 @@ impl<'a> Replayer<'a> {
     fn build_loop(&mut self, spec_v: TreeId, forest: &[TreeId], ctx: Comp) -> Result<TreeId> {
         let body = self.spec_tree().children(spec_v)[0];
         let control_id = self.spec_tree().node(spec_v).control_id;
-        let this_loop = control_id.expect("L nodes carry a control id");
+        let this_loop = control_id
+            .and_then(|c| self.tables.loop_bit(c))
+            .expect("L nodes carry the control id of a loop");
         let flat = self.flatten_series(forest, ctx)?;
         // Split the flat sequence at the implicit back edges of *this* loop.
         let mut iterations: Vec<Vec<TreeId>> = vec![Vec::new()];
         for &f in &flat {
-            let is_separator = self.ctree.ty(f) == NodeType::Q
-                && self.run_keys[f.index()].contains(&SpecKey::LoopBack(this_loop))
-                && self.run_keys[f.index()].len() == 1;
+            let is_separator =
+                self.ctree.ty(f) == NodeType::Q && self.run_keys.is_only(f.index(), this_loop);
             if is_separator {
                 iterations.push(Vec::new());
             } else {

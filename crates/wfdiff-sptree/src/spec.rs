@@ -11,6 +11,7 @@
 //! represents each fork/loop subgraph.
 
 use crate::canonical::canonical_tree;
+use crate::keyset::KeySets;
 use crate::laminar::{check_laminar, has_duplicate_sets};
 use crate::lengths::BranchFreeLengths;
 use crate::node::{NodeType, TreeId, TreeNode};
@@ -18,7 +19,9 @@ use crate::tree::AnnotatedTree;
 use crate::{Result, SpTreeError};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use wfdiff_graph::{EdgeId, GraphError, Label, LabeledDigraph, NodeId, SpGraph};
+use wfdiff_graph::{
+    EdgeId, EdgeImage, GraphError, Label, LabeledDigraph, NodeId, SpGraph, SpecGraphIndex,
+};
 
 /// Whether a control subgraph is replicated in parallel (fork) or in series
 /// (loop).
@@ -76,15 +79,28 @@ pub struct SpecStats {
 
 /// An SP-workflow specification `(G, F, L)` together with its annotated
 /// SP-tree `T_G`.
+///
+/// Three derived values are computed on first use and then kept:
+///
+/// * the arena [`fingerprint`](Specification::fingerprint) that pins runs
+///   to this version;
+/// * the [branch-free lengths](Specification::branch_free_lengths) the
+///   prefix bounds read;
+/// * the tables every [`Run::from_graph`](crate::Run::from_graph) reads:
+///   the label index, the spec edges and loop back edges by node pair, the
+///   `(s, t)`-label edge map, the loop back-edge label pairs and every
+///   spec-tree node's key set.  Without them each run validation rebuilt
+///   them all.
+///
+/// None of them can go stale: a specification has no mutating method after
+/// [`Specification::new`], and a changed specification is a new value with
+/// empty caches.
 #[derive(Debug, Clone)]
 pub struct Specification {
     name: String,
     sp: SpGraph,
     controls: Vec<ControlSubgraph>,
     tree: AnnotatedTree,
-    /// Loop back edges `(t(H), s(H))` keyed by label pair, mapping to the
-    /// control index of the loop.
-    loop_back: HashMap<(Label, Label), usize>,
     /// Tree node of each control annotation (the inserted `F`/`L` node).
     control_tree_nodes: Vec<TreeId>,
     /// Lazily computed arena-identity fingerprint of the annotated tree; used
@@ -92,6 +108,94 @@ pub struct Specification {
     fp: std::sync::OnceLock<crate::Fingerprint>,
     /// Lazily computed branch-free length sets of the annotated tree.
     lengths: std::sync::OnceLock<BranchFreeLengths>,
+    /// Lazily computed run validation and replay tables.
+    tables: std::sync::OnceLock<SpecTables>,
+}
+
+/// What every run validation and replay against one specification reads.
+#[derive(Debug, Clone)]
+pub(crate) struct SpecTables {
+    /// The label index, and the image of every node pair a run edge may
+    /// map to: the spec edges and the loop back edges (`Extra(i)` is the
+    /// back edge of the `i`-th loop in control order).
+    pub(crate) graph: SpecGraphIndex,
+    /// Spec edge by `(source-label, target-label)`.
+    edge_by_labels: HashMap<(Label, Label), EdgeId>,
+    /// Label pairs of the loop back edges.
+    loop_back_labels: HashSet<(Label, Label)>,
+    /// Number of spec edges: the first loop's key bit.
+    edges: usize,
+    /// Key bit of each control's back edge (`None` for forks).
+    loop_bits: Vec<Option<usize>>,
+    /// Width of a key set: the spec edges, then the loops.
+    pub(crate) width: usize,
+    /// The key set of every spec-tree node (see [`crate::keyset`]).
+    pub(crate) keys: KeySets,
+}
+
+impl SpecTables {
+    /// The key bit of a run edge that maps to `image`.
+    pub(crate) fn key_bit(&self, image: EdgeImage) -> usize {
+        match image {
+            EdgeImage::Spec(e) => e.index(),
+            EdgeImage::Extra(i) => self.edges + i,
+        }
+    }
+
+    /// The key bit of control `control_id`'s back edge, for loops.
+    pub(crate) fn loop_bit(&self, control_id: usize) -> Option<usize> {
+        self.loop_bits.get(control_id).copied().flatten()
+    }
+
+    #[expect(
+        clippy::expect_used,
+        reason = "Specification::new checked the labels unique, and spec tree validation puts an edge on every Q leaf and a loop's control id on every L node"
+    )]
+    fn new(spec: &Specification) -> SpecTables {
+        let graph = spec.graph();
+        let edges = graph.edge_count();
+        // The i-th loop in control order owns key bit `edges + i`.
+        let mut loop_bits = vec![None; spec.controls.len()];
+        let mut back_edges = Vec::new();
+        for (c, control) in spec.controls.iter().enumerate() {
+            if control.kind == ControlKind::Loop {
+                loop_bits[c] = Some(edges + back_edges.len());
+                back_edges.push((control.sink_label.clone(), control.source_label.clone()));
+            }
+        }
+        let width = edges + back_edges.len();
+        let tree = spec.tree();
+        let mut keys = KeySets::new(tree.len(), width);
+        for id in tree.postorder(tree.root()) {
+            let node = tree.node(id);
+            match node.ty {
+                NodeType::Q => {
+                    keys.insert(id.index(), node.edge.expect("spec Q leaves carry an edge").index())
+                }
+                NodeType::L => {
+                    let bit = node.control_id.and_then(|c| loop_bits.get(c).copied().flatten());
+                    keys.insert(id.index(), bit.expect("L nodes annotate loops"));
+                }
+                _ => {}
+            }
+            for &c in &node.children {
+                keys.union_into(id.index(), c.index());
+            }
+        }
+        SpecTables {
+            graph: SpecGraphIndex::new(graph, spec.sp.source(), spec.sp.sink(), &back_edges)
+                .expect("specification labels are unique"),
+            edge_by_labels: graph
+                .edges()
+                .map(|(id, e)| ((graph.label(e.src).clone(), graph.label(e.dst).clone()), id))
+                .collect(),
+            loop_back_labels: back_edges.into_iter().collect(),
+            edges,
+            loop_bits,
+            width,
+            keys,
+        }
+    }
 }
 
 impl Specification {
@@ -148,20 +252,19 @@ impl Specification {
         tree.recompute_leaf_counts();
         tree.validate_spec_tree()?;
 
-        // Loop back-edge disambiguation map.
-        let mut loop_back = HashMap::new();
-        for (idx, rec) in records.iter().enumerate() {
-            if rec.kind == ControlKind::Loop {
-                let key = (rec.sink_label.clone(), rec.source_label.clone());
-                if loop_back.insert(key, idx).is_some() {
-                    return Err(SpTreeError::AmbiguousControl {
-                        what: format!(
-                            "two loops share the terminals ({}, {}); their implicit back edges \
-                             would be indistinguishable in runs",
-                            rec.source_label, rec.sink_label
-                        ),
-                    });
-                }
+        // Loop back edges `(t(H), s(H))` must be distinguishable by labels.
+        let mut loop_back = HashSet::new();
+        for rec in &records {
+            if rec.kind == ControlKind::Loop
+                && !loop_back.insert((&rec.sink_label, &rec.source_label))
+            {
+                return Err(SpTreeError::AmbiguousControl {
+                    what: format!(
+                        "two loops share the terminals ({}, {}); their implicit back edges \
+                         would be indistinguishable in runs",
+                        rec.source_label, rec.sink_label
+                    ),
+                });
             }
         }
 
@@ -170,10 +273,10 @@ impl Specification {
             sp,
             controls: records,
             tree,
-            loop_back,
             control_tree_nodes,
             fp: std::sync::OnceLock::new(),
             lengths: std::sync::OnceLock::new(),
+            tables: std::sync::OnceLock::new(),
         })
     }
 
@@ -192,6 +295,19 @@ impl Specification {
     /// (cached after the first call, like [`Specification::fingerprint`]).
     pub fn branch_free_lengths(&self) -> &BranchFreeLengths {
         self.lengths.get_or_init(|| BranchFreeLengths::compute(&self.tree))
+    }
+
+    /// The run validation and replay tables (cached after the first call,
+    /// like [`Specification::fingerprint`]).
+    pub(crate) fn tables(&self) -> &SpecTables {
+        self.tables.get_or_init(|| SpecTables::new(self))
+    }
+
+    /// This specification's own [`Label`] for module `name`, if it has one.
+    /// Runs rebuilt from text share it (a reference-count increment) rather
+    /// than allocating one label per run node.
+    pub fn label(&self, name: &str) -> Option<&Label> {
+        self.tables().graph.node(name).map(|n| self.graph().label(n))
     }
 
     /// The specification name.
@@ -263,14 +379,8 @@ impl Specification {
 
     /// The label pairs of the implicit loop back-edges, which runs may contain
     /// in addition to the specification edges.
-    pub fn loop_back_labels(&self) -> HashSet<(Label, Label)> {
-        self.loop_back.keys().cloned().collect()
-    }
-
-    /// Looks up the loop whose implicit back edge carries the given
-    /// `(from, to)` label pair.
-    pub fn loop_for_back_edge(&self, from: &Label, to: &Label) -> Option<usize> {
-        self.loop_back.get(&(from.clone(), to.clone())).copied()
+    pub fn loop_back_labels(&self) -> &HashSet<(Label, Label)> {
+        &self.tables().loop_back_labels
     }
 
     /// Maps a specification edge id to the spec-tree `Q` leaf representing it.
@@ -287,14 +397,10 @@ impl Specification {
     /// Maps a `(source-label, target-label)` pair to the specification edge id,
     /// when such an edge exists.  Because specification labels are unique and
     /// `G` is a simple multigraph built from compositions, at most one edge can
-    /// connect a given ordered pair of labels in a specification.
-    pub fn edge_by_labels(&self) -> HashMap<(Label, Label), EdgeId> {
-        let mut map = HashMap::new();
-        for (id, e) in self.graph().edges() {
-            let key = (self.graph().label(e.src).clone(), self.graph().label(e.dst).clone());
-            map.insert(key, id);
-        }
-        map
+    /// connect a given ordered pair of labels in a specification.  (Where
+    /// parallel edges join one pair anyway, the map keeps the highest id.)
+    pub fn edge_by_labels(&self) -> &HashMap<(Label, Label), EdgeId> {
+        &self.tables().edge_by_labels
     }
 }
 
@@ -714,8 +820,8 @@ mod tests {
     #[test]
     fn loop_back_edge_lookup() {
         let spec = fig2_specification();
-        assert!(spec.loop_for_back_edge(&Label::new("6"), &Label::new("2")).is_some());
-        assert!(spec.loop_for_back_edge(&Label::new("7"), &Label::new("1")).is_none());
+        assert!(spec.loop_back_labels().contains(&(Label::new("6"), Label::new("2"))));
+        assert!(!spec.loop_back_labels().contains(&(Label::new("7"), Label::new("1"))));
         assert_eq!(spec.loop_back_labels().len(), 1);
     }
 
