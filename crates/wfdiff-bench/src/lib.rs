@@ -2,8 +2,10 @@
 //!
 //! Every table and figure of the paper's evaluation section (Section VIII) has
 //! a corresponding module here; the `src/bin` binaries print the same
-//! rows/series the paper reports (and write CSV files), and the Criterion
-//! benches in `benches/` time representative configurations.
+//! rows/series the paper reports, each point's time the mean over its
+//! samples, and write CSV files.  `similar_sweep` measures the metric index
+//! in process and `crash_torture` checks crash recovery; the serving tier is
+//! measured by the wfbench benchmark at the repository root.
 //!
 //! The defaults use fewer samples and smaller replication bounds than the
 //! paper so that the full harness completes in minutes on a laptop; every
@@ -15,20 +17,21 @@
 //! generator:
 //!
 //! ```
-//! use wfdiff_bench::batch::{generate_workload, BatchConfig};
+//! use wfdiff_bench::fig12::{run, Fig12Config};
 //! use wfdiff_bench::time_ms;
 //!
 //! let (value, elapsed_ms) = time_ms(|| (0u64..1000).sum::<u64>());
 //! assert_eq!(value, 499_500);
 //! assert!(elapsed_ms >= 0.0);
 //!
-//! // A tiny Fig. 12-style collection: one specification, three runs.
-//! let (spec, runs) = generate_workload(&BatchConfig::fig12(20, 3));
-//! assert_eq!(runs.len(), 3);
-//! assert!(runs.iter().all(|r| r.spec_name() == spec.name()));
+//! // One point of the Fig. 12/13 sweep: 20-edge specifications, one sample.
+//! let config =
+//!     Fig12Config { spec_edges: vec![20], ratios: vec![1.0], samples: 1, ..Fig12Config::default() };
+//! let points = run(&config);
+//! assert_eq!(points.len(), 1);
+//! assert!(points[0].avg_time_ms >= 0.0 && points[0].avg_distance >= 0.0);
 //! ```
 
-pub mod batch;
 pub mod benchjson;
 pub mod csvout;
 pub mod events;

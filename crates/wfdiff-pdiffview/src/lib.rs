@@ -106,8 +106,8 @@ pub use persist::{PersistError, SaveSummary, STORE_FORMAT};
 pub use render::{render_diff_dot, render_diff_text};
 pub use serve::{ServeConfig, ServeMetrics, Server, ServerHandle, ShardEntry, ShardRouter};
 pub use service::{
-    AllPairsResult, DiffService, DiffServiceBuilder, DriftClusterStatus, DriftMonitor, DriftReport,
-    PairDistance, ServiceError, StreamAck, StreamBatchOutcome, StreamLoadReport, WarmStartReport,
+    AllPairsResult, DiffService, DiffServiceBuilder, DriftClusterStatus, DriftReport, PairDistance,
+    ServiceError, StreamAck, StreamBatchOutcome, StreamLoadReport, WarmStartReport,
 };
 pub use session::DiffSession;
 pub use store::{SpecSnapshot, StoreError, WorkflowStore, DEFAULT_WAL_FOLD_THRESHOLD};

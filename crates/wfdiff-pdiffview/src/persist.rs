@@ -25,7 +25,8 @@
 //!   it past the manifest state (truncating a torn tail first), and a full
 //!   save **folds** it — merges the checkpoint deltas into
 //!   `cluster_cache.json` and `metric_index.json` (see [`crate::derived`]),
-//!   commits the snapshot, truncates the log to zero.
+//!   commits the snapshot, and replaces the log with the records of the
+//!   streams still open.
 //! * Each specification directory is keyed by a slug of the name plus the
 //!   first 8 hex digits of the spec's **canonical persistent fingerprint**
 //!   (the arena fingerprint of the specification *as rebuilt from its
@@ -47,7 +48,7 @@
 //! complete) spec directories; at worst a fingerprint-identical spec
 //! directory has gained or lost some run files, all of which remain valid
 //! for that exact spec version.  WAL replay is idempotent, so a crash
-//! anywhere between a manifest commit and the WAL truncation that follows
+//! anywhere between a manifest commit and the log replacement that follows
 //! it merely replays records whose effects the manifest already holds.
 //! Every durability-relevant operation runs through the store's
 //! [`StoreIo`] trait object, which is how the
@@ -341,7 +342,17 @@ pub(crate) fn write_json_atomic<T: Serialize>(
 ) -> Result<(), PersistError> {
     let json = serde_json::to_string_pretty(value)
         .map_err(|source| PersistError::Json { path: path.to_path_buf(), source })?;
-    if fs::read_to_string(path).is_ok_and(|existing| existing == json) {
+    write_atomic(io, path, json.as_bytes())
+}
+
+/// Atomically replaces `path` with `bytes`, leaving a byte-identical file
+/// untouched — the protocol behind [`write_json_atomic`].
+pub(crate) fn write_atomic(
+    io: &dyn StoreIo,
+    path: &Path,
+    bytes: &[u8],
+) -> Result<(), PersistError> {
+    if fs::read(path).is_ok_and(|existing| existing == bytes) {
         return Ok(());
     }
     // The temp name carries the process id and a counter so two writers
@@ -356,7 +367,7 @@ pub(crate) fn write_json_atomic<T: Serialize>(
     // The data must be on stable storage *before* the rename is: journalling
     // filesystems may otherwise persist the rename ahead of the data blocks
     // and a power loss would leave a committed-looking but truncated file.
-    io.write_file(&tmp, json.as_bytes()).map_err(|e| io_err(&tmp, "writing", e))?;
+    io.write_file(&tmp, bytes).map_err(|e| io_err(&tmp, "writing", e))?;
     io.fsync_file(&tmp).map_err(|e| io_err(&tmp, "syncing", e))?;
     io.rename(&tmp, path).map_err(|e| io_err(path, "committing", e))?;
     // Make the rename itself durable by syncing the parent directory.
@@ -490,6 +501,9 @@ impl WorkflowStore {
     /// `save_lock` (either the public wrapper or a WAL append whose
     /// threshold check escalated into a fold).
     fn save_to_dir_locked(&self, dir: &Path) -> Result<SaveSummary, PersistError> {
+        // Every fold attempt restarts the threshold count, so a fold that
+        // fails is retried one threshold later, not on every append.
+        self.wal_stats.since_fold.store(0, Ordering::Release);
         // The records appended since the last fold.  Scanned up front so the
         // checkpoint deltas can be merged into their files before the log is
         // truncated; nothing can append concurrently (save_lock).
@@ -667,17 +681,16 @@ impl WorkflowStore {
         // the previous state to this one.
         write_json_atomic(&*self.io, &dir.join("manifest.json"), &manifest)?;
 
-        // The manifest now holds everything the WAL recorded; truncate it.
-        // (Replay past the *new* manifest is idempotent, so a crash anywhere
-        // between the rename above and this truncation loses nothing.)
-        wal::truncate_to(&*self.io, dir, 0)?;
-
-        // Streams are WAL-only state — they have no manifest document — so
-        // the live records of every still-open stream are re-appended to the
-        // fresh log.  A stream is dropped when the manifest moved to another
-        // version of its specification, or when its name already denotes a
-        // stored run (a finalisation whose closure marker was lost to a
-        // crash between the run-insert append and the marker append).
+        // The manifest now holds everything the WAL recorded, so the log is
+        // reset.  Streams are WAL-only state — they have no manifest
+        // document — so the live records of every still-open stream are
+        // kept: the log is replaced by exactly those records, atomically
+        // (replay past the *new* manifest is idempotent, so a crash or an
+        // error before the replacement loses nothing).  A stream is dropped
+        // when the manifest moved to another version of its specification,
+        // or when its name already denotes a stored run (a finalisation
+        // whose closure marker was lost to a crash between the run-insert
+        // append and the marker append).
         let survivors: Vec<wal::WalRecord> = streams
             .into_iter()
             .filter(|((spec, stream), group)| {
@@ -691,7 +704,7 @@ impl WorkflowStore {
             })
             .flat_map(|(_, group)| group.into_iter().map(wal::WalRecord::StreamEvent))
             .collect();
-        let stream_bytes = wal::append(&*self.io, dir, &wal::encode_all(dir, &survivors)?)?;
+        let stream_bytes = wal::replace(&*self.io, dir, &wal::encode_all(dir, &survivors)?)?;
         self.wal_stats.bytes.store(stream_bytes, Ordering::Release);
         self.wal_stats.folds_total.fetch_add(1, Ordering::AcqRel);
 
@@ -740,10 +753,12 @@ impl WorkflowStore {
     ///
     /// [`WorkflowStore::load_from_dir`] replays the record after the
     /// manifest-committed documents; the next full save folds it into a
-    /// regular run document and truncates the log (appends past the
+    /// regular run document and resets the log (appends past the
     /// [`WorkflowStore::set_wal_fold_threshold`] trigger that fold
-    /// themselves).  Appends take the store's save lock, so they cannot
-    /// interleave with an in-flight save from this process.
+    /// themselves).  Once the record is appended the run is durable, so the
+    /// call returns `Ok` even when the fold it triggers fails.  Appends take
+    /// the store's save lock, so they cannot interleave with an in-flight
+    /// save from this process.
     pub fn append_run_to_dir(
         &self,
         dir: impl AsRef<Path>,
@@ -836,9 +851,9 @@ impl WorkflowStore {
     /// In-flight streams are WAL-only state: [`WorkflowStore::load_from_dir`]
     /// counts the records as replayed, and
     /// [`DiffService::load_streams`](crate::service::DiffService::load_streams)
-    /// rebuilds the `PartialRun`s from them.  A full save re-appends the
-    /// records of still-open streams after truncating the log, so they
-    /// survive folds; [`WorkflowStore::append_stream_close_to_dir`] marks a
+    /// rebuilds the `PartialRun`s from them.  A full save replaces the log
+    /// with the records of still-open streams, so they survive folds;
+    /// [`WorkflowStore::append_stream_close_to_dir`] marks a
     /// stream finalised, after which its records are dropped.
     ///
     /// Like [`WorkflowStore::append_run_to_dir`], the directory must hold
@@ -955,6 +970,15 @@ impl WorkflowStore {
 
     /// Appends records and maintains the counters + fold threshold; the
     /// caller holds `save_lock`.
+    ///
+    /// Once the threshold's worth of bytes has been appended since the last
+    /// fold attempt, the append folds the log into a full checkpoint so
+    /// replay time stays bounded.  The trigger counts appended bytes, not
+    /// the log's length: every fold carries the records of open streams
+    /// over, and counting those would fold on every append.  The records
+    /// are durable before the fold starts, so a failed fold does not fail
+    /// the append; the log keeps them, and only an explicit
+    /// [`WorkflowStore::save_to_dir`] reports a fold's error.
     fn append_encoded_locked(
         &self,
         dir: &Path,
@@ -962,12 +986,11 @@ impl WorkflowStore {
     ) -> Result<(), PersistError> {
         let appended = wal::append(&*self.io, dir, records)?;
         self.wal_stats.appends_total.fetch_add(records.len() as u64, Ordering::AcqRel);
-        let bytes = self.wal_stats.bytes.fetch_add(appended, Ordering::AcqRel) + appended;
+        self.wal_stats.bytes.fetch_add(appended, Ordering::AcqRel);
+        let since_fold = self.wal_stats.since_fold.fetch_add(appended, Ordering::AcqRel) + appended;
         let threshold = self.wal_fold_threshold.load(Ordering::Acquire);
-        if threshold != 0 && bytes >= threshold {
-            // The log has grown past the fold threshold: absorb it into a
-            // full checkpoint so replay time stays bounded.
-            self.save_to_dir_locked(dir)?;
+        if threshold != 0 && since_fold >= threshold {
+            let _ = self.save_to_dir_locked(dir);
         }
         Ok(())
     }
@@ -1184,6 +1207,7 @@ impl WorkflowStore {
         }
         store.wal_stats.replayed_records.store(replayed, Ordering::Release);
         store.wal_stats.bytes.store(wal_scan.valid_len, Ordering::Release);
+        store.wal_stats.since_fold.store(wal_scan.valid_len, Ordering::Release);
         Ok(store)
     }
 }
@@ -1646,6 +1670,46 @@ mod tests {
         let loaded = WorkflowStore::load_from_dir(dir.path()).unwrap();
         assert_eq!(loaded.run_count(), 4);
         assert_eq!(loaded.wal_stats().replayed_records, 0);
+    }
+
+    #[test]
+    fn the_fold_trigger_counts_bytes_appended_since_the_last_fold() {
+        let dir = TempDir::new("wal-trigger");
+        let store = seeded_store();
+        store.save_to_dir(dir.path()).unwrap();
+        // An open stream, whose records every fold carries over (the fold
+        // copies them without replaying them, so any events do).
+        let events: Vec<crate::stream::StreamEvent> =
+            (0..64).map(crate::stream::StreamEvent::completed).collect();
+        store.append_stream_events_to_dir(dir.path(), "fig2", "open", 0, &events).unwrap();
+        store.save_to_dir(dir.path()).unwrap();
+        let stream_bytes = store.wal_stats().bytes;
+
+        let spec = store.spec("fig2").unwrap();
+        let append = |name: &str| {
+            let run = store.insert_run(name, fig2_run1(&spec)).unwrap();
+            store.append_run_to_dir(dir.path(), name, &run).unwrap();
+        };
+        append("r04");
+        let record = store.wal_stats().bytes - stream_bytes;
+        store.save_to_dir(dir.path()).unwrap();
+        assert_eq!(store.wal_stats().bytes, stream_bytes, "the fold carried the stream over");
+
+        // The threshold lies between one run record and the stream's
+        // records: every fold is followed by three appends that do not fold.
+        let threshold = 3 * record + record / 2;
+        assert!(threshold < stream_bytes, "{threshold} vs {stream_bytes}");
+        store.set_wal_fold_threshold(threshold);
+        let folds = store.wal_stats().folds_total;
+        for (i, name) in ["r05", "r06", "r07", "r08", "r09", "r10", "r11", "r12"].iter().enumerate()
+        {
+            append(name);
+            let expected = folds + (i as u64 + 1) / 4;
+            assert_eq!(store.wal_stats().folds_total, expected, "after appending {name}");
+        }
+        assert_eq!(store.wal_stats().bytes, stream_bytes);
+        let loaded = WorkflowStore::load_from_dir(dir.path()).unwrap();
+        assert_eq!(loaded.run_count(), 12);
     }
 
     #[test]

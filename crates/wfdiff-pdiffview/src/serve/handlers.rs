@@ -11,7 +11,7 @@
 
 use super::api::*;
 use super::http::Request;
-use super::metrics::ServeMetrics;
+use super::metrics::{Endpoint, ServeMetrics};
 use super::shard::{ShardEntry, ShardRouter};
 use crate::cluster::{ClusterDiff, Clustering, DEFAULT_CLUSTER_SEED};
 use crate::service::{DiffService, DriftReport};
@@ -96,10 +96,6 @@ pub fn dispatch(state: &AppState, req: &Request) -> Response {
             content_type: METRICS_CONTENT_TYPE,
             body: state.metrics.render(&state.router),
         },
-        (_, ["metrics"]) => {
-            let e = ApiError::method_not_allowed(&req.method, &req.raw_path);
-            Response::json(e.status, e.body())
-        }
         _ => {
             let (status, body) = route(state, req);
             Response::json(status, body)
@@ -108,8 +104,9 @@ pub fn dispatch(state: &AppState, req: &Request) -> Response {
 }
 
 /// Dispatches a request to its JSON handler and renders the outcome as
-/// `(status, JSON body)`.  Unknown paths get `404`, known paths with the
-/// wrong method get `405`.
+/// `(status, JSON body)`.  Unknown paths get `404`; a path
+/// [`Endpoint::classify`] knows, with the wrong method, gets `405` (`GET
+/// /metrics` is served by [`dispatch`] before it gets here).
 pub fn route(state: &AppState, req: &Request) -> (u16, String) {
     let segments: Vec<&str> = req.segments.iter().map(String::as_str).collect();
     let result = match (req.method.as_str(), segments.as_slice()) {
@@ -125,12 +122,9 @@ pub fn route(state: &AppState, req: &Request) -> (u16, String) {
         ("GET", ["cluster"]) => cluster(state, req),
         ("GET", ["similar"]) => similar(state, req),
         // Known endpoints hit with the wrong method.
-        (_, ["healthz" | "specs" | "diff" | "cluster" | "similar"])
-        | (_, ["specs", _, "runs"])
-        | (_, ["runs"])
-        | (_, ["runs", "stream"])
-        | (_, ["runs", _, _, "drift" | "stream"])
-        | (_, ["diff", "batch"]) => Err(ApiError::method_not_allowed(&req.method, &req.raw_path)),
+        _ if Endpoint::classify(&segments) != Endpoint::Other => {
+            Err(ApiError::method_not_allowed(&req.method, &req.raw_path))
+        }
         _ => Err(ApiError::not_found(format!("no endpoint at {:?}", req.raw_path))),
     };
     match result {
@@ -615,7 +609,9 @@ mod tests {
     use super::*;
     use crate::io::RunDescriptor;
     use crate::store::WorkflowStore;
+    use crate::storeio::{RealIo, StoreIo};
     use crate::stream::StreamEvent;
+    use std::path::Path;
     use wfdiff_workloads::figures::{fig2_run1, fig2_run2, fig2_run3, fig2_specification};
 
     fn request(method: &str, target: &str, body: &str) -> Request {
@@ -1140,6 +1136,133 @@ mod tests {
         assert_eq!(status, 404);
         let (status, _) = route(&state, &request("GET", "/runs/fig2/stuck/stream", ""));
         assert_eq!(status, 405);
+    }
+
+    /// Passes every operation through to [`RealIo`] except the writes it is
+    /// set to fail: every document write, or every rewrite of the log (a
+    /// new log written whole, or an append to a truncated one).
+    #[derive(Debug, Default)]
+    struct InjectedWriteFailures {
+        documents: bool,
+        log_rewrites: bool,
+        truncated: std::sync::atomic::AtomicBool,
+    }
+
+    impl InjectedWriteFailures {
+        fn check(&self, path: &Path, append: bool) -> std::io::Result<()> {
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            let log = name.starts_with(crate::wal::WAL_FILE);
+            let rewrite =
+                log && (!append || self.truncated.load(std::sync::atomic::Ordering::SeqCst));
+            if (self.documents && !log) || (self.log_rewrites && rewrite) {
+                return Err(std::io::Error::other(format!("injected failure writing {name}")));
+            }
+            Ok(())
+        }
+    }
+
+    impl StoreIo for InjectedWriteFailures {
+        fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+            RealIo.create_dir_all(path)
+        }
+        fn write_file(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            self.check(path, false)?;
+            RealIo.write_file(path, bytes)
+        }
+        fn append_file(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            self.check(path, true)?;
+            RealIo.append_file(path, bytes)
+        }
+        fn fsync_file(&self, path: &Path) -> std::io::Result<()> {
+            RealIo.fsync_file(path)
+        }
+        fn fsync_dir(&self, path: &Path) -> std::io::Result<()> {
+            RealIo.fsync_dir(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            RealIo.rename(from, to)
+        }
+        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+            RealIo.remove_file(path)
+        }
+        fn remove_dir_all(&self, path: &Path) -> std::io::Result<()> {
+            RealIo.remove_dir_all(path)
+        }
+        fn truncate_file(&self, path: &Path, len: u64) -> std::io::Result<()> {
+            self.truncated.store(true, std::sync::atomic::Ordering::SeqCst);
+            RealIo.truncate_file(path, len)
+        }
+    }
+
+    /// A store directory holding `state()`'s store, reloaded through `io`,
+    /// and a server state over it.
+    fn persisted_state(
+        tag: &str,
+        io: InjectedWriteFailures,
+    ) -> (PathBuf, Arc<WorkflowStore>, AppState) {
+        let dir = std::env::temp_dir().join(format!("wfdiff-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        state().router().shard_for("fig2").service().store().save_to_dir(&dir).unwrap();
+        let store = Arc::new(WorkflowStore::load_from_dir_with_io(&dir, Arc::new(io)).unwrap());
+        let state =
+            AppState::single(Arc::new(DiffService::new(Arc::clone(&store))), Some(dir.clone()));
+        (dir, store, state)
+    }
+
+    fn insert_body(name: &str, run: &wfdiff_sptree::Run) -> String {
+        format!("{{\"name\": \"{name}\", \"run\": {}}}", RunDescriptor::from_run(run).to_json())
+    }
+
+    #[test]
+    fn a_failed_threshold_fold_keeps_the_durable_insert() {
+        let io = InjectedWriteFailures { documents: true, ..Default::default() };
+        let (dir, store, state) = persisted_state("fold-failure", io);
+        store.set_wal_fold_threshold(1);
+        let spec = store.spec("fig2").unwrap();
+
+        // The append made the record durable, so the failed fold after it
+        // does not fail the call.
+        let run = store.insert_run("r3", fig2_run3(&spec)).unwrap();
+        store.append_run_to_dir(&dir, "r3", &run).unwrap();
+
+        // Nor does it fail the endpoint, which would roll the run back.
+        let body = insert_body("r4", &fig2_run1(&spec));
+        let (status, text) = route(&state, &request("POST", "/runs", &body));
+        assert_eq!(status, 201, "{text}");
+        assert!(store.run("fig2", "r4").is_some());
+        assert_eq!(store.wal_stats().folds_total, 0, "every fold failed");
+
+        let loaded = WorkflowStore::load_from_dir(&dir).unwrap();
+        assert!(loaded.run("fig2", "r3").is_some() && loaded.run("fig2", "r4").is_some());
+        // An explicit save still reports the error.
+        assert!(store.save_to_dir(&dir).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_fold_that_fails_to_rewrite_the_log_keeps_open_streams() {
+        let io = InjectedWriteFailures { log_rewrites: true, ..Default::default() };
+        let (dir, store, state) = persisted_state("fold-streams", io);
+        store.set_wal_fold_threshold(0);
+        let open = stream_body("fig2", "s1", branch_events("3")[..3].to_vec(), false);
+        let (status, text) = route(&state, &request("POST", "/runs/stream", &open));
+        assert_eq!(status, 200, "{text}");
+
+        // The insert's append folds: the fold writes the run's document,
+        // then fails to rewrite the log with the open stream's records.
+        store.set_wal_fold_threshold(1);
+        let body = insert_body("r3", &fig2_run3(&store.spec("fig2").unwrap()));
+        let (status, text) = route(&state, &request("POST", "/runs", &body));
+        assert_eq!(status, 201, "{text}");
+        assert_eq!(store.wal_stats().folds_total, 0, "the fold failed");
+
+        // The acknowledged stream events and the run survive a restart.
+        let loaded = Arc::new(WorkflowStore::load_from_dir(&dir).unwrap());
+        assert!(loaded.run("fig2", "r3").is_some());
+        let restarted = DiffService::new(loaded);
+        assert_eq!(restarted.load_streams(&dir).unwrap().loaded, 1);
+        assert_eq!(restarted.stream_seq("fig2", "s1"), Some(3));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

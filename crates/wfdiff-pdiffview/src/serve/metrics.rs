@@ -168,6 +168,8 @@ pub enum Endpoint {
     RunsStream,
     /// `GET /runs/{spec}/{stream}/drift`.
     Drift,
+    /// `DELETE /runs/{spec}/{stream}/stream`.
+    CloseStream,
     /// `GET /metrics`.
     Metrics,
     /// Anything else (404s, unknown paths).
@@ -176,7 +178,7 @@ pub enum Endpoint {
 
 /// Every endpoint, in rendering order (must match the enum's declaration
 /// order — [`ServeMetrics::observe_request`] indexes by discriminant).
-pub const ENDPOINTS: [Endpoint; 12] = [
+pub const ENDPOINTS: [Endpoint; 13] = [
     Endpoint::Healthz,
     Endpoint::Specs,
     Endpoint::SpecRuns,
@@ -187,6 +189,7 @@ pub const ENDPOINTS: [Endpoint; 12] = [
     Endpoint::Similar,
     Endpoint::RunsStream,
     Endpoint::Drift,
+    Endpoint::CloseStream,
     Endpoint::Metrics,
     Endpoint::Other,
 ];
@@ -205,6 +208,7 @@ impl Endpoint {
             Endpoint::Similar => "similar",
             Endpoint::RunsStream => "runs_stream",
             Endpoint::Drift => "drift",
+            Endpoint::CloseStream => "close_stream",
             Endpoint::Metrics => "metrics",
             Endpoint::Other => "other",
         }
@@ -221,6 +225,7 @@ impl Endpoint {
             ["runs"] => Endpoint::InsertRun,
             ["runs", "stream"] => Endpoint::RunsStream,
             ["runs", _, _, "drift"] => Endpoint::Drift,
+            ["runs", _, _, "stream"] => Endpoint::CloseStream,
             ["diff"] => Endpoint::Diff,
             ["diff", "batch"] => Endpoint::DiffBatch,
             ["cluster"] => Endpoint::Cluster,
@@ -793,6 +798,7 @@ mod tests {
         assert_eq!(Endpoint::classify(&["runs"]), Endpoint::InsertRun);
         assert_eq!(Endpoint::classify(&["runs", "stream"]), Endpoint::RunsStream);
         assert_eq!(Endpoint::classify(&["runs", "fig2", "s1", "drift"]), Endpoint::Drift);
+        assert_eq!(Endpoint::classify(&["runs", "fig2", "s1", "stream"]), Endpoint::CloseStream);
         assert_eq!(Endpoint::classify(&["diff"]), Endpoint::Diff);
         assert_eq!(Endpoint::classify(&["diff", "batch"]), Endpoint::DiffBatch);
         assert_eq!(Endpoint::classify(&["cluster"]), Endpoint::Cluster);

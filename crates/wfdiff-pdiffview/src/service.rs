@@ -967,14 +967,66 @@ impl DiffService {
         self.streams.read().get(&(spec.to_string(), stream.to_string())).map(|p| p.applied())
     }
 
-    /// The service's drift monitor over its in-flight streams.
-    pub fn drift_monitor(&self) -> DriftMonitor<'_> {
-        DriftMonitor { service: self }
-    }
-
-    /// Shorthand for [`DriftMonitor::report`].
+    /// The live drift verdict for one in-flight stream.
+    ///
+    /// For each cluster of the specification's maintained k-medoids
+    /// clustering, the verdict compares the cluster's **radius** (largest
+    /// exact distance from the medoid to a member, over the same resident
+    /// prepared state and cache the cluster index uses) against the
+    /// **certified lower bound** [`WorkflowDiff::prefix_distance`] gives on
+    /// the distance between any completion of the stream and the medoid.
+    /// When the bound exceeds the radius for *every* cluster, no completion
+    /// of the run can land inside any known cluster — the run has drifted,
+    /// provably, while still executing.
+    ///
+    /// It never triggers a re-clustering itself: with no snapshot for the
+    /// specification the report carries zero clusters and `drifted: false`
+    /// (call [`DiffService::cluster_medoids`] first to build one).
     pub fn drift_report(&self, spec: &str, stream: &str) -> Result<DriftReport, ServiceError> {
-        self.drift_monitor().report(spec, stream)
+        let key = (spec.to_string(), stream.to_string());
+        let partial = self.streams.read().get(&key).cloned().ok_or_else(|| {
+            ServiceError::UnknownStream { spec: spec.to_string(), stream: stream.to_string() }
+        })?;
+        if self.store.spec(spec).is_none() {
+            return Err(ServiceError::UnknownSpec(spec.to_string()));
+        }
+        let mut report = DriftReport {
+            spec: spec.to_string(),
+            stream: stream.to_string(),
+            events: partial.applied(),
+            nodes: partial.node_count(),
+            completed_leaves: partial.profile().completed_leaves(),
+            clusters: Vec::new(),
+            drifted: false,
+        };
+        let Some(snapshot) = self.clusters.snapshot(spec) else {
+            return Ok(report);
+        };
+        let cache = Some(self.cache.as_ref());
+        for cluster in &snapshot.clusters {
+            // The medoid first, then the other members.
+            let names: Vec<&str> = std::iter::once(cluster.medoid.as_str())
+                .chain(cluster.runs.iter().map(String::as_str).filter(|r| *r != cluster.medoid))
+                .collect();
+            let (spec_arc, runs) = self.lookup(spec, &names)?;
+            let prepared = self.prepared(&spec_arc, names.iter().copied().zip(&runs))?;
+            let engine = WorkflowDiff::new(&spec_arc, self.cost.as_ref());
+            let Some((medoid, members)) = prepared.split_first() else { continue };
+            let mut radius: f64 = 0.0;
+            for member in members {
+                radius = radius.max(engine.distance_prepared(medoid, member, cache)?);
+            }
+            let lower_bound = engine.prefix_distance(partial.profile(), None, medoid, cache)?;
+            report.clusters.push(DriftClusterStatus {
+                medoid: cluster.medoid.clone(),
+                size: cluster.runs.len(),
+                radius,
+                lower_bound,
+                exceeds: lower_bound > radius,
+            });
+        }
+        report.drifted = !report.clusters.is_empty() && report.clusters.iter().all(|c| c.exceeds);
+        Ok(report)
     }
 
     /// Rebuilds the in-flight stream registry from `dir`'s write-ahead log —
@@ -1057,75 +1109,6 @@ impl DiffService {
 struct ServiceOracle<'a> {
     service: &'a DiffService,
     spec: &'a str,
-}
-
-/// Live drift detection over the service's in-flight streams.
-///
-/// For each cluster of the specification's maintained k-medoids clustering,
-/// the monitor compares the cluster's **radius** (largest exact distance
-/// from the medoid to a member, over the same resident prepared state and
-/// cache the cluster index uses) against the **certified lower bound**
-/// [`WorkflowDiff::prefix_distance`] gives on the distance between any
-/// completion of the stream and the medoid.  When the bound exceeds the
-/// radius for *every* cluster, no completion of the run can land inside any
-/// known cluster — the run has drifted, provably, while still executing.
-///
-/// The monitor never triggers a re-clustering itself: with no snapshot for
-/// the specification the report carries zero clusters and `drifted: false`
-/// (call [`DiffService::cluster_medoids`] first to build one).
-pub struct DriftMonitor<'a> {
-    service: &'a DiffService,
-}
-
-impl DriftMonitor<'_> {
-    /// The drift verdict for one in-flight stream.
-    pub fn report(&self, spec: &str, stream: &str) -> Result<DriftReport, ServiceError> {
-        let service = self.service;
-        let key = (spec.to_string(), stream.to_string());
-        let partial = service.streams.read().get(&key).cloned().ok_or_else(|| {
-            ServiceError::UnknownStream { spec: spec.to_string(), stream: stream.to_string() }
-        })?;
-        if service.store.spec(spec).is_none() {
-            return Err(ServiceError::UnknownSpec(spec.to_string()));
-        }
-        let mut report = DriftReport {
-            spec: spec.to_string(),
-            stream: stream.to_string(),
-            events: partial.applied(),
-            nodes: partial.node_count(),
-            completed_leaves: partial.profile().completed_leaves(),
-            clusters: Vec::new(),
-            drifted: false,
-        };
-        let Some(snapshot) = service.clusters.snapshot(spec) else {
-            return Ok(report);
-        };
-        let cache = Some(service.cache.as_ref());
-        for cluster in &snapshot.clusters {
-            // The medoid first, then the other members.
-            let names: Vec<&str> = std::iter::once(cluster.medoid.as_str())
-                .chain(cluster.runs.iter().map(String::as_str).filter(|r| *r != cluster.medoid))
-                .collect();
-            let (spec_arc, runs) = service.lookup(spec, &names)?;
-            let prepared = service.prepared(&spec_arc, names.iter().copied().zip(&runs))?;
-            let engine = WorkflowDiff::new(&spec_arc, service.cost.as_ref());
-            let Some((medoid, members)) = prepared.split_first() else { continue };
-            let mut radius: f64 = 0.0;
-            for member in members {
-                radius = radius.max(engine.distance_prepared(medoid, member, cache)?);
-            }
-            let lower_bound = engine.prefix_distance(partial.profile(), None, medoid, cache)?;
-            report.clusters.push(DriftClusterStatus {
-                medoid: cluster.medoid.clone(),
-                size: cluster.runs.len(),
-                radius,
-                lower_bound,
-                exceeds: lower_bound > radius,
-            });
-        }
-        report.drifted = !report.clusters.is_empty() && report.clusters.iter().all(|c| c.exceeds);
-        Ok(report)
-    }
 }
 
 impl DistanceOracle for ServiceOracle<'_> {

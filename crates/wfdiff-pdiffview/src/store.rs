@@ -47,8 +47,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wfdiff_sptree::{Run, Specification};
 
-/// Default WAL size (bytes) past which a hot-path append triggers a
-/// checkpoint fold; see [`WorkflowStore::set_wal_fold_threshold`].
+/// Default number of WAL bytes, appended since the last fold attempt, at
+/// which a hot-path append triggers a checkpoint fold; see
+/// [`WorkflowStore::set_wal_fold_threshold`].
 pub const DEFAULT_WAL_FOLD_THRESHOLD: u64 = 1024 * 1024;
 
 /// Errors raised by store mutations.
@@ -130,7 +131,8 @@ pub struct WorkflowStore {
     pub(crate) io: IoHandle,
     /// Live WAL counters (appends, bytes, replays, folds).
     pub(crate) wal_stats: WalStats,
-    /// WAL size past which appends fold; 0 disables the automatic fold.
+    /// WAL bytes appended since the last fold attempt at which an append
+    /// folds; 0 disables the automatic fold.
     pub(crate) wal_fold_threshold: AtomicU64,
     /// Serialises [`WorkflowStore::save_to_dir`] calls (two interleaved
     /// saves could tear each other's temp files and garbage-collection);
@@ -183,10 +185,10 @@ impl WorkflowStore {
         WorkflowStore { io: IoHandle(io), ..WorkflowStore::default() }
     }
 
-    /// Sets the WAL size (bytes) past which the next hot-path append folds
-    /// the log into a full checkpoint (see the [`crate::wal`] docs).  `0`
-    /// disables the automatic fold; the default is
-    /// [`DEFAULT_WAL_FOLD_THRESHOLD`].
+    /// Sets how many WAL bytes, appended since the last fold attempt, make
+    /// the next hot-path append fold the log into a full checkpoint (see the
+    /// [`crate::wal`] docs).  `0` disables the automatic fold; the default
+    /// is [`DEFAULT_WAL_FOLD_THRESHOLD`].
     pub fn set_wal_fold_threshold(&self, bytes: u64) {
         self.wal_fold_threshold.store(bytes, Ordering::Release);
     }

@@ -45,9 +45,11 @@
 //!
 //! A full save **folds** the log: cluster deltas are merged into
 //! `cluster_cache.json`, metric-index deltas into `metric_index.json`, the
-//! snapshot is committed via the manifest rename, and the WAL is truncated
-//! to zero.  The fold runs automatically once the
-//! log grows past [`WorkflowStore::set_wal_fold_threshold`].
+//! snapshot is committed via the manifest rename, and the WAL is replaced,
+//! atomically, by the records of the streams still open (empty when there
+//! are none).  The fold runs automatically once
+//! [`WorkflowStore::set_wal_fold_threshold`] bytes have been appended since
+//! the last fold attempt.
 //!
 //! [`WorkflowStore::save_to_dir`]: crate::store::WorkflowStore::save_to_dir
 //! [`WorkflowStore::load_from_dir`]: crate::store::WorkflowStore::load_from_dir
@@ -261,14 +263,9 @@ pub(crate) fn encode_all(dir: &Path, records: &[WalRecord]) -> Result<Vec<Encode
         .collect()
 }
 
-/// Appends `records` to `dir/wal.log` as one write + one fsync (the whole
-/// durability cost of a hot-path mutation).  Returns the bytes appended.
-pub(crate) fn append(
-    io: &dyn StoreIo,
-    dir: &Path,
-    records: &[Encoded],
-) -> Result<u64, PersistError> {
-    let path = wal_path(dir);
+/// Frames `records` as they are laid out in the log: per record, its
+/// length, its CRC-32, then the kind byte and the payload.
+fn frame(records: &[Encoded]) -> Vec<u8> {
     let mut buf = Vec::new();
     for (kind, payload) in records {
         let len = 1 + payload.len();
@@ -280,11 +277,42 @@ pub(crate) fn append(
         buf.extend_from_slice(&crc32(&body).to_le_bytes());
         buf.extend_from_slice(&body);
     }
+    buf
+}
+
+/// Appends `records` to `dir/wal.log` as one write + one fsync (the whole
+/// durability cost of a hot-path mutation).  Returns the bytes appended.
+pub(crate) fn append(
+    io: &dyn StoreIo,
+    dir: &Path,
+    records: &[Encoded],
+) -> Result<u64, PersistError> {
+    let path = wal_path(dir);
+    let buf = frame(records);
     if buf.is_empty() {
         return Ok(0);
     }
     io.append_file(&path, &buf).map_err(|e| io_err(&path, "appending to", e))?;
     io.fsync_file(&path).map_err(|e| io_err(&path, "syncing", e))?;
+    Ok(buf.len() as u64)
+}
+
+/// Replaces `dir/wal.log` with exactly `records` — a fold's reset, which
+/// keeps the records of open streams.  With records to keep, the new log
+/// is written beside the old one and renamed over it, so a crash or an I/O
+/// error leaves the old log or the new one, never a log that lost records
+/// both hold.  Returns the new log's length.
+pub(crate) fn replace(
+    io: &dyn StoreIo,
+    dir: &Path,
+    records: &[Encoded],
+) -> Result<u64, PersistError> {
+    let buf = frame(records);
+    if buf.is_empty() {
+        truncate_to(io, dir, 0)?;
+    } else {
+        crate::persist::write_atomic(io, &wal_path(dir), &buf)?;
+    }
     Ok(buf.len() as u64)
 }
 
@@ -378,8 +406,12 @@ pub(crate) fn truncate_to(io: &dyn StoreIo, dir: &Path, len: u64) -> Result<(), 
 pub(crate) struct WalStats {
     /// Records appended since the store was created.
     pub(crate) appends_total: AtomicU64,
-    /// Current `wal.log` length in bytes (0 right after a fold).
+    /// Current `wal.log` length in bytes (right after a fold, the records
+    /// of the streams still open).
     pub(crate) bytes: AtomicU64,
+    /// Bytes appended since the last fold attempt — what the fold threshold
+    /// is compared against.  A loaded store starts from its log's length.
+    pub(crate) since_fold: AtomicU64,
     /// Records replayed past the manifest by the load that built the store.
     pub(crate) replayed_records: AtomicU64,
     /// Checkpoint folds (full saves that truncated the WAL).
@@ -405,7 +437,8 @@ impl WalStats {
 pub struct WalStatsSnapshot {
     /// Records appended since the store was created.
     pub appends_total: u64,
-    /// Current `wal.log` length in bytes (0 right after a fold).
+    /// Current `wal.log` length in bytes (right after a fold, the records
+    /// of the streams still open).
     pub bytes: u64,
     /// Records replayed past the manifest by the load that built the store.
     pub replayed_records: u64,

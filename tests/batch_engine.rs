@@ -115,3 +115,42 @@ fn concurrent_service_traffic_keeps_distances_stable() {
     );
     assert!(final_stats.hits > after_warmup.hits);
 }
+
+/// A cache far smaller than one all-pairs pass evicts entries while the
+/// batch still needs them; every distance must stay exact regardless.
+#[test]
+fn distances_stay_exact_through_an_evicting_cache() {
+    let (spec, runs) = workload(14, 8, 2, 2);
+    let name = spec.name().to_string();
+    let store = Arc::new(WorkflowStore::new());
+    store.insert_spec(spec.clone()).expect("fresh store");
+    for (i, run) in runs.iter().enumerate() {
+        store.insert_run(&format!("run{i:02}"), run.clone()).expect("spec stored");
+    }
+    let cache = Arc::new(ShardedDiffCache::with_capacity(64));
+    let service = DiffService::builder(store).cache(cache.clone()).threads(2).build();
+
+    let n = runs.len();
+    // A fresh engine with no cache is the ground truth, compared bit for bit.
+    let engine = WorkflowDiff::new(&spec, &UnitCost);
+    let fresh: Vec<Vec<u64>> = (0..n)
+        .map(|i| {
+            (0..n)
+                .map(|j| engine.distance(&runs[i], &runs[j]).expect("valid runs").to_bits())
+                .collect()
+        })
+        .collect();
+    for pass in 0..2 {
+        let all = service.diff_all_pairs(&name).expect("all pairs");
+        let bits: Vec<Vec<u64>> =
+            all.matrix.iter().map(|row| row.iter().map(|d| d.to_bits()).collect()).collect();
+        assert_eq!(bits, fresh, "all-pairs pass {pass}");
+    }
+    let pairs: Vec<(String, String)> = (0..n)
+        .flat_map(|i| (0..n).map(move |j| (format!("run{i:02}"), format!("run{j:02}"))))
+        .collect();
+    let batch = service.diff_batch(&name, &pairs).expect("batch");
+    let bits: Vec<u64> = batch.iter().map(|p| p.distance.to_bits()).collect();
+    assert_eq!(bits, fresh.concat(), "batch");
+    assert!(cache.stats().evictions > 0, "the cache must have evicted: {:?}", cache.stats());
+}
