@@ -5,7 +5,8 @@
 //!
 //! A **child** process (re-executed from the current binary with the
 //! `__child` argument) runs a scripted workload — initial save, run
-//! inserts/removals through the write-ahead log, event-streamed ingests,
+//! inserts/removals through the write-ahead log, event streams opened and
+//! later finalised (with checkpoints folding the log while they are open),
 //! reclusters, full checkpoints — against a store whose I/O is wrapped in a
 //! [`FaultIo`] that kills the process at the N-th durability operation
 //! (`kill` mode) or writes half of the N-th write and then dies (`torn`
@@ -18,15 +19,20 @@
 //! invariant: loading the surviving directory must succeed (torn WAL tails
 //! repaired), and the recovered store must equal a never-crashed in-memory
 //! replay of the first `j` or `j+1` scripted operations, where `j` is the
-//! acknowledged count — byte-for-byte on the run name set, exactly on the
-//! full pairwise distance matrix, and exactly on the k-medoids partition —
-//! and both derived-index checkpoints must resume without poisoning an
-//! answer: every pruned nearest-run query equals the exact sweep.
+//! acknowledged count — byte-for-byte on the run name set and on the open
+//! streams (names and applied event counts) that
+//! [`DiffService::load_streams`] rebuilds, exactly on the full pairwise
+//! distance matrix, and exactly on the k-medoids partition — and both
+//! derived-index checkpoints must resume without poisoning an answer: every
+//! pruned nearest-run query equals the exact sweep.
 //! One operation of slack is inherent: a crash inside operation `j+1` may
 //! land before or after the single durable append that changes the compared
-//! state (for the streamed-ingest op that is the finalised run's insert
-//! append — its stream-batch and closure appends leave the run set, the
-//! distance matrix and the partition untouched).
+//! state.  Each operation has exactly one such append: opening a stream is
+//! one event batch, and finishing it is the finalised run's insert (the
+//! closure marker after it changes nothing compared, because loading drops
+//! a stream whose run is stored).  A batch holds one WAL record per event,
+//! so a torn batch may leave the stream it opens with a non-empty prefix
+//! of its events; that prefix is accepted for the operation in flight.
 //!
 //! The sweep covers 100% of the enumerated fault points; `quick` mode
 //! shrinks the scripted workload (for CI), not the coverage.
@@ -77,11 +83,17 @@ pub enum TortureOp {
         /// Index of a previously inserted run.
         index: usize,
     },
-    /// Stream run `index` event by event (two WAL-appended batches plus the
-    /// finalised run's insert append and closure marker), ending with the
-    /// run stored exactly as if inserted whole.
-    Stream {
+    /// Open stream `index`: the run's whole event sequence as one
+    /// WAL-appended batch, leaving the stream in flight, not finalised.
+    StreamOpen {
         /// Deterministic run index; also seeds the run's content.
+        index: usize,
+    },
+    /// Finalise the stream `index` opened earlier (the run's insert append
+    /// and the closure marker), ending with the run stored exactly as if
+    /// inserted whole and the stream gone.
+    StreamFinish {
+        /// Index of a previously opened stream.
         index: usize,
     },
     /// Cluster the spec's runs with `k` medoids, answer one pruned
@@ -131,10 +143,11 @@ pub fn script(scale: TortureScale) -> Vec<TortureOp> {
             Init { runs: 2 },
             Insert { index: 2 },
             Recluster { k: 2 },
+            StreamOpen { index: 5 },
             Insert { index: 3 },
             Remove { index: 2 },
             Checkpoint,
-            Stream { index: 5 },
+            StreamFinish { index: 5 },
             Insert { index: 4 },
         ],
         TortureScale::Full => vec![
@@ -147,10 +160,13 @@ pub fn script(scale: TortureScale) -> Vec<TortureOp> {
             Checkpoint,
             Insert { index: 5 },
             Recluster { k: 3 },
+            StreamOpen { index: 8 },
             Insert { index: 6 },
             Remove { index: 4 },
-            Stream { index: 8 },
+            Checkpoint,
+            StreamFinish { index: 8 },
             Recluster { k: 3 },
+            StreamOpen { index: 9 },
             Checkpoint,
             Insert { index: 7 },
         ],
@@ -229,26 +245,24 @@ fn apply_durable(
             store.append_run_removal_to_dir(dir, TORTURE_SPEC, &name).map_err(|e| e.to_string())?;
             service.notify_run_removed(TORTURE_SPEC, &name);
         }
-        TortureOp::Stream { index } => {
+        TortureOp::StreamOpen { index } => {
             let spec = store.spec(TORTURE_SPEC).ok_or("spec missing")?;
             let name = run_name(*index);
             let events = stream_events_for(&spec, *index);
-            // Two batches through the live registry, each WAL-appended, so
-            // fault points land between the stream's durability operations.
-            let mid = events.len() / 2;
-            for chunk in [&events[..mid], &events[mid..]] {
-                let outcome =
-                    service.stream_events(TORTURE_SPEC, &name, chunk).map_err(|e| e.to_string())?;
-                store
-                    .append_stream_events_to_dir(
-                        dir,
-                        TORTURE_SPEC,
-                        &name,
-                        outcome.ack.base_seq,
-                        chunk,
-                    )
-                    .map_err(|e| e.to_string())?;
-            }
+            let outcome =
+                service.stream_events(TORTURE_SPEC, &name, &events).map_err(|e| e.to_string())?;
+            store
+                .append_stream_events_to_dir(
+                    dir,
+                    TORTURE_SPEC,
+                    &name,
+                    outcome.ack.base_seq,
+                    &events,
+                )
+                .map_err(|e| e.to_string())?;
+        }
+        TortureOp::StreamFinish { index } => {
+            let name = run_name(*index);
             let (run, seq) =
                 service.finalize_stream(TORTURE_SPEC, &name).map_err(|e| e.to_string())?;
             let run = store.insert_run_new(&name, run).map_err(|e| e.to_string())?;
@@ -275,10 +289,16 @@ fn apply_durable(
     Ok(())
 }
 
+/// The open streams of a store directory or a replay: `(name, events
+/// applied)` per stream, sorted by name.
+pub type OpenStreams = Vec<(String, u64)>;
+
 /// Replays the first `prefix` scripted operations purely in memory — the
-/// never-crashed reference the recovered store must match.
-pub fn replay_prefix(ops: &[TortureOp], prefix: usize) -> Arc<WorkflowStore> {
+/// never-crashed reference the recovered store and its open streams must
+/// match.
+pub fn replay_prefix(ops: &[TortureOp], prefix: usize) -> (Arc<WorkflowStore>, OpenStreams) {
     let store = Arc::new(WorkflowStore::new());
+    let mut streams = std::collections::BTreeMap::new();
     for op in &ops[..prefix] {
         match op {
             TortureOp::Init { runs } => {
@@ -298,15 +318,21 @@ pub fn replay_prefix(ops: &[TortureOp], prefix: usize) -> Arc<WorkflowStore> {
             TortureOp::Remove { index } => {
                 store.remove_run(TORTURE_SPEC, &run_name(*index));
             }
-            TortureOp::Stream { index } => {
+            TortureOp::StreamOpen { index } => {
+                let spec = store.spec(TORTURE_SPEC).expect("init precedes streams");
+                let events = stream_events_for(&spec, *index).len() as u64;
+                streams.insert(run_name(*index), events);
+            }
+            TortureOp::StreamFinish { index } => {
                 let spec = store.spec(TORTURE_SPEC).expect("init precedes streams");
                 let run = streamed_run(&spec, *index).expect("scripted stream finalises");
                 store.insert_run(&run_name(*index), run).expect("replayed streamed insert");
+                streams.remove(&run_name(*index));
             }
             TortureOp::Recluster { .. } | TortureOp::Checkpoint => {}
         }
     }
-    store
+    (store, streams.into_iter().collect())
 }
 
 /// Entry point of the re-executed child: runs the scripted workload with
@@ -482,14 +508,20 @@ fn verify_recovery(dir: &Path, ack_path: &Path, ops: &[TortureOp]) -> Outcome {
     }
     let mut loaded_runs = loaded.run_names(TORTURE_SPEC);
     loaded_runs.sort();
+    let loaded_streams = match open_streams(dir, &loaded) {
+        Ok(streams) => streams,
+        Err(e) => return Outcome::Violation(format!("stream reload after crash failed: {e}")),
+    };
     // The crash landed inside op `acked + 1`; its single durable append may
     // or may not have happened, so either adjacent prefix is legal.
     let candidates = [acked, (acked + 1).min(ops.len())];
     for &prefix in &candidates {
-        let replay = replay_prefix(ops, prefix);
+        let (replay, replay_streams) = replay_prefix(ops, prefix);
         let mut replay_runs = replay.run_names(TORTURE_SPEC);
         replay_runs.sort();
-        if replay_runs != loaded_runs {
+        let in_flight = if prefix > acked { ops.get(acked) } else { None };
+        if replay_runs != loaded_runs || !streams_agree(&loaded_streams, &replay_streams, in_flight)
+        {
             continue;
         }
         return match states_equal(dir, &loaded, &replay) {
@@ -498,9 +530,44 @@ fn verify_recovery(dir: &Path, ack_path: &Path, ops: &[TortureOp]) -> Outcome {
         };
     }
     Outcome::Violation(format!(
-        "recovered run set {loaded_runs:?} matches neither prefix {acked} nor {}",
+        "recovered run set {loaded_runs:?} and open streams {loaded_streams:?} match neither \
+         prefix {acked} nor {}",
         candidates[1]
     ))
+}
+
+/// Whether the recovered open streams are the replay's.  The stream whose
+/// opening batch was in flight (`in_flight`, the crashed operation) may
+/// hold any non-empty prefix of the batch: each event is its own WAL
+/// record, so a torn append keeps the records before the tear.
+fn streams_agree(
+    loaded: &OpenStreams,
+    replay: &OpenStreams,
+    in_flight: Option<&TortureOp>,
+) -> bool {
+    let torn_batch = |name: &str, seq: u64, want: u64| {
+        matches!(in_flight, Some(TortureOp::StreamOpen { index }) if run_name(*index) == name)
+            && (1..want).contains(&seq)
+    };
+    loaded.len() == replay.len()
+        && loaded.iter().zip(replay).all(|((name, seq), (want_name, want))| {
+            name == want_name && (seq == want || torn_batch(name, *seq, *want))
+        })
+}
+
+/// The open streams [`DiffService::load_streams`] rebuilds from `dir`'s log
+/// over the recovered store.
+fn open_streams(dir: &Path, loaded: &Arc<WorkflowStore>) -> Result<OpenStreams, String> {
+    let service = DiffService::new(Arc::clone(loaded));
+    service.load_streams(dir).map_err(|e| e.to_string())?;
+    Ok(service
+        .stream_names(TORTURE_SPEC)
+        .into_iter()
+        .map(|name| {
+            let seq = service.stream_seq(TORTURE_SPEC, &name).unwrap_or(0);
+            (name, seq)
+        })
+        .collect())
 }
 
 /// Compares the recovered store against the reference replay: full pairwise
@@ -632,8 +699,8 @@ mod tests {
     #[test]
     fn replayed_prefixes_are_deterministic() {
         let ops = script(TortureScale::Quick);
-        let a = replay_prefix(&ops, ops.len());
-        let b = replay_prefix(&ops, ops.len());
+        let (a, _) = replay_prefix(&ops, ops.len());
+        let (b, _) = replay_prefix(&ops, ops.len());
         assert_eq!(a.run_names(TORTURE_SPEC), b.run_names(TORTURE_SPEC));
         let sa = DiffService::new(a);
         let sb = DiffService::new(b);
@@ -645,18 +712,30 @@ mod tests {
     #[test]
     fn the_script_grows_and_shrinks_the_run_set() {
         let ops = script(TortureScale::Full);
-        let full = replay_prefix(&ops, ops.len());
+        let (full, _) = replay_prefix(&ops, ops.len());
         assert!(full.run_count() >= 4, "the full script leaves a clusterable store");
         assert!(
             ops.iter().any(|op| matches!(op, TortureOp::Remove { .. })),
             "removals are part of the torture"
         );
+    }
+
+    #[test]
+    fn every_script_checkpoints_while_a_stream_is_open() {
         for scale in [TortureScale::Quick, TortureScale::Full] {
-            assert!(
-                script(scale).iter().any(|op| matches!(op, TortureOp::Stream { .. })),
-                "streamed ingestion is part of the {} torture",
-                scale.name()
-            );
+            let ops = script(scale);
+            let folds_over_a_stream = (0..ops.len()).any(|i| {
+                matches!(ops[i], TortureOp::Checkpoint) && !replay_prefix(&ops, i).1.is_empty()
+            });
+            assert!(folds_over_a_stream, "the {} script folds over an open stream", scale.name());
+            let (store, _) = replay_prefix(&ops, ops.len());
+            let finished = ops.iter().filter_map(|op| match op {
+                TortureOp::StreamFinish { index } => Some(run_name(*index)),
+                _ => None,
+            });
+            for name in finished {
+                assert!(store.run(TORTURE_SPEC, &name).is_some(), "{name} is stored once finished");
+            }
         }
     }
 

@@ -977,8 +977,11 @@ impl WorkflowStore {
     /// the log's length: every fold carries the records of open streams
     /// over, and counting those would fold on every append.  The records
     /// are durable before the fold starts, so a failed fold does not fail
-    /// the append; the log keeps them, and only an explicit
-    /// [`WorkflowStore::save_to_dir`] reports a fold's error.
+    /// the append: the log keeps them and the failure is counted in
+    /// [`WalStatsSnapshot::fold_failures_total`]; only an explicit
+    /// [`WorkflowStore::save_to_dir`] returns a fold's error.
+    ///
+    /// [`WalStatsSnapshot::fold_failures_total`]: crate::wal::WalStatsSnapshot::fold_failures_total
     fn append_encoded_locked(
         &self,
         dir: &Path,
@@ -989,8 +992,8 @@ impl WorkflowStore {
         self.wal_stats.bytes.fetch_add(appended, Ordering::AcqRel);
         let since_fold = self.wal_stats.since_fold.fetch_add(appended, Ordering::AcqRel) + appended;
         let threshold = self.wal_fold_threshold.load(Ordering::Acquire);
-        if threshold != 0 && since_fold >= threshold {
-            let _ = self.save_to_dir_locked(dir);
+        if threshold != 0 && since_fold >= threshold && self.save_to_dir_locked(dir).is_err() {
+            self.wal_stats.fold_failures_total.fetch_add(1, Ordering::AcqRel);
         }
         Ok(())
     }

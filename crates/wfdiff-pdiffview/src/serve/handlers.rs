@@ -3,18 +3,22 @@
 //! rendering responses.
 //!
 //! Handlers never panic on client input: every failure is an [`ApiError`]
-//! carrying the HTTP status, and [`dispatch`] converts both outcomes into a
-//! [`Response`] for the worker to render.  Endpoints that address one
-//! specification resolve their shard through the [`ShardRouter`];
-//! `/healthz` and `/specs` aggregate across every shard, and `/metrics`
-//! renders the server's [`ServeMetrics`] registry as Prometheus text.
+//! carrying the HTTP status, and [`dispatch`] converts both outcomes (and a
+//! panic) into a [`Response`] for the worker to render.  A request's path is
+//! classified once, by [`Endpoint::classify`], the only table of path
+//! shapes; the route table below matches methods against its endpoints.
+//! Endpoints that address one specification resolve their shard through the
+//! [`ShardRouter`]; `/healthz` and `/specs` aggregate across every shard,
+//! and `/metrics` renders the server's [`ServeMetrics`] registry as
+//! Prometheus text.
 
 use super::api::*;
 use super::http::Request;
-use super::metrics::{Endpoint, ServeMetrics};
+use super::metrics::{Endpoint, Route, ServeMetrics, ServerCounter};
 use super::shard::{ShardEntry, ShardRouter};
 use crate::cluster::{ClusterDiff, Clustering, DEFAULT_CLUSTER_SEED};
 use crate::service::{DiffService, DriftReport};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -29,6 +33,9 @@ pub const DEFAULT_SIMILAR_K: usize = 5;
 
 /// The `Content-Type` of `GET /metrics` responses.
 pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
+
+/// The `Content-Type` of every other response.
+const JSON_CONTENT_TYPE: &str = "application/json";
 
 /// Everything a handler needs: the shard router (each shard owns a diff
 /// service, and through it a store, plus optionally a durable directory)
@@ -69,7 +76,8 @@ impl AppState {
     }
 }
 
-/// A rendered handler outcome: status, content type and body bytes-to-be.
+/// A rendered handler outcome: status, content type and body bytes-to-be,
+/// and the endpoint the request named.
 pub struct Response {
     /// HTTP status code.
     pub status: u16,
@@ -77,30 +85,32 @@ pub struct Response {
     pub content_type: &'static str,
     /// The response body.
     pub body: String,
+    /// The endpoint [`dispatch`] classified the request's path as, which
+    /// labels the request's metrics.
+    pub endpoint: Endpoint,
 }
 
-impl Response {
-    /// A JSON response.
-    pub fn json(status: u16, body: String) -> Response {
-        Response { status, content_type: "application/json", body }
-    }
-}
-
-/// Top-level dispatch: `GET /metrics` renders Prometheus text, everything
-/// else goes through the JSON [`route`] table.
+/// Top-level dispatch: classifies the request's path once, renders `GET
+/// /metrics` as Prometheus text and sends everything else through the JSON
+/// route table.  A handler that panics answers `500` instead of unwinding
+/// into the caller.
 pub fn dispatch(state: &AppState, req: &Request) -> Response {
     let segments: Vec<&str> = req.segments.iter().map(String::as_str).collect();
-    match (req.method.as_str(), segments.as_slice()) {
-        ("GET", ["metrics"]) => Response {
-            status: 200,
-            content_type: METRICS_CONTENT_TYPE,
-            body: state.metrics.render(&state.router),
-        },
-        _ => {
-            let (status, body) = route(state, req);
-            Response::json(status, body)
+    let path = Endpoint::classify(&segments);
+    let outcome = catch_unwind(AssertUnwindSafe(|| match (req.method.as_str(), path.endpoint) {
+        ("GET", Endpoint::Metrics) => {
+            (200, METRICS_CONTENT_TYPE, state.metrics.render(&state.router))
         }
-    }
+        _ => {
+            let (status, body) = route_path(state, req, path);
+            (status, JSON_CONTENT_TYPE, body)
+        }
+    }));
+    let (status, content_type, body) = outcome.unwrap_or_else(|_| {
+        let e = ApiError::new(500, "internal_panic", "handler panicked; see server log");
+        (e.status, JSON_CONTENT_TYPE, e.body())
+    });
+    Response { status, content_type, body, endpoint: path.endpoint }
 }
 
 /// Dispatches a request to its JSON handler and renders the outcome as
@@ -109,23 +119,31 @@ pub fn dispatch(state: &AppState, req: &Request) -> Response {
 /// /metrics` is served by [`dispatch`] before it gets here).
 pub fn route(state: &AppState, req: &Request) -> (u16, String) {
     let segments: Vec<&str> = req.segments.iter().map(String::as_str).collect();
-    let result = match (req.method.as_str(), segments.as_slice()) {
-        ("GET", ["healthz"]) => healthz(state),
-        ("GET", ["specs"]) => specs(state),
-        ("GET", ["specs", name, "runs"]) => spec_runs(state, name),
-        ("POST", ["runs"]) => insert_run(state, req),
-        ("POST", ["runs", "stream"]) => stream_events(state, req),
-        ("GET", ["runs", spec, stream, "drift"]) => drift(state, req, spec, stream),
-        ("DELETE", ["runs", spec, stream, "stream"]) => close_stream(state, spec, stream),
-        ("GET", ["diff"]) => diff(state, req),
-        ("POST", ["diff", "batch"]) => diff_batch(state, req),
-        ("GET", ["cluster"]) => cluster(state, req),
-        ("GET", ["similar"]) => similar(state, req),
-        // Known endpoints hit with the wrong method.
-        _ if Endpoint::classify(&segments) != Endpoint::Other => {
-            Err(ApiError::method_not_allowed(&req.method, &req.raw_path))
+    route_path(state, req, Endpoint::classify(&segments))
+}
+
+/// [`route`] for a request whose path is already classified: the method is
+/// matched against the endpoint, and the handlers read the path's
+/// `{name}`, `{spec}` and `{stream}` from the classification.
+fn route_path(state: &AppState, req: &Request, path: Route<'_>) -> (u16, String) {
+    let Route { endpoint, spec, stream } = path;
+    let result = match (req.method.as_str(), endpoint) {
+        ("GET", Endpoint::Healthz) => healthz(state),
+        ("GET", Endpoint::Specs) => specs(state),
+        ("GET", Endpoint::SpecRuns) => spec_runs(state, spec),
+        ("POST", Endpoint::InsertRun) => insert_run(state, req),
+        ("POST", Endpoint::RunsStream) => stream_events(state, req),
+        ("GET", Endpoint::Drift) => drift(state, req, spec, stream),
+        ("DELETE", Endpoint::CloseStream) => close_stream(state, spec, stream),
+        ("GET", Endpoint::Diff) => diff(state, req),
+        ("POST", Endpoint::DiffBatch) => diff_batch(state, req),
+        ("GET", Endpoint::Cluster) => cluster(state, req),
+        ("GET", Endpoint::Similar) => similar(state, req),
+        (_, Endpoint::Other) => {
+            Err(ApiError::not_found(format!("no endpoint at {:?}", req.raw_path)))
         }
-        _ => Err(ApiError::not_found(format!("no endpoint at {:?}", req.raw_path))),
+        // Known endpoints hit with the wrong method.
+        _ => Err(ApiError::method_not_allowed(&req.method, &req.raw_path)),
     };
     match result {
         Ok((status, body)) => (status, body),
@@ -299,7 +317,7 @@ fn stream_events(state: &AppState, req: &Request) -> Result<(u16, String), ApiEr
         }
         persisted = true;
     }
-    state.metrics.stream_events().add(body.events.len() as u64);
+    state.metrics.counter(ServerCounter::StreamEvents).add(body.events.len() as u64);
     let mut response = StreamEventsResponse {
         spec: body.spec.clone(),
         stream: body.stream.clone(),
@@ -333,7 +351,7 @@ fn stream_events(state: &AppState, req: &Request) -> Result<(u16, String), ApiEr
     }
     let report = service.drift_report(&body.spec, &body.stream)?;
     if report.drifted {
-        state.metrics.drift_flags().inc();
+        state.metrics.counter(ServerCounter::DriftFlags).inc();
     }
     response.drift = Some(drift_body(report));
     json(200, &response)
@@ -359,7 +377,7 @@ fn drift(
     }
     let report = service.drift_report(spec, stream)?;
     if report.drifted {
-        state.metrics.drift_flags().inc();
+        state.metrics.counter(ServerCounter::DriftFlags).inc();
     }
     json(200, &drift_body(report))
 }
@@ -426,7 +444,7 @@ fn similar(state: &AppState, req: &Request) -> Result<(u16, String), ApiError> {
     if let Some(dir) = shard.dir() {
         let _ = service.save_metric_state(dir);
     }
-    state.metrics.similar_distance_evals().add(stats.distance_evals as u64);
+    state.metrics.counter(ServerCounter::SimilarDistanceEvals).add(stats.distance_evals as u64);
     json(
         200,
         &SimilarResponse {
@@ -1231,11 +1249,16 @@ mod tests {
         assert_eq!(status, 201, "{text}");
         assert!(store.run("fig2", "r4").is_some());
         assert_eq!(store.wal_stats().folds_total, 0, "every fold failed");
+        // Each append's failed fold is counted, and the scrape shows it.
+        assert_eq!(store.wal_stats().fold_failures_total, 2);
+        let scrape = state.metrics().render(state.router());
+        assert!(scrape.contains("\nwfdiff_checkpoint_fold_failures_total{shard=\"0\"} 2\n"));
 
         let loaded = WorkflowStore::load_from_dir(&dir).unwrap();
         assert!(loaded.run("fig2", "r3").is_some() && loaded.run("fig2", "r4").is_some());
-        // An explicit save still reports the error.
+        // An explicit save still reports the error, and is not counted.
         assert!(store.save_to_dir(&dir).is_err());
+        assert_eq!(store.wal_stats().fold_failures_total, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,34 +1,24 @@
 //! Lock-cheap serving metrics and their Prometheus text rendering.
 //!
-//! Every instrument is a fixed-size atomic — counters and gauges are single
-//! `AtomicU64`/`AtomicI64` cells, latency histograms are a fixed bucket
-//! array — so the hot path (one request) costs a handful of relaxed atomic
-//! adds and never takes a lock or allocates.  The registry itself is static:
-//! the full set of series is known at construction time (endpoints are an
-//! enum, shards are counted at boot), which is what keeps recording
-//! allocation-free.
-//!
-//! Rendering happens only on `GET /metrics`: [`ServeMetrics::render`] walks
-//! the instruments **and** samples live per-shard state (store sizes, diff
-//! cache counters) from the [`ShardRouter`], emitting the Prometheus text
-//! exposition format (`# HELP`/`# TYPE` comment lines followed by every
-//! sample of that metric).  See `docs/OPERATIONS.md` for the metric-by-metric
-//! reference.
+//! Every instrument is a fixed-size atomic (a latency histogram, a fixed
+//! bucket array) held in an array indexed by a small enum or by shard, so
+//! recording costs a few relaxed atomic adds and never locks or allocates.
+//! Each metric family is declared once, as one table row (name, type,
+//! sample source and so labels, HELP text); [`ServeMetrics::render`] walks
+//! the table on `GET /metrics`.  `docs/OPERATIONS.md` documents every family.
 
 use super::shard::ShardRouter;
+use crate::wal::WalStatsSnapshot;
+use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
+use wfdiff_core::CacheStats;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// Creates a counter at zero.
-    pub const fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
     /// Adds one.
     pub fn inc(&self) {
         self.add(1);
@@ -50,11 +40,6 @@ impl Counter {
 pub struct Gauge(AtomicI64);
 
 impl Gauge {
-    /// Creates a gauge at zero.
-    pub const fn new() -> Self {
-        Gauge(AtomicI64::new(0))
-    }
-
     /// Sets the value.
     pub fn set(&self, v: i64) {
         self.0.store(v, Ordering::Relaxed);
@@ -145,7 +130,8 @@ impl Histogram {
     }
 }
 
-/// The endpoints the server distinguishes in per-endpoint metrics.
+/// The endpoints the server distinguishes, for routing and in per-endpoint
+/// metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Endpoint {
     /// `GET /healthz`.
@@ -194,6 +180,25 @@ pub const ENDPOINTS: [Endpoint; 13] = [
     Endpoint::Other,
 ];
 
+/// A classified request path: the endpoint its shape names and the path
+/// segments the shape captures.  Compares equal to its [`Endpoint`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Route<'a> {
+    /// The endpoint the path shape names.
+    pub endpoint: Endpoint,
+    /// `{name}` of `/specs/{name}/runs` or `{spec}` of
+    /// `/runs/{spec}/{stream}/…`; empty for other shapes.
+    pub spec: &'a str,
+    /// `{stream}` of `/runs/{spec}/{stream}/…`; empty for other shapes.
+    pub stream: &'a str,
+}
+
+impl PartialEq<Endpoint> for Route<'_> {
+    fn eq(&self, other: &Endpoint) -> bool {
+        self.endpoint == *other
+    }
+}
+
 impl Endpoint {
     /// The `endpoint` label value.
     pub fn label(self) -> &'static str {
@@ -214,25 +219,26 @@ impl Endpoint {
         }
     }
 
-    /// Classifies a request by method and path segments.  The mapping is by
-    /// *path shape* (not outcome), so a `405` on `/healthz` still counts
-    /// against `healthz`.
-    pub fn classify(segments: &[&str]) -> Endpoint {
-        match segments {
-            ["healthz"] => Endpoint::Healthz,
-            ["specs"] => Endpoint::Specs,
-            ["specs", _, "runs"] => Endpoint::SpecRuns,
-            ["runs"] => Endpoint::InsertRun,
-            ["runs", "stream"] => Endpoint::RunsStream,
-            ["runs", _, _, "drift"] => Endpoint::Drift,
-            ["runs", _, _, "stream"] => Endpoint::CloseStream,
-            ["diff"] => Endpoint::Diff,
-            ["diff", "batch"] => Endpoint::DiffBatch,
-            ["cluster"] => Endpoint::Cluster,
-            ["similar"] => Endpoint::Similar,
-            ["metrics"] => Endpoint::Metrics,
-            _ => Endpoint::Other,
-        }
+    /// Classifies a request by its path segments: the server's only table
+    /// of path shapes.  The mapping is by *shape*, not method or outcome,
+    /// so a `405` on `/healthz` still counts against `healthz`.
+    pub fn classify<'a>(segments: &[&'a str]) -> Route<'a> {
+        let (endpoint, spec, stream) = match *segments {
+            ["healthz"] => (Endpoint::Healthz, "", ""),
+            ["specs"] => (Endpoint::Specs, "", ""),
+            ["specs", name, "runs"] => (Endpoint::SpecRuns, name, ""),
+            ["runs"] => (Endpoint::InsertRun, "", ""),
+            ["runs", "stream"] => (Endpoint::RunsStream, "", ""),
+            ["runs", spec, stream, "drift"] => (Endpoint::Drift, spec, stream),
+            ["runs", spec, stream, "stream"] => (Endpoint::CloseStream, spec, stream),
+            ["diff"] => (Endpoint::Diff, "", ""),
+            ["diff", "batch"] => (Endpoint::DiffBatch, "", ""),
+            ["cluster"] => (Endpoint::Cluster, "", ""),
+            ["similar"] => (Endpoint::Similar, "", ""),
+            ["metrics"] => (Endpoint::Metrics, "", ""),
+            _ => (Endpoint::Other, "", ""),
+        };
+        Route { endpoint, spec, stream }
     }
 }
 
@@ -248,72 +254,229 @@ fn status_class(status: u16) -> usize {
     }
 }
 
-/// Per-endpoint instruments: request counters by status class and a latency
-/// histogram.
-#[derive(Debug, Default)]
-struct EndpointMetrics {
-    requests: [Counter; STATUS_CLASSES.len()],
-    latency: Histogram,
+/// Server-wide counters, indexing [`ServeMetrics::counter`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServerCounter {
+    /// Bytes read off client sockets.
+    BytesRead,
+    /// Bytes written to client sockets.
+    BytesWritten,
+    /// Connections accepted.
+    ConnectionsOpened,
+    /// Connections closed (any reason).
+    ConnectionsClosed,
+    /// Connections refused with `503` because the connection table was full.
+    ConnectionsRejected,
+    /// Edit-distance evaluations performed by `GET /similar` queries.
+    SimilarDistanceEvals,
+    /// Node-lifecycle events accepted by `POST /runs/stream`.
+    StreamEvents,
+    /// `drifted: true` verdicts returned by the streaming and drift endpoints.
+    DriftFlags,
+}
+
+/// Server-wide gauges, indexing [`ServeMetrics::gauge`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServerGauge {
+    /// Currently open connections.
+    ConnectionsActive,
+    /// Requests parsed and not yet answered (executing on a worker).
+    RequestsInFlight,
+    /// Configured HTTP worker count (set once at start).
+    Workers,
+    /// HTTP workers currently executing a handler.
+    WorkersBusy,
+}
+
+/// One shard's figures, read once per scrape so that families drawn from
+/// one snapshot (the diff cache's, the WAL's) agree with each other.
+struct ShardSample {
+    requests: u64,
+    workers: usize,
+    specs: usize,
+    runs: usize,
+    cache: CacheStats,
+    wal: WalStatsSnapshot,
+}
+
+/// Where a family's samples come from; the source also fixes the label
+/// names its samples carry.
+#[derive(Clone, Copy)]
+enum Source {
+    /// Requests per endpoint and status class.
+    Requests,
+    /// Request latency per endpoint.
+    Latency,
+    /// A server-wide counter.
+    Count(ServerCounter),
+    /// A server-wide gauge.
+    Level(ServerGauge),
+    /// The cluster-index update latency.
+    ClusterUpdate,
+    /// The shard count.
+    Shards,
+    /// One figure of every shard's [`ShardSample`].
+    Shard(fn(&ShardSample) -> u64),
+}
+
+impl Source {
+    /// Label names, in the order samples carry them (a histogram's bucket
+    /// samples add `le`).
+    fn labels(self) -> &'static [&'static str] {
+        match self {
+            Requests => &["endpoint", "code"],
+            Latency => &["endpoint"],
+            Shard(_) => &["shard"],
+            _ => &[],
+        }
+    }
+}
+
+/// One metric family's declaration: name, Prometheus type (`counter`,
+/// `gauge` or `histogram`), the source of its samples (which also fixes
+/// their label names) and HELP text.
+struct Family {
+    name: &'static str,
+    kind: &'static str,
+    source: Source,
+    help: &'static str,
+}
+
+const fn family(name: &'static str, kind: &'static str, source: Source) -> Family {
+    Family { name, kind, source, help: "" }
+}
+
+use ServerCounter::*;
+use ServerGauge::*;
+use Source::*;
+
+/// Every metric family, in rendering order.
+const FAMILIES: [Family; 30] = [
+    family("wfdiff_http_requests_total", "counter", Requests)
+        .help("Requests served, by endpoint and status class."),
+    family("wfdiff_http_request_duration_seconds", "histogram", Latency).help(
+        "Request latency from the readiness event that delivered the request to its \
+         response being rendered, by endpoint.",
+    ),
+    family("wfdiff_shard_requests_total", "counter", Shard(|s| s.requests))
+        .help("Spec-addressed requests routed to each shard."),
+    family("wfdiff_http_bytes_read_total", "counter", Count(BytesRead))
+        .help("Bytes read off client sockets."),
+    family("wfdiff_http_bytes_written_total", "counter", Count(BytesWritten))
+        .help("Bytes written to client sockets."),
+    family("wfdiff_http_connections_opened_total", "counter", Count(ConnectionsOpened))
+        .help("Connections accepted."),
+    family("wfdiff_http_connections_closed_total", "counter", Count(ConnectionsClosed))
+        .help("Connections closed."),
+    family("wfdiff_http_connections_rejected_total", "counter", Count(ConnectionsRejected))
+        .help("Connections answered 503 because the connection table was full."),
+    family("wfdiff_similar_distance_evals_total", "counter", Count(SimilarDistanceEvals))
+        .help("Edit-distance evaluations performed by GET /similar queries."),
+    family("wfdiff_stream_events_total", "counter", Count(StreamEvents))
+        .help("Node-lifecycle events accepted by POST /runs/stream."),
+    family("wfdiff_drift_flags_total", "counter", Count(DriftFlags))
+        .help("Drift verdicts returned by streaming and drift endpoints."),
+    family("wfdiff_http_connections_active", "gauge", Level(ConnectionsActive))
+        .help("Currently open connections."),
+    family("wfdiff_http_requests_in_flight", "gauge", Level(RequestsInFlight))
+        .help("Requests parsed and not yet answered."),
+    family("wfdiff_http_workers", "gauge", Level(Workers)).help("Configured HTTP worker threads."),
+    family("wfdiff_http_workers_busy", "gauge", Level(WorkersBusy))
+        .help("HTTP workers currently executing a handler."),
+    family("wfdiff_cluster_update_duration_seconds", "histogram", ClusterUpdate)
+        .help("Incremental cluster-index update latency per inserted run (recluster lag)."),
+    family("wfdiff_shards", "gauge", Shards).help("Store shards behind this server."),
+    family("wfdiff_diff_workers", "gauge", Shard(|s| s.workers as u64))
+        .help("Diff-engine worker threads, per shard."),
+    family("wfdiff_store_specs", "gauge", Shard(|s| s.specs as u64))
+        .help("Specifications stored, per shard."),
+    family("wfdiff_store_runs", "gauge", Shard(|s| s.runs as u64)).help("Runs stored, per shard."),
+    family("wfdiff_diff_cache_hits_total", "counter", Shard(|s| s.cache.hits))
+        .help("Diff-cache hits, per shard."),
+    family("wfdiff_diff_cache_misses_total", "counter", Shard(|s| s.cache.misses))
+        .help("Diff-cache misses, per shard."),
+    family("wfdiff_diff_cache_insertions_total", "counter", Shard(|s| s.cache.insertions))
+        .help("Diff-cache insertions, per shard."),
+    family("wfdiff_diff_cache_evictions_total", "counter", Shard(|s| s.cache.evictions))
+        .help("Diff-cache evictions, per shard."),
+    family("wfdiff_diff_cache_entries", "gauge", Shard(|s| s.cache.entries as u64))
+        .help("Diff-cache resident entries, per shard."),
+    family("wfdiff_wal_appends_total", "counter", Shard(|s| s.wal.appends_total))
+        .help("Write-ahead-log records appended, per shard."),
+    family("wfdiff_wal_bytes", "gauge", Shard(|s| s.wal.bytes))
+        .help("Write-ahead-log bytes pending a fold, per shard."),
+    family("wfdiff_wal_replayed_records", "gauge", Shard(|s| s.wal.replayed_records))
+        .help("Write-ahead-log records replayed at the last load, per shard."),
+    family("wfdiff_checkpoint_folds_total", "counter", Shard(|s| s.wal.folds_total))
+        .help("Checkpoints that folded the write-ahead log into the manifest, per shard."),
+    family(
+        "wfdiff_checkpoint_fold_failures_total",
+        "counter",
+        Shard(|s| s.wal.fold_failures_total),
+    )
+    .help("Automatic checkpoint folds that failed, per shard."),
+];
+
+impl Family {
+    const fn help(self, help: &'static str) -> Family {
+        Family { help, ..self }
+    }
+
+    /// Writes one sample line, `name{label="value",…} value`, pairing the
+    /// source's label names (then `le`) with `values`.
+    fn sample(&self, out: &mut String, suffix: &str, values: &[&str], value: impl Display) {
+        let names = self.source.labels().iter().chain(&["le"]);
+        let _ = write!(out, "{}{suffix}", self.name);
+        for (i, (k, v)) in names.zip(values).enumerate() {
+            let _ = write!(out, "{}{k}=\"{v}\"", if i == 0 { '{' } else { ',' });
+        }
+        let _ = writeln!(out, "{} {value}", if values.is_empty() { "" } else { "}" });
+    }
+
+    /// Writes a histogram's cumulative buckets (`values` plus `le`), `_sum`
+    /// and `_count`.
+    fn histogram(&self, out: &mut String, values: &[&str], h: &Histogram) {
+        for (b, (le, _)) in LATENCY_BUCKETS.iter().enumerate() {
+            self.sample(out, "_bucket", &[values, &[le]].concat(), h.cumulative(b));
+        }
+        self.sample(out, "_bucket", &[values, &["+Inf"]].concat(), h.count());
+        self.sample(out, "_sum", values, h.sum_seconds());
+        self.sample(out, "_count", values, h.count());
+    }
 }
 
 /// The server's metrics registry.  One instance per [`Server`]; shared
 /// (behind an `Arc`) between the HTTP workers and the handlers.
 ///
 /// [`Server`]: crate::serve::Server
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ServeMetrics {
-    endpoints: [EndpointMetrics; ENDPOINTS.len()],
+    requests: [[Counter; STATUS_CLASSES.len()]; ENDPOINTS.len()],
+    latency: [Histogram; ENDPOINTS.len()],
     shard_requests: Vec<Counter>,
-    bytes_read: Counter,
-    bytes_written: Counter,
-    connections_opened: Counter,
-    connections_closed: Counter,
-    connections_rejected: Counter,
-    connections_active: Gauge,
-    requests_in_flight: Gauge,
-    workers: Gauge,
-    workers_busy: Gauge,
+    counters: [Counter; ServerCounter::DriftFlags as usize + 1],
+    gauges: [Gauge; ServerGauge::WorkersBusy as usize + 1],
     cluster_update: Histogram,
-    similar_distance_evals: Counter,
-    stream_events: Counter,
-    drift_flags: Counter,
 }
 
 impl ServeMetrics {
     /// Creates a registry for a server with `shards` store shards.
     pub fn new(shards: usize) -> Self {
-        ServeMetrics {
-            endpoints: Default::default(),
-            shard_requests: (0..shards.max(1)).map(|_| Counter::new()).collect(),
-            bytes_read: Counter::new(),
-            bytes_written: Counter::new(),
-            connections_opened: Counter::new(),
-            connections_closed: Counter::new(),
-            connections_rejected: Counter::new(),
-            connections_active: Gauge::new(),
-            requests_in_flight: Gauge::new(),
-            workers: Gauge::new(),
-            workers_busy: Gauge::new(),
-            cluster_update: Histogram::new(),
-            similar_distance_evals: Counter::new(),
-            stream_events: Counter::new(),
-            drift_flags: Counter::new(),
-        }
+        let shard_requests = (0..shards).map(|_| Counter::default()).collect();
+        ServeMetrics { shard_requests, ..Default::default() }
     }
 
     /// Records one completed request.
     pub fn observe_request(&self, endpoint: Endpoint, status: u16, elapsed: Duration) {
-        let e = &self.endpoints[endpoint as usize];
-        e.requests[status_class(status)].inc();
-        e.latency.observe(elapsed);
+        self.requests[endpoint as usize][status_class(status)].inc();
+        self.latency[endpoint as usize].observe(elapsed);
     }
 
-    /// Records that a request was routed to shard `i` (saturating to the
-    /// last shard counter for out-of-range indices, which cannot happen
-    /// through the router).
+    /// Records that a request was routed to shard `i`.
     pub fn observe_shard_request(&self, i: usize) {
-        let last = self.shard_requests.len() - 1;
-        self.shard_requests[i.min(last)].inc();
+        if let Some(c) = self.shard_requests.get(i) {
+            c.inc();
+        }
     }
 
     /// Records one incremental cluster-index update (the recluster lag a
@@ -322,431 +485,67 @@ impl ServeMetrics {
         self.cluster_update.observe(elapsed);
     }
 
-    /// Bytes read off client sockets.
-    pub fn bytes_read(&self) -> &Counter {
-        &self.bytes_read
+    /// A server-wide counter.
+    pub fn counter(&self, c: ServerCounter) -> &Counter {
+        &self.counters[c as usize]
     }
 
-    /// Bytes written to client sockets.
-    pub fn bytes_written(&self) -> &Counter {
-        &self.bytes_written
+    /// A server-wide gauge.
+    pub fn gauge(&self, g: ServerGauge) -> &Gauge {
+        &self.gauges[g as usize]
     }
 
-    /// Connections accepted.
-    pub fn connections_opened(&self) -> &Counter {
-        &self.connections_opened
-    }
-
-    /// Connections closed (any reason).
-    pub fn connections_closed(&self) -> &Counter {
-        &self.connections_closed
-    }
-
-    /// Connections refused with `503` because the connection table was full.
-    pub fn connections_rejected(&self) -> &Counter {
-        &self.connections_rejected
-    }
-
-    /// Currently open connections.
-    pub fn connections_active(&self) -> &Gauge {
-        &self.connections_active
-    }
-
-    /// Requests parsed and not yet answered (executing on a worker).
-    pub fn requests_in_flight(&self) -> &Gauge {
-        &self.requests_in_flight
-    }
-
-    /// Configured HTTP worker count (set once at start).
-    pub fn workers(&self) -> &Gauge {
-        &self.workers
-    }
-
-    /// HTTP workers currently executing a handler — compare against
-    /// [`ServeMetrics::workers`] for saturation.
-    pub fn workers_busy(&self) -> &Gauge {
-        &self.workers_busy
-    }
-
-    /// Edit-distance evaluations `GET /similar` queries performed (what the
-    /// metric index's bounds could not certify away) — divide by
-    /// `wfdiff_http_requests_total{endpoint="similar"}` for evals per query.
-    pub fn similar_distance_evals(&self) -> &Counter {
-        &self.similar_distance_evals
-    }
-
-    /// Node-lifecycle events accepted by `POST /runs/stream` (rejected
-    /// batches count zero).
-    pub fn stream_events(&self) -> &Counter {
-        &self.stream_events
-    }
-
-    /// Drift verdicts (`drifted: true`) returned by `POST /runs/stream` and
-    /// `GET /runs/{spec}/{stream}/drift` responses.
-    pub fn drift_flags(&self) -> &Counter {
-        &self.drift_flags
-    }
-
-    /// Renders every metric in the Prometheus text exposition format,
-    /// sampling live per-shard state (store sizes, diff-cache counters,
-    /// diff-worker counts) from `router` at scrape time.
+    /// Renders every family in the Prometheus text exposition format,
+    /// sampling live per-shard state (store sizes, diff-cache and WAL
+    /// counters, diff-worker counts) from `router` once, at scrape time.
     pub fn render(&self, router: &ShardRouter) -> String {
+        let shards: Vec<ShardSample> = router
+            .shards()
+            .iter()
+            .enumerate()
+            .map(|(i, shard)| {
+                let service = shard.service();
+                ShardSample {
+                    requests: self.shard_requests.get(i).map_or(0, Counter::get),
+                    workers: service.threads(),
+                    specs: service.store().spec_names().len(),
+                    runs: service.store().run_count(),
+                    cache: service.cache_stats(),
+                    wal: service.wal_stats(),
+                }
+            })
+            .collect();
         let mut out = String::with_capacity(8 * 1024);
-        let m = &mut out;
-
-        head(
-            m,
-            "wfdiff_http_requests_total",
-            "counter",
-            "Requests served, by endpoint and status class.",
-        );
-        for (i, ep) in ENDPOINTS.iter().enumerate() {
-            for (c, class) in STATUS_CLASSES.iter().enumerate() {
-                let v = self.endpoints[i].requests[c].get();
-                sample(
-                    m,
-                    "wfdiff_http_requests_total",
-                    &[("endpoint", ep.label()), ("code", class)],
-                    &v.to_string(),
-                );
+        for family in &FAMILIES {
+            let Family { name, kind, source, help } = family;
+            let _ = write!(out, "# HELP {name} {help}\n# TYPE {name} {kind}\n");
+            let m = &mut out;
+            match *source {
+                Requests => {
+                    for (ep, counters) in ENDPOINTS.iter().zip(&self.requests) {
+                        for (class, c) in STATUS_CLASSES.iter().zip(counters) {
+                            family.sample(m, "", &[ep.label(), class], c.get());
+                        }
+                    }
+                }
+                Latency => {
+                    for (ep, h) in ENDPOINTS.iter().zip(&self.latency) {
+                        family.histogram(m, &[ep.label()], h);
+                    }
+                }
+                Count(c) => family.sample(m, "", &[], self.counter(c).get()),
+                Level(g) => family.sample(m, "", &[], self.gauge(g).get()),
+                ClusterUpdate => family.histogram(m, &[], &self.cluster_update),
+                Shards => family.sample(m, "", &[], router.len()),
+                Shard(figure) => {
+                    for (i, shard) in shards.iter().enumerate() {
+                        family.sample(m, "", &[&i.to_string()], figure(shard));
+                    }
+                }
             }
         }
-
-        head(
-            m,
-            "wfdiff_http_request_duration_seconds",
-            "histogram",
-            "Request latency from the readiness event that delivered the request to its \
-             response being rendered, by endpoint.",
-        );
-        for (i, ep) in ENDPOINTS.iter().enumerate() {
-            let h = &self.endpoints[i].latency;
-            for (b, (le, _)) in LATENCY_BUCKETS.iter().enumerate() {
-                sample(
-                    m,
-                    "wfdiff_http_request_duration_seconds_bucket",
-                    &[("endpoint", ep.label()), ("le", le)],
-                    &h.cumulative(b).to_string(),
-                );
-            }
-            sample(
-                m,
-                "wfdiff_http_request_duration_seconds_bucket",
-                &[("endpoint", ep.label()), ("le", "+Inf")],
-                &h.count().to_string(),
-            );
-            sample(
-                m,
-                "wfdiff_http_request_duration_seconds_sum",
-                &[("endpoint", ep.label())],
-                &format!("{}", h.sum_seconds()),
-            );
-            sample(
-                m,
-                "wfdiff_http_request_duration_seconds_count",
-                &[("endpoint", ep.label())],
-                &h.count().to_string(),
-            );
-        }
-
-        head(
-            m,
-            "wfdiff_shard_requests_total",
-            "counter",
-            "Spec-addressed requests routed to each shard.",
-        );
-        for (i, c) in self.shard_requests.iter().enumerate() {
-            sample(
-                m,
-                "wfdiff_shard_requests_total",
-                &[("shard", &i.to_string())],
-                &c.get().to_string(),
-            );
-        }
-
-        counter_head_sample(
-            m,
-            "wfdiff_http_bytes_read_total",
-            "Bytes read off client sockets.",
-            &self.bytes_read,
-        );
-        counter_head_sample(
-            m,
-            "wfdiff_http_bytes_written_total",
-            "Bytes written to client sockets.",
-            &self.bytes_written,
-        );
-        counter_head_sample(
-            m,
-            "wfdiff_http_connections_opened_total",
-            "Connections accepted.",
-            &self.connections_opened,
-        );
-        counter_head_sample(
-            m,
-            "wfdiff_http_connections_closed_total",
-            "Connections closed.",
-            &self.connections_closed,
-        );
-        counter_head_sample(
-            m,
-            "wfdiff_http_connections_rejected_total",
-            "Connections answered 503 because the connection table was full.",
-            &self.connections_rejected,
-        );
-        counter_head_sample(
-            m,
-            "wfdiff_similar_distance_evals_total",
-            "Edit-distance evaluations performed by GET /similar queries.",
-            &self.similar_distance_evals,
-        );
-        counter_head_sample(
-            m,
-            "wfdiff_stream_events_total",
-            "Node-lifecycle events accepted by POST /runs/stream.",
-            &self.stream_events,
-        );
-        counter_head_sample(
-            m,
-            "wfdiff_drift_flags_total",
-            "Drift verdicts returned by streaming and drift endpoints.",
-            &self.drift_flags,
-        );
-
-        gauge_head_sample(
-            m,
-            "wfdiff_http_connections_active",
-            "Currently open connections.",
-            self.connections_active.get(),
-        );
-        gauge_head_sample(
-            m,
-            "wfdiff_http_requests_in_flight",
-            "Requests parsed and not yet answered.",
-            self.requests_in_flight.get(),
-        );
-        gauge_head_sample(
-            m,
-            "wfdiff_http_workers",
-            "Configured HTTP worker threads.",
-            self.workers.get(),
-        );
-        gauge_head_sample(
-            m,
-            "wfdiff_http_workers_busy",
-            "HTTP workers currently executing a handler.",
-            self.workers_busy.get(),
-        );
-
-        head(
-            m,
-            "wfdiff_cluster_update_duration_seconds",
-            "histogram",
-            "Incremental cluster-index update latency per inserted run (recluster lag).",
-        );
-        let h = &self.cluster_update;
-        for (b, (le, _)) in LATENCY_BUCKETS.iter().enumerate() {
-            sample(
-                m,
-                "wfdiff_cluster_update_duration_seconds_bucket",
-                &[("le", le)],
-                &h.cumulative(b).to_string(),
-            );
-        }
-        sample(
-            m,
-            "wfdiff_cluster_update_duration_seconds_bucket",
-            &[("le", "+Inf")],
-            &h.count().to_string(),
-        );
-        sample(
-            m,
-            "wfdiff_cluster_update_duration_seconds_sum",
-            &[],
-            &format!("{}", h.sum_seconds()),
-        );
-        sample(m, "wfdiff_cluster_update_duration_seconds_count", &[], &h.count().to_string());
-
-        gauge_head_sample(
-            m,
-            "wfdiff_shards",
-            "Store shards behind this server.",
-            router.len() as i64,
-        );
-
-        head(m, "wfdiff_diff_workers", "gauge", "Diff-engine worker threads, per shard.");
-        for (i, shard) in router.shards().iter().enumerate() {
-            sample(
-                m,
-                "wfdiff_diff_workers",
-                &[("shard", &i.to_string())],
-                &shard.service().threads().to_string(),
-            );
-        }
-
-        head(m, "wfdiff_store_specs", "gauge", "Specifications stored, per shard.");
-        for (i, shard) in router.shards().iter().enumerate() {
-            sample(
-                m,
-                "wfdiff_store_specs",
-                &[("shard", &i.to_string())],
-                &shard.service().store().spec_names().len().to_string(),
-            );
-        }
-        head(m, "wfdiff_store_runs", "gauge", "Runs stored, per shard.");
-        for (i, shard) in router.shards().iter().enumerate() {
-            sample(
-                m,
-                "wfdiff_store_runs",
-                &[("shard", &i.to_string())],
-                &shard.service().store().run_count().to_string(),
-            );
-        }
-
-        let stats: Vec<_> = router.shards().iter().map(|s| s.service().cache_stats()).collect();
-        head(m, "wfdiff_diff_cache_hits_total", "counter", "Diff-cache hits, per shard.");
-        for (i, s) in stats.iter().enumerate() {
-            sample(
-                m,
-                "wfdiff_diff_cache_hits_total",
-                &[("shard", &i.to_string())],
-                &s.hits.to_string(),
-            );
-        }
-        head(m, "wfdiff_diff_cache_misses_total", "counter", "Diff-cache misses, per shard.");
-        for (i, s) in stats.iter().enumerate() {
-            sample(
-                m,
-                "wfdiff_diff_cache_misses_total",
-                &[("shard", &i.to_string())],
-                &s.misses.to_string(),
-            );
-        }
-        head(
-            m,
-            "wfdiff_diff_cache_insertions_total",
-            "counter",
-            "Diff-cache insertions, per shard.",
-        );
-        for (i, s) in stats.iter().enumerate() {
-            sample(
-                m,
-                "wfdiff_diff_cache_insertions_total",
-                &[("shard", &i.to_string())],
-                &s.insertions.to_string(),
-            );
-        }
-        head(m, "wfdiff_diff_cache_evictions_total", "counter", "Diff-cache evictions, per shard.");
-        for (i, s) in stats.iter().enumerate() {
-            sample(
-                m,
-                "wfdiff_diff_cache_evictions_total",
-                &[("shard", &i.to_string())],
-                &s.evictions.to_string(),
-            );
-        }
-        head(m, "wfdiff_diff_cache_entries", "gauge", "Diff-cache resident entries, per shard.");
-        for (i, s) in stats.iter().enumerate() {
-            sample(
-                m,
-                "wfdiff_diff_cache_entries",
-                &[("shard", &i.to_string())],
-                &s.entries.to_string(),
-            );
-        }
-
-        let wal: Vec<_> = router.shards().iter().map(|s| s.service().wal_stats()).collect();
-        head(
-            m,
-            "wfdiff_wal_appends_total",
-            "counter",
-            "Write-ahead-log records appended, per shard.",
-        );
-        for (i, s) in wal.iter().enumerate() {
-            sample(
-                m,
-                "wfdiff_wal_appends_total",
-                &[("shard", &i.to_string())],
-                &s.appends_total.to_string(),
-            );
-        }
-        head(m, "wfdiff_wal_bytes", "gauge", "Write-ahead-log bytes pending a fold, per shard.");
-        for (i, s) in wal.iter().enumerate() {
-            sample(m, "wfdiff_wal_bytes", &[("shard", &i.to_string())], &s.bytes.to_string());
-        }
-        head(
-            m,
-            "wfdiff_wal_replayed_records",
-            "gauge",
-            "Write-ahead-log records replayed at the last load, per shard.",
-        );
-        for (i, s) in wal.iter().enumerate() {
-            sample(
-                m,
-                "wfdiff_wal_replayed_records",
-                &[("shard", &i.to_string())],
-                &s.replayed_records.to_string(),
-            );
-        }
-        head(
-            m,
-            "wfdiff_checkpoint_folds_total",
-            "counter",
-            "Checkpoints that folded the write-ahead log into the manifest, per shard.",
-        );
-        for (i, s) in wal.iter().enumerate() {
-            sample(
-                m,
-                "wfdiff_checkpoint_folds_total",
-                &[("shard", &i.to_string())],
-                &s.folds_total.to_string(),
-            );
-        }
-
         out
     }
-}
-
-fn head(out: &mut String, name: &str, kind: &str, help: &str) {
-    out.push_str("# HELP ");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(help);
-    out.push_str("\n# TYPE ");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(kind);
-    out.push('\n');
-}
-
-fn sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: &str) {
-    out.push_str(name);
-    if !labels.is_empty() {
-        out.push('{');
-        for (i, (k, v)) in labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(k);
-            out.push_str("=\"");
-            out.push_str(v);
-            out.push('"');
-        }
-        out.push('}');
-    }
-    out.push(' ');
-    out.push_str(value);
-    out.push('\n');
-}
-
-fn counter_head_sample(out: &mut String, name: &str, help: &str, c: &Counter) {
-    head(out, name, "counter", help);
-    sample(out, name, &[], &c.get().to_string());
-}
-
-fn gauge_head_sample(out: &mut String, name: &str, help: &str, v: i64) {
-    head(out, name, "gauge", help);
-    sample(out, name, &[], &v.to_string());
 }
 
 #[cfg(test)]
@@ -813,6 +612,39 @@ mod tests {
         for (i, ep) in ENDPOINTS.iter().enumerate() {
             assert_eq!(*ep as usize, i, "ENDPOINTS[{i}] is {}", ep.label());
         }
+    }
+
+    #[test]
+    fn classification_captures_the_path_parameters() {
+        let route = Endpoint::classify(&["specs", "fig2", "runs"]);
+        assert_eq!((route.endpoint, route.spec, route.stream), (Endpoint::SpecRuns, "fig2", ""));
+        let route = Endpoint::classify(&["runs", "fig2", "s1", "drift"]);
+        assert_eq!((route.endpoint, route.spec, route.stream), (Endpoint::Drift, "fig2", "s1"));
+        let route = Endpoint::classify(&["runs", "fig2", "s1", "stream"]);
+        assert_eq!((route.spec, route.stream), ("fig2", "s1"));
+        let route = Endpoint::classify(&["diff"]);
+        assert_eq!((route.spec, route.stream), ("", ""));
+    }
+
+    #[test]
+    fn every_family_is_declared_once_and_every_instrument_rendered() {
+        let mut names: Vec<&str> = FAMILIES.iter().map(|f| f.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), FAMILIES.len(), "a family name is declared twice");
+        let (mut counters, mut gauges) = (Vec::new(), Vec::new());
+        for family in &FAMILIES {
+            match family.source {
+                Count(c) => counters.push(c as usize),
+                Level(g) => gauges.push(g as usize),
+                _ => {}
+            }
+        }
+        counters.sort_unstable();
+        gauges.sort_unstable();
+        let metrics = ServeMetrics::new(1);
+        assert_eq!(counters, (0..metrics.counters.len()).collect::<Vec<_>>());
+        assert_eq!(gauges, (0..metrics.gauges.len()).collect::<Vec<_>>());
     }
 
     #[test]

@@ -91,6 +91,10 @@ pub use metrics::ServeMetrics;
 pub use shard::{ShardEntry, ShardRouter};
 
 use epoll::{Epoll, EPOLLIN, EPOLLONESHOT, EPOLLOUT};
+use metrics::ServerCounter::{
+    BytesRead, BytesWritten, ConnectionsClosed, ConnectionsOpened, ConnectionsRejected,
+};
+use metrics::ServerGauge::{ConnectionsActive, RequestsInFlight, Workers, WorkersBusy};
 use std::io::{Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsFd;
@@ -205,7 +209,7 @@ impl Server {
             max_conns: self.config.max_connections.max(1),
         });
         let workers = self.config.threads.max(1);
-        self.state.metrics().workers().set(workers as i64);
+        self.state.metrics().gauge(Workers).set(workers as i64);
 
         // Built before spawning so that a failed spawn drops the handle,
         // which stops and joins the workers already running.
@@ -428,7 +432,7 @@ impl Shared {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    metrics.connections_opened().inc();
+                    metrics.counter(ConnectionsOpened).inc();
                     self.admit(stream, metrics, now);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -454,14 +458,14 @@ impl Shared {
     /// table is full.
     fn admit(&self, stream: TcpStream, metrics: &ServeMetrics, now: Instant) {
         if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-            metrics.connections_closed().inc();
+            metrics.counter(ConnectionsClosed).inc();
             return;
         }
         let mut table = self.lock_table();
         if table.open >= self.max_conns {
             drop(table);
-            metrics.connections_rejected().inc();
-            metrics.connections_closed().inc();
+            metrics.counter(ConnectionsRejected).inc();
+            metrics.counter(ConnectionsClosed).inc();
             let e = ApiError::new(503, "overloaded", "connection table is full");
             // A fresh socket's send buffer holds the whole answer.
             let _ =
@@ -486,11 +490,11 @@ impl Shared {
         match self.epoll.add(conn.stream.as_fd(), EPOLLIN | EPOLLONESHOT, token) {
             Ok(()) => {
                 table.slots[slot] = Some(conn);
-                metrics.connections_active().inc();
+                metrics.gauge(ConnectionsActive).inc();
             }
             Err(_) => {
                 table.release(slot);
-                metrics.connections_closed().inc();
+                metrics.counter(ConnectionsClosed).inc();
             }
         }
     }
@@ -537,7 +541,7 @@ impl Shared {
                     Ok(0) => return Next::Close,
                     Ok(n) => {
                         conn.write_pos += n;
-                        metrics.bytes_written().add(n as u64);
+                        metrics.counter(BytesWritten).add(n as u64);
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Next::Write,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -585,7 +589,7 @@ impl Shared {
                 Ok(0) => conn.eof = true,
                 Ok(n) => {
                     conn.buf.extend_from_slice(&chunk[..n]);
-                    metrics.bytes_read().add(n as u64);
+                    metrics.counter(BytesRead).add(n as u64);
                     conn.arrived = woke;
                     drained = n < chunk.len();
                 }
@@ -596,24 +600,15 @@ impl Shared {
         }
     }
 
-    /// Runs one parsed request through the handlers (under
-    /// `catch_unwind`) and queues the rendered response on the connection.
+    /// Runs one parsed request through [`handlers::dispatch`] (which
+    /// answers a panicking handler with `500`) and queues the rendered
+    /// response on the connection.
     fn respond(&self, conn: &mut Conn, request: &http::Request, state: &AppState) {
         let metrics = state.metrics();
-        metrics.requests_in_flight().inc();
-        metrics.workers_busy().inc();
-        let segments: Vec<&str> = request.segments.iter().map(String::as_str).collect();
-        let endpoint = metrics::Endpoint::classify(&segments);
-        // A panicking handler must not take the worker down with it: answer
-        // 500 and carry on.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handlers::dispatch(state, request)
-        }));
-        let response = outcome.unwrap_or_else(|_| {
-            let e = ApiError::new(500, "internal_panic", "handler panicked; see server log");
-            handlers::Response::json(e.status, e.body())
-        });
-        metrics.workers_busy().dec();
+        metrics.gauge(RequestsInFlight).inc();
+        metrics.gauge(WorkersBusy).inc();
+        let response = handlers::dispatch(state, request);
+        metrics.gauge(WorkersBusy).dec();
         let keep_alive = request.keep_alive && !self.shutdown.load(Ordering::SeqCst);
         conn.write_buf = http::render_response(
             response.status,
@@ -622,8 +617,8 @@ impl Shared {
             keep_alive,
         );
         conn.close_after_write = !keep_alive;
-        metrics.observe_request(endpoint, response.status, conn.arrived.elapsed());
-        metrics.requests_in_flight().dec();
+        metrics.observe_request(response.endpoint, response.status, conn.arrived.elapsed());
+        metrics.gauge(RequestsInFlight).dec();
     }
 
     /// Closes parked connections that have been idle past the read timeout
@@ -675,8 +670,8 @@ impl Shared {
 
 /// Counts a registered connection closed and closes its socket.
 fn close_conn(conn: Conn, metrics: &ServeMetrics) {
-    metrics.connections_closed().inc();
-    metrics.connections_active().dec();
+    metrics.counter(ConnectionsClosed).inc();
+    metrics.gauge(ConnectionsActive).dec();
     close_socket(conn.stream);
 }
 
@@ -892,7 +887,7 @@ mod tests {
         // An idle connection takes the table's second slot.
         let _idle = TcpStream::connect(addr).unwrap();
         wait_until("both connections are admitted", || {
-            state.metrics().connections_active().get() == 2
+            state.metrics().gauge(ConnectionsActive).get() == 2
         });
 
         // Twenty silent clients are refused; answering them must not hold
@@ -905,7 +900,7 @@ mod tests {
         assert!(body.contains("\"ok\""), "{body}");
         assert!(elapsed < Duration::from_millis(100), "healthz took {elapsed:?}");
         wait_until("every refusal is counted", || {
-            state.metrics().connections_rejected().get() == 20
+            state.metrics().counter(ConnectionsRejected).get() == 20
         });
         drop(refused);
         handle.shutdown();
@@ -1026,7 +1021,7 @@ mod tests {
         let elapsed = started.elapsed();
         assert!(elapsed >= timeout, "closed after only {elapsed:?}");
         assert!(elapsed < timeout + Duration::from_millis(400), "closed after {elapsed:?}");
-        assert_eq!(state.metrics().connections_active().get(), 0);
+        assert_eq!(state.metrics().gauge(ConnectionsActive).get(), 0);
         handle.shutdown();
     }
 }

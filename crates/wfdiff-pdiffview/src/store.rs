@@ -280,20 +280,7 @@ impl WorkflowStore {
     /// section so a concurrent [`WorkflowStore::remove_spec`] cannot
     /// interleave and leave an orphan run behind.
     pub fn insert_run(&self, run_name: &str, run: Run) -> Result<Arc<Run>, StoreError> {
-        let key = (run.spec_name().to_string(), run_name.to_string());
-        let specs = self.specs.read();
-        let spec = specs
-            .get(run.spec_name())
-            .ok_or_else(|| StoreError::MissingSpec { name: run.spec_name().to_string() })?;
-        if spec.fingerprint() != run.spec_fingerprint() {
-            return Err(StoreError::SpecVersionMismatch {
-                name: run.spec_name().to_string(),
-                run: run_name.to_string(),
-            });
-        }
-        let arc = Arc::new(run);
-        self.runs.write().insert(key, Arc::clone(&arc));
-        Ok(arc)
+        self.insert_checked(run_name, run, true)
     }
 
     /// Like [`WorkflowStore::insert_run`], but refuses to replace an
@@ -303,7 +290,18 @@ impl WorkflowStore {
     /// server relies on this to make its persist-failure rollback remove
     /// only the run it inserted itself.
     pub fn insert_run_new(&self, run_name: &str, run: Run) -> Result<Arc<Run>, StoreError> {
-        let key = (run.spec_name().to_string(), run_name.to_string());
+        self.insert_checked(run_name, run, false)
+    }
+
+    /// Both run inserts: the spec and version checks, then the insert, in
+    /// one critical section; `replace` says whether a stored run of the same
+    /// name is replaced or refused.
+    fn insert_checked(
+        &self,
+        run_name: &str,
+        run: Run,
+        replace: bool,
+    ) -> Result<Arc<Run>, StoreError> {
         let specs = self.specs.read();
         let spec = specs
             .get(run.spec_name())
@@ -314,12 +312,10 @@ impl WorkflowStore {
                 run: run_name.to_string(),
             });
         }
+        let key = (run.spec_name().to_string(), run_name.to_string());
         let mut runs = self.runs.write();
-        if runs.contains_key(&key) {
-            return Err(StoreError::DuplicateRun {
-                name: run.spec_name().to_string(),
-                run: run_name.to_string(),
-            });
+        if !replace && runs.contains_key(&key) {
+            return Err(StoreError::DuplicateRun { name: key.0, run: key.1 });
         }
         let arc = Arc::new(run);
         runs.insert(key, Arc::clone(&arc));

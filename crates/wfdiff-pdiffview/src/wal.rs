@@ -416,6 +416,8 @@ pub(crate) struct WalStats {
     pub(crate) replayed_records: AtomicU64,
     /// Checkpoint folds (full saves that truncated the WAL).
     pub(crate) folds_total: AtomicU64,
+    /// Automatic folds (triggered by the fold threshold) that failed.
+    pub(crate) fold_failures_total: AtomicU64,
 }
 
 impl WalStats {
@@ -425,14 +427,16 @@ impl WalStats {
             bytes: self.bytes.load(Ordering::Acquire),
             replayed_records: self.replayed_records.load(Ordering::Acquire),
             folds_total: self.folds_total.load(Ordering::Acquire),
+            fold_failures_total: self.fold_failures_total.load(Ordering::Acquire),
         }
     }
 }
 
 /// A point-in-time snapshot of a store's WAL counters — what the `/metrics`
 /// endpoint exports per shard as `wfdiff_wal_appends_total`,
-/// `wfdiff_wal_bytes`, `wfdiff_wal_replayed_records` and
-/// `wfdiff_checkpoint_folds_total`.
+/// `wfdiff_wal_bytes`, `wfdiff_wal_replayed_records`,
+/// `wfdiff_checkpoint_folds_total` and
+/// `wfdiff_checkpoint_fold_failures_total`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WalStatsSnapshot {
     /// Records appended since the store was created.
@@ -444,6 +448,11 @@ pub struct WalStatsSnapshot {
     pub replayed_records: u64,
     /// Checkpoint folds (full saves that truncated the WAL).
     pub folds_total: u64,
+    /// Automatic folds (triggered by the fold threshold) that failed; an
+    /// explicit [`WorkflowStore::save_to_dir`] returns its error instead.
+    ///
+    /// [`WorkflowStore::save_to_dir`]: crate::store::WorkflowStore::save_to_dir
+    pub fold_failures_total: u64,
 }
 
 /// What `store_tool wal` reports about one store directory's log.

@@ -11,7 +11,7 @@ use pdiffview::pdiffview::serve::api::{StreamEventsRequest, StreamEventsResponse
 use pdiffview::pdiffview::serve::{ServeConfig, Server, ServerHandle, ShardRouter};
 use pdiffview::pdiffview::{DiffService, StreamEvent, WorkflowStore};
 use pdiffview::workloads::figures::{fig2_run1, fig2_run2, fig2_specification};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -370,4 +370,37 @@ fn batch_endpoint_matches_single_pair_answers() {
     assert!(batch.contains(&format!("\"distance\":{}", single_distance.trim_end_matches('}'))));
     assert!(batch.contains("\"distance\":0.0"));
     handle.shutdown();
+}
+
+/// `docs/OPERATIONS.md` documents exactly the families a server renders:
+/// every family of a scrape's `# TYPE` lines is a row of the Metrics
+/// section's tables, and every `wfdiff_…` family those tables name is
+/// rendered.
+#[test]
+fn operator_docs_list_exactly_the_rendered_metric_families() {
+    let dir = TempDir::new("metric-docs");
+    let (_store, handle) = boot(dir.path(), 64 * 1024);
+    let (status, scrape) = request(handle.addr(), "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    handle.shutdown();
+    let rendered: BTreeSet<String> = scrape
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE ")?.split(' ').next())
+        .map(String::from)
+        .collect();
+
+    let docs = include_str!("../docs/OPERATIONS.md");
+    let section = docs.split("\n## Metrics\n").nth(1).expect("a Metrics section");
+    let section = section.split("\n## ").next().unwrap_or(section);
+    let documented: BTreeSet<String> = section
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `wfdiff_")?.split('`').next())
+        .map(|rest| format!("wfdiff_{rest}"))
+        .collect();
+
+    let undocumented: Vec<_> = rendered.difference(&documented).collect();
+    let unrendered: Vec<_> = documented.difference(&rendered).collect();
+    assert!(undocumented.is_empty(), "rendered but not in docs/OPERATIONS.md: {undocumented:?}");
+    assert!(unrendered.is_empty(), "in docs/OPERATIONS.md but not rendered: {unrendered:?}");
+    assert!(!rendered.is_empty(), "the scrape has no # TYPE lines: {scrape}");
 }

@@ -2,18 +2,24 @@
 //! stays stable across save/load and the operator split, cross-shard
 //! `/specs` and `/healthz` aggregation, exact distances and durable writes
 //! on the owning shard, a `GET /metrics` scrape validated
-//! against the Prometheus text-exposition grammar, and the evented
+//! against the Prometheus text-exposition grammar, the scrape text of a
+//! fixed state compared with a recorded fixture, and the evented
 //! front-end's core promise — a stalled (dribbling-header) connection does
 //! not pin a worker.
 
 use pdiffview::pdiffview::io::RunDescriptor;
-use pdiffview::pdiffview::serve::api::{DiffResponse, HealthResponse, SpecsResponse};
+use pdiffview::pdiffview::serve::api::{
+    DiffResponse, HealthResponse, SpecsResponse, StreamEventsRequest,
+};
+use pdiffview::pdiffview::serve::handlers::{dispatch, AppState};
+use pdiffview::pdiffview::serve::http::{parse_request, ParseOutcome};
+use pdiffview::pdiffview::serve::metrics::{ServerCounter, ServerGauge};
 use pdiffview::pdiffview::serve::shard::{
     detect_shard_dirs, fnv1a_64, shard_dir_name, shard_of, split_store_into_shards, ShardEntry,
     ShardRouter,
 };
 use pdiffview::pdiffview::serve::{ServeConfig, Server, ServerHandle};
-use pdiffview::pdiffview::{DiffService, WorkflowStore};
+use pdiffview::pdiffview::{DiffService, StreamEvent, WorkflowStore};
 use pdiffview::sptree::SpecificationBuilder;
 use pdiffview::workloads::runs::generate_run_with_target_edges;
 use std::collections::BTreeMap;
@@ -399,6 +405,84 @@ fn metrics_scrape_is_valid_prometheus_text() {
     assert!(scrape.contains("wfdiff_checkpoint_folds_total{shard=\"1\"}"), "{scrape}");
     assert!(scrape.contains("wfdiff_http_request_duration_seconds_bucket"), "{scrape}");
     handle.shutdown();
+}
+
+/// The `/metrics` text of a fixed two-shard state equals
+/// `tests/fixtures/metrics_scrape.txt` byte for byte: every family's name,
+/// type, HELP text, labels and order, and every value.  The state is the
+/// four-spec store split across two shard directories, one durable insert,
+/// requests dispatched in process (latencies recorded at fixed values, not
+/// timed) and the server-wide instruments set by hand, with one diff worker
+/// per shard so that no figure depends on the machine or on scheduling.
+#[test]
+fn metrics_render_matches_the_recorded_fixture() {
+    let root = TempDir::new("golden");
+    let flat = root.path().join("flat");
+    seed_store().save_to_dir(&flat).unwrap();
+    let shard_root = root.path().join("shards");
+    split_store_into_shards(&flat, &shard_root, 2).unwrap();
+    let entries = detect_shard_dirs(&shard_root)
+        .into_iter()
+        .map(|dir| {
+            let store = Arc::new(WorkflowStore::load_from_dir(&dir).unwrap());
+            ShardEntry::new(Arc::new(DiffService::builder(store).threads(1).build()), Some(dir))
+        })
+        .collect();
+    let state = AppState::new(ShardRouter::new(entries));
+
+    let alpha = state.router().shard_for("alpha");
+    let store = alpha.service().store();
+    let run = generate_run_with_target_edges(&store.spec("alpha").unwrap(), 8, 7);
+    let run = store.insert_run("run2", run).unwrap();
+    store.append_run_to_dir(alpha.dir().unwrap(), "run2", &run).unwrap();
+
+    let stream = serde_json::to_string(&StreamEventsRequest {
+        spec: "delta".to_string(),
+        stream: "s1".to_string(),
+        events: vec![StreamEvent::started(0, "a", vec![]), StreamEvent::completed(0)],
+        finalize: false,
+    })
+    .unwrap();
+    let requests = [
+        ("GET", "/diff?spec=alpha&a=run0&b=run1", ""),
+        ("GET", "/diff?spec=alpha&a=run0&b=run1", ""),
+        ("GET", "/diff?spec=beta&a=run0&b=ghost", ""),
+        ("GET", "/similar?spec=gamma&run=run0&k=1", ""),
+        ("POST", "/runs/stream", stream.as_str()),
+        ("GET", "/runs/delta/s1/drift", ""),
+        ("GET", "/specs", ""),
+        ("DELETE", "/healthz", ""),
+        ("GET", "/nowhere", ""),
+    ];
+    let metrics = state.metrics();
+    for (i, (method, target, body)) in requests.into_iter().enumerate() {
+        let wire =
+            format!("{method} {target} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+        let Ok(ParseOutcome::Complete { request, .. }) = parse_request(wire.as_bytes(), 1 << 20)
+        else {
+            panic!("{wire} does not parse");
+        };
+        let response = dispatch(&state, &request);
+        let elapsed = Duration::from_micros(40 + 90 * i as u64);
+        metrics.observe_request(response.endpoint, response.status, elapsed);
+    }
+    metrics.observe_cluster_update(Duration::from_micros(300));
+    metrics.counter(ServerCounter::BytesRead).add(4096);
+    metrics.counter(ServerCounter::BytesWritten).add(8192);
+    metrics.counter(ServerCounter::ConnectionsOpened).add(3);
+    metrics.counter(ServerCounter::ConnectionsClosed).add(2);
+    metrics.counter(ServerCounter::ConnectionsRejected).add(1);
+    metrics.gauge(ServerGauge::ConnectionsActive).set(1);
+    metrics.gauge(ServerGauge::RequestsInFlight).set(0);
+    metrics.gauge(ServerGauge::Workers).set(2);
+    metrics.gauge(ServerGauge::WorkersBusy).set(0);
+
+    let rendered = metrics.render(state.router());
+    let fixture = include_str!("fixtures/metrics_scrape.txt");
+    for (i, (got, want)) in rendered.lines().zip(fixture.lines()).enumerate() {
+        assert_eq!(got, want, "line {} of the scrape differs from the fixture", i + 1);
+    }
+    assert_eq!(rendered, fixture, "the scrape and the fixture differ in length");
 }
 
 #[test]
