@@ -5,11 +5,11 @@
 //! ```
 //!
 //! Enumerates every durability operation of a scripted workload, re-executes
-//! itself as a child that deterministically crashes at each one (process
-//! kill and torn-write modes), and asserts that recovery is
-//! prefix-consistent: the reloaded store's run set, full pairwise distance
-//! matrix and k-medoids partition equal a never-crashed in-memory replay of
-//! the surviving operation prefix.  See `wfdiff_bench::torture` for the
+//! itself as a child that deterministically faults at each one (process
+//! kill, torn-write and I/O-error modes), and asserts that recovery is
+//! consistent: the reloaded store's run set, open streams, full pairwise
+//! distance matrix and k-medoids partition equal an in-memory replay of
+//! the operations that survived.  See `wfdiff_bench::torture` for the
 //! invariant and `docs/OPERATIONS.md` for operational context.
 //!
 //! Writes `BENCH_crash_torture.json` (the fault-coverage report CI uploads)
@@ -17,9 +17,7 @@
 
 use std::path::Path;
 use wfdiff_bench::benchjson::write_bench_json;
-use wfdiff_bench::torture::{
-    child_main, render, run_torture, TortureReportJson, TortureScale, CHILD_FAILURE_EXIT,
-};
+use wfdiff_bench::torture::{child_main, render, run_torture, TortureScale, CHILD_FAILURE_EXIT};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -34,7 +32,7 @@ fn main() {
     let scale = TortureScale::parse(args.get(1).map(String::as_str).unwrap_or("full"));
     let report = run_torture(scale);
     print!("{}", render(&report));
-    write_bench_json("BENCH_crash_torture.json", &TortureReportJson::from(&report))
+    write_bench_json("BENCH_crash_torture.json", &report)
         .expect("writing BENCH_crash_torture.json");
     println!("wrote BENCH_crash_torture.json");
     if !report.violations.is_empty() {

@@ -9,13 +9,16 @@
 //! later finalised (with checkpoints folding the log while they are open),
 //! reclusters, full checkpoints — against a store whose I/O is wrapped in a
 //! [`FaultIo`] that kills the process at the N-th durability operation
-//! (`kill` mode) or writes half of the N-th write and then dies (`torn`
-//! mode).  After every completed logical operation the child appends an
-//! acknowledgement line to a side file *outside* the faulted I/O path.
+//! (`kill` mode), writes half of the N-th write and then dies (`torn`
+//! mode), or makes the N-th operation return an I/O error and lets the
+//! workload carry on (`error` mode).  Every write goes through the
+//! service's commit functions, as the server's do.  After every logical
+//! operation the child appends an acknowledgement line, with the
+//! operation's outcome, to a side file *outside* the faulted I/O path.
 //!
 //! The **parent** first runs the child fault-free to count the total number
 //! of durability operations T, then sweeps every fault point `N ∈ 1..=T` in
-//! both modes.  After each crash it checks the prefix-consistency
+//! all three modes.  After each crash it checks the prefix-consistency
 //! invariant: loading the surviving directory must succeed (torn WAL tails
 //! repaired), and the recovered store must equal a never-crashed in-memory
 //! replay of the first `j` or `j+1` scripted operations, where `j` is the
@@ -34,6 +37,10 @@
 //! so a torn batch may leave the stream it opens with a non-empty prefix
 //! of its events; that prefix is accepted for the operation in flight.
 //!
+//! In `error` mode nothing crashes and there is no slack: the log holds no
+//! torn tail, and the reloaded directory equals both the replay of the
+//! operations that returned `Ok` and the child's memory at the end.
+//!
 //! The sweep covers 100% of the enumerated fault points; `quick` mode
 //! shrinks the scripted workload (for CI), not the coverage.
 
@@ -42,8 +49,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::Arc;
 use wfdiff_pdiffview::{
-    DiffService, FaultIo, PartialRun, RealIo, StoreIo, StreamEvent, WorkflowStore, FAULT_EXIT_CODE,
-    FAULT_MODE_ENV, FAULT_POINT_ENV,
+    DiffService, FaultIo, FaultMode, PartialRun, RealIo, StoreIo, StreamEvent, WorkflowStore,
+    FAULT_EXIT_CODE, FAULT_MODE_ENV, FAULT_POINT_ENV,
 };
 use wfdiff_sptree::Specification;
 use wfdiff_workloads::generator::{random_specification, SpecGenConfig};
@@ -71,13 +78,13 @@ pub enum TortureOp {
         /// Initial run count.
         runs: usize,
     },
-    /// Insert run `index` (in memory + WAL append) and notify the cluster
+    /// Insert run `index` (WAL append, then memory) and notify the cluster
     /// index.
     Insert {
         /// Deterministic run index; also seeds the run's content.
         index: usize,
     },
-    /// Remove run `index` (in memory + WAL append) and notify the cluster
+    /// Remove run `index` (WAL append, then memory) and notify the cluster
     /// index.
     Remove {
         /// Index of a previously inserted run.
@@ -89,9 +96,9 @@ pub enum TortureOp {
         /// Deterministic run index; also seeds the run's content.
         index: usize,
     },
-    /// Finalise the stream `index` opened earlier (the run's insert append
-    /// and the closure marker), ending with the run stored exactly as if
-    /// inserted whole and the stream gone.
+    /// Finalise the stream `index` opened earlier (the run's insert record
+    /// and the closure marker, one append), ending with the run stored
+    /// exactly as if inserted whole and the stream gone.
     StreamFinish {
         /// Index of a previously opened stream.
         index: usize,
@@ -234,43 +241,30 @@ fn apply_durable(
         TortureOp::Insert { index } => {
             let spec = store.spec(TORTURE_SPEC).ok_or("spec missing")?;
             let name = run_name(*index);
-            let run =
-                store.insert_run(&name, torture_run(&spec, *index)).map_err(|e| e.to_string())?;
-            store.append_run_to_dir(dir, &name, &run).map_err(|e| e.to_string())?;
+            service
+                .commit_run_insert(Some(dir), &name, torture_run(&spec, *index))
+                .map_err(|e| e.to_string())?;
             service.notify_run_inserted(TORTURE_SPEC, &name);
         }
         TortureOp::Remove { index } => {
             let name = run_name(*index);
-            store.remove_run(TORTURE_SPEC, &name);
-            store.append_run_removal_to_dir(dir, TORTURE_SPEC, &name).map_err(|e| e.to_string())?;
+            service
+                .commit_run_removal(Some(dir), TORTURE_SPEC, &name)
+                .map_err(|e| e.to_string())?;
             service.notify_run_removed(TORTURE_SPEC, &name);
         }
         TortureOp::StreamOpen { index } => {
             let spec = store.spec(TORTURE_SPEC).ok_or("spec missing")?;
-            let name = run_name(*index);
             let events = stream_events_for(&spec, *index);
-            let outcome =
-                service.stream_events(TORTURE_SPEC, &name, &events).map_err(|e| e.to_string())?;
-            store
-                .append_stream_events_to_dir(
-                    dir,
-                    TORTURE_SPEC,
-                    &name,
-                    outcome.ack.base_seq,
-                    &events,
-                )
+            service
+                .commit_stream_batch(Some(dir), TORTURE_SPEC, &run_name(*index), &events, false)
                 .map_err(|e| e.to_string())?;
         }
         TortureOp::StreamFinish { index } => {
             let name = run_name(*index);
-            let (run, seq) =
-                service.finalize_stream(TORTURE_SPEC, &name).map_err(|e| e.to_string())?;
-            let run = store.insert_run_new(&name, run).map_err(|e| e.to_string())?;
-            store.append_run_to_dir(dir, &name, &run).map_err(|e| e.to_string())?;
-            store
-                .append_stream_close_to_dir(dir, TORTURE_SPEC, &name, seq)
+            service
+                .commit_stream_batch(Some(dir), TORTURE_SPEC, &name, &[], true)
                 .map_err(|e| e.to_string())?;
-            service.remove_stream(TORTURE_SPEC, &name);
             service.notify_run_inserted(TORTURE_SPEC, &name);
         }
         TortureOp::Recluster { k } => {
@@ -293,13 +287,12 @@ fn apply_durable(
 /// applied)` per stream, sorted by name.
 pub type OpenStreams = Vec<(String, u64)>;
 
-/// Replays the first `prefix` scripted operations purely in memory — the
-/// never-crashed reference the recovered store and its open streams must
-/// match.
-pub fn replay_prefix(ops: &[TortureOp], prefix: usize) -> (Arc<WorkflowStore>, OpenStreams) {
+/// Replays `ops` purely in memory — the never-crashed reference the
+/// recovered store and its open streams must match.
+pub fn replay(ops: &[TortureOp]) -> (Arc<WorkflowStore>, OpenStreams) {
     let store = Arc::new(WorkflowStore::new());
     let mut streams = std::collections::BTreeMap::new();
-    for op in &ops[..prefix] {
+    for op in ops {
         match op {
             TortureOp::Init { runs } => {
                 let spec = store.insert_spec(torture_spec()).expect("fresh spec");
@@ -337,17 +330,24 @@ pub fn replay_prefix(ops: &[TortureOp], prefix: usize) -> (Arc<WorkflowStore>, O
 
 /// Entry point of the re-executed child: runs the scripted workload with
 /// fault injection configured from the environment, acknowledging each
-/// completed operation in `ack_path`, and prints `TORTURE_OPS <n>` (the
-/// durability-operation count) on clean completion.  Never returns.
+/// operation and its outcome (`<i> ok` or `<i> err`) in `ack_path`.  A
+/// failed operation ends the child unless the fault mode is `error`.  On
+/// completion it prints `TORTURE_OPS <n>` (the durability-operation count)
+/// and `TORTURE_MEMORY` (its runs and open streams).  Never returns.
 pub fn child_main(dir: &Path, ack_path: &Path, scale: TortureScale) -> ! {
     let fault = Arc::new(FaultIo::from_env(Arc::new(RealIo)));
+    let carry_on =
+        std::env::var(FAULT_MODE_ENV).is_ok_and(|m| FaultMode::parse(&m) == FaultMode::Error);
     let store = Arc::new(WorkflowStore::with_io(Arc::clone(&fault) as Arc<dyn StoreIo>));
     store.set_wal_fold_threshold(TORTURE_FOLD_THRESHOLD);
     let service = DiffService::new(Arc::clone(&store));
     for (i, op) in script(scale).iter().enumerate() {
-        if let Err(e) = apply_durable(&store, &service, dir, op) {
-            eprintln!("torture child: op {i} failed: {e}");
-            std::process::exit(CHILD_FAILURE_EXIT);
+        let outcome = apply_durable(&store, &service, dir, op);
+        if let Err(e) = &outcome {
+            if !carry_on {
+                eprintln!("torture child: op {i} failed: {e}");
+                std::process::exit(CHILD_FAILURE_EXIT);
+            }
         }
         // The acknowledgement bypasses the faulted I/O path on purpose: it
         // records progress, it is not part of the store's durability.
@@ -357,81 +357,48 @@ pub fn child_main(dir: &Path, ack_path: &Path, scale: TortureScale) -> ! {
             .open(ack_path)
             .expect("ack file opens");
         use std::io::Write as _;
-        writeln!(acks, "{i}").expect("ack write");
+        writeln!(acks, "{i} {}", if outcome.is_ok() { "ok" } else { "err" }).expect("ack write");
         acks.sync_all().expect("ack sync");
     }
     println!("TORTURE_OPS {}", fault.ops());
+    println!("TORTURE_MEMORY {:?}", (store.run_names(TORTURE_SPEC), registry_streams(&service)));
     std::process::exit(0)
 }
 
-/// One fault-point iteration's outcome.
-#[derive(Debug)]
-enum Outcome {
-    /// The child crashed at the injected point and recovery was
-    /// prefix-consistent.
-    Consistent,
-    /// The invariant failed.
-    Violation(String),
-}
+/// The three fault modes, in sweep order.
+pub const TORTURE_MODES: [&str; 3] = ["kill", "torn", "error"];
 
-/// Result of a full torture sweep.
-#[derive(Debug)]
-pub struct TortureReport {
-    /// Workload scale the sweep ran at.
-    pub scale: TortureScale,
-    /// Scripted logical operations.
-    pub ops: usize,
-    /// Enumerated durability operations (fault points per mode).
-    pub fault_points: u64,
-    /// Crash iterations executed (fault points × modes).
-    pub iterations: u64,
-    /// Prefix-consistency violations, with their fault point and mode.
-    pub violations: Vec<String>,
-}
-
-/// JSON shape of a [`TortureReport`] (`BENCH_crash_torture.json`).
+/// Result of a full torture sweep, written as `BENCH_crash_torture.json`.
 #[derive(Debug, Serialize)]
-pub struct TortureReportJson {
-    /// Workload scale (`quick`/`full`).
+pub struct TortureReport {
+    /// Workload scale the sweep ran at (`quick`/`full`).
     pub scale: String,
     /// Scripted logical operations.
     pub ops: usize,
-    /// Enumerated durability operations (fault points per mode).
+    /// Enumerated durability operations.
     pub fault_points: u64,
-    /// Crash iterations executed (fault points × modes).
+    /// Fault points swept in each mode: every enumerated one (quick mode
+    /// shrinks the workload, not the sweep).
+    pub fault_points_per_mode: std::collections::BTreeMap<String, u64>,
+    /// Fault iterations executed (fault points × modes).
     pub iterations: u64,
-    /// Fraction of enumerated fault points exercised (always 1.0 — quick
-    /// mode shrinks the workload, not the sweep).
-    pub fault_coverage: f64,
-    /// Prefix-consistency violations found.
-    pub violations: usize,
-}
-
-impl From<&TortureReport> for TortureReportJson {
-    fn from(report: &TortureReport) -> Self {
-        TortureReportJson {
-            scale: report.scale.name().to_string(),
-            ops: report.ops,
-            fault_points: report.fault_points,
-            iterations: report.iterations,
-            fault_coverage: 1.0,
-            violations: report.violations.len(),
-        }
-    }
+    /// Invariant violations, with their mode and fault point.
+    pub violations: Vec<String>,
 }
 
 /// Renders the human-readable summary.
 pub fn render(report: &TortureReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "crash torture [{}]: {} scripted ops, {} fault points x 2 modes = {} crashes\n",
-        report.scale.name(),
+        "crash torture [{}]: {} scripted ops, {} fault points x {} modes = {} runs\n",
+        report.scale,
         report.ops,
         report.fault_points,
+        TORTURE_MODES.len(),
         report.iterations,
     ));
     if report.violations.is_empty() {
-        out.push_str("prefix consistency held at every fault point\n");
+        out.push_str("recovery held at every fault point in every mode\n");
     } else {
         for v in &report.violations {
             out.push_str(&format!("VIOLATION: {v}\n"));
@@ -447,9 +414,11 @@ fn fresh_dir(root: &Path, tag: &str) -> PathBuf {
     dir
 }
 
-/// Counts acknowledged operations (lines) in the child's ack file.
-fn acked_ops(ack_path: &Path) -> usize {
-    std::fs::read_to_string(ack_path).map(|s| s.lines().count()).unwrap_or(0)
+/// The outcome (`true` for `Ok`) of each operation the child's ack file
+/// acknowledges.
+fn acks(ack_path: &Path) -> Vec<bool> {
+    let text = std::fs::read_to_string(ack_path).unwrap_or_default();
+    text.lines().map(|line| line.ends_with(" ok")).collect()
 }
 
 /// Spawns the child once with no fault injected and returns the number of
@@ -481,55 +450,35 @@ fn count_fault_points(exe: &Path, root: &Path, scale: TortureScale) -> u64 {
 }
 
 /// Checks the prefix-consistency invariant of one crashed directory.
-fn verify_recovery(dir: &Path, ack_path: &Path, ops: &[TortureOp]) -> Outcome {
-    let acked = acked_ops(ack_path);
+fn verify_recovery(dir: &Path, ack_path: &Path, ops: &[TortureOp]) -> Result<(), String> {
+    let acked = acks(ack_path).len();
     if !dir.join("manifest.json").exists() {
         // The crash predates the very first manifest commit; nothing was
         // ever durable, which is only consistent before the first ack.
-        return if acked == 0 {
-            Outcome::Consistent
-        } else {
-            Outcome::Violation(format!("manifest missing after {acked} acked ops"))
+        return match acked {
+            0 => Ok(()),
+            _ => Err(format!("manifest missing after {acked} acked ops")),
         };
     }
-    let loaded = match WorkflowStore::load_from_dir(dir) {
-        Ok(store) => Arc::new(store),
-        Err(e) => return Outcome::Violation(format!("load after crash failed: {e}")),
-    };
-    match wfdiff_pdiffview::wal::inspect(dir) {
-        Ok(summary) if summary.torn_bytes == 0 => {}
-        Ok(summary) => {
-            return Outcome::Violation(format!(
-                "load left {} torn bytes in the WAL",
-                summary.torn_bytes
-            ))
-        }
-        Err(e) => return Outcome::Violation(format!("WAL unreadable after load: {e}")),
-    }
-    let mut loaded_runs = loaded.run_names(TORTURE_SPEC);
-    loaded_runs.sort();
-    let loaded_streams = match open_streams(dir, &loaded) {
-        Ok(streams) => streams,
-        Err(e) => return Outcome::Violation(format!("stream reload after crash failed: {e}")),
-    };
+    let loaded = WorkflowStore::load_from_dir(dir).map_err(|e| format!("load failed: {e}"))?;
+    let loaded = Arc::new(loaded);
+    no_torn_tail(dir).map_err(|e| format!("after the load: {e}"))?;
+    let loaded_runs = loaded.run_names(TORTURE_SPEC);
+    let loaded_streams = open_streams(dir, &loaded)?;
     // The crash landed inside op `acked + 1`; its single durable append may
     // or may not have happened, so either adjacent prefix is legal.
     let candidates = [acked, (acked + 1).min(ops.len())];
     for &prefix in &candidates {
-        let (replay, replay_streams) = replay_prefix(ops, prefix);
-        let mut replay_runs = replay.run_names(TORTURE_SPEC);
-        replay_runs.sort();
+        let (replay, replay_streams) = replay(&ops[..prefix]);
         let in_flight = if prefix > acked { ops.get(acked) } else { None };
-        if replay_runs != loaded_runs || !streams_agree(&loaded_streams, &replay_streams, in_flight)
+        if replay.run_names(TORTURE_SPEC) == loaded_runs
+            && streams_agree(&loaded_streams, &replay_streams, in_flight)
         {
-            continue;
+            return states_equal(dir, &loaded, &replay)
+                .map_err(|e| format!("prefix {prefix}: {e}"));
         }
-        return match states_equal(dir, &loaded, &replay) {
-            Ok(()) => Outcome::Consistent,
-            Err(e) => Outcome::Violation(format!("prefix {prefix}: {e}")),
-        };
     }
-    Outcome::Violation(format!(
+    Err(format!(
         "recovered run set {loaded_runs:?} and open streams {loaded_streams:?} match neither \
          prefix {acked} nor {}",
         candidates[1]
@@ -560,14 +509,62 @@ fn streams_agree(
 fn open_streams(dir: &Path, loaded: &Arc<WorkflowStore>) -> Result<OpenStreams, String> {
     let service = DiffService::new(Arc::clone(loaded));
     service.load_streams(dir).map_err(|e| e.to_string())?;
-    Ok(service
+    Ok(registry_streams(&service))
+}
+
+/// The open streams of a service's registry.
+fn registry_streams(service: &DiffService) -> OpenStreams {
+    service
         .stream_names(TORTURE_SPEC)
         .into_iter()
         .map(|name| {
             let seq = service.stream_seq(TORTURE_SPEC, &name).unwrap_or(0);
             (name, seq)
         })
-        .collect())
+        .collect()
+}
+
+/// Checks an `error`-mode run: the child acknowledged every operation,
+/// its log holds no torn tail, and the reloaded directory equals both the
+/// child's memory (from its `stdout`) and the replay of the operations that
+/// returned `Ok`.  `Init` always counts: it builds the store in memory
+/// before its save, and a later checkpoint makes that durable.
+fn verify_error_run(
+    dir: &Path,
+    ack_path: &Path,
+    stdout: &str,
+    ops: &[TortureOp],
+) -> Result<(), String> {
+    let ok = acks(ack_path);
+    if ok.len() != ops.len() {
+        return Err(format!("the child acknowledged {} of {} ops", ok.len(), ops.len()));
+    }
+    no_torn_tail(dir)?;
+    let loaded = Arc::new(WorkflowStore::load_from_dir(dir).map_err(|e| e.to_string())?);
+    let reloaded = (loaded.run_names(TORTURE_SPEC), open_streams(dir, &loaded)?);
+    let applied: Vec<TortureOp> = (ops.iter().zip(&ok))
+        .filter(|(op, ok)| **ok || matches!(op, TortureOp::Init { .. }))
+        .map(|(op, _)| op.clone())
+        .collect();
+    let (replay, replay_streams) = replay(&applied);
+    let expected = (replay.run_names(TORTURE_SPEC), replay_streams);
+    let memory = stdout.lines().find_map(|l| l.strip_prefix("TORTURE_MEMORY ")).unwrap_or_default();
+    if format!("{reloaded:?}") != memory || reloaded != expected {
+        return Err(format!(
+            "reloaded {reloaded:?}, child memory {memory}, replay of the ok ops {expected:?} \
+             (outcomes {ok:?})"
+        ));
+    }
+    states_equal(dir, &loaded, &replay)
+}
+
+/// Fails when `dir`'s log ends in bytes that are no record.
+fn no_torn_tail(dir: &Path) -> Result<(), String> {
+    match wfdiff_pdiffview::wal::inspect(dir) {
+        Ok(summary) if summary.torn_bytes == 0 => Ok(()),
+        Ok(summary) => Err(format!("the WAL ends in {} torn bytes", summary.torn_bytes)),
+        Err(e) => Err(format!("WAL unreadable: {e}")),
+    }
 }
 
 /// Compares the recovered store against the reference replay: full pairwise
@@ -630,8 +627,8 @@ fn states_equal(
     Ok(())
 }
 
-/// Runs the full sweep: enumerate fault points, crash at every one in both
-/// `kill` and `torn` modes, verify recovery each time.
+/// Runs the full sweep: enumerate fault points, fault at every one in each
+/// of the `kill`, `torn` and `error` modes, verify recovery each time.
 pub fn run_torture(scale: TortureScale) -> TortureReport {
     let exe = std::env::current_exe().expect("current exe");
     let root = std::env::temp_dir().join(format!("wfdiff-torture-{}", std::process::id()));
@@ -648,13 +645,14 @@ pub fn run_torture(scale: TortureScale) -> TortureReport {
     clean.load_metric_state(root.join("count"));
 
     let mut report = TortureReport {
-        scale,
+        scale: scale.name().to_string(),
         ops: ops.len(),
         fault_points,
+        fault_points_per_mode: TORTURE_MODES.map(|mode| (mode.to_string(), fault_points)).into(),
         iterations: 0,
         violations: Vec::new(),
     };
-    for mode in ["kill", "torn"] {
+    for mode in TORTURE_MODES {
         for point in 1..=fault_points {
             let tag = format!("{mode}-{point}");
             let dir = fresh_dir(&root, &tag);
@@ -671,18 +669,23 @@ pub fn run_torture(scale: TortureScale) -> TortureReport {
                 .expect("torture child spawns");
             report.iterations += 1;
             let code = output.status.code();
-            if code != Some(FAULT_EXIT_CODE) {
-                report.violations.push(format!(
-                    "{mode} fault {point}: child exited {code:?} instead of crashing: {}",
+            let expected = if mode == "error" { 0 } else { FAULT_EXIT_CODE };
+            let outcome = if code != Some(expected) {
+                Err(format!(
+                    "child exited {code:?} instead of {expected}: {}",
                     String::from_utf8_lossy(&output.stderr)
-                ));
-                continue;
-            }
-            if let Outcome::Violation(why) = verify_recovery(&dir, &ack, &ops) {
-                report.violations.push(format!("{mode} fault {point}: {why}"));
+                ))
+            } else if mode == "error" {
+                verify_error_run(&dir, &ack, &String::from_utf8_lossy(&output.stdout), &ops)
             } else {
-                let _ = std::fs::remove_dir_all(&dir);
-                let _ = std::fs::remove_file(&ack);
+                verify_recovery(&dir, &ack, &ops)
+            };
+            match outcome {
+                Err(why) => report.violations.push(format!("{mode} fault {point}: {why}")),
+                Ok(()) => {
+                    let _ = std::fs::remove_dir_all(&dir);
+                    let _ = std::fs::remove_file(&ack);
+                }
             }
         }
     }
@@ -699,8 +702,8 @@ mod tests {
     #[test]
     fn replayed_prefixes_are_deterministic() {
         let ops = script(TortureScale::Quick);
-        let (a, _) = replay_prefix(&ops, ops.len());
-        let (b, _) = replay_prefix(&ops, ops.len());
+        let (a, _) = replay(&ops);
+        let (b, _) = replay(&ops);
         assert_eq!(a.run_names(TORTURE_SPEC), b.run_names(TORTURE_SPEC));
         let sa = DiffService::new(a);
         let sb = DiffService::new(b);
@@ -712,7 +715,7 @@ mod tests {
     #[test]
     fn the_script_grows_and_shrinks_the_run_set() {
         let ops = script(TortureScale::Full);
-        let (full, _) = replay_prefix(&ops, ops.len());
+        let (full, _) = replay(&ops);
         assert!(full.run_count() >= 4, "the full script leaves a clusterable store");
         assert!(
             ops.iter().any(|op| matches!(op, TortureOp::Remove { .. })),
@@ -725,10 +728,10 @@ mod tests {
         for scale in [TortureScale::Quick, TortureScale::Full] {
             let ops = script(scale);
             let folds_over_a_stream = (0..ops.len()).any(|i| {
-                matches!(ops[i], TortureOp::Checkpoint) && !replay_prefix(&ops, i).1.is_empty()
+                matches!(ops[i], TortureOp::Checkpoint) && !replay(&ops[..i]).1.is_empty()
             });
             assert!(folds_over_a_stream, "the {} script folds over an open stream", scale.name());
-            let (store, _) = replay_prefix(&ops, ops.len());
+            let (store, _) = replay(&ops);
             let finished = ops.iter().filter_map(|op| match op {
                 TortureOp::StreamFinish { index } => Some(run_name(*index)),
                 _ => None,

@@ -53,7 +53,7 @@
 use crate::cache::DiffCache;
 use crate::distance::{PreparedRun, WorkflowDiff};
 use crate::error::DiffError;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use wfdiff_graph::Label;
 use wfdiff_sptree::{Fingerprint, Specification};
 
@@ -79,8 +79,6 @@ pub enum PrefixEdgeClass {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefixProfile {
     spec_fp: Fingerprint,
-    spec_edges: HashSet<(Label, Label)>,
-    loop_back: HashSet<(Label, Label)>,
     counts: BTreeMap<(Label, Label), u64>,
     total: u64,
 }
@@ -88,27 +86,27 @@ pub struct PrefixProfile {
 impl PrefixProfile {
     /// Creates an empty profile for runs of `spec`.
     pub fn new(spec: &Specification) -> Self {
-        PrefixProfile {
-            spec_fp: spec.fingerprint(),
-            spec_edges: spec.edge_by_labels().keys().cloned().collect(),
-            loop_back: spec.loop_back_labels().clone(),
-            counts: BTreeMap::new(),
-            total: 0,
-        }
+        PrefixProfile { spec_fp: spec.fingerprint(), counts: BTreeMap::new(), total: 0 }
     }
 
-    /// Records one completed run edge `from -> to` and classifies it.
+    /// Records one completed run edge `from -> to` of a run of `spec`, the
+    /// specification the profile was built for, and classifies it.
     ///
     /// Returns `None` when the label pair matches neither a specification
     /// edge nor a loop back-edge — the caller should reject the event (the
     /// run could never validate).  The profile is unchanged in that case.
-    pub fn record_edge(&mut self, from: &Label, to: &Label) -> Option<PrefixEdgeClass> {
+    pub fn record_edge(
+        &mut self,
+        spec: &Specification,
+        from: &Label,
+        to: &Label,
+    ) -> Option<PrefixEdgeClass> {
         let key = (from.clone(), to.clone());
-        if self.spec_edges.contains(&key) {
+        if spec.edge_by_labels().contains_key(&key) {
             *self.counts.entry(key).or_insert(0) += 1;
             self.total += 1;
             Some(PrefixEdgeClass::Leaf)
-        } else if self.loop_back.contains(&key) {
+        } else if spec.loop_back_labels().contains(&key) {
             Some(PrefixEdgeClass::LoopBack)
         } else {
             None
@@ -260,9 +258,9 @@ mod tests {
     fn record_edge_classifies_spec_edges_back_edges_and_junk() {
         let spec = fig2_specification();
         let mut profile = PrefixProfile::new(&spec);
-        assert_eq!(profile.record_edge(&l("1"), &l("2")), Some(PrefixEdgeClass::Leaf));
-        assert_eq!(profile.record_edge(&l("6"), &l("2")), Some(PrefixEdgeClass::LoopBack));
-        assert_eq!(profile.record_edge(&l("7"), &l("1")), None);
+        assert_eq!(profile.record_edge(&spec, &l("1"), &l("2")), Some(PrefixEdgeClass::Leaf));
+        assert_eq!(profile.record_edge(&spec, &l("6"), &l("2")), Some(PrefixEdgeClass::LoopBack));
+        assert_eq!(profile.record_edge(&spec, &l("7"), &l("1")), None);
         assert_eq!(profile.completed_leaves(), 1);
         assert_eq!(profile.count(&l("1"), &l("2")), 1);
         assert_eq!(profile.count(&l("6"), &l("2")), 0, "back edges are not leaves");
@@ -287,7 +285,7 @@ mod tests {
             // never decrease.
             let mut last = 0.0;
             for (from, to) in [("1", "2"), ("2", "3"), ("3", "6"), ("6", "7")] {
-                profile.record_edge(&l(from), &l(to)).unwrap();
+                profile.record_edge(&spec, &l(from), &l(to)).unwrap();
                 let bound = engine.prefix_distance(&profile, None, &p5, None).unwrap();
                 assert!(bound >= last, "bound decreased under {}", cost.name());
                 assert!(bound <= exact + 1e-9, "bound exceeds the distance under {}", cost.name());
@@ -315,8 +313,8 @@ mod tests {
         let p5 = engine.prepare(&r5, None).unwrap();
         let mut profile = PrefixProfile::new(&spec);
         for _ in 0..4 {
-            profile.record_edge(&l("2"), &l("3")).unwrap();
-            profile.record_edge(&l("3"), &l("6")).unwrap();
+            profile.record_edge(&spec, &l("2"), &l("3")).unwrap();
+            profile.record_edge(&spec, &l("3"), &l("6")).unwrap();
         }
         let bound = engine.prefix_distance(&profile, None, &p5, None).unwrap();
         assert_eq!(bound, 1.0, "unit-cost deletions are 1 per path, not per leaf");
@@ -332,8 +330,8 @@ mod tests {
         let p5 = engine.prepare(&r5, None).unwrap();
         let mut profile = PrefixProfile::new(&spec);
         for _ in 0..3 {
-            profile.record_edge(&l("2"), &l("4")).unwrap();
-            profile.record_edge(&l("4"), &l("6")).unwrap();
+            profile.record_edge(&spec, &l("2"), &l("4")).unwrap();
+            profile.record_edge(&spec, &l("4"), &l("6")).unwrap();
         }
         let bound = engine.prefix_distance(&profile, None, &p5, None).unwrap();
         assert_eq!(bound, 6.0);

@@ -6,8 +6,7 @@
 //! greater than every rank it already holds:
 //!
 //! ```text
-//! save_lock (0)  →  specs (1)  →  runs (2)  →  persist_fp_cache (3)  →  streams (4)
-//!   →  prepared (5)
+//! save_lock (0)  →  store (1)  →  persist_fp_cache (2)  →  streams (3)  →  prepared (4)
 //! ```
 //!
 //! Under `debug_assertions` (every `cargo test` run, including the store's
@@ -30,54 +29,29 @@ use std::ops::{Deref, DerefMut};
 /// [`WorkflowStore`](crate::store::WorkflowStore)'s fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum LockRank {
-    /// `save_lock` — serialises whole saves; taken first, never under any
-    /// other store lock.
+    /// `save_lock` — serialises durable writes and saves; taken first,
+    /// never under any other lock.
     Save = 0,
-    /// `specs` — the specification map.
-    Specs = 1,
-    /// `runs` — the run map; always after `specs` when both are held.
-    Runs = 2,
+    /// `store` — the map of specifications and their runs.
+    Store = 1,
     /// `persist_fp_cache` — the fingerprint memo; innermost of the store's
     /// own locks.
-    FpCache = 3,
+    FpCache = 2,
     /// `streams` — the in-flight stream registry owned by
-    /// [`DiffService`](crate::service::DiffService).  Ranking after every
-    /// store lock enforces the stream discipline: state is cloned *out*
-    /// under this lock, mutated and persisted with no lock held, and
-    /// committed back in — holding it across a store or WAL call panics.
-    Streams = 4,
+    /// [`DiffService`](crate::service::DiffService); holding it across a
+    /// store or WAL call panics.
+    Streams = 3,
     /// `prepared` — the resident prepared state owned by
     /// [`DiffService`](crate::service::DiffService); innermost overall.
     /// Entries are cloned out under it and inserted after being computed,
     /// so holding it across a store call or the stream registry panics.
-    Prepared = 5,
+    Prepared = 4,
 }
 
-impl LockRank {
-    /// Every rank in acquisition order; the violation message spells the
-    /// order from this list.
-    #[cfg(debug_assertions)]
-    const ALL: [LockRank; 6] = [
-        LockRank::Save,
-        LockRank::Specs,
-        LockRank::Runs,
-        LockRank::FpCache,
-        LockRank::Streams,
-        LockRank::Prepared,
-    ];
-
-    #[cfg(debug_assertions)]
-    fn name(self) -> &'static str {
-        match self {
-            LockRank::Save => "save_lock",
-            LockRank::Specs => "specs",
-            LockRank::Runs => "runs",
-            LockRank::FpCache => "persist_fp_cache",
-            LockRank::Streams => "streams",
-            LockRank::Prepared => "prepared",
-        }
-    }
-}
+/// The locks' names, in rank order; the violation message spells the order
+/// from this list.
+#[cfg(debug_assertions)]
+const NAMES: [&str; 5] = ["save_lock", "store", "persist_fp_cache", "streams", "prepared"];
 
 #[cfg(debug_assertions)]
 mod held {
@@ -96,11 +70,11 @@ mod held {
                     worst < rank,
                     "lock-rank violation: acquiring `{}` (rank {}) while `{}` (rank {}) is \
                      held; the order is {} (see lockrank.rs)",
-                    rank.name(),
+                    super::NAMES[rank as usize],
                     rank as u8,
-                    worst.name(),
+                    super::NAMES[worst as usize],
                     worst as u8,
-                    LockRank::ALL.map(LockRank::name).join(" → "),
+                    super::NAMES.join(" → "),
                 );
             }
             stack.push(rank);
@@ -250,52 +224,52 @@ mod tests {
     #[test]
     fn in_order_acquisition_passes() {
         let save = RankedMutex::new(LockRank::Save, ());
-        let specs = RankedRwLock::new(LockRank::Specs, 1u32);
-        let runs = RankedRwLock::new(LockRank::Runs, 2u32);
-        let cache = RankedMutex::new(LockRank::FpCache, 3u32);
+        let store = RankedRwLock::new(LockRank::Store, 1u32);
+        let cache = RankedMutex::new(LockRank::FpCache, 2u32);
+        let streams = RankedRwLock::new(LockRank::Streams, 3u32);
         let _g0 = save.lock();
-        let g1 = specs.read();
-        let mut g2 = runs.write();
-        let g3 = cache.lock();
+        let g1 = store.read();
+        let g2 = cache.lock();
+        let mut g3 = streams.write();
         assert_eq!((*g1, *g2, *g3), (1, 2, 3));
-        *g2 += 1;
+        *g3 += 1;
     }
 
     #[test]
     fn reacquisition_after_drop_passes() {
-        let runs = RankedRwLock::new(LockRank::Runs, ());
-        let specs = RankedRwLock::new(LockRank::Specs, ());
-        drop(runs.read());
-        // `runs` was released, so taking `specs` now is in order.
-        let _s = specs.read();
+        let streams = RankedRwLock::new(LockRank::Streams, ());
+        let store = RankedRwLock::new(LockRank::Store, ());
+        drop(streams.read());
+        // `streams` was released, so taking `store` now is in order.
+        let _s = store.read();
         drop(_s);
-        let _r = runs.read();
+        let _r = streams.read();
     }
 
     #[test]
     fn out_of_order_acquisition_panics_with_a_named_violation() {
-        let specs = RankedRwLock::new(LockRank::Specs, ());
-        let runs = RankedRwLock::new(LockRank::Runs, ());
+        let store = RankedRwLock::new(LockRank::Store, ());
+        let streams = RankedRwLock::new(LockRank::Streams, ());
         let result = quiet_panics(|| {
             catch_unwind(AssertUnwindSafe(|| {
-                let _r = runs.read();
-                let _s = specs.read(); // rank 1 under rank 2: must panic
+                let _r = streams.read();
+                let _s = store.read(); // rank 1 under rank 3: must panic
             }))
         });
         let msg = panic_message(result);
         assert!(msg.contains("lock-rank violation"), "unexpected panic message: {msg:?}");
-        assert!(msg.contains("`specs`") && msg.contains("`runs`"), "names the locks: {msg:?}");
-        let order = "save_lock → specs → runs → persist_fp_cache → streams → prepared";
+        assert!(msg.contains("`store`") && msg.contains("`streams`"), "names the locks: {msg:?}");
+        let order = "save_lock → store → persist_fp_cache → streams → prepared";
         assert!(msg.contains(order), "spells the whole order: {msg:?}");
     }
 
     #[test]
     fn save_lock_under_a_data_guard_panics() {
         let save = RankedMutex::new(LockRank::Save, ());
-        let specs = RankedRwLock::new(LockRank::Specs, ());
+        let store = RankedRwLock::new(LockRank::Store, ());
         let result = quiet_panics(|| {
             catch_unwind(AssertUnwindSafe(|| {
-                let _s = specs.read();
+                let _s = store.read();
                 let _g = save.lock(); // save_lock is taken first or not at all
             }))
         });
@@ -304,15 +278,15 @@ mod tests {
 
     #[test]
     fn ranks_are_tracked_per_thread() {
-        // One thread holding `runs` must not poison another thread's
+        // One thread holding `streams` must not poison another thread's
         // ordering: the stack is thread-local.
-        let runs = std::sync::Arc::new(RankedRwLock::new(LockRank::Runs, ()));
-        let specs = std::sync::Arc::new(RankedRwLock::new(LockRank::Specs, ()));
-        let _r = runs.read();
-        let (specs2, runs2) = (std::sync::Arc::clone(&specs), std::sync::Arc::clone(&runs));
+        let streams = std::sync::Arc::new(RankedRwLock::new(LockRank::Streams, ()));
+        let store = std::sync::Arc::new(RankedRwLock::new(LockRank::Store, ()));
+        let _r = streams.read();
+        let (store2, streams2) = (std::sync::Arc::clone(&store), std::sync::Arc::clone(&streams));
         std::thread::spawn(move || {
-            let _s = specs2.read();
-            let _r = runs2.read();
+            let _s = store2.read();
+            let _r = streams2.read();
         })
         .join()
         .expect("the other thread acquires in order and must not panic");

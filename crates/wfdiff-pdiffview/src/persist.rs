@@ -501,6 +501,9 @@ impl WorkflowStore {
     /// `save_lock` (either the public wrapper or a WAL append whose
     /// threshold check escalated into a fold).
     fn save_to_dir_locked(&self, dir: &Path) -> Result<SaveSummary, PersistError> {
+        // A fold carries open-stream records over from the log, which may
+        // end in records of a failed append.
+        wal::refuse_torn(dir, &self.wal_torn)?;
         // Every fold attempt restarts the threshold count, so a fold that
         // fails is retried one threshold later, not on every append.
         self.wal_stats.since_fold.store(0, Ordering::Release);
@@ -739,9 +742,12 @@ impl WorkflowStore {
     }
 
     /// Makes one run durable by appending a single checksummed record to the
-    /// store directory's write-ahead log — the persistence path of the diff
-    /// server's `POST /runs` endpoint.  One append plus one fsync, O(run):
-    /// no manifest rewrite, no document rename, no checkpoint rewrite.
+    /// store directory's write-ahead log.  One append plus one fsync,
+    /// O(run): no manifest rewrite, no document rename, no checkpoint
+    /// rewrite.  The server's `POST /runs` goes through
+    /// [`DiffService::commit_run_insert`](crate::service::DiffService::commit_run_insert),
+    /// which appends before it publishes; this primitive appends a run the
+    /// caller already stored.
     ///
     /// The run must already be stored in (and validated by) this store, and
     /// the directory must hold the **same specification version**: the
@@ -767,26 +773,14 @@ impl WorkflowStore {
     ) -> Result<(), PersistError> {
         let _guard = self.save_lock.lock();
         let dir = dir.as_ref();
-        let spec = self.spec(run.spec_name()).ok_or_else(|| PersistError::Store {
-            source: StoreError::MissingSpec { name: run.spec_name().to_string() },
-        })?;
-        if spec.fingerprint() != run.spec_fingerprint() {
-            return Err(PersistError::Store {
-                source: StoreError::SpecVersionMismatch {
-                    name: run.spec_name().to_string(),
-                    run: run_name.to_string(),
-                },
-            });
-        }
-
+        let spec = self.check_insert(run_name, run, true)?;
         let fp_hex = self.persistent_fp_for_append(dir, &spec)?;
-        let record = wal::WalRecord::RunInsert(wal::RunInsertRecord {
-            spec: spec.name().to_string(),
-            spec_fingerprint: fp_hex,
-            name: run_name.to_string(),
-            run: RunDescriptor::from_run(run),
-        });
-        self.append_wal_locked(dir, &[record])
+        self.append_then_fold(dir, &[wal::WalRecord::run_insert(&fp_hex, run_name, run)])
+    }
+
+    /// The stored specification named `spec`, or why there is none.
+    fn stored_spec(&self, spec: &str) -> Result<Arc<Specification>, PersistError> {
+        Ok(self.spec(spec).ok_or_else(|| StoreError::MissingSpec { name: spec.to_string() })?)
     }
 
     /// The canonical persistent fingerprint of `spec`.  The descriptor →
@@ -843,10 +837,11 @@ impl WorkflowStore {
     }
 
     /// Makes a batch of stream events durable by appending one kind-5 record
-    /// per event to the write-ahead log — the persistence path of the diff
-    /// server's `POST /runs/stream` endpoint.  One append plus one fsync for
-    /// the whole batch; `base_seq` is the stream's event count before the
-    /// batch, so record `i` carries sequence `base_seq + i`.
+    /// per event to the write-ahead log.  One append plus one fsync for the
+    /// whole batch; `base_seq` is the stream's event count before the
+    /// batch, so record `i` carries sequence `base_seq + i`.  The server's
+    /// `POST /runs/stream` goes through
+    /// [`DiffService::commit_stream_batch`](crate::service::DiffService::commit_stream_batch).
     ///
     /// In-flight streams are WAL-only state: [`WorkflowStore::load_from_dir`]
     /// counts the records as replayed, and
@@ -868,24 +863,11 @@ impl WorkflowStore {
     ) -> Result<(), PersistError> {
         let _guard = self.save_lock.lock();
         let dir = dir.as_ref();
-        let spec_arc = self.spec(spec).ok_or_else(|| PersistError::Store {
-            source: StoreError::MissingSpec { name: spec.to_string() },
-        })?;
-        let fp_hex = self.persistent_fp_for_append(dir, &spec_arc)?;
-        let records: Vec<wal::WalRecord> = events
-            .iter()
-            .enumerate()
-            .map(|(i, event)| {
-                wal::WalRecord::StreamEvent(wal::StreamEventRecord {
-                    spec: spec.to_string(),
-                    spec_fingerprint: fp_hex.clone(),
-                    stream: stream.to_string(),
-                    seq: base_seq + i as u64,
-                    event: Some(event.clone()),
-                })
-            })
-            .collect();
-        self.append_wal_locked(dir, &records)
+        let fp_hex = self.persistent_fp_for_append(dir, &*self.stored_spec(spec)?)?;
+        self.append_then_fold(
+            dir,
+            &wal::stream_records(spec, &fp_hex, stream, base_seq, events.iter().map(Some)),
+        )
     }
 
     /// Appends the closure marker of a finalised stream: a kind-5 record
@@ -905,18 +887,8 @@ impl WorkflowStore {
     ) -> Result<(), PersistError> {
         let _guard = self.save_lock.lock();
         let dir = dir.as_ref();
-        let spec_arc = self.spec(spec).ok_or_else(|| PersistError::Store {
-            source: StoreError::MissingSpec { name: spec.to_string() },
-        })?;
-        let fp_hex = self.persistent_fp_for_append(dir, &spec_arc)?;
-        let record = wal::WalRecord::StreamEvent(wal::StreamEventRecord {
-            spec: spec.to_string(),
-            spec_fingerprint: fp_hex,
-            stream: stream.to_string(),
-            seq,
-            event: None,
-        });
-        self.append_wal_locked(dir, &[record])
+        let fp_hex = self.persistent_fp_for_append(dir, &*self.stored_spec(spec)?)?;
+        self.append_then_fold(dir, &wal::stream_records(spec, &fp_hex, stream, seq, [None]))
     }
 
     /// Makes one run *removal* durable by appending a record to the
@@ -941,11 +913,8 @@ impl WorkflowStore {
         if !manifest.specs.iter().any(|s| s.name == spec) {
             return Ok(());
         }
-        let record = wal::WalRecord::RunRemove(wal::RunRemoveRecord {
-            spec: spec.to_string(),
-            name: run_name.to_string(),
-        });
-        self.append_wal_locked(dir, &[record])
+        let record = wal::RunRemoveRecord { spec: spec.to_string(), name: run_name.to_string() };
+        self.append_then_fold(dir, &[wal::WalRecord::RunRemove(record)])
     }
 
     /// Appends already-encoded records to `dir`'s WAL under the save lock —
@@ -956,11 +925,21 @@ impl WorkflowStore {
         records: &[wal::Encoded],
     ) -> Result<(), PersistError> {
         let _guard = self.save_lock.lock();
-        self.append_encoded_locked(dir, records)
+        self.append_encoded_locked(dir, records)?;
+        self.fold_if_due(dir);
+        Ok(())
     }
 
-    /// Encodes and appends records; the caller holds `save_lock`.
-    fn append_wal_locked(
+    /// Appends records, then runs the threshold fold if it is due.
+    fn append_then_fold(&self, dir: &Path, records: &[wal::WalRecord]) -> Result<(), PersistError> {
+        self.append_wal_locked(dir, records)?;
+        self.fold_if_due(dir);
+        Ok(())
+    }
+
+    /// Encodes, appends and fsyncs records (see [`wal::append`]) and
+    /// maintains the counters, with no fold; the caller holds `save_lock`.
+    pub(crate) fn append_wal_locked(
         &self,
         dir: &Path,
         records: &[wal::WalRecord],
@@ -968,34 +947,35 @@ impl WorkflowStore {
         self.append_encoded_locked(dir, &wal::encode_all(dir, records)?)
     }
 
-    /// Appends records and maintains the counters + fold threshold; the
-    /// caller holds `save_lock`.
-    ///
-    /// Once the threshold's worth of bytes has been appended since the last
-    /// fold attempt, the append folds the log into a full checkpoint so
-    /// replay time stays bounded.  The trigger counts appended bytes, not
-    /// the log's length: every fold carries the records of open streams
-    /// over, and counting those would fold on every append.  The records
-    /// are durable before the fold starts, so a failed fold does not fail
-    /// the append: the log keeps them and the failure is counted in
-    /// [`WalStatsSnapshot::fold_failures_total`]; only an explicit
-    /// [`WorkflowStore::save_to_dir`] returns a fold's error.
-    ///
-    /// [`WalStatsSnapshot::fold_failures_total`]: crate::wal::WalStatsSnapshot::fold_failures_total
+    /// [`WorkflowStore::append_wal_locked`] for encoded records.
     fn append_encoded_locked(
         &self,
         dir: &Path,
         records: &[wal::Encoded],
     ) -> Result<(), PersistError> {
-        let appended = wal::append(&*self.io, dir, records)?;
+        let appended = wal::append(&*self.io, dir, records, &self.wal_torn)?;
         self.wal_stats.appends_total.fetch_add(records.len() as u64, Ordering::AcqRel);
         self.wal_stats.bytes.fetch_add(appended, Ordering::AcqRel);
-        let since_fold = self.wal_stats.since_fold.fetch_add(appended, Ordering::AcqRel) + appended;
+        self.wal_stats.since_fold.fetch_add(appended, Ordering::AcqRel);
+        Ok(())
+    }
+
+    /// Folds the log into a full checkpoint once the threshold's worth of
+    /// bytes has been appended since the last fold attempt, so replay time
+    /// stays bounded; the caller holds `save_lock` and has published what
+    /// it appended, since the fold snapshots memory.  The trigger counts
+    /// appended bytes: every fold carries the records of open streams over,
+    /// and counting those would fold on every append.  The appended records
+    /// are durable, so a failed fold fails no write; it is counted in
+    /// [`WalStatsSnapshot::fold_failures_total`].
+    ///
+    /// [`WalStatsSnapshot::fold_failures_total`]: crate::wal::WalStatsSnapshot::fold_failures_total
+    pub(crate) fn fold_if_due(&self, dir: &Path) {
         let threshold = self.wal_fold_threshold.load(Ordering::Acquire);
+        let since_fold = self.wal_stats.since_fold.load(Ordering::Acquire);
         if threshold != 0 && since_fold >= threshold && self.save_to_dir_locked(dir).is_err() {
             self.wal_stats.fold_failures_total.fetch_add(1, Ordering::AcqRel);
         }
-        Ok(())
     }
 
     /// Loads a store previously written by [`WorkflowStore::save_to_dir`],
@@ -1621,6 +1601,87 @@ mod tests {
         store.append_run_to_dir(dir.path(), "r4", &run).unwrap();
         store.append_run_to_dir(dir.path(), "r4", &run).unwrap();
         assert_eq!(WorkflowStore::load_from_dir(dir.path()).unwrap().run_count(), 4);
+    }
+
+    /// [`RealIo`], except that appends to `wal.log` write half their bytes
+    /// and fail, and truncating it fails: a failed append that cannot be
+    /// cut back.
+    #[derive(Debug)]
+    struct UncuttableLog;
+
+    impl UncuttableLog {
+        fn log(path: &Path) -> bool {
+            path.file_name().is_some_and(|n| n == wal::WAL_FILE)
+        }
+    }
+
+    impl StoreIo for UncuttableLog {
+        fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+            RealIo.create_dir_all(path)
+        }
+        fn write_file(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            RealIo.write_file(path, bytes)
+        }
+        fn append_file(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            if !Self::log(path) {
+                return RealIo.append_file(path, bytes);
+            }
+            RealIo.append_file(path, &bytes[..bytes.len() / 2])?;
+            Err(std::io::Error::other("injected append failure"))
+        }
+        fn fsync_file(&self, path: &Path) -> std::io::Result<()> {
+            RealIo.fsync_file(path)
+        }
+        fn fsync_dir(&self, path: &Path) -> std::io::Result<()> {
+            RealIo.fsync_dir(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            RealIo.rename(from, to)
+        }
+        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+            RealIo.remove_file(path)
+        }
+        fn remove_dir_all(&self, path: &Path) -> std::io::Result<()> {
+            RealIo.remove_dir_all(path)
+        }
+        fn truncate_file(&self, path: &Path, len: u64) -> std::io::Result<()> {
+            if Self::log(path) {
+                return Err(std::io::Error::other("injected truncate failure"));
+            }
+            RealIo.truncate_file(path, len)
+        }
+    }
+
+    #[test]
+    fn a_failed_cut_refuses_every_later_append_until_a_reload() {
+        let dir = TempDir::new("uncut");
+        seeded_store().save_to_dir(dir.path()).unwrap();
+        let store = WorkflowStore::load_from_dir_with_io(dir.path(), Arc::new(UncuttableLog))
+            .expect("a clean directory loads");
+        let run = fig2_run3(&store.spec("fig2").unwrap());
+        let err = store.append_run_to_dir(dir.path(), "r4", &run).unwrap_err().to_string();
+        assert!(err.contains("injected append failure"), "{err}");
+        assert!(err.contains("cutting the failed append back off the log failed too"), "{err}");
+        assert!(wal::inspect(dir.path()).unwrap().torn_bytes > 0);
+
+        // The log may end in bytes nobody acknowledged: every later write
+        // is refused before it reaches the I/O, and so is a save.
+        for refused in [
+            store.append_run_removal_to_dir(dir.path(), "fig2", "r1"),
+            store.append_stream_close_to_dir(dir.path(), "fig2", "s1", 0),
+            store.save_to_dir(dir.path()).map(|_| ()),
+        ] {
+            let err = refused.unwrap_err().to_string();
+            assert!(err.contains("refuses writes until it is reloaded"), "{err}");
+        }
+
+        // A reload truncates the torn tail, and the reloaded store appends.
+        let reloaded = WorkflowStore::load_from_dir(dir.path()).unwrap();
+        assert_eq!(wal::inspect(dir.path()).unwrap().torn_bytes, 0);
+        assert!(reloaded.run("fig2", "r4").is_none());
+        let run = fig2_run3(&reloaded.spec("fig2").unwrap());
+        reloaded.append_run_to_dir(dir.path(), "r4", &run).unwrap();
+        assert!(WorkflowStore::load_from_dir(dir.path()).unwrap().run("fig2", "r4").is_some());
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //! | 500    | internal failure: diff engine invariant or persistence I/O |
 
 use crate::io::RunDescriptor;
-use crate::persist::PersistError;
-use crate::service::ServiceError;
+use crate::service::{DriftReport, ServiceError};
 use crate::store::StoreError;
 use crate::stream::StreamEvent;
 use serde::{Deserialize, Serialize};
@@ -295,7 +294,7 @@ pub struct StreamEventsResponse {
     /// clustering exists yet); absent after finalisation.
     #[serde(default)]
     #[serde(skip_serializing_if = "Option::is_none")]
-    pub drift: Option<DriftResponse>,
+    pub drift: Option<DriftReport>,
     /// Whether the batch (and finalised run, if any) was appended to the
     /// server's store directory.
     pub persisted: bool,
@@ -315,42 +314,6 @@ pub struct StreamCloseResponse {
     pub seq: u64,
     /// Whether the closure marker reached the store directory.
     pub persisted: bool,
-}
-
-/// One cluster's drift verdict inside a [`DriftResponse`].
-#[derive(Debug, Serialize, Deserialize)]
-pub struct DriftClusterEntry {
-    /// The cluster's medoid run.
-    pub medoid: String,
-    /// Member count (including the medoid).
-    pub size: usize,
-    /// Largest exact medoid-to-member distance.
-    pub radius: f64,
-    /// Certified lower bound on the distance between any completion of the
-    /// stream and the medoid.
-    pub lower_bound: f64,
-    /// `lower_bound > radius`.
-    pub exceeds: bool,
-}
-
-/// `GET /runs/{spec}/{stream}/drift` response: the stream has drifted when
-/// the certified lower bound exceeds the radius for **every** cluster.
-#[derive(Debug, Serialize, Deserialize)]
-pub struct DriftResponse {
-    /// The specification name.
-    pub spec: String,
-    /// The stream name.
-    pub stream: String,
-    /// Events applied so far.
-    pub events: u64,
-    /// Node instances declared so far.
-    pub nodes: usize,
-    /// Completed leaves in the prefix profile.
-    pub completed_leaves: u64,
-    /// Per-cluster verdicts (empty until a clustering is built).
-    pub clusters: Vec<DriftClusterEntry>,
-    /// `true` iff `clusters` is non-empty and every entry `exceeds`.
-    pub drifted: bool,
 }
 
 // ---------------------------------------------------------------------------
@@ -440,7 +403,8 @@ impl From<ServiceError> for ApiError {
             ServiceError::UnknownStream { .. } => {
                 ApiError::new(404, "unknown_stream", e.to_string())
             }
-            ServiceError::StreamRace { .. } => ApiError::new(409, "stream_race", e.to_string()),
+            ServiceError::Store(store_error) => store_error.clone().into(),
+            ServiceError::Persist(_) => ApiError::new(500, "persist_failed", e.to_string()),
         }
     }
 }
@@ -462,22 +426,6 @@ impl From<StoreError> for ApiError {
 impl From<SpTreeError> for ApiError {
     fn from(e: SpTreeError) -> Self {
         ApiError::new(400, "invalid_run", e.to_string())
-    }
-}
-
-#[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
-impl From<PersistError> for ApiError {
-    fn from(e: PersistError) -> Self {
-        // Every variant maps to 500 today, but the match stays exhaustive by
-        // variant: adding a PersistError variant must force the author to
-        // decide its status here, not fall through silently.
-        match &e {
-            PersistError::Io { .. } => ApiError::new(500, "persist_failed", e.to_string()),
-            PersistError::Json { .. } => ApiError::new(500, "persist_failed", e.to_string()),
-            PersistError::Format { .. } => ApiError::new(500, "persist_failed", e.to_string()),
-            PersistError::Tree { .. } => ApiError::new(500, "persist_failed", e.to_string()),
-            PersistError::Store { .. } => ApiError::new(500, "persist_failed", e.to_string()),
-        }
     }
 }
 
@@ -527,7 +475,11 @@ mod tests {
         let e: ApiError =
             ServiceError::UnknownStream { spec: "x".into(), stream: "s".into() }.into();
         assert_eq!((e.status, e.kind), (404, "unknown_stream"));
-        let e: ApiError = ServiceError::StreamRace { spec: "x".into(), stream: "s".into() }.into();
-        assert_eq!((e.status, e.kind), (409, "stream_race"));
+        let e: ApiError =
+            ServiceError::Store(StoreError::DuplicateRun { name: "x".into(), run: "r".into() })
+                .into();
+        assert_eq!((e.status, e.kind), (409, "run_exists"));
+        let e: ApiError = ServiceError::Persist("disk full".into()).into();
+        assert_eq!((e.status, e.kind), (500, "persist_failed"));
     }
 }

@@ -17,7 +17,7 @@ use super::http::Request;
 use super::metrics::{Endpoint, Route, ServeMetrics, ServerCounter};
 use super::shard::{ShardEntry, ShardRouter};
 use crate::cluster::{ClusterDiff, Clustering, DEFAULT_CLUSTER_SEED};
-use crate::service::{DiffService, DriftReport};
+use crate::service::DiffService;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -132,7 +132,7 @@ fn route_path(state: &AppState, req: &Request, path: Route<'_>) -> (u16, String)
         ("GET", Endpoint::Specs) => specs(state),
         ("GET", Endpoint::SpecRuns) => spec_runs(state, spec),
         ("POST", Endpoint::InsertRun) => insert_run(state, req),
-        ("POST", Endpoint::RunsStream) => stream_events(state, req),
+        ("POST", Endpoint::RunsStream) => stream_batch(state, req),
         ("GET", Endpoint::Drift) => drift(state, req, spec, stream),
         ("DELETE", Endpoint::CloseStream) => close_stream(state, spec, stream),
         ("GET", Endpoint::Diff) => diff(state, req),
@@ -209,26 +209,21 @@ fn spec_runs(state: &AppState, name: &str) -> Result<(u16, String), ApiError> {
     )
 }
 
-/// `POST /runs`: validate the descriptor against the stored specification,
-/// publish the run in its shard's store and (when that shard owns a store
-/// directory) append it durably.
+/// `POST /runs`: validate the descriptor against the stored specification
+/// and store the run through [`DiffService::commit_run_insert`], durably
+/// when the shard owns a store directory.
 ///
-/// A name that is already stored is refused with `409` (the insert is
-/// **create-only** — atomically, via [`WorkflowStore::insert_run_new`], so
-/// concurrent same-name posts cannot clobber each other).  The store insert
-/// happens first — it is the authoritative version check — and a failed
-/// durable append rolls back exactly the run this request created, so a
-/// `500` response never leaves the run half-committed and never destroys
-/// previously committed state.
-///
-/// [`WorkflowStore::insert_run_new`]: crate::store::WorkflowStore::insert_run_new
+/// A name that is already stored is refused with `409`: the insert is
+/// **create-only**, checked under the same lock as the append, so
+/// concurrent same-name posts cannot clobber each other.  The run is
+/// appended before it is published, so a `500` leaves neither the run nor
+/// any of its bytes behind, and a `201` means the run is durable.
 fn insert_run(state: &AppState, req: &Request) -> Result<(u16, String), ApiError> {
     let body: InsertRunRequest = parse_body(&req.body)?;
     let spec_name = body.run.spec.clone();
     let shard = state.shard(&spec_name);
     let service = shard.service();
-    let store = Arc::clone(service.store());
-    let spec = store.spec(&spec_name).ok_or_else(|| {
+    let spec = service.store().spec(&spec_name).ok_or_else(|| {
         ApiError::new(404, "unknown_spec", format!("unknown specification {spec_name:?}"))
     })?;
     if !body.spec_fingerprint.is_empty() && body.spec_fingerprint != spec.fingerprint().to_string()
@@ -244,79 +239,43 @@ fn insert_run(state: &AppState, req: &Request) -> Result<(u16, String), ApiError
         ));
     }
     let run = body.run.to_run(&spec)?;
-    let run_arc = store.insert_run_new(&body.name, run)?;
-    let mut persisted = false;
-    if let Some(dir) = shard.dir() {
-        if let Err(e) = store.append_run_to_dir(dir, &body.name, &run_arc) {
-            store.remove_run(&spec_name, &body.name);
-            return Err(e.into());
-        }
-        persisted = true;
-    }
-    // Fold the new run into the incremental cluster index (a cheap no-op
-    // until the first k-medoids query builds state for this spec; never
-    // fails the insert).  The time this takes is the recluster lag the
-    // metrics expose.
-    let started = Instant::now();
-    service.notify_run_inserted(&spec_name, &body.name);
-    state.metrics.observe_cluster_update(started.elapsed());
+    service.commit_run_insert(shard.dir(), &body.name, run)?;
+    notify_inserted(state, service, &spec_name, &body.name);
+    let persisted = shard.dir().is_some();
     json(201, &InsertRunResponse { spec: spec_name, name: body.name, persisted })
 }
 
-fn drift_body(report: DriftReport) -> DriftResponse {
-    DriftResponse {
-        spec: report.spec,
-        stream: report.stream,
-        events: report.events,
-        nodes: report.nodes,
-        completed_leaves: report.completed_leaves,
-        clusters: report
-            .clusters
-            .into_iter()
-            .map(|c| DriftClusterEntry {
-                medoid: c.medoid,
-                size: c.size,
-                radius: c.radius,
-                lower_bound: c.lower_bound,
-                exceeds: c.exceeds,
-            })
-            .collect(),
-        drifted: report.drifted,
-    }
+/// Folds a newly stored run into the incremental cluster index (a cheap
+/// no-op until the first k-medoids query builds state for this spec; never
+/// fails the write).  The time this takes is the recluster lag the metrics
+/// expose.
+fn notify_inserted(state: &AppState, service: &DiffService, spec: &str, run: &str) {
+    let started = Instant::now();
+    service.notify_run_inserted(spec, run);
+    state.metrics.observe_cluster_update(started.elapsed());
 }
 
-/// `POST /runs/stream`: append one ordered batch of node-lifecycle events
-/// to an in-flight stream (opening it on first use), durably when the shard
-/// persists, and report the live drift verdict.
+/// `POST /runs/stream`: apply one ordered batch of node-lifecycle events
+/// to an in-flight stream (opening it on first use) and report the live
+/// drift verdict.
 ///
-/// The batch commits in memory first; if the write-ahead-log append then
-/// fails, [`DiffService::undo_stream_batch`] rolls the registry back so
-/// memory never runs ahead of disk, and the client sees a clean `500` with
-/// nothing half-applied.  With `finalize: true` the completed stream is
-/// validated end-to-end and stored as run `stream` through the same
-/// create-only insert (and rollback) path as `POST /runs`, then a closure
-/// marker retires the stream's WAL records.
-fn stream_events(state: &AppState, req: &Request) -> Result<(u16, String), ApiError> {
+/// The batch goes through [`DiffService::commit_stream_batch`]: it is
+/// atomic, and durable before any reader sees it when the shard persists,
+/// so a `500` leaves the stream as it was.  With `finalize: true` the same
+/// write also validates the completed stream end-to-end, stores it as run
+/// `stream` through the same create-only check as `POST /runs`, and closes
+/// the stream.
+fn stream_batch(state: &AppState, req: &Request) -> Result<(u16, String), ApiError> {
     let body: StreamEventsRequest = parse_body(&req.body)?;
     let shard = state.shard(&body.spec);
     let service = shard.service();
-    let store = Arc::clone(service.store());
-    let outcome = service.stream_events(&body.spec, &body.stream, &body.events)?;
-    let ack = outcome.ack;
-    let mut persisted = false;
-    if let Some(dir) = shard.dir() {
-        if let Err(e) = store.append_stream_events_to_dir(
-            dir,
-            &body.spec,
-            &body.stream,
-            ack.base_seq,
-            &body.events,
-        ) {
-            service.undo_stream_batch(&body.spec, &body.stream, outcome);
-            return Err(e.into());
-        }
-        persisted = true;
-    }
+    let (ack, run) = service.commit_stream_batch(
+        shard.dir(),
+        &body.spec,
+        &body.stream,
+        &body.events,
+        body.finalize,
+    )?;
     state.metrics.counter(ServerCounter::StreamEvents).add(body.events.len() as u64);
     let mut response = StreamEventsResponse {
         spec: body.spec.clone(),
@@ -326,34 +285,19 @@ fn stream_events(state: &AppState, req: &Request) -> Result<(u16, String), ApiEr
         nodes: ack.nodes,
         completed_leaves: ack.completed_leaves,
         complete: ack.complete,
-        finalized: false,
+        finalized: run.is_some(),
         drift: None,
-        persisted,
+        persisted: shard.dir().is_some(),
     };
-    if body.finalize {
-        let (run, seq) = service.finalize_stream(&body.spec, &body.stream)?;
-        let run_arc = store.insert_run_new(&body.stream, run)?;
-        if let Some(dir) = shard.dir() {
-            if let Err(e) = store.append_run_to_dir(dir, &body.stream, &run_arc) {
-                store.remove_run(&body.spec, &body.stream);
-                return Err(e.into());
-            }
-            // Best effort: if the closure marker is lost, the boot replay
-            // sees the stored run of the same name and drops the group.
-            let _ = store.append_stream_close_to_dir(dir, &body.spec, &body.stream, seq);
-        }
-        service.remove_stream(&body.spec, &body.stream);
-        let started = Instant::now();
-        service.notify_run_inserted(&body.spec, &body.stream);
-        state.metrics.observe_cluster_update(started.elapsed());
-        response.finalized = true;
+    if run.is_some() {
+        notify_inserted(state, service, &body.spec, &body.stream);
         return json(201, &response);
     }
     let report = service.drift_report(&body.spec, &body.stream)?;
     if report.drifted {
         state.metrics.counter(ServerCounter::DriftFlags).inc();
     }
-    response.drift = Some(drift_body(report));
+    response.drift = Some(report);
     json(200, &response)
 }
 
@@ -379,32 +323,26 @@ fn drift(
     if report.drifted {
         state.metrics.counter(ServerCounter::DriftFlags).inc();
     }
-    json(200, &drift_body(report))
+    json(200, &report)
 }
 
-/// `DELETE /runs/{spec}/{stream}/stream`: drop a stuck in-flight stream.
-/// The registry entry is removed and, when the shard persists, a closure
-/// marker is appended (best effort) so the stream stays gone across
-/// restarts.  The operator runbook's remedy for streams whose producer
-/// died mid-run.
+/// `DELETE /runs/{spec}/{stream}/stream`: drop a stuck in-flight stream —
+/// the operator runbook's remedy for streams whose producer died mid-run.
+/// When the shard persists, the stream's closure marker is durable before
+/// the stream leaves the registry, so it stays gone across restarts; if
+/// the marker cannot be written the answer is `500` and the stream stays
+/// open.
 fn close_stream(state: &AppState, spec: &str, stream: &str) -> Result<(u16, String), ApiError> {
     let shard = state.shard(spec);
-    let service = shard.service();
-    let seq = service.stream_seq(spec, stream).ok_or_else(|| {
-        ApiError::new(
-            404,
-            "unknown_stream",
-            format!("no in-flight stream {stream:?} for specification {spec:?}"),
-        )
-    })?;
-    service.remove_stream(spec, stream);
-    let persisted = match shard.dir() {
-        Some(dir) => service.store().append_stream_close_to_dir(dir, spec, stream, seq).is_ok(),
-        None => false,
-    };
+    let seq = shard.service().commit_stream_close(shard.dir(), spec, stream)?;
     json(
         200,
-        &StreamCloseResponse { spec: spec.to_string(), stream: stream.to_string(), seq, persisted },
+        &StreamCloseResponse {
+            spec: spec.to_string(),
+            stream: stream.to_string(),
+            seq,
+            persisted: shard.dir().is_some(),
+        },
     )
 }
 
@@ -626,6 +564,7 @@ fn parse_body<T: for<'de> serde::Deserialize<'de>>(body: &str) -> Result<T, ApiE
 mod tests {
     use super::*;
     use crate::io::RunDescriptor;
+    use crate::service::DriftReport;
     use crate::store::WorkflowStore;
     use crate::storeio::{RealIo, StoreIo};
     use crate::stream::StreamEvent;
@@ -1024,7 +963,7 @@ mod tests {
         // The drift endpoint answers for the in-flight stream too.
         let (status, body) = route(&state, &request("GET", "/runs/fig2/s1/drift", ""));
         assert_eq!(status, 200, "{body}");
-        let live: DriftResponse = serde_json::from_str(&body).unwrap();
+        let live: DriftReport = serde_json::from_str(&body).unwrap();
         assert_eq!(live.events, 5);
         assert_eq!(live.clusters.len(), 2);
 
@@ -1067,7 +1006,7 @@ mod tests {
         // ?k= refreshes the clustering in the same request.
         let (status, body) = route(&state, &request("GET", "/runs/fig2/s1/drift?k=1", ""));
         assert_eq!(status, 200, "{body}");
-        let out: DriftResponse = serde_json::from_str(&body).unwrap();
+        let out: DriftReport = serde_json::from_str(&body).unwrap();
         assert_eq!(out.clusters.len(), 1);
         assert_eq!(out.clusters[0].size, 2, "both stored runs in one cluster");
         assert!(out.clusters[0].radius > 0.0);
@@ -1214,14 +1153,11 @@ mod tests {
 
     /// A store directory holding `state()`'s store, reloaded through `io`,
     /// and a server state over it.
-    fn persisted_state(
-        tag: &str,
-        io: InjectedWriteFailures,
-    ) -> (PathBuf, Arc<WorkflowStore>, AppState) {
+    fn persisted_state(tag: &str, io: Arc<dyn StoreIo>) -> (PathBuf, Arc<WorkflowStore>, AppState) {
         let dir = std::env::temp_dir().join(format!("wfdiff-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         state().router().shard_for("fig2").service().store().save_to_dir(&dir).unwrap();
-        let store = Arc::new(WorkflowStore::load_from_dir_with_io(&dir, Arc::new(io)).unwrap());
+        let store = Arc::new(WorkflowStore::load_from_dir_with_io(&dir, io).unwrap());
         let state =
             AppState::single(Arc::new(DiffService::new(Arc::clone(&store))), Some(dir.clone()));
         (dir, store, state)
@@ -1234,16 +1170,16 @@ mod tests {
     #[test]
     fn a_failed_threshold_fold_keeps_the_durable_insert() {
         let io = InjectedWriteFailures { documents: true, ..Default::default() };
-        let (dir, store, state) = persisted_state("fold-failure", io);
+        let (dir, store, state) = persisted_state("fold-failure", Arc::new(io));
         store.set_wal_fold_threshold(1);
         let spec = store.spec("fig2").unwrap();
 
         // The append made the record durable, so the failed fold after it
-        // does not fail the call.
-        let run = store.insert_run("r3", fig2_run3(&spec)).unwrap();
-        store.append_run_to_dir(&dir, "r3", &run).unwrap();
+        // does not fail the write.
+        let service = state.router().shard_for("fig2").service();
+        service.commit_run_insert(Some(&dir), "r3", fig2_run3(&spec)).unwrap();
 
-        // Nor does it fail the endpoint, which would roll the run back.
+        // Nor does it fail the endpoint.
         let body = insert_body("r4", &fig2_run1(&spec));
         let (status, text) = route(&state, &request("POST", "/runs", &body));
         assert_eq!(status, 201, "{text}");
@@ -1265,7 +1201,7 @@ mod tests {
     #[test]
     fn a_fold_that_fails_to_rewrite_the_log_keeps_open_streams() {
         let io = InjectedWriteFailures { log_rewrites: true, ..Default::default() };
-        let (dir, store, state) = persisted_state("fold-streams", io);
+        let (dir, store, state) = persisted_state("fold-streams", Arc::new(io));
         store.set_wal_fold_threshold(0);
         let open = stream_body("fig2", "s1", branch_events("3")[..3].to_vec(), false);
         let (status, text) = route(&state, &request("POST", "/runs/stream", &open));
@@ -1285,6 +1221,215 @@ mod tests {
         let restarted = DiffService::new(loaded);
         assert_eq!(restarted.load_streams(&dir).unwrap().loaded, 1);
         assert_eq!(restarted.stream_seq("fig2", "s1"), Some(3));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Passes every operation through to [`RealIo`] but fails one chosen
+    /// append to, or fsync of, `wal.log`; the failing append can write half
+    /// its bytes first, and one append can wait for [`WalFaults::release`].
+    #[derive(Debug, Default)]
+    struct WalFaults {
+        /// 1-based index of the append that fails (0: none).
+        fail_append: usize,
+        /// The failing append writes half its bytes first.
+        torn: bool,
+        /// 1-based index of the fsync that fails (0: none).
+        fail_fsync: usize,
+        /// 1-based index of the append that waits for a release (0: none).
+        hold_append: usize,
+        appends: std::sync::atomic::AtomicUsize,
+        fsyncs: std::sync::atomic::AtomicUsize,
+        released: std::sync::Mutex<bool>,
+        release: std::sync::Condvar,
+    }
+
+    impl WalFaults {
+        fn is_log(path: &Path) -> bool {
+            path.file_name().is_some_and(|n| n == crate::wal::WAL_FILE)
+        }
+
+        /// Lets the held append go on.
+        fn release(&self) {
+            *self.released.lock().unwrap() = true;
+            self.release.notify_all();
+        }
+
+        /// Waits until `n` appends to the log have started.
+        fn await_appends(&self, n: usize) {
+            while self.appends.load(std::sync::atomic::Ordering::SeqCst) < n {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+    }
+
+    impl StoreIo for WalFaults {
+        fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+            RealIo.create_dir_all(path)
+        }
+        fn write_file(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            RealIo.write_file(path, bytes)
+        }
+        fn append_file(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            if !Self::is_log(path) {
+                return RealIo.append_file(path, bytes);
+            }
+            let n = self.appends.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
+            if n == self.hold_append {
+                let mut released = self.released.lock().unwrap();
+                while !*released {
+                    released = self.release.wait(released).unwrap();
+                }
+            }
+            if n != self.fail_append {
+                return RealIo.append_file(path, bytes);
+            }
+            if self.torn {
+                RealIo.append_file(path, &bytes[..bytes.len() / 2])?;
+            }
+            Err(std::io::Error::other("injected append failure"))
+        }
+        fn fsync_file(&self, path: &Path) -> std::io::Result<()> {
+            let n = self
+                .fsyncs
+                .fetch_add(usize::from(Self::is_log(path)), std::sync::atomic::Ordering::SeqCst);
+            if Self::is_log(path) && n + 1 == self.fail_fsync {
+                return Err(std::io::Error::other("injected fsync failure"));
+            }
+            RealIo.fsync_file(path)
+        }
+        fn fsync_dir(&self, path: &Path) -> std::io::Result<()> {
+            RealIo.fsync_dir(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            RealIo.rename(from, to)
+        }
+        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+            RealIo.remove_file(path)
+        }
+        fn remove_dir_all(&self, path: &Path) -> std::io::Result<()> {
+            RealIo.remove_dir_all(path)
+        }
+        fn truncate_file(&self, path: &Path, len: u64) -> std::io::Result<()> {
+            RealIo.truncate_file(path, len)
+        }
+    }
+
+    /// The directory as a restart finds it: the store and its open streams.
+    fn reload(dir: &Path) -> (Arc<WorkflowStore>, DiffService, crate::StreamLoadReport) {
+        let store = Arc::new(WorkflowStore::load_from_dir(dir).unwrap());
+        let service = DiffService::new(Arc::clone(&store));
+        let report = service.load_streams(dir).unwrap();
+        (store, service, report)
+    }
+
+    fn post_run(state: &AppState, name: &str) -> u16 {
+        let spec = state.router().shard_for("fig2").service().store().spec("fig2").unwrap();
+        route(state, &request("POST", "/runs", &insert_body(name, &fig2_run3(&spec)))).0
+    }
+
+    #[test]
+    fn a_run_whose_fsync_fails_is_in_neither_memory_nor_the_reload() {
+        let io = Arc::new(WalFaults { fail_fsync: 1, ..Default::default() });
+        let (dir, store, state) = persisted_state("fsync-fails", io);
+        assert_eq!(post_run(&state, "r3"), 500);
+        assert!(store.run("fig2", "r3").is_none());
+        assert!(reload(&dir).0.run("fig2", "r3").is_none(), "the refused run stays refused");
+        // The failed append was cut back, so the log takes the next write.
+        assert_eq!(post_run(&state, "r4"), 201);
+        assert!(reload(&dir).0.run("fig2", "r4").is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_torn_append_is_cut_back_and_the_next_run_survives_a_reload() {
+        let io = Arc::new(WalFaults { fail_append: 1, torn: true, ..Default::default() });
+        let (dir, store, state) = persisted_state("torn-append", io);
+        assert_eq!(post_run(&state, "r3"), 500);
+        assert_eq!(post_run(&state, "r4"), 201);
+        assert!(store.run("fig2", "r3").is_none() && store.run("fig2", "r4").is_some());
+        assert_eq!(crate::wal::inspect(&dir).unwrap().torn_bytes, 0, "no torn tail is left");
+        let (reloaded, _, _) = reload(&dir);
+        assert!(reloaded.run("fig2", "r3").is_none());
+        assert!(reloaded.run("fig2", "r4").is_some(), "the acknowledged run is durable");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_stream_close_that_cannot_be_written_answers_500_and_keeps_the_stream() {
+        let io = Arc::new(WalFaults { fail_append: 2, ..Default::default() });
+        let (dir, _, state) = persisted_state("close-fails", io);
+        let open = stream_body("fig2", "stuck", branch_events("3")[..3].to_vec(), false);
+        assert_eq!(route(&state, &request("POST", "/runs/stream", &open)).0, 200);
+        let (status, body) = route(&state, &request("DELETE", "/runs/fig2/stuck/stream", ""));
+        assert_eq!(status, 500, "{body}");
+        let service = state.router().shard_for("fig2").service();
+        assert_eq!(service.stream_seq("fig2", "stuck"), Some(3), "the stream stays open");
+        let (_, reloaded, report) = reload(&dir);
+        assert_eq!((report.loaded, reloaded.stream_seq("fig2", "stuck")), (1, Some(3)));
+        // The retry closes it for good.
+        let (status, _) = route(&state, &request("DELETE", "/runs/fig2/stuck/stream", ""));
+        assert_eq!(status, 200);
+        assert!(service.stream_seq("fig2", "stuck").is_none());
+        assert_eq!(reload(&dir).2.loaded, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_batch_behind_a_failed_append_never_sees_the_refused_events() {
+        // The opening batch's append waits, then fails; the next batch is
+        // sent while it waits.
+        let io = Arc::new(WalFaults { fail_append: 1, hold_append: 1, ..Default::default() });
+        let (dir, _, state) = persisted_state("batch-race", Arc::clone(&io) as Arc<dyn StoreIo>);
+        let state = Arc::new(state);
+        let events = branch_events("3");
+        let send = |batch: Vec<StreamEvent>| {
+            let state = Arc::clone(&state);
+            let body = stream_body("fig2", "s1", batch, false);
+            std::thread::spawn(move || route(&state, &request("POST", "/runs/stream", &body)))
+        };
+        let first = send(events[..2].to_vec());
+        io.await_appends(1);
+        let second = send(events[2..4].to_vec());
+        // The second request waits for `save_lock` whatever the timing; the
+        // pause lets a server that published before appending run ahead.
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        io.release();
+        let (first, second) = (first.join().unwrap(), second.join().unwrap());
+        assert_eq!(first.0, 500, "{}", first.1);
+        // The second batch continues a stream that never opened.
+        assert_eq!(second.0, 400, "{}", second.1);
+        let service = state.router().shard_for("fig2").service();
+        assert!(service.stream_seq("fig2", "s1").is_none(), "no refused event is in memory");
+        let (_, _, report) = reload(&dir);
+        assert_eq!((report.loaded, report.skipped), (0, 0), "nor on disk");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_fold_by_another_writer_never_checkpoints_a_refused_run() {
+        // r4's append waits while r3 is posted, then succeeds and folds;
+        // r3's append fails after that fold.
+        let io = Arc::new(WalFaults { fail_append: 2, hold_append: 1, ..Default::default() });
+        let (dir, store, state) = persisted_state("fold-race", Arc::clone(&io) as Arc<dyn StoreIo>);
+        store.set_wal_fold_threshold(1);
+        let state = Arc::new(state);
+        let post = |name: &'static str| {
+            let state = Arc::clone(&state);
+            std::thread::spawn(move || post_run(&state, name))
+        };
+        let folding = post("r4");
+        io.await_appends(1);
+        let refused = post("r3");
+        // As above: the pause only lets a server that publishes first
+        // expose r3 to the fold.
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        io.release();
+        assert_eq!((folding.join().unwrap(), refused.join().unwrap()), (201, 500));
+        assert_eq!(store.wal_stats().folds_total, 1, "the first writer folded");
+        assert!(store.run("fig2", "r4").is_some() && store.run("fig2", "r3").is_none());
+        let (reloaded, _, _) = reload(&dir);
+        assert!(reloaded.run("fig2", "r4").is_some());
+        assert!(reloaded.run("fig2", "r3").is_none(), "the refused run is not checkpointed");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -91,6 +91,7 @@ pub use metrics::ServeMetrics;
 pub use shard::{ShardEntry, ShardRouter};
 
 use epoll::{Epoll, EPOLLIN, EPOLLONESHOT, EPOLLOUT};
+use metrics::Endpoint;
 use metrics::ServerCounter::{
     BytesRead, BytesWritten, ConnectionsClosed, ConnectionsOpened, ConnectionsRejected,
 };
@@ -565,12 +566,14 @@ impl Shared {
                 Ok(http::ParseOutcome::Incomplete) => {}
                 Err(http::ParseError { status, message }) => {
                     // Framing is unreliable after a parse failure: answer
-                    // and close.
+                    // and close.  No path was classified, so the request
+                    // counts against `other`.
                     let e = ApiError::new(status, "malformed_request", message);
                     conn.write_buf =
                         http::render_response(status, "application/json", &e.body(), false);
                     conn.close_after_write = true;
                     conn.buf.clear();
+                    metrics.observe_request(Endpoint::Other, status, conn.arrived.elapsed());
                     continue;
                 }
             }

@@ -36,9 +36,10 @@ use crate::metricindex::{IncrementalMetricIndex, PruneStats};
 use crate::persist::PersistError;
 use crate::pool;
 use crate::session::DiffSession;
-use crate::store::WorkflowStore;
+use crate::store::{StoreError, WorkflowStore};
 use crate::stream::{PartialRun, StreamError, StreamEvent};
 use crate::wal;
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::Arc;
@@ -47,6 +48,8 @@ use wfdiff_core::{
     UnitCost, WorkflowDiff,
 };
 use wfdiff_sptree::{Fingerprint, Run, Specification};
+
+mod commit;
 
 /// Capacity, in entries, of the diff cache a [`DiffService`] builds for
 /// itself.
@@ -86,15 +89,12 @@ pub enum ServiceError {
         /// The missing stream name.
         stream: String,
     },
-    /// Two event batches raced on the same stream: the stream advanced
-    /// between this batch's validation and its commit.  The batch was not
-    /// applied; the client should refetch the stream position and retry.
-    StreamRace {
-        /// The specification name.
-        spec: String,
-        /// The contended stream name.
-        stream: String,
-    },
+    /// The store refused a run: its specification is missing or at another
+    /// version, or its name is taken.
+    Store(StoreError),
+    /// Making a write durable failed (the message names the file and the
+    /// I/O error); nothing of the write is in memory or in the log.
+    Persist(String),
 }
 
 impl std::fmt::Display for ServiceError {
@@ -110,9 +110,8 @@ impl std::fmt::Display for ServiceError {
             ServiceError::UnknownStream { spec, stream } => {
                 write!(f, "unknown stream {stream:?} for specification {spec:?}")
             }
-            ServiceError::StreamRace { spec, stream } => {
-                write!(f, "concurrent writers raced on stream {stream:?} of {spec:?}; retry")
-            }
+            ServiceError::Store(e) => e.fmt(f),
+            ServiceError::Persist(message) => f.write_str(message),
         }
     }
 }
@@ -122,6 +121,7 @@ impl std::error::Error for ServiceError {
         match self {
             ServiceError::Diff(e) => Some(e),
             ServiceError::Stream(e) => Some(e),
+            ServiceError::Store(e) => Some(e),
             _ => None,
         }
     }
@@ -136,6 +136,18 @@ impl From<DiffError> for ServiceError {
 impl From<StreamError> for ServiceError {
     fn from(value: StreamError) -> Self {
         ServiceError::Stream(value)
+    }
+}
+
+impl From<StoreError> for ServiceError {
+    fn from(value: StoreError) -> Self {
+        ServiceError::Store(value)
+    }
+}
+
+impl From<PersistError> for ServiceError {
+    fn from(value: PersistError) -> Self {
+        ServiceError::Persist(value.to_string())
     }
 }
 
@@ -223,20 +235,15 @@ pub struct StreamAck {
     pub complete: bool,
 }
 
-/// The result of [`DiffService::stream_events`]: the acknowledgement plus
-/// the undo state [`DiffService::undo_stream_batch`] needs if making the
-/// batch durable fails.
+/// The result of [`DiffService::stream_events`].
 #[derive(Debug, Clone)]
 pub struct StreamBatchOutcome {
-    /// The acknowledgement of the committed batch.
+    /// The acknowledgement of the applied batch.
     pub ack: StreamAck,
-    /// The stream's builder before the batch (`None` when the batch opened
-    /// the stream).
-    prior: Option<PartialRun>,
 }
 
 /// One cluster's verdict inside a [`DriftReport`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DriftClusterStatus {
     /// The cluster's medoid run.
     pub medoid: String,
@@ -254,15 +261,16 @@ pub struct DriftClusterStatus {
     pub exceeds: bool,
 }
 
-/// The drift verdict for one in-flight stream — the payload of
-/// `GET /runs/{spec}/{stream}/drift`.
+/// The drift verdict for one in-flight stream — the body of
+/// `GET /runs/{spec}/{stream}/drift` and the `drift` of a
+/// `POST /runs/stream` answer.
 ///
 /// The stream **drifts** when the certified lower bound to *every* cluster
 /// medoid exceeds that cluster's radius: whatever the run goes on to do, it
 /// cannot end up inside any known cluster.  Because the bound is monotone in
 /// the event stream, a drift verdict is permanent for the stream (it can
 /// only be reset by re-clustering with the finished run folded in).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DriftReport {
     /// The specification name.
     pub spec: String,
@@ -347,10 +355,9 @@ pub struct DiffService {
     clusters: IncrementalClusterIndex,
     metric: IncrementalMetricIndex,
     /// In-flight streamed runs keyed by `(spec, stream)`, ranked after every
-    /// store lock ([`LockRank::Streams`]): builders are cloned *out* under
-    /// it, mutated and persisted with no lock held, and committed back with
-    /// an optimistic sequence check — so no store or WAL call ever happens
-    /// under it.
+    /// store lock ([`LockRank::Streams`]): a batch is validated on a builder
+    /// cloned *out* under it and published back in once durable (see
+    /// [`commit`]), so no store or WAL call ever happens under it.
     streams: RankedRwLock<BTreeMap<(String, String), PartialRun>>,
     /// Resident prepared state per specification name (see the
     /// [module docs](self)).  Entries are cloned out under it and filled
@@ -846,90 +853,16 @@ impl DiffService {
         derived::load(&self.metric, &self.store, self.cost.cache_key(), dir.as_ref())
     }
 
-    /// Validates and commits one batch of node-lifecycle events on an
-    /// in-flight stream, creating the stream if it does not exist yet — the
-    /// in-memory half of `POST /runs/stream`.
-    ///
-    /// The batch is atomic: every event is applied to a *clone* of the
-    /// stream's builder, and the clone replaces the original only if all of
-    /// them are accepted **and** the stream has not advanced in the meantime
-    /// (otherwise [`ServiceError::StreamRace`], and nothing changed).  The
-    /// returned [`StreamBatchOutcome`] carries the prior state so a caller
-    /// whose durability step fails can [`DiffService::undo_stream_batch`].
+    /// [`DiffService::commit_stream_batch`] without a store directory or a
+    /// finalisation: the batch is applied in memory only.
     pub fn stream_events(
         &self,
         spec: &str,
         stream: &str,
         events: &[StreamEvent],
     ) -> Result<StreamBatchOutcome, ServiceError> {
-        let spec_arc =
-            self.store.spec(spec).ok_or_else(|| ServiceError::UnknownSpec(spec.to_string()))?;
-        let run_exists = self.store.run(spec, stream).is_some();
-        let key = (spec.to_string(), stream.to_string());
-        let prior = self.streams.read().get(&key).cloned();
-        let mut next = match &prior {
-            Some(p) => {
-                if p.spec().fingerprint() != spec_arc.fingerprint() {
-                    return Err(ServiceError::InvalidQuery(format!(
-                        "stream {stream:?} was opened against a replaced version of \
-                         specification {spec:?}; remove it and start over"
-                    )));
-                }
-                p.clone()
-            }
-            None => {
-                if run_exists {
-                    return Err(ServiceError::InvalidQuery(format!(
-                        "stream name {stream:?} already names a stored run of \
-                         specification {spec:?}"
-                    )));
-                }
-                PartialRun::new(Arc::clone(&spec_arc))
-            }
-        };
-        let base_seq = next.applied();
-        for event in events {
-            next.apply(event).map_err(ServiceError::Stream)?;
-        }
-        let ack = StreamAck {
-            base_seq,
-            seq: next.applied(),
-            nodes: next.node_count(),
-            completed_leaves: next.profile().completed_leaves(),
-            complete: next.is_complete(),
-        };
-        {
-            let mut streams = self.streams.write();
-            let current = streams.get(&key).map(|p| p.applied()).unwrap_or(0);
-            if current != base_seq {
-                return Err(ServiceError::StreamRace {
-                    spec: spec.to_string(),
-                    stream: stream.to_string(),
-                });
-            }
-            streams.insert(key, next);
-        }
-        Ok(StreamBatchOutcome { ack, prior })
-    }
-
-    /// Rolls the registry back to the state before a
-    /// [`DiffService::stream_events`] batch — used when appending the batch
-    /// to the write-ahead log failed, so memory never runs ahead of disk.
-    /// A no-op if the stream has advanced past the batch in the meantime.
-    pub fn undo_stream_batch(&self, spec: &str, stream: &str, outcome: StreamBatchOutcome) {
-        let key = (spec.to_string(), stream.to_string());
-        let mut streams = self.streams.write();
-        if streams.get(&key).map(|p| p.applied()) != Some(outcome.ack.seq) {
-            return;
-        }
-        match outcome.prior {
-            Some(p) => {
-                streams.insert(key, p);
-            }
-            None => {
-                streams.remove(&key);
-            }
-        }
+        let (ack, _) = self.commit_stream_batch(None, spec, stream, events, false)?;
+        Ok(StreamBatchOutcome { ack })
     }
 
     /// Materialises a completed in-flight stream as a fully validated run
@@ -1397,9 +1330,10 @@ mod tests {
                             Err(
                                 e @ (ServiceError::Stream(_)
                                 | ServiceError::UnknownStream { .. }
-                                | ServiceError::StreamRace { .. }),
+                                | ServiceError::Store(_)
+                                | ServiceError::Persist(_)),
                             ) => {
-                                panic!("streaming error from a non-streaming query: {e}")
+                                panic!("write error from a read-only query: {e}")
                             }
                         }
                     }
@@ -1501,7 +1435,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_batches_are_atomic_and_undo_restores_the_prior_state() {
+    fn stream_batches_are_atomic() {
         let store = seeded_store();
         let service = DiffService::new(Arc::clone(&store));
         let events = branch_events("3");
@@ -1511,20 +1445,20 @@ mod tests {
         let err = service.stream_events("fig2", "s1", &bad).unwrap_err();
         assert!(matches!(err, ServiceError::Stream(StreamError::UnknownNode { .. })));
         assert!(service.stream_seq("fig2", "s1").is_none());
+        let err = service.commit_stream_batch(None, "fig2", "s1", &bad, true).unwrap_err();
+        assert!(matches!(err, ServiceError::Stream(_)));
+        assert!(service.stream_seq("fig2", "s1").is_none());
 
-        // Undoing a committed batch restores exactly the prior state.
-        let first = service.stream_events("fig2", "s1", &events[..2]).unwrap();
-        service.undo_stream_batch("fig2", "s1", first);
-        assert!(service.stream_seq("fig2", "s1").is_none(), "prior state was absent");
-        let first = service.stream_events("fig2", "s1", &events[..2]).unwrap();
-        let second = service.stream_events("fig2", "s1", &events[2..4]).unwrap();
-        service.undo_stream_batch("fig2", "s1", second);
+        // On an open stream, a rejected batch leaves it exactly as it was,
+        // and so does a finalisation of a stream that is not complete.
+        service.stream_events("fig2", "s1", &events[..2]).unwrap();
+        let mut bad = events[2..4].to_vec();
+        bad.push(StreamEvent::completed(0));
+        assert!(service.stream_events("fig2", "s1", &bad).is_err());
+        assert!(service.commit_stream_batch(None, "fig2", "s1", &events[2..4], true).is_err());
         assert_eq!(service.stream_seq("fig2", "s1"), Some(2));
-        // A stale undo (the stream advanced past the batch) is a no-op.
-        let stale = first;
-        service.stream_events("fig2", "s1", &events[2..4]).unwrap();
-        service.undo_stream_batch("fig2", "s1", stale);
-        assert_eq!(service.stream_seq("fig2", "s1"), Some(4));
+        let ack = service.stream_events("fig2", "s1", &events[2..4]).unwrap().ack;
+        assert_eq!((ack.base_seq, ack.seq), (2, 4));
     }
 
     #[test]

@@ -8,22 +8,17 @@
 //!
 //! # Locking discipline
 //!
-//! The store holds two locks: `specs` and `runs`.  Any operation that needs
-//! both acquires them in that fixed order — **`specs` first, `runs` second**
-//! — and holds both for the whole mutation/read, so that
+//! The store keeps each specification together with its runs in one map
+//! behind one lock, so every read — a single run, a spec with a few runs, a
+//! [`WorkflowStore::snapshot`] of everything — is consistent by
+//! construction: it never observes runs of a specification that has been
+//! removed, nor a specification whose runs are mid-replacement.
 //!
-//! * a reader can take a consistent [`WorkflowStore::snapshot`] (it never
-//!   observes runs of a specification that has been removed, nor a
-//!   specification whose runs are mid-replacement), and
-//! * writers cannot deadlock against each other (single lock order).
-//!
-//! Never acquire `specs` while holding `runs`.
-//!
-//! The full rank order across every store lock is `save_lock` → `specs` →
-//! `runs` → `persist_fp_cache`, followed by the service's `streams` and
-//! `prepared`.  The `lockrank` module's wrappers around these fields enforce
-//! it: they panic on any out-of-order acquisition when `debug_assertions` are
-//! on, which every `cargo test` run reaches.
+//! The full rank order across the store's locks is `save_lock` → `store` →
+//! `persist_fp_cache`, followed by the service's `streams` and `prepared`.
+//! The `lockrank` module's wrappers around these fields enforce it: they
+//! panic on any out-of-order acquisition when `debug_assertions` are on,
+//! which every `cargo test` run reaches.
 //!
 //! # Specification versions
 //!
@@ -43,7 +38,7 @@ use crate::storeio::{IoHandle, StoreIo};
 use crate::wal::{WalStats, WalStatsSnapshot};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use wfdiff_sptree::{Run, Specification};
 
@@ -118,14 +113,21 @@ impl std::error::Error for StoreError {}
 /// [`WorkflowStore::snapshot`].
 pub type SpecSnapshot = (Arc<Specification>, Vec<(String, Arc<Run>)>);
 
+/// One stored specification and the runs recorded against it.
+#[derive(Debug)]
+struct SpecEntry {
+    spec: Arc<Specification>,
+    runs: BTreeMap<String, Arc<Run>>,
+}
+
 /// A named collection of specifications and, per specification, named runs.
 ///
 /// See the [module docs](self) for the locking discipline and the
 /// specification-versioning rules.
 #[derive(Debug)]
 pub struct WorkflowStore {
-    specs: RankedRwLock<BTreeMap<String, Arc<Specification>>>,
-    runs: RankedRwLock<BTreeMap<(String, String), Arc<Run>>>,
+    /// Specification name → the specification and its runs.
+    specs: RankedRwLock<BTreeMap<String, SpecEntry>>,
     /// Every durability-relevant filesystem operation goes through this
     /// handle, so a crash-injection wrapper can fault any of them.
     pub(crate) io: IoHandle,
@@ -134,9 +136,12 @@ pub struct WorkflowStore {
     /// WAL bytes appended since the last fold attempt at which an append
     /// folds; 0 disables the automatic fold.
     pub(crate) wal_fold_threshold: AtomicU64,
-    /// Serialises [`WorkflowStore::save_to_dir`] calls (two interleaved
-    /// saves could tear each other's temp files and garbage-collection);
-    /// held for the whole save, never while `specs`/`runs` are locked.
+    /// Set when a failed append could not be cut back off the log; every
+    /// later write is refused until the store is reloaded.
+    pub(crate) wal_torn: AtomicBool,
+    /// Serialises every durable write and every save: a write checks,
+    /// appends and publishes under it, and a save or fold snapshots memory
+    /// and rewrites the directory under it.  Taken before the store lock.
     pub(crate) save_lock: RankedMutex<()>,
     /// Memoised persistent fingerprints, keyed by in-memory arena
     /// fingerprint: both are deterministic functions of the specification,
@@ -147,24 +152,14 @@ pub struct WorkflowStore {
     >,
 }
 
-/// Iterates one specification's runs in O(log n + k) by ranging over the
-/// `(spec, run)`-keyed map instead of scanning it.
-fn runs_of<'a>(
-    runs: &'a BTreeMap<(String, String), Arc<Run>>,
-    spec_name: &str,
-) -> impl Iterator<Item = (&'a (String, String), &'a Arc<Run>)> {
-    let owned = spec_name.to_string();
-    runs.range((owned.clone(), String::new())..).take_while(move |((s, _), _)| *s == owned)
-}
-
 impl Default for WorkflowStore {
     fn default() -> Self {
         WorkflowStore {
-            specs: RankedRwLock::new(LockRank::Specs, BTreeMap::new()),
-            runs: RankedRwLock::new(LockRank::Runs, BTreeMap::new()),
+            specs: RankedRwLock::new(LockRank::Store, BTreeMap::new()),
             io: IoHandle::default(),
             wal_stats: WalStats::default(),
             wal_fold_threshold: AtomicU64::new(DEFAULT_WAL_FOLD_THRESHOLD),
+            wal_torn: AtomicBool::new(false),
             save_lock: RankedMutex::new(LockRank::Save, ()),
             persist_fp_cache: RankedMutex::new(LockRank::FpCache, std::collections::HashMap::new()),
         }
@@ -214,20 +209,15 @@ impl WorkflowStore {
     /// force the replacement and invalidate the runs.
     pub fn insert_spec(&self, spec: Specification) -> Result<Arc<Specification>, StoreError> {
         let arc = Arc::new(spec);
-        let name = arc.name().to_string();
-        // Lock order: specs, then runs; both held across the check + insert
-        // so no run can be recorded against the old version mid-replacement.
+        // One critical section across the check and the insert, so no run
+        // can be recorded against the old version mid-replacement.
         let mut specs = self.specs.write();
-        let runs = self.runs.read();
-        if let Some(existing) = specs.get(&name) {
-            if existing.tree() != arc.tree() {
-                let run_count = runs_of(&runs, &name).count();
-                if run_count > 0 {
-                    return Err(StoreError::SpecConflict { name, runs: run_count });
-                }
-            }
+        let entry = SpecEntry::of(&mut specs, &arc);
+        if entry.spec.tree() != arc.tree() && !entry.runs.is_empty() {
+            let (name, runs) = (arc.name().to_string(), entry.runs.len());
+            return Err(StoreError::SpecConflict { name, runs });
         }
-        specs.insert(name, Arc::clone(&arc));
+        entry.spec = Arc::clone(&arc);
         Ok(arc)
     }
 
@@ -240,29 +230,19 @@ impl WorkflowStore {
     /// specification together with the old version's runs.
     pub fn replace_spec(&self, spec: Specification) -> (Arc<Specification>, Vec<String>) {
         let arc = Arc::new(spec);
-        let name = arc.name().to_string();
         let mut specs = self.specs.write();
-        let mut runs = self.runs.write();
+        let entry = SpecEntry::of(&mut specs, &arc);
         let mut invalidated = Vec::new();
-        if let Some(existing) = specs.get(&name) {
-            if existing.tree() != arc.tree() {
-                runs.retain(|(s, r), _| {
-                    if *s == name {
-                        invalidated.push(r.clone());
-                        false
-                    } else {
-                        true
-                    }
-                });
-            }
+        if entry.spec.tree() != arc.tree() {
+            invalidated = std::mem::take(&mut entry.runs).into_keys().collect();
         }
-        specs.insert(name, Arc::clone(&arc));
+        entry.spec = Arc::clone(&arc);
         (arc, invalidated)
     }
 
     /// Looks up a specification by name.
     pub fn spec(&self, name: &str) -> Option<Arc<Specification>> {
-        self.specs.read().get(name).cloned()
+        self.specs.read().get(name).map(|entry| Arc::clone(&entry.spec))
     }
 
     /// Names of all stored specifications.
@@ -286,9 +266,7 @@ impl WorkflowStore {
     /// Like [`WorkflowStore::insert_run`], but refuses to replace an
     /// existing run of the same name ([`StoreError::DuplicateRun`]).  The
     /// existence check and the insert share one critical section, so two
-    /// concurrent inserts of one name cannot both succeed — the network
-    /// server relies on this to make its persist-failure rollback remove
-    /// only the run it inserted itself.
+    /// concurrent inserts of one name cannot both succeed.
     pub fn insert_run_new(&self, run_name: &str, run: Run) -> Result<Arc<Run>, StoreError> {
         self.insert_checked(run_name, run, false)
     }
@@ -302,39 +280,46 @@ impl WorkflowStore {
         run: Run,
         replace: bool,
     ) -> Result<Arc<Run>, StoreError> {
-        let specs = self.specs.read();
-        let spec = specs
-            .get(run.spec_name())
-            .ok_or_else(|| StoreError::MissingSpec { name: run.spec_name().to_string() })?;
-        if spec.fingerprint() != run.spec_fingerprint() {
-            return Err(StoreError::SpecVersionMismatch {
-                name: run.spec_name().to_string(),
-                run: run_name.to_string(),
-            });
-        }
-        let key = (run.spec_name().to_string(), run_name.to_string());
-        let mut runs = self.runs.write();
-        if !replace && runs.contains_key(&key) {
-            return Err(StoreError::DuplicateRun { name: key.0, run: key.1 });
-        }
+        let mut specs = self.specs.write();
+        let entry = specs.get_mut(run.spec_name()).ok_or_else(|| missing_spec(&run))?;
+        entry.check(run_name, &run, replace)?;
         let arc = Arc::new(run);
-        runs.insert(key, Arc::clone(&arc));
+        entry.runs.insert(run_name.to_string(), Arc::clone(&arc));
         Ok(arc)
+    }
+
+    /// The checks of [`WorkflowStore::insert_run`] (`replace`) or
+    /// [`WorkflowStore::insert_run_new`] without the insert — what a durable
+    /// write checks before it appends.  Returns the run's specification.
+    pub(crate) fn check_insert(
+        &self,
+        run_name: &str,
+        run: &Run,
+        replace: bool,
+    ) -> Result<Arc<Specification>, StoreError> {
+        let specs = self.specs.read();
+        let entry = specs.get(run.spec_name()).ok_or_else(|| missing_spec(run))?;
+        entry.check(run_name, run, replace)?;
+        Ok(Arc::clone(&entry.spec))
     }
 
     /// Looks up a run by specification and run name.
     pub fn run(&self, spec_name: &str, run_name: &str) -> Option<Arc<Run>> {
-        self.runs.read().get(&(spec_name.to_string(), run_name.to_string())).cloned()
+        self.specs.read().get(spec_name)?.runs.get(run_name).cloned()
     }
 
     /// Names of the runs stored for a specification.
     pub fn run_names(&self, spec_name: &str) -> Vec<String> {
-        runs_of(&self.runs.read(), spec_name).map(|((_, r), _)| r.clone()).collect()
+        self.specs
+            .read()
+            .get(spec_name)
+            .map(|entry| entry.runs.keys().cloned().collect())
+            .unwrap_or_default()
     }
 
     /// Resolves a specification and a few named runs in one consistent
-    /// critical section (specs then runs lock), without materialising the
-    /// whole run collection the way [`WorkflowStore::snapshot`] does.
+    /// critical section, without materialising the whole run collection the
+    /// way [`WorkflowStore::snapshot`] does.
     ///
     /// Returns `None` when the specification is absent; missing runs resolve
     /// to `None` in the per-name slots.
@@ -345,73 +330,83 @@ impl WorkflowStore {
         run_names: &[&str],
     ) -> Option<(Arc<Specification>, Vec<Option<Arc<Run>>>)> {
         let specs = self.specs.read();
-        let runs = self.runs.read();
-        let spec = specs.get(spec_name).cloned()?;
-        let resolved = run_names
-            .iter()
-            .map(|name| runs.get(&(spec_name.to_string(), (*name).to_string())).cloned())
-            .collect();
-        Some((spec, resolved))
+        let entry = specs.get(spec_name)?;
+        let resolved = run_names.iter().map(|name| entry.runs.get(*name).cloned()).collect();
+        Some((Arc::clone(&entry.spec), resolved))
     }
 
     /// A consistent view of one specification and all of its runs (sorted by
-    /// run name), taken under the store's lock order: either the
-    /// specification with exactly the runs recorded against it, or `None` if
-    /// the name is absent.
+    /// run name): either the specification with exactly the runs recorded
+    /// against it, or `None` if the name is absent.
     pub fn snapshot(&self, spec_name: &str) -> Option<SpecSnapshot> {
-        let specs = self.specs.read();
-        let runs = self.runs.read();
-        let spec = specs.get(spec_name).cloned()?;
-        let spec_runs =
-            runs_of(&runs, spec_name).map(|((_, name), r)| (name.clone(), r.clone())).collect();
-        Some((spec, spec_runs))
+        self.specs.read().get(spec_name).map(SpecEntry::snapshot)
     }
 
     /// A consistent view of **every** stored specification and its runs,
     /// sorted by specification name (and runs by run name), taken in one
-    /// critical section under the store's lock order.
+    /// critical section.
     ///
     /// This is the snapshot [`WorkflowStore::save_to_dir`] persists and
-    /// [`crate::service::DiffService::warm_start`] replays: because both
-    /// maps are read under the same lock acquisition, no concurrent writer
-    /// can interleave a spec replacement between two specifications of the
-    /// snapshot.
+    /// [`crate::service::DiffService::warm_start`] replays: no concurrent
+    /// writer can interleave a spec replacement between two specifications
+    /// of the snapshot.
     pub fn snapshot_all(&self) -> Vec<(String, SpecSnapshot)> {
-        let specs = self.specs.read();
-        let runs = self.runs.read();
-        specs
-            .iter()
-            .map(|(name, spec)| {
-                let spec_runs: Vec<(String, Arc<Run>)> =
-                    runs_of(&runs, name).map(|((_, r), run)| (r.clone(), run.clone())).collect();
-                (name.clone(), (Arc::clone(spec), spec_runs))
-            })
-            .collect()
+        self.specs.read().iter().map(|(name, entry)| (name.clone(), entry.snapshot())).collect()
     }
 
     /// Removes a run; returns `true` if it existed.
     pub fn remove_run(&self, spec_name: &str, run_name: &str) -> bool {
-        self.runs.write().remove(&(spec_name.to_string(), run_name.to_string())).is_some()
+        self.specs
+            .write()
+            .get_mut(spec_name)
+            .is_some_and(|entry| entry.runs.remove(run_name).is_some())
     }
 
     /// Removes a specification and all of its runs; returns `true` if the
-    /// specification existed.
-    ///
-    /// The removal is atomic: both locks are taken (in the store's fixed
-    /// order) before either map is touched, so no reader ever observes runs
-    /// for a specification that is already gone.
+    /// specification existed.  The removal is atomic: no reader ever
+    /// observes runs for a specification that is already gone.
     pub fn remove_spec(&self, spec_name: &str) -> bool {
-        let mut specs = self.specs.write();
-        let mut runs = self.runs.write();
-        let existed = specs.remove(spec_name).is_some();
-        runs.retain(|(s, _), _| s != spec_name);
-        existed
+        self.specs.write().remove(spec_name).is_some()
     }
 
     /// Total number of stored runs.
     pub fn run_count(&self) -> usize {
-        self.runs.read().len()
+        self.specs.read().values().map(|entry| entry.runs.len()).sum()
     }
+}
+
+impl SpecEntry {
+    /// The entry of `spec`'s name, created empty (holding `spec`) if absent.
+    fn of<'a>(
+        specs: &'a mut BTreeMap<String, SpecEntry>,
+        spec: &Arc<Specification>,
+    ) -> &'a mut SpecEntry {
+        let fresh = || SpecEntry { spec: Arc::clone(spec), runs: BTreeMap::new() };
+        specs.entry(spec.name().to_string()).or_insert_with(fresh)
+    }
+
+    fn snapshot(&self) -> SpecSnapshot {
+        let runs = self.runs.iter().map(|(name, run)| (name.clone(), Arc::clone(run))).collect();
+        (Arc::clone(&self.spec), runs)
+    }
+
+    /// Whether `run` may be stored here as `run_name`: it was validated
+    /// against this exact version, and unless `replace`, the name is free.
+    fn check(&self, run_name: &str, run: &Run, replace: bool) -> Result<(), StoreError> {
+        if self.spec.fingerprint() != run.spec_fingerprint() {
+            let (name, run) = (run.spec_name().to_string(), run_name.to_string());
+            return Err(StoreError::SpecVersionMismatch { name, run });
+        }
+        if !replace && self.runs.contains_key(run_name) {
+            let (name, run) = (run.spec_name().to_string(), run_name.to_string());
+            return Err(StoreError::DuplicateRun { name, run });
+        }
+        Ok(())
+    }
+}
+
+fn missing_spec(run: &Run) -> StoreError {
+    StoreError::MissingSpec { name: run.spec_name().to_string() }
 }
 
 #[cfg(test)]
@@ -631,29 +626,5 @@ mod tests {
         for r in readers {
             r.join().unwrap();
         }
-    }
-
-    /// The runtime lock-rank guard (see `crate::lockrank`) fires on the
-    /// store's own locks: acquiring `specs` while holding `runs` — the exact
-    /// inversion the module docs forbid — panics deterministically in a
-    /// debug build instead of deadlocking some unlucky concurrent test.
-    #[test]
-    #[cfg(debug_assertions)]
-    fn lock_rank_guard_rejects_runs_before_specs() {
-        let store = WorkflowStore::new();
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _runs = store.runs.read();
-            let _specs = store.specs.read();
-        }));
-        std::panic::set_hook(hook);
-        let payload = result.expect_err("inverted acquisition must panic");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-            .unwrap_or_default();
-        assert!(msg.contains("lock-rank violation"), "unexpected panic: {msg:?}");
     }
 }

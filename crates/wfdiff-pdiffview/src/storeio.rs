@@ -15,10 +15,10 @@
 //!   operations flowing through it and, at the configured N-th operation,
 //!   kills the process ([`FaultMode::Kill`]), writes a torn byte prefix and
 //!   then kills the process ([`FaultMode::Torn`]), or returns an I/O error
-//!   ([`FaultMode::Error`], for in-process tests).  The `crash_torture`
+//!   and lets the caller go on ([`FaultMode::Error`]).  The `crash_torture`
 //!   binary in `wfdiff-bench` sweeps N over every operation of a scripted
-//!   workload and asserts that recovery is prefix-consistent after each
-//!   crash — the executable form of the dashflow TLA-004
+//!   workload in each mode and asserts that recovery is consistent after
+//!   each fault — the executable form of the dashflow TLA-004
 //!   (`CheckpointConsistency`) and TLA-005 (`WALAppendOrdering`) invariants.
 //!
 //! Because killing the process is simulated by [`std::process::exit`] (not a
@@ -146,7 +146,7 @@ pub enum FaultMode {
     /// behave like [`FaultMode::Kill`].
     Torn,
     /// Return an `std::io::Error` instead of performing the operation —
-    /// lets in-process tests exercise error paths without dying.
+    /// exercises error paths without dying.
     Error,
 }
 

@@ -309,11 +309,6 @@ impl std::error::Error for StreamError {
 pub struct PartialRun {
     spec: Arc<Specification>,
     profile: PrefixProfile,
-    /// Validation copies of the legal label pairs (the profile holds the
-    /// same sets privately; these let `apply` pre-check every edge of an
-    /// event before mutating the profile).
-    spec_edges: std::collections::HashSet<(Label, Label)>,
-    loop_back: std::collections::HashSet<(Label, Label)>,
     labels: Vec<Label>,
     preds: Vec<Vec<usize>>,
     states: Vec<NodeState>,
@@ -324,13 +319,9 @@ impl PartialRun {
     /// Opens an empty stream against `spec`.
     pub fn new(spec: Arc<Specification>) -> PartialRun {
         let profile = PrefixProfile::new(&spec);
-        let spec_edges = spec.edge_by_labels().keys().cloned().collect();
-        let loop_back = spec.loop_back_labels().clone();
         PartialRun {
             spec,
             profile,
-            spec_edges,
-            loop_back,
             labels: Vec::new(),
             preds: Vec::new(),
             states: Vec::new(),
@@ -423,7 +414,9 @@ impl PartialRun {
                     return Err(StreamError::PredNotCompleted { node, pred });
                 }
                 let key = (self.labels[pred].clone(), label.clone());
-                if !self.spec_edges.contains(&key) && !self.loop_back.contains(&key) {
+                if !self.spec.edge_by_labels().contains_key(&key)
+                    && !self.spec.loop_back_labels().contains(&key)
+                {
                     return Err(StreamError::UnknownEdge {
                         from: key.0.to_string(),
                         to: key.1.to_string(),
@@ -433,7 +426,7 @@ impl PartialRun {
         }
         // Every edge pre-validated: record into the profile (infallible now).
         for &pred in preds {
-            let class = self.profile.record_edge(&self.labels[pred], &label);
+            let class = self.profile.record_edge(&self.spec, &self.labels[pred], &label);
             debug_assert!(
                 matches!(class, Some(PrefixEdgeClass::Leaf | PrefixEdgeClass::LoopBack)),
                 "pre-validated edge must classify"

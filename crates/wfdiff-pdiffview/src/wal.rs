@@ -60,7 +60,7 @@ use crate::persist::PersistError;
 use crate::storeio::StoreIo;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// File name of the write-ahead log inside a store directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -175,6 +175,38 @@ pub(crate) enum WalRecord {
     StreamEvent(StreamEventRecord),
 }
 
+impl WalRecord {
+    /// Kind 1: run `name`, recorded against `spec_fingerprint`, the
+    /// persistent fingerprint of its specification.
+    pub(crate) fn run_insert(spec_fingerprint: &str, name: &str, run: &wfdiff_sptree::Run) -> Self {
+        WalRecord::RunInsert(RunInsertRecord {
+            spec: run.spec_name().to_string(),
+            spec_fingerprint: spec_fingerprint.to_string(),
+            name: name.to_string(),
+            run: RunDescriptor::from_run(run),
+        })
+    }
+}
+
+/// Kind-5 records of stream `stream`, numbered from `seq`: one per event,
+/// or for `None` the closure marker of a stream that applied `seq` events.
+pub(crate) fn stream_records<'a>(
+    spec: &str,
+    spec_fingerprint: &str,
+    stream: &str,
+    seq: u64,
+    events: impl IntoIterator<Item = Option<&'a crate::stream::StreamEvent>>,
+) -> Vec<WalRecord> {
+    let records = events.into_iter().zip(seq..).map(|(event, seq)| StreamEventRecord {
+        spec: spec.to_string(),
+        spec_fingerprint: spec_fingerprint.to_string(),
+        stream: stream.to_string(),
+        seq,
+        event: event.cloned(),
+    });
+    records.map(WalRecord::StreamEvent).collect()
+}
+
 /// One open stream's kind-5 records, keyed by `(spec, stream)`, in append
 /// order.
 pub(crate) type StreamGroup = ((String, String), Vec<StreamEventRecord>);
@@ -282,19 +314,50 @@ fn frame(records: &[Encoded]) -> Vec<u8> {
 
 /// Appends `records` to `dir/wal.log` as one write + one fsync (the whole
 /// durability cost of a hot-path mutation).  Returns the bytes appended.
+///
+/// A failed write or fsync is a lost write whose bytes must never
+/// resurface, so the log is cut back through `io` to its length before the
+/// append (else a torn record would end the log before every later one).
+/// If the cut fails too, `torn` is set and later appends refuse.
 pub(crate) fn append(
     io: &dyn StoreIo,
     dir: &Path,
     records: &[Encoded],
+    torn: &AtomicBool,
 ) -> Result<u64, PersistError> {
+    refuse_torn(dir, torn)?;
     let path = wal_path(dir);
     let buf = frame(records);
     if buf.is_empty() {
         return Ok(0);
     }
-    io.append_file(&path, &buf).map_err(|e| io_err(&path, "appending to", e))?;
-    io.fsync_file(&path).map_err(|e| io_err(&path, "syncing", e))?;
-    Ok(buf.len() as u64)
+    let before = match std::fs::metadata(&path) {
+        Ok(meta) => meta.len(),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
+        Err(e) => return Err(io_err(&path, "measuring", e)),
+    };
+    let written = io
+        .append_file(&path, &buf)
+        .map_err(|e| ("appending to", e))
+        .and_then(|()| io.fsync_file(&path).map_err(|e| ("syncing", e)));
+    let Err((context, e)) = written else { return Ok(buf.len() as u64) };
+    if let Err(cut) = truncate_to(io, dir, before) {
+        torn.store(true, Ordering::Release);
+        let both = format!("{e}; cutting the failed append back off the log failed too: {cut}");
+        return Err(io_err(&path, context, std::io::Error::other(both)));
+    }
+    Err(io_err(&path, context, e))
+}
+
+/// Refuses a write once a failed append could not be cut back off `dir`'s
+/// log (`torn`): it may end in unacknowledged bytes, which a reload cuts.
+pub(crate) fn refuse_torn(dir: &Path, torn: &AtomicBool) -> Result<(), PersistError> {
+    if !torn.load(Ordering::Acquire) {
+        return Ok(());
+    }
+    let why = "an earlier append failed and could not be cut back off the log; the store \
+               refuses writes until it is reloaded";
+    Err(io_err(&wal_path(dir), "appending to", std::io::Error::other(why)))
 }
 
 /// Replaces `dir/wal.log` with exactly `records` — a fold's reset, which
@@ -539,7 +602,7 @@ mod tests {
     }
 
     fn append_records(dir: &Path, records: &[WalRecord]) {
-        append(&RealIo, dir, &encode_all(dir, records).unwrap()).unwrap();
+        append(&RealIo, dir, &encode_all(dir, records).unwrap(), &AtomicBool::new(false)).unwrap();
     }
 
     #[test]
@@ -561,8 +624,8 @@ mod tests {
             }),
             insert_record("r2"),
         ];
-        let bytes =
-            append(&RealIo, dir.path(), &encode_all(dir.path(), &records).unwrap()).unwrap();
+        let encoded = encode_all(dir.path(), &records).unwrap();
+        let bytes = append(&RealIo, dir.path(), &encoded, &AtomicBool::new(false)).unwrap();
         assert!(bytes > 0);
         let scan = scan(dir.path()).unwrap();
         assert_eq!(scan.records.len(), 3);

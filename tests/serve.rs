@@ -404,3 +404,30 @@ fn operator_docs_list_exactly_the_rendered_metric_families() {
     assert!(unrendered.is_empty(), "in docs/OPERATIONS.md but not rendered: {unrendered:?}");
     assert!(!rendered.is_empty(), "the scrape has no # TYPE lines: {scrape}");
 }
+
+/// Writes `bytes` on a fresh connection and returns the answer's status.
+fn raw_status(addr: std::net::SocketAddr, bytes: &[u8]) -> u16 {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+    stream.write_all(bytes).unwrap();
+    let mut status_line = String::new();
+    BufReader::new(stream).read_line(&mut status_line).unwrap();
+    status_line.split(' ').nth(1).unwrap().parse().unwrap()
+}
+
+#[test]
+fn requests_the_parser_rejects_are_counted_under_other() {
+    let dir = TempDir::new("parse-errors");
+    let (_store, handle) = boot(dir.path(), 64 * 1024);
+    let addr = handle.addr();
+    assert_eq!(raw_status(addr, b"BROKEN\r\n\r\n"), 400);
+    let oversized = b"POST /runs HTTP/1.1\r\nHost: test\r\nContent-Length: 99999999\r\n\r\n";
+    assert_eq!(raw_status(addr, oversized), 413);
+    assert_eq!(request(addr, "GET", "/nowhere", "").0, 404);
+    let (status, scrape) = request(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    handle.shutdown();
+    let line = "wfdiff_http_requests_total{endpoint=\"other\",code=\"4xx\"} ";
+    let count = scrape.lines().find_map(|l| l.strip_prefix(line));
+    assert_eq!(count, Some("3"), "{scrape}");
+}
