@@ -12,19 +12,14 @@
 //!
 //! store_tool verify <dir>
 //!     Load the store at <dir>, warm-start a DiffService over it and
-//!     difference every run pair of every specification.  A directory
-//!     holding shard-NNN subdirectories is verified shard by shard, plus
-//!     cross-shard checks: no specification may appear in two shards, and
-//!     every specification must live in the shard the pinned routing hash
-//!     assigns it.
+//!     difference every run pair of every specification.
 //!
 //! store_tool wal <dir>
 //!     Print write-ahead-log record counts (inserts/removals/cluster
-//!     deltas), byte sizes and any torn-tail bytes, per shard when the
-//!     directory is sharded.
+//!     deltas), byte sizes and any torn-tail bytes.
 //!
 //! store_tool checkpoint <dir>
-//!     Force a checkpoint fold: load each store (replaying its WAL), save
+//!     Force a checkpoint fold: load the store (replaying its WAL), save
 //!     it back (folding the WAL into the manifest) and truncate the log.
 //!
 //! store_tool diff <dir> <spec> <run-a> <run-b>
@@ -32,12 +27,15 @@
 //!     stdout — rendered exactly like the diff server's JSON `distance`
 //!     field, so shell pipelines can compare the two byte-for-byte.
 //!
-//! store_tool shard <src> <dst> <n>
-//!     Partition the single-store directory at <src> into <n> hash-routed
-//!     shard directories <dst>/shard-000 ... <dst>/shard-NNN — the operator
-//!     migration path to a sharded `wfdiff_serve` deployment (see
-//!     docs/OPERATIONS.md).  Cluster caches are not migrated; each shard
-//!     rebuilds its own on the first cluster query.
+//! store_tool merge <root> <dst>
+//!     Merge the shard-NNN store directories under <root>, a layout earlier
+//!     versions split one store into, into one store at <dst> holding
+//!     every specification and run (see docs/OPERATIONS.md).  Each shard
+//!     is loaded with full validation and its WAL replayed.  Nothing is
+//!     written, and the exit code is 1, when a specification appears in two
+//!     shards, when a shard has an open stream, or when <dst> already holds
+//!     a store.  Cluster and metric-index checkpoints are not carried over;
+//!     the server rebuilds them on first use.
 //!
 //! store_tool bench-compare <baseline.json> <current.json> [max-ratio]
 //!     Compare two bench JSON documents (wfbench's result line and
@@ -68,6 +66,8 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use wfdiff_pdiffview::{DiffService, WorkflowStore};
 use wfdiff_workloads::generator::{random_specification, SpecGenConfig};
@@ -79,7 +79,7 @@ const USAGE: &str = "usage: store_tool export <dir> [specs] [runs-per-spec] [see
                      \u{20}      store_tool wal <dir>\n\
                      \u{20}      store_tool checkpoint <dir>\n\
                      \u{20}      store_tool diff <dir> <spec> <run-a> <run-b>\n\
-                     \u{20}      store_tool shard <src> <dst> <n>\n\
+                     \u{20}      store_tool merge <root> <dst>\n\
                      \u{20}      store_tool bench-compare <baseline.json> <current.json> [max-ratio]";
 
 /// A failure, split by who caused it: the invocation or the data.
@@ -105,7 +105,7 @@ fn main() {
         Some("wal") => wal(&args[1..]),
         Some("checkpoint") => checkpoint(&args[1..]),
         Some("diff") => diff(&args[1..]),
-        Some("shard") => shard(&args[1..]),
+        Some("merge") => merge(&args[1..]),
         Some("bench-compare") => bench_compare(&args[1..]),
         Some(other) => Err(ToolError::Usage(format!("unknown subcommand {other:?}"))),
         None => Err(ToolError::Usage("no subcommand given".to_string())),
@@ -186,50 +186,15 @@ fn import(args: &[String]) -> Result<(), ToolError> {
     Ok(())
 }
 
-/// Loads a store (or every shard of a sharded layout), warms a service
-/// over it and differences every pair.  Sharded layouts additionally get
-/// cross-shard checks: spec-slug disjointness and routing-hash placement.
+/// Loads a store, warms a service over it and differences every pair.
 fn verify(args: &[String]) -> Result<(), ToolError> {
     let dir = arg(args, 0, "store directory")?;
-    let shards = wfdiff_pdiffview::serve::shard::detect_shard_dirs(dir);
-    if shards.is_empty() {
-        verify_one(std::path::Path::new(dir), "")?;
-        println!("store at {dir} verifies clean");
-        return Ok(());
-    }
-    let n = shards.len();
-    let mut owner: std::collections::BTreeMap<String, usize> = std::collections::BTreeMap::new();
-    for (i, shard_dir) in shards.iter().enumerate() {
-        let label = wfdiff_pdiffview::serve::shard::shard_dir_name(i);
-        let specs = verify_one(shard_dir, &format!("{label}: "))?;
-        for spec in specs {
-            let routed = wfdiff_pdiffview::serve::shard::shard_of(&spec, n);
-            if routed != i {
-                return Err(ToolError::Data(format!(
-                    "specification {spec:?} lives in {label} but the routing hash places it \
-                     in shard {routed} of {n}"
-                )));
-            }
-            if let Some(previous) = owner.insert(spec.clone(), i) {
-                return Err(ToolError::Data(format!(
-                    "specification {spec:?} appears in both shard {previous} and shard {i}"
-                )));
-            }
-        }
-    }
-    println!("sharded store at {dir} verifies clean ({n} shard(s), {} spec(s))", owner.len());
-    Ok(())
-}
-
-/// Verifies one store directory; returns its specification names.
-fn verify_one(dir: &std::path::Path, prefix: &str) -> Result<Vec<String>, ToolError> {
     let store = Arc::new(WorkflowStore::load_from_dir(dir).map_err(|e| e.to_string())?);
-    let names = store.spec_names();
     let service = DiffService::new(Arc::clone(&store));
     let report = service.warm_start().map_err(|e| e.to_string())?;
-    println!("{prefix}loaded {} spec(s), {} run(s); cache warmed", report.specs, report.runs);
-    for name in &names {
-        let result = service.diff_all_pairs(name).map_err(|e| e.to_string())?;
+    println!("loaded {} spec(s), {} run(s); cache warmed", report.specs, report.runs);
+    for name in store.spec_names() {
+        let result = service.diff_all_pairs(&name).map_err(|e| e.to_string())?;
         let n = result.runs.len();
         let mut max = 0.0f64;
         for (_, _, d) in result.pairs() {
@@ -241,48 +206,32 @@ fn verify_one(dir: &std::path::Path, prefix: &str) -> Result<Vec<String>, ToolEr
             max = max.max(d);
         }
         println!(
-            "{prefix}  {name}: {n} run(s), {} pair(s), max distance {max}",
+            "  {name}: {n} run(s), {} pair(s), max distance {max}",
             n * n.saturating_sub(1) / 2
         );
     }
-    Ok(names)
+    println!("store at {dir} verifies clean");
+    Ok(())
 }
 
-/// The store directories a WAL/checkpoint subcommand operates on: the
-/// shard subdirectories of a sharded layout, or the directory itself.
-fn store_dirs(dir: &str) -> Vec<(String, std::path::PathBuf)> {
-    let shards = wfdiff_pdiffview::serve::shard::detect_shard_dirs(dir);
-    if shards.is_empty() {
-        vec![(dir.to_string(), std::path::PathBuf::from(dir))]
-    } else {
-        shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| (wfdiff_pdiffview::serve::shard::shard_dir_name(i), p))
-            .collect()
-    }
-}
-
-/// Prints WAL record counts, kinds and byte sizes, per shard.
+/// Prints WAL record counts, kinds and byte sizes.
 fn wal(args: &[String]) -> Result<(), ToolError> {
     let dir = arg(args, 0, "store directory")?;
-    for (label, path) in store_dirs(dir) {
-        if !path.join("manifest.json").exists() {
-            return Err(ToolError::Data(format!("{label}: not a store directory")));
-        }
-        let summary = wfdiff_pdiffview::wal::inspect(&path).map_err(|e| e.to_string())?;
-        println!(
-            "{label}: {} record(s) ({} insert(s), {} removal(s), {} cluster delta(s), \
-             {} metric delta(s)), {} byte(s), {} torn byte(s)",
-            summary.records,
-            summary.run_inserts,
-            summary.run_removes,
-            summary.cluster_deltas,
-            summary.metric_deltas,
-            summary.bytes,
-            summary.torn_bytes
-        );
+    if !Path::new(dir).join("manifest.json").exists() {
+        return Err(ToolError::Data(format!("{dir}: not a store directory")));
     }
+    let summary = wfdiff_pdiffview::wal::inspect(Path::new(dir)).map_err(|e| e.to_string())?;
+    println!(
+        "{dir}: {} record(s) ({} insert(s), {} removal(s), {} cluster delta(s), \
+         {} metric delta(s)), {} byte(s), {} torn byte(s)",
+        summary.records,
+        summary.run_inserts,
+        summary.run_removes,
+        summary.cluster_deltas,
+        summary.metric_deltas,
+        summary.bytes,
+        summary.torn_bytes
+    );
     Ok(())
 }
 
@@ -290,15 +239,13 @@ fn wal(args: &[String]) -> Result<(), ToolError> {
 /// into the manifest), truncate the log.
 fn checkpoint(args: &[String]) -> Result<(), ToolError> {
     let dir = arg(args, 0, "store directory")?;
-    for (label, path) in store_dirs(dir) {
-        let before = wfdiff_pdiffview::wal::inspect(&path).map_err(|e| e.to_string())?;
-        let store = WorkflowStore::load_from_dir(&path).map_err(|e| e.to_string())?;
-        let summary = store.save_to_dir(&path).map_err(|e| e.to_string())?;
-        println!(
-            "{label}: folded {} WAL record(s) into {} spec(s), {} run(s)",
-            before.records, summary.specs, summary.runs
-        );
-    }
+    let before = wfdiff_pdiffview::wal::inspect(Path::new(dir)).map_err(|e| e.to_string())?;
+    let store = WorkflowStore::load_from_dir(dir).map_err(|e| e.to_string())?;
+    let summary = store.save_to_dir(dir).map_err(|e| e.to_string())?;
+    println!(
+        "{dir}: folded {} WAL record(s) into {} spec(s), {} run(s)",
+        before.records, summary.specs, summary.runs
+    );
     Ok(())
 }
 
@@ -434,39 +381,61 @@ fn bench_compare(args: &[String]) -> Result<(), ToolError> {
     Ok(())
 }
 
-/// Partitions a single-store directory into hash-routed shard directories.
-fn shard(args: &[String]) -> Result<(), ToolError> {
-    let src = arg(args, 0, "source directory")?;
-    let dst = arg(args, 1, "target directory")?;
-    let n: usize = match arg(args, 2, "shard count")?.parse() {
-        Ok(n) if n > 0 => n,
-        _ => {
-            return Err(ToolError::Usage(format!(
-                "shard count must be a positive integer, got {:?}",
-                args[2]
-            )))
-        }
-    };
-    let summaries = wfdiff_pdiffview::serve::shard::split_store_into_shards(src, dst, n)
-        .map_err(|e| ToolError::Data(e.to_string()))?;
-    for (i, summary) in summaries.iter().enumerate() {
-        println!(
-            "  {}: {} spec(s), {} run(s)",
-            wfdiff_pdiffview::serve::shard::shard_dir_name(i),
-            summary.specs,
-            summary.runs
-        );
+/// Merges the `shard-NNN/` stores under `root` into one store at `dst`.
+/// Every check runs before anything is written: a specification stored in
+/// two shards, a shard with an open stream and an existing store at `dst`
+/// each leave `dst` untouched.
+fn merge(args: &[String]) -> Result<(), ToolError> {
+    let root = Path::new(arg(args, 0, "directory of shard-NNN stores")?);
+    let dst = Path::new(arg(args, 1, "target directory")?);
+    if dst.join("manifest.json").exists() {
+        return Err(ToolError::Data(format!("{} already holds a store", dst.display())));
     }
+    let shards = wfdiff_pdiffview::persist::shard_dirs(root);
+    if shards.is_empty() {
+        return Err(ToolError::Data(format!("{} holds no shard-NNN store", root.display())));
+    }
+    let merged = WorkflowStore::new();
+    let mut owner: BTreeMap<String, PathBuf> = BTreeMap::new();
+    for shard in &shards {
+        let failed =
+            |e: &dyn std::fmt::Display| ToolError::Data(format!("{}: {e}", shard.display()));
+        let store = Arc::new(WorkflowStore::load_from_dir(shard).map_err(|e| failed(&e))?);
+        let open =
+            DiffService::new(Arc::clone(&store)).load_streams(shard).map_err(|e| failed(&e))?;
+        if open.loaded > 0 {
+            return Err(failed(&format!(
+                "{} open stream(s) in the log; finish or close them first",
+                open.loaded
+            )));
+        }
+        for (name, (spec, runs)) in store.snapshot_all() {
+            if let Some(first) = owner.insert(name.clone(), shard.clone()) {
+                return Err(failed(&format!(
+                    "specification {name:?} is also stored in {}",
+                    first.display()
+                )));
+            }
+            merged.insert_spec((*spec).clone()).map_err(|e| failed(&e))?;
+            for (run_name, run) in runs {
+                merged.insert_run(&run_name, (*run).clone()).map_err(|e| failed(&e))?;
+            }
+        }
+    }
+    let summary = merged.save_to_dir(dst).map_err(|e| e.to_string())?;
     println!(
-        "sharded {src} into {n} shard(s) under {dst} ({} spec(s), {} run(s) total)",
-        summaries.iter().map(|s| s.specs).sum::<usize>(),
-        summaries.iter().map(|s| s.runs).sum::<usize>()
+        "merged {} shard(s) under {} into {} ({} spec(s), {} run(s))",
+        shards.len(),
+        root.display(),
+        dst.display(),
+        summary.specs,
+        summary.runs
     );
     Ok(())
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
+#[allow(clippy::unwrap_used, clippy::disallowed_methods)]
 mod tests {
     use super::*;
 
@@ -475,6 +444,135 @@ mod tests {
 
     fn gated_of(text: &str) -> Result<Vec<(String, f64)>, String> {
         gated_values(&serde_json::from_str(text).unwrap())
+    }
+
+    /// A scratch directory that cleans up after itself.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(tag: &str) -> TempDir {
+            let path =
+                std::env::temp_dir().join(format!("store-tool-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&path);
+            TempDir(path)
+        }
+
+        fn join(&self, name: &str) -> PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A store of the named specifications, two runs each, drawn from seeds
+    /// that depend on the name alone.
+    fn store_of(names: &[&str]) -> WorkflowStore {
+        let store = WorkflowStore::new();
+        for name in names {
+            let mut b = wfdiff_sptree::SpecificationBuilder::new(*name);
+            b.path(&["a", "b", "c", "d"]).fork_between("a", "c");
+            let spec = store.insert_spec(b.build().unwrap()).unwrap();
+            for r in 0..2 {
+                let seed = 10 * name.bytes().map(u64::from).sum::<u64>() + r;
+                let run = wfdiff_workloads::runs::generate_run_with_target_edges(&spec, 8, seed);
+                store.insert_run(&format!("run{r}"), run).unwrap();
+            }
+        }
+        store
+    }
+
+    fn run_merge(root: &Path, dst: &Path) -> Result<(), String> {
+        let args = [root, dst].map(|p| p.to_string_lossy().into_owned());
+        merge(&args).map_err(|e| match e {
+            ToolError::Data(message) => message,
+            ToolError::Usage(message) => format!("usage error: {message}"),
+        })
+    }
+
+    #[test]
+    fn merge_folds_every_shard_into_one_store_with_identical_distances() {
+        let dir = TempDir::new("merge");
+        let root = dir.join("root");
+        store_of(&["alpha", "beta"]).save_to_dir(root.join("shard-000")).unwrap();
+        let second = root.join("shard-001");
+        store_of(&["gamma", "delta"]).save_to_dir(&second).unwrap();
+        // A run the shard holds only in its write-ahead log.
+        let shard = WorkflowStore::load_from_dir(&second).unwrap();
+        let extra = wfdiff_workloads::runs::generate_run_with_target_edges(
+            &shard.spec("delta").unwrap(),
+            8,
+            99,
+        );
+        shard.append_run_to_dir(&second, "logged", &extra).unwrap();
+        let dst = dir.join("merged");
+        run_merge(&root, &dst).unwrap();
+
+        let merged = Arc::new(WorkflowStore::load_from_dir(&dst).unwrap());
+        let local = Arc::new(store_of(&["alpha", "beta", "gamma", "delta"]));
+        let delta = local.spec("delta").unwrap();
+        let logged = wfdiff_workloads::runs::generate_run_with_target_edges(&delta, 8, 99);
+        local.insert_run("logged", logged).unwrap();
+        assert_eq!(merged.spec_names(), local.spec_names());
+        let (served, recomputed) = (DiffService::new(merged), DiffService::new(local));
+        for name in served.store().spec_names() {
+            let got = served.diff_all_pairs(&name).unwrap();
+            let want = recomputed.diff_all_pairs(&name).unwrap();
+            assert_eq!(got.runs, want.runs, "{name}");
+            let bits = |r: &wfdiff_pdiffview::AllPairsResult| {
+                r.pairs().map(|(_, _, d)| d.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&got), bits(&want), "{name}");
+        }
+        assert!(!dst.join("cluster_cache.json").exists(), "no checkpoint is carried over");
+    }
+
+    #[test]
+    fn merge_refuses_a_specification_stored_in_two_shards() {
+        let dir = TempDir::new("merge-twice");
+        let root = dir.join("root");
+        store_of(&["alpha"]).save_to_dir(root.join("shard-000")).unwrap();
+        store_of(&["beta", "alpha"]).save_to_dir(root.join("shard-001")).unwrap();
+        let dst = dir.join("merged");
+        let message = run_merge(&root, &dst).unwrap_err();
+        assert!(message.contains("\"alpha\" is also stored in"), "{message}");
+        assert!(!dst.exists(), "nothing was written");
+    }
+
+    #[test]
+    fn merge_refuses_a_shard_with_an_open_stream() {
+        let dir = TempDir::new("merge-stream");
+        let root = dir.join("root");
+        store_of(&["alpha"]).save_to_dir(root.join("shard-000")).unwrap();
+        let second = root.join("shard-001");
+        store_of(&["beta"]).save_to_dir(&second).unwrap();
+        let service = DiffService::new(Arc::new(WorkflowStore::load_from_dir(&second).unwrap()));
+        let events = [
+            wfdiff_pdiffview::StreamEvent::started(0, "a", vec![]),
+            wfdiff_pdiffview::StreamEvent::completed(0),
+        ];
+        service.commit_stream_batch(Some(&second), "beta", "s1", &events, false).unwrap();
+        let dst = dir.join("merged");
+        let message = run_merge(&root, &dst).unwrap_err();
+        assert!(message.contains("1 open stream(s)"), "{message}");
+        assert!(!dst.exists(), "nothing was written");
+    }
+
+    #[test]
+    fn merge_refuses_a_target_that_holds_a_store() {
+        let dir = TempDir::new("merge-over");
+        let root = dir.join("root");
+        store_of(&["alpha"]).save_to_dir(root.join("shard-000")).unwrap();
+        let dst = dir.join("merged");
+        store_of(&["beta"]).save_to_dir(&dst).unwrap();
+        let manifest = std::fs::read(dst.join("manifest.json")).unwrap();
+        let message = run_merge(&root, &dst).unwrap_err();
+        assert!(message.contains("already holds a store"), "{message}");
+        assert_eq!(std::fs::read(dst.join("manifest.json")).unwrap(), manifest);
+        assert_eq!(WorkflowStore::load_from_dir(&dst).unwrap().spec_names(), ["beta"]);
     }
 
     #[test]

@@ -7,17 +7,14 @@
 //!     127.0.0.1:7411) with [threads] workers (default: available CPUs).
 //! ```
 //!
-//! When `<store-dir>` contains `shard-NNN` subdirectories (as written by
-//! `store_tool shard`), each is loaded as an independent shard — its own
-//! store, diff service and cluster cache — and requests are routed by spec
-//! name; otherwise the directory is served as a single shard.  In both modes
-//! `[threads]` is the *HTTP worker* count; each shard additionally gets its
-//! own diff thread pool.
-//!
-//! Endpoints, limits and the error model are documented on
-//! [`wfdiff_pdiffview::serve`]; operations (sharding, metrics, tuning) in
+//! `[threads]` is both the HTTP worker count and the diff service's thread
+//! count.  Endpoints, limits and the error model are documented on
+//! [`wfdiff_pdiffview::serve`]; operations (metrics, tuning, recovery) in
 //! `docs/OPERATIONS.md`.  Runs inserted through `POST /runs` are appended
-//! durably to the owning shard's directory.
+//! durably to the store directory.
+//!
+//! A directory of `shard-NNN/` stores written by earlier versions is
+//! refused: `store_tool merge` turns it into one store directory first.
 //!
 //! Exit codes: `2` for usage errors (wrong arguments), `1` when the store
 //! fails to load or the address cannot be bound.
@@ -25,10 +22,9 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
-use wfdiff_pdiffview::serve::shard::{detect_shard_dirs, ShardEntry, ShardRouter};
-use wfdiff_pdiffview::serve::{ServeConfig, Server};
+use wfdiff_pdiffview::serve::{AppState, ServeConfig, Server};
 use wfdiff_pdiffview::{DiffService, WorkflowStore};
 
 fn main() {
@@ -51,15 +47,25 @@ fn main() {
         },
     };
 
-    if let Err(message) = serve(&dir, &addr, threads) {
+    if let Err(message) = serve(Path::new(&dir), &addr, threads) {
         eprintln!("wfdiff_serve: {message}");
         std::process::exit(1);
     }
 }
 
-/// Loads one shard: store, diff service, warm start, checkpoint resume.
-/// Returns the entry plus its warm (spec, run) counts.
-fn load_shard(dir: &Path, threads: usize) -> Result<(ShardEntry, usize, usize), String> {
+/// Loads the store, warm-starts a service over it, resumes its checkpoints
+/// and open streams, and serves it until the process ends.
+fn serve(dir: &Path, addr: &str, threads: usize) -> Result<(), String> {
+    let shards = wfdiff_pdiffview::persist::shard_dirs(dir);
+    if !shards.is_empty() && !dir.join("manifest.json").exists() {
+        return Err(format!(
+            "{} holds {} shard-NNN store(s) and no store of its own; a server serves one \
+             store: merge them with `store_tool merge {} <new-dir>` and serve <new-dir>",
+            dir.display(),
+            shards.len(),
+            dir.display()
+        ));
+    }
     let store =
         Arc::new(WorkflowStore::load_from_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?);
     let service = Arc::new(DiffService::builder(store).threads(threads).build());
@@ -73,10 +79,8 @@ fn load_shard(dir: &Path, threads: usize) -> Result<(ShardEntry, usize, usize), 
     ] {
         if report.loaded > 0 || report.stale > 0 {
             println!(
-                "wfdiff_serve {index} [{}]: {} spec(s) resumed, {} stale entr(ies) to rebuild",
-                dir.display(),
-                report.loaded,
-                report.stale
+                "wfdiff_serve {index}: {} spec(s) resumed, {} stale entr(ies) to rebuild",
+                report.loaded, report.stale
             );
         }
     }
@@ -85,39 +89,40 @@ fn load_shard(dir: &Path, threads: usize) -> Result<(ShardEntry, usize, usize), 
     let streams = service.load_streams(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     if streams.loaded > 0 || streams.skipped > 0 {
         println!(
-            "wfdiff_serve streams [{}]: {} in-flight stream(s) resumed, {} skipped",
-            dir.display(),
-            streams.loaded,
-            streams.skipped
+            "wfdiff_serve streams: {} in-flight stream(s) resumed, {} skipped",
+            streams.loaded, streams.skipped
         );
     }
-    Ok((ShardEntry::new(service, Some(dir.to_path_buf())), report.specs, report.runs))
-}
-
-fn serve(dir: &str, addr: &str, threads: usize) -> Result<(), String> {
-    let shard_dirs = detect_shard_dirs(dir);
-    let dirs: Vec<PathBuf> =
-        if shard_dirs.is_empty() { vec![PathBuf::from(dir)] } else { shard_dirs };
-    let mut shards = Vec::with_capacity(dirs.len());
-    let (mut specs, mut runs) = (0usize, 0usize);
-    for shard_dir in &dirs {
-        let (entry, shard_specs, shard_runs) = load_shard(shard_dir, threads)?;
-        specs += shard_specs;
-        runs += shard_runs;
-        shards.push(entry);
-    }
-    let shard_count = shards.len();
-    let router = ShardRouter::new(shards);
+    let state = AppState::single(service, Some(dir.to_path_buf()));
     let config = ServeConfig { addr: addr.to_string(), threads, ..ServeConfig::default() };
-    let server = Server::bind(router, config).map_err(|e| format!("cannot bind {addr}: {e}"))?;
+    let server = Server::bind(state, config).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     let bound = server.local_addr().map_err(|e| e.to_string())?;
     println!(
-        "wfdiff_serve listening on http://{bound} ({specs} spec(s), {runs} run(s) warm, \
-         {shard_count} shard(s), {threads} worker(s))"
+        "wfdiff_serve listening on http://{bound} ({} spec(s), {} run(s) warm, {threads} \
+         worker(s))",
+        report.specs, report.runs
     );
     // The address line is what scripts wait for; make sure it is not stuck
     // in a pipe buffer when stdout is not a terminal.
     let _ = std::io::stdout().flush();
     server.start().map_err(|e| e.to_string())?.join();
     Ok(())
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::disallowed_methods)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_root_of_shard_stores_is_refused_with_the_merge_command() {
+        let root = std::env::temp_dir().join(format!("wfdiff-serve-shards-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        WorkflowStore::new().save_to_dir(root.join("shard-000")).unwrap();
+        WorkflowStore::new().save_to_dir(root.join("shard-001")).unwrap();
+        let message = serve(&root, "127.0.0.1:0", 1).unwrap_err();
+        assert!(message.contains("store_tool merge"), "{message}");
+        assert!(!root.join("manifest.json").exists(), "nothing was written");
+        std::fs::remove_dir_all(&root).ok();
+    }
 }

@@ -260,10 +260,10 @@ impl SpecClusterState {
 /// A thread-safe registry of per-specification run clusterings; see the
 /// [module docs](self).
 ///
-/// Mutations are serialised per index (one lock), and the lock is held
-/// across the distance fetches a mutation performs — clustering updates are
-/// rare next to diff traffic, and serialising them keeps every snapshot a
-/// true fixed point of the iteration.
+/// Mutations are serialised per specification (one lock each), and the
+/// lock is held across the distance fetches a mutation performs — so every
+/// snapshot is a true fixed point of the iteration, while a clustering
+/// update of one specification never waits for another's.
 #[derive(Debug, Default)]
 pub struct IncrementalClusterIndex {
     /// Per-specification states and their checkpoint dirty tracking.
@@ -302,20 +302,8 @@ impl IncrementalClusterIndex {
         let mut members: Vec<String> = run_names.to_vec();
         members.sort();
         members.dedup();
-        let mut states = self.states.lock();
-        if let Some(state) = states.get(spec) {
-            if state.k == k
-                && state.seed == seed
-                && state.version == version
-                && state.members == members
-            {
-                return Ok(state.snapshot(spec));
-            }
-        }
         if members.is_empty() {
-            if states.remove(spec).is_some() {
-                self.states.mark_spec_dirty(spec);
-            }
+            self.states.invalidate(spec);
             return Ok(ClusterSnapshot {
                 spec: spec.to_string(),
                 k,
@@ -325,30 +313,42 @@ impl IncrementalClusterIndex {
                 cost: 0.0,
             });
         }
-        // Rebuild, keeping the distance memo of a same-version predecessor
-        // (a changed k or member set does not invalidate distances).
-        let distances = match states.remove(spec) {
-            Some(old) if old.version == version => old.distances,
-            _ => HashMap::new(),
-        };
-        let mut state = SpecClusterState {
-            k,
-            seed,
-            version,
-            members,
-            assignments: HashMap::new(),
-            medoids: Vec::new(),
-            distances,
-            silhouette: 0.0,
-            cost: 0.0,
-            pivots: None,
-        };
-        let n = state.members.len();
-        state.reseed_and_stabilize(oracle, k.clamp(1, n))?;
-        let snapshot = state.snapshot(spec);
-        states.insert(spec.to_string(), state);
-        self.states.mark_spec_dirty(spec);
-        Ok(snapshot)
+        self.states.update(spec, |slot| {
+            if let Some(state) = slot {
+                if state.k == k
+                    && state.seed == seed
+                    && state.version == version
+                    && state.members == members
+                {
+                    return Ok(state.snapshot(spec));
+                }
+            }
+            // Rebuild, keeping the distance memo of a same-version
+            // predecessor (a changed k or member set does not invalidate
+            // distances).
+            let distances = match slot.take() {
+                Some(old) if old.version == version => old.distances,
+                _ => HashMap::new(),
+            };
+            let mut state = SpecClusterState {
+                k,
+                seed,
+                version,
+                members,
+                assignments: HashMap::new(),
+                medoids: Vec::new(),
+                distances,
+                silhouette: 0.0,
+                cost: 0.0,
+                pivots: None,
+            };
+            let n = state.members.len();
+            state.reseed_and_stabilize(oracle, k.clamp(1, n))?;
+            let snapshot = state.snapshot(spec);
+            *slot = Some(state);
+            self.states.mark_spec_dirty(spec);
+            Ok(snapshot)
+        })
     }
 
     /// Folds a newly stored run into the clustering, if the index holds
@@ -364,59 +364,61 @@ impl IncrementalClusterIndex {
         run_name: &str,
         oracle: &O,
     ) -> Result<bool, O::Error> {
-        let mut states = self.states.lock();
-        let Some(state) = states.get_mut(spec) else {
-            return Ok(false);
-        };
-        state.pivots = None;
-        if state.version != version {
-            states.remove(spec);
-            self.states.mark_spec_dirty(spec);
-            return Ok(false);
-        }
-        if state.members.binary_search(&run_name.to_string()).is_ok() {
-            // A replaced run of the same name: its old distances are stale.
-            let name = run_name.to_string();
-            state.distances.retain(|(a, b), _| *a != name && *b != name);
-        } else {
-            // O(k) fresh diffs: the new run against every medoid ...
-            let medoids = state.medoids.clone();
-            state.prefetch(oracle, run_name, &medoids)?;
-            let mut nearest = (f64::INFINITY, 0usize);
-            for (c, m) in medoids.iter().enumerate() {
-                let d = state.distance(oracle, run_name, m)?;
-                if d < nearest.0 {
-                    nearest = (d, c);
-                }
+        let absorb = |slot: &mut Option<SpecClusterState>| {
+            let Some(state) = slot else {
+                return Ok(false);
+            };
+            state.pivots = None;
+            if state.version != version {
+                *slot = None;
+                self.states.mark_spec_dirty(spec);
+                return Ok(false);
             }
-            // ... plus O(|cluster|) against the members of the cluster it
-            // joins, so the medoid update has every sum it needs.
-            let cluster_members: Vec<String> = state
-                .members
-                .iter()
-                .filter(|m| state.assignments.get(*m) == Some(&nearest.1))
-                .cloned()
-                .collect();
-            state.prefetch(oracle, run_name, &cluster_members)?;
-            // The name was verified absent above: this is its insert position.
-            let (Ok(insert_at) | Err(insert_at)) =
-                state.members.binary_search(&run_name.to_string());
-            state.members.insert(insert_at, run_name.to_string());
-            state.assignments.insert(run_name.to_string(), nearest.1);
-        }
-        // An index built while fewer than k runs were stored clamped its
-        // cluster count; growing past the clamp must add clusters back
-        // (the mirror of remove_run's shrink path), or the maintained
-        // clustering would permanently diverge from a from-scratch one.
-        let effective_k = state.k.clamp(1, state.members.len());
-        if state.medoids.len() < effective_k {
-            state.reseed_and_stabilize(oracle, effective_k)?;
-        } else {
-            let initial = state.medoid_indices();
-            state.stabilize(oracle, initial)?;
-        }
-        self.states.mark_spec_dirty(spec);
-        Ok(true)
+            if state.members.binary_search(&run_name.to_string()).is_ok() {
+                // A replaced run of the same name: its old distances are stale.
+                let name = run_name.to_string();
+                state.distances.retain(|(a, b), _| *a != name && *b != name);
+            } else {
+                // O(k) fresh diffs: the new run against every medoid ...
+                let medoids = state.medoids.clone();
+                state.prefetch(oracle, run_name, &medoids)?;
+                let mut nearest = (f64::INFINITY, 0usize);
+                for (c, m) in medoids.iter().enumerate() {
+                    let d = state.distance(oracle, run_name, m)?;
+                    if d < nearest.0 {
+                        nearest = (d, c);
+                    }
+                }
+                // ... plus O(|cluster|) against the members of the cluster it
+                // joins, so the medoid update has every sum it needs.
+                let cluster_members: Vec<String> = state
+                    .members
+                    .iter()
+                    .filter(|m| state.assignments.get(*m) == Some(&nearest.1))
+                    .cloned()
+                    .collect();
+                state.prefetch(oracle, run_name, &cluster_members)?;
+                // The name was verified absent above: this is its insert position.
+                let (Ok(insert_at) | Err(insert_at)) =
+                    state.members.binary_search(&run_name.to_string());
+                state.members.insert(insert_at, run_name.to_string());
+                state.assignments.insert(run_name.to_string(), nearest.1);
+            }
+            // An index built while fewer than k runs were stored clamped its
+            // cluster count; growing past the clamp must add clusters back
+            // (the mirror of remove_run's shrink path), or the maintained
+            // clustering would permanently diverge from a from-scratch one.
+            let effective_k = state.k.clamp(1, state.members.len());
+            if state.medoids.len() < effective_k {
+                state.reseed_and_stabilize(oracle, effective_k)?;
+            } else {
+                let initial = state.medoid_indices();
+                state.stabilize(oracle, initial)?;
+            }
+            self.states.mark_spec_dirty(spec);
+            Ok(true)
+        };
+        self.states.existing(spec, absorb).unwrap_or(Ok(false))
     }
 
     /// Removes a run from the clustering, if the index holds state for the
@@ -427,65 +429,67 @@ impl IncrementalClusterIndex {
         run_name: &str,
         oracle: &O,
     ) -> Result<bool, O::Error> {
-        let mut states = self.states.lock();
-        let Some(state) = states.get_mut(spec) else {
-            return Ok(false);
-        };
-        let Ok(position) = state.members.binary_search(&run_name.to_string()) else {
-            return Ok(false);
-        };
-        state.pivots = None;
-        state.members.remove(position);
-        state.assignments.remove(run_name);
-        let name = run_name.to_string();
-        state.distances.retain(|(a, b), _| *a != name && *b != name);
-        self.states.mark_spec_dirty(spec);
-        if state.members.is_empty() {
-            states.remove(spec);
-            return Ok(true);
-        }
-        let n = state.members.len();
-        let effective_k = state.k.clamp(1, n);
-        let was_medoid = state.medoids.iter().position(|m| m == run_name);
-        if was_medoid.is_some() || state.medoids.len() > effective_k {
-            if let (Some(c), true) = (was_medoid, state.medoids.len() <= effective_k) {
-                // Replace the lost medoid with the best remaining member of
-                // its former cluster (falling back to a deterministic
-                // reseed when the cluster emptied out).
-                let former: Vec<String> = state
-                    .members
-                    .iter()
-                    .filter(|m| state.assignments.get(*m) == Some(&c))
-                    .cloned()
-                    .collect();
-                if former.is_empty() {
+        let remove = |slot: &mut Option<SpecClusterState>| {
+            let Some(state) = slot else {
+                return Ok(false);
+            };
+            let Ok(position) = state.members.binary_search(&run_name.to_string()) else {
+                return Ok(false);
+            };
+            state.pivots = None;
+            state.members.remove(position);
+            state.assignments.remove(run_name);
+            let name = run_name.to_string();
+            state.distances.retain(|(a, b), _| *a != name && *b != name);
+            self.states.mark_spec_dirty(spec);
+            if state.members.is_empty() {
+                *slot = None;
+                return Ok(true);
+            }
+            let n = state.members.len();
+            let effective_k = state.k.clamp(1, n);
+            let was_medoid = state.medoids.iter().position(|m| m == run_name);
+            if was_medoid.is_some() || state.medoids.len() > effective_k {
+                if let (Some(c), true) = (was_medoid, state.medoids.len() <= effective_k) {
+                    // Replace the lost medoid with the best remaining member
+                    // of its former cluster (falling back to a deterministic
+                    // reseed when the cluster emptied out).
+                    let former: Vec<String> = state
+                        .members
+                        .iter()
+                        .filter(|m| state.assignments.get(*m) == Some(&c))
+                        .cloned()
+                        .collect();
+                    if former.is_empty() {
+                        state.reseed_and_stabilize(oracle, effective_k)?;
+                        return Ok(true);
+                    }
+                    let mut best = (f64::INFINITY, former[0].clone());
+                    for candidate in &former {
+                        // One batched fetch per candidate; the inner sum
+                        // then runs entirely off the memo.
+                        state.prefetch(oracle, candidate, &former)?;
+                        let mut sum = 0.0;
+                        for member in &former {
+                            sum += state.distance(oracle, candidate, member)?;
+                        }
+                        if sum < best.0 {
+                            best = (sum, candidate.clone());
+                        }
+                    }
+                    state.medoids[c] = best.1;
+                } else {
+                    // The member count dropped below k: reseed
+                    // deterministically with the clamped cluster count.
                     state.reseed_and_stabilize(oracle, effective_k)?;
                     return Ok(true);
                 }
-                let mut best = (f64::INFINITY, former[0].clone());
-                for candidate in &former {
-                    // One batched fetch per candidate; the inner sum then
-                    // runs entirely off the memo.
-                    state.prefetch(oracle, candidate, &former)?;
-                    let mut sum = 0.0;
-                    for member in &former {
-                        sum += state.distance(oracle, candidate, member)?;
-                    }
-                    if sum < best.0 {
-                        best = (sum, candidate.clone());
-                    }
-                }
-                state.medoids[c] = best.1;
-            } else {
-                // The member count dropped below k: reseed deterministically
-                // with the clamped cluster count.
-                state.reseed_and_stabilize(oracle, effective_k)?;
-                return Ok(true);
             }
-        }
-        let initial = state.medoid_indices();
-        state.stabilize(oracle, initial)?;
-        Ok(true)
+            let initial = state.medoid_indices();
+            state.stabilize(oracle, initial)?;
+            Ok(true)
+        };
+        self.states.existing(spec, remove).unwrap_or(Ok(false))
     }
 
     /// Drops the state of one specification (e.g. after a spec replacement).
@@ -496,7 +500,7 @@ impl IncrementalClusterIndex {
     /// A read-only snapshot of the current clustering of `spec`, if the
     /// index holds one.
     pub fn snapshot(&self, spec: &str) -> Option<ClusterSnapshot> {
-        self.states.lock().get(spec).map(|s| s.snapshot(spec))
+        self.states.existing(spec, |slot| slot.as_ref().map(|s| s.snapshot(spec)))?
     }
 
     /// The memoised medoid-to-member distance rows of `spec`, for the
@@ -510,33 +514,34 @@ impl IncrementalClusterIndex {
     /// the next insert, removal, rebuild, invalidation or checkpoint load
     /// gets the same allocation.
     pub(crate) fn medoid_pivots(&self, spec: &str) -> Option<Arc<MedoidPivots>> {
-        let mut states = self.states.lock();
-        let state = states.get_mut(spec)?;
-        if state.medoids.is_empty() {
-            return None;
-        }
-        if state.pivots.is_none() {
-            let rows = state
-                .members
-                .iter()
-                .map(|member| {
-                    let row = state
-                        .medoids
-                        .iter()
-                        .map(|medoid| {
-                            if member == medoid {
-                                Some(0.0)
-                            } else {
-                                state.distances.get(&pair_key(member, medoid)).copied()
-                            }
-                        })
-                        .collect();
-                    (member.clone(), row)
-                })
-                .collect();
-            state.pivots = Some(Arc::new(MedoidPivots::new(rows)));
-        }
-        state.pivots.clone()
+        self.states.existing(spec, |slot| {
+            let state = slot.as_mut()?;
+            if state.medoids.is_empty() {
+                return None;
+            }
+            if state.pivots.is_none() {
+                let rows = state
+                    .members
+                    .iter()
+                    .map(|member| {
+                        let row = state
+                            .medoids
+                            .iter()
+                            .map(|medoid| {
+                                if member == medoid {
+                                    Some(0.0)
+                                } else {
+                                    state.distances.get(&pair_key(member, medoid)).copied()
+                                }
+                            })
+                            .collect();
+                        (member.clone(), row)
+                    })
+                    .collect();
+                state.pivots = Some(Arc::new(MedoidPivots::new(rows)));
+            }
+            state.pivots.clone()
+        })?
     }
 }
 
@@ -677,6 +682,23 @@ mod tests {
         assert!(index.remove_run("s", "p1", &oracle).unwrap());
         assert!(index.remove_run("s", "p2", &oracle).unwrap());
         assert!(index.snapshot("s").is_none(), "empty state is dropped");
+    }
+
+    #[test]
+    fn a_rebuild_waiting_on_its_distances_does_not_block_another_spec() {
+        let index = IncrementalClusterIndex::new();
+        index.ensure("b", VERSION, &names(0..8), 3, 1, &MatrixOracle::new(blobs())).unwrap();
+        let inserted = crate::derived::tests::finishes_while_another_spec_waits(
+            MatrixOracle::new(blobs()),
+            |gated| {
+                index.ensure("a", VERSION, &names(0..9), 3, 1, gated).unwrap();
+            },
+            || assert!(index.insert_run("b", VERSION, "p8", &MatrixOracle::new(blobs())).unwrap()),
+        );
+        assert!(inserted, "the insert into spec b waited for spec a's rebuild");
+        let blobs = vec![names(0..3), names(3..6), names(6..9)];
+        assert_eq!(index.snapshot("a").unwrap().partition(), blobs);
+        assert_eq!(index.snapshot("b").unwrap().partition(), blobs);
     }
 
     #[test]

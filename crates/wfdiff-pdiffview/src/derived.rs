@@ -5,7 +5,8 @@
 //! a restarted server resume without re-differencing.
 //!
 //! * Each index keeps its per-specification states in one `SpecStates`
-//!   registry, and every mutation marks its specification dirty.
+//!   registry, one lock per specification, and every mutation marks its
+//!   specification dirty.
 //! * A checkpoint appends one WAL record per dirty specification (kind 3
 //!   for clusters, 4 for the metric index) holding its whole entry; a clean
 //!   index appends nothing.
@@ -29,6 +30,7 @@
 //! [`IncrementalMetricIndex`]: crate::metricindex::IncrementalMetricIndex
 //! [`WorkflowStore::save_to_dir`]: crate::store::WorkflowStore::save_to_dir
 
+use crate::lockrank::{LockRank, RankedMutex};
 use crate::persist::{read_json, write_json_atomic, PersistError};
 use crate::store::WorkflowStore;
 use crate::storeio::StoreIo;
@@ -36,9 +38,9 @@ use crate::wal::{self, DerivedDelta, DerivedDeltaRecord, DerivedKind, WalRecord}
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::ops::DerefMut;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use wfdiff_sptree::{Fingerprint, Run};
 
 /// What a [`DiffService::load_cluster_state`] or
@@ -55,16 +57,31 @@ pub struct CheckpointReport {
     pub stale: usize,
 }
 
+/// One specification's slot in a [`SpecStates`] registry: its state, or
+/// `None` before the first build and after the state is dropped.
+///
+/// Ranked [`LockRank::Index`], after `save_lock` and before `store`: a
+/// holder evaluates distances, which read the store and the service's
+/// prepared state, and it may hold no other slot.
+type Slot<S> = RankedMutex<Option<S>>;
+
 /// A derived index's per-specification states plus the dirty tracking its
 /// checkpoint consumes.
+///
+/// Each specification's state sits behind a lock of its own, so a mutation
+/// of one specification — which holds that lock across its distance
+/// evaluations — never waits for another specification's.
 #[derive(Debug)]
 pub(crate) struct SpecStates<S> {
-    states: Mutex<HashMap<String, S>>,
+    /// One slot per specification an index build or load has touched,
+    /// never removed.  A leaf lock, held only to find or install a slot.
+    slots: Mutex<HashMap<String, Arc<Slot<S>>>>,
+    /// Slots currently holding a state.
+    tracked: AtomicUsize,
     /// Set by every mutation, consumed by [`save_wal`].
     dirty: AtomicBool,
     /// Specifications mutated since the last checkpoint.  A leaf lock:
-    /// callers may hold `states` while marking, and it is never held while
-    /// taking `states`.
+    /// callers may hold a slot while marking.
     dirty_specs: Mutex<BTreeSet<String>>,
     /// Set by [`Self::mark_dirty`]: every tracked specification must be
     /// re-appended (e.g. after a load rejected on-disk entries).
@@ -74,7 +91,8 @@ pub(crate) struct SpecStates<S> {
 impl<S> Default for SpecStates<S> {
     fn default() -> Self {
         SpecStates {
-            states: Mutex::new(HashMap::new()),
+            slots: Mutex::new(HashMap::new()),
+            tracked: AtomicUsize::new(0),
             dirty: AtomicBool::new(false),
             dirty_specs: Mutex::new(BTreeSet::new()),
             all_dirty: AtomicBool::new(false),
@@ -83,9 +101,42 @@ impl<S> Default for SpecStates<S> {
 }
 
 impl<S> SpecStates<S> {
-    /// Locks the states.  The index serialises its mutations on this lock.
-    pub(crate) fn lock(&self) -> impl DerefMut<Target = HashMap<String, S>> + '_ {
-        self.states.lock()
+    /// Runs `f` on `spec`'s state under the specification's lock, creating
+    /// its slot first when it has none.  The index serialises each
+    /// specification's mutations on this lock.
+    pub(crate) fn update<R>(&self, spec: &str, f: impl FnOnce(&mut Option<S>) -> R) -> R {
+        let slot = Arc::clone(
+            self.slots
+                .lock()
+                .entry(spec.to_string())
+                .or_insert_with(|| Arc::new(RankedMutex::new(LockRank::Index, None))),
+        );
+        self.run(&slot, f)
+    }
+
+    /// [`Self::update`] for a specification that already has a slot; `None`,
+    /// without running `f` or creating a slot, when it has none.
+    pub(crate) fn existing<R>(&self, spec: &str, f: impl FnOnce(&mut Option<S>) -> R) -> Option<R> {
+        // Statement-scoped lock: released before the slot's is taken.
+        let slot = self.slots.lock().get(spec).map(Arc::clone)?;
+        Some(self.run(&slot, f))
+    }
+
+    fn run<R>(&self, slot: &Slot<S>, f: impl FnOnce(&mut Option<S>) -> R) -> R {
+        let mut state = slot.lock();
+        let held = state.is_some();
+        let out = f(&mut state);
+        if !held && state.is_some() {
+            self.tracked.fetch_add(1, Ordering::Relaxed);
+        } else if held && state.is_none() {
+            self.tracked.fetch_sub(1, Ordering::Relaxed);
+        }
+        out
+    }
+
+    /// The number of specifications holding a state.
+    pub(crate) fn tracked(&self) -> usize {
+        self.tracked.load(Ordering::Relaxed)
     }
 
     /// Marks every tracked specification as changed since the last
@@ -103,19 +154,19 @@ impl<S> SpecStates<S> {
 
     /// Consumes the dirty state: `None` when nothing changed since the last
     /// successful checkpoint, otherwise the sorted specification names to
-    /// append records for (every tracked one after a [`Self::mark_dirty`]).
-    /// The list may name specifications whose state has since been dropped;
-    /// the checkpoint skips those.
+    /// append records for (every one with a slot after a
+    /// [`Self::mark_dirty`]).  The list may name specifications whose state
+    /// has since been dropped; the checkpoint skips those.
     pub(crate) fn take_dirty_specs(&self) -> Option<Vec<String>> {
         if !self.dirty.swap(false, Ordering::AcqRel) {
             return None;
         }
         let all = self.all_dirty.swap(false, Ordering::AcqRel);
-        // Statement-scoped lock: never held while taking the states lock.
+        // Statement-scoped locks, one at a time.
         let mut dirty: Vec<String> =
             std::mem::take(&mut *self.dirty_specs.lock()).into_iter().collect();
         if all {
-            dirty.extend(self.lock().keys().cloned());
+            dirty.extend(self.slots.lock().keys().cloned());
             dirty.sort();
             dirty.dedup();
         }
@@ -124,9 +175,11 @@ impl<S> SpecStates<S> {
 
     /// Drops the state of one specification.
     pub(crate) fn invalidate(&self, spec: &str) {
-        if self.lock().remove(spec).is_some() {
-            self.mark_spec_dirty(spec);
-        }
+        self.existing(spec, |slot| {
+            if slot.take().is_some() {
+                self.mark_spec_dirty(spec);
+            }
+        });
     }
 }
 
@@ -211,9 +264,11 @@ fn read_file<I: DerivedIndex>(path: &Path) -> Option<(u64, Vec<I::Doc>)> {
 /// Checkpoints `index` by appending one delta record per dirty
 /// specification to the store directory's write-ahead log, instead of
 /// rewriting the checkpoint file whole.  Returns the number of
-/// specifications the index tracks.  A member that no longer resolves in
-/// `store` (a concurrent removal) leaves its specification out rather than
-/// written inconsistently.
+/// specifications the index tracks.  Each record is encoded under its
+/// specification's lock alone, and every lock is released before the
+/// append.  A member that no longer resolves in `store` (a concurrent
+/// removal) leaves its specification out rather than written
+/// inconsistently.
 pub(crate) fn save_wal<I: DerivedIndex>(
     index: &I,
     store: &WorkflowStore,
@@ -221,16 +276,14 @@ pub(crate) fn save_wal<I: DerivedIndex>(
     dir: &Path,
 ) -> Result<usize, PersistError> {
     let states = index.states();
-    let count = states.lock().len();
     let Some(dirty) = states.take_dirty_specs() else {
-        return Ok(count);
+        return Ok(states.tracked());
     };
-    let encoded: Result<Vec<wal::Encoded>, PersistError> = {
-        let live = states.lock();
-        dirty
-            .iter()
-            .filter_map(|spec| {
-                let state = live.get(spec)?;
+    let encoded: Result<Vec<wal::Encoded>, PersistError> = dirty
+        .iter()
+        .filter_map(|spec| {
+            states.existing(spec, |slot| {
+                let state = slot.as_ref()?;
                 let run_fingerprints = I::members(state)
                     .iter()
                     .map(|m| {
@@ -239,9 +292,9 @@ pub(crate) fn save_wal<I: DerivedIndex>(
                     .collect::<Option<_>>()?;
                 let doc = I::to_doc(spec, state, run_fingerprints);
                 Some(wal::encode(dir, I::KIND as u8, &DerivedDelta { cost_key, doc: &doc }))
-            })
-            .collect()
-    };
+            })?
+        })
+        .collect();
     if let Err(e) = encoded.and_then(|records| store.append_wal_encoded(dir, &records)) {
         // The states are still unpersisted; make sure the next save retries.
         for spec in &dirty {
@@ -249,7 +302,7 @@ pub(crate) fn save_wal<I: DerivedIndex>(
         }
         return Err(e);
     }
-    Ok(count)
+    Ok(states.tracked())
 }
 
 /// Folds the WAL's deltas of index `I` into its checkpoint file during a
@@ -330,7 +383,7 @@ pub(crate) fn load<I: DerivedIndex>(
     for (spec, doc) in entries {
         match validate::<I>(doc, store) {
             Some(state) => {
-                states.lock().insert(spec, state);
+                states.update(&spec, |slot| *slot = Some(state));
                 report.loaded += 1;
             }
             None => report.stale += 1,
@@ -373,4 +426,89 @@ fn validate<I: DerivedIndex>(doc: I::Doc, store: &WorkflowStore) -> Option<I::St
         return None;
     }
     I::to_state(doc, version)
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::cluster::incremental::DistanceOracle;
+    use std::cell::RefCell;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::time::Duration;
+
+    /// An oracle whose first fetch reports that it started, then waits to
+    /// be released, before answering from `inner`.
+    pub(crate) struct Gated<O> {
+        inner: O,
+        gate: RefCell<Option<(Sender<()>, Receiver<()>)>>,
+    }
+
+    impl<O: DistanceOracle> DistanceOracle for Gated<O> {
+        type Error = O::Error;
+
+        fn distances(&self, source: &str, targets: &[&str]) -> Result<Vec<f64>, O::Error> {
+            if let Some((entered, release)) = self.gate.borrow_mut().take() {
+                let _ = entered.send(());
+                let _ = release.recv();
+            }
+            self.inner.distances(source, targets)
+        }
+    }
+
+    /// Runs `blocked` on a thread of its own over a [`Gated`] `oracle` and,
+    /// once it waits inside its first fetch, runs `other` on a third thread.
+    /// Returns whether `other` finished within two seconds while `blocked`
+    /// waited.  `blocked` is released before this returns either way, so a
+    /// test that fails does so on the timeout instead of hanging.
+    pub(crate) fn finishes_while_another_spec_waits<O: DistanceOracle + Send>(
+        oracle: O,
+        blocked: impl FnOnce(&Gated<O>) + Send,
+        other: impl FnOnce() + Send,
+    ) -> bool {
+        let (entered_tx, entered) = channel();
+        let (release, release_rx) = channel();
+        let (done_tx, done) = channel();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let gate = RefCell::new(Some((entered_tx, release_rx)));
+                blocked(&Gated { inner: oracle, gate });
+            });
+            let started = entered.recv_timeout(Duration::from_secs(10)).is_ok();
+            scope.spawn(move || {
+                other();
+                let _ = done_tx.send(());
+            });
+            let finished = started && done.recv_timeout(Duration::from_secs(2)).is_ok();
+            let _ = release.send(());
+            finished
+        })
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn holding_two_specifications_locks_at_once_panics() {
+        let states: SpecStates<u32> = SpecStates::default();
+        states.update("a", |slot| *slot = Some(1));
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let nested = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            states.update("a", |_| states.update("b", |slot| *slot = Some(2)));
+        }));
+        std::panic::set_hook(hook);
+        assert!(nested.is_err(), "a second index lock under the first must panic");
+        assert_eq!(states.tracked(), 1);
+        assert!(states.existing("b", |_| ()).is_some(), "the slot was installed");
+    }
+
+    #[test]
+    fn reads_of_a_specification_without_state_install_no_slot() {
+        let states: SpecStates<u32> = SpecStates::default();
+        assert_eq!(states.existing("a", |slot| slot.is_some()), None);
+        states.invalidate("a");
+        assert!(states.slots.lock().is_empty());
+        states.update("a", |slot| *slot = Some(1));
+        states.invalidate("a");
+        assert_eq!((states.tracked(), states.slots.lock().len()), (0, 1));
+        assert_eq!(states.take_dirty_specs(), Some(vec!["a".to_string()]));
+    }
 }

@@ -43,11 +43,10 @@
 //! * [`serve`] — a dependency-free HTTP/1.1 front-end over `std::net`
 //!   (Linux): a fixed pool of workers blocks in `epoll_wait`, each serving
 //!   the ready socket it was woken for end to end (read, parse, handle,
-//!   write), specs are partitioned across N store shards by a stable hash,
-//!   and a lock-cheap metrics
-//!   registry renders Prometheus text at `GET /metrics`; serves store
-//!   snapshots, run inserts, single/batch diffs, nearest-run queries and
-//!   cluster summaries to remote clients.  See the `wfdiff_serve` binary.
+//!   write), and a lock-cheap metrics registry renders Prometheus text at
+//!   `GET /metrics`; serves one store's snapshots, run inserts,
+//!   single/batch diffs, nearest-run queries and cluster summaries to
+//!   remote clients.  See the `wfdiff_serve` binary.
 //!
 //! # Example
 //!
@@ -104,7 +103,7 @@ pub use metricindex::{
 };
 pub use persist::{PersistError, SaveSummary, STORE_FORMAT};
 pub use render::{render_diff_dot, render_diff_text};
-pub use serve::{ServeConfig, ServeMetrics, Server, ServerHandle, ShardEntry, ShardRouter};
+pub use serve::{ServeConfig, ServeMetrics, Server, ServerHandle};
 pub use service::{
     AllPairsResult, DiffService, DiffServiceBuilder, DriftClusterStatus, DriftReport, PairDistance,
     ServiceError, StreamAck, StreamBatchOutcome, StreamLoadReport, WarmStartReport,

@@ -1,13 +1,17 @@
-//! Runtime lock-rank guard for the store's locks and the service's `streams`
-//! and `prepared`: the one check of their acquisition order.
+//! Runtime lock-rank guard for the store's locks, the derived indexes'
+//! per-specification locks and the service's `streams` and `prepared`: the
+//! one check of their acquisition order.
 //!
 //! Every [`WorkflowStore`](crate::store::WorkflowStore) lock carries a
 //! [`LockRank`]; a thread may only acquire a lock whose rank is strictly
 //! greater than every rank it already holds:
 //!
 //! ```text
-//! save_lock (0)  →  store (1)  →  persist_fp_cache (2)  →  streams (3)  →  prepared (4)
+//! save_lock (0) → index (1) → store (2) → persist_fp_cache (3) → streams (4) → prepared (5)
 //! ```
+//!
+//! Ranks are strict, so a thread never holds two locks of one rank: two
+//! specifications' index locks, say.
 //!
 //! Under `debug_assertions` (every `cargo test` run, including the store's
 //! concurrency tests) each thread keeps a thread-local stack of held ranks
@@ -32,26 +36,30 @@ pub(crate) enum LockRank {
     /// `save_lock` — serialises durable writes and saves; taken first,
     /// never under any other lock.
     Save = 0,
+    /// `index` — one specification's state in a derived index (the
+    /// cluster or the metric index).  Held across distance evaluations,
+    /// which read the store and the prepared state, so it ranks below both.
+    Index = 1,
     /// `store` — the map of specifications and their runs.
-    Store = 1,
+    Store = 2,
     /// `persist_fp_cache` — the fingerprint memo; innermost of the store's
     /// own locks.
-    FpCache = 2,
+    FpCache = 3,
     /// `streams` — the in-flight stream registry owned by
     /// [`DiffService`](crate::service::DiffService); holding it across a
     /// store or WAL call panics.
-    Streams = 3,
+    Streams = 4,
     /// `prepared` — the resident prepared state owned by
     /// [`DiffService`](crate::service::DiffService); innermost overall.
     /// Entries are cloned out under it and inserted after being computed,
     /// so holding it across a store call or the stream registry panics.
-    Prepared = 4,
+    Prepared = 5,
 }
 
 /// The locks' names, in rank order; the violation message spells the order
 /// from this list.
 #[cfg(debug_assertions)]
-const NAMES: [&str; 5] = ["save_lock", "store", "persist_fp_cache", "streams", "prepared"];
+const NAMES: [&str; 6] = ["save_lock", "index", "store", "persist_fp_cache", "streams", "prepared"];
 
 #[cfg(debug_assertions)]
 mod held {
@@ -253,13 +261,13 @@ mod tests {
         let result = quiet_panics(|| {
             catch_unwind(AssertUnwindSafe(|| {
                 let _r = streams.read();
-                let _s = store.read(); // rank 1 under rank 3: must panic
+                let _s = store.read(); // rank 2 under rank 4: must panic
             }))
         });
         let msg = panic_message(result);
         assert!(msg.contains("lock-rank violation"), "unexpected panic message: {msg:?}");
         assert!(msg.contains("`store`") && msg.contains("`streams`"), "names the locks: {msg:?}");
-        let order = "save_lock → store → persist_fp_cache → streams → prepared";
+        let order = "save_lock → index → store → persist_fp_cache → streams → prepared";
         assert!(msg.contains(order), "spells the whole order: {msg:?}");
     }
 

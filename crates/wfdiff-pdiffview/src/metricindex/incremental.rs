@@ -15,8 +15,8 @@
 //! the shared checkpoint mechanism of [`crate::derived`] saves it beside the
 //! store so a restarted server resumes without re-differencing.  Mutations
 //! mark their specification dirty in the same `SpecStates` registry the
-//! cluster index uses, and a checkpoint appends one WAL delta per changed
-//! spec.
+//! cluster index uses, one lock per specification, and a checkpoint appends
+//! one WAL delta per changed spec.
 
 use super::vptree::{MedoidPivots, RemoveOutcome, VpTree};
 use crate::cluster::incremental::DistanceOracle;
@@ -57,9 +57,10 @@ pub(crate) struct SpecMetricState {
 }
 
 /// A thread-safe registry of per-specification vantage-point trees; see the
-/// [module docs](self).  Mutations are serialised per index, and the lock is
-/// held across the distance fetches a rebuild performs — exactly the
-/// cluster index's discipline.
+/// [module docs](self).  Mutations are serialised per specification (one
+/// lock each), and the lock is held across the distance fetches a rebuild,
+/// an insert or a query performs — exactly the cluster index's discipline,
+/// so work on one specification never waits for another's.
 #[derive(Debug, Default)]
 pub struct IncrementalMetricIndex {
     /// Per-specification trees and their checkpoint dirty tracking.
@@ -102,26 +103,18 @@ impl IncrementalMetricIndex {
         let mut members: Vec<String> = run_names.to_vec();
         members.sort();
         members.dedup();
-        let mut states = self.states.lock();
-        let fresh = states
-            .get(spec)
-            .is_some_and(|s| s.seed == seed && s.version == version && s.members == members);
-        if !fresh {
-            let mut row = |source: &str, targets: &[&str]| oracle.distances(source, targets);
-            let tree = VpTree::build(&members, seed, &mut row)?;
-            states.insert(spec.to_string(), SpecMetricState { seed, version, members, tree });
-            self.states.mark_spec_dirty(spec);
-        }
-        let Some(state) = states.get(spec) else {
-            // Unreachable — the branch above inserted or verified the state —
-            // but a serving process must not panic over it.
-            return Ok((
-                Vec::new(),
-                PruneStats { approx_epsilon: epsilon, ..PruneStats::default() },
-            ));
-        };
         let mut row = |source: &str, targets: &[&str]| oracle.distances(source, targets);
-        state.tree.nearest(query, k, epsilon, pivots, &mut row)
+        self.states.update(spec, |slot| {
+            let state = match slot {
+                Some(s) if s.seed == seed && s.version == version && s.members == members => s,
+                _ => {
+                    let tree = VpTree::build(&members, seed, &mut row)?;
+                    self.states.mark_spec_dirty(spec);
+                    slot.insert(SpecMetricState { seed, version, members, tree })
+                }
+            };
+            state.tree.nearest(query, k, epsilon, pivots, &mut row)
+        })
     }
 
     /// Folds a just-stored run into the tree, if the index holds state for
@@ -135,24 +128,29 @@ impl IncrementalMetricIndex {
         run_name: &str,
         oracle: &O,
     ) -> Result<bool, O::Error> {
-        let mut states = self.states.lock();
-        let Some(state) = states.get_mut(spec) else {
-            return Ok(false);
-        };
-        if state.version != version || state.members.binary_search(&run_name.to_string()).is_ok() {
-            // A replaced specification or a replaced run: the distances the
-            // tree was shaped by are stale.
-            states.remove(spec);
+        let absorb = |slot: &mut Option<SpecMetricState>| {
+            let Some(state) = slot else {
+                return Ok(false);
+            };
+            if state.version != version
+                || state.members.binary_search(&run_name.to_string()).is_ok()
+            {
+                // A replaced specification or a replaced run: the distances
+                // the tree was shaped by are stale.
+                *slot = None;
+                self.states.mark_spec_dirty(spec);
+                return Ok(false);
+            }
+            let mut row = |source: &str, targets: &[&str]| oracle.distances(source, targets);
+            state.tree.insert(run_name, &mut row)?;
+            // The name was verified absent above, so this is the insert
+            // position.
+            let (Ok(at) | Err(at)) = state.members.binary_search(&run_name.to_string());
+            state.members.insert(at, run_name.to_string());
             self.states.mark_spec_dirty(spec);
-            return Ok(false);
-        }
-        let mut row = |source: &str, targets: &[&str]| oracle.distances(source, targets);
-        state.tree.insert(run_name, &mut row)?;
-        // The name was verified absent above, so this is the insert position.
-        let (Ok(at) | Err(at)) = state.members.binary_search(&run_name.to_string());
-        state.members.insert(at, run_name.to_string());
-        self.states.mark_spec_dirty(spec);
-        Ok(true)
+            Ok(true)
+        };
+        self.states.existing(spec, absorb).unwrap_or(Ok(false))
     }
 
     /// Removes a run from the tree, if the index holds state for the
@@ -161,24 +159,24 @@ impl IncrementalMetricIndex {
     /// the next query rebuilds it — no distance evaluation happens here
     /// either way.
     pub fn remove_run(&self, spec: &str, run_name: &str) -> bool {
-        let mut states = self.states.lock();
-        let Some(state) = states.get_mut(spec) else {
-            return false;
-        };
-        let Ok(at) = state.members.binary_search(&run_name.to_string()) else {
-            return false;
-        };
-        state.members.remove(at);
-        let emptied = state.members.is_empty();
-        match state.tree.remove(run_name) {
-            RemoveOutcome::Removed if !emptied => {}
-            // Pivot loss, an inconsistent tree, or the last member: drop.
-            _ => {
-                states.remove(spec);
+        let remove = |slot: &mut Option<SpecMetricState>| {
+            let Some(state) = slot else {
+                return false;
+            };
+            let Ok(at) = state.members.binary_search(&run_name.to_string()) else {
+                return false;
+            };
+            state.members.remove(at);
+            let emptied = state.members.is_empty();
+            match state.tree.remove(run_name) {
+                RemoveOutcome::Removed if !emptied => {}
+                // Pivot loss, an inconsistent tree, or the last member: drop.
+                _ => *slot = None,
             }
-        }
-        self.states.mark_spec_dirty(spec);
-        true
+            self.states.mark_spec_dirty(spec);
+            true
+        };
+        self.states.existing(spec, remove).unwrap_or(false)
     }
 
     /// Drops the state of one specification.
@@ -188,7 +186,7 @@ impl IncrementalMetricIndex {
 
     /// The indexed member count for `spec` (testing/diagnostics).
     pub fn member_count(&self, spec: &str) -> usize {
-        self.states.lock().get(spec).map(|s| s.members.len()).unwrap_or(0)
+        self.states.existing(spec, |slot| slot.as_ref().map_or(0, |s| s.members.len())).unwrap_or(0)
     }
 }
 
@@ -305,6 +303,23 @@ mod tests {
         index.nearest("s", VERSION, &members, "p0", 2, 0.0, None, &oracle).unwrap();
         assert!(!index.insert_run("s", Fingerprint(7), "p10", &oracle).unwrap());
         assert_eq!(index.member_count("s"), 0, "stale state was dropped");
+    }
+
+    #[test]
+    fn a_build_waiting_on_its_distances_does_not_block_another_spec() {
+        let index = IncrementalMetricIndex::new();
+        let b = names(0..35);
+        index.nearest("b", VERSION, &b, "p0", 3, 0.0, None, &MatrixOracle::new(line())).unwrap();
+        let inserted = crate::derived::tests::finishes_while_another_spec_waits(
+            MatrixOracle::new(line()),
+            |gated| {
+                let members = names(0..40);
+                index.nearest("a", VERSION, &members, "p3", 5, 0.0, None, gated).unwrap();
+            },
+            || assert!(index.insert_run("b", VERSION, "p35", &MatrixOracle::new(line())).unwrap()),
+        );
+        assert!(inserted, "the insert into spec b waited for spec a's tree build");
+        assert_eq!((index.member_count("a"), index.member_count("b")), (40, 36));
     }
 
     #[test]

@@ -400,6 +400,27 @@ fn canonical_fingerprint(
     Ok((rebuilt.fingerprint(), rebuilt))
 }
 
+/// The `shard-NNN/` subdirectories of `root`, in index order: the layout
+/// in which earlier versions split one store across several store
+/// directories.  Such a root has no `manifest.json` of its own; `store_tool
+/// merge` turns it back into one store directory.  Empty when `root` holds
+/// none (or cannot be read).
+pub fn shard_dirs(root: &Path) -> Vec<PathBuf> {
+    let Ok(entries) = std::fs::read_dir(root) else {
+        return Vec::new();
+    };
+    let mut found: Vec<(usize, PathBuf)> = entries
+        .flatten()
+        .filter(|entry| entry.path().is_dir())
+        .filter_map(|entry| {
+            let index = entry.file_name().to_str()?.strip_prefix("shard-")?.parse().ok()?;
+            Some((index, entry.path()))
+        })
+        .collect();
+    found.sort();
+    found.into_iter().map(|(_, path)| path).collect()
+}
+
 /// Reads `dir`'s manifest and checks its format version — the first step of
 /// every load and WAL append.  Returns the manifest's path too, for error
 /// context.

@@ -32,32 +32,17 @@ use wfdiff_sptree::SpTreeError;
 // Success bodies
 // ---------------------------------------------------------------------------
 
-/// `GET /healthz` response.  `specs`/`runs`/`threads` are totals across
-/// every shard; `shards` breaks them down (one entry on an unsharded
-/// server).
+/// `GET /healthz` response.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct HealthResponse {
     /// Always `"ok"` when the server can answer at all.
     pub status: String,
-    /// Number of specifications stored, summed across shards.
+    /// Number of specifications stored.
     pub specs: usize,
-    /// Number of runs stored (across all specifications and shards).
+    /// Number of runs stored, across all specifications.
     pub runs: usize,
-    /// Diff threads across every shard's service.
+    /// The diff service's worker threads.
     pub threads: usize,
-    /// Per-shard breakdown, in shard order.
-    pub shards: Vec<ShardHealth>,
-}
-
-/// One shard's slice of a `GET /healthz` response.
-#[derive(Debug, Serialize, Deserialize)]
-pub struct ShardHealth {
-    /// The shard index.
-    pub shard: usize,
-    /// Specifications stored on this shard.
-    pub specs: usize,
-    /// Runs stored on this shard.
-    pub runs: usize,
 }
 
 /// One entry of the `GET /specs` listing.
@@ -302,7 +287,7 @@ pub struct StreamEventsResponse {
 
 /// `DELETE /runs/{spec}/{stream}/stream` response: the operator remedy for
 /// a stuck in-flight stream — the stream is dropped from the registry and
-/// (when the shard persists) a closure marker is appended so it stays gone
+/// (when the server persists) a closure marker is appended so it stays gone
 /// after a restart.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct StreamCloseResponse {

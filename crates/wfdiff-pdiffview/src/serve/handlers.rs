@@ -1,4 +1,4 @@
-//! Endpoint implementations: routing a parsed [`Request`] onto the sharded
+//! Endpoint implementations: routing a parsed [`Request`] onto the
 //! [`DiffService`]/[`WorkflowStore`](crate::store::WorkflowStore) stack and
 //! rendering responses.
 //!
@@ -7,15 +7,12 @@
 //! panic) into a [`Response`] for the worker to render.  A request's path is
 //! classified once, by [`Endpoint::classify`], the only table of path
 //! shapes; the route table below matches methods against its endpoints.
-//! Endpoints that address one specification resolve their shard through the
-//! [`ShardRouter`]; `/healthz` and `/specs` aggregate across every shard,
-//! and `/metrics` renders the server's [`ServeMetrics`] registry as
-//! Prometheus text.
+//! `/metrics` renders the server's [`ServeMetrics`] registry as Prometheus
+//! text.
 
 use super::api::*;
 use super::http::Request;
 use super::metrics::{Endpoint, Route, ServeMetrics, ServerCounter};
-use super::shard::{ShardEntry, ShardRouter};
 use crate::cluster::{ClusterDiff, Clustering, DEFAULT_CLUSTER_SEED};
 use crate::service::DiffService;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,42 +34,25 @@ pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 /// The `Content-Type` of every other response.
 const JSON_CONTENT_TYPE: &str = "application/json";
 
-/// Everything a handler needs: the shard router (each shard owns a diff
-/// service, and through it a store, plus optionally a durable directory)
-/// and the metrics registry.
+/// Everything a handler needs: the diff service (and through it the
+/// store), the store's durable directory when it persists, and the metrics
+/// registry.
 pub struct AppState {
-    router: ShardRouter,
+    service: Arc<DiffService>,
+    dir: Option<PathBuf>,
     metrics: Arc<ServeMetrics>,
 }
 
 impl AppState {
-    /// Builds the state over a shard router, creating a metrics registry
-    /// sized to it.
-    pub fn new(router: ShardRouter) -> Self {
-        let metrics = Arc::new(ServeMetrics::new(router.len()));
-        AppState { router, metrics }
-    }
-
-    /// Single-shard state — the unsharded server.
+    /// The state of a server over `service`, whose writes are appended to
+    /// `store_dir`'s write-ahead log when given.
     pub fn single(service: Arc<DiffService>, store_dir: Option<PathBuf>) -> Self {
-        AppState::new(ShardRouter::single(service, store_dir))
-    }
-
-    /// The shard router.
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
+        AppState { service, dir: store_dir, metrics: Arc::default() }
     }
 
     /// The metrics registry.
     pub fn metrics(&self) -> &Arc<ServeMetrics> {
         &self.metrics
-    }
-
-    /// Resolves the shard for a spec name, counting the routing decision.
-    fn shard(&self, spec: &str) -> &ShardEntry {
-        let i = self.router.shard_index(spec);
-        self.metrics.observe_shard_request(i);
-        &self.router.shards()[i]
     }
 }
 
@@ -99,7 +79,7 @@ pub fn dispatch(state: &AppState, req: &Request) -> Response {
     let path = Endpoint::classify(&segments);
     let outcome = catch_unwind(AssertUnwindSafe(|| match (req.method.as_str(), path.endpoint) {
         ("GET", Endpoint::Metrics) => {
-            (200, METRICS_CONTENT_TYPE, state.metrics.render(&state.router))
+            (200, METRICS_CONTENT_TYPE, state.metrics.render(&state.service))
         }
         _ => {
             let (status, body) = route_path(state, req, path);
@@ -157,50 +137,36 @@ fn json<T: serde::Serialize>(status: u16, value: &T) -> Result<(u16, String), Ap
         .map_err(|e| ApiError::new(500, "serialisation_failed", e.to_string()))
 }
 
-/// `GET /healthz`: totals aggregated across every shard, plus the per-shard
-/// breakdown.
+/// `GET /healthz`: the store's sizes and the diff service's thread count.
 fn healthz(state: &AppState) -> Result<(u16, String), ApiError> {
-    let mut shards = Vec::with_capacity(state.router.len());
-    let mut threads = 0;
-    for (i, shard) in state.router.shards().iter().enumerate() {
-        let store = shard.service().store();
-        threads += shard.service().threads();
-        shards.push(ShardHealth {
-            shard: i,
-            specs: store.spec_names().len(),
-            runs: store.run_count(),
-        });
-    }
+    let store = state.service.store();
     json(
         200,
         &HealthResponse {
             status: "ok".to_string(),
-            specs: shards.iter().map(|s| s.specs).sum(),
-            runs: shards.iter().map(|s| s.runs).sum(),
-            threads,
-            shards,
+            specs: store.spec_names().len(),
+            runs: store.run_count(),
+            threads: state.service.threads(),
         },
     )
 }
 
-/// `GET /specs`: the listings of every shard merged and sorted by name, so
-/// clients see one store regardless of the shard count.
+/// `GET /specs`: every stored specification, sorted by name.
 fn specs(state: &AppState) -> Result<(u16, String), ApiError> {
-    let mut specs: Vec<SpecEntry> = Vec::new();
-    for shard in state.router.shards() {
-        let snapshot = shard.service().store().snapshot_all();
-        specs.extend(snapshot.iter().map(|(name, (spec, runs))| SpecEntry {
+    let snapshot = state.service.store().snapshot_all();
+    let specs = snapshot
+        .iter()
+        .map(|(name, (spec, runs))| SpecEntry {
             name: name.clone(),
             fingerprint: spec.fingerprint().to_string(),
             runs: runs.len(),
-        }));
-    }
-    specs.sort_by(|a, b| a.name.cmp(&b.name));
+        })
+        .collect();
     json(200, &SpecsResponse { specs })
 }
 
 fn spec_runs(state: &AppState, name: &str) -> Result<(u16, String), ApiError> {
-    let (_, runs) = state.shard(name).service().store().snapshot(name).ok_or_else(|| {
+    let (_, runs) = state.service.store().snapshot(name).ok_or_else(|| {
         ApiError::new(404, "unknown_spec", format!("unknown specification {name:?}"))
     })?;
     json(
@@ -211,7 +177,7 @@ fn spec_runs(state: &AppState, name: &str) -> Result<(u16, String), ApiError> {
 
 /// `POST /runs`: validate the descriptor against the stored specification
 /// and store the run through [`DiffService::commit_run_insert`], durably
-/// when the shard owns a store directory.
+/// when the server owns a store directory.
 ///
 /// A name that is already stored is refused with `409`: the insert is
 /// **create-only**, checked under the same lock as the append, so
@@ -221,8 +187,7 @@ fn spec_runs(state: &AppState, name: &str) -> Result<(u16, String), ApiError> {
 fn insert_run(state: &AppState, req: &Request) -> Result<(u16, String), ApiError> {
     let body: InsertRunRequest = parse_body(&req.body)?;
     let spec_name = body.run.spec.clone();
-    let shard = state.shard(&spec_name);
-    let service = shard.service();
+    let service = &state.service;
     let spec = service.store().spec(&spec_name).ok_or_else(|| {
         ApiError::new(404, "unknown_spec", format!("unknown specification {spec_name:?}"))
     })?;
@@ -239,9 +204,9 @@ fn insert_run(state: &AppState, req: &Request) -> Result<(u16, String), ApiError
         ));
     }
     let run = body.run.to_run(&spec)?;
-    service.commit_run_insert(shard.dir(), &body.name, run)?;
-    notify_inserted(state, service, &spec_name, &body.name);
-    let persisted = shard.dir().is_some();
+    service.commit_run_insert(state.dir.as_deref(), &body.name, run)?;
+    notify_inserted(state, &spec_name, &body.name);
+    let persisted = state.dir.is_some();
     json(201, &InsertRunResponse { spec: spec_name, name: body.name, persisted })
 }
 
@@ -249,9 +214,9 @@ fn insert_run(state: &AppState, req: &Request) -> Result<(u16, String), ApiError
 /// no-op until the first k-medoids query builds state for this spec; never
 /// fails the write).  The time this takes is the recluster lag the metrics
 /// expose.
-fn notify_inserted(state: &AppState, service: &DiffService, spec: &str, run: &str) {
+fn notify_inserted(state: &AppState, spec: &str, run: &str) {
     let started = Instant::now();
-    service.notify_run_inserted(spec, run);
+    state.service.notify_run_inserted(spec, run);
     state.metrics.observe_cluster_update(started.elapsed());
 }
 
@@ -260,17 +225,16 @@ fn notify_inserted(state: &AppState, service: &DiffService, spec: &str, run: &st
 /// drift verdict.
 ///
 /// The batch goes through [`DiffService::commit_stream_batch`]: it is
-/// atomic, and durable before any reader sees it when the shard persists,
+/// atomic, and durable before any reader sees it when the server persists,
 /// so a `500` leaves the stream as it was.  With `finalize: true` the same
 /// write also validates the completed stream end-to-end, stores it as run
 /// `stream` through the same create-only check as `POST /runs`, and closes
 /// the stream.
 fn stream_batch(state: &AppState, req: &Request) -> Result<(u16, String), ApiError> {
     let body: StreamEventsRequest = parse_body(&req.body)?;
-    let shard = state.shard(&body.spec);
-    let service = shard.service();
+    let service = &state.service;
     let (ack, run) = service.commit_stream_batch(
-        shard.dir(),
+        state.dir.as_deref(),
         &body.spec,
         &body.stream,
         &body.events,
@@ -287,10 +251,10 @@ fn stream_batch(state: &AppState, req: &Request) -> Result<(u16, String), ApiErr
         complete: ack.complete,
         finalized: run.is_some(),
         drift: None,
-        persisted: shard.dir().is_some(),
+        persisted: state.dir.is_some(),
     };
     if run.is_some() {
-        notify_inserted(state, service, &body.spec, &body.stream);
+        notify_inserted(state, &body.spec, &body.stream);
         return json(201, &response);
     }
     let report = service.drift_report(&body.spec, &body.stream)?;
@@ -315,7 +279,7 @@ fn drift(
 ) -> Result<(u16, String), ApiError> {
     let k = parse_int_param::<usize>(req, "k")?;
     let seed = parse_int_param::<u64>(req, "seed")?.unwrap_or(DEFAULT_CLUSTER_SEED);
-    let service = state.shard(spec).service();
+    let service = &state.service;
     if let Some(k) = k {
         service.cluster_medoids(spec, k, seed)?;
     }
@@ -328,20 +292,19 @@ fn drift(
 
 /// `DELETE /runs/{spec}/{stream}/stream`: drop a stuck in-flight stream —
 /// the operator runbook's remedy for streams whose producer died mid-run.
-/// When the shard persists, the stream's closure marker is durable before
+/// When the server persists, the stream's closure marker is durable before
 /// the stream leaves the registry, so it stays gone across restarts; if
 /// the marker cannot be written the answer is `500` and the stream stays
 /// open.
 fn close_stream(state: &AppState, spec: &str, stream: &str) -> Result<(u16, String), ApiError> {
-    let shard = state.shard(spec);
-    let seq = shard.service().commit_stream_close(shard.dir(), spec, stream)?;
+    let seq = state.service.commit_stream_close(state.dir.as_deref(), spec, stream)?;
     json(
         200,
         &StreamCloseResponse {
             spec: spec.to_string(),
             stream: stream.to_string(),
             seq,
-            persisted: shard.dir().is_some(),
+            persisted: state.dir.is_some(),
         },
     )
 }
@@ -374,12 +337,11 @@ fn similar(state: &AppState, req: &Request) -> Result<(u16, String), ApiError> {
             }
         },
     };
-    let shard = state.shard(spec);
-    let service = shard.service();
+    let service = &state.service;
     let (neighbors, stats) = service.nearest_runs_pruned(spec, run, k, epsilon)?;
     // Checkpoint the (possibly just-built) tree as a WAL delta; cheap when
     // nothing changed, best-effort like the cluster checkpoint.
-    if let Some(dir) = shard.dir() {
+    if let Some(dir) = &state.dir {
         let _ = service.save_metric_state(dir);
     }
     state.metrics.counter(ServerCounter::SimilarDistanceEvals).add(stats.distance_evals as u64);
@@ -421,7 +383,7 @@ fn diff(state: &AppState, req: &Request) -> Result<(u16, String), ApiError> {
     let spec = req.query_param("spec").ok_or_else(|| ApiError::missing_param("spec"))?;
     let a = req.query_param("a").ok_or_else(|| ApiError::missing_param("a"))?;
     let b = req.query_param("b").ok_or_else(|| ApiError::missing_param("b"))?;
-    let pair = state.shard(spec).service().diff(spec, a, b)?;
+    let pair = state.service.diff(spec, a, b)?;
     json(
         200,
         &DiffResponse {
@@ -441,7 +403,7 @@ fn diff_batch(state: &AppState, req: &Request) -> Result<(u16, String), ApiError
             format!("{} pairs exceed the limit of {MAX_BATCH_PAIRS} per request", body.pairs.len()),
         ));
     }
-    let distances = state.shard(&body.spec).service().diff_batch(&body.spec, &body.pairs)?;
+    let distances = state.service.diff_batch(&body.spec, &body.pairs)?;
     json(
         200,
         &BatchDiffResponse {
@@ -474,20 +436,19 @@ fn cluster(state: &AppState, req: &Request) -> Result<(u16, String), ApiError> {
 }
 
 /// `GET /cluster?algo=kmedoids&k=…[&seed=…]`: the incremental k-medoids
-/// clustering of every stored run; checkpointed to the shard's store
-/// directory (best effort) when the shard persists.
+/// clustering of every stored run; checkpointed to the store directory
+/// (best effort) when the server persists.
 fn cluster_kmedoids(state: &AppState, req: &Request) -> Result<(u16, String), ApiError> {
     let spec = req.query_param("spec").ok_or_else(|| ApiError::missing_param("spec"))?;
     let k = parse_int_param::<usize>(req, "k")?.ok_or_else(|| ApiError::missing_param("k"))?;
     let seed = parse_int_param::<u64>(req, "seed")?.unwrap_or(DEFAULT_CLUSTER_SEED);
-    let shard = state.shard(spec);
-    let snapshot = shard.service().cluster_medoids(spec, k, seed)?;
-    // Checkpoint the refreshed clustering next to the shard's store (a
-    // no-op when nothing changed since the last checkpoint).  Best effort:
-    // the artifact is a cache and a failed write must not fail the query
-    // (the next load simply rebuilds).
-    let persisted = match shard.dir() {
-        Some(dir) => shard.service().save_cluster_state(dir).is_ok(),
+    let snapshot = state.service.cluster_medoids(spec, k, seed)?;
+    // Checkpoint the refreshed clustering next to the store (a no-op when
+    // nothing changed since the last checkpoint).  Best effort: the
+    // artifact is a cache and a failed write must not fail the query (the
+    // next load simply rebuilds).
+    let persisted = match &state.dir {
+        Some(dir) => state.service.save_cluster_state(dir).is_ok(),
         None => false,
     };
     json(
@@ -524,7 +485,7 @@ fn cluster_prefix(state: &AppState, req: &Request) -> Result<(u16, String), ApiE
             ))
         }
     };
-    let service = state.shard(spec_name).service();
+    let service = &state.service;
     let spec = service.store().spec(spec_name).ok_or_else(|| {
         ApiError::new(404, "unknown_spec", format!("unknown specification {spec_name:?}"))
     })?;
@@ -598,28 +559,6 @@ mod tests {
         AppState::single(Arc::new(DiffService::new(store)), None)
     }
 
-    /// The `fig2` store spread across two shards: `fig2` on its hashed
-    /// shard, a second spec (`aux`) forced onto the other one.
-    fn sharded_state() -> AppState {
-        let stores: Vec<Arc<WorkflowStore>> =
-            (0..2).map(|_| Arc::new(WorkflowStore::new())).collect();
-        let fig2_shard = super::super::shard::shard_of("fig2", 2);
-        let spec = stores[fig2_shard].insert_spec(fig2_specification()).unwrap();
-        stores[fig2_shard].insert_run("r1", fig2_run1(&spec)).unwrap();
-        stores[fig2_shard].insert_run("r2", fig2_run2(&spec)).unwrap();
-        let mut b = wfdiff_sptree::SpecificationBuilder::new("aux");
-        b.path(&["a", "b", "c"]).fork_between("a", "c");
-        let aux = stores[1 - fig2_shard].insert_spec(b.build().unwrap()).unwrap();
-        let run = wfdiff_workloads::runs::generate_run_with_target_edges(&aux, 6, 1);
-        stores[1 - fig2_shard].insert_run("a1", run).unwrap();
-        AppState::new(ShardRouter::new(
-            stores
-                .iter()
-                .map(|s| ShardEntry::new(Arc::new(DiffService::new(Arc::clone(s))), None))
-                .collect(),
-        ))
-    }
-
     #[test]
     fn routing_covers_success_and_error_paths() {
         let state = state();
@@ -684,7 +623,7 @@ mod tests {
     #[test]
     fn insert_endpoint_validates_fingerprint_and_json() {
         let state = state();
-        let store = Arc::clone(state.router().shard_for("fig2").service().store());
+        let store = Arc::clone(state.service.store());
         let spec = store.spec("fig2").unwrap();
         let descriptor = RunDescriptor::from_run(&fig2_run1(&spec));
 
@@ -798,7 +737,7 @@ mod tests {
     #[test]
     fn plain_similar_builds_the_metric_index_and_matches_the_exact_sweep() {
         let state = state();
-        let service = Arc::clone(state.router().shard_for("fig2").service());
+        let service = Arc::clone(&state.service);
         let store = Arc::clone(service.store());
         let spec = store.spec("fig2").unwrap();
         store.insert_run("r3", fig2_run3(&spec)).unwrap();
@@ -863,7 +802,7 @@ mod tests {
         let (status, _) =
             route(&state, &request("GET", "/cluster?spec=fig2&algo=kmedoids&k=2", ""));
         assert_eq!(status, 200);
-        let service = Arc::clone(state.router().shard_for("fig2").service());
+        let service = Arc::clone(&state.service);
         let store = Arc::clone(service.store());
         let spec = store.spec("fig2").unwrap();
         let descriptor = RunDescriptor::from_run(&fig2_run2(&spec));
@@ -877,42 +816,8 @@ mod tests {
         // The recluster lag was observed.
         assert!(state
             .metrics()
-            .render(state.router())
+            .render(&state.service)
             .contains("wfdiff_cluster_update_duration_seconds_count 1"));
-    }
-
-    #[test]
-    fn sharded_specs_and_healthz_aggregate_across_shards() {
-        let state = sharded_state();
-        let (status, body) = route(&state, &request("GET", "/specs", ""));
-        assert_eq!(status, 200, "{body}");
-        let out: SpecsResponse = serde_json::from_str(&body).unwrap();
-        let names: Vec<&str> = out.specs.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["aux", "fig2"], "merged and sorted across shards");
-
-        let (status, body) = route(&state, &request("GET", "/healthz", ""));
-        assert_eq!(status, 200, "{body}");
-        let health: HealthResponse = serde_json::from_str(&body).unwrap();
-        assert_eq!(health.specs, 2);
-        assert_eq!(health.runs, 3);
-        assert_eq!(health.shards.len(), 2);
-        assert_eq!(health.shards.iter().map(|s| s.runs).sum::<usize>(), 3);
-    }
-
-    #[test]
-    fn sharded_requests_route_to_the_owning_shard() {
-        let state = sharded_state();
-        // Both specs answer correctly even though they live on different
-        // shards behind one route table.
-        let (status, body) = route(&state, &request("GET", "/diff?spec=fig2&a=r1&b=r2", ""));
-        assert_eq!(status, 200, "{body}");
-        let (status, body) = route(&state, &request("GET", "/specs/aux/runs", ""));
-        assert_eq!(status, 200, "{body}");
-        let runs: RunsResponse = serde_json::from_str(&body).unwrap();
-        assert_eq!(runs.runs, vec!["a1"]);
-        // Unknown specs 404 regardless of which shard the hash picks.
-        let (status, _) = route(&state, &request("GET", "/specs/nope/runs", ""));
-        assert_eq!(status, 404);
     }
 
     fn stream_body(spec: &str, stream: &str, events: Vec<StreamEvent>, finalize: bool) -> String {
@@ -976,13 +881,13 @@ mod tests {
         let out: StreamEventsResponse = serde_json::from_str(&body).unwrap();
         assert!(out.complete && out.finalized);
         assert!(out.drift.is_none(), "finalised responses carry no drift");
-        let store = state.router().shard_for("fig2").service().store().clone();
+        let store = state.service.store().clone();
         assert!(store.run("fig2", "s1").is_some());
         // The stream is gone: its drift endpoint 404s now.
         let (status, _) = route(&state, &request("GET", "/runs/fig2/s1/drift", ""));
         assert_eq!(status, 404);
         // And the streamed run joined the incremental clustering.
-        let service = state.router().shard_for("fig2").service();
+        let service = &state.service;
         let snapshot = service.cluster_index().snapshot("fig2").unwrap();
         assert!(snapshot.cluster_of("s1").is_some());
     }
@@ -1038,7 +943,7 @@ mod tests {
         );
         assert_eq!(status, 409, "{body}");
         assert!(body.contains("stream_conflict"));
-        let service = state.router().shard_for("fig2").service();
+        let service = &state.service;
         assert!(service.stream_seq("fig2", "s1").is_none(), "rejected batch opened no stream");
         // Completion of a never-started node → 400.
         let (status, body) = route(
@@ -1086,7 +991,7 @@ mod tests {
         let out: StreamCloseResponse = serde_json::from_str(&body).unwrap();
         assert_eq!(out.seq, 3);
         assert!(!out.persisted, "no store directory configured");
-        let service = state.router().shard_for("fig2").service();
+        let service = &state.service;
         assert!(service.stream_seq("fig2", "stuck").is_none());
         // Closing twice → 404; wrong method → 405.
         let (status, _) = route(&state, &request("DELETE", "/runs/fig2/stuck/stream", ""));
@@ -1156,7 +1061,7 @@ mod tests {
     fn persisted_state(tag: &str, io: Arc<dyn StoreIo>) -> (PathBuf, Arc<WorkflowStore>, AppState) {
         let dir = std::env::temp_dir().join(format!("wfdiff-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        state().router().shard_for("fig2").service().store().save_to_dir(&dir).unwrap();
+        state().service.store().save_to_dir(&dir).unwrap();
         let store = Arc::new(WorkflowStore::load_from_dir_with_io(&dir, io).unwrap());
         let state =
             AppState::single(Arc::new(DiffService::new(Arc::clone(&store))), Some(dir.clone()));
@@ -1176,7 +1081,7 @@ mod tests {
 
         // The append made the record durable, so the failed fold after it
         // does not fail the write.
-        let service = state.router().shard_for("fig2").service();
+        let service = &state.service;
         service.commit_run_insert(Some(&dir), "r3", fig2_run3(&spec)).unwrap();
 
         // Nor does it fail the endpoint.
@@ -1187,8 +1092,8 @@ mod tests {
         assert_eq!(store.wal_stats().folds_total, 0, "every fold failed");
         // Each append's failed fold is counted, and the scrape shows it.
         assert_eq!(store.wal_stats().fold_failures_total, 2);
-        let scrape = state.metrics().render(state.router());
-        assert!(scrape.contains("\nwfdiff_checkpoint_fold_failures_total{shard=\"0\"} 2\n"));
+        let scrape = state.metrics().render(&state.service);
+        assert!(scrape.contains("\nwfdiff_checkpoint_fold_failures_total 2\n"));
 
         let loaded = WorkflowStore::load_from_dir(&dir).unwrap();
         assert!(loaded.run("fig2", "r3").is_some() && loaded.run("fig2", "r4").is_some());
@@ -1323,7 +1228,7 @@ mod tests {
     }
 
     fn post_run(state: &AppState, name: &str) -> u16 {
-        let spec = state.router().shard_for("fig2").service().store().spec("fig2").unwrap();
+        let spec = state.service.store().spec("fig2").unwrap();
         route(state, &request("POST", "/runs", &insert_body(name, &fig2_run3(&spec)))).0
     }
 
@@ -1362,7 +1267,7 @@ mod tests {
         assert_eq!(route(&state, &request("POST", "/runs/stream", &open)).0, 200);
         let (status, body) = route(&state, &request("DELETE", "/runs/fig2/stuck/stream", ""));
         assert_eq!(status, 500, "{body}");
-        let service = state.router().shard_for("fig2").service();
+        let service = &state.service;
         assert_eq!(service.stream_seq("fig2", "stuck"), Some(3), "the stream stays open");
         let (_, reloaded, report) = reload(&dir);
         assert_eq!((report.loaded, reloaded.stream_seq("fig2", "stuck")), (1, Some(3)));
@@ -1398,7 +1303,7 @@ mod tests {
         assert_eq!(first.0, 500, "{}", first.1);
         // The second batch continues a stream that never opened.
         assert_eq!(second.0, 400, "{}", second.1);
-        let service = state.router().shard_for("fig2").service();
+        let service = &state.service;
         assert!(service.stream_seq("fig2", "s1").is_none(), "no refused event is in memory");
         let (_, _, report) = reload(&dir);
         assert_eq!((report.loaded, report.skipped), (0, 0), "nor on disk");
@@ -1441,7 +1346,7 @@ mod tests {
         assert_eq!(response.status, 200);
         assert_eq!(response.content_type, METRICS_CONTENT_TYPE);
         assert!(response.body.contains("# TYPE wfdiff_http_requests_total counter"));
-        assert!(response.body.contains("wfdiff_shards 1"));
+        assert!(response.body.contains("\nwfdiff_store_runs 2\n"));
         let response = dispatch(&state, &request("POST", "/metrics", ""));
         assert_eq!(response.status, 405);
         assert_eq!(response.content_type, "application/json");

@@ -1,13 +1,13 @@
 //! Lock-cheap serving metrics and their Prometheus text rendering.
 //!
 //! Every instrument is a fixed-size atomic (a latency histogram, a fixed
-//! bucket array) held in an array indexed by a small enum or by shard, so
-//! recording costs a few relaxed atomic adds and never locks or allocates.
+//! bucket array) held in an array indexed by a small enum, so recording
+//! costs a few relaxed atomic adds and never locks or allocates.
 //! Each metric family is declared once, as one table row (name, type,
 //! sample source and so labels, HELP text); [`ServeMetrics::render`] walks
 //! the table on `GET /metrics`.  `docs/OPERATIONS.md` documents every family.
 
-use super::shard::ShardRouter;
+use crate::service::DiffService;
 use crate::wal::WalStatsSnapshot;
 use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -288,10 +288,10 @@ pub enum ServerGauge {
     WorkersBusy,
 }
 
-/// One shard's figures, read once per scrape so that families drawn from
-/// one snapshot (the diff cache's, the WAL's) agree with each other.
-struct ShardSample {
-    requests: u64,
+/// The store's and the diff service's figures, read once per scrape so that
+/// families drawn from one snapshot (the diff cache's, the WAL's) agree with
+/// each other.
+struct StoreSample {
     workers: usize,
     specs: usize,
     runs: usize,
@@ -313,10 +313,8 @@ enum Source {
     Level(ServerGauge),
     /// The cluster-index update latency.
     ClusterUpdate,
-    /// The shard count.
-    Shards,
-    /// One figure of every shard's [`ShardSample`].
-    Shard(fn(&ShardSample) -> u64),
+    /// One figure of the [`StoreSample`].
+    Store(fn(&StoreSample) -> u64),
 }
 
 impl Source {
@@ -326,7 +324,6 @@ impl Source {
         match self {
             Requests => &["endpoint", "code"],
             Latency => &["endpoint"],
-            Shard(_) => &["shard"],
             _ => &[],
         }
     }
@@ -351,15 +348,13 @@ use ServerGauge::*;
 use Source::*;
 
 /// Every metric family, in rendering order.
-const FAMILIES: [Family; 30] = [
+const FAMILIES: [Family; 28] = [
     family("wfdiff_http_requests_total", "counter", Requests)
         .help("Requests served, by endpoint and status class."),
     family("wfdiff_http_request_duration_seconds", "histogram", Latency).help(
         "Request latency from the readiness event that delivered the request to its \
          response being rendered, by endpoint.",
     ),
-    family("wfdiff_shard_requests_total", "counter", Shard(|s| s.requests))
-        .help("Spec-addressed requests routed to each shard."),
     family("wfdiff_http_bytes_read_total", "counter", Count(BytesRead))
         .help("Bytes read off client sockets."),
     family("wfdiff_http_bytes_written_total", "counter", Count(BytesWritten))
@@ -385,36 +380,34 @@ const FAMILIES: [Family; 30] = [
         .help("HTTP workers currently executing a handler."),
     family("wfdiff_cluster_update_duration_seconds", "histogram", ClusterUpdate)
         .help("Incremental cluster-index update latency per inserted run (recluster lag)."),
-    family("wfdiff_shards", "gauge", Shards).help("Store shards behind this server."),
-    family("wfdiff_diff_workers", "gauge", Shard(|s| s.workers as u64))
-        .help("Diff-engine worker threads, per shard."),
-    family("wfdiff_store_specs", "gauge", Shard(|s| s.specs as u64))
-        .help("Specifications stored, per shard."),
-    family("wfdiff_store_runs", "gauge", Shard(|s| s.runs as u64)).help("Runs stored, per shard."),
-    family("wfdiff_diff_cache_hits_total", "counter", Shard(|s| s.cache.hits))
-        .help("Diff-cache hits, per shard."),
-    family("wfdiff_diff_cache_misses_total", "counter", Shard(|s| s.cache.misses))
-        .help("Diff-cache misses, per shard."),
-    family("wfdiff_diff_cache_insertions_total", "counter", Shard(|s| s.cache.insertions))
-        .help("Diff-cache insertions, per shard."),
-    family("wfdiff_diff_cache_evictions_total", "counter", Shard(|s| s.cache.evictions))
-        .help("Diff-cache evictions, per shard."),
-    family("wfdiff_diff_cache_entries", "gauge", Shard(|s| s.cache.entries as u64))
-        .help("Diff-cache resident entries, per shard."),
-    family("wfdiff_wal_appends_total", "counter", Shard(|s| s.wal.appends_total))
-        .help("Write-ahead-log records appended, per shard."),
-    family("wfdiff_wal_bytes", "gauge", Shard(|s| s.wal.bytes))
-        .help("Write-ahead-log bytes pending a fold, per shard."),
-    family("wfdiff_wal_replayed_records", "gauge", Shard(|s| s.wal.replayed_records))
-        .help("Write-ahead-log records replayed at the last load, per shard."),
-    family("wfdiff_checkpoint_folds_total", "counter", Shard(|s| s.wal.folds_total))
-        .help("Checkpoints that folded the write-ahead log into the manifest, per shard."),
+    family("wfdiff_diff_workers", "gauge", Store(|s| s.workers as u64))
+        .help("Diff-engine worker threads."),
+    family("wfdiff_store_specs", "gauge", Store(|s| s.specs as u64)).help("Specifications stored."),
+    family("wfdiff_store_runs", "gauge", Store(|s| s.runs as u64)).help("Runs stored."),
+    family("wfdiff_diff_cache_hits_total", "counter", Store(|s| s.cache.hits))
+        .help("Diff-cache hits."),
+    family("wfdiff_diff_cache_misses_total", "counter", Store(|s| s.cache.misses))
+        .help("Diff-cache misses."),
+    family("wfdiff_diff_cache_insertions_total", "counter", Store(|s| s.cache.insertions))
+        .help("Diff-cache insertions."),
+    family("wfdiff_diff_cache_evictions_total", "counter", Store(|s| s.cache.evictions))
+        .help("Diff-cache evictions."),
+    family("wfdiff_diff_cache_entries", "gauge", Store(|s| s.cache.entries as u64))
+        .help("Diff-cache resident entries."),
+    family("wfdiff_wal_appends_total", "counter", Store(|s| s.wal.appends_total))
+        .help("Write-ahead-log records appended."),
+    family("wfdiff_wal_bytes", "gauge", Store(|s| s.wal.bytes))
+        .help("Write-ahead-log bytes pending a fold."),
+    family("wfdiff_wal_replayed_records", "gauge", Store(|s| s.wal.replayed_records))
+        .help("Write-ahead-log records replayed at the last load."),
+    family("wfdiff_checkpoint_folds_total", "counter", Store(|s| s.wal.folds_total))
+        .help("Checkpoints that folded the write-ahead log into the manifest."),
     family(
         "wfdiff_checkpoint_fold_failures_total",
         "counter",
-        Shard(|s| s.wal.fold_failures_total),
+        Store(|s| s.wal.fold_failures_total),
     )
-    .help("Automatic checkpoint folds that failed, per shard."),
+    .help("Automatic checkpoint folds that failed."),
 ];
 
 impl Family {
@@ -453,30 +446,16 @@ impl Family {
 pub struct ServeMetrics {
     requests: [[Counter; STATUS_CLASSES.len()]; ENDPOINTS.len()],
     latency: [Histogram; ENDPOINTS.len()],
-    shard_requests: Vec<Counter>,
     counters: [Counter; ServerCounter::DriftFlags as usize + 1],
     gauges: [Gauge; ServerGauge::WorkersBusy as usize + 1],
     cluster_update: Histogram,
 }
 
 impl ServeMetrics {
-    /// Creates a registry for a server with `shards` store shards.
-    pub fn new(shards: usize) -> Self {
-        let shard_requests = (0..shards).map(|_| Counter::default()).collect();
-        ServeMetrics { shard_requests, ..Default::default() }
-    }
-
     /// Records one completed request.
     pub fn observe_request(&self, endpoint: Endpoint, status: u16, elapsed: Duration) {
         self.requests[endpoint as usize][status_class(status)].inc();
         self.latency[endpoint as usize].observe(elapsed);
-    }
-
-    /// Records that a request was routed to shard `i`.
-    pub fn observe_shard_request(&self, i: usize) {
-        if let Some(c) = self.shard_requests.get(i) {
-            c.inc();
-        }
     }
 
     /// Records one incremental cluster-index update (the recluster lag a
@@ -496,25 +475,16 @@ impl ServeMetrics {
     }
 
     /// Renders every family in the Prometheus text exposition format,
-    /// sampling live per-shard state (store sizes, diff-cache and WAL
-    /// counters, diff-worker counts) from `router` once, at scrape time.
-    pub fn render(&self, router: &ShardRouter) -> String {
-        let shards: Vec<ShardSample> = router
-            .shards()
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                let service = shard.service();
-                ShardSample {
-                    requests: self.shard_requests.get(i).map_or(0, Counter::get),
-                    workers: service.threads(),
-                    specs: service.store().spec_names().len(),
-                    runs: service.store().run_count(),
-                    cache: service.cache_stats(),
-                    wal: service.wal_stats(),
-                }
-            })
-            .collect();
+    /// sampling the live state of `service` and its store (store sizes,
+    /// diff-cache and WAL counters, diff-worker count) once, at scrape time.
+    pub fn render(&self, service: &DiffService) -> String {
+        let store = StoreSample {
+            workers: service.threads(),
+            specs: service.store().spec_names().len(),
+            runs: service.store().run_count(),
+            cache: service.cache_stats(),
+            wal: service.wal_stats(),
+        };
         let mut out = String::with_capacity(8 * 1024);
         for family in &FAMILIES {
             let Family { name, kind, source, help } = family;
@@ -536,12 +506,7 @@ impl ServeMetrics {
                 Count(c) => family.sample(m, "", &[], self.counter(c).get()),
                 Level(g) => family.sample(m, "", &[], self.gauge(g).get()),
                 ClusterUpdate => family.histogram(m, &[], &self.cluster_update),
-                Shards => family.sample(m, "", &[], router.len()),
-                Shard(figure) => {
-                    for (i, shard) in shards.iter().enumerate() {
-                        family.sample(m, "", &[&i.to_string()], figure(shard));
-                    }
-                }
+                Store(figure) => family.sample(m, "", &[], figure(&store)),
             }
         }
         out
@@ -642,7 +607,7 @@ mod tests {
         }
         counters.sort_unstable();
         gauges.sort_unstable();
-        let metrics = ServeMetrics::new(1);
+        let metrics = ServeMetrics::default();
         assert_eq!(counters, (0..metrics.counters.len()).collect::<Vec<_>>());
         assert_eq!(gauges, (0..metrics.gauges.len()).collect::<Vec<_>>());
     }

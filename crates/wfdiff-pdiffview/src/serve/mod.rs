@@ -1,12 +1,11 @@
 //! A networked front-end for the diff engine: a dependency-free, evented
-//! HTTP/1.1 server over `std::net`, fronting one or more [`DiffService`]
-//! shards (and through them the [`WorkflowStore`]s and their durable
-//! directories).
+//! HTTP/1.1 server over `std::net`, fronting one [`DiffService`] (and
+//! through it one [`WorkflowStore`] and its durable directory).
 //!
 //! PDiffView is presented as an interactive *system* users point at a
 //! provenance store; this module is the network layer — a process can load
-//! a store directory (or a sharded set of them), warm the caches and serve
-//! diff queries to remote clients (see the `wfdiff_serve` binary).
+//! a store directory, warm the caches and serve diff queries to remote
+//! clients (see the `wfdiff_serve` binary).
 //!
 //! # Architecture: readiness-driven workers
 //!
@@ -29,20 +28,12 @@
 //! that wait in the kernel's ready list, further connections are answered
 //! `503`.
 //!
-//! # Sharding
-//!
-//! [`Server::bind`] serves N store shards behind one address: each spec
-//! lives on the shard its name hashes to ([`shard::shard_of`]),
-//! spec-addressed endpoints route to exactly one shard, and `/specs`,
-//! `/healthz` and `/metrics` aggregate across all of them.  A single store
-//! is the one-shard router of [`ShardRouter::single`].
-//!
 //! # Endpoints
 //!
 //! | method & path            | body | response |
 //! |--------------------------|------|----------|
-//! | `GET /healthz`           | —    | store/pool summary, aggregated across shards |
-//! | `GET /specs`             | —    | specification listing (all shards, sorted by name) |
+//! | `GET /healthz`           | —    | store/pool summary |
+//! | `GET /specs`             | —    | specification listing, sorted by name |
 //! | `GET /specs/{name}/runs` | —    | run names of one specification |
 //! | `POST /runs`             | [`api::InsertRunRequest`] | insert (and durably append) a run |
 //! | `POST /runs/stream`      | [`api::StreamEventsRequest`] | append node-lifecycle events to an in-flight stream; live drift verdict, optional finalize |
@@ -83,12 +74,10 @@ mod epoll;
 pub mod handlers;
 pub mod http;
 pub mod metrics;
-pub mod shard;
 
 pub use api::ApiError;
 pub use handlers::AppState;
 pub use metrics::ServeMetrics;
-pub use shard::{ShardEntry, ShardRouter};
 
 use epoll::{Epoll, EPOLLIN, EPOLLONESHOT, EPOLLOUT};
 use metrics::Endpoint;
@@ -168,15 +157,14 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the configured address over a shard router.  Each shard keeps
-    /// its own store directory, if any: its writes (`POST /runs`, stream
-    /// batches, index checkpoints) are appended to that directory's
-    /// write-ahead log.  The listener is live after `bind` returns
-    /// (connections queue in the backlog); call [`Server::start`] to begin
-    /// servicing them.
-    pub fn bind(router: ShardRouter, config: ServeConfig) -> std::io::Result<Server> {
+    /// Binds the configured address over `state`: its service, and its
+    /// store directory, if any, to whose write-ahead log the writes (`POST
+    /// /runs`, stream batches, index checkpoints) are appended.  The
+    /// listener is live after `bind` returns (connections queue in the
+    /// backlog); call [`Server::start`] to begin servicing them.
+    pub fn bind(state: AppState, config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let state = Arc::new(AppState::new(router));
+        let state = Arc::new(state);
         Ok(Server { listener, state, config })
     }
 
@@ -712,13 +700,13 @@ mod tests {
 
     fn started_server() -> ServerHandle {
         let config = ServeConfig { threads: 2, ..ServeConfig::default() };
-        Server::bind(ShardRouter::single(fig2_service(), None), config).unwrap().start().unwrap()
+        Server::bind(AppState::single(fig2_service(), None), config).unwrap().start().unwrap()
     }
 
     /// Starts a server and keeps its state, so a test can read the metrics
     /// registry without a scrape connection of its own.
     fn started_with_state(config: ServeConfig) -> (Arc<AppState>, ServerHandle) {
-        let server = Server::bind(ShardRouter::single(fig2_service(), None), config).unwrap();
+        let server = Server::bind(AppState::single(fig2_service(), None), config).unwrap();
         let state = Arc::clone(&server.state);
         (state, server.start().unwrap())
     }
@@ -848,7 +836,7 @@ mod tests {
             response.contains("wfdiff_http_requests_total{endpoint=\"diff\",code=\"2xx\"} 1"),
             "{response}"
         );
-        assert!(response.contains("wfdiff_diff_cache_misses_total{shard=\"0\"}"), "{response}");
+        assert!(response.contains("\nwfdiff_diff_cache_misses_total "), "{response}");
         handle.shutdown();
     }
 
@@ -858,7 +846,7 @@ mod tests {
         let service = Arc::new(DiffService::new(store));
         let config = ServeConfig { threads: 1, max_connections: 2, ..ServeConfig::default() };
         let handle =
-            Server::bind(ShardRouter::single(service, None), config).unwrap().start().unwrap();
+            Server::bind(AppState::single(service, None), config).unwrap().start().unwrap();
         let addr = handle.addr();
         // Two idle connections fill the table (give the reactor a moment to
         // accept them), then a third is refused.

@@ -368,7 +368,8 @@ pub struct DiffService {
 
 impl DiffService {
     /// Creates a service over `store` with the default configuration
-    /// (unit cost, fresh sharded cache, one worker per available CPU).
+    /// (unit cost, a fresh [`ShardedDiffCache`], one worker per available
+    /// CPU).
     pub fn new(store: Arc<WorkflowStore>) -> Self {
         DiffService::builder(store).build()
     }

@@ -15,10 +15,12 @@
 //! removed, nor a specification whose runs are mid-replacement.
 //!
 //! The full rank order across the store's locks is `save_lock` → `store` →
-//! `persist_fp_cache`, followed by the service's `streams` and `prepared`.
-//! The `lockrank` module's wrappers around these fields enforce it: they
-//! panic on any out-of-order acquisition when `debug_assertions` are on,
-//! which every `cargo test` run reaches.
+//! `persist_fp_cache`, with the derived indexes' per-specification `index`
+//! locks between `save_lock` and `store` (an index holds its lock while its
+//! distance evaluations read the store), and the service's `streams` and
+//! `prepared` last.  The `lockrank` module's wrappers around these fields
+//! enforce it: they panic on any out-of-order acquisition when
+//! `debug_assertions` are on, which every `cargo test` run reaches.
 //!
 //! # Specification versions
 //!
@@ -194,7 +196,7 @@ impl WorkflowStore {
     }
 
     /// A snapshot of the store's WAL counters (appends, bytes, replayed
-    /// records, folds) — the numbers `/metrics` exports per shard.
+    /// records, folds) — the numbers `/metrics` exports.
     pub fn wal_stats(&self) -> WalStatsSnapshot {
         self.wal_stats.snapshot()
     }

@@ -1,4 +1,4 @@
-//! The per-shard write-ahead log: `wal.log` beside `manifest.json`.
+//! The store's write-ahead log: `wal.log` beside `manifest.json`.
 //!
 //! A full [`WorkflowStore::save_to_dir`] rewrites every changed document and
 //! commits with a manifest rename — O(store).  The WAL makes the hot
@@ -496,7 +496,7 @@ impl WalStats {
 }
 
 /// A point-in-time snapshot of a store's WAL counters — what the `/metrics`
-/// endpoint exports per shard as `wfdiff_wal_appends_total`,
+/// endpoint exports as `wfdiff_wal_appends_total`,
 /// `wfdiff_wal_bytes`, `wfdiff_wal_replayed_records`,
 /// `wfdiff_checkpoint_folds_total` and
 /// `wfdiff_checkpoint_fold_failures_total`.
