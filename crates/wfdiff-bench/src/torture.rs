@@ -25,9 +25,10 @@
 //! acknowledged count — byte-for-byte on the run name set and on the open
 //! streams (names and applied event counts) that
 //! [`DiffService::load_streams`] rebuilds, exactly on the full pairwise
-//! distance matrix, and exactly on the k-medoids partition — and both
-//! derived-index checkpoints must resume without poisoning an answer: every
-//! pruned nearest-run query equals the exact sweep.
+//! distance matrix, and exactly on the k-medoids partition — and the
+//! cluster checkpoint must resume without poisoning an answer: every pruned
+//! nearest-run query, screened by the resumed clustering, equals the exact
+//! sweep.
 //! One operation of slack is inherent: a crash inside operation `j+1` may
 //! land before or after the single durable append that changes the compared
 //! state.  Each operation has exactly one such append: opening a stream is
@@ -103,9 +104,9 @@ pub enum TortureOp {
         /// Index of a previously opened stream.
         index: usize,
     },
-    /// Cluster the spec's runs with `k` medoids, answer one pruned
-    /// nearest-run query, and checkpoint both derived indexes (one WAL delta
-    /// append each).
+    /// Cluster the spec's runs with `k` medoids, checkpoint the clustering
+    /// (one WAL delta append), and answer one pruned nearest-run query,
+    /// which appends nothing.
     Recluster {
         /// Medoid count.
         k: usize,
@@ -274,7 +275,6 @@ fn apply_durable(
             service.save_cluster_state(dir).map_err(|e| e.to_string())?;
             let query = store.run_names(TORTURE_SPEC).into_iter().min().ok_or("no runs")?;
             service.nearest_runs_pruned(TORTURE_SPEC, &query, 2, 0.0).map_err(|e| e.to_string())?;
-            service.save_metric_state(dir).map_err(|e| e.to_string())?;
         }
         TortureOp::Checkpoint => {
             store.save_to_dir(dir).map_err(|e| e.to_string())?;
@@ -569,8 +569,8 @@ fn no_torn_tail(dir: &Path) -> Result<(), String> {
 
 /// Compares the recovered store against the reference replay: full pairwise
 /// distance matrix and k-medoids partition must be identical, and the
-/// recovered directory's cluster and metric checkpoints must restore
-/// without poisoning either or a pruned nearest-run query.
+/// recovered directory's cluster checkpoint must restore without poisoning
+/// either or a pruned nearest-run query.
 fn states_equal(
     dir: &Path,
     loaded: &Arc<WorkflowStore>,
@@ -578,7 +578,6 @@ fn states_equal(
 ) -> Result<(), String> {
     let loaded_service = DiffService::new(Arc::clone(loaded));
     loaded_service.load_cluster_state(dir);
-    loaded_service.load_metric_state(dir);
     let replay_service = DiffService::new(Arc::clone(replay));
     let runs = replay.run_names(TORTURE_SPEC);
     if runs.is_empty() {
@@ -635,14 +634,13 @@ pub fn run_torture(scale: TortureScale) -> TortureReport {
     std::fs::create_dir_all(&root).expect("torture root");
     let ops = script(scale);
     let fault_points = count_fault_points(&exe, &root, scale);
-    // The checkpoint reloads of a crashed directory must never fail the
-    // boot; exercise them on the fault-free directory once.
+    // The checkpoint reload of a crashed directory must never fail the
+    // boot; exercise it on the fault-free directory once.
     let clean = Arc::new(
         WorkflowStore::load_from_dir(root.join("count")).expect("fault-free directory loads"),
     );
     let clean = DiffService::new(clean);
     clean.load_cluster_state(root.join("count"));
-    clean.load_metric_state(root.join("count"));
 
     let mut report = TortureReport {
         scale: scale.name().to_string(),

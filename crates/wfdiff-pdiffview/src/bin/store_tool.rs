@@ -16,7 +16,8 @@
 //!
 //! store_tool wal <dir>
 //!     Print write-ahead-log record counts (inserts/removals/cluster
-//!     deltas), byte sizes and any torn-tail bytes.
+//!     deltas, and legacy metric deltas that the next fold drops), byte
+//!     sizes and any torn-tail bytes.
 //!
 //! store_tool checkpoint <dir>
 //!     Force a checkpoint fold: load the store (replaying its WAL), save
@@ -34,8 +35,8 @@
 //!     is loaded with full validation and its WAL replayed.  Nothing is
 //!     written, and the exit code is 1, when a specification appears in two
 //!     shards, when a shard has an open stream, or when <dst> already holds
-//!     a store.  Cluster and metric-index checkpoints are not carried over;
-//!     the server rebuilds them on first use.
+//!     a store.  Cluster checkpoints are not carried over; the server
+//!     rebuilds them on first use.
 //!
 //! store_tool bench-compare <baseline.json> <current.json> [max-ratio]
 //!     Compare two bench JSON documents (wfbench's result line and
@@ -223,7 +224,7 @@ fn wal(args: &[String]) -> Result<(), ToolError> {
     let summary = wfdiff_pdiffview::wal::inspect(Path::new(dir)).map_err(|e| e.to_string())?;
     println!(
         "{dir}: {} record(s) ({} insert(s), {} removal(s), {} cluster delta(s), \
-         {} metric delta(s)), {} byte(s), {} torn byte(s)",
+         {} legacy metric delta(s)), {} byte(s), {} torn byte(s)",
         summary.records,
         summary.run_inserts,
         summary.run_removes,

@@ -53,8 +53,8 @@ fn main() {
     }
 }
 
-/// Loads the store, warm-starts a service over it, resumes its checkpoints
-/// and open streams, and serves it until the process ends.
+/// Loads the store, warm-starts a service over it, resumes its cluster
+/// checkpoint and open streams, and serves it until the process ends.
 fn serve(dir: &Path, addr: &str, threads: usize) -> Result<(), String> {
     let shards = wfdiff_pdiffview::persist::shard_dirs(dir);
     if !shards.is_empty() && !dir.join("manifest.json").exists() {
@@ -70,19 +70,16 @@ fn serve(dir: &Path, addr: &str, threads: usize) -> Result<(), String> {
         Arc::new(WorkflowStore::load_from_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?);
     let service = Arc::new(DiffService::builder(store).threads(threads).build());
     let report = service.warm_start().map_err(|e| e.to_string())?;
-    // Resume the checkpointed run clustering and the vantage-point metric
-    // index behind pruned /similar (validated entry by entry; stale or
-    // corrupt state is simply rebuilt on the next query).
-    for (index, report) in [
-        ("cluster cache", service.load_cluster_state(dir)),
-        ("metric index", service.load_metric_state(dir)),
-    ] {
-        if report.loaded > 0 || report.stale > 0 {
-            println!(
-                "wfdiff_serve {index}: {} spec(s) resumed, {} stale entr(ies) to rebuild",
-                report.loaded, report.stale
-            );
-        }
+    // Resume the checkpointed run clustering (validated entry by entry;
+    // stale or corrupt state is simply rebuilt on the next query).  The
+    // vantage-point trees behind /similar have no checkpoint: each spec's
+    // first query builds its tree.
+    let clusters = service.load_cluster_state(dir);
+    if clusters.loaded > 0 || clusters.stale > 0 {
+        println!(
+            "wfdiff_serve cluster cache: {} spec(s) resumed, {} stale entr(ies) to rebuild",
+            clusters.loaded, clusters.stale
+        );
     }
     // Rebuild the in-flight stream registry from the write-ahead log so
     // streams survive a restart (stale or finalised groups are skipped).

@@ -35,16 +35,17 @@
 //! Index state is tagged with the specification's version fingerprint; a
 //! replaced specification silently invalidates the state (it is rebuilt on
 //! the next [`IncrementalClusterIndex::ensure`]).  The state is a *cache*:
-//! dropping it never loses data, and the shared checkpoint mechanism of
-//! [`crate::derived`] saves it next to the store directory so a restarted
-//! server resumes without re-differencing.
+//! dropping it never loses data, and the checkpoint of
+//! [`crate::cluster::persist`] saves it next to the store directory so a
+//! restarted server resumes without re-differencing.
 //!
 //! [`ShardedDiffCache`]: wfdiff_core::ShardedDiffCache
 
 use super::kmedoids::{seed_medoids, solve};
 use crate::derived::SpecStates;
 use crate::metricindex::MedoidPivots;
-use std::collections::HashMap;
+use parking_lot::Mutex;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use wfdiff_sptree::Fingerprint;
 
@@ -266,14 +267,23 @@ impl SpecClusterState {
 /// update of one specification never waits for another's.
 #[derive(Debug, Default)]
 pub struct IncrementalClusterIndex {
-    /// Per-specification states and their checkpoint dirty tracking.
+    /// Per-specification states.
     pub(super) states: SpecStates<SpecClusterState>,
+    /// Specifications whose state changed since the last checkpoint (see
+    /// [`crate::cluster::persist`]).  A leaf lock: marked while a slot is
+    /// held.
+    pub(super) dirty: Mutex<BTreeSet<String>>,
 }
 
 impl IncrementalClusterIndex {
     /// Creates an empty index.
     pub fn new() -> Self {
         IncrementalClusterIndex::default()
+    }
+
+    /// Marks `spec`'s state as changed since the last checkpoint.
+    fn mark_dirty(&self, spec: &str) {
+        self.dirty.lock().insert(spec.to_string());
     }
 
     /// Returns the clustering of `spec`'s runs, building (or rebuilding) it
@@ -303,7 +313,7 @@ impl IncrementalClusterIndex {
         members.sort();
         members.dedup();
         if members.is_empty() {
-            self.states.invalidate(spec);
+            self.invalidate(spec);
             return Ok(ClusterSnapshot {
                 spec: spec.to_string(),
                 k,
@@ -346,7 +356,7 @@ impl IncrementalClusterIndex {
             state.reseed_and_stabilize(oracle, k.clamp(1, n))?;
             let snapshot = state.snapshot(spec);
             *slot = Some(state);
-            self.states.mark_spec_dirty(spec);
+            self.mark_dirty(spec);
             Ok(snapshot)
         })
     }
@@ -371,7 +381,7 @@ impl IncrementalClusterIndex {
             state.pivots = None;
             if state.version != version {
                 *slot = None;
-                self.states.mark_spec_dirty(spec);
+                self.mark_dirty(spec);
                 return Ok(false);
             }
             if state.members.binary_search(&run_name.to_string()).is_ok() {
@@ -415,7 +425,7 @@ impl IncrementalClusterIndex {
                 let initial = state.medoid_indices();
                 state.stabilize(oracle, initial)?;
             }
-            self.states.mark_spec_dirty(spec);
+            self.mark_dirty(spec);
             Ok(true)
         };
         self.states.existing(spec, absorb).unwrap_or(Ok(false))
@@ -441,7 +451,7 @@ impl IncrementalClusterIndex {
             state.assignments.remove(run_name);
             let name = run_name.to_string();
             state.distances.retain(|(a, b), _| *a != name && *b != name);
-            self.states.mark_spec_dirty(spec);
+            self.mark_dirty(spec);
             if state.members.is_empty() {
                 *slot = None;
                 return Ok(true);
@@ -494,7 +504,9 @@ impl IncrementalClusterIndex {
 
     /// Drops the state of one specification (e.g. after a spec replacement).
     pub fn invalidate(&self, spec: &str) {
-        self.states.invalidate(spec);
+        if self.states.invalidate(spec) {
+            self.mark_dirty(spec);
+        }
     }
 
     /// A read-only snapshot of the current clustering of `spec`, if the

@@ -17,8 +17,8 @@
 //!     per-specification medoids and assignments **as runs stream in or
 //!     out**: a streamed insert costs O(k + affected cluster) prepared
 //!     diffs (reusing the service's shared diff cache), not O(n²),
-//!   * [`persist`] — the optional `cluster_cache.json` artifact that lets a
-//!     restarted server resume clustering without re-differencing
+//!   * [`persist`] — the optional `cluster_cache.json` checkpoint that
+//!     lets a restarted server resume clustering without re-differencing
 //!     (validated on load, silently rebuilt when stale).
 //!
 //! The run-clustering entry point for most callers is
@@ -36,4 +36,4 @@ pub mod persist;
 pub use composite::{ClusterDiff, Clustering};
 pub use incremental::{ClusterSnapshot, IncrementalClusterIndex, RunCluster};
 pub use kmedoids::{KMedoids, DEFAULT_CLUSTER_SEED};
-pub use persist::CLUSTER_CACHE_FORMAT;
+pub use persist::{CheckpointReport, CLUSTER_CACHE_FORMAT};

@@ -13,7 +13,8 @@
 //!   (crash-safe saves, fully validated loads), after which
 //!   [`DiffService::warm_start`] prepares every loaded run once,
 //! * [`wal`] — the append-only write-ahead log behind hot-path durability:
-//!   run inserts/removals and checkpoint deltas become O(append) records that
+//!   run inserts/removals, stream events and cluster checkpoint deltas
+//!   become O(append) records that
 //!   [`WorkflowStore::load_from_dir`] replays past the manifest commit point,
 //! * [`storeio`] — the [`StoreIo`] trait abstracting every durability-relevant
 //!   filesystem operation, with a [`RealIo`] passthrough and a deterministic
@@ -37,9 +38,10 @@
 //!   provenance graphs) **and** run clustering: a deterministic k-medoids
 //!   iteration, the [`IncrementalClusterIndex`] that follows the store as
 //!   runs stream in or out, and its optional on-disk checkpoint,
-//! * [`metricindex`] — the metric index behind `GET /similar` queries: a deterministic vantage-point tree per specification with
-//!   certified triangle-inequality pruning, maintained incrementally and
-//!   checkpointed as `metric_index.json`,
+//! * [`metricindex`] — the metric index behind `GET /similar` queries: a
+//!   deterministic vantage-point tree per specification with certified
+//!   triangle-inequality pruning, maintained incrementally in memory and
+//!   rebuilt by the first query after a boot,
 //! * [`serve`] — a dependency-free HTTP/1.1 front-end over `std::net`
 //!   (Linux): a fixed pool of workers blocks in `epoll_wait`, each serving
 //!   the ready socket it was woken for end to end (read, parse, handle,
@@ -76,7 +78,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod cluster;
-pub mod derived;
+mod derived;
 pub mod io;
 mod lockrank;
 pub mod metricindex;
@@ -92,15 +94,11 @@ pub mod stream;
 pub mod wal;
 
 pub use cluster::{
-    ClusterDiff, ClusterSnapshot, Clustering, IncrementalClusterIndex, KMedoids, RunCluster,
-    DEFAULT_CLUSTER_SEED,
+    CheckpointReport, ClusterDiff, ClusterSnapshot, Clustering, IncrementalClusterIndex, KMedoids,
+    RunCluster, DEFAULT_CLUSTER_SEED,
 };
-pub use derived::CheckpointReport;
 pub use io::{RunDescriptor, SpecDescriptor, DESCRIPTOR_FORMAT};
-pub use metricindex::{
-    IncrementalMetricIndex, MedoidPivots, PruneStats, DEFAULT_METRIC_SEED, METRIC_INDEX_FILE,
-    METRIC_INDEX_FORMAT,
-};
+pub use metricindex::{IncrementalMetricIndex, MedoidPivots, PruneStats, DEFAULT_METRIC_SEED};
 pub use persist::{PersistError, SaveSummary, STORE_FORMAT};
 pub use render::{render_diff_dot, render_diff_text};
 pub use serve::{ServeConfig, ServeMetrics, Server, ServerHandle};

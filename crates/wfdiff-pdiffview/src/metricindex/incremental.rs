@@ -10,13 +10,11 @@
 //! [`IncrementalMetricIndex::remove_run`] removes leaf members in place.  A
 //! removal that hits a *pivot* — or a run replaced under an unchanged name,
 //! whose old distances shaped the tree — drops the specification's state;
-//! the next query rebuilds it.  Like the cluster index, every state is a
-//! cache of derived data: dropping one never loses information, and
-//! the shared checkpoint mechanism of [`crate::derived`] saves it beside the
-//! store so a restarted server resumes without re-differencing.  Mutations
-//! mark their specification dirty in the same `SpecStates` registry the
-//! cluster index uses, one lock per specification, and a checkpoint appends
-//! one WAL delta per changed spec.
+//! the next query rebuilds it.  Every state is derived data held in memory
+//! only: the same runs and seed always draw the same tree, so a restarted
+//! server rebuilds it on its first query instead of loading a checkpoint.
+//! The states sit in the same `SpecStates` registry the cluster index uses,
+//! one lock per specification.
 
 use super::vptree::{MedoidPivots, RemoveOutcome, VpTree};
 use crate::cluster::incremental::DistanceOracle;
@@ -63,7 +61,7 @@ pub(crate) struct SpecMetricState {
 /// so work on one specification never waits for another's.
 #[derive(Debug, Default)]
 pub struct IncrementalMetricIndex {
-    /// Per-specification trees and their checkpoint dirty tracking.
+    /// Per-specification trees.
     pub(super) states: SpecStates<SpecMetricState>,
 }
 
@@ -109,7 +107,6 @@ impl IncrementalMetricIndex {
                 Some(s) if s.seed == seed && s.version == version && s.members == members => s,
                 _ => {
                     let tree = VpTree::build(&members, seed, &mut row)?;
-                    self.states.mark_spec_dirty(spec);
                     slot.insert(SpecMetricState { seed, version, members, tree })
                 }
             };
@@ -138,7 +135,6 @@ impl IncrementalMetricIndex {
                 // A replaced specification or a replaced run: the distances
                 // the tree was shaped by are stale.
                 *slot = None;
-                self.states.mark_spec_dirty(spec);
                 return Ok(false);
             }
             let mut row = |source: &str, targets: &[&str]| oracle.distances(source, targets);
@@ -147,7 +143,6 @@ impl IncrementalMetricIndex {
             // position.
             let (Ok(at) | Err(at)) = state.members.binary_search(&run_name.to_string());
             state.members.insert(at, run_name.to_string());
-            self.states.mark_spec_dirty(spec);
             Ok(true)
         };
         self.states.existing(spec, absorb).unwrap_or(Ok(false))
@@ -173,7 +168,6 @@ impl IncrementalMetricIndex {
                 // Pivot loss, an inconsistent tree, or the last member: drop.
                 _ => *slot = None,
             }
-            self.states.mark_spec_dirty(spec);
             true
         };
         self.states.existing(spec, remove).unwrap_or(false)
@@ -266,6 +260,8 @@ mod tests {
         assert_eq!(again, got);
         assert_eq!(*oracle.fetches.borrow() - after_build, stats.distance_evals);
         assert!(stats.distance_evals < members.len() - 1, "pruning beat the sweep");
+        index.invalidate("s");
+        assert_eq!(index.member_count("s"), 0, "invalidation drops the tree");
     }
 
     #[test]
@@ -320,21 +316,5 @@ mod tests {
         );
         assert!(inserted, "the insert into spec b waited for spec a's tree build");
         assert_eq!((index.member_count("a"), index.member_count("b")), (40, 36));
-    }
-
-    #[test]
-    fn queries_and_invalidation_mark_the_checkpoint_dirty() {
-        let oracle = MatrixOracle::new(line());
-        let index = IncrementalMetricIndex::new();
-        let states = &index.states;
-        assert!(states.take_dirty_specs().is_none(), "clean index skips the append");
-        index.nearest("s", VERSION, &names(0..10), "p0", 2, 0.0, None, &oracle).unwrap();
-        assert_eq!(states.take_dirty_specs().unwrap(), vec!["s".to_string()]);
-        assert!(states.take_dirty_specs().is_none());
-        states.mark_dirty();
-        assert_eq!(states.take_dirty_specs().unwrap(), vec!["s".to_string()]);
-        index.invalidate("s");
-        assert_eq!(states.take_dirty_specs().unwrap(), vec!["s".to_string()]);
-        assert_eq!(index.member_count("s"), 0);
     }
 }

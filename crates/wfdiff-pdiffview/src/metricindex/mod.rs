@@ -9,9 +9,11 @@
 //!   (the latter reusing distances the cluster index already memoized),
 //! * [`incremental`] — [`IncrementalMetricIndex`], the per-specification
 //!   registry of trees that follows store inserts and removals alongside
-//!   the cluster notifications,
-//! * [`persist`] — the WAL-delta'd `metric_index.json` checkpoint,
-//!   validated against the live store exactly like `cluster_cache.json`.
+//!   the cluster notifications.
+//!
+//! The trees live in memory only.  A tree is a pure function of the stored
+//! runs and a seeded pivot draw, so it is never checkpointed: the first
+//! query after a boot builds it, and a `/similar` only reads the store.
 //!
 //! Pruning is **certified**: a subtree or candidate is skipped only when a
 //! triangle-inequality bound proves it cannot enter the top-`k`, so the
@@ -21,9 +23,7 @@
 //! bound.
 
 pub mod incremental;
-pub mod persist;
 pub(crate) mod vptree;
 
 pub use incremental::{IncrementalMetricIndex, PruneStats, DEFAULT_METRIC_SEED};
-pub use persist::{METRIC_INDEX_FILE, METRIC_INDEX_FORMAT};
 pub use vptree::MedoidPivots;

@@ -27,7 +27,7 @@
 //! consumed in pre-order, over members kept in sorted name order — the same
 //! member set and seed always build the same tree.  Incremental inserts
 //! descend without randomness and split overflowing leaves on their
-//! lexicographically first item, so a checkpointed tree reloads bit-for-bit.
+//! lexicographically first item.
 
 use super::incremental::PruneStats;
 use rand::{Rng, SeedableRng};

@@ -20,13 +20,15 @@
 //!   lists are loaded, so stray or orphaned directories are ignored.
 //! * The **write-ahead log** holds the mutations appended *since* the
 //!   manifest committed: run inserts, run removals, stream events and
-//!   derived-index checkpoint deltas, each a length-prefixed checksummed
-//!   record (see [`crate::wal`]).  [`WorkflowStore::load_from_dir`] replays
-//!   it past the manifest state (truncating a torn tail first), and a full
+//!   cluster checkpoint deltas, each a length-prefixed checksummed record
+//!   (see [`crate::wal`]).  [`WorkflowStore::load_from_dir`] replays it
+//!   past the manifest state (truncating a torn tail first), and a full
 //!   save **folds** it — merges the checkpoint deltas into
-//!   `cluster_cache.json` and `metric_index.json` (see [`crate::derived`]),
-//!   commits the snapshot, and replaces the log with the records of the
-//!   streams still open.
+//!   `cluster_cache.json` (see [`crate::cluster::persist`]), commits the
+//!   snapshot, and replaces the log with the records of the streams still
+//!   open.  The fold also drops what earlier versions wrote for the metric
+//!   index, which keeps no checkpoint: legacy kind-4 records and
+//!   `metric_index.json`.
 //! * Each specification directory is keyed by a slug of the name plus the
 //!   first 8 hex digits of the spec's **canonical persistent fingerprint**
 //!   (the arena fingerprint of the specification *as rebuilt from its
@@ -71,10 +73,8 @@
 //! [`PersistError`] naming the offending file — never a panic.  See
 //! [`PersistError`] for recovery semantics.
 
-use crate::cluster::IncrementalClusterIndex;
-use crate::derived;
+use crate::cluster;
 use crate::io::{RunDescriptor, SpecDescriptor};
-use crate::metricindex::IncrementalMetricIndex;
 use crate::pool;
 use crate::store::{StoreError, WorkflowStore};
 use crate::storeio::StoreIo;
@@ -93,6 +93,10 @@ use wfdiff_sptree::{Fingerprint, Run, SpTreeError, Specification};
 /// Loaders reject any other version rather than guessing; bump this constant
 /// whenever the layout or document schemas change incompatibly.
 pub const STORE_FORMAT: u32 = 1;
+
+/// The metric-index checkpoint file that earlier versions wrote beside the
+/// manifest: never read, and removed by the next fold.
+const LEGACY_METRIC_INDEX_FILE: &str = "metric_index.json";
 
 /// Errors raised while persisting or loading a store directory.
 ///
@@ -682,24 +686,22 @@ impl WorkflowStore {
             });
         }
 
-        // Fold the WAL's derived deltas into `cluster_cache.json` and
-        // `metric_index.json` before the commit point.  A crash after this
-        // merge is safe on both sides of the manifest rename: the checkpoints
-        // are validated entry by entry on load, and the still-untruncated
-        // WAL replays to the same state.
+        // Fold the WAL's cluster deltas into `cluster_cache.json` before the
+        // commit point.  A crash after this merge is safe on both sides of
+        // the manifest rename: the checkpoint is validated entry by entry on
+        // load, and the still-untruncated WAL replays to the same state.
         // Stream events of the streams still open (a closure marker's events
         // are folded into the finalised run).
         let (streams, _) = wal::open_streams(&wal_scan.records);
-        let derived_deltas: Vec<(wal::DerivedKind, wal::DerivedDeltaRecord)> = wal_scan
+        let cluster_deltas = wal_scan
             .records
             .into_iter()
             .filter_map(|record| match record {
-                wal::WalRecord::Derived(kind, delta) => Some((kind, delta)),
+                wal::WalRecord::ClusterDelta(delta) => Some(delta),
                 _ => None,
             })
             .collect();
-        derived::fold::<IncrementalClusterIndex>(&*self.io, dir, &derived_deltas)?;
-        derived::fold::<IncrementalMetricIndex>(&*self.io, dir, &derived_deltas)?;
+        cluster::persist::fold(&*self.io, dir, cluster_deltas)?;
 
         // Commit point: the manifest rename atomically switches loaders from
         // the previous state to this one.
@@ -733,10 +735,11 @@ impl WorkflowStore {
         self.wal_stats.folds_total.fetch_add(1, Ordering::AcqRel);
 
         // Garbage-collect spec directories the new manifest does not
-        // reference (left over from replaced spec versions), plus `.tmp`
+        // reference (left over from replaced spec versions), `.tmp`
         // leftovers of crashed manifest/spec.json writes (the runs/ sweep
-        // above covers run documents).  Failures here are ignored: the
-        // store is already committed and orphans are inert.
+        // above covers run documents) and a legacy metric-index checkpoint.
+        // Failures here are ignored: the store is already committed and
+        // orphans are inert.
         let sweep_tmp = |d: &Path| {
             if let Ok(entries) = fs::read_dir(d) {
                 for entry in entries.flatten() {
@@ -747,6 +750,10 @@ impl WorkflowStore {
             }
         };
         sweep_tmp(dir);
+        let legacy = dir.join(LEGACY_METRIC_INDEX_FILE);
+        if legacy.exists() {
+            let _ = self.io.remove_file(&legacy);
+        }
         if let Ok(entries) = fs::read_dir(&specs_root) {
             let live: std::collections::BTreeSet<&str> =
                 manifest.specs.iter().map(|s| s.dir.as_str()).collect();
@@ -939,7 +946,7 @@ impl WorkflowStore {
     }
 
     /// Appends already-encoded records to `dir`'s WAL under the save lock —
-    /// the entry point of the derived-index checkpoints (`crate::derived`).
+    /// the entry point of the cluster checkpoint ([`crate::cluster::persist`]).
     pub(crate) fn append_wal_encoded(
         &self,
         dir: &Path,
@@ -1018,11 +1025,9 @@ impl WorkflowStore {
     /// idempotently, and records against a specification version the
     /// manifest no longer lists are skipped.  The inserted runs are rebuilt
     /// in parallel the same way; the first bad insert in the log fails the
-    /// load.  The loaded store keeps the
-    /// surviving log — its checkpoint deltas feed
-    /// [`DiffService::load_cluster_state`](crate::service::DiffService::load_cluster_state)
-    /// and
-    /// [`DiffService::load_metric_state`](crate::service::DiffService::load_metric_state),
+    /// load.  Legacy kind-4 records are stepped over.  The loaded store
+    /// keeps the surviving log — its checkpoint deltas feed
+    /// [`DiffService::load_cluster_state`](crate::service::DiffService::load_cluster_state),
     /// and the next full save folds everything.
     pub fn load_from_dir(dir: impl AsRef<Path>) -> Result<WorkflowStore, PersistError> {
         WorkflowStore::load_from_dir_with_io(dir, Arc::new(crate::storeio::RealIo))
@@ -1200,10 +1205,10 @@ impl WorkflowStore {
                     store.remove_run(&remove.spec, &remove.name);
                     replayed += 1;
                 }
-                // Consumed by `DiffService::load_cluster_state` and
-                // `load_metric_state`, which overlay deltas on the checkpoint
-                // files and validate the result against this store.
-                wal::WalRecord::Derived(..) => replayed += 1,
+                // Consumed by `DiffService::load_cluster_state`, which
+                // overlays deltas on the checkpoint file and validates the
+                // result against this store.
+                wal::WalRecord::ClusterDelta(_) => replayed += 1,
                 // Consumed by `DiffService::load_streams`, which rebuilds
                 // the in-flight `PartialRun`s from these records.
                 wal::WalRecord::StreamEvent(_) => replayed += 1,

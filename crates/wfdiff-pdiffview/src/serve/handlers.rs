@@ -316,9 +316,10 @@ fn close_stream(state: &AppState, spec: &str, stream: &str) -> Result<(u16, Stri
 /// certified triangle-inequality pruning — the exact sweep's answer,
 /// ordering and tie-breaks included, usually for far fewer distance
 /// evaluations (reported in the response and the `wfdiff_similar_*`
-/// counter).  A spec's first query builds its tree, which is then
-/// checkpointed beside the store.  `approx=ε` relaxes the bound: every
-/// reported distance is at most `(1+ε)` times the true `k`-th.
+/// counter).  A spec's first query after a boot builds its tree in memory.
+/// The query is a pure read: it never appends to the write-ahead log.
+/// `approx=ε` relaxes the bound: every reported distance is at most
+/// `(1+ε)` times the true `k`-th.
 fn similar(state: &AppState, req: &Request) -> Result<(u16, String), ApiError> {
     let spec = req.query_param("spec").ok_or_else(|| ApiError::missing_param("spec"))?;
     let run = req.query_param("run").ok_or_else(|| ApiError::missing_param("run"))?;
@@ -337,13 +338,7 @@ fn similar(state: &AppState, req: &Request) -> Result<(u16, String), ApiError> {
             }
         },
     };
-    let service = &state.service;
-    let (neighbors, stats) = service.nearest_runs_pruned(spec, run, k, epsilon)?;
-    // Checkpoint the (possibly just-built) tree as a WAL delta; cheap when
-    // nothing changed, best-effort like the cluster checkpoint.
-    if let Some(dir) = &state.dir {
-        let _ = service.save_metric_state(dir);
-    }
+    let (neighbors, stats) = state.service.nearest_runs_pruned(spec, run, k, epsilon)?;
     state.metrics.counter(ServerCounter::SimilarDistanceEvals).add(stats.distance_evals as u64);
     json(
         200,

@@ -30,7 +30,7 @@
 //! cache only short-circuits subproblems that are provably equal.
 
 use crate::cluster::incremental::{ClusterSnapshot, DistanceOracle, IncrementalClusterIndex};
-use crate::derived::{self, CheckpointReport};
+use crate::cluster::CheckpointReport;
 use crate::lockrank::{LockRank, RankedRwLock};
 use crate::metricindex::{IncrementalMetricIndex, PruneStats};
 use crate::persist::PersistError;
@@ -683,8 +683,9 @@ impl DiffService {
     /// The `k` nearest stored runs to `run` through the metric index — the
     /// query behind `GET /similar` — with triangle-inequality pruning
     /// instead of the O(n) sweep.  A specification's first query builds its
-    /// vantage-point tree (and checkpoints resume it); later queries and
-    /// [`DiffService::notify_run_inserted`] maintain it.
+    /// vantage-point tree; later queries and
+    /// [`DiffService::notify_run_inserted`] maintain it.  The query itself
+    /// writes nothing.
     ///
     /// With `epsilon == 0` (the default) the result is **certified**
     /// identical to [`DiffService::nearest_runs`], ordering and tie-breaks
@@ -817,13 +818,13 @@ impl DiffService {
 
     /// Checkpoints the cluster index by appending one delta record per
     /// changed spec to the store directory's write-ahead log (see
-    /// [`crate::derived`] and [`crate::wal`]) — O(changed specs), not a
-    /// whole `cluster_cache.json` rewrite; the next full save folds the
-    /// deltas into the file.  Returns the number of tracked specs.  When
-    /// nothing changed since the last successful checkpoint the append is
-    /// skipped entirely, so calling this after every query is cheap.
+    /// [`crate::cluster::persist`] and [`crate::wal`]) — O(changed specs),
+    /// not a whole `cluster_cache.json` rewrite; the next full save folds
+    /// the deltas into the file.  Returns the number of tracked specs.
+    /// When nothing changed since the last successful checkpoint the append
+    /// is skipped entirely, so calling this after every query is cheap.
     pub fn save_cluster_state(&self, dir: impl AsRef<Path>) -> Result<usize, PersistError> {
-        derived::save_wal(&self.clusters, &self.store, self.cost.cache_key(), dir.as_ref())
+        self.clusters.save_checkpoint(&self.store, self.cost.cache_key(), dir.as_ref())
     }
 
     /// Write-ahead-log counters of the underlying store (appends, bytes,
@@ -836,22 +837,24 @@ impl DiffService {
     /// entry against the live store (stale or corrupt entries are skipped
     /// and rebuilt on demand — this never fails the boot).
     pub fn load_cluster_state(&self, dir: impl AsRef<Path>) -> CheckpointReport {
-        derived::load(&self.clusters, &self.store, self.cost.cache_key(), dir.as_ref())
+        self.clusters.load_checkpoint(&self.store, self.cost.cache_key(), dir.as_ref())
     }
 
-    /// Checkpoints the metric index as WAL delta records — the
-    /// `metric_index.json` analogue of [`DiffService::save_cluster_state`],
-    /// with the same O(changed specs) cost and skip-when-clean behaviour.
-    /// Returns the number of tracked specs.
-    pub fn save_metric_state(&self, dir: impl AsRef<Path>) -> Result<usize, PersistError> {
-        derived::save_wal(&self.metric, &self.store, self.cost.cache_key(), dir.as_ref())
+    /// Does nothing and returns `Ok(0)`.  The metric index keeps no
+    /// checkpoint: its trees are rebuilt from the stored runs by the first
+    /// [`DiffService::nearest_runs_pruned`] after a boot.  Kept, with its
+    /// signature, only for its one caller, the benchmark's traced replay.
+    pub fn save_metric_state(&self, _dir: impl AsRef<Path>) -> Result<usize, PersistError> {
+        Ok(0)
     }
 
-    /// Restores a metric-index checkpoint from `dir`, validating every tree
-    /// against the live store (stale or corrupt entries are skipped and
-    /// rebuilt on demand — this never fails the boot).
-    pub fn load_metric_state(&self, dir: impl AsRef<Path>) -> CheckpointReport {
-        derived::load(&self.metric, &self.store, self.cost.cache_key(), dir.as_ref())
+    /// Does nothing and returns an empty report; see
+    /// [`DiffService::save_metric_state`].  A `metric_index.json` or kind-4
+    /// WAL record written by an earlier version is never read, and the next
+    /// fold removes it.  Kept, with its signature, only for its one caller,
+    /// the benchmark's traced replay.
+    pub fn load_metric_state(&self, _dir: impl AsRef<Path>) -> CheckpointReport {
+        CheckpointReport::default()
     }
 
     /// [`DiffService::commit_stream_batch`] without a store directory or a

@@ -2,9 +2,9 @@
 //!
 //! A full [`WorkflowStore::save_to_dir`] rewrites every changed document and
 //! commits with a manifest rename — O(store).  The WAL makes the hot
-//! mutation paths O(append) instead: a run insert, a run removal or a
-//! derived-index checkpoint delta is one length-prefixed, checksummed record
-//! appended to `wal.log` and fsynced, and nothing else is touched.
+//! mutation paths O(append) instead: a run insert, a run removal, a stream
+//! event or a cluster checkpoint delta is one length-prefixed, checksummed
+//! record appended to `wal.log` and fsynced, and nothing else is touched.
 //!
 //! # Record framing
 //!
@@ -14,18 +14,25 @@
 //!
 //! `len` counts the kind byte plus the payload; `crc32` (IEEE) covers the
 //! kind byte plus the payload.  Kinds: 1 = run insert, 2 = run remove,
-//! 3 = cluster delta, 4 = metric-index delta, 5 = stream event (one
-//! node-lifecycle event of an in-flight streamed run).  A record is valid
-//! only if its header fits, its length is sane, its checksum matches and its
-//! payload deserialises; the **first** invalid record ends the log —
-//! everything from its offset on is a torn tail (a crashed append) and is
-//! truncated by the next [`WorkflowStore::load_from_dir`].
+//! 3 = cluster delta, 5 = stream event (one node-lifecycle event of an
+//! in-flight streamed run).  A record is valid only if its header fits, its
+//! length is sane, its checksum matches and its payload deserialises; the
+//! **first** invalid record ends the log — everything from its offset on is
+//! a torn tail (a crashed append) and is truncated by the next
+//! [`WorkflowStore::load_from_dir`].
 //!
-//! Kinds 3 and 4 share one record shape, `{cost_key, doc}`; the kind byte
-//! says which derived index owns it.  The `doc` stays undecoded JSON until
-//! that index loads it, so only the framing, the checksum and the envelope
-//! decide where the log ends: a `doc` the index cannot decode (written by
-//! another version, say) is a stale checkpoint entry, not a torn tail.
+//! Kind 3 is `{cost_key, doc}`.  The `doc` stays undecoded JSON until
+//! [`DiffService::load_cluster_state`] loads it, so only the framing, the
+//! checksum and the envelope decide where the log ends: a `doc` the cluster
+//! index cannot decode (written by another version, say) is a stale
+//! checkpoint entry, not a torn tail.
+//!
+//! Kind 4 is **legacy**: a vantage-point-tree checkpoint, written by
+//! versions whose metric index kept one.  The tree is rebuilt from the
+//! stored runs instead, so a kind-4 record whose framing and checksum pass
+//! is stepped over without decoding its payload — the records after it
+//! still replay — and the next fold drops it.  Any other unknown kind ends
+//! the log.
 //!
 //! # Replay semantics
 //!
@@ -35,25 +42,22 @@
 //! absent run is a no-op, and an insert recorded against a specification
 //! version the manifest no longer lists is skipped (the record predates a
 //! spec replacement whose full save crashed before the WAL truncation).
-//! Derived deltas are consumed by
-//! [`DiffService::load_cluster_state`](crate::service::DiffService::load_cluster_state)
-//! and
-//! [`DiffService::load_metric_state`](crate::service::DiffService::load_metric_state),
-//! which overlay them (last write wins per spec) on the index's checkpoint
-//! file and validate the result like any checkpoint entry (see
-//! [`crate::derived`]).
+//! Cluster deltas are consumed by [`DiffService::load_cluster_state`],
+//! which overlays them (last write wins per spec) on `cluster_cache.json`
+//! and validates the result like any checkpoint entry (see
+//! [`crate::cluster::persist`]).
 //!
 //! A full save **folds** the log: cluster deltas are merged into
-//! `cluster_cache.json`, metric-index deltas into `metric_index.json`, the
-//! snapshot is committed via the manifest rename, and the WAL is replaced,
-//! atomically, by the records of the streams still open (empty when there
-//! are none).  The fold runs automatically once
+//! `cluster_cache.json`, the snapshot is committed via the manifest rename,
+//! and the WAL is replaced, atomically, by the records of the streams still
+//! open (empty when there are none).  The fold runs automatically once
 //! [`WorkflowStore::set_wal_fold_threshold`] bytes have been appended since
 //! the last fold attempt.
 //!
 //! [`WorkflowStore::save_to_dir`]: crate::store::WorkflowStore::save_to_dir
 //! [`WorkflowStore::load_from_dir`]: crate::store::WorkflowStore::load_from_dir
 //! [`WorkflowStore::set_wal_fold_threshold`]: crate::store::WorkflowStore::set_wal_fold_threshold
+//! [`DiffService::load_cluster_state`]: crate::service::DiffService::load_cluster_state
 
 use crate::io::RunDescriptor;
 use crate::persist::PersistError;
@@ -74,8 +78,8 @@ const HEADER_BYTES: usize = 8;
 
 const KIND_RUN_INSERT: u8 = 1;
 const KIND_RUN_REMOVE: u8 = 2;
-const KIND_CLUSTER_DELTA: u8 = DerivedKind::Cluster as u8;
-const KIND_METRIC_DELTA: u8 = DerivedKind::Metric as u8;
+pub(crate) const KIND_CLUSTER_DELTA: u8 = 3;
+const KIND_LEGACY_METRIC_DELTA: u8 = 4;
 const KIND_STREAM_EVENT: u8 = 5;
 
 /// A run insert: enough to rebuild and re-validate the run at replay time.
@@ -102,43 +106,15 @@ pub(crate) struct RunRemoveRecord {
     pub(crate) name: String,
 }
 
-/// The derived index a [`DerivedDeltaRecord`] belongs to; the value is the
-/// record's WAL kind byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DerivedKind {
-    /// Kind 3: a k-medoids clustering entry (`cluster_cache.json`).
-    Cluster = 3,
-    /// Kind 4: a vantage-point-tree entry (`metric_index.json`).
-    Metric = 4,
-}
-
-/// One specification's updated checkpoint entry of a derived index (last
-/// write wins), as read back from the log.
-#[derive(Debug, Deserialize)]
-pub(crate) struct DerivedDeltaRecord {
+/// One specification's updated `cluster_cache.json` entry (last write
+/// wins), as read back from the log.
+#[derive(Debug, Serialize, Deserialize)]
+pub(crate) struct ClusterDeltaRecord {
     /// Cost-model cache key the entry was computed under.
     pub(crate) cost_key: u64,
-    /// The entry exactly as the index's checkpoint file holds it, left
-    /// undecoded until the owning index loads it.
+    /// The entry exactly as the checkpoint file holds it, left undecoded
+    /// until the cluster index loads it.
     pub(crate) doc: serde::Value,
-}
-
-/// The payload of a derived delta, `{cost_key, doc}`, as written: generic
-/// so a checkpoint lowers its typed entry to JSON once (a `Value` is copied
-/// whenever it is serialised), and serialised by hand because the vendored
-/// `serde_derive` has no generics.
-pub(crate) struct DerivedDelta<'a, D> {
-    pub(crate) cost_key: u64,
-    pub(crate) doc: &'a D,
-}
-
-impl<D: Serialize> Serialize for DerivedDelta<'_, D> {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_value(serde::Value::Map(vec![
-            ("cost_key".to_string(), serde::to_value(&self.cost_key)),
-            ("doc".to_string(), serde::to_value(self.doc)),
-        ]))
-    }
 }
 
 /// One node-lifecycle event of an in-flight streamed run.  Streams are
@@ -169,8 +145,8 @@ pub(crate) enum WalRecord {
     RunInsert(RunInsertRecord),
     /// Kind 2.
     RunRemove(RunRemoveRecord),
-    /// Kind 3 or 4, as the [`DerivedKind`] says.
-    Derived(DerivedKind, DerivedDeltaRecord),
+    /// Kind 3.
+    ClusterDelta(ClusterDeltaRecord),
     /// Kind 5.
     StreamEvent(StreamEventRecord),
 }
@@ -287,9 +263,7 @@ pub(crate) fn encode_all(dir: &Path, records: &[WalRecord]) -> Result<Vec<Encode
         .map(|record| match record {
             WalRecord::RunInsert(r) => encode(dir, KIND_RUN_INSERT, r),
             WalRecord::RunRemove(r) => encode(dir, KIND_RUN_REMOVE, r),
-            WalRecord::Derived(kind, r) => {
-                encode(dir, *kind as u8, &DerivedDelta { cost_key: r.cost_key, doc: &r.doc })
-            }
+            WalRecord::ClusterDelta(r) => encode(dir, KIND_CLUSTER_DELTA, r),
             WalRecord::StreamEvent(r) => encode(dir, KIND_STREAM_EVENT, r),
         })
         .collect()
@@ -382,8 +356,10 @@ pub(crate) fn replace(
 /// What [`scan`] found in a WAL file.
 #[derive(Debug, Default)]
 pub(crate) struct WalScan {
-    /// Every valid record, in append order.
+    /// Every valid record, in append order, legacy kind-4 records aside.
     pub(crate) records: Vec<WalRecord>,
+    /// Legacy kind-4 records stepped over (see the [module docs](self)).
+    pub(crate) legacy_metric_deltas: usize,
     /// Byte offset past the last valid record — where a torn tail (if any)
     /// starts.
     pub(crate) valid_len: u64,
@@ -401,6 +377,7 @@ fn read_u32_le(bytes: &[u8], offset: usize) -> Option<u32> {
 /// Reads and decodes `dir/wal.log`.  A missing file is an empty log; a
 /// decode failure ends the log at that offset (`valid_len < total_len`
 /// flags the torn tail) and is never an error — only unreadable storage is.
+/// A legacy kind-4 record is counted and stepped over undecoded.
 pub(crate) fn scan(dir: &Path) -> Result<WalScan, PersistError> {
     let path = wal_path(dir);
     let bytes = match std::fs::read(&path) {
@@ -427,14 +404,16 @@ pub(crate) fn scan(dir: &Path) -> Result<WalScan, PersistError> {
         if crc32(body) != crc {
             break;
         }
+        if body[0] == KIND_LEGACY_METRIC_DELTA {
+            out.legacy_metric_deltas += 1;
+            offset = body_end;
+            continue;
+        }
         let Ok(payload) = std::str::from_utf8(&body[1..]) else { break };
         let record = match body[0] {
             KIND_RUN_INSERT => serde_json::from_str(payload).map(WalRecord::RunInsert),
             KIND_RUN_REMOVE => serde_json::from_str(payload).map(WalRecord::RunRemove),
-            KIND_CLUSTER_DELTA => serde_json::from_str(payload)
-                .map(|delta| WalRecord::Derived(DerivedKind::Cluster, delta)),
-            KIND_METRIC_DELTA => serde_json::from_str(payload)
-                .map(|delta| WalRecord::Derived(DerivedKind::Metric, delta)),
+            KIND_CLUSTER_DELTA => serde_json::from_str(payload).map(WalRecord::ClusterDelta),
             KIND_STREAM_EVENT => serde_json::from_str(payload).map(WalRecord::StreamEvent),
             _ => break,
         };
@@ -521,7 +500,7 @@ pub struct WalStatsSnapshot {
 /// What `store_tool wal` reports about one store directory's log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WalSummary {
-    /// Valid records in the log.
+    /// Valid records in the log, legacy ones included.
     pub records: usize,
     /// Run-insert records (kind 1).
     pub run_inserts: usize,
@@ -529,7 +508,9 @@ pub struct WalSummary {
     pub run_removes: usize,
     /// Cluster-delta records (kind 3).
     pub cluster_deltas: usize,
-    /// Metric-index-delta records (kind 4).
+    /// Legacy metric-index-delta records (kind 4): written by versions whose
+    /// metric index kept a checkpoint, skipped on load and dropped by the
+    /// next fold.
     pub metric_deltas: usize,
     /// Stream-event records (kind 5), closure markers included.
     pub stream_events: usize,
@@ -545,7 +526,8 @@ pub struct WalSummary {
 pub fn inspect(dir: impl AsRef<Path>) -> Result<WalSummary, PersistError> {
     let scan = scan(dir.as_ref())?;
     let mut summary = WalSummary {
-        records: scan.records.len(),
+        records: scan.records.len() + scan.legacy_metric_deltas,
+        metric_deltas: scan.legacy_metric_deltas,
         bytes: scan.valid_len,
         torn_bytes: scan.total_len - scan.valid_len,
         ..WalSummary::default()
@@ -554,8 +536,7 @@ pub fn inspect(dir: impl AsRef<Path>) -> Result<WalSummary, PersistError> {
         match record {
             WalRecord::RunInsert(_) => summary.run_inserts += 1,
             WalRecord::RunRemove(_) => summary.run_removes += 1,
-            WalRecord::Derived(DerivedKind::Cluster, _) => summary.cluster_deltas += 1,
-            WalRecord::Derived(DerivedKind::Metric, _) => summary.metric_deltas += 1,
+            WalRecord::ClusterDelta(_) => summary.cluster_deltas += 1,
             WalRecord::StreamEvent(_) => summary.stream_events += 1,
         }
     }
@@ -675,6 +656,31 @@ mod tests {
             assert_eq!(repaired.valid_len, repaired.total_len);
             assert!(!repaired.records.is_empty());
         }
+    }
+
+    #[test]
+    fn a_legacy_kind_4_record_is_stepped_over_and_an_unknown_kind_ends_the_log() {
+        let dir = TempDir::new("legacy");
+        let mut records = encode_all(dir.path(), &[insert_record("r1")]).unwrap();
+        // Not JSON at all: a kind-4 payload is never decoded.
+        records.push((KIND_LEGACY_METRIC_DELTA, "a tree".to_string()));
+        records.extend(encode_all(dir.path(), &[insert_record("r2")]).unwrap());
+        records.push((9, "{}".to_string()));
+        records.extend(encode_all(dir.path(), &[insert_record("r3")]).unwrap());
+        append(&RealIo, dir.path(), &records, &AtomicBool::new(false)).unwrap();
+        let scan = scan(dir.path()).unwrap();
+        let names: Vec<&str> = scan
+            .records
+            .iter()
+            .filter_map(|r| match r {
+                WalRecord::RunInsert(r) => Some(r.name.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!((names, scan.legacy_metric_deltas), (vec!["r1", "r2"], 1));
+        let summary = inspect(dir.path()).unwrap();
+        assert_eq!((summary.records, summary.run_inserts, summary.metric_deltas), (3, 2, 1));
+        assert!(summary.torn_bytes > 0, "kind 9 and everything after it is a torn tail");
     }
 
     #[test]

@@ -1,26 +1,30 @@
-//! On-disk compatibility of the derived-index checkpoints.
+//! On-disk compatibility of the cluster checkpoint, and of what earlier
+//! versions wrote for the metric index.
 //!
 //! `tests/fixtures/derived_checkpoints/store` is a store directory written
 //! by the checkpoint code that predates the shared `derived` module: one
 //! specification with 17 runs, `cluster_cache.json` and `metric_index.json`
 //! already folded, and three records left in `wal.log` — the insert of an
 //! 18th run, then one cluster delta (kind 3) and one metric-index delta
-//! (kind 4) taken after it.  `folded/` holds the two files that code's full
-//! save (`save_to_dir`) wrote for that directory.  Loading the directory
-//! must resume both indexes, and folding it again must write both files
-//! byte for byte.
+//! (kind 4) taken after it.  `folded/` holds the `cluster_cache.json` that
+//! code's full save (`save_to_dir`) wrote for that directory.  Loading the
+//! directory must resume the clustering, and folding it again must write
+//! that file byte for byte.  The metric index keeps no checkpoint any more:
+//! its kind-4 records are stepped over and the fold drops them with
+//! `metric_index.json`.
 //!
 //! Checkpoints written now must be byte for byte the fixture's records, and a
 //! checkpoint record whose entry does not decode — one written by another
 //! version — must count as stale without cutting the WAL short.
 
-use pdiffview::pdiffview::{DiffService, WorkflowStore, METRIC_INDEX_FILE, WAL_FILE};
+use pdiffview::pdiffview::{DiffService, WorkflowStore, WAL_FILE};
 use pdiffview::workloads::figures::{fig2_run1, fig2_run2, fig2_run3, fig2_specification};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const CLUSTER_CACHE_FILE: &str = "cluster_cache.json";
+const METRIC_INDEX_FILE: &str = "metric_index.json";
 
 fn fixture(part: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/derived_checkpoints").join(part)
@@ -87,18 +91,14 @@ fn checkpoints_written_before_the_shared_mechanism_load_and_fold_byte_identicall
     let service = DiffService::new(Arc::clone(&store));
     let clusters = service.load_cluster_state(dir.path());
     assert_eq!((clusters.loaded, clusters.stale), (1, 0));
-    let metric = service.load_metric_state(dir.path());
-    assert_eq!((metric.loaded, metric.stale), (1, 0));
-    assert_eq!(service.metric_index().member_count("fixture"), 18);
     let (pruned, _) = service.nearest_runs_pruned("fixture", "run17", 4, 0.0).unwrap();
     assert_eq!(pruned, service.nearest_runs("fixture", "run17", 4).unwrap());
+    assert_eq!(service.metric_index().member_count("fixture"), 18);
 
     store.save_to_dir(dir.path()).unwrap();
-    for file in [CLUSTER_CACHE_FILE, METRIC_INDEX_FILE] {
-        let folded = std::fs::read(dir.path().join(file)).unwrap();
-        let expected = std::fs::read(fixture("folded").join(file)).unwrap();
-        assert!(folded == expected, "{file} differs from the one the earlier fold wrote");
-    }
+    let folded = std::fs::read(dir.path().join(CLUSTER_CACHE_FILE)).unwrap();
+    let expected = std::fs::read(fixture("folded").join(CLUSTER_CACHE_FILE)).unwrap();
+    assert!(folded == expected, "{CLUSTER_CACHE_FILE} differs from the one the earlier fold wrote");
 }
 
 /// CRC-32 (IEEE), bit by bit: the WAL's record checksum.
@@ -146,14 +146,36 @@ fn a_checkpoint_record_that_does_not_decode_is_stale_not_a_torn_tail() {
         let summary = pdiffview::pdiffview::wal::inspect(dir.path()).unwrap();
         assert_eq!((summary.records, summary.torn_bytes), (3, 0), "kind {kind}");
 
-        let service = DiffService::new(loaded);
-        let report = if kind == 3 {
-            service.load_cluster_state(dir.path())
-        } else {
-            service.load_metric_state(dir.path())
-        };
-        assert_eq!((report.loaded, report.stale), (0, 1), "kind {kind}: counted stale");
+        if kind == 3 {
+            let report = DiffService::new(loaded).load_cluster_state(dir.path());
+            assert_eq!((report.loaded, report.stale), (0, 1), "kind {kind}: counted stale");
+        }
     }
+}
+
+#[test]
+fn a_legacy_metric_record_is_stepped_over_and_dropped_by_the_next_fold() {
+    // The fixture's log ends in a kind-4 record; one more insert lands after
+    // it, so the log holds an insert, the legacy record and an insert.
+    let dir = ScratchDir::of(&fixture("store"), "legacy-metric");
+    let store = WorkflowStore::load_from_dir(dir.path()).unwrap();
+    let copy = store.run("fixture", "run00").unwrap();
+    let run18 = store.insert_run("run18", (*copy).clone()).unwrap();
+    store.append_run_to_dir(dir.path(), "run18", &run18).unwrap();
+    let summary = pdiffview::pdiffview::wal::inspect(dir.path()).unwrap();
+    assert_eq!((summary.run_inserts, summary.metric_deltas, summary.torn_bytes), (2, 1, 0));
+
+    let loaded = WorkflowStore::load_from_dir(dir.path()).unwrap();
+    assert!(loaded.run("fixture", "run17").is_some(), "the insert before it loads");
+    assert!(loaded.run("fixture", "run18").is_some(), "the insert after it loads");
+    assert_eq!(loaded.run_count(), 19);
+
+    loaded.save_to_dir(dir.path()).unwrap();
+    let summary = pdiffview::pdiffview::wal::inspect(dir.path()).unwrap();
+    assert_eq!((summary.records, summary.metric_deltas, summary.torn_bytes), (0, 0, 0));
+    assert!(!dir.path().join(METRIC_INDEX_FILE).exists(), "the fold removed the legacy file");
+    assert!(dir.path().join(CLUSTER_CACHE_FILE).exists());
+    assert_eq!(WorkflowStore::load_from_dir(dir.path()).unwrap().run_count(), 19);
 }
 
 /// Splits a WAL into its framed records (`[u32 len][u32 crc][len bytes]`).
@@ -174,18 +196,15 @@ fn resumed_checkpoints_are_rewritten_byte_for_byte() {
     let log = std::fs::read(dir.path().join(WAL_FILE)).unwrap();
     let recorded = frames(&log);
     assert_eq!(recorded.len(), 3);
-    // An undecodable entry per index makes its load re-arm a checkpoint of
+    // An undecodable entry makes the load re-arm a checkpoint of
     // everything it resumed.
     append_raw(dir.path(), 3, r#"{"cost_key":1,"doc":{}}"#);
-    append_raw(dir.path(), 4, r#"{"cost_key":1,"doc":{}}"#);
     let service = DiffService::new(Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap()));
     let clusters = service.load_cluster_state(dir.path());
-    let metric = service.load_metric_state(dir.path());
-    assert_eq!((clusters.loaded, clusters.stale, metric.loaded, metric.stale), (1, 1, 1, 1));
+    assert_eq!((clusters.loaded, clusters.stale), (1, 1));
 
     let out = ScratchDir::empty("rewritten");
     service.save_cluster_state(out.path()).unwrap();
-    service.save_metric_state(out.path()).unwrap();
     let rewritten = std::fs::read(out.path().join(WAL_FILE)).unwrap();
-    assert!(rewritten == [recorded[1], recorded[2]].concat(), "kind 3 and 4 records changed");
+    assert!(rewritten == recorded[1], "the kind-3 record changed");
 }

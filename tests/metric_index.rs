@@ -1,9 +1,14 @@
 //! Integration tests for the vantage-point metric index behind pruned
 //! `GET /similar`: across random stores, streamed insertions and removals,
 //! the pruned top-k must equal the exact O(n) sweep bit for bit (same
-//! distances, same tie-break ordering), and the persisted checkpoint must
-//! validate-or-rebuild exactly like the cluster cache.
+//! distances, same tie-break ordering), and a query — the one that builds a
+//! tree included — only reads the store: it never appends to the
+//! write-ahead log, and a restarted server rebuilds the same answer.
 
+use pdiffview::pdiffview::io::RunDescriptor;
+use pdiffview::pdiffview::serve::api::SimilarResponse;
+use pdiffview::pdiffview::serve::handlers::{dispatch, AppState};
+use pdiffview::pdiffview::serve::http::{parse_request, ParseOutcome};
 use pdiffview::pdiffview::{DiffService, PairDistance, WorkflowStore};
 use pdiffview::workloads::generator::{random_specification, SpecGenConfig};
 use pdiffview::workloads::runs::{generate_run, RunGenConfig};
@@ -118,76 +123,74 @@ impl Drop for TempDir {
     }
 }
 
+/// Sends one request through the server's handler.
+fn send(state: &AppState, method: &str, target: &str, body: &str) -> (u16, String) {
+    let wire =
+        format!("{method} {target} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+    let Ok(ParseOutcome::Complete { request, .. }) = parse_request(wire.as_bytes(), 1 << 20) else {
+        panic!("{wire} does not parse");
+    };
+    let response = dispatch(state, &request);
+    (response.status, response.body)
+}
+
+/// The neighbours of a `/similar` answer, as `(run, distance)`.
+fn neighbors(body: &str) -> Vec<(String, f64)> {
+    let response: SimilarResponse = serde_json::from_str(body).unwrap();
+    response.neighbors.into_iter().map(|n| (n.run, n.distance)).collect()
+}
+
+fn sweep(service: &DiffService, run: &str, k: usize) -> Vec<(String, f64)> {
+    let exact = service.nearest_runs("metric", run, k).unwrap();
+    exact.into_iter().map(|p| (p.target, p.distance)).collect()
+}
+
 #[test]
-fn metric_checkpoints_reload_when_valid_and_rebuild_when_stale() {
+fn a_similar_query_never_appends_to_the_wal() {
     let (spec, named) = random_workload(0x4E57, 14);
-    let dir = TempDir::new("checkpoint");
-    store_with(&spec, &named).save_to_dir(dir.path()).unwrap();
+    let dir = TempDir::new("pure-read");
+    store_with(&spec, &named[..13]).save_to_dir(dir.path()).unwrap();
+    let boot = |threads: usize| {
+        let store = Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap());
+        let service = Arc::new(DiffService::builder(store).threads(threads).build());
+        (AppState::single(Arc::clone(&service), Some(dir.path().to_path_buf())), service)
+    };
+    let similar = "/similar?spec=metric&run=run000&k=5";
 
-    // Serve path: load the directory, answer one pruned query (builds the
-    // tree), checkpoint it as a WAL delta.
-    let loaded = Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap());
-    let service = DiffService::new(Arc::clone(&loaded));
-    let (answer, _) = service.nearest_runs_pruned("metric", "run000", 5, 0.0).unwrap();
-    assert_eq!(service.save_metric_state(dir.path()).unwrap(), 1);
-    let after_save = pdiffview::pdiffview::wal::inspect(dir.path()).unwrap();
-    assert_eq!(after_save.metric_deltas, 1);
-    // A clean index appends nothing on the next checkpoint.
-    service.save_metric_state(dir.path()).unwrap();
-    let after_clean = pdiffview::pdiffview::wal::inspect(dir.path()).unwrap();
-    assert_eq!(after_clean.bytes, after_save.bytes, "a clean index appends nothing");
+    // The first query builds the tree, and writes nothing.
+    let (state, service) = boot(2);
+    let before = service.wal_stats().appends_total;
+    let (status, body) = send(&state, "GET", similar, "");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(service.metric_index().member_count("metric"), 13, "the query built the tree");
+    assert_eq!(service.wal_stats().appends_total, before, "the building query appended");
+    assert_eq!(neighbors(&body), sweep(&service, "run000", 5));
 
-    // Restart: a fresh load resumes the exact tree and serves the same
-    // answer without a rebuild.
-    let restarted = DiffService::new(Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap()));
-    let report = restarted.load_metric_state(dir.path());
-    assert_eq!((report.loaded, report.stale), (1, 0));
-    assert_eq!(restarted.metric_index().member_count("metric"), 14);
-    let (resumed, _) = restarted.nearest_runs_pruned("metric", "run000", 5, 0.0).unwrap();
-    assert_eq!(resumed, answer);
+    // A durable write, then a query over the grown store: only the write
+    // appends.
+    let descriptor = RunDescriptor::from_run(&named[13].1);
+    let insert = format!("{{\"name\": \"{}\", \"run\": {}}}", named[13].0, descriptor.to_json());
+    let (status, text) = send(&state, "POST", "/runs", &insert);
+    assert_eq!(status, 201, "{text}");
+    let after_write = service.wal_stats().appends_total;
+    assert_eq!(after_write, before + 1);
+    let (status, body) = send(&state, "GET", similar, "");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(service.wal_stats().appends_total, after_write, "a query after a write appended");
+    assert_eq!(service.metric_index().member_count("metric"), 14, "the tree took the insert");
+    let answer = neighbors(&body);
+    assert_eq!(answer, sweep(&service, "run000", 5));
 
-    // A cost-model mismatch rejects the checkpoint wholesale.
-    let other_cost =
-        DiffService::builder(Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap()))
-            .cost(Arc::new(wfdiff_core::LengthCost))
-            .build();
-    let report = other_cost.load_metric_state(dir.path());
-    assert_eq!((report.loaded, report.stale), (0, 1));
-    assert_eq!(other_cost.metric_index().member_count("metric"), 0);
-
-    // A store that gained a run after the checkpoint: the member set no
-    // longer matches, the entry is stale, and the next query rebuilds —
-    // still equal to the exact sweep over the grown store.
-    let grown = Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap());
-    let spec_arc = grown.spec("metric").unwrap();
-    let extra = spec_arc.execute(&mut wfdiff_sptree::FullDecider).unwrap();
-    grown.insert_run("zz-extra", extra).unwrap();
-    let grown_service = DiffService::new(Arc::clone(&grown));
-    let report = grown_service.load_metric_state(dir.path());
-    assert_eq!((report.loaded, report.stale), (0, 1));
-    let exact = grown_service.nearest_runs("metric", "zz-extra", 4).unwrap();
-    let (pruned, _) = grown_service.nearest_runs_pruned("metric", "zz-extra", 4, 0.0).unwrap();
-    assert_eq!(exact, pruned);
-
-    // A full save folds the pending delta into `metric_index.json` and
-    // truncates the log; the folded file alone restores the state.
-    loaded.save_to_dir(dir.path()).unwrap();
-    let artifact = dir.path().join(pdiffview::pdiffview::METRIC_INDEX_FILE);
-    assert!(artifact.exists(), "the fold materialised the checkpoint file");
-    assert_eq!(pdiffview::pdiffview::wal::inspect(dir.path()).unwrap().records, 0);
-    let folded = DiffService::new(Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap()));
-    let report = folded.load_metric_state(dir.path());
-    assert_eq!((report.loaded, report.stale), (1, 0));
-
-    // A corrupt checkpoint is reported stale and ignored, never an error.
-    std::fs::write(&artifact, "{not json").unwrap();
-    let fresh = DiffService::new(Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap()));
-    let report = fresh.load_metric_state(dir.path());
-    assert_eq!((report.loaded, report.stale), (0, 1));
-    // A missing checkpoint is simply an empty report.
-    std::fs::remove_file(&artifact).unwrap();
-    let report = fresh.load_metric_state(dir.path());
-    assert_eq!((report.loaded, report.stale), (0, 0));
+    // A restart keeps no tree: its first query rebuilds one, on one worker
+    // or on several, and answers the same.
+    for threads in [1, 4] {
+        let (state, service) = boot(threads);
+        assert_eq!(service.metric_index().member_count("metric"), 0);
+        let (status, body) = send(&state, "GET", similar, "");
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(neighbors(&body), answer, "{threads} worker(s)");
+        assert_eq!(service.wal_stats().appends_total, 0, "{threads} worker(s)");
+    }
 }
 
 #[test]
