@@ -131,13 +131,14 @@ fn read_file(path: &Path) -> Option<ClusterCacheFile> {
 
 impl IncrementalClusterIndex {
     /// Checkpoints the index by appending one delta record per dirty
-    /// specification to the store directory's write-ahead log, instead of
-    /// rewriting the checkpoint file whole.  Returns the number of
-    /// specifications the index tracks.  Each record is encoded under its
-    /// specification's lock alone, and every lock is released before the
-    /// append.  A member that no longer resolves in `store` (a concurrent
-    /// removal) leaves its specification out rather than written
-    /// inconsistently.
+    /// specification to the store directory's write-ahead log, through the
+    /// store's one append step, instead of rewriting the checkpoint file
+    /// whole.  Returns the number of specifications the index tracks.  Each
+    /// record is encoded under its specification's lock alone, and every
+    /// lock is released before the append.  A member that no longer
+    /// resolves in `store` (a concurrent removal) leaves its specification
+    /// out rather than written inconsistently.  A failed append, over-bound
+    /// records included, writes nothing, and the next checkpoint retries.
     pub(crate) fn save_checkpoint(
         &self,
         store: &WorkflowStore,
@@ -165,7 +166,11 @@ impl IncrementalClusterIndex {
                 })?
             })
             .collect();
-        if let Err(e) = encoded.and_then(|records| store.append_wal_encoded(dir, &records)) {
+        let appended = encoded.and_then(|records| {
+            let _save = store.save_lock.lock();
+            store.wal_append(dir, &records).map(|()| store.fold_if_due(Some(dir)))
+        });
+        if let Err(e) = appended {
             // The states are still unpersisted; make sure the next save retries.
             self.dirty.lock().extend(dirty);
             return Err(e);

@@ -44,8 +44,6 @@ pub struct PruneStats {
 /// Per-specification metric-index state.
 #[derive(Debug, Clone)]
 pub(crate) struct SpecMetricState {
-    /// Seed of the pivot draw the tree was built with.
-    pub(crate) seed: u64,
     /// The specification version the tree was built against.
     pub(crate) version: Fingerprint,
     /// Indexed runs, sorted by name.
@@ -83,8 +81,7 @@ impl IncrementalMetricIndex {
     /// screens leaf candidates with distances the cluster index already
     /// memoized.  The returned [`PruneStats`] counts query-time work only;
     /// a rebuild's distance fetches are amortised over subsequent queries.
-    /// Trees are drawn with [`DEFAULT_METRIC_SEED`]; a state drawn with
-    /// another seed is rebuilt.
+    /// Trees are drawn with [`DEFAULT_METRIC_SEED`].
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     pub fn nearest<O: DistanceOracle>(
         &self,
@@ -97,17 +94,16 @@ impl IncrementalMetricIndex {
         pivots: Option<&MedoidPivots>,
         oracle: &O,
     ) -> Result<(Vec<(String, f64)>, PruneStats), O::Error> {
-        let seed = DEFAULT_METRIC_SEED;
         let mut members: Vec<String> = run_names.to_vec();
         members.sort();
         members.dedup();
         let mut row = |source: &str, targets: &[&str]| oracle.distances(source, targets);
         self.states.update(spec, |slot| {
             let state = match slot {
-                Some(s) if s.seed == seed && s.version == version && s.members == members => s,
+                Some(s) if s.version == version && s.members == members => s,
                 _ => {
-                    let tree = VpTree::build(&members, seed, &mut row)?;
-                    slot.insert(SpecMetricState { seed, version, members, tree })
+                    let tree = VpTree::build(&members, DEFAULT_METRIC_SEED, &mut row)?;
+                    slot.insert(SpecMetricState { version, members, tree })
                 }
             };
             state.tree.nearest(query, k, epsilon, pivots, &mut row)

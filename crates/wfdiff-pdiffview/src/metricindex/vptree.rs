@@ -174,6 +174,52 @@ impl BestK {
     }
 }
 
+/// How `pivot` splits the other members of a node, `items`, given its
+/// `distances` to them: the node, with no children yet, and the members of
+/// its inside and outside subtrees.  Zero-distance members are duplicates
+/// of the pivot, absorbed as twins (answered for free at query time); the
+/// rest split at the lower median radius `mu`.  When every member is a
+/// twin the node is a childless inner node.  When every other member ties
+/// at `mu` (an equidistant clump), splitting cannot make progress — the
+/// inside would hold everything again — so the node is one oversized leaf
+/// of the pivot and the members; search scans leaf items linearly either
+/// way, and the medoid screening still applies to them.
+fn partition(
+    pivot: String,
+    items: Vec<String>,
+    distances: &[f64],
+) -> (VpNode, Vec<String>, Vec<String>) {
+    let mut twins = Vec::new();
+    let mut rest = Vec::with_capacity(items.len());
+    for (item, d) in items.into_iter().zip(distances) {
+        if *d == 0.0 {
+            twins.push(item);
+        } else {
+            rest.push((item, *d));
+        }
+    }
+    twins.sort();
+    if rest.is_empty() {
+        let node = VpNode::Inner { pivot, twins, mu: 0.0, inside: None, outside: None };
+        return (node, Vec::new(), Vec::new());
+    }
+    let mu = lower_median_of(rest.iter().map(|(_, d)| *d));
+    let (mut inside, mut outside) = (Vec::new(), Vec::new());
+    for (item, d) in rest {
+        if d <= mu {
+            inside.push(item);
+        } else {
+            outside.push(item);
+        }
+    }
+    if outside.is_empty() && twins.is_empty() {
+        inside.push(pivot);
+        inside.sort();
+        return (VpNode::Leaf { items: inside }, Vec::new(), Vec::new());
+    }
+    (VpNode::Inner { pivot, twins, mu, inside: None, outside: None }, inside, outside)
+}
+
 impl VpTree {
     /// Builds a tree over `members` (must be sorted, deduplicated) with a
     /// seeded deterministic pivot draw.  `row` supplies one-source-to-many
@@ -206,55 +252,21 @@ impl VpTree {
         let pivot = items.remove(rng.gen_range(0..items.len()));
         let targets: Vec<&str> = items.iter().map(String::as_str).collect();
         let distances = row(&pivot, &targets)?;
-        // Zero-distance members are duplicates of the pivot: absorb them as
-        // twins (answered for free at query time) and partition the rest.
-        let mut twins = Vec::new();
-        let mut rest = Vec::with_capacity(items.len());
-        for (item, d) in items.into_iter().zip(&distances) {
-            if *d == 0.0 {
-                twins.push(item);
-            } else {
-                rest.push((item, *d));
-            }
-        }
-        twins.sort();
-        if rest.is_empty() {
-            let id = self.nodes.len();
-            self.nodes.push(VpNode::Inner { pivot, twins, mu: 0.0, inside: None, outside: None });
-            return Ok(Some(id));
-        }
-        let mu = lower_median_of(rest.iter().map(|(_, d)| *d));
-        let mut inside = Vec::with_capacity(rest.len() / 2 + 1);
-        let mut outside = Vec::with_capacity(rest.len() / 2 + 1);
-        for (item, d) in rest {
-            if d <= mu {
-                inside.push(item);
-            } else {
-                outside.push(item);
-            }
-        }
-        if outside.is_empty() && twins.is_empty() {
-            // Every remaining member ties at the median radius without being
-            // a duplicate (an equidistant clump).  Splitting cannot make
-            // progress (the inside child would hold everything again), so
-            // keep one oversized leaf; search scans leaf items linearly
-            // either way, and the medoid screening still applies to them.
-            let id = self.nodes.len();
-            let mut items = inside;
-            items.push(pivot);
-            items.sort();
-            self.nodes.push(VpNode::Leaf { items });
-            return Ok(Some(id));
-        }
+        let (node, inside, outside) = partition(pivot, items, &distances);
         let id = self.nodes.len();
-        self.nodes.push(VpNode::Inner { pivot, twins, mu, inside: None, outside: None });
-        let inside_id = self.build_node(inside, rng, row)?;
-        let outside_id = self.build_node(outside, rng, row)?;
+        self.nodes.push(node);
+        let inside = self.build_node(inside, rng, row)?;
+        let outside = self.build_node(outside, rng, row)?;
+        self.link(id, inside, outside);
+        Ok(Some(id))
+    }
+
+    /// Sets the children of inner node `id`; a leaf has none.
+    fn link(&mut self, id: usize, inside_id: Option<usize>, outside_id: Option<usize>) {
         if let VpNode::Inner { inside, outside, .. } = &mut self.nodes[id] {
             *inside = inside_id;
             *outside = outside_id;
         }
-        Ok(Some(id))
     }
 
     /// The certified (or, with `epsilon > 0`, ε-relaxed) `k` nearest members
@@ -420,7 +432,7 @@ impl VpTree {
 
     /// Splits the overflowing leaf `id` into an inner node: the pivot is the
     /// leaf's first (lexicographically smallest) item, `mu` the lower median
-    /// of its distances to the rest.
+    /// of its distances to the rest, and each side becomes a leaf.
     fn split_leaf<E>(
         &mut self,
         id: usize,
@@ -433,53 +445,17 @@ impl VpTree {
         let pivot = items.remove(0);
         let targets: Vec<&str> = items.iter().map(String::as_str).collect();
         let distances = row(&pivot, &targets)?;
-        let evals = distances.len();
-        let mut twins = Vec::new();
-        let mut rest = Vec::new();
-        for (item, d) in items.into_iter().zip(&distances) {
-            if *d == 0.0 {
-                twins.push(item);
-            } else {
-                rest.push((item, *d));
-            }
-        }
-        twins.sort();
-        if rest.is_empty() {
-            self.nodes[id] = VpNode::Inner { pivot, twins, mu: 0.0, inside: None, outside: None };
-            return Ok(evals);
-        }
-        let mu = lower_median_of(rest.iter().map(|(_, d)| *d));
-        let mut inside = Vec::new();
-        let mut outside = Vec::new();
-        for (item, d) in rest {
-            if d <= mu {
-                inside.push(item);
-            } else {
-                outside.push(item);
-            }
-        }
-        if outside.is_empty() && twins.is_empty() {
-            // Degenerate split (an equidistant clump): keep the oversized
-            // leaf instead of growing a one-pivot-per-level chain of inners.
-            inside.push(pivot);
-            inside.sort();
-            self.nodes[id] = VpNode::Leaf { items: inside };
-            return Ok(evals);
-        }
-        let inside_id = if inside.is_empty() {
-            None
-        } else {
-            self.nodes.push(VpNode::Leaf { items: inside });
-            Some(self.nodes.len() - 1)
+        let (node, inside, outside) = partition(pivot, items, &distances);
+        self.nodes[id] = node;
+        let mut leaf = |items: Vec<String>| {
+            (!items.is_empty()).then(|| {
+                self.nodes.push(VpNode::Leaf { items });
+                self.nodes.len() - 1
+            })
         };
-        let outside_id = if outside.is_empty() {
-            None
-        } else {
-            self.nodes.push(VpNode::Leaf { items: outside });
-            Some(self.nodes.len() - 1)
-        };
-        self.nodes[id] = VpNode::Inner { pivot, twins, mu, inside: inside_id, outside: outside_id };
-        Ok(evals)
+        let (inside, outside) = (leaf(inside), leaf(outside));
+        self.link(id, inside, outside);
+        Ok(distances.len())
     }
 
     /// Removes `name` when it sits in a leaf — O(nodes) scan, zero distance

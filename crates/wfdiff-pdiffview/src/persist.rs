@@ -29,6 +29,12 @@
 //!   open.  The fold also drops what earlier versions wrote for the metric
 //!   index, which keeps no checkpoint: legacy kind-4 records and
 //!   `metric_index.json`.
+//! * Every record reaches the log through **one append step**,
+//!   `WorkflowStore::wal_append`, under the save lock: it refuses a record
+//!   past the framing bound with [`PersistError::RecordTooLarge`] before a
+//!   byte is written, appends and fsyncs, and counts; the fold check
+//!   follows.  A logged record counts while the manifest lists its
+//!   specification at the record's fingerprint.
 //! * Each specification directory is keyed by a slug of the name plus the
 //!   first 8 hex digits of the spec's **canonical persistent fingerprint**
 //!   (the arena fingerprint of the specification *as rebuilt from its
@@ -165,6 +171,16 @@ pub enum PersistError {
         /// The underlying store error.
         source: StoreError,
     },
+    /// A write-ahead-log record is longer than the log's framing allows; the
+    /// append was refused before it wrote a byte, and the log is unchanged.
+    RecordTooLarge {
+        /// The log the record was refused from.
+        path: PathBuf,
+        /// The record's length: its kind byte plus its payload.
+        len: usize,
+        /// The framing bound, 64 MiB.
+        max: u32,
+    },
 }
 
 impl fmt::Display for PersistError {
@@ -183,6 +199,12 @@ impl fmt::Display for PersistError {
                 write!(f, "invalid specification/run in {}: {source}", path.display())
             }
             PersistError::Store { source } => write!(f, "inconsistent store contents: {source}"),
+            PersistError::RecordTooLarge { path, len, max } => write!(
+                f,
+                "refusing a {len}-byte record for {}: a write-ahead-log record holds at most \
+                 {max} bytes",
+                path.display()
+            ),
         }
     }
 }
@@ -194,7 +216,7 @@ impl std::error::Error for PersistError {
             PersistError::Json { source, .. } => Some(source),
             PersistError::Tree { source, .. } => Some(source),
             PersistError::Store { source } => Some(source),
-            PersistError::Format { .. } => None,
+            PersistError::Format { .. } | PersistError::RecordTooLarge { .. } => None,
         }
     }
 }
@@ -220,11 +242,22 @@ pub struct SaveSummary {
 
 /// `manifest.json`: the root of truth for a store directory.
 #[derive(Debug, Serialize, Deserialize)]
-struct StoreManifest {
+pub(crate) struct StoreManifest {
     /// Store directory format version; see [`STORE_FORMAT`].
     format: u32,
     /// One entry per persisted specification.
     specs: Vec<ManifestSpec>,
+}
+
+impl StoreManifest {
+    /// Whether the manifest lists `spec` at the persistent fingerprint (hex)
+    /// `fingerprint` — the one rule by which a logged record still counts.
+    /// A record of another version predates a replacement whose full save
+    /// committed: replay skips it, and a fold and `load_streams` drop its
+    /// stream.
+    pub(crate) fn lists(&self, spec: &str, fingerprint: &str) -> bool {
+        self.specs.iter().any(|s| s.name == spec && s.fingerprint == fingerprint)
+    }
 }
 
 /// One manifest entry.
@@ -428,7 +461,7 @@ pub fn shard_dirs(root: &Path) -> Vec<PathBuf> {
 /// Reads `dir`'s manifest and checks its format version — the first step of
 /// every load and WAL append.  Returns the manifest's path too, for error
 /// context.
-fn read_manifest(dir: &Path) -> Result<(PathBuf, StoreManifest), PersistError> {
+pub(crate) fn read_manifest(dir: &Path) -> Result<(PathBuf, StoreManifest), PersistError> {
     let path = dir.join("manifest.json");
     let manifest: StoreManifest = read_json(&path)?;
     if manifest.format != STORE_FORMAT {
@@ -713,20 +746,15 @@ impl WorkflowStore {
         // kept: the log is replaced by exactly those records, atomically
         // (replay past the *new* manifest is idempotent, so a crash or an
         // error before the replacement loses nothing).  A stream is dropped
-        // when the manifest moved to another version of its specification,
+        // when one of its records no longer counts (`StoreManifest::lists`),
         // or when its name already denotes a stored run (a finalisation
         // whose closure marker was lost to a crash between the run-insert
         // append and the marker append).
         let survivors: Vec<wal::WalRecord> = streams
             .into_iter()
             .filter(|((spec, stream), group)| {
-                let live_version = group.first().is_some_and(|first| {
-                    manifest
-                        .specs
-                        .iter()
-                        .any(|s| s.name == *spec && s.fingerprint == first.spec_fingerprint)
-                });
-                live_version && self.run(spec, stream).is_none()
+                group.iter().all(|r| manifest.lists(spec, &r.spec_fingerprint))
+                    && self.run(spec, stream).is_none()
             })
             .flat_map(|(_, group)| group.into_iter().map(wal::WalRecord::StreamEvent))
             .collect();
@@ -800,10 +828,11 @@ impl WorkflowStore {
         run: &wfdiff_sptree::Run,
     ) -> Result<(), PersistError> {
         let _guard = self.save_lock.lock();
-        let dir = dir.as_ref();
+        let dir = Some(dir.as_ref());
         let spec = self.check_insert(run_name, run, true)?;
-        let fp_hex = self.persistent_fp_for_append(dir, &spec)?;
-        self.append_then_fold(dir, &[wal::WalRecord::run_insert(&fp_hex, run_name, run)])
+        self.wal_append_for(dir, &spec, |fp| vec![wal::WalRecord::run_insert(fp, run_name, run)])?;
+        self.fold_if_due(dir);
+        Ok(())
     }
 
     /// The stored specification named `spec`, or why there is none.
@@ -815,7 +844,7 @@ impl WorkflowStore {
     /// specification rebuild behind it repeats the full SP decomposition, so
     /// the result is memoised per in-memory spec version and the descriptor
     /// is only built on a miss; `path` labels a rebuild failure.
-    fn persistent_fingerprint(
+    pub(crate) fn persistent_fingerprint(
         &self,
         path: &Path,
         spec: &Specification,
@@ -890,12 +919,12 @@ impl WorkflowStore {
         events: &[crate::stream::StreamEvent],
     ) -> Result<(), PersistError> {
         let _guard = self.save_lock.lock();
-        let dir = dir.as_ref();
-        let fp_hex = self.persistent_fp_for_append(dir, &*self.stored_spec(spec)?)?;
-        self.append_then_fold(
-            dir,
-            &wal::stream_records(spec, &fp_hex, stream, base_seq, events.iter().map(Some)),
-        )
+        let dir = Some(dir.as_ref());
+        self.wal_append_for(dir, &*self.stored_spec(spec)?, |fp| {
+            wal::stream_records(spec, fp, stream, base_seq, events.iter().map(Some))
+        })?;
+        self.fold_if_due(dir);
+        Ok(())
     }
 
     /// Appends the closure marker of a finalised stream: a kind-5 record
@@ -914,69 +943,23 @@ impl WorkflowStore {
         seq: u64,
     ) -> Result<(), PersistError> {
         let _guard = self.save_lock.lock();
-        let dir = dir.as_ref();
-        let fp_hex = self.persistent_fp_for_append(dir, &*self.stored_spec(spec)?)?;
-        self.append_then_fold(dir, &wal::stream_records(spec, &fp_hex, stream, seq, [None]))
-    }
-
-    /// Makes one run *removal* durable by appending a record to the
-    /// write-ahead log — the mirror of [`WorkflowStore::append_run_to_dir`]
-    /// for library callers that remove stored runs (the server has no run
-    /// removal endpoint).  Replay removes the run whether it lives in a
-    /// manifest-committed document or an earlier WAL record; removing a run
-    /// the directory never held is a durable no-op.
-    ///
-    /// The directory must be a readable store of the current format; a
-    /// specification the manifest does not list needs no removal record, so
-    /// that case returns `Ok` without appending.
-    pub fn append_run_removal_to_dir(
-        &self,
-        dir: impl AsRef<Path>,
-        spec: &str,
-        run_name: &str,
-    ) -> Result<(), PersistError> {
-        let _guard = self.save_lock.lock();
-        let dir = dir.as_ref();
-        let (_, manifest) = read_manifest(dir)?;
-        if !manifest.specs.iter().any(|s| s.name == spec) {
-            return Ok(());
-        }
-        let record = wal::RunRemoveRecord { spec: spec.to_string(), name: run_name.to_string() };
-        self.append_then_fold(dir, &[wal::WalRecord::RunRemove(record)])
-    }
-
-    /// Appends already-encoded records to `dir`'s WAL under the save lock —
-    /// the entry point of the cluster checkpoint ([`crate::cluster::persist`]).
-    pub(crate) fn append_wal_encoded(
-        &self,
-        dir: &Path,
-        records: &[wal::Encoded],
-    ) -> Result<(), PersistError> {
-        let _guard = self.save_lock.lock();
-        self.append_encoded_locked(dir, records)?;
+        let dir = Some(dir.as_ref());
+        self.wal_append_for(dir, &*self.stored_spec(spec)?, |fp| {
+            wal::stream_records(spec, fp, stream, seq, [None])
+        })?;
         self.fold_if_due(dir);
         Ok(())
     }
 
-    /// Appends records, then runs the threshold fold if it is due.
-    fn append_then_fold(&self, dir: &Path, records: &[wal::WalRecord]) -> Result<(), PersistError> {
-        self.append_wal_locked(dir, records)?;
-        self.fold_if_due(dir);
-        Ok(())
-    }
-
-    /// Encodes, appends and fsyncs records (see [`wal::append`]) and
-    /// maintains the counters, with no fold; the caller holds `save_lock`.
-    pub(crate) fn append_wal_locked(
-        &self,
-        dir: &Path,
-        records: &[wal::WalRecord],
-    ) -> Result<(), PersistError> {
-        self.append_encoded_locked(dir, &wal::encode_all(dir, records)?)
-    }
-
-    /// [`WorkflowStore::append_wal_locked`] for encoded records.
-    fn append_encoded_locked(
+    /// The append step: the only caller of [`wal::append`].  Appends
+    /// `records` to `dir`'s log as one write and one fsync, then counts
+    /// them.  A record past the framing bound is refused with
+    /// [`PersistError::RecordTooLarge`] before any byte is written, and a
+    /// failed write is cut back off the log, so an error leaves the log, the
+    /// counters and the store as they were.  The caller holds `save_lock`,
+    /// publishes what it appended, then calls
+    /// [`WorkflowStore::fold_if_due`].
+    pub(crate) fn wal_append(
         &self,
         dir: &Path,
         records: &[wal::Encoded],
@@ -988,17 +971,35 @@ impl WorkflowStore {
         Ok(())
     }
 
-    /// Folds the log into a full checkpoint once the threshold's worth of
-    /// bytes has been appended since the last fold attempt, so replay time
-    /// stays bounded; the caller holds `save_lock` and has published what
-    /// it appended, since the fold snapshots memory.  The trigger counts
-    /// appended bytes: every fold carries the records of open streams over,
-    /// and counting those would fold on every append.  The appended records
-    /// are durable, so a failed fold fails no write; it is counted in
-    /// [`WalStatsSnapshot::fold_failures_total`].
+    /// [`WorkflowStore::wal_append`] of the records `build` makes from the
+    /// persistent fingerprint of `spec`, once `dir` is checked to hold the
+    /// version of `spec` this store holds
+    /// ([`WorkflowStore::persistent_fp_for_append`]).  Without a `dir` the
+    /// write is in memory only and nothing is appended.
+    pub(crate) fn wal_append_for(
+        &self,
+        dir: Option<&Path>,
+        spec: &Specification,
+        build: impl FnOnce(&str) -> Vec<wal::WalRecord>,
+    ) -> Result<(), PersistError> {
+        let Some(dir) = dir else { return Ok(()) };
+        let fp_hex = self.persistent_fp_for_append(dir, spec)?;
+        self.wal_append(dir, &wal::encode_all(dir, &build(&fp_hex))?)
+    }
+
+    /// Folds `dir`'s log into a full checkpoint once the threshold's worth
+    /// of bytes has been appended since the last fold attempt, so replay
+    /// time stays bounded; the caller holds `save_lock` and has published
+    /// what it appended, since the fold snapshots memory.  The trigger
+    /// counts appended bytes: every fold carries the records of open
+    /// streams over, and counting those would fold on every append.  The
+    /// appended records are durable, so a failed fold fails no write; it is
+    /// counted in [`WalStatsSnapshot::fold_failures_total`].  Without a
+    /// `dir` there is nothing to fold.
     ///
     /// [`WalStatsSnapshot::fold_failures_total`]: crate::wal::WalStatsSnapshot::fold_failures_total
-    pub(crate) fn fold_if_due(&self, dir: &Path) {
+    pub(crate) fn fold_if_due(&self, dir: Option<&Path>) {
+        let Some(dir) = dir else { return };
         let threshold = self.wal_fold_threshold.load(Ordering::Acquire);
         let since_fold = self.wal_stats.since_fold.load(Ordering::Acquire);
         if threshold != 0 && since_fold >= threshold && self.save_to_dir_locked(dir).is_err() {
@@ -1158,12 +1159,7 @@ impl WorkflowStore {
         // against; a manifest that has since moved to another spec version
         // (or dropped the spec) makes the record stale — skipped, exactly
         // like a stale run document would be pruned by the next save.
-        let live = |insert: &wal::RunInsertRecord| {
-            manifest
-                .specs
-                .iter()
-                .any(|s| s.name == insert.spec && s.fingerprint == insert.spec_fingerprint)
-        };
+        let live = |r: &wal::RunInsertRecord| manifest.lists(&r.spec, &r.spec_fingerprint);
         // Rebuild the live inserts' runs on all cores; every record is
         // then applied in append order, so the first bad insert in the log
         // is the error reported.
@@ -1451,12 +1447,8 @@ mod tests {
                 run: run.clone(),
             })
         };
-        store
-            .append_wal_locked(
-                dir.path(),
-                &[insert("bad1", &out_of_range), insert("bad2", &foreign_label)],
-            )
-            .unwrap();
+        let records = [insert("bad1", &out_of_range), insert("bad2", &foreign_label)];
+        store.wal_append(dir.path(), &wal::encode_all(dir.path(), &records).unwrap()).unwrap();
 
         let expected = PersistError::Tree {
             path: wal::wal_path(dir.path()),
@@ -1693,7 +1685,7 @@ mod tests {
         // The log may end in bytes nobody acknowledged: every later write
         // is refused before it reaches the I/O, and so is a save.
         for refused in [
-            store.append_run_removal_to_dir(dir.path(), "fig2", "r1"),
+            store.append_stream_events_to_dir(dir.path(), "fig2", "s1", 0, &[]),
             store.append_stream_close_to_dir(dir.path(), "fig2", "s1", 0),
             store.save_to_dir(dir.path()).map(|_| ()),
         ] {
@@ -1711,12 +1703,38 @@ mod tests {
     }
 
     #[test]
+    fn an_over_bound_record_is_refused_and_the_next_write_commits() {
+        let dir = TempDir::new("over-bound");
+        seeded_store().save_to_dir(dir.path()).unwrap();
+        let store = Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap());
+        // A cluster delta one byte past the framing bound, sent through the
+        // append step the way a checkpoint sends it.
+        let over = (wal::KIND_CLUSTER_DELTA, "x".repeat(wal::MAX_RECORD_BYTES as usize));
+        let refused = {
+            let _save = store.save_lock.lock();
+            store.wal_append(dir.path(), &[over])
+        };
+        let err = refused.unwrap_err();
+        assert!(matches!(err, PersistError::RecordTooLarge { .. }), "{err}");
+        assert_eq!(wal::inspect(dir.path()).unwrap(), wal::WalSummary::default());
+        assert_eq!(store.wal_stats().appends_total, 0);
+
+        // Nothing is poisoned: the next write commits and survives a reload.
+        let service = DiffService::new(Arc::clone(&store));
+        let run = fig2_run1(&store.spec("fig2").unwrap());
+        service.commit_run_insert(Some(dir.path()), "r4", run).unwrap();
+        assert_eq!(store.wal_stats().appends_total, 1);
+        assert!(WorkflowStore::load_from_dir(dir.path()).unwrap().run("fig2", "r4").is_some());
+    }
+
+    #[test]
     fn removals_and_torn_tails_replay_correctly() {
         let dir = TempDir::new("wal-remove");
         let store = seeded_store();
         store.save_to_dir(dir.path()).unwrap();
-        store.remove_run("fig2", "r2");
-        store.append_run_removal_to_dir(dir.path(), "fig2", "r2").unwrap();
+        let service = DiffService::new(Arc::clone(&store));
+        assert!(service.commit_run_removal(Some(dir.path()), "fig2", "r2").unwrap());
+        assert!(store.run("fig2", "r2").is_none());
         let loaded = WorkflowStore::load_from_dir(dir.path()).unwrap();
         assert_eq!(loaded.run_names("fig2"), vec!["r1".to_string(), "r3".to_string()]);
 
@@ -1736,11 +1754,11 @@ mod tests {
             "load repaired the file"
         );
 
-        // Removing a run the directory never held is a durable no-op, and a
-        // spec the manifest does not list appends nothing at all.
-        store.append_run_removal_to_dir(dir.path(), "fig2", "ghost").unwrap();
+        // Removing a run the store does not hold, or one of a specification
+        // it does not hold, appends nothing.
         let before = fs::metadata(&wal_file).unwrap().len();
-        store.append_run_removal_to_dir(dir.path(), "no-such-spec", "r1").unwrap();
+        assert!(!service.commit_run_removal(Some(dir.path()), "fig2", "ghost").unwrap());
+        assert!(!service.commit_run_removal(Some(dir.path()), "no-such-spec", "r1").unwrap());
         assert_eq!(fs::metadata(&wal_file).unwrap().len(), before);
         assert_eq!(WorkflowStore::load_from_dir(dir.path()).unwrap().run_count(), 2);
     }

@@ -390,6 +390,9 @@ impl From<ServiceError> for ApiError {
             }
             ServiceError::Store(store_error) => store_error.clone().into(),
             ServiceError::Persist(_) => ApiError::new(500, "persist_failed", e.to_string()),
+            ServiceError::RecordTooLarge(_) => {
+                ApiError::new(413, "record_too_large", e.to_string())
+            }
         }
     }
 }

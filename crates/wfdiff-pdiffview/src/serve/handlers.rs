@@ -1228,6 +1228,73 @@ mod tests {
     }
 
     #[test]
+    fn an_over_bound_finalization_answers_413_and_keeps_the_stream() {
+        use crate::wal::{self, WalRecord};
+        let (dir, store, state) = persisted_state("over-bound-stream", Arc::new(RealIo));
+        let events = branch_events("3");
+        let (head, tail) = events.split_at(3);
+        let open = stream_body("fig2", "s1", head.to_vec(), false);
+        assert_eq!(route(&state, &request("POST", "/runs/stream", &open)).0, 200);
+
+        // The finalising batch is one append: a record per event, the run's
+        // insert record and the closure marker.  Lower the bound to the
+        // longest event record, below the run's.
+        let spec = store.spec("fig2").unwrap();
+        let fp = store.persistent_fp_for_append(&dir, &spec).unwrap();
+        let longest = |records: &[WalRecord]| {
+            let encoded = wal::encode_all(&dir, records).unwrap();
+            encoded.iter().map(|(_, payload)| 1 + payload.len()).max().unwrap()
+        };
+        let mut partial = crate::stream::PartialRun::new(Arc::clone(&spec));
+        events.iter().for_each(|event| partial.apply(event).unwrap());
+        let run_len = longest(&[WalRecord::run_insert(&fp, "s1", &partial.finalize().unwrap())]);
+        let events_len = longest(&wal::stream_records("fig2", &fp, "s1", 3, tail.iter().map(Some)));
+        assert!(run_len > events_len);
+        let bound = wal::tests::lower_record_bound(events_len as u32);
+
+        let log_before = std::fs::read(wal::wal_path(&dir)).unwrap();
+        let finish = stream_body("fig2", "s1", tail.to_vec(), true);
+        let (status, body) = route(&state, &request("POST", "/runs/stream", &finish));
+        assert_eq!(status, 413, "{body}");
+        let error: ErrorBody = serde_json::from_str(&body).unwrap();
+        assert_eq!(error.kind, "record_too_large");
+        // The stream is as it was, no run is stored, and the log is unchanged.
+        assert_eq!(state.service.stream_seq("fig2", "s1"), Some(3));
+        assert!(store.run("fig2", "s1").is_none());
+        assert_eq!(std::fs::read(wal::wal_path(&dir)).unwrap(), log_before);
+
+        // The store still writes: under the real bound the batch finalises.
+        drop(bound);
+        let (status, body) = route(&state, &request("POST", "/runs/stream", &finish));
+        assert_eq!(status, 201, "{body}");
+        assert!(reload(&dir).0.run("fig2", "s1").is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_over_bound_cluster_checkpoint_answers_persisted_false() {
+        let (dir, store, state) = persisted_state("over-bound-cluster", Arc::new(RealIo));
+        let kmedoids = |state: &AppState| {
+            let (status, body) =
+                route(state, &request("GET", "/cluster?spec=fig2&algo=kmedoids&k=1", ""));
+            assert_eq!(status, 200, "{body}");
+            serde_json::from_str::<KMedoidsResponse>(&body).unwrap().persisted
+        };
+        let bound = crate::wal::tests::lower_record_bound(64);
+        assert!(!kmedoids(&state), "the checkpoint's record is over the bound");
+        assert_eq!(store.wal_stats().appends_total, 0);
+
+        // The refused state stays due: under the real bound the next query
+        // checkpoints it, and the store still takes writes.
+        drop(bound);
+        assert!(kmedoids(&state));
+        assert_eq!(crate::wal::inspect(&dir).unwrap().cluster_deltas, 1);
+        assert_eq!(post_run(&state, "r3"), 201);
+        assert_eq!(store.wal_stats().appends_total, 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn a_run_whose_fsync_fails_is_in_neither_memory_nor_the_reload() {
         let io = Arc::new(WalFaults { fail_fsync: 1, ..Default::default() });
         let (dir, store, state) = persisted_state("fsync-fails", io);

@@ -95,6 +95,10 @@ pub enum ServiceError {
     /// Making a write durable failed (the message names the file and the
     /// I/O error); nothing of the write is in memory or in the log.
     Persist(String),
+    /// A record of the write is longer than the write-ahead log's framing
+    /// allows (64 MiB); it was refused before any byte was written, and
+    /// nothing of the write is in memory or in the log.
+    RecordTooLarge(String),
 }
 
 impl std::fmt::Display for ServiceError {
@@ -111,7 +115,9 @@ impl std::fmt::Display for ServiceError {
                 write!(f, "unknown stream {stream:?} for specification {spec:?}")
             }
             ServiceError::Store(e) => e.fmt(f),
-            ServiceError::Persist(message) => f.write_str(message),
+            ServiceError::Persist(message) | ServiceError::RecordTooLarge(message) => {
+                f.write_str(message)
+            }
         }
     }
 }
@@ -147,7 +153,10 @@ impl From<StoreError> for ServiceError {
 
 impl From<PersistError> for ServiceError {
     fn from(value: PersistError) -> Self {
-        ServiceError::Persist(value.to_string())
+        match value {
+            PersistError::RecordTooLarge { .. } => ServiceError::RecordTooLarge(value.to_string()),
+            _ => ServiceError::Persist(value.to_string()),
+        }
     }
 }
 
@@ -974,9 +983,12 @@ impl DiffService {
     /// Kind-5 records are grouped per `(spec, stream)` in append order.  A
     /// closure marker drops its group; so does a stored run of the stream's
     /// name (the crash window between a finalised run's insert record and
-    /// its closure marker).  A group whose specification is gone, whose
-    /// recorded version is not the directory's current version, or whose
-    /// events no longer apply cleanly is skipped — never an error.
+    /// its closure marker).  A group is skipped — never an error — when its
+    /// specification is gone, when one of its records no longer counts (the
+    /// directory's manifest does not list the specification at the record's
+    /// fingerprint) or was logged against another version than the store
+    /// holds, or when its events no longer apply cleanly.  The manifest is
+    /// read once per call.
     pub fn load_streams(&self, dir: impl AsRef<Path>) -> Result<StreamLoadReport, PersistError> {
         let dir = dir.as_ref();
         let mut report = StreamLoadReport::default();
@@ -985,19 +997,21 @@ impl DiffService {
             let _guard = self.store.save_lock.lock();
             let (groups, closed) = wal::open_streams(&wal::scan(dir)?.records);
             report.closed += closed;
+            // An unreadable manifest lists nothing, so every group is skipped.
+            let manifest = crate::persist::read_manifest(dir).ok().map(|(_, manifest)| manifest);
             for ((spec_name, stream_name), records) in groups {
-                let Some(spec_arc) = self.store.spec(&spec_name) else {
+                // The records count, and were logged at the version held.
+                let held = self.store.spec(&spec_name).filter(|spec| {
+                    let fp = self.store.persistent_fingerprint(dir, spec).map(|fp| fp.to_string());
+                    fp.is_ok_and(|fp| {
+                        manifest.as_ref().is_some_and(|m| m.lists(&spec_name, &fp))
+                            && records.iter().all(|r| r.spec_fingerprint == fp)
+                    })
+                });
+                let Some(spec_arc) = held else {
                     report.skipped += 1;
                     continue;
                 };
-                let Ok(fp_hex) = self.store.persistent_fp_for_append(dir, &spec_arc) else {
-                    report.skipped += 1;
-                    continue;
-                };
-                if records.iter().any(|r| r.spec_fingerprint != fp_hex) {
-                    report.skipped += 1;
-                    continue;
-                }
                 if self.store.run(&spec_name, &stream_name).is_some() {
                     report.closed += 1;
                     continue;
@@ -1335,7 +1349,8 @@ mod tests {
                                 e @ (ServiceError::Stream(_)
                                 | ServiceError::UnknownStream { .. }
                                 | ServiceError::Store(_)
-                                | ServiceError::Persist(_)),
+                                | ServiceError::Persist(_)
+                                | ServiceError::RecordTooLarge(_)),
                             ) => {
                                 panic!("write error from a read-only query: {e}")
                             }

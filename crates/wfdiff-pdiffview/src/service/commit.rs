@@ -3,13 +3,14 @@
 //! A write becomes visible to readers only once it is durable, as in
 //! write-ahead logging (Mohan et al., "ARIES", TODS 1992).  Each function
 //! here runs one write kind under the store's `save_lock`: it **checks**
-//! the write (a refused write changes nothing), **appends** its records to
-//! the write-ahead log and fsyncs them when the store has a directory (a
-//! failed append leaves the log as it was, see [`crate::wal`]),
-//! **publishes** it in memory, then runs the threshold **fold** if one is
-//! due.  The fold comes last because it snapshots memory and replaces the
-//! log: between a write's append and its publish it would drop the write
-//! from disk.  Callers tell the derived indexes about a published run
+//! the write (a refused write changes nothing), **appends** its records
+//! through the store's one append step when the store has a directory
+//! (`WorkflowStore::wal_append`, which fsyncs them; a failed or over-bound
+//! append leaves the log as it was, see [`crate::wal`]), **publishes** it
+//! in memory, then runs the threshold **fold** if one is due.  The fold
+//! comes last because it snapshots memory and replaces the log: between a
+//! write's append and its publish it would drop the write from disk.
+//! Callers tell the derived indexes about a published run
 //! ([`DiffService::notify_run_inserted`]); those are caches.
 
 use super::{DiffService, ServiceError, StreamAck};
@@ -17,7 +18,7 @@ use crate::stream::{PartialRun, StreamEvent};
 use crate::wal::{self, RunRemoveRecord, WalRecord};
 use std::path::Path;
 use std::sync::Arc;
-use wfdiff_sptree::{Run, Specification};
+use wfdiff_sptree::Run;
 
 impl DiffService {
     /// Stores `run` under `name`, durably in `dir` when given — `POST
@@ -31,9 +32,9 @@ impl DiffService {
     ) -> Result<Arc<Run>, ServiceError> {
         let _save = self.store.save_lock.lock();
         let spec = self.store.check_insert(name, &run, false)?;
-        self.append(dir, &spec, |fp| vec![WalRecord::run_insert(fp, name, &run)])?;
+        self.store.wal_append_for(dir, &spec, |fp| vec![WalRecord::run_insert(fp, name, &run)])?;
         let run = self.store.insert_run(name, run)?;
-        self.fold_if_due(dir);
+        self.store.fold_if_due(dir);
         Ok(run)
     }
 
@@ -51,9 +52,9 @@ impl DiffService {
             return Ok(false);
         };
         let record = RunRemoveRecord { spec: spec.to_string(), name: name.to_string() };
-        self.append(dir, &spec_arc, |_| vec![WalRecord::RunRemove(record)])?;
+        self.store.wal_append_for(dir, &spec_arc, |_| vec![WalRecord::RunRemove(record)])?;
         self.store.remove_run(spec, name);
-        self.fold_if_due(dir);
+        self.store.fold_if_due(dir);
         Ok(true)
     }
 
@@ -108,7 +109,7 @@ impl DiffService {
         if let Some(run) = &run {
             self.store.check_insert(stream, run, false)?;
         }
-        self.append(dir, &spec_arc, |fp| {
+        self.store.wal_append_for(dir, &spec_arc, |fp| {
             let mut records =
                 wal::stream_records(spec, fp, stream, base_seq, events.iter().map(Some));
             if let Some(run) = &run {
@@ -122,7 +123,7 @@ impl DiffService {
             Some(_) => self.streams.write().remove(&key),
             None => self.streams.write().insert(key, next),
         };
-        self.fold_if_due(dir);
+        self.store.fold_if_due(dir);
         Ok((ack, stored))
     }
 
@@ -141,30 +142,11 @@ impl DiffService {
             || ServiceError::UnknownStream { spec: spec.to_string(), stream: stream.to_string() };
         let seq = self.stream_seq(spec, stream).ok_or_else(unknown)?;
         let spec_arc = self.store.spec(spec).ok_or_else(unknown)?;
-        self.append(dir, &spec_arc, |fp| wal::stream_records(spec, fp, stream, seq, [None]))?;
+        self.store.wal_append_for(dir, &spec_arc, |fp| {
+            wal::stream_records(spec, fp, stream, seq, [None])
+        })?;
         self.remove_stream(spec, stream);
-        self.fold_if_due(dir);
+        self.store.fold_if_due(dir);
         Ok(seq)
-    }
-
-    /// The append step: the records `build` makes from the persistent
-    /// fingerprint of `spec`, appended and fsynced when there is a `dir`.
-    fn append(
-        &self,
-        dir: Option<&Path>,
-        spec: &Specification,
-        build: impl FnOnce(&str) -> Vec<WalRecord>,
-    ) -> Result<(), ServiceError> {
-        if let Some(dir) = dir {
-            let fp_hex = self.store.persistent_fp_for_append(dir, spec)?;
-            self.store.append_wal_locked(dir, &build(&fp_hex))?;
-        }
-        Ok(())
-    }
-
-    fn fold_if_due(&self, dir: Option<&Path>) {
-        if let Some(dir) = dir {
-            self.store.fold_if_due(dir);
-        }
     }
 }

@@ -5,6 +5,8 @@
 //! mutation paths O(append) instead: a run insert, a run removal, a stream
 //! event or a cluster checkpoint delta is one length-prefixed, checksummed
 //! record appended to `wal.log` and fsynced, and nothing else is touched.
+//! Every record reaches `append` through the store's one append step
+//! (see [`crate::persist`]).
 //!
 //! # Record framing
 //!
@@ -12,14 +14,16 @@
 //! [u32 LE len][u32 LE crc32][u8 kind][len-1 bytes of JSON payload]
 //! ```
 //!
-//! `len` counts the kind byte plus the payload; `crc32` (IEEE) covers the
-//! kind byte plus the payload.  Kinds: 1 = run insert, 2 = run remove,
-//! 3 = cluster delta, 5 = stream event (one node-lifecycle event of an
-//! in-flight streamed run).  A record is valid only if its header fits, its
-//! length is sane, its checksum matches and its payload deserialises; the
-//! **first** invalid record ends the log — everything from its offset on is
-//! a torn tail (a crashed append) and is truncated by the next
-//! [`WorkflowStore::load_from_dir`].
+//! `len` counts the kind byte plus the payload, and is at most 64 MiB
+//! (`MAX_RECORD_BYTES`): an append refuses a longer record with
+//! [`PersistError::RecordTooLarge`] before it writes a byte.  `crc32`
+//! (IEEE) covers the kind byte plus the payload.  Kinds: 1 = run insert,
+//! 2 = run remove, 3 = cluster delta, 5 = stream event (one node-lifecycle
+//! event of an in-flight streamed run).  A record is valid only if its
+//! header fits, its length is sane, its checksum matches and its payload
+//! deserialises; the **first** invalid record ends the log — everything
+//! from its offset on is a torn tail (a crashed append) and is truncated by
+//! the next [`WorkflowStore::load_from_dir`].
 //!
 //! Kind 3 is `{cost_key, doc}`.  The `doc` stays undecoded JSON until
 //! [`DiffService::load_cluster_state`] loads it, so only the framing, the
@@ -42,6 +46,8 @@
 //! absent run is a no-op, and an insert recorded against a specification
 //! version the manifest no longer lists is skipped (the record predates a
 //! spec replacement whose full save crashed before the WAL truncation).
+//! The same rule decides which open streams a fold carries over and
+//! [`DiffService::load_streams`] rebuilds.
 //! Cluster deltas are consumed by [`DiffService::load_cluster_state`],
 //! which overlays them (last write wins per spec) on `cluster_cache.json`
 //! and validates the result like any checkpoint entry (see
@@ -58,6 +64,7 @@
 //! [`WorkflowStore::load_from_dir`]: crate::store::WorkflowStore::load_from_dir
 //! [`WorkflowStore::set_wal_fold_threshold`]: crate::store::WorkflowStore::set_wal_fold_threshold
 //! [`DiffService::load_cluster_state`]: crate::service::DiffService::load_cluster_state
+//! [`DiffService::load_streams`]: crate::service::DiffService::load_streams
 
 use crate::io::RunDescriptor;
 use crate::persist::PersistError;
@@ -69,9 +76,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// File name of the write-ahead log inside a store directory.
 pub const WAL_FILE: &str = "wal.log";
 
-/// Upper bound on one record's `len` field; anything larger is treated as a
-/// torn tail rather than trusted as an allocation size.
-const MAX_RECORD_BYTES: u32 = 64 * 1024 * 1024;
+/// Upper bound on one record's `len` field: an append refuses a longer
+/// record, and a scan treats a larger `len` as a torn tail rather than
+/// trust it as an allocation size.
+pub(crate) const MAX_RECORD_BYTES: u32 = 64 * 1024 * 1024;
 
 /// Bytes of framing before each record's body.
 const HEADER_BYTES: usize = 8;
@@ -269,13 +277,21 @@ pub(crate) fn encode_all(dir: &Path, records: &[WalRecord]) -> Result<Vec<Encode
         .collect()
 }
 
-/// Frames `records` as they are laid out in the log: per record, its
-/// length, its CRC-32, then the kind byte and the payload.
-fn frame(records: &[Encoded]) -> Vec<u8> {
+/// Frames `records` for `dir`'s log as they are laid out in it: per
+/// record, its length, its CRC-32, then the kind byte and the payload.  A
+/// record longer than the bound is refused before anything is framed (in
+/// unit tests, the bound the test lowered on its own thread).
+fn frame(dir: &Path, records: &[Encoded]) -> Result<Vec<u8>, PersistError> {
+    #[cfg(test)]
+    let max = tests::RECORD_BOUND.with(std::cell::Cell::get);
+    #[cfg(not(test))]
+    let max = MAX_RECORD_BYTES;
+    if let Some(len) = records.iter().map(|(_, p)| 1 + p.len()).find(|&len| len > max as usize) {
+        return Err(PersistError::RecordTooLarge { path: wal_path(dir), len, max });
+    }
     let mut buf = Vec::new();
     for (kind, payload) in records {
         let len = 1 + payload.len();
-        assert!(len <= MAX_RECORD_BYTES as usize, "WAL record exceeds the framing bound");
         let mut body = Vec::with_capacity(len);
         body.push(*kind);
         body.extend_from_slice(payload.as_bytes());
@@ -283,11 +299,13 @@ fn frame(records: &[Encoded]) -> Vec<u8> {
         buf.extend_from_slice(&crc32(&body).to_le_bytes());
         buf.extend_from_slice(&body);
     }
-    buf
+    Ok(buf)
 }
 
 /// Appends `records` to `dir/wal.log` as one write + one fsync (the whole
 /// durability cost of a hot-path mutation).  Returns the bytes appended.
+/// A record past the framing bound refuses the whole append with
+/// [`PersistError::RecordTooLarge`] before anything is written.
 ///
 /// A failed write or fsync is a lost write whose bytes must never
 /// resurface, so the log is cut back through `io` to its length before the
@@ -301,7 +319,7 @@ pub(crate) fn append(
 ) -> Result<u64, PersistError> {
     refuse_torn(dir, torn)?;
     let path = wal_path(dir);
-    let buf = frame(records);
+    let buf = frame(dir, records)?;
     if buf.is_empty() {
         return Ok(0);
     }
@@ -344,7 +362,7 @@ pub(crate) fn replace(
     dir: &Path,
     records: &[Encoded],
 ) -> Result<u64, PersistError> {
-    let buf = frame(records);
+    let buf = frame(dir, records)?;
     if buf.is_empty() {
         truncate_to(io, dir, 0)?;
     } else {
@@ -544,10 +562,30 @@ pub fn inspect(dir: impl AsRef<Path>) -> Result<WalSummary, PersistError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::storeio::RealIo;
+    use std::cell::Cell;
     use std::path::PathBuf;
+
+    thread_local! {
+        /// This thread's append bound; see [`lower_record_bound`].
+        pub(super) static RECORD_BOUND: Cell<u32> = const { Cell::new(MAX_RECORD_BYTES) };
+    }
+
+    /// Lowers the append bound of the calling thread to `max` until the
+    /// returned guard drops, so a test reaches the bound with records of a
+    /// few hundred bytes instead of 64 MiB ones.  Scans keep the real bound.
+    pub(crate) fn lower_record_bound(max: u32) -> impl Drop {
+        struct Restore;
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                RECORD_BOUND.with(|bound| bound.set(MAX_RECORD_BYTES));
+            }
+        }
+        RECORD_BOUND.with(|bound| bound.set(max));
+        Restore
+    }
 
     struct TempDir(PathBuf);
 
@@ -621,6 +659,28 @@ mod tests {
         assert_eq!(summary.run_removes, 1);
         assert_eq!(summary.cluster_deltas, 0);
         assert_eq!(summary.torn_bytes, 0);
+    }
+
+    #[test]
+    fn an_over_bound_record_is_refused_before_any_byte_is_written() {
+        let dir = TempDir::new("over-bound");
+        append_records(dir.path(), &[insert_record("r1")]);
+        let before = std::fs::read(wal_path(dir.path())).unwrap();
+        let torn = AtomicBool::new(false);
+        // The kind byte plus the payload: one byte past the bound.
+        let over = (KIND_CLUSTER_DELTA, "x".repeat(MAX_RECORD_BYTES as usize));
+        let err = append(&RealIo, dir.path(), &[over], &torn).unwrap_err();
+        let over_len = MAX_RECORD_BYTES as usize + 1;
+        assert!(
+            matches!(err, PersistError::RecordTooLarge { len, max: MAX_RECORD_BYTES, .. }
+                if len == over_len),
+            "{err}"
+        );
+        assert_eq!(std::fs::read(wal_path(dir.path())).unwrap(), before, "the log is unchanged");
+        assert!(!torn.load(Ordering::Acquire), "a refused record tears nothing");
+        // The log takes the next append.
+        append_records(dir.path(), &[insert_record("r2")]);
+        assert_eq!(scan(dir.path()).unwrap().records.len(), 2);
     }
 
     #[test]

@@ -131,8 +131,10 @@ proptest! {
                 }
                 Op::Remove(index) => {
                     let name = format!("run{index:03}");
-                    durable.remove_run(SPEC, &name);
-                    durable.append_run_removal_to_dir(&dir.0, SPEC, &name).expect("WAL removal");
+                    let removed = durable_service
+                        .commit_run_removal(Some(&dir.0), SPEC, &name)
+                        .expect("WAL removal");
+                    prop_assert!(removed, "the script removes live runs only");
                     durable_service.notify_run_removed(SPEC, &name);
                     memory.remove_run(SPEC, &name);
                 }
