@@ -105,8 +105,9 @@ pub enum TortureOp {
         index: usize,
     },
     /// Cluster the spec's runs with `k` medoids, checkpoint the clustering
-    /// (one WAL delta append), and answer one pruned nearest-run query,
-    /// which appends nothing.
+    /// (one atomic rewrite of `cluster_cache.json`: temp write, fsync,
+    /// rename, directory fsync), and answer one pruned nearest-run query,
+    /// which writes nothing.
     Recluster {
         /// Medoid count.
         k: usize,

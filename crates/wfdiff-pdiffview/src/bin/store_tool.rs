@@ -15,9 +15,9 @@
 //!     difference every run pair of every specification.
 //!
 //! store_tool wal <dir>
-//!     Print write-ahead-log record counts (inserts/removals/cluster
-//!     deltas, and legacy metric deltas that the next fold drops), byte
-//!     sizes and any torn-tail bytes.
+//!     Print write-ahead-log record counts (inserts, removals, stream
+//!     events, and legacy checkpoint records that the next fold drops),
+//!     byte sizes and any torn-tail bytes.
 //!
 //! store_tool checkpoint <dir>
 //!     Force a checkpoint fold: load the store (replaying its WAL), save
@@ -223,13 +223,13 @@ fn wal(args: &[String]) -> Result<(), ToolError> {
     }
     let summary = wfdiff_pdiffview::wal::inspect(Path::new(dir)).map_err(|e| e.to_string())?;
     println!(
-        "{dir}: {} record(s) ({} insert(s), {} removal(s), {} cluster delta(s), \
-         {} legacy metric delta(s)), {} byte(s), {} torn byte(s)",
+        "{dir}: {} record(s) ({} insert(s), {} removal(s), {} stream event(s), \
+         {} legacy checkpoint record(s)), {} byte(s), {} torn byte(s)",
         summary.records,
         summary.run_inserts,
         summary.run_removes,
-        summary.cluster_deltas,
-        summary.metric_deltas,
+        summary.stream_events,
+        summary.legacy_records,
         summary.bytes,
         summary.torn_bytes
     );

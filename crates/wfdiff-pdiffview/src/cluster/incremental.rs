@@ -44,8 +44,8 @@
 use super::kmedoids::{seed_medoids, solve};
 use crate::derived::SpecStates;
 use crate::metricindex::MedoidPivots;
-use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use wfdiff_sptree::Fingerprint;
 
@@ -269,10 +269,11 @@ impl SpecClusterState {
 pub struct IncrementalClusterIndex {
     /// Per-specification states.
     pub(super) states: SpecStates<SpecClusterState>,
-    /// Specifications whose state changed since the last checkpoint (see
-    /// [`crate::cluster::persist`]).  A leaf lock: marked while a slot is
-    /// held.
-    pub(super) dirty: Mutex<BTreeSet<String>>,
+    /// Whether any state changed since the last checkpoint write (see
+    /// [`crate::cluster::persist`]): set after every mutation, cleared by the
+    /// write before it reads the states.  It only says a write is due; the
+    /// write reads each state under its specification's lock.
+    pub(super) changed: AtomicBool,
 }
 
 impl IncrementalClusterIndex {
@@ -281,9 +282,9 @@ impl IncrementalClusterIndex {
         IncrementalClusterIndex::default()
     }
 
-    /// Marks `spec`'s state as changed since the last checkpoint.
-    fn mark_dirty(&self, spec: &str) {
-        self.dirty.lock().insert(spec.to_string());
+    /// Marks the index as changed since the last checkpoint.
+    fn mark_changed(&self) {
+        self.changed.store(true, Ordering::Release);
     }
 
     /// Returns the clustering of `spec`'s runs, building (or rebuilding) it
@@ -356,7 +357,7 @@ impl IncrementalClusterIndex {
             state.reseed_and_stabilize(oracle, k.clamp(1, n))?;
             let snapshot = state.snapshot(spec);
             *slot = Some(state);
-            self.mark_dirty(spec);
+            self.mark_changed();
             Ok(snapshot)
         })
     }
@@ -381,7 +382,7 @@ impl IncrementalClusterIndex {
             state.pivots = None;
             if state.version != version {
                 *slot = None;
-                self.mark_dirty(spec);
+                self.mark_changed();
                 return Ok(false);
             }
             if state.members.binary_search(&run_name.to_string()).is_ok() {
@@ -425,7 +426,7 @@ impl IncrementalClusterIndex {
                 let initial = state.medoid_indices();
                 state.stabilize(oracle, initial)?;
             }
-            self.mark_dirty(spec);
+            self.mark_changed();
             Ok(true)
         };
         self.states.existing(spec, absorb).unwrap_or(Ok(false))
@@ -451,7 +452,7 @@ impl IncrementalClusterIndex {
             state.assignments.remove(run_name);
             let name = run_name.to_string();
             state.distances.retain(|(a, b), _| *a != name && *b != name);
-            self.mark_dirty(spec);
+            self.mark_changed();
             if state.members.is_empty() {
                 *slot = None;
                 return Ok(true);
@@ -505,7 +506,7 @@ impl IncrementalClusterIndex {
     /// Drops the state of one specification (e.g. after a spec replacement).
     pub fn invalidate(&self, spec: &str) {
         if self.states.invalidate(spec) {
-            self.mark_dirty(spec);
+            self.mark_changed();
         }
     }
 

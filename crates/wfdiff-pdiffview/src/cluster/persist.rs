@@ -2,37 +2,35 @@
 //!
 //! Every clustering can be recomputed from the store, so the checkpoint is
 //! strictly a cache that lets a restarted server resume without
-//! re-differencing.
+//! re-differencing.  It is one file, a function of the index's memory; the
+//! store's write-ahead log holds none of it.
 //!
-//! * Every mutation of the index marks its specification dirty.
-//! * [`DiffService::save_cluster_state`] appends one kind-3 WAL record per
-//!   dirty specification holding its whole entry; a clean index appends
-//!   nothing.
-//! * A full [`WorkflowStore::save_to_dir`] folds the records into
-//!   [`CLUSTER_CACHE_FILE`], last write wins per specification.
-//! * [`DiffService::load_cluster_state`] overlays the WAL records on the
-//!   file and **validates every entry** against the live store: format
-//!   version, cost-model key, specification version, member set, per-run
-//!   content fingerprints, then the clustering's own structure (medoids,
-//!   assignments, memoised distances, silhouette and cost).  Anything that
-//!   fails, including an entry this version cannot decode, counts as stale
-//!   and is rebuilt on the next query, so a corrupt or foreign checkpoint
-//!   never poisons an answer.  The `wfdiff_serve` boot sequence calls it
-//!   right after [`DiffService::warm_start`].
+//! * Every mutation of the index marks it changed since the last write.
+//! * [`DiffService::save_cluster_state`] replaces [`CLUSTER_CACHE_FILE`]
+//!   whole with an entry per specification the index holds, atomically
+//!   (temporary file, fsync, rename), under the store's save lock; an
+//!   unchanged index writes nothing.
+//! * [`DiffService::load_cluster_state`] reads the file and **validates
+//!   every entry** against the live store: format version, cost-model key,
+//!   specification version, member set, per-run content fingerprints, then
+//!   the clustering's own structure (medoids, assignments, memoised
+//!   distances, silhouette and cost).  Anything that fails, including an
+//!   entry this version cannot decode, counts as stale and is rebuilt on
+//!   the next query, so a corrupt or foreign checkpoint never poisons an
+//!   answer.  The `wfdiff_serve` boot sequence calls it right after
+//!   [`DiffService::warm_start`].
 //!
 //! [`DiffService::save_cluster_state`]: crate::service::DiffService::save_cluster_state
 //! [`DiffService::load_cluster_state`]: crate::service::DiffService::load_cluster_state
 //! [`DiffService::warm_start`]: crate::service::DiffService::warm_start
-//! [`WorkflowStore::save_to_dir`]: crate::store::WorkflowStore::save_to_dir
 
 use super::incremental::{IncrementalClusterIndex, SpecClusterState};
 use crate::persist::{read_json, write_json_atomic, PersistError};
 use crate::store::WorkflowStore;
-use crate::storeio::StoreIo;
-use crate::wal::{self, ClusterDeltaRecord, WalRecord};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::Path;
+use std::sync::atomic::Ordering;
 use wfdiff_sptree::{Fingerprint, Run};
 
 /// Version tag of the cluster-cache artifact; unknown versions are treated
@@ -67,19 +65,8 @@ struct ClusterCacheFile {
     specs: Vec<SpecClusterDoc>,
 }
 
-/// A kind-3 WAL record as written, `{cost_key, doc}`: the typed entry is
-/// lowered to JSON once.  It is read back as a [`ClusterDeltaRecord`],
-/// whose `doc` stays undecoded until a load or a fold decodes it.
-#[derive(Serialize)]
-struct ClusterDelta {
-    cost_key: u64,
-    doc: SpecClusterDoc,
-}
-
-/// One specification's checkpointed clustering, in `cluster_cache.json` and
-/// in a kind-3 WAL record alike: the WAL holds whole per-spec snapshots
-/// (last write wins), never partial diffs, so a delta validates exactly like
-/// a file entry.
+/// One specification's checkpointed clustering: a whole snapshot of its
+/// state, never a partial diff.
 #[derive(Debug, Serialize, Deserialize)]
 struct SpecClusterDoc {
     spec: String,
@@ -123,33 +110,33 @@ fn run_content_fingerprint(run: &Run) -> Fingerprint {
     wfdiff_sptree::TreeFingerprints::compute(run.tree()).of(run.tree().root())
 }
 
-/// Reads `path` as a checkpoint file, or `None` when it is unreadable, of
-/// another format, or holds an entry that does not decode.
-fn read_file(path: &Path) -> Option<ClusterCacheFile> {
-    read_json::<ClusterCacheFile>(path).ok().filter(|file| file.format == CLUSTER_CACHE_FORMAT)
-}
-
 impl IncrementalClusterIndex {
-    /// Checkpoints the index by appending one delta record per dirty
-    /// specification to the store directory's write-ahead log, through the
-    /// store's one append step, instead of rewriting the checkpoint file
-    /// whole.  Returns the number of specifications the index tracks.  Each
-    /// record is encoded under its specification's lock alone, and every
-    /// lock is released before the append.  A member that no longer
-    /// resolves in `store` (a concurrent removal) leaves its specification
-    /// out rather than written inconsistently.  A failed append, over-bound
-    /// records included, writes nothing, and the next checkpoint retries.
+    /// Checkpoints the index by replacing `dir`'s [`CLUSTER_CACHE_FILE`]
+    /// with one entry per specification it holds, sorted by name.  Returns
+    /// the number of specifications the index tracks.  An index unchanged
+    /// since its last write writes nothing.
+    ///
+    /// The store's save lock is held across the encode and the write, so
+    /// checkpoints never replace a newer file with an older state, and a
+    /// fold's sweep of temporary files never meets an in-flight one.  Each
+    /// entry is encoded under its specification's lock.  A member that no
+    /// longer resolves in `store` (a removal the index has not been told
+    /// of yet) leaves its specification out rather than written
+    /// inconsistently.  A failed write keeps the index due for the next
+    /// checkpoint.
     pub(crate) fn save_checkpoint(
         &self,
         store: &WorkflowStore,
         cost_key: u64,
         dir: &Path,
     ) -> Result<usize, PersistError> {
-        let dirty = std::mem::take(&mut *self.dirty.lock());
-        if dirty.is_empty() {
+        let _save = store.save_lock.lock();
+        if !self.changed.swap(false, Ordering::AcqRel) {
             return Ok(self.states.tracked());
         }
-        let encoded: Result<Vec<wal::Encoded>, PersistError> = dirty
+        let mut specs = self.states.specs();
+        specs.sort();
+        let docs = specs
             .iter()
             .filter_map(|spec| {
                 self.states.existing(spec, |slot| {
@@ -161,18 +148,13 @@ impl IncrementalClusterIndex {
                             store.run(spec, m).map(|run| run_content_fingerprint(&run).to_string())
                         })
                         .collect::<Option<_>>()?;
-                    let doc = to_doc(spec, state, run_fingerprints);
-                    Some(wal::encode(dir, wal::KIND_CLUSTER_DELTA, &ClusterDelta { cost_key, doc }))
+                    Some(to_doc(spec, state, run_fingerprints))
                 })?
             })
             .collect();
-        let appended = encoded.and_then(|records| {
-            let _save = store.save_lock.lock();
-            store.wal_append(dir, &records).map(|()| store.fold_if_due(Some(dir)))
-        });
-        if let Err(e) = appended {
-            // The states are still unpersisted; make sure the next save retries.
-            self.dirty.lock().extend(dirty);
+        let file = ClusterCacheFile { format: CLUSTER_CACHE_FORMAT, cost_key, specs: docs };
+        if let Err(e) = write_json_atomic(&*store.io, &dir.join(CLUSTER_CACHE_FILE), &file) {
+            self.changed.store(true, Ordering::Release);
             return Err(e);
         }
         Ok(self.states.tracked())
@@ -181,8 +163,8 @@ impl IncrementalClusterIndex {
     /// Restores the checkpoint of `dir`, validating every entry against the
     /// live `store` (see the [module docs](self)).  A missing file is an
     /// empty report; a corrupt, foreign or mis-keyed file counts as one
-    /// stale entry, and so does each WAL delta under another cost model or
-    /// that this version cannot decode.
+    /// stale entry.  Any stale entry marks the index changed, so the next
+    /// checkpoint rewrites the file without it.
     pub(crate) fn load_checkpoint(
         &self,
         store: &WorkflowStore,
@@ -191,29 +173,20 @@ impl IncrementalClusterIndex {
     ) -> CheckpointReport {
         let path = dir.join(CLUSTER_CACHE_FILE);
         let mut report = CheckpointReport::default();
-        // The file is the base; WAL deltas appended after the last fold
-        // supersede its entry for the same specification (last write wins),
-        // and a superseded entry is never validated — it is outdated, not
-        // stale.
-        let mut entries: BTreeMap<String, SpecClusterDoc> = BTreeMap::new();
-        if path.exists() {
-            match read_file(&path) {
-                Some(file) if file.cost_key == cost_key => {
-                    entries.extend(file.specs.into_iter().map(|doc| (doc.spec.clone(), doc)));
-                }
-                _ => report.stale += 1,
-            }
+        if !path.exists() {
+            return report;
         }
-        for record in wal::scan(dir).map(|scan| scan.records).unwrap_or_default() {
-            let WalRecord::ClusterDelta(delta) = record else { continue };
-            match serde::from_value::<SpecClusterDoc>(delta.doc) {
-                Ok(doc) if delta.cost_key == cost_key => {
-                    entries.insert(doc.spec.clone(), doc);
-                }
-                _ => report.stale += 1,
+        let docs = match read_json::<ClusterCacheFile>(&path) {
+            Ok(file) if file.format == CLUSTER_CACHE_FORMAT && file.cost_key == cost_key => {
+                file.specs
             }
-        }
-        for (spec, doc) in entries {
+            _ => {
+                report.stale += 1;
+                Vec::new()
+            }
+        };
+        for doc in docs {
+            let spec = doc.spec.clone();
             match validate(doc, store) {
                 Some(state) => {
                     self.states.update(&spec, |slot| *slot = Some(state));
@@ -223,47 +196,10 @@ impl IncrementalClusterIndex {
             }
         }
         if report.stale > 0 {
-            // The on-disk checkpoint holds entries the index rejected; the
-            // next checkpoint should rewrite every state even if nothing
-            // else changes.
-            let specs = self.states.specs();
-            self.dirty.lock().extend(specs);
+            self.changed.store(true, Ordering::Release);
         }
         report
     }
-}
-
-/// Folds the WAL's cluster deltas into `cluster_cache.json` during a full
-/// save.  The existing file is the base when it is readable and keyed by the
-/// same cost model as the last delta; each delta overwrites its
-/// specification's entry, last write wins.  Deltas under another cost
-/// model, or that do not decode, are dropped — they would be stale on load.
-/// An unreadable base file counts as empty rather than an error: the
-/// checkpoint is derived data and must never block a save.
-pub(crate) fn fold(
-    io: &dyn StoreIo,
-    dir: &Path,
-    deltas: Vec<ClusterDeltaRecord>,
-) -> Result<(), PersistError> {
-    let Some(final_key) = deltas.last().map(|d| d.cost_key) else {
-        return Ok(());
-    };
-    let path = dir.join(CLUSTER_CACHE_FILE);
-    let mut merged: BTreeMap<String, SpecClusterDoc> = BTreeMap::new();
-    if let Some(file) = read_file(&path).filter(|file| file.cost_key == final_key) {
-        merged.extend(file.specs.into_iter().map(|doc| (doc.spec.clone(), doc)));
-    }
-    for delta in deltas.into_iter().filter(|d| d.cost_key == final_key) {
-        if let Ok(doc) = serde::from_value::<SpecClusterDoc>(delta.doc) {
-            merged.insert(doc.spec.clone(), doc);
-        }
-    }
-    let file = ClusterCacheFile {
-        format: CLUSTER_CACHE_FORMAT,
-        cost_key: final_key,
-        specs: merged.into_values().collect(),
-    };
-    write_json_atomic(io, &path, &file)
 }
 
 /// The checkpoint entry of `spec`'s state; `run_fingerprints` is aligned

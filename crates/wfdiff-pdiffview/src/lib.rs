@@ -13,8 +13,7 @@
 //!   (crash-safe saves, fully validated loads), after which
 //!   [`DiffService::warm_start`] prepares every loaded run once,
 //! * [`wal`] — the append-only write-ahead log behind hot-path durability:
-//!   run inserts/removals, stream events and cluster checkpoint deltas
-//!   become O(append) records that
+//!   run inserts/removals and stream events become O(append) records that
 //!   [`WorkflowStore::load_from_dir`] replays past the manifest commit point,
 //! * [`storeio`] — the [`StoreIo`] trait abstracting every durability-relevant
 //!   filesystem operation, with a [`RealIo`] passthrough and a deterministic
@@ -37,7 +36,7 @@
 //! * [`cluster`] — composite-module clustering (the "zoom" of large
 //!   provenance graphs) **and** run clustering: a deterministic k-medoids
 //!   iteration, the [`IncrementalClusterIndex`] that follows the store as
-//!   runs stream in or out, and its optional on-disk checkpoint,
+//!   runs stream in or out, and its optional checkpoint file,
 //! * [`metricindex`] — the metric index behind `GET /similar` queries: a
 //!   deterministic vantage-point tree per specification with certified
 //!   triangle-inequality pruning, maintained incrementally in memory and

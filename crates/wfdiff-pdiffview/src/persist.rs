@@ -19,16 +19,15 @@
 //! * The **manifest** is the root of truth: only specification directories it
 //!   lists are loaded, so stray or orphaned directories are ignored.
 //! * The **write-ahead log** holds the mutations appended *since* the
-//!   manifest committed: run inserts, run removals, stream events and
-//!   cluster checkpoint deltas, each a length-prefixed checksummed record
-//!   (see [`crate::wal`]).  [`WorkflowStore::load_from_dir`] replays it
-//!   past the manifest state (truncating a torn tail first), and a full
-//!   save **folds** it — merges the checkpoint deltas into
-//!   `cluster_cache.json` (see [`crate::cluster::persist`]), commits the
-//!   snapshot, and replaces the log with the records of the streams still
-//!   open.  The fold also drops what earlier versions wrote for the metric
-//!   index, which keeps no checkpoint: legacy kind-4 records and
-//!   `metric_index.json`.
+//!   manifest committed: run inserts, run removals and stream events, each
+//!   a length-prefixed checksummed record (see [`crate::wal`]).
+//!   [`WorkflowStore::load_from_dir`] replays it past the manifest state
+//!   (truncating a torn tail first), and a full save **folds** it — commits
+//!   the snapshot and replaces the log with the records of the streams
+//!   still open.  The fold also drops what earlier versions wrote for the
+//!   derived indexes into the log and beside it: legacy kind-3 and kind-4
+//!   records and `metric_index.json`.  Checkpoints of derived state are
+//!   files of their own that a fold never touches.
 //! * Every record reaches the log through **one append step**,
 //!   `WorkflowStore::wal_append`, under the save lock: it refuses a record
 //!   past the framing bound with [`PersistError::RecordTooLarge`] before a
@@ -79,7 +78,6 @@
 //! [`PersistError`] naming the offending file — never a panic.  See
 //! [`PersistError`] for recovery semantics.
 
-use crate::cluster;
 use crate::io::{RunDescriptor, SpecDescriptor};
 use crate::pool;
 use crate::store::{StoreError, WorkflowStore};
@@ -171,6 +169,18 @@ pub enum PersistError {
         /// The underlying store error.
         source: StoreError,
     },
+    /// A write-ahead-log append or its fsync failed, and cutting the failed
+    /// append back off the log failed too: the records may be whole in the
+    /// log, so a reload may replay the write.  The store refuses every
+    /// later write until it is reloaded.
+    OutcomeUnknown {
+        /// The log.
+        path: PathBuf,
+        /// What the failed append was doing.
+        context: &'static str,
+        /// Both I/O errors, the append's and the cut's.
+        source: std::io::Error,
+    },
     /// A write-ahead-log record is longer than the log's framing allows; the
     /// append was refused before it wrote a byte, and the log is unchanged.
     RecordTooLarge {
@@ -186,7 +196,8 @@ pub enum PersistError {
 impl fmt::Display for PersistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PersistError::Io { path, context, source } => {
+            PersistError::Io { path, context, source }
+            | PersistError::OutcomeUnknown { path, context, source } => {
                 write!(f, "{context} {}: {source}", path.display())
             }
             PersistError::Json { path, source } => {
@@ -212,7 +223,9 @@ impl fmt::Display for PersistError {
 impl std::error::Error for PersistError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            PersistError::Io { source, .. } => Some(source),
+            PersistError::Io { source, .. } | PersistError::OutcomeUnknown { source, .. } => {
+                Some(source)
+            }
             PersistError::Json { source, .. } => Some(source),
             PersistError::Tree { source, .. } => Some(source),
             PersistError::Store { source } => Some(source),
@@ -565,9 +578,9 @@ impl WorkflowStore {
         // Every fold attempt restarts the threshold count, so a fold that
         // fails is retried one threshold later, not on every append.
         self.wal_stats.since_fold.store(0, Ordering::Release);
-        // The records appended since the last fold.  Scanned up front so the
-        // checkpoint deltas can be merged into their files before the log is
-        // truncated; nothing can append concurrently (save_lock).
+        // The records appended since the last fold, scanned before anything
+        // is written, for the open streams the fold carries over; nothing
+        // can append concurrently (save_lock).
         let wal_scan = wal::scan(dir)?;
         // Refuse to clobber a store this build cannot read: the
         // garbage-collection pass below would otherwise silently destroy a
@@ -719,22 +732,9 @@ impl WorkflowStore {
             });
         }
 
-        // Fold the WAL's cluster deltas into `cluster_cache.json` before the
-        // commit point.  A crash after this merge is safe on both sides of
-        // the manifest rename: the checkpoint is validated entry by entry on
-        // load, and the still-untruncated WAL replays to the same state.
         // Stream events of the streams still open (a closure marker's events
         // are folded into the finalised run).
         let (streams, _) = wal::open_streams(&wal_scan.records);
-        let cluster_deltas = wal_scan
-            .records
-            .into_iter()
-            .filter_map(|record| match record {
-                wal::WalRecord::ClusterDelta(delta) => Some(delta),
-                _ => None,
-            })
-            .collect();
-        cluster::persist::fold(&*self.io, dir, cluster_deltas)?;
 
         // Commit point: the manifest rename atomically switches loaders from
         // the previous state to this one.
@@ -764,8 +764,10 @@ impl WorkflowStore {
 
         // Garbage-collect spec directories the new manifest does not
         // reference (left over from replaced spec versions), `.tmp`
-        // leftovers of crashed manifest/spec.json writes (the runs/ sweep
-        // above covers run documents) and a legacy metric-index checkpoint.
+        // leftovers of crashed manifest, spec.json or checkpoint-file writes
+        // (the runs/ sweep above covers run documents; checkpoint writes
+        // hold `save_lock` too, so none is in flight) and a legacy
+        // metric-index checkpoint.
         // Failures here are ignored: the store is already committed and
         // orphans are inert.
         let sweep_tmp = |d: &Path| {
@@ -1026,10 +1028,8 @@ impl WorkflowStore {
     /// idempotently, and records against a specification version the
     /// manifest no longer lists are skipped.  The inserted runs are rebuilt
     /// in parallel the same way; the first bad insert in the log fails the
-    /// load.  Legacy kind-4 records are stepped over.  The loaded store
-    /// keeps the surviving log — its checkpoint deltas feed
-    /// [`DiffService::load_cluster_state`](crate::service::DiffService::load_cluster_state),
-    /// and the next full save folds everything.
+    /// load.  Legacy kind-3 and kind-4 records are stepped over.  The loaded
+    /// store keeps the surviving log, and the next full save folds it.
     pub fn load_from_dir(dir: impl AsRef<Path>) -> Result<WorkflowStore, PersistError> {
         WorkflowStore::load_from_dir_with_io(dir, Arc::new(crate::storeio::RealIo))
     }
@@ -1201,10 +1201,6 @@ impl WorkflowStore {
                     store.remove_run(&remove.spec, &remove.name);
                     replayed += 1;
                 }
-                // Consumed by `DiffService::load_cluster_state`, which
-                // overlays deltas on the checkpoint file and validates the
-                // result against this store.
-                wal::WalRecord::ClusterDelta(_) => replayed += 1,
                 // Consumed by `DiffService::load_streams`, which rebuilds
                 // the in-flight `PartialRun`s from these records.
                 wal::WalRecord::StreamEvent(_) => replayed += 1,
@@ -1707,9 +1703,9 @@ mod tests {
         let dir = TempDir::new("over-bound");
         seeded_store().save_to_dir(dir.path()).unwrap();
         let store = Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap());
-        // A cluster delta one byte past the framing bound, sent through the
-        // append step the way a checkpoint sends it.
-        let over = (wal::KIND_CLUSTER_DELTA, "x".repeat(wal::MAX_RECORD_BYTES as usize));
+        // A run record one byte past the framing bound, sent through the
+        // append step the way a write sends it.
+        let over = (wal::KIND_RUN_INSERT, "x".repeat(wal::MAX_RECORD_BYTES as usize));
         let refused = {
             let _save = store.save_lock.lock();
             store.wal_append(dir.path(), &[over])

@@ -17,8 +17,9 @@
 //! | 404    | unknown endpoint, specification or run |
 //! | 405    | known endpoint, wrong method |
 //! | 409    | conflict: the run was built or asserted against a different specification version, or the run name is already taken |
-//! | 413    | body larger than the server's configured limit |
+//! | 413    | body larger than the server's configured limit, or a write-ahead-log record over its 64 MiB bound |
 //! | 500    | internal failure: diff engine invariant or persistence I/O |
+//! | 503    | `outcome_unknown`: a write's append failed and could not be cut back off the log, so a reload may replay it |
 
 use crate::io::RunDescriptor;
 use crate::service::{DriftReport, ServiceError};
@@ -390,6 +391,7 @@ impl From<ServiceError> for ApiError {
             }
             ServiceError::Store(store_error) => store_error.clone().into(),
             ServiceError::Persist(_) => ApiError::new(500, "persist_failed", e.to_string()),
+            ServiceError::OutcomeUnknown(_) => ApiError::new(503, "outcome_unknown", e.to_string()),
             ServiceError::RecordTooLarge(_) => {
                 ApiError::new(413, "record_too_large", e.to_string())
             }
@@ -469,5 +471,7 @@ mod tests {
         assert_eq!((e.status, e.kind), (409, "run_exists"));
         let e: ApiError = ServiceError::Persist("disk full".into()).into();
         assert_eq!((e.status, e.kind), (500, "persist_failed"));
+        let e: ApiError = ServiceError::OutcomeUnknown("disk full".into()).into();
+        assert_eq!((e.status, e.kind), (503, "outcome_unknown"));
     }
 }

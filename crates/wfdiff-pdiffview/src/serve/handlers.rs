@@ -431,8 +431,8 @@ fn cluster(state: &AppState, req: &Request) -> Result<(u16, String), ApiError> {
 }
 
 /// `GET /cluster?algo=kmedoids&k=…[&seed=…]`: the incremental k-medoids
-/// clustering of every stored run; checkpointed to the store directory
-/// (best effort) when the server persists.
+/// clustering of every stored run; checkpointed to the store directory's
+/// `cluster_cache.json` (best effort) when the server persists.
 fn cluster_kmedoids(state: &AppState, req: &Request) -> Result<(u16, String), ApiError> {
     let spec = req.query_param("spec").ok_or_else(|| ApiError::missing_param("spec"))?;
     let k = parse_int_param::<usize>(req, "k")?.ok_or_else(|| ApiError::missing_param("k"))?;
@@ -1125,8 +1125,9 @@ mod tests {
     }
 
     /// Passes every operation through to [`RealIo`] but fails one chosen
-    /// append to, or fsync of, `wal.log`; the failing append can write half
-    /// its bytes first, and one append can wait for [`WalFaults::release`].
+    /// append to, or fsync of, `wal.log`, and optionally every truncation of
+    /// it; the failing append can write half its bytes first, and one append
+    /// can wait for [`WalFaults::release`].
     #[derive(Debug, Default)]
     struct WalFaults {
         /// 1-based index of the append that fails (0: none).
@@ -1137,6 +1138,9 @@ mod tests {
         fail_fsync: usize,
         /// 1-based index of the append that waits for a release (0: none).
         hold_append: usize,
+        /// Every truncation of the log fails, so a failed append cannot be
+        /// cut back.
+        fail_truncate: bool,
         appends: std::sync::atomic::AtomicUsize,
         fsyncs: std::sync::atomic::AtomicUsize,
         released: std::sync::Mutex<bool>,
@@ -1210,6 +1214,9 @@ mod tests {
             RealIo.remove_dir_all(path)
         }
         fn truncate_file(&self, path: &Path, len: u64) -> std::io::Result<()> {
+            if self.fail_truncate && Self::is_log(path) {
+                return Err(std::io::Error::other("injected truncate failure"));
+            }
             RealIo.truncate_file(path, len)
         }
     }
@@ -1272,25 +1279,61 @@ mod tests {
     }
 
     #[test]
-    fn an_over_bound_cluster_checkpoint_answers_persisted_false() {
-        let (dir, store, state) = persisted_state("over-bound-cluster", Arc::new(RealIo));
-        let kmedoids = |state: &AppState| {
-            let (status, body) =
-                route(state, &request("GET", "/cluster?spec=fig2&algo=kmedoids&k=1", ""));
-            assert_eq!(status, 200, "{body}");
-            serde_json::from_str::<KMedoidsResponse>(&body).unwrap().persisted
-        };
-        let bound = crate::wal::tests::lower_record_bound(64);
-        assert!(!kmedoids(&state), "the checkpoint's record is over the bound");
-        assert_eq!(store.wal_stats().appends_total, 0);
+    fn kmedoids_refreshes_after_writes_leave_the_log_to_the_writes() {
+        let (dir, store, state) = persisted_state("cluster-cycles", Arc::new(RealIo));
+        assert_eq!(store.wal_fold_threshold(), crate::store::DEFAULT_WAL_FOLD_THRESHOLD);
+        let spec = store.spec("fig2").unwrap();
+        let shapes = [fig2_run1(&spec), fig2_run2(&spec), fig2_run3(&spec)];
+        let mut partition = Vec::new();
+        for cycle in 0..20 {
+            let appends = store.wal_stats().appends_total;
+            let insert = insert_body(&format!("c{cycle:02}"), &shapes[cycle % 3]);
+            let response = dispatch(&state, &request("POST", "/runs", &insert));
+            assert_eq!(response.status, 201, "{}", response.body);
+            let kmedoids = request("GET", "/cluster?spec=fig2&algo=kmedoids&k=2", "");
+            let response = dispatch(&state, &kmedoids);
+            assert_eq!(response.status, 200, "{}", response.body);
+            let out: KMedoidsResponse = serde_json::from_str(&response.body).unwrap();
+            assert!(out.persisted, "cycle {cycle}: the clustering was checkpointed");
+            let appended = store.wal_stats().appends_total - appends;
+            assert_eq!(appended, 1, "cycle {cycle}: one append, the insert's");
+            partition = out.clusters.into_iter().map(|c| c.runs).collect();
+        }
+        assert_eq!(store.wal_stats().folds_total, 0);
+        let summary = crate::wal::inspect(&dir).unwrap();
+        assert_eq!((summary.records, summary.run_inserts), (20, 20));
 
-        // The refused state stays due: under the real bound the next query
-        // checkpoints it, and the store still takes writes.
-        drop(bound);
-        assert!(kmedoids(&state));
-        assert_eq!(crate::wal::inspect(&dir).unwrap().cluster_deltas, 1);
-        assert_eq!(post_run(&state, "r3"), 201);
-        assert_eq!(store.wal_stats().appends_total, 2);
+        // A restart resumes the last clustering from the file.
+        let (reloaded, service, _) = reload(&dir);
+        assert_eq!(reloaded.run_count(), 22);
+        let report = service.load_cluster_state(&dir);
+        assert_eq!((report.loaded, report.stale), (1, 0));
+        assert_eq!(service.cluster_index().snapshot("fig2").unwrap().partition(), partition);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_write_that_cannot_be_cut_back_answers_503_and_may_survive_a_reload() {
+        // The append lands whole, its fsync fails, and the cut back fails.
+        let io = Arc::new(WalFaults { fail_fsync: 1, fail_truncate: true, ..Default::default() });
+        let (dir, store, state) = persisted_state("outcome-unknown", io);
+        let spec = store.spec("fig2").unwrap();
+        let insert = insert_body("r3", &fig2_run3(&spec));
+        let response = dispatch(&state, &request("POST", "/runs", &insert));
+        assert_eq!(response.status, 503, "{}", response.body);
+        let error: ErrorBody = serde_json::from_str(&response.body).unwrap();
+        assert_eq!(error.kind, "outcome_unknown");
+        assert!(store.run("fig2", "r3").is_none(), "the write is not published");
+
+        // Later writes are refused with a definite answer ...
+        let later = insert_body("r4", &fig2_run1(&spec));
+        let (status, body) = route(&state, &request("POST", "/runs", &later));
+        assert_eq!(status, 500, "{body}");
+        assert_eq!(serde_json::from_str::<ErrorBody>(&body).unwrap().kind, "persist_failed");
+        // ... and a reload holds the write whose outcome was unknown.
+        let (reloaded, _, _) = reload(&dir);
+        assert!(reloaded.run("fig2", "r3").is_some());
+        assert!(reloaded.run("fig2", "r4").is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 

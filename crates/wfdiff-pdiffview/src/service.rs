@@ -95,6 +95,12 @@ pub enum ServiceError {
     /// Making a write durable failed (the message names the file and the
     /// I/O error); nothing of the write is in memory or in the log.
     Persist(String),
+    /// A write's append or fsync failed and cutting it back off the log
+    /// failed too (the message names both errors): the write is not in
+    /// memory, but its records may be whole in the log, so a reload may
+    /// replay it.  Every later write is refused until the store is
+    /// reloaded.
+    OutcomeUnknown(String),
     /// A record of the write is longer than the write-ahead log's framing
     /// allows (64 MiB); it was refused before any byte was written, and
     /// nothing of the write is in memory or in the log.
@@ -115,9 +121,9 @@ impl std::fmt::Display for ServiceError {
                 write!(f, "unknown stream {stream:?} for specification {spec:?}")
             }
             ServiceError::Store(e) => e.fmt(f),
-            ServiceError::Persist(message) | ServiceError::RecordTooLarge(message) => {
-                f.write_str(message)
-            }
+            ServiceError::Persist(message)
+            | ServiceError::OutcomeUnknown(message)
+            | ServiceError::RecordTooLarge(message) => f.write_str(message),
         }
     }
 }
@@ -155,6 +161,7 @@ impl From<PersistError> for ServiceError {
     fn from(value: PersistError) -> Self {
         match value {
             PersistError::RecordTooLarge { .. } => ServiceError::RecordTooLarge(value.to_string()),
+            PersistError::OutcomeUnknown { .. } => ServiceError::OutcomeUnknown(value.to_string()),
             _ => ServiceError::Persist(value.to_string()),
         }
     }
@@ -825,13 +832,12 @@ impl DiffService {
         &self.metric
     }
 
-    /// Checkpoints the cluster index by appending one delta record per
-    /// changed spec to the store directory's write-ahead log (see
-    /// [`crate::cluster::persist`] and [`crate::wal`]) — O(changed specs),
-    /// not a whole `cluster_cache.json` rewrite; the next full save folds
-    /// the deltas into the file.  Returns the number of tracked specs.
-    /// When nothing changed since the last successful checkpoint the append
-    /// is skipped entirely, so calling this after every query is cheap.
+    /// Checkpoints the cluster index by replacing `cluster_cache.json` in
+    /// `dir` whole, atomically, with every clustering the index holds (see
+    /// [`crate::cluster::persist`]); the write-ahead log is not touched.
+    /// Returns the number of tracked specs.  When nothing changed since the
+    /// last successful checkpoint the write is skipped entirely, so calling
+    /// this after every query is cheap.
     pub fn save_cluster_state(&self, dir: impl AsRef<Path>) -> Result<usize, PersistError> {
         self.clusters.save_checkpoint(&self.store, self.cost.cache_key(), dir.as_ref())
     }
@@ -1350,6 +1356,7 @@ mod tests {
                                 | ServiceError::UnknownStream { .. }
                                 | ServiceError::Store(_)
                                 | ServiceError::Persist(_)
+                                | ServiceError::OutcomeUnknown(_)
                                 | ServiceError::RecordTooLarge(_)),
                             ) => {
                                 panic!("write error from a read-only query: {e}")

@@ -2,9 +2,10 @@
 //!
 //! A full [`WorkflowStore::save_to_dir`] rewrites every changed document and
 //! commits with a manifest rename — O(store).  The WAL makes the hot
-//! mutation paths O(append) instead: a run insert, a run removal, a stream
-//! event or a cluster checkpoint delta is one length-prefixed, checksummed
-//! record appended to `wal.log` and fsynced, and nothing else is touched.
+//! mutation paths O(append) instead: a run insert, a run removal or a
+//! stream event is one length-prefixed, checksummed record appended to
+//! `wal.log` and fsynced, and nothing else is touched.  Every record is a
+//! store mutation; caches derived from the store keep files of their own.
 //! Every record reaches `append` through the store's one append step
 //! (see [`crate::persist`]).
 //!
@@ -18,25 +19,19 @@
 //! (`MAX_RECORD_BYTES`): an append refuses a longer record with
 //! [`PersistError::RecordTooLarge`] before it writes a byte.  `crc32`
 //! (IEEE) covers the kind byte plus the payload.  Kinds: 1 = run insert,
-//! 2 = run remove, 3 = cluster delta, 5 = stream event (one node-lifecycle
-//! event of an in-flight streamed run).  A record is valid only if its
-//! header fits, its length is sane, its checksum matches and its payload
-//! deserialises; the **first** invalid record ends the log — everything
-//! from its offset on is a torn tail (a crashed append) and is truncated by
-//! the next [`WorkflowStore::load_from_dir`].
+//! 2 = run remove, 5 = stream event (one node-lifecycle event of an
+//! in-flight streamed run).  A record is valid only if its header fits, its
+//! length is sane, its checksum matches and its payload deserialises; the
+//! **first** invalid record ends the log — everything from its offset on is
+//! a torn tail (a crashed append) and is truncated by the next
+//! [`WorkflowStore::load_from_dir`].
 //!
-//! Kind 3 is `{cost_key, doc}`.  The `doc` stays undecoded JSON until
-//! [`DiffService::load_cluster_state`] loads it, so only the framing, the
-//! checksum and the envelope decide where the log ends: a `doc` the cluster
-//! index cannot decode (written by another version, say) is a stale
-//! checkpoint entry, not a torn tail.
-//!
-//! Kind 4 is **legacy**: a vantage-point-tree checkpoint, written by
-//! versions whose metric index kept one.  The tree is rebuilt from the
-//! stored runs instead, so a kind-4 record whose framing and checksum pass
-//! is stepped over without decoding its payload — the records after it
-//! still replay — and the next fold drops it.  Any other unknown kind ends
-//! the log.
+//! Kinds 3 and 4 are **legacy**: checkpoints of derived indexes (a
+//! clustering, a vantage-point tree) that earlier versions appended to the
+//! log.  Both are recomputable from the stored runs, so a record of either
+//! kind whose framing and checksum pass is stepped over without decoding
+//! its payload — the records after it still replay — and the next fold
+//! drops it.  Any other unknown kind ends the log.
 //!
 //! # Replay semantics
 //!
@@ -48,22 +43,16 @@
 //! spec replacement whose full save crashed before the WAL truncation).
 //! The same rule decides which open streams a fold carries over and
 //! [`DiffService::load_streams`] rebuilds.
-//! Cluster deltas are consumed by [`DiffService::load_cluster_state`],
-//! which overlays them (last write wins per spec) on `cluster_cache.json`
-//! and validates the result like any checkpoint entry (see
-//! [`crate::cluster::persist`]).
 //!
-//! A full save **folds** the log: cluster deltas are merged into
-//! `cluster_cache.json`, the snapshot is committed via the manifest rename,
-//! and the WAL is replaced, atomically, by the records of the streams still
-//! open (empty when there are none).  The fold runs automatically once
-//! [`WorkflowStore::set_wal_fold_threshold`] bytes have been appended since
-//! the last fold attempt.
+//! A full save **folds** the log: the snapshot is committed via the
+//! manifest rename, and the WAL is replaced, atomically, by the records of
+//! the streams still open (empty when there are none).  The fold runs
+//! automatically once [`WorkflowStore::set_wal_fold_threshold`] bytes have
+//! been appended since the last fold attempt.
 //!
 //! [`WorkflowStore::save_to_dir`]: crate::store::WorkflowStore::save_to_dir
 //! [`WorkflowStore::load_from_dir`]: crate::store::WorkflowStore::load_from_dir
 //! [`WorkflowStore::set_wal_fold_threshold`]: crate::store::WorkflowStore::set_wal_fold_threshold
-//! [`DiffService::load_cluster_state`]: crate::service::DiffService::load_cluster_state
 //! [`DiffService::load_streams`]: crate::service::DiffService::load_streams
 
 use crate::io::RunDescriptor;
@@ -84,11 +73,13 @@ pub(crate) const MAX_RECORD_BYTES: u32 = 64 * 1024 * 1024;
 /// Bytes of framing before each record's body.
 const HEADER_BYTES: usize = 8;
 
-const KIND_RUN_INSERT: u8 = 1;
+pub(crate) const KIND_RUN_INSERT: u8 = 1;
 const KIND_RUN_REMOVE: u8 = 2;
-pub(crate) const KIND_CLUSTER_DELTA: u8 = 3;
-const KIND_LEGACY_METRIC_DELTA: u8 = 4;
 const KIND_STREAM_EVENT: u8 = 5;
+
+/// The retired kinds: 3, a cluster checkpoint delta, and 4, a
+/// vantage-point-tree checkpoint delta (see the [module docs](self)).
+const LEGACY_KINDS: [u8; 2] = [3, 4];
 
 /// A run insert: enough to rebuild and re-validate the run at replay time.
 #[derive(Debug, Serialize, Deserialize)]
@@ -112,17 +103,6 @@ pub(crate) struct RunRemoveRecord {
     pub(crate) spec: String,
     /// Run name.
     pub(crate) name: String,
-}
-
-/// One specification's updated `cluster_cache.json` entry (last write
-/// wins), as read back from the log.
-#[derive(Debug, Serialize, Deserialize)]
-pub(crate) struct ClusterDeltaRecord {
-    /// Cost-model cache key the entry was computed under.
-    pub(crate) cost_key: u64,
-    /// The entry exactly as the checkpoint file holds it, left undecoded
-    /// until the cluster index loads it.
-    pub(crate) doc: serde::Value,
 }
 
 /// One node-lifecycle event of an in-flight streamed run.  Streams are
@@ -153,8 +133,6 @@ pub(crate) enum WalRecord {
     RunInsert(RunInsertRecord),
     /// Kind 2.
     RunRemove(RunRemoveRecord),
-    /// Kind 3.
-    ClusterDelta(ClusterDeltaRecord),
     /// Kind 5.
     StreamEvent(StreamEventRecord),
 }
@@ -254,11 +232,7 @@ pub(crate) fn wal_path(dir: &Path) -> std::path::PathBuf {
 pub(crate) type Encoded = (u8, String);
 
 /// Encodes `payload` as a record of `kind` for `dir`'s log.
-pub(crate) fn encode<T: Serialize>(
-    dir: &Path,
-    kind: u8,
-    payload: &T,
-) -> Result<Encoded, PersistError> {
+fn encode<T: Serialize>(dir: &Path, kind: u8, payload: &T) -> Result<Encoded, PersistError> {
     serde_json::to_string(payload)
         .map(|json| (kind, json))
         .map_err(|source| PersistError::Json { path: wal_path(dir), source })
@@ -271,7 +245,6 @@ pub(crate) fn encode_all(dir: &Path, records: &[WalRecord]) -> Result<Vec<Encode
         .map(|record| match record {
             WalRecord::RunInsert(r) => encode(dir, KIND_RUN_INSERT, r),
             WalRecord::RunRemove(r) => encode(dir, KIND_RUN_REMOVE, r),
-            WalRecord::ClusterDelta(r) => encode(dir, KIND_CLUSTER_DELTA, r),
             WalRecord::StreamEvent(r) => encode(dir, KIND_STREAM_EVENT, r),
         })
         .collect()
@@ -310,7 +283,9 @@ fn frame(dir: &Path, records: &[Encoded]) -> Result<Vec<u8>, PersistError> {
 /// A failed write or fsync is a lost write whose bytes must never
 /// resurface, so the log is cut back through `io` to its length before the
 /// append (else a torn record would end the log before every later one).
-/// If the cut fails too, `torn` is set and later appends refuse.
+/// If the cut fails too, `torn` is set, later appends refuse, and the
+/// error is [`PersistError::OutcomeUnknown`]: the records may be whole in
+/// the log, and a reload would then replay them.
 pub(crate) fn append(
     io: &dyn StoreIo,
     dir: &Path,
@@ -336,7 +311,11 @@ pub(crate) fn append(
     if let Err(cut) = truncate_to(io, dir, before) {
         torn.store(true, Ordering::Release);
         let both = format!("{e}; cutting the failed append back off the log failed too: {cut}");
-        return Err(io_err(&path, context, std::io::Error::other(both)));
+        return Err(PersistError::OutcomeUnknown {
+            path,
+            context,
+            source: std::io::Error::other(both),
+        });
     }
     Err(io_err(&path, context, e))
 }
@@ -374,10 +353,11 @@ pub(crate) fn replace(
 /// What [`scan`] found in a WAL file.
 #[derive(Debug, Default)]
 pub(crate) struct WalScan {
-    /// Every valid record, in append order, legacy kind-4 records aside.
+    /// Every valid record, in append order, legacy records aside.
     pub(crate) records: Vec<WalRecord>,
-    /// Legacy kind-4 records stepped over (see the [module docs](self)).
-    pub(crate) legacy_metric_deltas: usize,
+    /// Legacy kind-3 and kind-4 records stepped over (see the
+    /// [module docs](self)).
+    pub(crate) legacy_records: usize,
     /// Byte offset past the last valid record — where a torn tail (if any)
     /// starts.
     pub(crate) valid_len: u64,
@@ -395,7 +375,7 @@ fn read_u32_le(bytes: &[u8], offset: usize) -> Option<u32> {
 /// Reads and decodes `dir/wal.log`.  A missing file is an empty log; a
 /// decode failure ends the log at that offset (`valid_len < total_len`
 /// flags the torn tail) and is never an error — only unreadable storage is.
-/// A legacy kind-4 record is counted and stepped over undecoded.
+/// A legacy record is counted and stepped over undecoded.
 pub(crate) fn scan(dir: &Path) -> Result<WalScan, PersistError> {
     let path = wal_path(dir);
     let bytes = match std::fs::read(&path) {
@@ -422,8 +402,8 @@ pub(crate) fn scan(dir: &Path) -> Result<WalScan, PersistError> {
         if crc32(body) != crc {
             break;
         }
-        if body[0] == KIND_LEGACY_METRIC_DELTA {
-            out.legacy_metric_deltas += 1;
+        if LEGACY_KINDS.contains(&body[0]) {
+            out.legacy_records += 1;
             offset = body_end;
             continue;
         }
@@ -431,7 +411,6 @@ pub(crate) fn scan(dir: &Path) -> Result<WalScan, PersistError> {
         let record = match body[0] {
             KIND_RUN_INSERT => serde_json::from_str(payload).map(WalRecord::RunInsert),
             KIND_RUN_REMOVE => serde_json::from_str(payload).map(WalRecord::RunRemove),
-            KIND_CLUSTER_DELTA => serde_json::from_str(payload).map(WalRecord::ClusterDelta),
             KIND_STREAM_EVENT => serde_json::from_str(payload).map(WalRecord::StreamEvent),
             _ => break,
         };
@@ -524,14 +503,12 @@ pub struct WalSummary {
     pub run_inserts: usize,
     /// Run-remove records (kind 2).
     pub run_removes: usize,
-    /// Cluster-delta records (kind 3).
-    pub cluster_deltas: usize,
-    /// Legacy metric-index-delta records (kind 4): written by versions whose
-    /// metric index kept a checkpoint, skipped on load and dropped by the
-    /// next fold.
-    pub metric_deltas: usize,
     /// Stream-event records (kind 5), closure markers included.
     pub stream_events: usize,
+    /// Legacy checkpoint records (kinds 3 and 4): written by versions that
+    /// checkpointed the cluster or metric index into the log, skipped on
+    /// load and dropped by the next fold.
+    pub legacy_records: usize,
     /// Bytes of valid records.
     pub bytes: u64,
     /// Trailing bytes that do not decode (a torn append; repaired by the
@@ -544,8 +521,8 @@ pub struct WalSummary {
 pub fn inspect(dir: impl AsRef<Path>) -> Result<WalSummary, PersistError> {
     let scan = scan(dir.as_ref())?;
     let mut summary = WalSummary {
-        records: scan.records.len() + scan.legacy_metric_deltas,
-        metric_deltas: scan.legacy_metric_deltas,
+        records: scan.records.len() + scan.legacy_records,
+        legacy_records: scan.legacy_records,
         bytes: scan.valid_len,
         torn_bytes: scan.total_len - scan.valid_len,
         ..WalSummary::default()
@@ -554,7 +531,6 @@ pub fn inspect(dir: impl AsRef<Path>) -> Result<WalSummary, PersistError> {
         match record {
             WalRecord::RunInsert(_) => summary.run_inserts += 1,
             WalRecord::RunRemove(_) => summary.run_removes += 1,
-            WalRecord::ClusterDelta(_) => summary.cluster_deltas += 1,
             WalRecord::StreamEvent(_) => summary.stream_events += 1,
         }
     }
@@ -657,7 +633,7 @@ pub(crate) mod tests {
         assert_eq!(summary.records, 3);
         assert_eq!(summary.run_inserts, 2);
         assert_eq!(summary.run_removes, 1);
-        assert_eq!(summary.cluster_deltas, 0);
+        assert_eq!((summary.stream_events, summary.legacy_records), (0, 0));
         assert_eq!(summary.torn_bytes, 0);
     }
 
@@ -668,7 +644,7 @@ pub(crate) mod tests {
         let before = std::fs::read(wal_path(dir.path())).unwrap();
         let torn = AtomicBool::new(false);
         // The kind byte plus the payload: one byte past the bound.
-        let over = (KIND_CLUSTER_DELTA, "x".repeat(MAX_RECORD_BYTES as usize));
+        let over = (KIND_RUN_INSERT, "x".repeat(MAX_RECORD_BYTES as usize));
         let err = append(&RealIo, dir.path(), &[over], &torn).unwrap_err();
         let over_len = MAX_RECORD_BYTES as usize + 1;
         assert!(
@@ -719,12 +695,13 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_legacy_kind_4_record_is_stepped_over_and_an_unknown_kind_ends_the_log() {
+    fn legacy_records_are_stepped_over_and_an_unknown_kind_ends_the_log() {
         let dir = TempDir::new("legacy");
         let mut records = encode_all(dir.path(), &[insert_record("r1")]).unwrap();
-        // Not JSON at all: a kind-4 payload is never decoded.
-        records.push((KIND_LEGACY_METRIC_DELTA, "a tree".to_string()));
+        // Not JSON at all: a legacy payload is never decoded.
+        records.push((LEGACY_KINDS[0], "a clustering".to_string()));
         records.extend(encode_all(dir.path(), &[insert_record("r2")]).unwrap());
+        records.push((LEGACY_KINDS[1], "a tree".to_string()));
         records.push((9, "{}".to_string()));
         records.extend(encode_all(dir.path(), &[insert_record("r3")]).unwrap());
         append(&RealIo, dir.path(), &records, &AtomicBool::new(false)).unwrap();
@@ -737,9 +714,9 @@ pub(crate) mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!((names, scan.legacy_metric_deltas), (vec!["r1", "r2"], 1));
+        assert_eq!((names, scan.legacy_records), (vec!["r1", "r2"], 2));
         let summary = inspect(dir.path()).unwrap();
-        assert_eq!((summary.records, summary.run_inserts, summary.metric_deltas), (3, 2, 1));
+        assert_eq!((summary.records, summary.run_inserts, summary.legacy_records), (4, 2, 2));
         assert!(summary.torn_bytes > 0, "kind 9 and everything after it is a torn tail");
     }
 

@@ -1,5 +1,5 @@
 //! On-disk compatibility of the cluster checkpoint, and of what earlier
-//! versions wrote for the metric index.
+//! versions wrote into the write-ahead log for the derived indexes.
 //!
 //! `tests/fixtures/derived_checkpoints/store` is a store directory written
 //! by the checkpoint code that predates the shared `derived` module: one
@@ -7,15 +7,14 @@
 //! already folded, and three records left in `wal.log` — the insert of an
 //! 18th run, then one cluster delta (kind 3) and one metric-index delta
 //! (kind 4) taken after it.  `folded/` holds the `cluster_cache.json` that
-//! code's full save (`save_to_dir`) wrote for that directory.  Loading the
-//! directory must resume the clustering, and folding it again must write
-//! that file byte for byte.  The metric index keeps no checkpoint any more:
-//! its kind-4 records are stepped over and the fold drops them with
-//! `metric_index.json`.
+//! code's full save (`save_to_dir`) wrote for that directory, whose one
+//! entry covers all 18 runs.
 //!
-//! Checkpoints written now must be byte for byte the fixture's records, and a
-//! checkpoint record whose entry does not decode — one written by another
-//! version — must count as stale without cutting the WAL short.
+//! Neither index checkpoints into the log any more: kinds 3 and 4 are
+//! legacy, stepped over undecoded, and the next fold drops them.  The
+//! cluster checkpoint is `cluster_cache.json` alone, in the same format:
+//! the folded file must resume the clustering, and a checkpoint written
+//! from the resumed state must be that file byte for byte.
 
 use pdiffview::pdiffview::{DiffService, WorkflowStore, WAL_FILE};
 use pdiffview::workloads::figures::{fig2_run1, fig2_run2, fig2_run3, fig2_specification};
@@ -72,14 +71,22 @@ fn copy_tree(from: &Path, to: &Path) {
     }
 }
 
+/// The fixture store with the folded `cluster_cache.json` as its checkpoint.
+fn resumable_fixture(tag: &str) -> ScratchDir {
+    let dir = ScratchDir::of(&fixture("store"), tag);
+    let folded = fixture("folded").join(CLUSTER_CACHE_FILE);
+    std::fs::copy(folded, dir.path().join(CLUSTER_CACHE_FILE)).unwrap();
+    dir
+}
+
 #[test]
 fn checkpoints_written_before_the_shared_mechanism_load_and_fold_byte_identically() {
-    let dir = ScratchDir::of(&fixture("store"), "fold");
+    let dir = resumable_fixture("fold");
     let summary = pdiffview::pdiffview::wal::inspect(dir.path()).unwrap();
     assert_eq!(
-        (summary.run_inserts, summary.cluster_deltas, summary.metric_deltas, summary.torn_bytes),
-        (1, 1, 1, 0),
-        "the fixture's log holds one record of each kind"
+        (summary.run_inserts, summary.legacy_records, summary.torn_bytes),
+        (1, 2, 0),
+        "the fixture's log holds an insert and two legacy checkpoint records"
     );
 
     let store = Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap());
@@ -95,10 +102,14 @@ fn checkpoints_written_before_the_shared_mechanism_load_and_fold_byte_identicall
     assert_eq!(pruned, service.nearest_runs("fixture", "run17", 4).unwrap());
     assert_eq!(service.metric_index().member_count("fixture"), 18);
 
+    // The fold drops the legacy records and leaves the checkpoint file as
+    // it is.
     store.save_to_dir(dir.path()).unwrap();
+    let summary = pdiffview::pdiffview::wal::inspect(dir.path()).unwrap();
+    assert_eq!((summary.records, summary.legacy_records), (0, 0));
     let folded = std::fs::read(dir.path().join(CLUSTER_CACHE_FILE)).unwrap();
     let expected = std::fs::read(fixture("folded").join(CLUSTER_CACHE_FILE)).unwrap();
-    assert!(folded == expected, "{CLUSTER_CACHE_FILE} differs from the one the earlier fold wrote");
+    assert!(folded == expected, "the fold rewrote {CLUSTER_CACHE_FILE}");
 }
 
 /// CRC-32 (IEEE), bit by bit: the WAL's record checksum.
@@ -147,23 +158,25 @@ fn a_checkpoint_record_that_does_not_decode_is_stale_not_a_torn_tail() {
         assert_eq!((summary.records, summary.torn_bytes), (3, 0), "kind {kind}");
 
         if kind == 3 {
+            assert_eq!(summary.legacy_records, 1, "kind {kind}: counted as legacy");
             let report = DiffService::new(loaded).load_cluster_state(dir.path());
-            assert_eq!((report.loaded, report.stale), (0, 1), "kind {kind}: counted stale");
+            assert_eq!((report.loaded, report.stale), (0, 0), "kind {kind}: never read");
         }
     }
 }
 
 #[test]
 fn a_legacy_metric_record_is_stepped_over_and_dropped_by_the_next_fold() {
-    // The fixture's log ends in a kind-4 record; one more insert lands after
-    // it, so the log holds an insert, the legacy record and an insert.
+    // The fixture's log ends in a kind-3 and a kind-4 record; one more
+    // insert lands after them, so the log holds an insert, the legacy
+    // records and an insert.
     let dir = ScratchDir::of(&fixture("store"), "legacy-metric");
     let store = WorkflowStore::load_from_dir(dir.path()).unwrap();
     let copy = store.run("fixture", "run00").unwrap();
     let run18 = store.insert_run("run18", (*copy).clone()).unwrap();
     store.append_run_to_dir(dir.path(), "run18", &run18).unwrap();
     let summary = pdiffview::pdiffview::wal::inspect(dir.path()).unwrap();
-    assert_eq!((summary.run_inserts, summary.metric_deltas, summary.torn_bytes), (2, 1, 0));
+    assert_eq!((summary.run_inserts, summary.legacy_records, summary.torn_bytes), (2, 2, 0));
 
     let loaded = WorkflowStore::load_from_dir(dir.path()).unwrap();
     assert!(loaded.run("fixture", "run17").is_some(), "the insert before it loads");
@@ -172,39 +185,38 @@ fn a_legacy_metric_record_is_stepped_over_and_dropped_by_the_next_fold() {
 
     loaded.save_to_dir(dir.path()).unwrap();
     let summary = pdiffview::pdiffview::wal::inspect(dir.path()).unwrap();
-    assert_eq!((summary.records, summary.metric_deltas, summary.torn_bytes), (0, 0, 0));
+    assert_eq!((summary.records, summary.legacy_records, summary.torn_bytes), (0, 0, 0));
     assert!(!dir.path().join(METRIC_INDEX_FILE).exists(), "the fold removed the legacy file");
     assert!(dir.path().join(CLUSTER_CACHE_FILE).exists());
     assert_eq!(WorkflowStore::load_from_dir(dir.path()).unwrap().run_count(), 19);
 }
 
-/// Splits a WAL into its framed records (`[u32 len][u32 crc][len bytes]`).
-fn frames(log: &[u8]) -> Vec<&[u8]> {
-    let mut frames = Vec::new();
-    let mut at = 0;
-    while at < log.len() {
-        let len = u32::from_le_bytes(log[at..at + 4].try_into().unwrap()) as usize;
-        frames.push(&log[at..at + 8 + len]);
-        at += 8 + len;
-    }
-    frames
+/// `file` with a stale second entry: a copy of its one entry under the
+/// name of a specification the store does not hold.
+fn with_stale_entry(file: &str) -> String {
+    let start = file.find("\n    {").unwrap();
+    let end = file.rfind("\n  ]").unwrap();
+    let entry = &file[start..end];
+    let ghost = entry.replace("\"spec\": \"fixture\"", "\"spec\": \"ghost\"");
+    assert_ne!(ghost, entry);
+    format!("{}{entry},{ghost}{}", &file[..start], &file[end..])
 }
 
 #[test]
 fn resumed_checkpoints_are_rewritten_byte_for_byte() {
-    let dir = ScratchDir::of(&fixture("store"), "rewrite");
+    let dir = resumable_fixture("rewrite");
+    let path = dir.path().join(CLUSTER_CACHE_FILE);
+    let folded = std::fs::read_to_string(&path).unwrap();
+    // A stale entry makes the load re-arm a checkpoint of everything it
+    // resumed.
+    std::fs::write(&path, with_stale_entry(&folded)).unwrap();
     let log = std::fs::read(dir.path().join(WAL_FILE)).unwrap();
-    let recorded = frames(&log);
-    assert_eq!(recorded.len(), 3);
-    // An undecodable entry makes the load re-arm a checkpoint of
-    // everything it resumed.
-    append_raw(dir.path(), 3, r#"{"cost_key":1,"doc":{}}"#);
     let service = DiffService::new(Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap()));
     let clusters = service.load_cluster_state(dir.path());
     assert_eq!((clusters.loaded, clusters.stale), (1, 1));
 
-    let out = ScratchDir::empty("rewritten");
-    service.save_cluster_state(out.path()).unwrap();
-    let rewritten = std::fs::read(out.path().join(WAL_FILE)).unwrap();
-    assert!(rewritten == recorded[1], "the kind-3 record changed");
+    assert_eq!(service.save_cluster_state(dir.path()).unwrap(), 1);
+    let rewritten = std::fs::read_to_string(&path).unwrap();
+    assert!(rewritten == folded, "{CLUSTER_CACHE_FILE} changed");
+    assert_eq!(std::fs::read(dir.path().join(WAL_FILE)).unwrap(), log, "the log changed");
 }

@@ -4,7 +4,9 @@
 //! recluster of the same store computes, and the persisted cluster
 //! checkpoint must validate-or-rebuild correctly.
 
-use pdiffview::pdiffview::{ClusterSnapshot, DiffService, WorkflowStore};
+use pdiffview::pdiffview::{
+    ClusterSnapshot, DiffService, FaultIo, FaultMode, RealIo, WorkflowStore,
+};
 use pdiffview::workloads::generator::{random_specification, SpecGenConfig};
 use pdiffview::workloads::runs::{generate_run_families, RunGenConfig};
 use rand::SeedableRng;
@@ -240,34 +242,35 @@ fn cluster_checkpoints_reload_when_valid_and_rebuild_when_stale() {
     let report = swapped_service.load_cluster_state(dir.path());
     assert_eq!((report.loaded, report.stale), (0, 1), "content swap is detected");
 
-    // A clean index skips the checkpoint append entirely; a mutation
-    // re-arms it.  Checkpoints are WAL deltas now, so "written" means the
-    // log grew, not that `cluster_cache.json` was rewritten.
+    // A clean index does no I/O at all; a mutation re-arms the write.  A
+    // `FaultIo` without a fault point only counts durability operations.
     let fresh_dir = TempDir::new("dirty-skip");
     store_with(&spec, &runs).save_to_dir(fresh_dir.path()).unwrap();
-    let tracked = Arc::new(WorkflowStore::load_from_dir(fresh_dir.path()).unwrap());
+    let io = Arc::new(FaultIo::new(Arc::new(RealIo), 0, FaultMode::Kill));
+    let tracked =
+        Arc::new(WorkflowStore::load_from_dir_with_io(fresh_dir.path(), io.clone()).unwrap());
     let tracked_service = DiffService::new(Arc::clone(&tracked));
     tracked_service.cluster_medoids("clustered", FAMILIES, 5).unwrap();
+    let before_first = io.ops();
     assert_eq!(tracked_service.save_cluster_state(fresh_dir.path()).unwrap(), 1);
-    let after_first = pdiffview::pdiffview::wal::inspect(fresh_dir.path()).unwrap();
-    assert_eq!(after_first.cluster_deltas, 1);
+    let after_first = io.ops();
+    assert!(after_first > before_first, "the first checkpoint writes the file");
     tracked_service.save_cluster_state(fresh_dir.path()).unwrap();
-    let after_clean = pdiffview::pdiffview::wal::inspect(fresh_dir.path()).unwrap();
-    assert_eq!(after_clean.bytes, after_first.bytes, "a clean index appends nothing");
+    assert_eq!(io.ops(), after_first, "a clean index does no I/O");
     let tracked_spec = tracked.spec("clustered").unwrap();
     let extra = tracked_spec.execute(&mut wfdiff_sptree::FullDecider).unwrap();
     tracked.insert_run("zz-tracked", extra).unwrap();
     tracked_service.notify_run_inserted("clustered", "zz-tracked");
     assert_eq!(tracked_service.save_cluster_state(fresh_dir.path()).unwrap(), 1);
-    let after_mutation = pdiffview::pdiffview::wal::inspect(fresh_dir.path()).unwrap();
-    assert_eq!(after_mutation.cluster_deltas, 2, "a mutation re-arms the checkpoint");
+    assert!(io.ops() > after_first, "a mutation re-arms the checkpoint");
 
-    // A full save folds the pending delta into `cluster_cache.json` and
-    // truncates the log; the folded file alone restores the state.
-    loaded.save_to_dir(dir.path()).unwrap();
+    // The checkpoint is the file alone: the log holds none of it, and a
+    // full save leaves the file as it was.
     let artifact = dir.path().join("cluster_cache.json");
-    assert!(artifact.exists(), "the fold materialised the checkpoint file");
+    let written = std::fs::read(&artifact).unwrap();
     assert_eq!(pdiffview::pdiffview::wal::inspect(dir.path()).unwrap().records, 0);
+    loaded.save_to_dir(dir.path()).unwrap();
+    assert_eq!(std::fs::read(&artifact).unwrap(), written, "a fold rewrote the checkpoint");
 
     // A corrupt checkpoint is reported stale and ignored, never an error.
     std::fs::write(&artifact, "{not json").unwrap();

@@ -359,13 +359,20 @@ fn similar_and_kmedoids_endpoints_serve_and_checkpoint_over_the_wire() {
     assert_eq!(status, 400);
 
     // /cluster?algo=kmedoids over a persisted server checkpoints its state.
+    let appends = || {
+        let (_, scrape) = request(addr, "GET", "/metrics", "");
+        let line = scrape.lines().find_map(|l| l.strip_prefix("wfdiff_wal_appends_total "));
+        line.unwrap().to_string()
+    };
+    let before = appends();
     let (status, body) = request(addr, "GET", "/cluster?spec=fig2&algo=kmedoids&k=2", "");
     assert_eq!(status, 200, "{body}");
     let first: KMedoidsResponse = serde_json::from_str(&body).unwrap();
     assert_eq!(first.clusters.len(), 2);
     assert!(first.persisted, "store-backed server checkpoints cluster state");
-    // Checkpoints are O(append) WAL deltas, not a cache-file rewrite.
-    assert!(pdiffview::pdiffview::wal::inspect(dir.path()).unwrap().cluster_deltas >= 1);
+    // The checkpoint is a file beside the store, not a write-ahead-log record.
+    assert_eq!(appends(), before, "the checkpoint appended to the log");
+    assert!(dir.path().join("cluster_cache.json").exists());
 
     // Stream a run in; the next clustering must include it and the refresh
     // must update the checkpoint.

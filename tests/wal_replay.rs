@@ -142,7 +142,7 @@ proptest! {
                     durable_service
                         .cluster_medoids(SPEC, *k, CLUSTER_SEED)
                         .expect("durable recluster");
-                    durable_service.save_cluster_state(&dir.0).expect("cluster delta append");
+                    durable_service.save_cluster_state(&dir.0).expect("cluster checkpoint");
                 }
             }
         }
