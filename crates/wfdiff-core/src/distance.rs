@@ -134,14 +134,9 @@ impl<'r> PreparedRun<'r> {
     }
 }
 
-/// Internal memo entry.  `decision` is `None` when the cost was taken from a
-/// shared cache (cost-only queries never reconstruct a mapping, so no
-/// decision is needed).
-#[derive(Debug, Clone)]
-struct Entry {
-    cost: f64,
-    decision: Option<Decision>,
-}
+/// Per solved pair, how its children were matched: what the full diff keeps
+/// for mapping reconstruction.  The cost-only query keeps none.
+type Decisions = HashMap<(TreeId, TreeId), Decision>;
 
 impl<'a> WorkflowDiff<'a> {
     /// Creates a differencing engine.
@@ -245,50 +240,31 @@ impl<'a> WorkflowDiff<'a> {
         p2: &PreparedRun<'_>,
         cache: Option<&dyn DiffCache>,
     ) -> Result<DiffResult, DiffError> {
-        let cx = Ctx {
-            t1: p1.run.tree(),
-            t2: p2.run.tree(),
-            x1: p1.tables(),
-            x2: p2.tables(),
-            f1: p1.fingerprints(),
-            f2: p2.fingerprints(),
-            // Mapping reconstruction needs a decision per mapped pair, so the
-            // full diff never *reads* pair costs from the cache — it only
-            // publishes them (and uses the O(1) identical-subtree fast path,
-            // whose decisions are synthesised during reconstruction).
-            read_pairs: false,
-            cache,
-        };
-        let mut memo: HashMap<(TreeId, TreeId), Entry> = HashMap::new();
+        let cx = Ctx::new(p1, p2, cache);
+        // Mapping reconstruction needs a decision per mapped pair, so the
+        // full diff records them and never *reads* pair costs from the cache
+        // — it only publishes them (and uses the O(1) identical-subtree fast
+        // path, whose decisions are synthesised during reconstruction).
+        let mut solved = Decisions::new();
         let (root1, root2) = (cx.t1.root(), cx.t2.root());
-        let root_cost = self.solve(&cx, root1, root2, &mut memo)?;
+        let root_cost = self.solve(&cx, root1, root2, Some(&mut solved))?;
         // Reconstruct the mapping by walking the decisions from the roots.
         let mut pairs = Vec::new();
         let mut decisions = HashMap::new();
         let mut stack = vec![(root1, root2)];
         while let Some((a, b)) = stack.pop() {
             pairs.push((a, b));
-            let decision = match memo.get(&(a, b)) {
-                Some(Entry { decision: Some(decision), .. }) => decision.clone(),
-                Some(Entry { decision: None, .. }) => {
-                    return Err(DiffError::Invariant(format!(
-                        "cost-only memo entry reached during reconstruction at ({a}, {b})"
-                    )))
-                }
+            let decision = match solved.remove(&(a, b)) {
+                Some(decision) => decision,
                 None if cx.f1.of(a) == cx.f2.of(b) => self.identity_decision(&cx, a, b)?,
                 None => {
-                    return Err(DiffError::Invariant(format!("missing memo entry for ({a}, {b})")))
+                    return Err(DiffError::Invariant(format!("missing decision for ({a}, {b})")))
                 }
             };
-            decisions.insert((a, b), decision.clone());
-            match &decision {
-                Decision::Leaf | Decision::Unstable => {}
-                Decision::Series(children) | Decision::Matched(children) => {
-                    for &(c1, c2) in children {
-                        stack.push((c1, c2));
-                    }
-                }
+            if let Decision::Series(children) | Decision::Matched(children) = &decision {
+                stack.extend(children.iter().copied());
             }
+            decisions.insert((a, b), decision);
         }
         Ok(DiffResult { distance: root_cost, mapping: Mapping::new(pairs), decisions })
     }
@@ -323,18 +299,8 @@ impl<'a> WorkflowDiff<'a> {
         p2: &PreparedRun<'_>,
         cache: Option<&dyn DiffCache>,
     ) -> Result<f64, DiffError> {
-        let cx = Ctx {
-            t1: p1.run.tree(),
-            t2: p2.run.tree(),
-            x1: p1.tables(),
-            x2: p2.tables(),
-            f1: p1.fingerprints(),
-            f2: p2.fingerprints(),
-            read_pairs: true,
-            cache,
-        };
-        let mut memo: HashMap<(TreeId, TreeId), Entry> = HashMap::new();
-        self.solve(&cx, cx.t1.root(), cx.t2.root(), &mut memo)
+        let cx = Ctx::new(p1, p2, cache);
+        self.solve(&cx, cx.t1.root(), cx.t2.root(), None)
     }
 
     /// The pair-cache key of the homologous subtree pair `(v1, v2)`.
@@ -402,16 +368,20 @@ impl<'a> WorkflowDiff<'a> {
 
     /// The minimum cost of a well-formed mapping between `T1[v1]` and
     /// `T2[v2]`, where `v1` and `v2` are homologous.
+    ///
+    /// With `solved` present (the full diff) each solved pair's [`Decision`]
+    /// is recorded there.  Without it (the cost-only query) the DP does cost
+    /// work only: it reads pair costs from the shared cache, builds no
+    /// decision and borrows the children lists.  Neither mode memoises
+    /// pairs within one DP: a pair of subtrees is reached only from the
+    /// pair of their parents, which is solved once.
     fn solve(
         &self,
         cx: &Ctx<'_>,
         v1: TreeId,
         v2: TreeId,
-        memo: &mut HashMap<(TreeId, TreeId), Entry>,
+        mut solved: Option<&mut Decisions>,
     ) -> Result<f64, DiffError> {
-        if let Some(entry) = memo.get(&(v1, v2)) {
-            return Ok(entry.cost);
-        }
         let (t1, t2) = (cx.t1, cx.t2);
         let n1 = t1.node(v1);
         let n2 = t2.node(v2);
@@ -430,70 +400,40 @@ impl<'a> WorkflowDiff<'a> {
         // Shared fingerprint-keyed memo (cost-only queries): another diff of
         // this specification may already have solved this exact subproblem.
         let key = self.pair_key(cx, v1, v2);
-        if cx.read_pairs {
+        let record = solved.is_some();
+        if !record {
             if let Some(cost) = cx.cache.and_then(|c| c.get_pair(&key)) {
-                memo.insert((v1, v2), Entry { cost, decision: None });
                 return Ok(cost);
             }
         }
-        let entry = match (n1.ty, n2.ty) {
-            (NodeType::Q, NodeType::Q) => Entry { cost: 0.0, decision: Some(Decision::Leaf) },
+        let (c1, c2) = (t1.children(v1), t2.children(v2));
+        let (cost, decision) = match (n1.ty, n2.ty) {
+            (NodeType::Q, NodeType::Q) => (0.0, record.then_some(Decision::Leaf)),
             (NodeType::S, NodeType::S) => {
-                let c1 = t1.children(v1).to_vec();
-                let c2 = t2.children(v2).to_vec();
                 if c1.len() != c2.len() {
                     return Err(DiffError::Invariant(
                         "homologous S nodes with different child counts".to_string(),
                     ));
                 }
                 let mut total = 0.0;
-                let mut pairs = Vec::with_capacity(c1.len());
-                for (&a, &b) in c1.iter().zip(c2.iter()) {
-                    total += self.solve(cx, a, b, memo)?;
-                    pairs.push((a, b));
+                for (&a, &b) in c1.iter().zip(c2) {
+                    total += self.solve(cx, a, b, solved.as_deref_mut())?;
                 }
-                Entry { cost: total, decision: Some(Decision::Series(pairs)) }
+                let pairs = || c1.iter().copied().zip(c2.iter().copied()).collect();
+                (total, record.then(|| Decision::Series(pairs())))
             }
-            (NodeType::P, NodeType::P) => self.solve_parallel(cx, v1, v2, memo)?,
+            (NodeType::P, NodeType::P) => self.solve_parallel(cx, v1, v2, solved.as_deref_mut())?,
             (NodeType::F, NodeType::F) => {
-                let c1 = t1.children(v1).to_vec();
-                let c2 = t2.children(v2).to_vec();
-                let mut pair_cost = vec![vec![None; c2.len()]; c1.len()];
-                for (i, &a) in c1.iter().enumerate() {
-                    for (j, &b) in c2.iter().enumerate() {
-                        pair_cost[i][j] = Some(self.solve(cx, a, b, memo)?);
-                    }
-                }
-                let left: Vec<f64> = c1.iter().map(|&c| cx.x1.x(c)).collect();
-                let right: Vec<f64> = c2.iter().map(|&c| cx.x2.x(c)).collect();
-                let solved = assignment_with_unmatched(&pair_cost, &left, &right)?;
-                let pairs: Vec<(TreeId, TreeId)> = solved
-                    .left_to_right
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, j)| j.map(|j| (c1[i], c2[j])))
-                    .collect();
-                Entry { cost: solved.cost, decision: Some(Decision::Matched(pairs)) }
+                let (pair_cost, left, right) =
+                    self.child_costs(cx, c1, c2, solved.as_deref_mut())?;
+                let matched = assignment_with_unmatched(&pair_cost, &left, &right)?;
+                (matched.cost, record.then(|| matched_pairs(c1, c2, &matched.left_to_right)))
             }
             (NodeType::L, NodeType::L) => {
-                let c1 = t1.children(v1).to_vec();
-                let c2 = t2.children(v2).to_vec();
-                let mut pair_cost = vec![vec![None; c2.len()]; c1.len()];
-                for (i, &a) in c1.iter().enumerate() {
-                    for (j, &b) in c2.iter().enumerate() {
-                        pair_cost[i][j] = Some(self.solve(cx, a, b, memo)?);
-                    }
-                }
-                let left: Vec<f64> = c1.iter().map(|&c| cx.x1.x(c)).collect();
-                let right: Vec<f64> = c2.iter().map(|&c| cx.x2.x(c)).collect();
-                let solved = noncrossing_solve(&pair_cost, &left, &right)?;
-                let pairs: Vec<(TreeId, TreeId)> = solved
-                    .left_to_right
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, j)| j.map(|j| (c1[i], c2[j])))
-                    .collect();
-                Entry { cost: solved.cost, decision: Some(Decision::Matched(pairs)) }
+                let (pair_cost, left, right) =
+                    self.child_costs(cx, c1, c2, solved.as_deref_mut())?;
+                let matched = noncrossing_solve(&pair_cost, &left, &right)?;
+                (matched.cost, record.then(|| matched_pairs(c1, c2, &matched.left_to_right)))
             }
             (a, b) => {
                 return Err(DiffError::Invariant(format!(
@@ -502,73 +442,108 @@ impl<'a> WorkflowDiff<'a> {
             }
         };
         if let Some(cache) = cx.cache {
-            cache.put_pair(key, entry.cost);
+            cache.put_pair(key, cost);
         }
-        memo.insert((v1, v2), entry.clone());
-        Ok(entry.cost)
+        if let (Some(solved), Some(decision)) = (solved, decision) {
+            solved.insert((v1, v2), decision);
+        }
+        Ok(cost)
     }
 
-    /// Case 3 of Algorithm 4: a pair of `P` nodes.
+    /// The inputs of an `F`/`F` or `L`/`L` matching: the solved cost of every
+    /// child pair, and each side's deletion/insertion costs.
+    #[allow(clippy::type_complexity)]
+    fn child_costs(
+        &self,
+        cx: &Ctx<'_>,
+        c1: &[TreeId],
+        c2: &[TreeId],
+        mut solved: Option<&mut Decisions>,
+    ) -> Result<(Vec<Vec<Option<f64>>>, Vec<f64>, Vec<f64>), DiffError> {
+        let mut pair_cost = vec![vec![None; c2.len()]; c1.len()];
+        for (row, &a) in pair_cost.iter_mut().zip(c1) {
+            for (cell, &b) in row.iter_mut().zip(c2) {
+                *cell = Some(self.solve(cx, a, b, solved.as_deref_mut())?);
+            }
+        }
+        let left = c1.iter().map(|&c| cx.x1.x(c)).collect();
+        let right = c2.iter().map(|&c| cx.x2.x(c)).collect();
+        Ok((pair_cost, left, right))
+    }
+
+    /// Case 3 of Algorithm 4: a pair of `P` nodes.  Returns the cost and,
+    /// when `solved` records decisions, the pair's decision.
     fn solve_parallel(
         &self,
         cx: &Ctx<'_>,
         v1: TreeId,
         v2: TreeId,
-        memo: &mut HashMap<(TreeId, TreeId), Entry>,
-    ) -> Result<Entry, DiffError> {
+        mut solved: Option<&mut Decisions>,
+    ) -> Result<(f64, Option<Decision>), DiffError> {
         let (t1, t2) = (cx.t1, cx.t2);
         let (x1, x2) = (cx.x1, cx.x2);
-        let c1 = t1.children(v1).to_vec();
-        let c2 = t2.children(v2).to_vec();
+        let (c1, c2) = (t1.children(v1), t2.children(v2));
+        let record = solved.is_some();
         // Case 3a: both have exactly one child and the children are homologous.
-        if c1.len() == 1 && c2.len() == 1 {
-            let (a, b) = (c1[0], c2[0]);
+        if let ([a], [b]) = (c1, c2) {
+            let (a, b) = (*a, *b);
             if t1.node(a).origin == t2.node(b).origin {
-                let mapped = self.solve(cx, a, b, memo)?;
+                let mapped = self.solve(cx, a, b, solved.as_deref_mut())?;
                 let spec_p = t1.node(v1).origin.ok_or_else(|| missing_origin(v1))?;
                 let spec_child = t1.node(a).origin.ok_or_else(|| missing_origin(a))?;
                 let unstable =
                     x1.x(a) + x2.x(b) + 2.0 * self.ctx.w_surcharge(self.cost, spec_p, spec_child);
                 return Ok(if mapped <= unstable {
-                    Entry { cost: mapped, decision: Some(Decision::Matched(vec![(a, b)])) }
+                    (mapped, record.then(|| Decision::Matched(vec![(a, b)])))
                 } else {
-                    Entry { cost: unstable, decision: Some(Decision::Unstable) }
+                    (unstable, record.then_some(Decision::Unstable))
                 });
             }
         }
-        // Case 3b: match children by their specification origin.
-        let mut by_origin_right: HashMap<TreeId, TreeId> = HashMap::new();
-        for &b in &c2 {
-            let origin = t2.node(b).origin.ok_or_else(|| missing_origin(b))?;
-            by_origin_right.insert(origin, b);
+        // Case 3b: match children by their specification origin.  A right
+        // child is the partner of the left children of its origin — the last
+        // such right child, should an origin repeat.
+        for &b in c2 {
+            t2.node(b).origin.ok_or_else(|| missing_origin(b))?;
         }
+        let partner = |origin| c2.iter().rev().copied().find(|&b| t2.node(b).origin == origin);
         let mut total = 0.0;
         let mut pairs = Vec::new();
-        let mut matched_right: Vec<TreeId> = Vec::new();
-        for &a in &c1 {
+        for &a in c1 {
             let origin = t1.node(a).origin.ok_or_else(|| missing_origin(a))?;
-            match by_origin_right.get(&origin) {
-                Some(&b) => {
-                    let mapped = self.solve(cx, a, b, memo)?;
+            match partner(Some(origin)) {
+                Some(b) => {
+                    let mapped = self.solve(cx, a, b, solved.as_deref_mut())?;
                     let separate = x1.x(a) + x2.x(b);
                     if mapped <= separate {
                         total += mapped;
-                        pairs.push((a, b));
+                        if record {
+                            pairs.push((a, b));
+                        }
                     } else {
                         total += separate;
                     }
-                    matched_right.push(b);
                 }
                 None => total += x1.x(a),
             }
         }
-        for &b in &c2 {
-            if !matched_right.contains(&b) {
+        for &b in c2 {
+            let origin = t2.node(b).origin;
+            let matched =
+                partner(origin) == Some(b) && c1.iter().any(|&a| t1.node(a).origin == origin);
+            if !matched {
                 total += x2.x(b);
             }
         }
-        Ok(Entry { cost: total, decision: Some(Decision::Matched(pairs)) })
+        Ok((total, record.then_some(Decision::Matched(pairs))))
     }
+}
+
+/// The child pairs a matching's `left_to_right` maps, as a decision.
+fn matched_pairs(c1: &[TreeId], c2: &[TreeId], left_to_right: &[Option<usize>]) -> Decision {
+    Decision::Matched(
+        left_to_right.iter().enumerate().filter_map(|(i, j)| j.map(|j| (c1[i], c2[j]))).collect(),
+    )
 }
 
 /// Everything a single pair-of-runs DP needs, bundled to keep the recursion
@@ -580,10 +555,27 @@ struct Ctx<'e> {
     x2: &'e DeletionTables,
     f1: &'e TreeFingerprints,
     f2: &'e TreeFingerprints,
-    /// Whether pair costs may be *read* from the shared cache (cost-only
-    /// queries).  Writes happen whenever `cache` is present.
-    read_pairs: bool,
+    /// Where computed pair costs are published, and where a cost-only DP
+    /// (one that records no [`Decision`]) also reads them.
     cache: Option<&'e dyn DiffCache>,
+}
+
+impl<'e> Ctx<'e> {
+    fn new(
+        p1: &'e PreparedRun<'_>,
+        p2: &'e PreparedRun<'_>,
+        cache: Option<&'e dyn DiffCache>,
+    ) -> Self {
+        Ctx {
+            t1: p1.run.tree(),
+            t2: p2.run.tree(),
+            x1: p1.tables(),
+            x2: p2.tables(),
+            f1: p1.fingerprints(),
+            f2: p2.fingerprints(),
+            cache,
+        }
+    }
 }
 
 fn missing_origin(v: TreeId) -> DiffError {

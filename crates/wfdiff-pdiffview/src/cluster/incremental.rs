@@ -45,7 +45,7 @@ use super::kmedoids::{seed_medoids, solve};
 use crate::derived::SpecStates;
 use crate::metricindex::MedoidPivots;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wfdiff_sptree::Fingerprint;
 
@@ -269,11 +269,15 @@ impl SpecClusterState {
 pub struct IncrementalClusterIndex {
     /// Per-specification states.
     pub(super) states: SpecStates<SpecClusterState>,
-    /// Whether any state changed since the last checkpoint write (see
-    /// [`crate::cluster::persist`]): set after every mutation, cleared by the
-    /// write before it reads the states.  It only says a write is due; the
-    /// write reads each state under its specification's lock.
-    pub(super) changed: AtomicBool,
+    /// How many times a state changed.  A mutation bumps it while it holds
+    /// its specification's lock or after it released it, never before, so
+    /// a checkpoint that read a generation and then takes each lock encodes
+    /// every mutation up to it (see [`crate::cluster::persist`]).
+    pub(super) generation: AtomicU64,
+    /// The generation of the last checkpoint written: a checkpoint is due
+    /// while `generation` is ahead of it.  Written under the store's save
+    /// lock.
+    pub(super) checkpointed: AtomicU64,
 }
 
 impl IncrementalClusterIndex {
@@ -282,9 +286,10 @@ impl IncrementalClusterIndex {
         IncrementalClusterIndex::default()
     }
 
-    /// Marks the index as changed since the last checkpoint.
-    fn mark_changed(&self) {
-        self.changed.store(true, Ordering::Release);
+    /// Marks the index as changed since the last checkpoint: bumps its
+    /// generation.
+    pub(super) fn mark_changed(&self) {
+        self.generation.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Returns the clustering of `spec`'s runs, building (or rebuilding) it
@@ -701,7 +706,7 @@ mod tests {
     fn a_rebuild_waiting_on_its_distances_does_not_block_another_spec() {
         let index = IncrementalClusterIndex::new();
         index.ensure("b", VERSION, &names(0..8), 3, 1, &MatrixOracle::new(blobs())).unwrap();
-        let inserted = crate::derived::tests::finishes_while_another_spec_waits(
+        let inserted = crate::derived::tests::finishes_while_another_waits(
             MatrixOracle::new(blobs()),
             |gated| {
                 index.ensure("a", VERSION, &names(0..9), 3, 1, gated).unwrap();

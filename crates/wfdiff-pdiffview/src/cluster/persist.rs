@@ -5,11 +5,15 @@
 //! re-differencing.  It is one file, a function of the index's memory; the
 //! store's write-ahead log holds none of it.
 //!
-//! * Every mutation of the index marks it changed since the last write.
+//! * Every mutation of the index bumps its generation.
 //! * [`DiffService::save_cluster_state`] replaces [`CLUSTER_CACHE_FILE`]
-//!   whole with an entry per specification the index holds, atomically
-//!   (temporary file, fsync, rename), under the store's save lock; an
-//!   unchanged index writes nothing.
+//!   whole with an entry per specification the index holds.  It encodes
+//!   the entries without the store's save lock, then takes that lock for
+//!   the atomic write alone (temporary file, fsync, rename), so a durable
+//!   write never waits for an encode.  The index remembers the generation
+//!   of the last checkpoint it wrote: an index that checkpoint covers
+//!   writes nothing, a checkpoint never replaces one of a later
+//!   generation, and a mutation during an encode leaves the index due.
 //! * [`DiffService::load_cluster_state`] reads the file and **validates
 //!   every entry** against the live store: format version, cost-model key,
 //!   specification version, member set, per-run content fingerprints, then
@@ -25,7 +29,7 @@
 //! [`DiffService::warm_start`]: crate::service::DiffService::warm_start
 
 use super::incremental::{IncrementalClusterIndex, SpecClusterState};
-use crate::persist::{read_json, write_json_atomic, PersistError};
+use crate::persist::{read_json, write_atomic, PersistError};
 use crate::store::WorkflowStore;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -110,29 +114,52 @@ fn run_content_fingerprint(run: &Run) -> Fingerprint {
     wfdiff_sptree::TreeFingerprints::compute(run.tree()).of(run.tree().root())
 }
 
+/// A checkpoint encoded from the index's memory, not yet written.
+#[derive(Debug)]
+pub(crate) struct EncodedCheckpoint {
+    /// The index generation the entries cover.
+    generation: u64,
+    /// The file's bytes.
+    json: String,
+}
+
 impl IncrementalClusterIndex {
     /// Checkpoints the index by replacing `dir`'s [`CLUSTER_CACHE_FILE`]
     /// with one entry per specification it holds, sorted by name.  Returns
-    /// the number of specifications the index tracks.  An index unchanged
-    /// since its last write writes nothing.
-    ///
-    /// The store's save lock is held across the encode and the write, so
-    /// checkpoints never replace a newer file with an older state, and a
-    /// fold's sweep of temporary files never meets an in-flight one.  Each
-    /// entry is encoded under its specification's lock.  A member that no
-    /// longer resolves in `store` (a removal the index has not been told
-    /// of yet) leaves its specification out rather than written
-    /// inconsistently.  A failed write keeps the index due for the next
-    /// checkpoint.
+    /// the number of specifications the index tracks.  An index whose
+    /// generation the last checkpoint written already covers writes
+    /// nothing.  See [`Self::encode_checkpoint`] and
+    /// [`Self::write_checkpoint`]: only the write holds the store's save
+    /// lock.
     pub(crate) fn save_checkpoint(
         &self,
         store: &WorkflowStore,
         cost_key: u64,
         dir: &Path,
     ) -> Result<usize, PersistError> {
-        let _save = store.save_lock.lock();
-        if !self.changed.swap(false, Ordering::AcqRel) {
-            return Ok(self.states.tracked());
+        let path = dir.join(CLUSTER_CACHE_FILE);
+        if let Some(checkpoint) = self.encode_checkpoint(store, cost_key, &path)? {
+            self.write_checkpoint(store, &path, &checkpoint)?;
+        }
+        Ok(self.states.tracked())
+    }
+
+    /// The checkpoint of the index as it is now, or `None` when the last
+    /// checkpoint written covers the current generation.  Takes no save
+    /// lock: each entry is encoded under its specification's lock, which
+    /// may wait for a mutation of that specification.  A member that
+    /// no longer resolves in `store` (a removal the index has not been told
+    /// of yet) leaves its specification out rather than written
+    /// inconsistently.  `path` names the file in a serialisation error.
+    pub(crate) fn encode_checkpoint(
+        &self,
+        store: &WorkflowStore,
+        cost_key: u64,
+        path: &Path,
+    ) -> Result<Option<EncodedCheckpoint>, PersistError> {
+        let generation = self.generation.load(Ordering::Acquire);
+        if generation == self.checkpointed.load(Ordering::Acquire) {
+            return Ok(None);
         }
         let mut specs = self.states.specs();
         specs.sort();
@@ -153,11 +180,30 @@ impl IncrementalClusterIndex {
             })
             .collect();
         let file = ClusterCacheFile { format: CLUSTER_CACHE_FORMAT, cost_key, specs: docs };
-        if let Err(e) = write_json_atomic(&*store.io, &dir.join(CLUSTER_CACHE_FILE), &file) {
-            self.changed.store(true, Ordering::Release);
-            return Err(e);
+        let json = serde_json::to_string_pretty(&file)
+            .map_err(|source| PersistError::Json { path: path.to_path_buf(), source })?;
+        Ok(Some(EncodedCheckpoint { generation, json }))
+    }
+
+    /// Writes `checkpoint` to `path` atomically under the store's save
+    /// lock, unless a checkpoint of the same or a later generation was
+    /// written meanwhile: checkpoints never replace a newer file with an
+    /// older state, and a fold's sweep of temporary files never meets an
+    /// in-flight one.  A failed write, like a mutation since the encode,
+    /// keeps the index due for the next checkpoint.
+    pub(crate) fn write_checkpoint(
+        &self,
+        store: &WorkflowStore,
+        path: &Path,
+        checkpoint: &EncodedCheckpoint,
+    ) -> Result<(), PersistError> {
+        let _save = store.save_lock.lock();
+        if self.checkpointed.load(Ordering::Acquire) >= checkpoint.generation {
+            return Ok(());
         }
-        Ok(self.states.tracked())
+        write_atomic(&*store.io, path, checkpoint.json.as_bytes())?;
+        self.checkpointed.store(checkpoint.generation, Ordering::Release);
+        Ok(())
     }
 
     /// Restores the checkpoint of `dir`, validating every entry against the
@@ -196,7 +242,7 @@ impl IncrementalClusterIndex {
             }
         }
         if report.stale > 0 {
-            self.changed.store(true, Ordering::Release);
+            self.mark_changed();
         }
         report
     }
@@ -311,4 +357,84 @@ fn validate(doc: SpecClusterDoc, store: &WorkflowStore) -> Option<SpecClusterSta
         cost: doc.cost,
         pivots: None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::incremental::DistanceOracle;
+    use crate::derived::tests::finishes_while_another_waits;
+    use crate::persist::tests::{seeded_store, TempDir};
+    use std::time::Duration;
+    use wfdiff_workloads::figures::fig2_run3;
+
+    /// Every pair of runs at distance 1: the clustering is irrelevant here,
+    /// only who holds which lock.
+    struct Unit;
+
+    impl DistanceOracle for Unit {
+        type Error = String;
+
+        fn distances(&self, _source: &str, targets: &[&str]) -> Result<Vec<f64>, String> {
+            Ok(vec![1.0; targets.len()])
+        }
+    }
+
+    fn names(n: usize) -> Vec<String> {
+        (1..=n).map(|i| format!("r{i}")).collect()
+    }
+
+    #[test]
+    fn a_durable_append_does_not_wait_for_a_checkpoint_blocked_on_a_slot() {
+        let dir = TempDir::new("cluster-checkpoint-append");
+        let store = seeded_store();
+        store.save_to_dir(dir.path()).unwrap();
+        let spec = store.spec("fig2").unwrap();
+        let index = IncrementalClusterIndex::new();
+        index.ensure("fig2", spec.fingerprint(), &names(3), 2, 1, &Unit).unwrap();
+        store.insert_run("r4", fig2_run3(&spec)).unwrap();
+        let run = fig2_run3(&spec);
+        std::thread::scope(|scope| {
+            let appended = finishes_while_another_waits(
+                Unit,
+                |gated| assert!(index.insert_run("fig2", spec.fingerprint(), "r4", gated).unwrap()),
+                || {
+                    // The checkpoint waits for the slot the insert holds.
+                    scope.spawn(|| index.save_checkpoint(&store, 0, dir.path()).unwrap());
+                    std::thread::sleep(Duration::from_millis(100));
+                    store.append_run_to_dir(dir.path(), "r5", &run).unwrap();
+                },
+            );
+            assert!(appended, "a durable append waited for a cluster checkpoint");
+        });
+        index.save_checkpoint(&store, 0, dir.path()).unwrap();
+        let file: ClusterCacheFile = read_json(&dir.path().join(CLUSTER_CACHE_FILE)).unwrap();
+        assert_eq!(file.specs[0].members, names(4), "the checkpoint holds the insert");
+    }
+
+    #[test]
+    fn an_older_checkpoint_never_lands_over_a_newer_one() {
+        let dir = TempDir::new("cluster-checkpoint-generations");
+        let path = dir.path().join(CLUSTER_CACHE_FILE);
+        let store = seeded_store();
+        let spec = store.spec("fig2").unwrap();
+        let index = IncrementalClusterIndex::new();
+        index.ensure("fig2", spec.fingerprint(), &names(3), 2, 1, &Unit).unwrap();
+        let members = || read_json::<ClusterCacheFile>(&path).unwrap().specs[0].members.clone();
+
+        let older = index.encode_checkpoint(&store, 0, &path).unwrap().expect("a build is due");
+        // A mutation lands while `older` is in flight: writing it leaves the
+        // index due.
+        store.insert_run("r4", fig2_run3(&spec)).unwrap();
+        assert!(index.insert_run("fig2", spec.fingerprint(), "r4", &Unit).unwrap());
+        index.write_checkpoint(&store, &path, &older).unwrap();
+        assert_eq!(members(), names(3));
+        let newer = index.encode_checkpoint(&store, 0, &path).unwrap().expect("still due");
+        index.write_checkpoint(&store, &path, &newer).unwrap();
+        assert_eq!(members(), names(4));
+        assert!(index.encode_checkpoint(&store, 0, &path).unwrap().is_none(), "nothing is due");
+        // A slow writer of the older generation arrives last: it is dropped.
+        index.write_checkpoint(&store, &path, &older).unwrap();
+        assert_eq!(members(), names(4));
+    }
 }

@@ -3,7 +3,10 @@
 //! the vantage-point trees of [`IncrementalMetricIndex`].  Every state can
 //! be recomputed from the store, and each specification's state sits
 //! behind a lock of its own, so index work on one specification never
-//! waits for another's.
+//! waits for another's.  The registry only serialises access: the cluster
+//! index holds the lock across its distance evaluations, while the metric
+//! index keeps each state behind an `Arc` and searches a snapshot of it
+//! with the lock released.
 //!
 //! [`IncrementalClusterIndex`]: crate::cluster::IncrementalClusterIndex
 //! [`IncrementalMetricIndex`]: crate::metricindex::IncrementalMetricIndex
@@ -18,14 +21,15 @@ use std::sync::Arc;
 /// `None` before the first build and after the state is dropped.
 ///
 /// Ranked [`LockRank::Index`], after `save_lock` and before `store`: a
-/// holder evaluates distances, which read the store and the service's
-/// prepared state, and it may hold no other slot.
+/// holder may evaluate distances (a tree build or insert, every cluster
+/// operation), which read the store and the service's prepared state, and
+/// it may hold no other slot.
 type Slot<S> = RankedMutex<Option<S>>;
 
 /// A derived index's per-specification states.
 ///
 /// Each specification's state sits behind a lock of its own, so a mutation
-/// of one specification — which holds that lock across its distance
+/// of one specification — which may hold that lock across its distance
 /// evaluations — never waits for another specification's.
 #[derive(Debug)]
 pub(crate) struct SpecStates<S> {
@@ -122,9 +126,10 @@ pub(crate) mod tests {
     /// Runs `blocked` on a thread of its own over a [`Gated`] `oracle` and,
     /// once it waits inside its first fetch, runs `other` on a third thread.
     /// Returns whether `other` finished within two seconds while `blocked`
-    /// waited.  `blocked` is released before this returns either way, so a
-    /// test that fails does so on the timeout instead of hanging.
-    pub(crate) fn finishes_while_another_spec_waits<O: DistanceOracle + Send>(
+    /// waited.  `blocked` is released before this returns either way, and
+    /// both have finished by then, so a test that fails does so on the
+    /// timeout instead of hanging.
+    pub(crate) fn finishes_while_another_waits<O: DistanceOracle + Send>(
         oracle: O,
         blocked: impl FnOnce(&Gated<O>) + Send,
         other: impl FnOnce() + Send,

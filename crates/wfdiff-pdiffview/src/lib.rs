@@ -97,7 +97,9 @@ pub use cluster::{
     RunCluster, DEFAULT_CLUSTER_SEED,
 };
 pub use io::{RunDescriptor, SpecDescriptor, DESCRIPTOR_FORMAT};
-pub use metricindex::{IncrementalMetricIndex, MedoidPivots, PruneStats, DEFAULT_METRIC_SEED};
+pub use metricindex::{
+    IncrementalMetricIndex, MedoidPivots, PruneStats, RunNames, DEFAULT_METRIC_SEED,
+};
 pub use persist::{PersistError, SaveSummary, STORE_FORMAT};
 pub use render::{render_diff_dot, render_diff_text};
 pub use serve::{ServeConfig, ServeMetrics, Server, ServerHandle};

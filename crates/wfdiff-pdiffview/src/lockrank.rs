@@ -37,8 +37,10 @@ pub(crate) enum LockRank {
     /// never under any other lock.
     Save = 0,
     /// `index` — one specification's state in a derived index (the
-    /// cluster or the metric index).  Held across distance evaluations,
-    /// which read the store and the prepared state, so it ranks below both.
+    /// cluster or the metric index).  Held across the distance evaluations
+    /// of a tree build or insert and of every cluster operation, which read
+    /// the store and the prepared state, so it ranks below both; a metric
+    /// query's search runs on a snapshot with no `index` lock held.
     Index = 1,
     /// `store` — the map of specifications and their runs.
     Store = 2,

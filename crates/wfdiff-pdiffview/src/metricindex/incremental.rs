@@ -13,12 +13,21 @@
 //! the next query rebuilds it.  Every state is derived data held in memory
 //! only: the same runs and seed always draw the same tree, so a restarted
 //! server rebuilds it on its first query instead of loading a checkpoint.
+//!
 //! The states sit in the same `SpecStates` registry the cluster index uses,
-//! one lock per specification.
+//! one lock per specification, each state behind an [`Arc`]: read-copy-update
+//! (McKenney & Slingwine, "Read-Copy Update", PDCS 1998).  A query checks and
+//! (re)builds the tree under the lock, then searches a snapshot of it with
+//! the lock released, so queries of one specification run side by side.  A
+//! mutation copies the state on write ([`Arc::make_mut`]) under the lock:
+//! mutations of one specification stay serialised, a query in flight keeps
+//! answering the state it started on, and a mutation that lands while a
+//! query holds that snapshot copies the specification's state once.
 
 use super::vptree::{MedoidPivots, RemoveOutcome, VpTree};
 use crate::cluster::incremental::DistanceOracle;
 use crate::derived::SpecStates;
+use std::sync::Arc;
 use wfdiff_sptree::Fingerprint;
 
 /// Default pivot-draw seed of the metric index; a constant so every server
@@ -52,15 +61,40 @@ pub(crate) struct SpecMetricState {
     pub(crate) tree: VpTree,
 }
 
+/// A specification's run names as a query checks a held tree against them:
+/// the store reads them in place, and a plain list stands in for it in
+/// tests.
+pub trait RunNames {
+    /// `f` over the run names of `spec` in ascending order, without
+    /// duplicates, read in one consistent step without copying them; no
+    /// names when the specification is unknown.
+    fn with_names<R>(
+        &self,
+        spec: &str,
+        f: impl FnOnce(&mut dyn ExactSizeIterator<Item = &str>) -> R,
+    ) -> R;
+}
+
+/// Sorted, distinct names, whatever the specification.
+impl RunNames for [String] {
+    fn with_names<R>(
+        &self,
+        _spec: &str,
+        f: impl FnOnce(&mut dyn ExactSizeIterator<Item = &str>) -> R,
+    ) -> R {
+        f(&mut self.iter().map(String::as_str))
+    }
+}
+
 /// A thread-safe registry of per-specification vantage-point trees; see the
 /// [module docs](self).  Mutations are serialised per specification (one
-/// lock each), and the lock is held across the distance fetches a rebuild,
-/// an insert or a query performs — exactly the cluster index's discipline,
-/// so work on one specification never waits for another's.
+/// lock each), and the lock is held across the distance fetches of a
+/// build or an insert, so work on one specification never waits for
+/// another's.  A query's search holds no lock: it runs on a snapshot.
 #[derive(Debug, Default)]
 pub struct IncrementalMetricIndex {
-    /// Per-specification trees.
-    pub(super) states: SpecStates<SpecMetricState>,
+    /// Per-specification trees, each shared with the queries searching it.
+    pub(super) states: SpecStates<Arc<SpecMetricState>>,
 }
 
 impl IncrementalMetricIndex {
@@ -71,7 +105,14 @@ impl IncrementalMetricIndex {
 
     /// The `k` nearest indexed runs to `query`, pruned by the triangle
     /// inequality, building (or rebuilding) the specification's tree when
-    /// the index holds no state for the given member set and version.
+    /// the index holds none for `version` and the run names `runs` holds
+    /// for `spec` now.
+    ///
+    /// The check and any build run under the specification's lock; the
+    /// search runs on a snapshot of the tree after the lock is released, so
+    /// it answers exactly the state that matched the member set when the
+    /// query began, whatever lands meanwhile.  The names are compared in
+    /// place and copied only for a build.
     ///
     /// With `epsilon == 0` the result is certified identical — order and
     /// tie-breaks included — to the exact O(n) sweep of
@@ -87,27 +128,32 @@ impl IncrementalMetricIndex {
         &self,
         spec: &str,
         version: Fingerprint,
-        run_names: &[String],
+        runs: &(impl RunNames + ?Sized),
         query: &str,
         k: usize,
         epsilon: f64,
         pivots: Option<&MedoidPivots>,
         oracle: &O,
     ) -> Result<(Vec<(String, f64)>, PruneStats), O::Error> {
-        let mut members: Vec<String> = run_names.to_vec();
-        members.sort();
-        members.dedup();
         let mut row = |source: &str, targets: &[&str]| oracle.distances(source, targets);
-        self.states.update(spec, |slot| {
+        let snapshot = self.states.update(spec, |slot| {
+            let fresh = slot.as_ref().is_some_and(|held| {
+                held.version == version
+                    && runs
+                        .with_names(spec, |names| names.eq(held.members.iter().map(String::as_str)))
+            });
             let state = match slot {
-                Some(s) if s.version == version && s.members == members => s,
+                Some(held) if fresh => held,
                 _ => {
+                    let members: Vec<String> =
+                        runs.with_names(spec, |names| names.map(str::to_string).collect());
                     let tree = VpTree::build(&members, DEFAULT_METRIC_SEED, &mut row)?;
-                    slot.insert(SpecMetricState { version, members, tree })
+                    slot.insert(Arc::new(SpecMetricState { version, members, tree }))
                 }
             };
-            state.tree.nearest(query, k, epsilon, pivots, &mut row)
-        })
+            Ok(Arc::clone(state))
+        })?;
+        snapshot.tree.nearest(query, k, epsilon, pivots, &mut row)
     }
 
     /// Folds a just-stored run into the tree, if the index holds state for
@@ -121,23 +167,22 @@ impl IncrementalMetricIndex {
         run_name: &str,
         oracle: &O,
     ) -> Result<bool, O::Error> {
-        let absorb = |slot: &mut Option<SpecMetricState>| {
-            let Some(state) = slot else {
+        let absorb = |slot: &mut Option<Arc<SpecMetricState>>| {
+            let Some(held) = slot else {
                 return Ok(false);
             };
-            if state.version != version
-                || state.members.binary_search(&run_name.to_string()).is_ok()
-            {
-                // A replaced specification or a replaced run: the distances
-                // the tree was shaped by are stale.
-                *slot = None;
-                return Ok(false);
-            }
+            let at = match held.members.binary_search_by(|m| m.as_str().cmp(run_name)) {
+                Err(at) if held.version == version => at,
+                _ => {
+                    // A replaced specification or a replaced run: the
+                    // distances the tree was shaped by are stale.
+                    *slot = None;
+                    return Ok(false);
+                }
+            };
+            let state = Arc::make_mut(held);
             let mut row = |source: &str, targets: &[&str]| oracle.distances(source, targets);
             state.tree.insert(run_name, &mut row)?;
-            // The name was verified absent above, so this is the insert
-            // position.
-            let (Ok(at) | Err(at)) = state.members.binary_search(&run_name.to_string());
             state.members.insert(at, run_name.to_string());
             Ok(true)
         };
@@ -150,13 +195,14 @@ impl IncrementalMetricIndex {
     /// the next query rebuilds it — no distance evaluation happens here
     /// either way.
     pub fn remove_run(&self, spec: &str, run_name: &str) -> bool {
-        let remove = |slot: &mut Option<SpecMetricState>| {
-            let Some(state) = slot else {
+        let remove = |slot: &mut Option<Arc<SpecMetricState>>| {
+            let Some(held) = slot else {
                 return false;
             };
-            let Ok(at) = state.members.binary_search(&run_name.to_string()) else {
+            let Ok(at) = held.members.binary_search_by(|m| m.as_str().cmp(run_name)) else {
                 return false;
             };
+            let state = Arc::make_mut(held);
             state.members.remove(at);
             let emptied = state.members.is_empty();
             match state.tree.remove(run_name) {
@@ -218,8 +264,11 @@ mod tests {
         coords.iter().map(|a| coords.iter().map(|b| (a - b).abs()).collect()).collect()
     }
 
+    /// The names of `indices`, sorted as the store lists them.
     fn names(indices: std::ops::Range<usize>) -> Vec<String> {
-        indices.map(|i| format!("p{i}")).collect()
+        let mut names: Vec<String> = indices.map(|i| format!("p{i}")).collect();
+        names.sort();
+        names
     }
 
     fn exact(
@@ -246,13 +295,13 @@ mod tests {
         let index = IncrementalMetricIndex::new();
         let members = names(0..40);
         let (got, stats) =
-            index.nearest("s", VERSION, &members, "p3", 5, 0.0, None, &oracle).unwrap();
+            index.nearest("s", VERSION, &members[..], "p3", 5, 0.0, None, &oracle).unwrap();
         assert_eq!(got, exact(&line(), 3, &members, 5));
         assert_eq!(stats.approx_epsilon, 0.0);
         let after_build = *oracle.fetches.borrow();
         // A repeat query rebuilds nothing: only query-time evals accrue.
         let (again, stats) =
-            index.nearest("s", VERSION, &members, "p3", 5, 0.0, None, &oracle).unwrap();
+            index.nearest("s", VERSION, &members[..], "p3", 5, 0.0, None, &oracle).unwrap();
         assert_eq!(again, got);
         assert_eq!(*oracle.fetches.borrow() - after_build, stats.distance_evals);
         assert!(stats.distance_evals < members.len() - 1, "pruning beat the sweep");
@@ -265,19 +314,21 @@ mod tests {
         let oracle = MatrixOracle::new(line());
         let index = IncrementalMetricIndex::new();
         let mut members = names(0..35);
-        index.nearest("s", VERSION, &members, "p0", 3, 0.0, None, &oracle).unwrap();
+        index.nearest("s", VERSION, &members[..], "p0", 3, 0.0, None, &oracle).unwrap();
         for i in 35..40 {
             assert!(index.insert_run("s", VERSION, &format!("p{i}"), &oracle).unwrap());
             members.push(format!("p{i}"));
         }
         assert_eq!(index.member_count("s"), 40);
         members.sort();
-        let (got, _) = index.nearest("s", VERSION, &members, "p38", 6, 0.0, None, &oracle).unwrap();
+        let (got, _) =
+            index.nearest("s", VERSION, &members[..], "p38", 6, 0.0, None, &oracle).unwrap();
         assert_eq!(got, exact(&line(), 38, &members, 6));
 
         assert!(index.remove_run("s", "p12"));
         members.retain(|n| n != "p12");
-        let (got, _) = index.nearest("s", VERSION, &members, "p10", 4, 0.0, None, &oracle).unwrap();
+        let (got, _) =
+            index.nearest("s", VERSION, &members[..], "p10", 4, 0.0, None, &oracle).unwrap();
         assert_eq!(got, exact(&line(), 10, &members, 4));
         assert!(!index.remove_run("s", "p12"), "already gone");
         assert!(!index.remove_run("other", "p0"));
@@ -288,11 +339,11 @@ mod tests {
         let oracle = MatrixOracle::new(line());
         let index = IncrementalMetricIndex::new();
         let members = names(0..10);
-        index.nearest("s", VERSION, &members, "p0", 2, 0.0, None, &oracle).unwrap();
+        index.nearest("s", VERSION, &members[..], "p0", 2, 0.0, None, &oracle).unwrap();
         // Replaced run under an unchanged name: state dropped.
         assert!(!index.insert_run("s", VERSION, "p3", &oracle).unwrap());
         assert_eq!(index.member_count("s"), 0);
-        index.nearest("s", VERSION, &members, "p0", 2, 0.0, None, &oracle).unwrap();
+        index.nearest("s", VERSION, &members[..], "p0", 2, 0.0, None, &oracle).unwrap();
         assert!(!index.insert_run("s", Fingerprint(7), "p10", &oracle).unwrap());
         assert_eq!(index.member_count("s"), 0, "stale state was dropped");
     }
@@ -301,16 +352,73 @@ mod tests {
     fn a_build_waiting_on_its_distances_does_not_block_another_spec() {
         let index = IncrementalMetricIndex::new();
         let b = names(0..35);
-        index.nearest("b", VERSION, &b, "p0", 3, 0.0, None, &MatrixOracle::new(line())).unwrap();
-        let inserted = crate::derived::tests::finishes_while_another_spec_waits(
+        index
+            .nearest("b", VERSION, &b[..], "p0", 3, 0.0, None, &MatrixOracle::new(line()))
+            .unwrap();
+        let inserted = crate::derived::tests::finishes_while_another_waits(
             MatrixOracle::new(line()),
             |gated| {
                 let members = names(0..40);
-                index.nearest("a", VERSION, &members, "p3", 5, 0.0, None, gated).unwrap();
+                index.nearest("a", VERSION, &members[..], "p3", 5, 0.0, None, gated).unwrap();
             },
             || assert!(index.insert_run("b", VERSION, "p35", &MatrixOracle::new(line())).unwrap()),
         );
         assert!(inserted, "the insert into spec b waited for spec a's tree build");
         assert_eq!((index.member_count("a"), index.member_count("b")), (40, 36));
+    }
+
+    #[test]
+    fn a_query_waiting_on_its_distances_does_not_block_another_query_of_its_spec() {
+        let index = IncrementalMetricIndex::new();
+        let members = names(0..40);
+        let oracle = MatrixOracle::new(line());
+        index.nearest("s", VERSION, &members[..], "p0", 3, 0.0, None, &oracle).unwrap();
+        let answered = crate::derived::tests::finishes_while_another_waits(
+            MatrixOracle::new(line()),
+            |gated| {
+                let (got, _) =
+                    index.nearest("s", VERSION, &members[..], "p3", 5, 0.0, None, gated).unwrap();
+                assert_eq!(got, exact(&line(), 3, &members, 5));
+            },
+            || {
+                let oracle = MatrixOracle::new(line());
+                let (got, _) = index
+                    .nearest("s", VERSION, &members[..], "p38", 6, 0.0, None, &oracle)
+                    .unwrap();
+                assert_eq!(got, exact(&line(), 38, &members, 6));
+            },
+        );
+        assert!(answered, "a query of spec s waited for another query of spec s");
+    }
+
+    #[test]
+    fn an_insert_during_a_query_leaves_that_query_on_its_snapshot() {
+        // p39 (at 1022) is as near to p38 (at 1020) as p37 is, and sorts
+        // after it, so it enters p38's top 3 in second place.
+        let index = IncrementalMetricIndex::new();
+        let before = names(0..39);
+        let after = names(0..40);
+        index
+            .nearest("s", VERSION, &before[..], "p0", 3, 0.0, None, &MatrixOracle::new(line()))
+            .unwrap();
+        let blocked = std::sync::Mutex::new(None);
+        let inserted = crate::derived::tests::finishes_while_another_waits(
+            MatrixOracle::new(line()),
+            |gated| {
+                let answer = index.nearest("s", VERSION, &before[..], "p38", 3, 0.0, None, gated);
+                *blocked.lock().unwrap() = Some(answer.unwrap().0);
+            },
+            || assert!(index.insert_run("s", VERSION, "p39", &MatrixOracle::new(line())).unwrap()),
+        );
+        assert!(inserted, "the insert waited for a query of its spec");
+        let pre_insert = exact(&line(), 38, &before, 3);
+        assert_eq!(blocked.into_inner().unwrap(), Some(pre_insert.clone()));
+        let oracle = MatrixOracle::new(line());
+        let (post_insert, _) =
+            index.nearest("s", VERSION, &after[..], "p38", 3, 0.0, None, &oracle).unwrap();
+        assert_eq!(post_insert, exact(&line(), 38, &after, 3));
+        assert_ne!(post_insert, pre_insert, "p39 entered the top 3");
+        assert_eq!(index.member_count("s"), 40, "the tree took the insert");
+        assert!(*oracle.fetches.borrow() < 39, "the query searched the tree, not a rebuild");
     }
 }

@@ -25,5 +25,5 @@
 pub mod incremental;
 pub(crate) mod vptree;
 
-pub use incremental::{IncrementalMetricIndex, PruneStats, DEFAULT_METRIC_SEED};
+pub use incremental::{IncrementalMetricIndex, PruneStats, RunNames, DEFAULT_METRIC_SEED};
 pub use vptree::MedoidPivots;

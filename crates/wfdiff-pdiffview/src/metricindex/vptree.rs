@@ -143,16 +143,13 @@ impl BestK {
         BestK { k, heap: std::collections::BinaryHeap::with_capacity(k + 1) }
     }
 
+    /// Offers a candidate; its name is copied only when it enters the heap.
     fn offer(&mut self, distance: f64, name: &str) {
         if self.heap.len() < self.k {
             self.heap.push(Cand { distance, name: name.to_string() });
-            return;
-        }
-        if let Some(worst) = self.heap.peek() {
-            let cand = Cand { distance, name: name.to_string() };
-            if cand < *worst {
-                self.heap.pop();
-                self.heap.push(cand);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if distance.total_cmp(&worst.distance).then_with(|| name.cmp(&worst.name)).is_lt() {
+                *worst = Cand { distance, name: name.to_string() };
             }
         }
     }

@@ -1214,7 +1214,7 @@ impl WorkflowStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::service::DiffService;
     use crate::storeio::RealIo;
@@ -1222,10 +1222,10 @@ mod tests {
     use wfdiff_workloads::figures::{fig2_run1, fig2_run2, fig2_run3, fig2_specification};
 
     /// A scratch directory that cleans up after itself.
-    struct TempDir(PathBuf);
+    pub(crate) struct TempDir(PathBuf);
 
     impl TempDir {
-        fn new(tag: &str) -> TempDir {
+        pub(crate) fn new(tag: &str) -> TempDir {
             let path =
                 std::env::temp_dir().join(format!("wfdiff-persist-{tag}-{}", std::process::id()));
             let _ = fs::remove_dir_all(&path);
@@ -1233,7 +1233,7 @@ mod tests {
             TempDir(path)
         }
 
-        fn path(&self) -> &Path {
+        pub(crate) fn path(&self) -> &Path {
             &self.0
         }
     }
@@ -1244,7 +1244,8 @@ mod tests {
         }
     }
 
-    fn seeded_store() -> Arc<WorkflowStore> {
+    /// The Figure 2 specification with runs `r1`..`r3`.
+    pub(crate) fn seeded_store() -> Arc<WorkflowStore> {
         let store = Arc::new(WorkflowStore::new());
         let spec = store.insert_spec(fig2_specification()).unwrap();
         store.insert_run("r1", fig2_run1(&spec)).unwrap();

@@ -32,7 +32,7 @@
 use crate::cluster::incremental::{ClusterSnapshot, DistanceOracle, IncrementalClusterIndex};
 use crate::cluster::CheckpointReport;
 use crate::lockrank::{LockRank, RankedRwLock};
-use crate::metricindex::{IncrementalMetricIndex, PruneStats};
+use crate::metricindex::{IncrementalMetricIndex, PruneStats, RunNames};
 use crate::persist::PersistError;
 use crate::pool;
 use crate::session::DiffSession;
@@ -501,23 +501,28 @@ impl DiffService {
         Ok(runs.into_iter().zip(tables).map(|((_, run), t)| PreparedRun::new(run, t)).collect())
     }
 
-    /// Drops resident entries of `spec` that `snapshot` (all of its stored
-    /// runs, sorted by name) does not hold: all of them after a version
-    /// change, else those of runs removed without a `notify_*` call.  O(1)
-    /// unless more entries are resident than runs are stored.  (An entry
-    /// of a run replaced under its name is overwritten on its next miss.)
-    fn reclaim(&self, spec: &Specification, snapshot: &[(String, Arc<Run>)]) {
+    /// Drops resident entries of `spec` that the store no longer holds:
+    /// all of them after a version change, else those of runs removed
+    /// without a `notify_*` call.  `stored` is the run count the caller
+    /// read with `spec`.  O(1) unless more entries are resident than runs
+    /// are stored; only then is the store's run list read, and swept
+    /// against.  (An entry of a run replaced under its name is overwritten
+    /// on its next miss.)
+    fn reclaim(&self, spec: &Specification, stored: usize) {
         let version = spec.fingerprint();
-        let stale = |s: &SpecPrepared| s.version != version || s.runs.len() > snapshot.len();
+        let stale = |s: &SpecPrepared| s.version != version || s.runs.len() > stored;
         if !self.prepared.read().get(spec.name()).is_some_and(stale) {
             return;
         }
+        let current = self.store.snapshot(spec.name());
         let mut resident = self.prepared.write();
         let Some(entries) = resident.get_mut(spec.name()) else { return };
-        if entries.version != version {
+        // A replaced (or removed) specification: every entry is stale.
+        let Some((_, snapshot)) = current.filter(|(now, _)| now.fingerprint() == entries.version)
+        else {
             resident.remove(spec.name());
             return;
-        }
+        };
         entries.runs.retain(|name, entry| {
             snapshot
                 .binary_search_by(|(n, _)| n.as_str().cmp(name))
@@ -547,7 +552,7 @@ impl DiffService {
         let mut report = WarmStartReport { specs: 0, runs: 0 };
         for (_, (spec, named_runs)) in &snapshot {
             report.specs += 1;
-            self.reclaim(spec, named_runs);
+            self.reclaim(spec, named_runs.len());
             self.resident_tables(spec, named_runs.iter().map(|(n, r)| (n.as_str(), r)))?;
             report.runs += named_runs.len();
         }
@@ -632,7 +637,7 @@ impl DiffService {
     pub fn diff_all_pairs(&self, spec: &str) -> Result<AllPairsResult, ServiceError> {
         let (spec_arc, named_runs) =
             self.store.snapshot(spec).ok_or_else(|| ServiceError::UnknownSpec(spec.to_string()))?;
-        self.reclaim(&spec_arc, &named_runs);
+        self.reclaim(&spec_arc, named_runs.len());
         let prepared = self.prepared(&spec_arc, named_runs.iter().map(|(n, r)| (n.as_str(), r)))?;
         let engine = WorkflowDiff::new(&spec_arc, self.cost.as_ref());
         let cache = self.cache.as_ref();
@@ -675,7 +680,7 @@ impl DiffService {
         let query = named_runs.iter().position(|(n, _)| n == run).ok_or_else(|| {
             ServiceError::UnknownRun { spec: spec.to_string(), run: run.to_string() }
         })?;
-        self.reclaim(&spec_arc, &named_runs);
+        self.reclaim(&spec_arc, named_runs.len());
         let prepared = self.prepared(&spec_arc, named_runs.iter().map(|(n, r)| (n.as_str(), r)))?;
         let engine = WorkflowDiff::new(&spec_arc, self.cost.as_ref());
         let cache = Some(self.cache.as_ref());
@@ -728,19 +733,17 @@ impl DiffService {
                 "approx must be a finite non-negative epsilon".to_string(),
             ));
         }
-        let (spec_arc, named_runs) =
-            self.store.snapshot(spec).ok_or_else(|| ServiceError::UnknownSpec(spec.to_string()))?;
-        if !named_runs.iter().any(|(n, _)| n == run) {
-            return Err(ServiceError::UnknownRun { spec: spec.to_string(), run: run.to_string() });
-        }
-        self.reclaim(&spec_arc, &named_runs);
-        let names: Vec<String> = named_runs.iter().map(|(n, _)| n.clone()).collect();
+        // The query's run is looked up, and the specification's run names
+        // read, in place: the metric index compares them with its tree's
+        // members and copies them only to build a tree.
+        let (spec_arc, _) = self.lookup(spec, &[run])?;
+        self.reclaim(&spec_arc, self.store.with_names(spec, |names| names.len()));
         let oracle = ServiceOracle { service: self, spec };
         let pivots = self.clusters.medoid_pivots(spec);
         let (neighbors, stats) = self.metric.nearest(
             spec,
             spec_arc.fingerprint(),
-            &names,
+            &*self.store,
             run,
             k,
             epsilon,
@@ -774,7 +777,7 @@ impl DiffService {
         }
         let (spec_arc, named_runs) =
             self.store.snapshot(spec).ok_or_else(|| ServiceError::UnknownSpec(spec.to_string()))?;
-        self.reclaim(&spec_arc, &named_runs);
+        self.reclaim(&spec_arc, named_runs.len());
         let names: Vec<String> = named_runs.iter().map(|(n, _)| n.clone()).collect();
         let oracle = ServiceOracle { service: self, spec };
         self.clusters.ensure(spec, spec_arc.fingerprint(), &names, k, seed, &oracle)

@@ -36,6 +36,7 @@
 //! same critical section.
 
 use crate::lockrank::{LockRank, RankedMutex, RankedRwLock};
+use crate::metricindex::RunNames;
 use crate::storeio::{IoHandle, StoreIo};
 use crate::wal::{WalStats, WalStatsSnapshot};
 use std::collections::BTreeMap;
@@ -374,6 +375,21 @@ impl WorkflowStore {
     /// Total number of stored runs.
     pub fn run_count(&self) -> usize {
         self.specs.read().values().map(|entry| entry.runs.len()).sum()
+    }
+}
+
+/// The metric index reads a specification's run names in place: `f` runs
+/// under the store's read lock, so it must take no lock of its own.
+impl RunNames for WorkflowStore {
+    fn with_names<R>(
+        &self,
+        spec: &str,
+        f: impl FnOnce(&mut dyn ExactSizeIterator<Item = &str>) -> R,
+    ) -> R {
+        match self.specs.read().get(spec) {
+            Some(entry) => f(&mut entry.runs.keys().map(String::as_str)),
+            None => f(&mut std::iter::empty()),
+        }
     }
 }
 
