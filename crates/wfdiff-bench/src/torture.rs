@@ -23,8 +23,8 @@
 //! repaired), and the recovered store must equal a never-crashed in-memory
 //! replay of the first `j` or `j+1` scripted operations, where `j` is the
 //! acknowledged count — byte-for-byte on the run name set and on the open
-//! streams (names and applied event counts) that
-//! [`DiffService::load_streams`] rebuilds, exactly on the full pairwise
+//! streams (names and applied event counts) that the load rebuilds into
+//! the store, exactly on the full pairwise
 //! distance matrix, and exactly on the k-medoids partition — and the
 //! cluster checkpoint must resume without poisoning an answer: every pruned
 //! nearest-run query, screened by the resumed clustering, equals the exact
@@ -465,7 +465,8 @@ fn verify_recovery(dir: &Path, ack_path: &Path, ops: &[TortureOp]) -> Result<(),
     let loaded = Arc::new(loaded);
     no_torn_tail(dir).map_err(|e| format!("after the load: {e}"))?;
     let loaded_runs = loaded.run_names(TORTURE_SPEC);
-    let loaded_streams = open_streams(dir, &loaded)?;
+    // The open streams the load rebuilt from the log.
+    let loaded_streams = registry_streams(&DiffService::new(Arc::clone(&loaded)));
     // The crash landed inside op `acked + 1`; its single durable append may
     // or may not have happened, so either adjacent prefix is legal.
     let candidates = [acked, (acked + 1).min(ops.len())];
@@ -505,15 +506,7 @@ fn streams_agree(
         })
 }
 
-/// The open streams [`DiffService::load_streams`] rebuilds from `dir`'s log
-/// over the recovered store.
-fn open_streams(dir: &Path, loaded: &Arc<WorkflowStore>) -> Result<OpenStreams, String> {
-    let service = DiffService::new(Arc::clone(loaded));
-    service.load_streams(dir).map_err(|e| e.to_string())?;
-    Ok(registry_streams(&service))
-}
-
-/// The open streams of a service's registry.
+/// The open streams of the store a service runs over.
 fn registry_streams(service: &DiffService) -> OpenStreams {
     service
         .stream_names(TORTURE_SPEC)
@@ -542,7 +535,8 @@ fn verify_error_run(
     }
     no_torn_tail(dir)?;
     let loaded = Arc::new(WorkflowStore::load_from_dir(dir).map_err(|e| e.to_string())?);
-    let reloaded = (loaded.run_names(TORTURE_SPEC), open_streams(dir, &loaded)?);
+    let streams = registry_streams(&DiffService::new(Arc::clone(&loaded)));
+    let reloaded = (loaded.run_names(TORTURE_SPEC), streams);
     let applied: Vec<TortureOp> = (ops.iter().zip(&ok))
         .filter(|(op, ok)| **ok || matches!(op, TortureOp::Init { .. }))
         .map(|(op, _)| op.clone())

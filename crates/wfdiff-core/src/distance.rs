@@ -269,8 +269,11 @@ impl<'a> WorkflowDiff<'a> {
         Ok(DiffResult { distance: root_cost, mapping: Mapping::new(pairs), decisions })
     }
 
-    /// Computes only the edit distance (no mapping reconstruction); slightly
-    /// cheaper and convenient for the benchmark harness.
+    /// The edit distance of the full [`WorkflowDiff::diff`], mapping
+    /// reconstruction included, with no cache: the reference the cost-only
+    /// paths ([`WorkflowDiff::distance_with_cache`] and the prepared-run
+    /// distances) are checked against.  Use one of those when only the
+    /// distance is needed.
     pub fn distance(&self, r1: &Run, r2: &Run) -> Result<f64, DiffError> {
         Ok(self.diff(r1, r2)?.distance)
     }

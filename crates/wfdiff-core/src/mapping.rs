@@ -12,7 +12,7 @@ use crate::cost::CostModel;
 use crate::deletion::DeletionTables;
 use crate::error::DiffError;
 use crate::surcharge::SpecContext;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use wfdiff_sptree::{AnnotatedTree, NodeType, TreeId};
 
 /// A well-formed mapping between two annotated run trees.
@@ -225,21 +225,6 @@ pub struct MappingSummary {
     pub deleted_leaves: usize,
     /// Number of `T2` leaves that must be inserted.
     pub inserted_leaves: usize,
-}
-
-/// Groups the mapped pairs by the specification node they derive from; used by
-/// the clustering views of PDiffView.
-pub fn pairs_by_origin(
-    mapping: &Mapping,
-    t1: &AnnotatedTree,
-) -> BTreeMap<TreeId, Vec<(TreeId, TreeId)>> {
-    let mut map: BTreeMap<TreeId, Vec<(TreeId, TreeId)>> = BTreeMap::new();
-    for &(a, b) in mapping.pairs() {
-        if let Some(origin) = t1.node(a).origin {
-            map.entry(origin).or_default().push((a, b));
-        }
-    }
-    map
 }
 
 #[cfg(test)]

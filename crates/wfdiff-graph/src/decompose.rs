@@ -273,11 +273,6 @@ pub fn decompose_sp(g: &SpGraph) -> Result<BinSpTree> {
     decompose(g.graph(), g.source(), g.sink())
 }
 
-/// Returns `true` if the two-terminal graph is series-parallel.
-pub fn is_series_parallel(graph: &LabeledDigraph, source: NodeId, sink: NodeId) -> bool {
-    decompose(graph, source, sink).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

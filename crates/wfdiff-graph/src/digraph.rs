@@ -160,11 +160,6 @@ impl LabeledDigraph {
         &self.nodes[id.index()].label
     }
 
-    /// Checked node lookup.
-    pub fn try_node(&self, id: NodeId) -> Result<&NodeData> {
-        self.nodes.get(id.index()).ok_or(GraphError::UnknownNode(id))
-    }
-
     /// Iterator over all node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.nodes.len()).map(NodeId::from)

@@ -7,8 +7,6 @@ use std::fmt;
 /// Errors raised while building or validating workflow graphs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphError {
-    /// A node id referenced an entry that does not exist in the graph.
-    UnknownNode(NodeId),
     /// A label was looked up that is not present in the graph/specification.
     UnknownLabel(Label),
     /// The graph has no node with in-degree zero reachable as a single source,
@@ -78,7 +76,6 @@ pub enum GraphError {
 impl fmt::Display for GraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            GraphError::UnknownNode(id) => write!(f, "unknown node {id}"),
             GraphError::UnknownLabel(l) => write!(f, "unknown label {l:?}", l = l.as_str()),
             GraphError::NotSingleSource { candidates } => {
                 write!(f, "graph does not have a unique source ({candidates} candidates)")

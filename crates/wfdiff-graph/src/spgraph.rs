@@ -140,14 +140,6 @@ impl SpGraph {
         Ok(SpGraph { graph, source, sink })
     }
 
-    /// Promotes an arbitrary flow network to an [`SpGraph`] **without**
-    /// checking series-parallelness.  Callers that need the guarantee should
-    /// run [`crate::decompose::decompose`] afterwards (the annotated-SP-tree
-    /// construction does exactly that and will surface the error).
-    pub fn from_parts_unchecked(graph: LabeledDigraph, source: NodeId, sink: NodeId) -> Self {
-        SpGraph { graph, source, sink }
-    }
-
     /// Promotes a flow network to an [`SpGraph`] after validating its
     /// terminals (single source, single sink, full path coverage).
     pub fn from_flow_network(graph: LabeledDigraph) -> Result<Self> {
@@ -158,11 +150,6 @@ impl SpGraph {
     /// The underlying graph.
     pub fn graph(&self) -> &LabeledDigraph {
         &self.graph
-    }
-
-    /// Mutable access to the underlying graph (used to attach annotations).
-    pub fn graph_mut(&mut self) -> &mut LabeledDigraph {
-        &mut self.graph
     }
 
     /// The source terminal `s(G)`.
@@ -193,11 +180,6 @@ impl SpGraph {
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.graph.node_count()
-    }
-
-    /// Consumes the SP-graph and returns its parts.
-    pub fn into_parts(self) -> (LabeledDigraph, NodeId, NodeId) {
-        (self.graph, self.source, self.sink)
     }
 
     /// Builds a chain `l0 -> l1 -> ... -> lk` as an SP-graph.

@@ -563,6 +563,20 @@ mod tests {
     }
 
     #[test]
+    fn import_carries_open_streams() {
+        let dir = TempDir::new("import-stream");
+        let (src, dst) = (dir.join("src"), dir.join("dst"));
+        store_of(&["beta"]).save_to_dir(&src).unwrap();
+        let service = DiffService::new(Arc::new(WorkflowStore::load_from_dir(&src).unwrap()));
+        let events = [wfdiff_pdiffview::StreamEvent::started(0, "a", vec![])];
+        service.commit_stream_batch(Some(&src), "beta", "s1", &events, false).unwrap();
+        assert!(import(&[&src, &dst].map(|p| p.to_string_lossy().into_owned())).is_ok());
+        assert_eq!(wfdiff_pdiffview::wal::inspect(&dst).unwrap().stream_events, 1);
+        let copy = DiffService::new(Arc::new(WorkflowStore::load_from_dir(&dst).unwrap()));
+        assert_eq!(copy.stream_seq("beta", "s1"), Some(1));
+    }
+
+    #[test]
     fn merge_refuses_a_target_that_holds_a_store() {
         let dir = TempDir::new("merge-over");
         let root = dir.join("root");

@@ -105,10 +105,12 @@ pub use render::{render_diff_dot, render_diff_text};
 pub use serve::{ServeConfig, ServeMetrics, Server, ServerHandle};
 pub use service::{
     AllPairsResult, DiffService, DiffServiceBuilder, DriftClusterStatus, DriftReport, PairDistance,
-    ServiceError, StreamAck, StreamBatchOutcome, StreamLoadReport, WarmStartReport,
+    ServiceError, StreamAck, StreamBatchOutcome, WarmStartReport,
 };
 pub use session::DiffSession;
-pub use store::{SpecSnapshot, StoreError, WorkflowStore, DEFAULT_WAL_FOLD_THRESHOLD};
+pub use store::{
+    SpecSnapshot, StoreError, StreamLoadReport, WorkflowStore, DEFAULT_WAL_FOLD_THRESHOLD,
+};
 pub use storeio::{
     FaultIo, FaultMode, RealIo, StoreIo, FAULT_EXIT_CODE, FAULT_MODE_ENV, FAULT_POINT_ENV,
 };

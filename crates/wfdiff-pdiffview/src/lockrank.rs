@@ -1,13 +1,13 @@
 //! Runtime lock-rank guard for the store's locks, the derived indexes'
-//! per-specification locks and the service's `streams` and `prepared`: the
-//! one check of their acquisition order.
+//! per-specification locks and the service's `prepared`: the one check of
+//! their acquisition order.
 //!
 //! Every [`WorkflowStore`](crate::store::WorkflowStore) lock carries a
 //! [`LockRank`]; a thread may only acquire a lock whose rank is strictly
 //! greater than every rank it already holds:
 //!
 //! ```text
-//! save_lock (0) → index (1) → store (2) → persist_fp_cache (3) → streams (4) → prepared (5)
+//! save_lock (0) → index (1) → store (2) → persist_fp_cache (3) → prepared (4)
 //! ```
 //!
 //! Ranks are strict, so a thread never holds two locks of one rank: two
@@ -42,26 +42,23 @@ pub(crate) enum LockRank {
     /// the store and the prepared state, so it ranks below both; a metric
     /// query's search runs on a snapshot with no `index` lock held.
     Index = 1,
-    /// `store` — the map of specifications and their runs.
+    /// `store` — the map of specifications with their runs and open
+    /// streams.
     Store = 2,
     /// `persist_fp_cache` — the fingerprint memo; innermost of the store's
     /// own locks.
     FpCache = 3,
-    /// `streams` — the in-flight stream registry owned by
-    /// [`DiffService`](crate::service::DiffService); holding it across a
-    /// store or WAL call panics.
-    Streams = 4,
     /// `prepared` — the resident prepared state owned by
     /// [`DiffService`](crate::service::DiffService); innermost overall.
     /// Entries are cloned out under it and inserted after being computed,
-    /// so holding it across a store call or the stream registry panics.
-    Prepared = 5,
+    /// so holding it across a store call panics.
+    Prepared = 4,
 }
 
 /// The locks' names, in rank order; the violation message spells the order
 /// from this list.
 #[cfg(debug_assertions)]
-const NAMES: [&str; 6] = ["save_lock", "index", "store", "persist_fp_cache", "streams", "prepared"];
+const NAMES: [&str; 5] = ["save_lock", "index", "store", "persist_fp_cache", "prepared"];
 
 #[cfg(debug_assertions)]
 mod held {
@@ -236,40 +233,40 @@ mod tests {
         let save = RankedMutex::new(LockRank::Save, ());
         let store = RankedRwLock::new(LockRank::Store, 1u32);
         let cache = RankedMutex::new(LockRank::FpCache, 2u32);
-        let streams = RankedRwLock::new(LockRank::Streams, 3u32);
+        let prepared = RankedRwLock::new(LockRank::Prepared, 3u32);
         let _g0 = save.lock();
         let g1 = store.read();
         let g2 = cache.lock();
-        let mut g3 = streams.write();
+        let mut g3 = prepared.write();
         assert_eq!((*g1, *g2, *g3), (1, 2, 3));
         *g3 += 1;
     }
 
     #[test]
     fn reacquisition_after_drop_passes() {
-        let streams = RankedRwLock::new(LockRank::Streams, ());
+        let prepared = RankedRwLock::new(LockRank::Prepared, ());
         let store = RankedRwLock::new(LockRank::Store, ());
-        drop(streams.read());
-        // `streams` was released, so taking `store` now is in order.
+        drop(prepared.read());
+        // `prepared` was released, so taking `store` now is in order.
         let _s = store.read();
         drop(_s);
-        let _r = streams.read();
+        let _r = prepared.read();
     }
 
     #[test]
     fn out_of_order_acquisition_panics_with_a_named_violation() {
         let store = RankedRwLock::new(LockRank::Store, ());
-        let streams = RankedRwLock::new(LockRank::Streams, ());
+        let prepared = RankedRwLock::new(LockRank::Prepared, ());
         let result = quiet_panics(|| {
             catch_unwind(AssertUnwindSafe(|| {
-                let _r = streams.read();
+                let _r = prepared.read();
                 let _s = store.read(); // rank 2 under rank 4: must panic
             }))
         });
         let msg = panic_message(result);
         assert!(msg.contains("lock-rank violation"), "unexpected panic message: {msg:?}");
-        assert!(msg.contains("`store`") && msg.contains("`streams`"), "names the locks: {msg:?}");
-        let order = "save_lock → index → store → persist_fp_cache → streams → prepared";
+        assert!(msg.contains("`store`") && msg.contains("`prepared`"), "names the locks: {msg:?}");
+        let order = "save_lock → index → store → persist_fp_cache → prepared";
         assert!(msg.contains(order), "spells the whole order: {msg:?}");
     }
 
@@ -288,15 +285,15 @@ mod tests {
 
     #[test]
     fn ranks_are_tracked_per_thread() {
-        // One thread holding `streams` must not poison another thread's
+        // One thread holding `prepared` must not poison another thread's
         // ordering: the stack is thread-local.
-        let streams = std::sync::Arc::new(RankedRwLock::new(LockRank::Streams, ()));
+        let prepared = std::sync::Arc::new(RankedRwLock::new(LockRank::Prepared, ()));
         let store = std::sync::Arc::new(RankedRwLock::new(LockRank::Store, ()));
-        let _r = streams.read();
-        let (store2, streams2) = (std::sync::Arc::clone(&store), std::sync::Arc::clone(&streams));
+        let _r = prepared.read();
+        let (store2, prepared2) = (std::sync::Arc::clone(&store), std::sync::Arc::clone(&prepared));
         std::thread::spawn(move || {
             let _s = store2.read();
-            let _r = streams2.read();
+            let _r = prepared2.read();
         })
         .join()
         .expect("the other thread acquires in order and must not panic");

@@ -23,11 +23,10 @@
 //!   a length-prefixed checksummed record (see [`crate::wal`]).
 //!   [`WorkflowStore::load_from_dir`] replays it past the manifest state
 //!   (truncating a torn tail first), and a full save **folds** it — commits
-//!   the snapshot and replaces the log with the records of the streams
-//!   still open.  The fold also drops what earlier versions wrote for the
-//!   derived indexes into the log and beside it: legacy kind-3 and kind-4
-//!   records and `metric_index.json`.  Checkpoints of derived state are
-//!   files of their own that a fold never touches.
+//!   the snapshot and replaces the log with the records of the streams open
+//!   in memory, never reading it.  The fold also drops what earlier
+//!   versions wrote for derived indexes: legacy kind-3 and kind-4 records
+//!   and `metric_index.json`.
 //! * Every record reaches the log through **one append step**,
 //!   `WorkflowStore::wal_append`, under the save lock: it refuses a record
 //!   past the framing bound with [`PersistError::RecordTooLarge`] before a
@@ -266,8 +265,7 @@ impl StoreManifest {
     /// Whether the manifest lists `spec` at the persistent fingerprint (hex)
     /// `fingerprint` — the one rule by which a logged record still counts.
     /// A record of another version predates a replacement whose full save
-    /// committed: replay skips it, and a fold and `load_streams` drop its
-    /// stream.
+    /// committed: replay skips it, and the stream it belongs to.
     pub(crate) fn lists(&self, spec: &str, fingerprint: &str) -> bool {
         self.specs.iter().any(|s| s.name == spec && s.fingerprint == fingerprint)
     }
@@ -474,7 +472,7 @@ pub fn shard_dirs(root: &Path) -> Vec<PathBuf> {
 /// Reads `dir`'s manifest and checks its format version — the first step of
 /// every load and WAL append.  Returns the manifest's path too, for error
 /// context.
-pub(crate) fn read_manifest(dir: &Path) -> Result<(PathBuf, StoreManifest), PersistError> {
+fn read_manifest(dir: &Path) -> Result<(PathBuf, StoreManifest), PersistError> {
     let path = dir.join("manifest.json");
     let manifest: StoreManifest = read_json(&path)?;
     if manifest.format != STORE_FORMAT {
@@ -572,16 +570,12 @@ impl WorkflowStore {
     /// `save_lock` (either the public wrapper or a WAL append whose
     /// threshold check escalated into a fold).
     fn save_to_dir_locked(&self, dir: &Path) -> Result<SaveSummary, PersistError> {
-        // A fold carries open-stream records over from the log, which may
-        // end in records of a failed append.
+        // A store whose log may end in records of a failed append refuses
+        // every write, a fold included, until it is reloaded.
         wal::refuse_torn(dir, &self.wal_torn)?;
         // Every fold attempt restarts the threshold count, so a fold that
         // fails is retried one threshold later, not on every append.
         self.wal_stats.since_fold.store(0, Ordering::Release);
-        // The records appended since the last fold, scanned before anything
-        // is written, for the open streams the fold carries over; nothing
-        // can append concurrently (save_lock).
-        let wal_scan = wal::scan(dir)?;
         // Refuse to clobber a store this build cannot read: the
         // garbage-collection pass below would otherwise silently destroy a
         // newer-format (or foreign) store's spec directories.  Only the
@@ -613,12 +607,14 @@ impl WorkflowStore {
         let specs_root = dir.join("specs");
         self.io.create_dir_all(&specs_root).map_err(|e| io_err(&specs_root, "creating", e))?;
 
-        let snapshot = self.snapshot_all();
+        // Runs and open streams in one critical section.
+        let snapshot = self.snapshot_with_streams();
         let mut manifest = StoreManifest { format: STORE_FORMAT, specs: Vec::new() };
         let mut total_runs = 0usize;
         let mut used_dirs = std::collections::BTreeSet::new();
+        let mut stream_records = Vec::new();
 
-        for (name, (spec, runs)) in &snapshot {
+        for (name, (spec, runs), streams) in &snapshot {
             // Error-context label only: the real directory name needs the
             // fingerprint, which is what this step computes, so a rebuild
             // failure is reported against the slug prefix of the spec.
@@ -634,36 +630,28 @@ impl WorkflowStore {
             // pointing at intact directories).  The snapshot is name-sorted,
             // keeping the assignment stable across saves of the same spec
             // set.
-            let base = format!("{}-{}", slug(name), &fp_hex[..8]);
-            let mut dir_name = base.clone();
-            let mut bump = 1usize;
-            loop {
-                if used_dirs.contains(&dir_name) {
-                    bump += 1;
-                    dir_name = format!("{base}-{bump}");
-                    continue;
-                }
-                let existing = specs_root.join(&dir_name).join("spec.json");
-                let occupied = match fs::read_to_string(&existing) {
+            let occupied = |dir_name: &str| {
+                let existing = specs_root.join(dir_name).join("spec.json");
+                match fs::read_to_string(&existing) {
                     // Absent spec.json: the slot is free.
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
                     // Any other read failure (permissions, fd exhaustion, …)
                     // must abort: guessing "free" could overwrite a
                     // committed directory owned by another spec.
-                    Err(e) => return Err(io_err(&existing, "probing", e)),
-                    Ok(text) => match serde_json::from_str::<SpecDocument>(&text) {
+                    Err(e) => Err(io_err(&existing, "probing", e)),
+                    Ok(text) => Ok(match serde_json::from_str::<SpecDocument>(&text) {
                         Ok(doc) => doc.spec.name != *name || doc.fingerprint != fp_hex,
                         // Corrupt spec.json: no loadable state can
                         // reference this directory, so it is reclaimable.
                         Err(_) => false,
-                    },
-                };
-                if occupied {
-                    bump += 1;
-                    dir_name = format!("{base}-{bump}");
-                    continue;
+                    }),
                 }
-                break;
+            };
+            let base = format!("{}-{}", slug(name), &fp_hex[..8]);
+            let (mut dir_name, mut bump) = (base.clone(), 1usize);
+            while used_dirs.contains(&dir_name) || occupied(&dir_name)? {
+                bump += 1;
+                dir_name = format!("{base}-{bump}");
             }
             used_dirs.insert(dir_name.clone());
             let spec_dir = specs_root.join(&dir_name);
@@ -725,6 +713,11 @@ impl WorkflowStore {
                 }
             }
 
+            // Open streams have no document: the new log holds them.
+            for (stream, events) in streams {
+                let events = events.iter().map(Some);
+                stream_records.extend(wal::stream_records(name, &fp_hex, stream, 0, events));
+            }
             manifest.specs.push(ManifestSpec {
                 name: name.clone(),
                 dir: dir_name,
@@ -732,33 +725,15 @@ impl WorkflowStore {
             });
         }
 
-        // Stream events of the streams still open (a closure marker's events
-        // are folded into the finalised run).
-        let (streams, _) = wal::open_streams(&wal_scan.records);
-
         // Commit point: the manifest rename atomically switches loaders from
         // the previous state to this one.
         write_json_atomic(&*self.io, &dir.join("manifest.json"), &manifest)?;
 
         // The manifest now holds everything the WAL recorded, so the log is
-        // reset.  Streams are WAL-only state — they have no manifest
-        // document — so the live records of every still-open stream are
-        // kept: the log is replaced by exactly those records, atomically
-        // (replay past the *new* manifest is idempotent, so a crash or an
-        // error before the replacement loses nothing).  A stream is dropped
-        // when one of its records no longer counts (`StoreManifest::lists`),
-        // or when its name already denotes a stored run (a finalisation
-        // whose closure marker was lost to a crash between the run-insert
-        // append and the marker append).
-        let survivors: Vec<wal::WalRecord> = streams
-            .into_iter()
-            .filter(|((spec, stream), group)| {
-                group.iter().all(|r| manifest.lists(spec, &r.spec_fingerprint))
-                    && self.run(spec, stream).is_none()
-            })
-            .flat_map(|(_, group)| group.into_iter().map(wal::WalRecord::StreamEvent))
-            .collect();
-        let stream_bytes = wal::replace(&*self.io, dir, &wal::encode_all(dir, &survivors)?)?;
+        // replaced, atomically, by the records of the streams open in
+        // memory (replay past the *new* manifest is idempotent, so a crash
+        // or an error before the replacement loses nothing).
+        let stream_bytes = wal::replace(&*self.io, dir, &wal::encode_all(dir, &stream_records)?)?;
         self.wal_stats.bytes.store(stream_bytes, Ordering::Release);
         self.wal_stats.folds_total.fetch_add(1, Ordering::AcqRel);
 
@@ -800,29 +775,18 @@ impl WorkflowStore {
     }
 
     /// Makes one run durable by appending a single checksummed record to the
-    /// store directory's write-ahead log.  One append plus one fsync,
-    /// O(run): no manifest rewrite, no document rename, no checkpoint
-    /// rewrite.  The server's `POST /runs` goes through
+    /// store directory's write-ahead log: one append plus one fsync, no
+    /// document or manifest rewrite.  The server's `POST /runs` goes through
     /// [`DiffService::commit_run_insert`](crate::service::DiffService::commit_run_insert),
     /// which appends before it publishes; this primitive appends a run the
     /// caller already stored.
     ///
-    /// The run must already be stored in (and validated by) this store, and
-    /// the directory must hold the **same specification version**: the
-    /// manifest entry for `run.spec_name()` must carry the canonical
-    /// persistent fingerprint of the stored specification.  A directory
-    /// holding a different version (or not holding the specification at
-    /// all) is refused with [`PersistError::Format`] — run a full
-    /// [`WorkflowStore::save_to_dir`] instead.
-    ///
-    /// [`WorkflowStore::load_from_dir`] replays the record after the
-    /// manifest-committed documents; the next full save folds it into a
-    /// regular run document and resets the log (appends past the
-    /// [`WorkflowStore::set_wal_fold_threshold`] trigger that fold
-    /// themselves).  Once the record is appended the run is durable, so the
-    /// call returns `Ok` even when the fold it triggers fails.  Appends take
-    /// the store's save lock, so they cannot interleave with an in-flight
-    /// save from this process.
+    /// The directory must hold the **same specification version** as this
+    /// store (its manifest entry carries the stored specification's
+    /// persistent fingerprint); any other directory is refused with
+    /// [`PersistError::Format`] — run a full [`WorkflowStore::save_to_dir`]
+    /// instead.  Once the record is appended the run is durable, so the call
+    /// returns `Ok` even when the threshold fold it triggers fails.
     pub fn append_run_to_dir(
         &self,
         dir: impl AsRef<Path>,
@@ -902,16 +866,10 @@ impl WorkflowStore {
     /// `POST /runs/stream` goes through
     /// [`DiffService::commit_stream_batch`](crate::service::DiffService::commit_stream_batch).
     ///
-    /// In-flight streams are WAL-only state: [`WorkflowStore::load_from_dir`]
-    /// counts the records as replayed, and
-    /// [`DiffService::load_streams`](crate::service::DiffService::load_streams)
-    /// rebuilds the `PartialRun`s from them.  A full save replaces the log
-    /// with the records of still-open streams, so they survive folds;
-    /// [`WorkflowStore::append_stream_close_to_dir`] marks a
-    /// stream finalised, after which its records are dropped.
-    ///
-    /// Like [`WorkflowStore::append_run_to_dir`], the directory must hold
-    /// the same specification version as this store.
+    /// The events must already be applied to the store's open stream, as
+    /// [`WorkflowStore::append_run_to_dir`] requires a stored run (a fold
+    /// writes the streams memory holds), and the directory must hold the
+    /// same specification version.
     pub fn append_stream_events_to_dir(
         &self,
         dir: impl AsRef<Path>,
@@ -929,14 +887,11 @@ impl WorkflowStore {
         Ok(())
     }
 
-    /// Appends the closure marker of a finalised stream: a kind-5 record
-    /// with no event.  From this marker on, the stream's earlier records are
-    /// dead — the finalised run was made durable (as a regular run-insert
-    /// record) *before* the marker, so a crash between the two merely leaves
-    /// an unclosed stream whose name already denotes a stored run, which
-    /// both the fold and [`DiffService::load_streams`] treat as closed.
-    ///
-    /// [`DiffService::load_streams`]: crate::service::DiffService::load_streams
+    /// Appends the closure marker of a stream the store has closed (by
+    /// storing its run, or by
+    /// [`DiffService::remove_stream`](crate::service::DiffService::remove_stream)):
+    /// a kind-5 record with no event, after which the load drops the
+    /// stream.  A finalised run's own record closes its stream too.
     pub fn append_stream_close_to_dir(
         &self,
         dir: impl AsRef<Path>,
@@ -1028,8 +983,10 @@ impl WorkflowStore {
     /// idempotently, and records against a specification version the
     /// manifest no longer lists are skipped.  The inserted runs are rebuilt
     /// in parallel the same way; the first bad insert in the log fails the
-    /// load.  Legacy kind-3 and kind-4 records are stepped over.  The loaded
-    /// store keeps the surviving log, and the next full save folds it.
+    /// load.  Stream events rebuild the open streams; a stream whose records
+    /// are stale or do not apply is skipped, never a load error.  Legacy
+    /// kind-3 and kind-4 records are stepped over.  The loaded store keeps
+    /// the surviving log, and the next full save folds it.
     pub fn load_from_dir(dir: impl AsRef<Path>) -> Result<WorkflowStore, PersistError> {
         WorkflowStore::load_from_dir_with_io(dir, Arc::new(crate::storeio::RealIo))
     }
@@ -1049,7 +1006,7 @@ impl WorkflowStore {
         let dir = dir.as_ref();
         let (manifest_path, manifest) = read_manifest(dir)?;
 
-        let store = WorkflowStore::with_io(io);
+        let mut store = WorkflowStore::with_io(io);
         let mut seen_spec_names = std::collections::BTreeSet::new();
         for entry in &manifest.specs {
             check_dir_component(&manifest_path, &entry.dir)?;
@@ -1193,7 +1150,9 @@ impl WorkflowStore {
                     }
                     let run = rebuilt.next().expect("one rebuilt run per live insert")?;
                     // Replaces any manifest-committed document of the same
-                    // name — the WAL is newer by construction.
+                    // name (the WAL is newer) and closes its stream.
+                    store.stream_load.closed +=
+                        usize::from(store.stream(&insert.spec, &insert.name).is_some());
                     store.insert_run(&insert.name, run)?;
                     replayed += 1;
                 }
@@ -1201,11 +1160,15 @@ impl WorkflowStore {
                     store.remove_run(&remove.spec, &remove.name);
                     replayed += 1;
                 }
-                // Consumed by `DiffService::load_streams`, which rebuilds
-                // the in-flight `PartialRun`s from these records.
-                wal::WalRecord::StreamEvent(_) => replayed += 1,
+                wal::WalRecord::StreamEvent(record) => {
+                    let counts = manifest.lists(&record.spec, &record.spec_fingerprint);
+                    store.replay_stream_record(record, counts);
+                    replayed += 1;
+                }
             }
         }
+        store.stream_load.loaded =
+            store.spec_names().iter().map(|s| store.stream_names(s).len()).sum();
         store.wal_stats.replayed_records.store(replayed, Ordering::Release);
         store.wal_stats.bytes.store(wal_scan.valid_len, Ordering::Release);
         store.wal_stats.since_fold.store(wal_scan.valid_len, Ordering::Release);
@@ -1216,6 +1179,7 @@ impl WorkflowStore {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::service::tests::branch_events;
     use crate::service::DiffService;
     use crate::storeio::RealIo;
     use std::sync::Arc;
@@ -1782,12 +1746,16 @@ pub(crate) mod tests {
         let dir = TempDir::new("wal-trigger");
         let store = seeded_store();
         store.save_to_dir(dir.path()).unwrap();
-        // An open stream, whose records every fold carries over (the fold
-        // copies them without replaying them, so any events do).
-        let events: Vec<crate::stream::StreamEvent> =
-            (0..64).map(crate::stream::StreamEvent::completed).collect();
-        store.append_stream_events_to_dir(dir.path(), "fig2", "open", 0, &events).unwrap();
+        // Open streams, whose records every fold writes again.
+        let service = DiffService::new(Arc::clone(&store));
+        for (stream, branch) in [("open3", "3"), ("open4", "4"), ("open5", "5"), ("open6", "3")] {
+            let events = branch_events(branch);
+            service.commit_stream_batch(Some(dir.path()), "fig2", stream, &events, false).unwrap();
+        }
+        let log = || fs::read(dir.path().join(wal::WAL_FILE)).unwrap();
+        let appended = log();
         store.save_to_dir(dir.path()).unwrap();
+        assert_eq!(log(), appended, "the fold wrote the appended records byte for byte");
         let stream_bytes = store.wal_stats().bytes;
 
         let spec = store.spec("fig2").unwrap();
@@ -1798,9 +1766,9 @@ pub(crate) mod tests {
         append("r04");
         let record = store.wal_stats().bytes - stream_bytes;
         store.save_to_dir(dir.path()).unwrap();
-        assert_eq!(store.wal_stats().bytes, stream_bytes, "the fold carried the stream over");
+        assert_eq!(store.wal_stats().bytes, stream_bytes, "the fold wrote the streams again");
 
-        // The threshold lies between one run record and the stream's
+        // The threshold lies between one run record and the streams'
         // records: every fold is followed by three appends that do not fold.
         let threshold = 3 * record + record / 2;
         assert!(threshold < stream_bytes, "{threshold} vs {stream_bytes}");
@@ -1815,6 +1783,63 @@ pub(crate) mod tests {
         assert_eq!(store.wal_stats().bytes, stream_bytes);
         let loaded = WorkflowStore::load_from_dir(dir.path()).unwrap();
         assert_eq!(loaded.run_count(), 12);
+    }
+
+    #[test]
+    fn a_fold_writes_the_streams_memory_holds_and_drops_the_rest() {
+        let dir = TempDir::new("wal-unheld");
+        let store = seeded_store();
+        store.save_to_dir(dir.path()).unwrap();
+        // Records of events the store never applied.
+        let events = &branch_events("3")[..4];
+        store.append_stream_events_to_dir(dir.path(), "fig2", "ghost", 0, events).unwrap();
+        assert_eq!(wal::inspect(dir.path()).unwrap().stream_events, 4);
+        store.save_to_dir(dir.path()).unwrap();
+        assert_eq!(wal::inspect(dir.path()).unwrap(), wal::WalSummary::default());
+        // A stream the store holds is written whole, appended or not.
+        DiffService::new(Arc::clone(&store)).stream_events("fig2", "held", events).unwrap();
+        store.save_to_dir(dir.path()).unwrap();
+        assert_eq!(wal::inspect(dir.path()).unwrap().stream_events, 4);
+        let loaded = DiffService::new(Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap()));
+        assert_eq!(loaded.stream_names("fig2"), vec!["held"]);
+        assert_eq!(loaded.stream_seq("fig2", "held"), Some(4));
+    }
+
+    #[test]
+    fn a_stream_reopened_without_a_marker_loads_as_reopened() {
+        let dir = TempDir::new("wal-reopened");
+        let store = seeded_store();
+        store.save_to_dir(dir.path()).unwrap();
+        let service = DiffService::new(Arc::clone(&store));
+        let events = branch_events("3");
+        service.commit_stream_batch(Some(dir.path()), "fig2", "s1", &events[..4], false).unwrap();
+        // Closed in memory only: the log keeps the first stream's records.
+        assert!(service.remove_stream("fig2", "s1"));
+        service.commit_stream_batch(Some(dir.path()), "fig2", "s1", &events[..2], false).unwrap();
+        let loaded = DiffService::new(Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap()));
+        assert_eq!(loaded.stream_seq("fig2", "s1"), Some(2));
+    }
+
+    #[test]
+    fn a_batch_appended_after_a_fold_wrote_it_loads_once() {
+        let dir = TempDir::new("wal-refolded");
+        let store = seeded_store();
+        store.save_to_dir(dir.path()).unwrap();
+        let service = DiffService::new(Arc::clone(&store));
+        let events = branch_events("3");
+        service.commit_stream_batch(Some(dir.path()), "fig2", "s1", &events[..4], false).unwrap();
+        // Applied, written by a fold from memory, then appended by its
+        // caller: the log holds the batch twice.
+        service.stream_events("fig2", "s1", &events[4..6]).unwrap();
+        store.save_to_dir(dir.path()).unwrap();
+        store.append_stream_events_to_dir(dir.path(), "fig2", "s1", 4, &events[4..6]).unwrap();
+        assert_eq!(wal::inspect(dir.path()).unwrap().stream_events, 8);
+        let loaded = DiffService::new(Arc::new(WorkflowStore::load_from_dir(dir.path()).unwrap()));
+        let report = loaded.load_streams(dir.path()).unwrap();
+        assert_eq!((report.loaded, report.closed, report.skipped), (1, 0, 0));
+        assert_eq!(loaded.stream_seq("fig2", "s1"), Some(6));
+        let ack = loaded.stream_events("fig2", "s1", &events[6..]).unwrap().ack;
+        assert_eq!((ack.base_seq, ack.complete), (6, true));
     }
 
     #[test]

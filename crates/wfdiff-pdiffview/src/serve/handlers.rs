@@ -229,11 +229,12 @@ fn notify_inserted(state: &AppState, spec: &str, run: &str) {
 /// so a `500` leaves the stream as it was.  With `finalize: true` the same
 /// write also validates the completed stream end-to-end, stores it as run
 /// `stream` through the same create-only check as `POST /runs`, and closes
-/// the stream.
+/// the stream.  The verdict is of the builder the batch published, so a
+/// close landing after the batch cannot turn its answer into a `404`.
 fn stream_batch(state: &AppState, req: &Request) -> Result<(u16, String), ApiError> {
     let body: StreamEventsRequest = parse_body(&req.body)?;
     let service = &state.service;
-    let (ack, run) = service.commit_stream_batch(
+    let (ack, partial) = service.commit_stream_batch(
         state.dir.as_deref(),
         &body.spec,
         &body.stream,
@@ -249,15 +250,15 @@ fn stream_batch(state: &AppState, req: &Request) -> Result<(u16, String), ApiErr
         nodes: ack.nodes,
         completed_leaves: ack.completed_leaves,
         complete: ack.complete,
-        finalized: run.is_some(),
+        finalized: body.finalize,
         drift: None,
         persisted: state.dir.is_some(),
     };
-    if run.is_some() {
+    if body.finalize {
         notify_inserted(state, &body.spec, &body.stream);
         return json(201, &response);
     }
-    let report = service.drift_report(&body.spec, &body.stream)?;
+    let report = service.drift_of(&body.spec, &body.stream, &partial)?;
     if report.drifted {
         state.metrics.counter(ServerCounter::DriftFlags).inc();
     }
@@ -520,6 +521,7 @@ fn parse_body<T: for<'de> serde::Deserialize<'de>>(body: &str) -> Result<T, ApiE
 mod tests {
     use super::*;
     use crate::io::RunDescriptor;
+    use crate::service::tests::branch_events;
     use crate::service::DriftReport;
     use crate::store::WorkflowStore;
     use crate::storeio::{RealIo, StoreIo};
@@ -823,18 +825,6 @@ mod tests {
             finalize,
         })
         .unwrap()
-    }
-
-    /// Events for fig2's single-branch run `1 -> 2 -> branch -> 6 -> 7`.
-    fn branch_events(branch: &str) -> Vec<StreamEvent> {
-        let labels = ["1", "2", branch, "6", "7"];
-        let mut events = Vec::new();
-        for (i, label) in labels.iter().enumerate() {
-            let preds = if i == 0 { vec![] } else { vec![i - 1] };
-            events.push(StreamEvent::started(i, *label, preds));
-            events.push(StreamEvent::completed(i));
-        }
-        events
     }
 
     #[test]
@@ -1232,6 +1222,24 @@ mod tests {
     fn post_run(state: &AppState, name: &str) -> u16 {
         let spec = state.service.store().spec("fig2").unwrap();
         route(state, &request("POST", "/runs", &insert_body(name, &fig2_run3(&spec)))).0
+    }
+
+    #[test]
+    fn posting_a_run_under_an_open_streams_name_closes_the_stream() {
+        let (dir, store, state) = persisted_state("post-closes-stream", Arc::new(RealIo));
+        let open = stream_body("fig2", "s1", branch_events("3")[..3].to_vec(), false);
+        assert_eq!(route(&state, &request("POST", "/runs/stream", &open)).0, 200);
+        assert_eq!(post_run(&state, "s1"), 201);
+        assert!(store.run("fig2", "s1").is_some());
+        assert_eq!(state.service.stream_seq("fig2", "s1"), None);
+        let (status, body) = route(&state, &request("GET", "/runs/fig2/s1/drift", ""));
+        assert_eq!(status, 404, "{body}");
+        // A restart finds the run and no stream: the run's record closes it.
+        let (reloaded, service, report) = reload(&dir);
+        assert!(reloaded.run("fig2", "s1").is_some());
+        assert_eq!((report.loaded, report.closed), (0, 1));
+        assert_eq!(service.stream_seq("fig2", "s1"), None);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

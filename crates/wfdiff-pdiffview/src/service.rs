@@ -28,6 +28,10 @@
 //!
 //! Distances are bit-identical to the unmemoised [`WorkflowDiff`] path — the
 //! cache only short-circuits subproblems that are provably equal.
+//!
+//! A service owns only derived state: the cache, the prepared tables and
+//! the two indexes.  Runs and open streams live in the [`WorkflowStore`],
+//! so two services over one store share both.
 
 use crate::cluster::incremental::{ClusterSnapshot, DistanceOracle, IncrementalClusterIndex};
 use crate::cluster::CheckpointReport;
@@ -36,11 +40,10 @@ use crate::metricindex::{IncrementalMetricIndex, PruneStats, RunNames};
 use crate::persist::PersistError;
 use crate::pool;
 use crate::session::DiffSession;
-use crate::store::{StoreError, WorkflowStore};
+use crate::store::{StoreError, StreamLoadReport, WorkflowStore};
 use crate::stream::{PartialRun, StreamError, StreamEvent};
-use crate::wal;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 use wfdiff_core::{
@@ -305,19 +308,6 @@ pub struct DriftReport {
     pub drifted: bool,
 }
 
-/// What [`DiffService::load_streams`] rebuilt from the write-ahead log.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StreamLoadReport {
-    /// Streams rebuilt into the in-flight registry.
-    pub loaded: usize,
-    /// Streams dropped as already finalised (a closure marker, or a stored
-    /// run of the same name).
-    pub closed: usize,
-    /// Streams dropped as stale or invalid (replaced specification version,
-    /// missing specification, or an event sequence that no longer applies).
-    pub skipped: usize,
-}
-
 /// Builder-style configuration for [`DiffService`].
 pub struct DiffServiceBuilder {
     store: Arc<WorkflowStore>,
@@ -356,7 +346,6 @@ impl DiffServiceBuilder {
             threads: self.threads,
             clusters: IncrementalClusterIndex::new(),
             metric: IncrementalMetricIndex::new(),
-            streams: RankedRwLock::new(LockRank::Streams, BTreeMap::new()),
             prepared: RankedRwLock::new(LockRank::Prepared, HashMap::new()),
         }
     }
@@ -370,11 +359,6 @@ pub struct DiffService {
     threads: usize,
     clusters: IncrementalClusterIndex,
     metric: IncrementalMetricIndex,
-    /// In-flight streamed runs keyed by `(spec, stream)`, ranked after every
-    /// store lock ([`LockRank::Streams`]): a batch is validated on a builder
-    /// cloned *out* under it and published back in once durable (see
-    /// [`commit`]), so no store or WAL call ever happens under it.
-    streams: RankedRwLock<BTreeMap<(String, String), PartialRun>>,
     /// Resident prepared state per specification name (see the
     /// [module docs](self)).  Entries are cloned out under it and filled
     /// after computing with no lock held; nothing else is ever locked while
@@ -887,64 +871,61 @@ impl DiffService {
         Ok(StreamBatchOutcome { ack })
     }
 
-    /// Materialises a completed in-flight stream as a fully validated run
-    /// (without touching the store or the registry), returning the run and
-    /// the stream's event count.  [`ServiceError::Stream`] with
+    /// The builder of open stream `stream` of `spec`.
+    fn open_stream(&self, spec: &str, stream: &str) -> Result<Arc<PartialRun>, ServiceError> {
+        let unknown = || ServiceError::UnknownStream { spec: spec.into(), stream: stream.into() };
+        self.store.stream(spec, stream).ok_or_else(unknown)
+    }
+
+    /// Materialises a completed open stream as a fully validated run
+    /// (without touching the store), returning the run and the stream's
+    /// event count.  [`ServiceError::Stream`] with
     /// [`StreamError::Incomplete`] while instances are active or failed.
     pub fn finalize_stream(&self, spec: &str, stream: &str) -> Result<(Run, u64), ServiceError> {
-        let key = (spec.to_string(), stream.to_string());
-        let partial = self.streams.read().get(&key).cloned().ok_or_else(|| {
-            ServiceError::UnknownStream { spec: spec.to_string(), stream: stream.to_string() }
-        })?;
+        let partial = self.open_stream(spec, stream)?;
         let run = partial.finalize().map_err(ServiceError::Stream)?;
         Ok((run, partial.applied()))
     }
 
-    /// Drops an in-flight stream from the registry (the final step of
-    /// finalisation, and the operator remedy for stuck streams).  Returns
-    /// `true` if the stream existed.
+    /// Closes an open stream in memory, appending nothing
+    /// ([`DiffService::commit_stream_close`] makes the closure durable).
+    /// Returns `true` if the stream was open.
     pub fn remove_stream(&self, spec: &str, stream: &str) -> bool {
-        self.streams.write().remove(&(spec.to_string(), stream.to_string())).is_some()
+        // Never between a batch's check and its publish.
+        let _save = self.store.save_lock.lock();
+        self.store.close_stream(spec, stream)
     }
 
-    /// Names of the in-flight streams of one specification, sorted.
+    /// Names of the open streams of one specification, sorted.
     pub fn stream_names(&self, spec: &str) -> Vec<String> {
-        self.streams
-            .read()
-            .keys()
-            .filter(|(s, _)| s == spec)
-            .map(|(_, stream)| stream.clone())
-            .collect()
+        self.store.stream_names(spec)
     }
 
-    /// The event count of an in-flight stream, if it exists.
+    /// The event count of an open stream, if it exists.
     pub fn stream_seq(&self, spec: &str, stream: &str) -> Option<u64> {
-        self.streams.read().get(&(spec.to_string(), stream.to_string())).map(|p| p.applied())
+        self.store.stream(spec, stream).map(|partial| partial.applied())
     }
 
-    /// The live drift verdict for one in-flight stream.
-    ///
-    /// For each cluster of the specification's maintained k-medoids
-    /// clustering, the verdict compares the cluster's **radius** (largest
-    /// exact distance from the medoid to a member, over the same resident
-    /// prepared state and cache the cluster index uses) against the
-    /// **certified lower bound** [`WorkflowDiff::prefix_distance`] gives on
-    /// the distance between any completion of the stream and the medoid.
-    /// When the bound exceeds the radius for *every* cluster, no completion
-    /// of the run can land inside any known cluster — the run has drifted,
-    /// provably, while still executing.
-    ///
-    /// It never triggers a re-clustering itself: with no snapshot for the
-    /// specification the report carries zero clusters and `drifted: false`
-    /// (call [`DiffService::cluster_medoids`] first to build one).
+    /// The live [`DriftReport`] of one open stream: per cluster of the
+    /// specification's maintained k-medoids clustering, the radius (over
+    /// the prepared state and cache the cluster index uses) against the
+    /// certified lower bound [`WorkflowDiff::prefix_distance`] gives for any
+    /// completion of the stream.  It never re-clusters: with no clustering
+    /// the report carries zero clusters and `drifted: false` (call
+    /// [`DiffService::cluster_medoids`] first).
     pub fn drift_report(&self, spec: &str, stream: &str) -> Result<DriftReport, ServiceError> {
-        let key = (spec.to_string(), stream.to_string());
-        let partial = self.streams.read().get(&key).cloned().ok_or_else(|| {
-            ServiceError::UnknownStream { spec: spec.to_string(), stream: stream.to_string() }
-        })?;
-        if self.store.spec(spec).is_none() {
-            return Err(ServiceError::UnknownSpec(spec.to_string()));
-        }
+        let partial = self.open_stream(spec, stream)?;
+        self.drift_of(spec, stream, &partial)
+    }
+
+    /// [`DiffService::drift_report`] of a builder in hand: `partial`, such
+    /// as the one a batch's commit published.
+    pub(crate) fn drift_of(
+        &self,
+        spec: &str,
+        stream: &str,
+        partial: &PartialRun,
+    ) -> Result<DriftReport, ServiceError> {
         let mut report = DriftReport {
             spec: spec.to_string(),
             stream: stream.to_string(),
@@ -984,67 +965,12 @@ impl DiffService {
         Ok(report)
     }
 
-    /// Rebuilds the in-flight stream registry from `dir`'s write-ahead log —
-    /// the streaming companion of
-    /// [`WorkflowStore::load_from_dir`](crate::store::WorkflowStore::load_from_dir),
-    /// called once at boot after the store itself is loaded.
-    ///
-    /// Kind-5 records are grouped per `(spec, stream)` in append order.  A
-    /// closure marker drops its group; so does a stored run of the stream's
-    /// name (the crash window between a finalised run's insert record and
-    /// its closure marker).  A group is skipped — never an error — when its
-    /// specification is gone, when one of its records no longer counts (the
-    /// directory's manifest does not list the specification at the record's
-    /// fingerprint) or was logged against another version than the store
-    /// holds, or when its events no longer apply cleanly.  The manifest is
-    /// read once per call.
-    pub fn load_streams(&self, dir: impl AsRef<Path>) -> Result<StreamLoadReport, PersistError> {
-        let dir = dir.as_ref();
-        let mut report = StreamLoadReport::default();
-        let mut rebuilt: Vec<((String, String), PartialRun)> = Vec::new();
-        {
-            let _guard = self.store.save_lock.lock();
-            let (groups, closed) = wal::open_streams(&wal::scan(dir)?.records);
-            report.closed += closed;
-            // An unreadable manifest lists nothing, so every group is skipped.
-            let manifest = crate::persist::read_manifest(dir).ok().map(|(_, manifest)| manifest);
-            for ((spec_name, stream_name), records) in groups {
-                // The records count, and were logged at the version held.
-                let held = self.store.spec(&spec_name).filter(|spec| {
-                    let fp = self.store.persistent_fingerprint(dir, spec).map(|fp| fp.to_string());
-                    fp.is_ok_and(|fp| {
-                        manifest.as_ref().is_some_and(|m| m.lists(&spec_name, &fp))
-                            && records.iter().all(|r| r.spec_fingerprint == fp)
-                    })
-                });
-                let Some(spec_arc) = held else {
-                    report.skipped += 1;
-                    continue;
-                };
-                if self.store.run(&spec_name, &stream_name).is_some() {
-                    report.closed += 1;
-                    continue;
-                }
-                let mut partial = PartialRun::new(Arc::clone(&spec_arc));
-                let replays_cleanly = records.iter().all(|r| {
-                    r.seq == partial.applied()
-                        && r.event.as_ref().is_some_and(|event| partial.apply(event).is_ok())
-                });
-                if replays_cleanly {
-                    rebuilt.push(((spec_name, stream_name), partial));
-                    report.loaded += 1;
-                } else {
-                    report.skipped += 1;
-                }
-            }
-        }
-        if !rebuilt.is_empty() {
-            let mut streams = self.streams.write();
-            for (key, partial) in rebuilt {
-                streams.insert(key, partial);
-            }
-        }
-        Ok(report)
+    /// The open streams [`WorkflowStore::load_from_dir`] rebuilt when it
+    /// loaded the store (zeros for a store not loaded); `dir` is not read.
+    /// Kept, with its signature, only for its callers: the benchmark's
+    /// traced replay, `wfdiff_serve`'s boot line and `store_tool merge`.
+    pub fn load_streams(&self, _dir: impl AsRef<Path>) -> Result<StreamLoadReport, PersistError> {
+        Ok(self.store.stream_load)
     }
 
     /// Runs `work` over `jobs` on the scoped worker pool, preserving job
@@ -1091,7 +1017,7 @@ impl DistanceOracle for ServiceOracle<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cluster::DEFAULT_CLUSTER_SEED;
     use wfdiff_core::LengthCost;
@@ -1376,7 +1302,7 @@ mod tests {
     }
 
     /// Events for fig2's single-branch run `1 -> 2 -> branch -> 6 -> 7`.
-    fn branch_events(branch: &str) -> Vec<StreamEvent> {
+    pub(crate) fn branch_events(branch: &str) -> Vec<StreamEvent> {
         let labels = ["1", "2", branch, "6", "7"];
         let mut events = Vec::new();
         for (i, label) in labels.iter().enumerate() {
@@ -1401,8 +1327,9 @@ mod tests {
         assert!(second.ack.complete);
         let (run, seq) = service.finalize_stream("fig2", "s1").unwrap();
         assert_eq!(seq, 10);
+        // Storing the run closes the stream.
         store.insert_run_new("s1", run).unwrap();
-        assert!(service.remove_stream("fig2", "s1"));
+        assert!(!service.remove_stream("fig2", "s1"));
         // The materialised run is indistinguishable from the same run built
         // whole: distance zero to an identical direct construction.
         let mut p = PartialRun::new(store.spec("fig2").unwrap());
@@ -1517,13 +1444,93 @@ mod tests {
         service.stream_events("fig2", "a", &[]).unwrap();
         assert_eq!(service.stream_names("fig2"), vec!["a", "b"]);
         assert!(service.stream_names("other").is_empty());
-        // A replaced spec invalidates its streams.
+        // Replacing a spec with an identical one keeps its streams; a new
+        // version closes them, and the name opens afresh against it.
         let (new_spec, _) = store.replace_spec(fig2_specification());
         assert_eq!(new_spec.fingerprint(), store.spec("fig2").unwrap().fingerprint());
+        assert_eq!(service.stream_names("fig2"), vec!["a", "b"]);
         let mut b = SpecificationBuilder::new("fig2");
         b.path(&["1", "2", "3"]);
         store.replace_spec(b.build().unwrap());
-        let err = service.stream_events("fig2", "a", &[]).unwrap_err();
-        assert!(matches!(err, ServiceError::InvalidQuery(_)), "version mismatch is typed");
+        assert!(service.stream_names("fig2").is_empty());
+        let ack = service.stream_events("fig2", "a", &[StreamEvent::started(0, "1", vec![])]);
+        assert_eq!(ack.unwrap().ack.base_seq, 0);
+    }
+
+    #[test]
+    fn two_services_over_one_store_share_open_streams() {
+        let store = seeded_store();
+        let (first, second) = (DiffService::new(Arc::clone(&store)), DiffService::new(store));
+        let events = branch_events("3");
+        first.stream_events("fig2", "s1", &events[..4]).unwrap();
+        assert_eq!(second.stream_names("fig2"), vec!["s1"]);
+        assert_eq!(second.drift_report("fig2", "s1").unwrap().events, 4);
+        // The second service continues the stream the first opened.
+        let ack = second.stream_events("fig2", "s1", &events[4..]).unwrap().ack;
+        assert_eq!((ack.base_seq, ack.seq, ack.complete), (4, 10, true));
+        assert_eq!(first.stream_seq("fig2", "s1"), Some(10));
+        first.commit_stream_batch(None, "fig2", "s1", &[], true).unwrap();
+        assert!(second.store.run("fig2", "s1").is_some());
+        assert!(second.stream_names("fig2").is_empty(), "finalising closed it for both");
+    }
+
+    #[test]
+    fn a_specification_version_change_closes_its_streams() {
+        let store = seeded_store();
+        let service = DiffService::new(Arc::clone(&store));
+        service.stream_events("fig2", "s1", &branch_events("3")[..2]).unwrap();
+        // An identical specification keeps the stream.
+        store.insert_spec(fig2_specification()).unwrap();
+        assert_eq!(service.stream_seq("fig2", "s1"), Some(2));
+        // A new version closes it, through either entry point.
+        let mut b = SpecificationBuilder::new("fig2");
+        b.path(&["1", "2", "3"]);
+        store.replace_spec(b.build().unwrap());
+        assert_eq!(service.stream_seq("fig2", "s1"), None);
+        service.stream_events("fig2", "s2", &[StreamEvent::started(0, "1", vec![])]).unwrap();
+        store.insert_spec(fig2_specification()).unwrap();
+        assert!(service.stream_names("fig2").is_empty());
+    }
+
+    #[test]
+    fn a_batch_whose_stream_closed_after_its_check_is_refused() {
+        let store = seeded_store();
+        let service = DiffService::new(Arc::clone(&store));
+        let events = branch_events("3");
+        service.stream_events("fig2", "s1", &events[..4]).unwrap();
+        // A batch checked against the open stream, then a run stored and
+        // removed under its name before the batch publishes.
+        let mut next = PartialRun::clone(&service.open_stream("fig2", "s1").unwrap());
+        for event in &events[4..6] {
+            next.apply(event).unwrap();
+        }
+        let spec = store.spec("fig2").unwrap();
+        store.insert_run("s1", fig2_run1(&spec)).unwrap();
+        assert!(store.remove_run("fig2", "s1"));
+        assert!(!store.publish_stream("s1", Arc::new(next), &events[4..6]).unwrap());
+        assert_eq!(service.stream_seq("fig2", "s1"), None);
+        // A stream opened afresh publishes.
+        service.stream_events("fig2", "s1", &events[..2]).unwrap();
+        assert_eq!(service.stream_seq("fig2", "s1"), Some(2));
+    }
+
+    #[test]
+    fn a_batch_verdict_is_of_the_builder_its_commit_published() {
+        let store = seeded_store();
+        let service = DiffService::new(Arc::clone(&store));
+        service.cluster_medoids("fig2", 2, DEFAULT_CLUSTER_SEED).unwrap();
+        let events = branch_events("5");
+        let (ack, published) =
+            service.commit_stream_batch(None, "fig2", "s1", &events[..6], false).unwrap();
+        let open = service.drift_report("fig2", "s1").unwrap();
+        // The stream closes before the batch's verdict is computed.
+        assert_eq!(service.commit_stream_close(None, "fig2", "s1").unwrap(), ack.seq);
+        assert!(matches!(
+            service.drift_report("fig2", "s1"),
+            Err(ServiceError::UnknownStream { .. })
+        ));
+        let verdict = service.drift_of("fig2", "s1", &published).unwrap();
+        assert_eq!(verdict, open);
+        assert_eq!(verdict.events, 6);
     }
 }

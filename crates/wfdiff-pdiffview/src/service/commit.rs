@@ -60,11 +60,14 @@ impl DiffService {
 
     /// Applies one batch of events to stream `stream` of `spec`, opening it
     /// on first use, durably in `dir` when given — `POST /runs/stream`.
-    /// With `finalize`, the completed stream is then stored as run `stream`
-    /// and closed: the batch, the run's insert record and the closure
+    /// With `finalize`, the completed stream is then stored as run `stream`,
+    /// which closes it: the batch, the run's insert record and the closure
     /// marker are one append.  All or nothing: a rejected event, an
     /// incomplete stream, a taken name or a failed append leaves the stream
-    /// as it was.
+    /// as it was, and a stream that closed after the batch read it answers
+    /// [`ServiceError::UnknownStream`].  Returns the batch's acknowledgement
+    /// and the builder it left: the one it published, or the completed one
+    /// stored as the run.
     pub fn commit_stream_batch(
         &self,
         dir: Option<&Path>,
@@ -72,21 +75,14 @@ impl DiffService {
         stream: &str,
         events: &[StreamEvent],
         finalize: bool,
-    ) -> Result<(StreamAck, Option<Arc<Run>>), ServiceError> {
+    ) -> Result<(StreamAck, Arc<PartialRun>), ServiceError> {
         let _save = self.store.save_lock.lock();
         let spec_arc =
             self.store.spec(spec).ok_or_else(|| ServiceError::UnknownSpec(spec.to_string()))?;
-        let key = (spec.to_string(), stream.to_string());
-        // The batch is applied to a clone of the stream's builder.
-        let prior = self.streams.read().get(&key).cloned();
-        let mut next = match prior {
-            Some(p) if p.spec().fingerprint() != spec_arc.fingerprint() => {
-                return Err(ServiceError::InvalidQuery(format!(
-                    "stream {stream:?} was opened against a replaced version of \
-                     specification {spec:?}; remove it and start over"
-                )));
-            }
-            Some(p) => p,
+        // The batch is applied to a copy of the stream's builder; a version
+        // change closes the stream, so an open one is at `spec_arc`.
+        let mut next = match self.store.stream(spec, stream) {
+            Some(open) => PartialRun::clone(&open),
             None if self.store.run(spec, stream).is_some() => {
                 return Err(ServiceError::InvalidQuery(format!(
                     "stream name {stream:?} already names a stored run of specification {spec:?}"
@@ -118,19 +114,21 @@ impl DiffService {
             }
             records
         })?;
-        let stored = run.map(|run| self.store.insert_run(stream, run)).transpose()?;
-        match stored {
-            Some(_) => self.streams.write().remove(&key),
-            None => self.streams.write().insert(key, next),
-        };
+        let next = Arc::new(next);
+        // Storing the run closes the stream.
+        if let Some(run) = run {
+            self.store.insert_run(stream, run)?;
+        } else if !self.store.publish_stream(stream, Arc::clone(&next), events)? {
+            return Err(ServiceError::UnknownStream { spec: spec.into(), stream: stream.into() });
+        }
         self.store.fold_if_due(dir);
-        Ok((ack, stored))
+        Ok((ack, next))
     }
 
-    /// Drops stream `stream` of `spec` without storing a run — `DELETE
+    /// Closes stream `stream` of `spec` without storing a run — `DELETE
     /// /runs/{spec}/{stream}/stream`.  With `dir`, its closure marker is
-    /// durable before the stream leaves the registry.  Returns the events
-    /// the stream had applied.
+    /// durable before the stream closes.  Returns the events the stream had
+    /// applied.
     pub fn commit_stream_close(
         &self,
         dir: Option<&Path>,
@@ -138,14 +136,12 @@ impl DiffService {
         stream: &str,
     ) -> Result<u64, ServiceError> {
         let _save = self.store.save_lock.lock();
-        let unknown =
-            || ServiceError::UnknownStream { spec: spec.to_string(), stream: stream.to_string() };
-        let seq = self.stream_seq(spec, stream).ok_or_else(unknown)?;
-        let spec_arc = self.store.spec(spec).ok_or_else(unknown)?;
-        self.store.wal_append_for(dir, &spec_arc, |fp| {
+        let partial = self.open_stream(spec, stream)?;
+        let seq = partial.applied();
+        self.store.wal_append_for(dir, partial.spec(), |fp| {
             wal::stream_records(spec, fp, stream, seq, [None])
         })?;
-        self.remove_stream(spec, stream);
+        self.store.close_stream(spec, stream);
         self.store.fold_if_due(dir);
         Ok(seq)
     }

@@ -1,26 +1,27 @@
-//! A thread-safe in-memory store of specifications and runs.
+//! A thread-safe in-memory store of specifications, runs and open streams.
 //!
 //! The PDiffView prototype lets users store and later re-open specifications
 //! and runs; this is the headless equivalent, also used by the benchmark
 //! harness to share generated workloads between experiments and by
 //! [`crate::service::DiffService`] as the source of truth for batch
-//! differencing.
+//! differencing.  Open streams (runs still executing) live here too.
 //!
 //! # Locking discipline
 //!
-//! The store keeps each specification together with its runs in one map
-//! behind one lock, so every read — a single run, a spec with a few runs, a
-//! [`WorkflowStore::snapshot`] of everything — is consistent by
-//! construction: it never observes runs of a specification that has been
-//! removed, nor a specification whose runs are mid-replacement.
+//! The store keeps each specification together with its runs and open
+//! streams in one map behind one lock, so every read — a single run, a spec
+//! with a few runs, a [`WorkflowStore::snapshot`] of everything — is
+//! consistent by construction: it never observes runs of a specification
+//! that has been removed, nor a specification whose runs are
+//! mid-replacement.
 //!
-//! The full rank order across the store's locks is `save_lock` → `store` →
-//! `persist_fp_cache`, with the derived indexes' per-specification `index`
-//! locks between `save_lock` and `store` (an index holds its lock while its
-//! distance evaluations read the store), and the service's `streams` and
-//! `prepared` last.  The `lockrank` module's wrappers around these fields
-//! enforce it: they panic on any out-of-order acquisition when
-//! `debug_assertions` are on, which every `cargo test` run reaches.
+//! The full rank order is `save_lock → index → store → persist_fp_cache →
+//! prepared`: the derived indexes' per-specification `index` locks sit
+//! between `save_lock` and `store` (an index holds its lock while its
+//! distance evaluations read the store), and the service's `prepared` is
+//! last.  The `lockrank` module's wrappers around these fields enforce it:
+//! they panic on any out-of-order acquisition when `debug_assertions` are
+//! on, which every `cargo test` run reaches.
 //!
 //! # Specification versions
 //!
@@ -33,17 +34,20 @@
 //! refuses such a replacement while runs exist (returning
 //! [`StoreError::SpecConflict`]), and [`WorkflowStore::replace_spec`]
 //! performs it atomically by invalidating (removing) the stale runs in the
-//! same critical section.
+//! same critical section.  A version change closes the open streams.  A
+//! specification's run and stream names never overlap: storing a run
+//! under an open stream's name closes the stream.
 
 use crate::lockrank::{LockRank, RankedMutex, RankedRwLock};
 use crate::metricindex::RunNames;
 use crate::storeio::{IoHandle, StoreIo};
-use crate::wal::{WalStats, WalStatsSnapshot};
+use crate::stream::{PartialRun, StreamEvent};
+use crate::wal::{StreamEventRecord, WalStats, WalStatsSnapshot};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use wfdiff_sptree::{Run, Specification};
+use wfdiff_sptree::{Fingerprint, Run, Specification};
 
 /// Default number of WAL bytes, appended since the last fold attempt, at
 /// which a hot-path append triggers a checkpoint fold; see
@@ -116,11 +120,32 @@ impl std::error::Error for StoreError {}
 /// [`WorkflowStore::snapshot`].
 pub type SpecSnapshot = (Arc<Specification>, Vec<(String, Arc<Run>)>);
 
-/// One stored specification and the runs recorded against it.
+/// The open streams [`WorkflowStore::load_from_dir`] rebuilt from the log.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StreamLoadReport {
+    /// Streams open at the end of the log.
+    pub loaded: usize,
+    /// Streams closed by a closure marker or a run of the same name.
+    pub closed: usize,
+    /// Streams dropped as stale (a version the manifest does not list) or
+    /// invalid (events that do not apply).
+    pub skipped: usize,
+}
+
+/// One open stream: its builder and the events it applied, in order.
+#[derive(Debug)]
+struct OpenStream {
+    partial: Arc<PartialRun>,
+    events: Vec<StreamEvent>,
+}
+
+/// One stored specification, the runs recorded against it and its open
+/// streams; a name is never both a run and a stream.
 #[derive(Debug)]
 struct SpecEntry {
     spec: Arc<Specification>,
     runs: BTreeMap<String, Arc<Run>>,
+    streams: BTreeMap<String, OpenStream>,
 }
 
 /// A named collection of specifications and, per specification, named runs.
@@ -153,6 +178,8 @@ pub struct WorkflowStore {
     pub(crate) persist_fp_cache: RankedMutex<
         std::collections::HashMap<wfdiff_sptree::Fingerprint, wfdiff_sptree::Fingerprint>,
     >,
+    /// What the load that built the store rebuilt of the open streams.
+    pub(crate) stream_load: StreamLoadReport,
 }
 
 impl Default for WorkflowStore {
@@ -165,6 +192,7 @@ impl Default for WorkflowStore {
             wal_torn: AtomicBool::new(false),
             save_lock: RankedMutex::new(LockRank::Save, ()),
             persist_fp_cache: RankedMutex::new(LockRank::FpCache, std::collections::HashMap::new()),
+            stream_load: StreamLoadReport::default(),
         }
     }
 }
@@ -206,8 +234,8 @@ impl WorkflowStore {
     ///
     /// Replacing an existing specification of the same name succeeds when the
     /// stored version is structurally identical (its runs remain valid) or
-    /// has no runs; otherwise the insert is refused with
-    /// [`StoreError::SpecConflict`] so stored runs can never reference a
+    /// has no runs (its open streams close); otherwise the insert is refused
+    /// with [`StoreError::SpecConflict`] so stored runs can never reference a
     /// stale specification version.  Use [`WorkflowStore::replace_spec`] to
     /// force the replacement and invalidate the runs.
     pub fn insert_spec(&self, spec: Specification) -> Result<Arc<Specification>, StoreError> {
@@ -220,7 +248,7 @@ impl WorkflowStore {
             let (name, runs) = (arc.name().to_string(), entry.runs.len());
             return Err(StoreError::SpecConflict { name, runs });
         }
-        entry.spec = Arc::clone(&arc);
+        entry.install(&arc);
         Ok(arc)
     }
 
@@ -230,16 +258,11 @@ impl WorkflowStore {
     /// names of the invalidated runs.
     ///
     /// The replacement is atomic: no reader can observe the new
-    /// specification together with the old version's runs.
+    /// specification together with the old version's runs or streams.
     pub fn replace_spec(&self, spec: Specification) -> (Arc<Specification>, Vec<String>) {
         let arc = Arc::new(spec);
         let mut specs = self.specs.write();
-        let entry = SpecEntry::of(&mut specs, &arc);
-        let mut invalidated = Vec::new();
-        if entry.spec.tree() != arc.tree() {
-            invalidated = std::mem::take(&mut entry.runs).into_keys().collect();
-        }
-        entry.spec = Arc::clone(&arc);
+        let invalidated = SpecEntry::of(&mut specs, &arc).install(&arc);
         (arc, invalidated)
     }
 
@@ -259,9 +282,9 @@ impl WorkflowStore {
     /// have been validated against that exact version
     /// ([`Run::spec_fingerprint`] must match), so a run built before a
     /// [`WorkflowStore::replace_spec`] can never sneak back in against the
-    /// new version.  The checks and the insert happen under one critical
-    /// section so a concurrent [`WorkflowStore::remove_spec`] cannot
-    /// interleave and leave an orphan run behind.
+    /// new version.  The checks and the insert (which closes a stream open
+    /// under the name) share one critical section, so a concurrent
+    /// [`WorkflowStore::remove_spec`] cannot leave an orphan run behind.
     pub fn insert_run(&self, run_name: &str, run: Run) -> Result<Arc<Run>, StoreError> {
         self.insert_checked(run_name, run, true)
     }
@@ -284,9 +307,10 @@ impl WorkflowStore {
         replace: bool,
     ) -> Result<Arc<Run>, StoreError> {
         let mut specs = self.specs.write();
-        let entry = specs.get_mut(run.spec_name()).ok_or_else(|| missing_spec(&run))?;
-        entry.check(run_name, &run, replace)?;
+        let entry = specs.get_mut(run.spec_name()).ok_or_else(|| missing_spec(run.spec_name()))?;
+        entry.check(run_name, run.spec_fingerprint(), replace)?;
         let arc = Arc::new(run);
+        entry.streams.remove(run_name);
         entry.runs.insert(run_name.to_string(), Arc::clone(&arc));
         Ok(arc)
     }
@@ -301,8 +325,8 @@ impl WorkflowStore {
         replace: bool,
     ) -> Result<Arc<Specification>, StoreError> {
         let specs = self.specs.read();
-        let entry = specs.get(run.spec_name()).ok_or_else(|| missing_spec(run))?;
-        entry.check(run_name, run, replace)?;
+        let entry = specs.get(run.spec_name()).ok_or_else(|| missing_spec(run.spec_name()))?;
+        entry.check(run_name, run.spec_fingerprint(), replace)?;
         Ok(Arc::clone(&entry.spec))
     }
 
@@ -349,10 +373,9 @@ impl WorkflowStore {
     /// sorted by specification name (and runs by run name), taken in one
     /// critical section.
     ///
-    /// This is the snapshot [`WorkflowStore::save_to_dir`] persists and
-    /// [`crate::service::DiffService::warm_start`] replays: no concurrent
-    /// writer can interleave a spec replacement between two specifications
-    /// of the snapshot.
+    /// This is the snapshot [`crate::service::DiffService::warm_start`]
+    /// replays: no concurrent writer can interleave a spec replacement
+    /// between two specifications of the snapshot.
     pub fn snapshot_all(&self) -> Vec<(String, SpecSnapshot)> {
         self.specs.read().iter().map(|(name, entry)| (name.clone(), entry.snapshot())).collect()
     }
@@ -365,9 +388,9 @@ impl WorkflowStore {
             .is_some_and(|entry| entry.runs.remove(run_name).is_some())
     }
 
-    /// Removes a specification and all of its runs; returns `true` if the
-    /// specification existed.  The removal is atomic: no reader ever
-    /// observes runs for a specification that is already gone.
+    /// Removes a specification with its runs and open streams; returns
+    /// `true` if the specification existed.  The removal is atomic: no
+    /// reader ever observes runs for a specification that is already gone.
     pub fn remove_spec(&self, spec_name: &str) -> bool {
         self.specs.write().remove(spec_name).is_some()
     }
@@ -375,6 +398,108 @@ impl WorkflowStore {
     /// Total number of stored runs.
     pub fn run_count(&self) -> usize {
         self.specs.read().values().map(|entry| entry.runs.len()).sum()
+    }
+
+    /// The builder of open stream `stream` of `spec_name`.
+    pub(crate) fn stream(&self, spec_name: &str, stream: &str) -> Option<Arc<PartialRun>> {
+        let specs = self.specs.read();
+        specs.get(spec_name)?.streams.get(stream).map(|open| Arc::clone(&open.partial))
+    }
+
+    /// Names of the open streams of `spec_name`, sorted.
+    pub(crate) fn stream_names(&self, spec_name: &str) -> Vec<String> {
+        let specs = self.specs.read();
+        specs.get(spec_name).map_or_else(Vec::new, |e| e.streams.keys().cloned().collect())
+    }
+
+    /// Publishes a batch of stream `stream`, opening it if needed: `next`,
+    /// the builder with `events` applied, replaces the stream's builder, and
+    /// `events` are appended to its own.  Refused like
+    /// [`WorkflowStore::insert_run_new`]; returns `false`, publishing
+    /// nothing, unless `next` continues the events the stream holds (none
+    /// when it is not open), as when the stream closed after `next` was read.
+    pub(crate) fn publish_stream(
+        &self,
+        stream: &str,
+        next: Arc<PartialRun>,
+        events: &[StreamEvent],
+    ) -> Result<bool, StoreError> {
+        let mut specs = self.specs.write();
+        let name = next.spec().name();
+        let entry = specs.get_mut(name).ok_or_else(|| missing_spec(name))?;
+        entry.check(stream, next.spec().fingerprint(), false)?;
+        let held = entry.streams.get(stream).map_or(0, |open| open.events.len());
+        if (held + events.len()) as u64 != next.applied() {
+            return Ok(false);
+        }
+        let fresh = || OpenStream { partial: Arc::clone(&next), events: Vec::new() };
+        let open = entry.streams.entry(stream.to_string()).or_insert_with(fresh);
+        open.events.extend_from_slice(events);
+        open.partial = next;
+        Ok(true)
+    }
+
+    /// Closes open stream `stream` of `spec_name`; `true` if it was open.
+    pub(crate) fn close_stream(&self, spec_name: &str, stream: &str) -> bool {
+        let mut specs = self.specs.write();
+        specs.get_mut(spec_name).is_some_and(|entry| entry.streams.remove(stream).is_some())
+    }
+
+    /// Every specification with its runs and its open streams' events, in
+    /// one critical section — what a fold writes.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn snapshot_with_streams(
+        &self,
+    ) -> Vec<(String, SpecSnapshot, Vec<(String, Vec<StreamEvent>)>)> {
+        let specs = self.specs.read();
+        let streams = |entry: &SpecEntry| -> Vec<_> {
+            entry.streams.iter().map(|(name, open)| (name.clone(), open.events.clone())).collect()
+        };
+        specs.iter().map(|(name, entry)| (name.clone(), entry.snapshot(), streams(entry))).collect()
+    }
+
+    /// The load's replay of one logged stream record, in append order
+    /// (`counts`: the manifest lists its version, else it is skipped).  An
+    /// event numbered 0 opens its stream afresh, unless a run holds the
+    /// name, and later ones continue it; a closure marker closes it.  A
+    /// later event the stream already holds at its position changes
+    /// nothing: a fold wrote it from memory before its caller appended it.
+    /// An event that does not apply drops the stream as skipped.  Counted
+    /// in `stream_load`.
+    pub(crate) fn replay_stream_record(&mut self, record: &StreamEventRecord, counts: bool) {
+        let report = &mut self.stream_load;
+        let mut specs = self.specs.write();
+        let Some(entry) = specs.get_mut(&record.spec).filter(|_| counts) else {
+            // A version the manifest does not list: the stream is stale.
+            report.skipped += usize::from(record.seq == 0 && record.event.is_some());
+            return;
+        };
+        let prior = entry.streams.remove(&record.stream);
+        let Some(event) = &record.event else {
+            report.closed += usize::from(prior.is_some());
+            return;
+        };
+        let mut open = match prior {
+            _ if record.seq == 0 && entry.runs.contains_key(&record.stream) => {
+                report.closed += 1;
+                return;
+            }
+            _ if record.seq == 0 => {
+                let partial = Arc::new(PartialRun::new(Arc::clone(&entry.spec)));
+                OpenStream { partial, events: Vec::new() }
+            }
+            Some(open) => open,
+            None => return,
+        };
+        let seq = usize::try_from(record.seq).unwrap_or(usize::MAX);
+        if open.events.get(seq) != Some(event) {
+            if seq != open.events.len() || Arc::make_mut(&mut open.partial).apply(event).is_err() {
+                report.skipped += 1;
+                return;
+            }
+            open.events.push(event.clone());
+        }
+        entry.streams.insert(record.stream.clone(), open);
     }
 }
 
@@ -399,8 +524,25 @@ impl SpecEntry {
         specs: &'a mut BTreeMap<String, SpecEntry>,
         spec: &Arc<Specification>,
     ) -> &'a mut SpecEntry {
-        let fresh = || SpecEntry { spec: Arc::clone(spec), runs: BTreeMap::new() };
+        let fresh = || SpecEntry {
+            spec: Arc::clone(spec),
+            runs: BTreeMap::new(),
+            streams: BTreeMap::new(),
+        };
         specs.entry(spec.name().to_string()).or_insert_with(fresh)
+    }
+
+    /// Makes `spec` this entry's version.  A structurally different one
+    /// removes the runs and closes the open streams; returns the names of
+    /// the removed runs.
+    fn install(&mut self, spec: &Arc<Specification>) -> Vec<String> {
+        let mut invalidated = Vec::new();
+        if self.spec.tree() != spec.tree() {
+            invalidated = std::mem::take(&mut self.runs).into_keys().collect();
+            self.streams.clear();
+        }
+        self.spec = Arc::clone(spec);
+        invalidated
     }
 
     fn snapshot(&self) -> SpecSnapshot {
@@ -408,23 +550,24 @@ impl SpecEntry {
         (Arc::clone(&self.spec), runs)
     }
 
-    /// Whether `run` may be stored here as `run_name`: it was validated
-    /// against this exact version, and unless `replace`, the name is free.
-    fn check(&self, run_name: &str, run: &Run, replace: bool) -> Result<(), StoreError> {
-        if self.spec.fingerprint() != run.spec_fingerprint() {
-            let (name, run) = (run.spec_name().to_string(), run_name.to_string());
+    /// Whether a run, or an open stream's builder, validated against
+    /// `version` may be stored here as `run_name`: `version` is this exact
+    /// one, and unless `replace`, no run holds the name.
+    fn check(&self, run_name: &str, version: Fingerprint, replace: bool) -> Result<(), StoreError> {
+        if self.spec.fingerprint() != version {
+            let (name, run) = (self.spec.name().to_string(), run_name.to_string());
             return Err(StoreError::SpecVersionMismatch { name, run });
         }
         if !replace && self.runs.contains_key(run_name) {
-            let (name, run) = (run.spec_name().to_string(), run_name.to_string());
+            let (name, run) = (self.spec.name().to_string(), run_name.to_string());
             return Err(StoreError::DuplicateRun { name, run });
         }
         Ok(())
     }
 }
 
-fn missing_spec(run: &Run) -> StoreError {
-    StoreError::MissingSpec { name: run.spec_name().to_string() }
+fn missing_spec(name: &str) -> StoreError {
+    StoreError::MissingSpec { name: name.to_string() }
 }
 
 #[cfg(test)]

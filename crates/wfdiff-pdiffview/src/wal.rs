@@ -38,22 +38,21 @@
 //! `load_from_dir` replays the WAL **after** loading the manifest-committed
 //! documents, in append order.  Replay is idempotent: re-inserting a run the
 //! manifest already holds replaces it with identical content, removing an
-//! absent run is a no-op, and an insert recorded against a specification
-//! version the manifest no longer lists is skipped (the record predates a
-//! spec replacement whose full save crashed before the WAL truncation).
-//! The same rule decides which open streams a fold carries over and
-//! [`DiffService::load_streams`] rebuilds.
+//! absent run is a no-op, and a record against a specification version the
+//! manifest no longer lists is skipped (it predates a spec replacement
+//! whose full save crashed before the WAL truncation).  Stream events
+//! rebuild the store's open streams in the same pass; an event a stream
+//! already holds at its position changes nothing.
 //!
 //! A full save **folds** the log: the snapshot is committed via the
 //! manifest rename, and the WAL is replaced, atomically, by the records of
-//! the streams still open (empty when there are none).  The fold runs
-//! automatically once [`WorkflowStore::set_wal_fold_threshold`] bytes have
-//! been appended since the last fold attempt.
+//! the streams open in memory.  The fold runs automatically once
+//! [`WorkflowStore::set_wal_fold_threshold`] bytes have been appended since
+//! the last fold attempt.
 //!
 //! [`WorkflowStore::save_to_dir`]: crate::store::WorkflowStore::save_to_dir
 //! [`WorkflowStore::load_from_dir`]: crate::store::WorkflowStore::load_from_dir
 //! [`WorkflowStore::set_wal_fold_threshold`]: crate::store::WorkflowStore::set_wal_fold_threshold
-//! [`DiffService::load_streams`]: crate::service::DiffService::load_streams
 
 use crate::io::RunDescriptor;
 use crate::persist::PersistError;
@@ -105,24 +104,23 @@ pub(crate) struct RunRemoveRecord {
     pub(crate) name: String,
 }
 
-/// One node-lifecycle event of an in-flight streamed run.  Streams are
-/// WAL-only state: they have no manifest document, so a fold re-appends the
-/// live records of every still-open stream after truncating the log.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One node-lifecycle event of an in-flight streamed run.  Streams have no
+/// manifest document: a fold writes every open stream's records, numbered
+/// from 0, to the new log.
+#[derive(Debug, Serialize, Deserialize)]
 pub(crate) struct StreamEventRecord {
     /// Specification name.
     pub(crate) spec: String,
     /// Canonical persistent fingerprint (hex) of the specification version
-    /// the stream was opened against; replay drops the whole stream if the
-    /// manifest has moved to a different version.
+    /// the stream was opened against; replay skips a version the manifest
+    /// does not list.
     pub(crate) spec_fingerprint: String,
     /// Stream name (becomes the run name at finalisation).
     pub(crate) stream: String,
     /// Zero-based position of this event in the stream's event sequence.
     pub(crate) seq: u64,
     /// The event itself, or `None` for the closure marker appended once the
-    /// finalised run is durable — replay treats a closed stream's records as
-    /// already folded into the run and drops them.
+    /// stream is closed: replay closes the stream there.
     pub(crate) event: Option<crate::stream::StreamEvent>,
 }
 
@@ -167,35 +165,6 @@ pub(crate) fn stream_records<'a>(
         event: event.cloned(),
     });
     records.map(WalRecord::StreamEvent).collect()
-}
-
-/// One open stream's kind-5 records, keyed by `(spec, stream)`, in append
-/// order.
-pub(crate) type StreamGroup = ((String, String), Vec<StreamEventRecord>);
-
-/// The kind-5 records of a log grouped into the streams still open at its
-/// end — the shared first step of a fold and of
-/// [`DiffService::load_streams`](crate::service::DiffService::load_streams).
-/// A closure marker drops its stream's group; later records under the same
-/// key (a legal reuse of the name after the run was deleted) start a fresh
-/// group.  Also returns how many groups closure markers dropped.
-pub(crate) fn open_streams(records: &[WalRecord]) -> (Vec<StreamGroup>, usize) {
-    let mut groups: Vec<StreamGroup> = Vec::new();
-    let mut closed = 0;
-    for record in records {
-        let WalRecord::StreamEvent(r) = record else { continue };
-        let key = (r.spec.clone(), r.stream.clone());
-        if r.event.is_none() {
-            let before = groups.len();
-            groups.retain(|(k, _)| *k != key);
-            closed += before - groups.len();
-        } else if let Some((_, group)) = groups.iter_mut().find(|(k, _)| *k == key) {
-            group.push(r.clone());
-        } else {
-            groups.push((key, vec![r.clone()]));
-        }
-    }
-    (groups, closed)
 }
 
 /// CRC32 (IEEE 802.3, reflected) — dependency-free, table-driven.

@@ -40,13 +40,6 @@ use crate::tree::AnnotatedTree;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Fingerprint(pub u128);
 
-impl Fingerprint {
-    /// The raw 128-bit value.
-    pub fn as_u128(self) -> u128 {
-        self.0
-    }
-}
-
 impl std::fmt::Display for Fingerprint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{:032x}", self.0)

@@ -383,17 +383,6 @@ impl Specification {
         &self.tables().loop_back_labels
     }
 
-    /// Maps a specification edge id to the spec-tree `Q` leaf representing it.
-    pub fn leaf_for_edge(&self) -> HashMap<EdgeId, TreeId> {
-        let mut map = HashMap::new();
-        for leaf in self.tree.leaves(self.tree.root()) {
-            if let Some(e) = self.tree.node(leaf).edge {
-                map.insert(e, leaf);
-            }
-        }
-        map
-    }
-
     /// Maps a `(source-label, target-label)` pair to the specification edge id,
     /// when such an edge exists.  Because specification labels are unique and
     /// `G` is a simple multigraph built from compositions, at most one edge can

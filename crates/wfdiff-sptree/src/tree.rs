@@ -23,11 +23,6 @@ pub struct AnnotatedTree {
 }
 
 impl AnnotatedTree {
-    /// Creates a tree with a single root node.
-    pub fn with_root(root: TreeNode) -> Self {
-        AnnotatedTree { nodes: vec![root], root: TreeId(0) }
-    }
-
     /// Creates an empty arena; the caller must add nodes and then
     /// [`AnnotatedTree::set_root`].
     pub fn empty() -> Self {

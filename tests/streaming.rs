@@ -225,11 +225,14 @@ fn torn_stream_records_resume_the_surviving_prefix() {
     assert_eq!(survived, events.len() as u64 - 1, "exactly the torn record is lost");
 
     // The resumed stream is byte-for-byte the in-memory application of the
-    // surviving prefix.
-    let fresh = DiffService::new(Arc::clone(&reloaded));
-    fresh.stream_events(SPEC, "torn", &events[..events.len() - 1]).expect("prefix applies cleanly");
+    // surviving prefix, applied afresh on the original store (the reloaded
+    // store's services share its resumed stream).
+    assert!(service.remove_stream(SPEC, "torn"));
+    service
+        .stream_events(SPEC, "torn", &events[..events.len() - 1])
+        .expect("prefix applies cleanly");
     let got = format!("{:?}", resumed.drift_report(SPEC, "torn").expect("drift"));
-    let want = format!("{:?}", fresh.drift_report(SPEC, "torn").expect("drift"));
+    let want = format!("{:?}", service.drift_report(SPEC, "torn").expect("drift"));
     assert_eq!(got, want);
 }
 
@@ -263,8 +266,9 @@ fn finalized_streams_are_indistinguishable_from_whole_inserts() {
         streamed_service.stream_events(SPEC, "newrun", chunk).expect("batch applies");
     }
     let (run, _) = streamed_service.finalize_stream(SPEC, "newrun").expect("finalises");
+    // Storing the run under the stream's name closes the stream.
     streamed_store.insert_run_new("newrun", run).expect("insert");
-    assert!(streamed_service.remove_stream(SPEC, "newrun"));
+    assert_eq!(streamed_service.stream_seq(SPEC, "newrun"), None);
     streamed_service.notify_run_inserted(SPEC, "newrun");
 
     // Whole path: the identical run (same builder, same events) in one go.
